@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race server-race ci bench bench-json clean
+.PHONY: build test vet race server-race bench-harness ci bench bench-json clean
 
 build:
 	$(GO) build ./...
@@ -24,7 +24,14 @@ race:
 server-race:
 	$(GO) test -race -timeout 60s -count=1 ./internal/server/...
 
-ci: vet build test race server-race
+# bench-harness vets and tests the repo benchmark (benchmark/ is its own
+# module, so the targets above do not see it): an internal/* signature
+# change that breaks the harness fails here, not at the next benchmark
+# build.
+bench-harness:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
+ci: vet build test race server-race bench-harness
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

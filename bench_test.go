@@ -229,10 +229,10 @@ func BenchmarkScan(b *testing.B) {
 	w := workload(benchN, 25, 0.1)
 	p := scan.Predicate{Op: scan.LT, A: 1 << 22}
 	b.Run("VBP/less-than", func(b *testing.B) {
-		benchOp(b, w.N, func() { scan.VBP(w.V, p) })
+		benchOp(b, w.N, func() { scan.VBPStats(w.V, p, nil) })
 	})
 	b.Run("HBP/less-than", func(b *testing.B) {
-		benchOp(b, w.N, func() { scan.HBP(w.H, p) })
+		benchOp(b, w.N, func() { scan.HBPStats(w.H, p, nil) })
 	})
 }
 

@@ -273,25 +273,18 @@ func (c *Column) Scan(p Predicate) *Bitmap {
 	if p.list != nil {
 		b := bitvec.New(c.Len())
 		for _, v := range p.list {
-			b.Or(c.scanSimple(scan.Predicate{Op: scan.EQ, A: v}))
+			b.Or(c.scanSimple(scan.Predicate{Op: scan.EQ, A: v}, nil))
 		}
 		if c.nulls != nil {
 			b.AndNot(c.nulls)
 		}
 		return &Bitmap{b: b}
 	}
-	b := c.scanSimple(p.p)
+	b := c.scanSimple(p.p, nil)
 	if c.nulls != nil {
 		b.AndNot(c.nulls) // NULL compares as unknown: never selected
 	}
 	return &Bitmap{b: b}
-}
-
-func (c *Column) scanSimple(p scan.Predicate) *bitvec.Bitmap {
-	if c.layout == VBP {
-		return scan.VBP(c.v, p)
-	}
-	return scan.HBP(c.h, p)
 }
 
 // TopK returns the k largest selected values in descending order (ties

@@ -245,20 +245,24 @@ func (b *Bitmap) Deposit(start, count int, w uint64) {
 	if count < 0 || count > wordBits {
 		panic(fmt.Sprintf("bitvec: Deposit count %d out of range", count))
 	}
-	mask := ^uint64(0)
-	if count < wordBits {
-		mask = (uint64(1) << uint(count)) - 1
-	}
+	mask := ^uint64(0) >> uint(wordBits-count)
 	w &= mask
 	wi, off := start/wordBits, uint(start%wordBits)
-	if wi < len(b.words) {
-		b.words[wi] = b.words[wi]&^(mask<<off) | w<<off
+	last := len(b.words) - 1
+	if wi > last {
+		return
 	}
-	if off != 0 && wi+1 < len(b.words) {
+	b.words[wi] = b.words[wi]&^(mask<<off) | w<<off
+	if int(off)+count > wordBits && wi < last {
+		wi++
 		rem := uint(wordBits) - off
-		b.words[wi+1] = b.words[wi+1]&^(mask>>rem) | w>>rem
+		b.words[wi] = b.words[wi]&^(mask>>rem) | w>>rem
 	}
-	b.trim()
+	// Only the last word has bits beyond Len; a scan depositing one
+	// window per segment reaches it once.
+	if wi == last {
+		b.trim()
+	}
 }
 
 // NextOne returns the position of the first set bit at or after from, or -1

@@ -214,6 +214,34 @@ func TestDepositOverhangDiscarded(t *testing.T) {
 	}
 }
 
+// A deposit trims only when it reaches the last word; wherever it lands,
+// the bits beyond Len stay zero.
+func TestDepositKeepsTailInvariant(t *testing.T) {
+	const n = 200 // four words, eight valid bits in the last
+	for _, c := range []struct {
+		name         string
+		start, count int
+		want         int
+	}{
+		{"inside an earlier word", 70, 50, 50},
+		{"straddling two earlier words", 100, 64, 64},
+		{"ending exactly at the last word", 128, 64, 64},
+		{"straddling into the last word", 170, 64, 30},
+		{"inside the last word", 195, 20, 5},
+		{"starting beyond Len in the last word", 210, 30, 0},
+		{"beyond the last word", 256, 64, 0},
+	} {
+		b := New(n)
+		b.Deposit(c.start, c.count, ^uint64(0))
+		if got := b.Count(); got != c.want {
+			t.Errorf("%s: Count() = %d, want %d", c.name, got, c.want)
+		}
+		if tail := b.Word(3) >> (n % 64); tail != 0 {
+			t.Errorf("%s: bits beyond Len set: %#x", c.name, tail)
+		}
+	}
+}
+
 func TestExtractAligned(t *testing.T) {
 	b := New(128)
 	b.SetWord(0, 0xDEADBEEFCAFEF00D)

@@ -11,12 +11,13 @@ import "bpagg/internal/scan"
 // touching a single packed word.
 //
 // The kernels stay bit-identical to the two-phase path: the window
-// evaluation replicates the scan twins, the per-segment aggregate bodies
-// replicate the Range kernels, and the cached answers equal what the
-// kernels would compute (exact per-segment sums and extremes).
+// evaluation is the segment body the two-phase scans run (scan.WindowPred
+// Decide and Eval), the per-segment aggregate bodies replicate the Range
+// kernels, and the cached answers equal what the kernels would compute
+// (exact per-segment sums and extremes).
 
 // FusedStats accumulates the work counters of one fused pass. The scan-
-// side fields mirror the Stats scan twins (per predicate per window); the
+// side fields mirror the two-phase scans (per predicate per window); the
 // aggregate-side fields mirror the analytic collect helpers of the
 // two-phase drivers, minus the cache-served segments — the measurable
 // WordsTouched drop.
@@ -49,8 +50,8 @@ func (s FusedStats) Add(o FusedStats) FusedStats {
 // valid tuples. Exported so the wide-word kernels of internal/wide feed
 // from the same conjunction (and move the same counters) as the core ones.
 //
-// For a single predicate the counters are exactly those of the Stats scan
-// twin. For conjunctions the fused path may count less: once a predicate
+// For a single predicate the counters are exactly those of the two-phase
+// scan. For conjunctions the fused path may count less: once a predicate
 // prunes the window to none — or the running word empties — the remaining
 // predicates are skipped entirely, which is the point of fusing.
 func FusedWindow(preds []scan.WindowPred, win int, st *FusedStats) (fw uint64, allMatch bool) {

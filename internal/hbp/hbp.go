@@ -175,6 +175,10 @@ func (c *Column) NumSegments() int { return (c.n + c.vps - 1) / c.vps }
 // GroupWords exposes the group-g word slice, indexed [seg*(tau+1)+t].
 func (c *Column) GroupWords(g int) []uint64 { return c.groups[g] }
 
+// Groups exposes every group's word slice at once, so a kernel hoists the
+// lookup out of its per-word loop. Callers must not resize the slices.
+func (c *Column) Groups() [][]uint64 { return c.groups }
+
 // Word returns the group-g word of sub-segment t of segment seg.
 func (c *Column) Word(g, seg, t int) uint64 {
 	return c.groups[g][seg*(c.tau+1)+t]

@@ -1,21 +1,15 @@
 package scan
 
-import (
-	"bpagg/internal/hbp"
-	"bpagg/internal/vbp"
-	"bpagg/internal/word"
-)
-
 // A WindowPred evaluates one predicate a segment window at a time, for the
 // fused scan→aggregate path: instead of materializing a whole filter
 // bitmap, the caller pulls each window's filter word while it is still
 // register-resident and feeds it straight into an aggregate kernel.
 //
-// The evaluation (zone decisions, staged comparisons, early stops) and the
-// words-compared accounting replicate the Stats scan twins exactly, so a
-// fused query reports the same scan counters a two-phase one would.
-// Implementations are read-only after construction and safe for
-// concurrent use by parallel workers.
+// The two-phase scans (VBPStats, HBPStats) drive the same Decide and Eval
+// per segment, so a fused query reports the same scan counters a
+// two-phase one would. Implementations are read-only after construction,
+// safe for concurrent use by parallel workers, and allocate nothing per
+// window.
 type WindowPred interface {
 	// WindowBits is the number of tuples per window: 64 for VBP,
 	// ValuesPerSegment for HBP. Fusion requires every predicate's window
@@ -32,164 +26,4 @@ type WindowPred interface {
 	// stops). Bits at and above the window's valid tuple count are
 	// unspecified; callers mask with the segment's value count.
 	Eval(win int) (fw uint64, words uint64)
-}
-
-// vbpWindowPred evaluates a predicate over one VBP segment at a time,
-// replicating the per-segment body of VBPStats.
-type vbpWindowPred struct {
-	col      *vbp.Column
-	p        Predicate
-	cbits    []uint64 // constant bit lanes (non-Between)
-	cLo, cHi []uint64 // Between bounds
-}
-
-// NewVBPWindowPred returns the window evaluator for p over col. Like the
-// scans, it panics when the predicate's constants do not fit in k bits.
-func NewVBPWindowPred(col *vbp.Column, p Predicate) WindowPred {
-	p.check(col.K())
-	w := &vbpWindowPred{col: col, p: p}
-	if p.Op == Between {
-		w.cLo = constLanesVBP(p.A, col.K())
-		w.cHi = constLanesVBP(p.B, col.K())
-	} else {
-		w.cbits = constLanesVBP(p.A, col.K())
-	}
-	return w
-}
-
-func (w *vbpWindowPred) WindowBits() int { return vbp.SegBits }
-func (w *vbpWindowPred) NumWindows() int { return w.col.NumSegments() }
-
-func (w *vbpWindowPred) Decide(win int) (none, all, ok bool) {
-	lo, hi, ok := w.col.ZoneRange(win)
-	if !ok {
-		return false, false, false
-	}
-	none, all = w.p.zoneDecision(lo, hi)
-	return none, all, true
-}
-
-func (w *vbpWindowPred) Eval(win int) (fw uint64, words uint64) {
-	groups := w.col.Groups()
-	if w.p.Op == Between {
-		sLo := state{eq: ^uint64(0)}
-		sHi := state{eq: ^uint64(0)}
-		for g := range groups {
-			gr := &groups[g]
-			base := win * gr.Bits
-			for b := 0; b < gr.Bits; b++ {
-				x := gr.Words[base+b]
-				l, h := w.cLo[gr.StartBit+b], w.cHi[gr.StartBit+b]
-				sLo.step(^x&l, x&^l, ^(x ^ l))
-				sHi.step(^x&h, x&^h, ^(x ^ h))
-			}
-			words += uint64(gr.Bits)
-			if sLo.eq == 0 && sHi.eq == 0 {
-				break
-			}
-		}
-		return sLo.result(GE, ^uint64(0)) & sHi.result(LE, ^uint64(0)), words
-	}
-	st := state{eq: ^uint64(0)}
-	for g := range groups {
-		gr := &groups[g]
-		base := win * gr.Bits
-		for b := 0; b < gr.Bits; b++ {
-			x := gr.Words[base+b]
-			c := w.cbits[gr.StartBit+b]
-			st.step(^x&c, x&^c, ^(x ^ c))
-		}
-		words += uint64(gr.Bits)
-		if st.eq == 0 {
-			break
-		}
-	}
-	return st.result(w.p.Op, ^uint64(0)), words
-}
-
-// hbpWindowPred evaluates a predicate over one HBP segment at a time,
-// replicating the per-segment body of HBPStats.
-type hbpWindowPred struct {
-	col      *hbp.Column
-	p        Predicate
-	cw       []uint64 // per-group constant words (non-Between)
-	cLo, cHi []uint64 // Between bounds
-}
-
-// NewHBPWindowPred returns the window evaluator for p over col. Like the
-// scans, it panics when the predicate's constants do not fit in k bits.
-func NewHBPWindowPred(col *hbp.Column, p Predicate) WindowPred {
-	p.check(col.K())
-	w := &hbpWindowPred{col: col, p: p}
-	if p.Op == Between {
-		w.cLo = constWordsHBP(col, p.A)
-		w.cHi = constWordsHBP(col, p.B)
-	} else {
-		w.cw = constWordsHBP(col, p.A)
-	}
-	return w
-}
-
-func (w *hbpWindowPred) WindowBits() int { return w.col.ValuesPerSegment() }
-func (w *hbpWindowPred) NumWindows() int { return w.col.NumSegments() }
-
-func (w *hbpWindowPred) Decide(win int) (none, all, ok bool) {
-	lo, hi, ok := w.col.ZoneRange(win)
-	if !ok {
-		return false, false, false
-	}
-	none, all = w.p.zoneDecision(lo, hi)
-	return none, all, true
-}
-
-func (w *hbpWindowPred) Eval(win int) (fw uint64, words uint64) {
-	col := w.col
-	delim := col.DelimMask()
-	bGroups := col.NumGroups()
-	subs := col.SubSegments()
-	base := win * subs
-	if w.p.Op == Between {
-		for t := 0; t < subs; t++ {
-			sLo := state{eq: delim}
-			sHi := state{eq: delim}
-			for g := 0; g < bGroups; g++ {
-				x := col.GroupWords(g)[base+t]
-				words++
-				sLo.step(
-					word.LTDelims(x, w.cLo[g], delim),
-					word.GTDelims(x, w.cLo[g], delim),
-					word.EQDelims(x, w.cLo[g], delim),
-				)
-				sHi.step(
-					word.LTDelims(x, w.cHi[g], delim),
-					word.GTDelims(x, w.cHi[g], delim),
-					word.EQDelims(x, w.cHi[g], delim),
-				)
-				if sLo.eq == 0 && sHi.eq == 0 {
-					break
-				}
-			}
-			sel := sLo.result(GE, delim) & sHi.result(LE, delim)
-			fw |= col.ScatterDelims(sel, t)
-		}
-		return fw, words
-	}
-	for t := 0; t < subs; t++ {
-		st := state{eq: delim}
-		for g := 0; g < bGroups; g++ {
-			x := col.GroupWords(g)[base+t]
-			y := w.cw[g]
-			words++
-			st.step(
-				word.LTDelims(x, y, delim),
-				word.GTDelims(x, y, delim),
-				word.EQDelims(x, y, delim),
-			)
-			if st.eq == 0 {
-				break
-			}
-		}
-		fw |= col.ScatterDelims(st.result(w.p.Op, delim), t)
-	}
-	return fw, words
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bpagg/internal/bitvec"
 	"bpagg/internal/hbp"
 	"bpagg/internal/metrics"
 	"bpagg/internal/vbp"
@@ -99,58 +100,40 @@ func TestZoneMapPruningInvariant(t *testing.T) {
 	}
 }
 
-// TestVBPStatsMatchesVBP and TestHBPStatsMatchesHBP pin the counting
-// loops to their uninstrumented twins: the disabled-path guarantee keeps
-// the loops as separate code, so the counting copies must be proven to
-// produce bit-identical filters.
-func TestVBPStatsMatchesVBP(t *testing.T) {
+// TestStatsCollectorIsObservationOnly pins the one-loop guarantee
+// (DESIGN.md §8): a scan with a collector and a scan without produce the
+// same filter, and the collector accounts for every segment.
+func TestStatsCollectorIsObservationOnly(t *testing.T) {
 	const n, k = 777, 13
 	vals := make([]uint64, n)
 	for i := range vals {
 		vals[i] = uint64(i*i+3*i) & word.LowMask(k)
 	}
-	col := vbp.Pack(vals, k, 4)
+	vcol := vbp.Pack(vals, k, 4)
+	hcol := hbp.Pack(vals, k, hbp.DefaultTau(k))
 	for _, p := range []Predicate{
 		{Op: LT, A: 1000}, {Op: GE, A: 4000}, {Op: EQ, A: vals[100]},
 		{Op: NE, A: vals[100]}, {Op: Between, A: 500, B: 6000},
 	} {
-		var es metrics.ExecStats
-		plain := VBP(col, p)
-		counted := VBPStats(col, p, &es)
-		for i := range plain.Words() {
-			if plain.Word(i) != counted.Word(i) {
-				t.Fatalf("VBP %s %d: word %d differs between twins", p.Op, p.A, i)
+		var ves, hes metrics.ExecStats
+		for _, c := range []struct {
+			layout         string
+			plain, counted *bitvec.Bitmap
+			es             *metrics.ExecStats
+			nseg           int
+		}{
+			{"VBP", VBPStats(vcol, p, nil), VBPStats(vcol, p, &ves), &ves, vcol.NumSegments()},
+			{"HBP", HBPStats(hcol, p, nil), HBPStats(hcol, p, &hes), &hes, hcol.NumSegments()},
+		} {
+			for i := range c.plain.Words() {
+				if c.plain.Word(i) != c.counted.Word(i) {
+					t.Fatalf("%s %s %d: word %d differs with a collector", c.layout, p.Op, p.A, i)
+				}
 			}
-		}
-		if es.SegmentsConsidered() != uint64(col.NumSegments()) {
-			t.Errorf("VBP %s %d: considered %d of %d segments", p.Op, p.A,
-				es.SegmentsConsidered(), col.NumSegments())
-		}
-	}
-}
-
-func TestHBPStatsMatchesHBP(t *testing.T) {
-	const n, k = 777, 13
-	vals := make([]uint64, n)
-	for i := range vals {
-		vals[i] = uint64(i*i+3*i) & word.LowMask(k)
-	}
-	col := hbp.Pack(vals, k, hbp.DefaultTau(k))
-	for _, p := range []Predicate{
-		{Op: LT, A: 1000}, {Op: GE, A: 4000}, {Op: EQ, A: vals[100]},
-		{Op: NE, A: vals[100]}, {Op: Between, A: 500, B: 6000},
-	} {
-		var es metrics.ExecStats
-		plain := HBP(col, p)
-		counted := HBPStats(col, p, &es)
-		for i := range plain.Words() {
-			if plain.Word(i) != counted.Word(i) {
-				t.Fatalf("HBP %s %d: word %d differs between twins", p.Op, p.A, i)
+			if c.es.SegmentsConsidered() != uint64(c.nseg) {
+				t.Errorf("%s %s %d: considered %d of %d segments", c.layout, p.Op, p.A,
+					c.es.SegmentsConsidered(), c.nseg)
 			}
-		}
-		if es.SegmentsConsidered() != uint64(col.NumSegments()) {
-			t.Errorf("HBP %s %d: considered %d of %d segments", p.Op, p.A,
-				es.SegmentsConsidered(), col.NumSegments())
 		}
 	}
 }

@@ -52,7 +52,7 @@ func TestPropVBPScanMatchesScalar(t *testing.T) {
 		in := normalize(kRaw, tauRaw, raw, a, b)
 		col := vbp.Pack(in.Vals, in.K, in.Tau)
 		for _, p := range predicates(in) {
-			bm := VBP(col, p)
+			bm := VBPStats(col, p, nil)
 			for i, v := range in.Vals {
 				if bm.Get(i) != p.Matches(v) {
 					return false
@@ -71,7 +71,7 @@ func TestPropHBPScanMatchesScalar(t *testing.T) {
 		in := normalize(kRaw, tauRaw, raw, a, b)
 		col := hbp.Pack(in.Vals, in.K, in.Tau)
 		for _, p := range predicates(in) {
-			bm := HBP(col, p)
+			bm := HBPStats(col, p, nil)
 			for i, v := range in.Vals {
 				if bm.Get(i) != p.Matches(v) {
 					return false
@@ -91,12 +91,12 @@ func TestPropScanComplementLaws(t *testing.T) {
 		in := normalize(kRaw, tauRaw, raw, a, a)
 		col := vbp.Pack(in.Vals, in.K, in.Tau)
 		n := len(in.Vals)
-		eq := VBP(col, Predicate{Op: EQ, A: in.A})
-		ne := VBP(col, Predicate{Op: NE, A: in.A})
-		lt := VBP(col, Predicate{Op: LT, A: in.A})
-		le := VBP(col, Predicate{Op: LE, A: in.A})
-		gt := VBP(col, Predicate{Op: GT, A: in.A})
-		ge := VBP(col, Predicate{Op: GE, A: in.A})
+		eq := VBPStats(col, Predicate{Op: EQ, A: in.A}, nil)
+		ne := VBPStats(col, Predicate{Op: NE, A: in.A}, nil)
+		lt := VBPStats(col, Predicate{Op: LT, A: in.A}, nil)
+		le := VBPStats(col, Predicate{Op: LE, A: in.A}, nil)
+		gt := VBPStats(col, Predicate{Op: GT, A: in.A}, nil)
+		ge := VBPStats(col, Predicate{Op: GE, A: in.A}, nil)
 		if eq.Count()+ne.Count() != n {
 			return false
 		}
@@ -119,10 +119,10 @@ func TestPropBetweenEqualsRangeConjunction(t *testing.T) {
 		in := normalize(kRaw, tauRaw, raw, a, b)
 		vcol := vbp.Pack(in.Vals, in.K, in.Tau)
 		hcol := hbp.Pack(in.Vals, in.K, in.Tau)
-		vbw := VBP(vcol, Predicate{Op: Between, A: in.A, B: in.B})
-		vconj := VBP(vcol, Predicate{Op: GE, A: in.A}).And(VBP(vcol, Predicate{Op: LE, A: in.B}))
-		hbw := HBP(hcol, Predicate{Op: Between, A: in.A, B: in.B})
-		hconj := HBP(hcol, Predicate{Op: GE, A: in.A}).And(HBP(hcol, Predicate{Op: LE, A: in.B}))
+		vbw := VBPStats(vcol, Predicate{Op: Between, A: in.A, B: in.B}, nil)
+		vconj := VBPStats(vcol, Predicate{Op: GE, A: in.A}, nil).And(VBPStats(vcol, Predicate{Op: LE, A: in.B}, nil))
+		hbw := HBPStats(hcol, Predicate{Op: Between, A: in.A, B: in.B}, nil)
+		hconj := HBPStats(hcol, Predicate{Op: GE, A: in.A}, nil).And(HBPStats(hcol, Predicate{Op: LE, A: in.B}, nil))
 		for i := range in.Vals {
 			if vbw.Get(i) != vconj.Get(i) || hbw.Get(i) != hconj.Get(i) || vbw.Get(i) != hbw.Get(i) {
 				return false

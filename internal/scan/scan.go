@@ -88,46 +88,55 @@ func (p Predicate) Fits(k int) bool {
 	return p.A <= max && (p.Op != Between || p.B <= max)
 }
 
+// check is the validation every scan and window evaluator runs once on
+// entry: the operator must be one of the seven comparisons and the
+// constants must fit in k bits. The kernels behind it then need no
+// unknown-operator arm in their hot paths.
 func (p Predicate) check(k int) {
-	max := word.LowMask(k)
-	if p.A > max || (p.Op == Between && p.B > max) {
+	if p.Op < EQ || p.Op > Between {
+		panic(fmt.Sprintf("scan: predicate operator %d is not a comparison", int(p.Op)))
+	}
+	if !p.Fits(k) {
 		panic(fmt.Sprintf("scan: predicate constant does not fit in %d bits", k))
 	}
 }
 
-// state holds the per-segment staged comparison lanes shared by the VBP and
-// HBP scan loops: eq starts all-ones and loses lanes as higher bits
-// discriminate; lt and gt accumulate lanes decided at each stage.
-type state struct {
-	eq, lt, gt uint64
-}
+// lanes names the staged comparison a predicate compiles to. A kernel
+// stages only the lanes its operator reads, always next to the eq chain
+// that drives the early stop (so the words compared do not depend on the
+// operator family), and takes the complementary operator as one final
+// inversion of the filter word:
+//
+//	lanesLT       lt+eq against A:                <  and >= (inverted)
+//	lanesGT       gt+eq against A:                >  and <= (inverted)
+//	lanesEQ       eq alone:                       =  and <> (inverted)
+//	lanesBetween  lt+eq against A, gt+eq against B: BETWEEN is NOT(lt OR gt)
+type lanes uint8
 
-// step folds one stage into the state. ltg/gtg/eqg are the stage-local
-// comparison lanes; only lanes still equal on all more significant bits may
-// be decided here.
-func (s *state) step(ltg, gtg, eqg uint64) {
-	s.lt |= s.eq & ltg
-	s.gt |= s.eq & gtg
-	s.eq &= eqg
-}
+const (
+	lanesLT lanes = iota
+	lanesGT
+	lanesEQ
+	lanesBetween
+)
 
-// result maps the final lanes to the predicate's truth lanes. full is the
-// all-lanes mask (per-segment tuple mask for VBP, delimiter mask for HBP).
-func (s *state) result(op Op, full uint64) uint64 {
-	switch op {
-	case EQ:
-		return s.eq
-	case NE:
-		return (s.eq ^ full) & full
+// plan maps a checked operator to its lanes and whether the filter word
+// is the complement of what the lanes accumulate.
+func (o Op) plan() (l lanes, invert bool) {
+	switch o {
 	case LT:
-		return s.lt
-	case LE:
-		return s.lt | s.eq
-	case GT:
-		return s.gt
+		return lanesLT, false
 	case GE:
-		return s.gt | s.eq
+		return lanesLT, true
+	case GT:
+		return lanesGT, false
+	case LE:
+		return lanesGT, true
+	case EQ:
+		return lanesEQ, false
+	case NE:
+		return lanesEQ, true
 	default:
-		panic(fmt.Sprintf("scan: unknown op %d", int(op)))
+		return lanesBetween, true
 	}
 }

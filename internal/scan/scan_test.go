@@ -1,10 +1,12 @@
 package scan
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"bpagg/internal/hbp"
+	"bpagg/internal/metrics"
 	"bpagg/internal/vbp"
 	"bpagg/internal/word"
 )
@@ -70,7 +72,7 @@ func TestVBPScanAgainstReference(t *testing.T) {
 				vals := randValues(rng, n, k)
 				col := vbp.Pack(vals, k, tau)
 				for _, p := range allPredicates(rng, k) {
-					bm := VBP(col, p)
+					bm := VBPStats(col, p, nil)
 					if bm.Len() != n {
 						t.Fatalf("k=%d: bitmap length %d, want %d", k, bm.Len(), n)
 					}
@@ -98,7 +100,7 @@ func TestHBPScanAgainstReference(t *testing.T) {
 				vals := randValues(rng, n, k)
 				col := hbp.Pack(vals, k, tau)
 				for _, p := range allPredicates(rng, k) {
-					bm := HBP(col, p)
+					bm := HBPStats(col, p, nil)
 					if bm.Len() != n {
 						t.Fatalf("k=%d: bitmap length %d, want %d", k, bm.Len(), n)
 					}
@@ -120,11 +122,11 @@ func TestScanTailPadding(t *testing.T) {
 	vals := []uint64{5, 6, 7}
 	p := Predicate{Op: LT, A: 100}
 	vcol := vbp.Pack(vals, 8, 4)
-	if bm := VBP(vcol, p); bm.Count() != 3 {
+	if bm := VBPStats(vcol, p, nil); bm.Count() != 3 {
 		t.Errorf("VBP tail leak: count = %d, want 3", bm.Count())
 	}
 	hcol := hbp.Pack(vals, 8, 4)
-	if bm := HBP(hcol, p); bm.Count() != 3 {
+	if bm := HBPStats(hcol, p, nil); bm.Count() != 3 {
 		t.Errorf("HBP tail leak: count = %d, want 3", bm.Count())
 	}
 }
@@ -136,7 +138,7 @@ func TestScanConstantOutOfRangePanics(t *testing.T) {
 			t.Fatal("oversized constant did not panic")
 		}
 	}()
-	VBP(col, Predicate{Op: EQ, A: 16})
+	VBPStats(col, Predicate{Op: EQ, A: 16}, nil)
 }
 
 func TestVBPSlotCompare(t *testing.T) {
@@ -213,7 +215,7 @@ func TestScanSelectivityControl(t *testing.T) {
 	vals := randValues(rng, n, k)
 	col := vbp.Pack(vals, k, 4)
 	cut := uint64(float64(word.LowMask(k)) * 0.3)
-	bm := VBP(col, Predicate{Op: LT, A: cut})
+	bm := VBPStats(col, Predicate{Op: LT, A: cut}, nil)
 	got := float64(bm.Count()) / float64(n)
 	if got < 0.28 || got > 0.32 {
 		t.Errorf("selectivity %f, want ~0.30", got)
@@ -228,7 +230,7 @@ func BenchmarkVBPScanLT(b *testing.B) {
 	b.SetBytes(int64(len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = VBP(col, p)
+		_ = VBPStats(col, p, nil)
 	}
 }
 
@@ -240,34 +242,69 @@ func BenchmarkHBPScanLT(b *testing.B) {
 	b.SetBytes(int64(len(vals)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = HBP(col, p)
+		_ = HBPStats(col, p, nil)
 	}
 }
 
-// BenchmarkScanOps measures every operator on both layouts at the paper's
-// default parameters — the full predicate surface of the substrate.
+// BenchmarkScanOps reports the scan kernels' cost model per (layout,
+// groups, operator, selectivity): ns per packed word compared, and words
+// compared per row (the early stop's effect; identical across kernel
+// implementations by the counter pin). 12-bit values in 1, 2 or 3
+// bit-groups; range constants sit at the target selectivity of the
+// uniform column, and = / <> run on a copy with a hot value planted at
+// that share of the rows.
 func BenchmarkScanOps(b *testing.B) {
+	const k, n = 12, 1 << 18
 	rng := rand.New(rand.NewSource(38))
-	vals := randValues(rng, 1<<18, 25)
-	vcol := vbp.Pack(vals, 25, 4)
-	hcol := hbp.Pack(vals, 25, hbp.DefaultTau(25))
-	preds := []Predicate{
-		{Op: EQ, A: 1 << 20},
-		{Op: NE, A: 1 << 20},
-		{Op: LT, A: 1 << 24},
-		{Op: GE, A: 1 << 24},
-		{Op: Between, A: 1 << 20, B: 1 << 24},
+	uniform := randValues(rng, n, k)
+	const hot = 1234
+	planted := func(pct int) []uint64 {
+		vals := append([]uint64(nil), uniform...)
+		for i := range vals {
+			if rng.Intn(100) < pct {
+				vals[i] = hot
+			}
+		}
+		return vals
 	}
-	for _, p := range preds {
-		b.Run("VBP/"+p.Op.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				VBP(vcol, p)
+	type opCase struct {
+		name string
+		vals []uint64
+		p    Predicate
+	}
+	var cases []opCase
+	for _, pct := range []int{1, 50, 90} {
+		sel := fmt.Sprintf("sel=%d", pct)
+		cut := uint64(pct) << k / 100
+		cases = append(cases,
+			opCase{"=/" + sel, planted(pct), Predicate{Op: EQ, A: hot}},
+			opCase{"<>/" + sel, planted(100 - pct), Predicate{Op: NE, A: hot}},
+			opCase{"</" + sel, uniform, Predicate{Op: LT, A: cut}},
+			opCase{"<=/" + sel, uniform, Predicate{Op: LE, A: cut - 1}},
+			opCase{">/" + sel, uniform, Predicate{Op: GT, A: 1<<k - 1 - cut}},
+			opCase{">=/" + sel, uniform, Predicate{Op: GE, A: 1<<k - cut}},
+			opCase{"BETWEEN/" + sel, uniform, Predicate{Op: Between, A: 1 << (k - 4), B: 1<<(k-4) + cut - 1}},
+		)
+	}
+	for groups := 1; groups <= 3; groups++ {
+		tau := k / groups
+		for _, c := range cases {
+			run := func(layout string, scan func(es *metrics.ExecStats)) {
+				b.Run(fmt.Sprintf("%s/g=%d/%s", layout, groups, c.name), func(b *testing.B) {
+					var es metrics.ExecStats
+					scan(&es)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						scan(nil)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(es.WordsCompared), "ns/word")
+					b.ReportMetric(float64(es.WordsCompared)/n, "words/row")
+				})
 			}
-		})
-		b.Run("HBP/"+p.Op.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				HBP(hcol, p)
-			}
-		})
+			vcol := vbp.Pack(c.vals, k, tau)
+			run("VBP", func(es *metrics.ExecStats) { VBPStats(vcol, c.p, es) })
+			hcol := hbp.Pack(c.vals, k, tau)
+			run("HBP", func(es *metrics.ExecStats) { HBPStats(hcol, c.p, es) })
+		}
 	}
 }

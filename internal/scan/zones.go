@@ -26,3 +26,13 @@ func (p Predicate) zoneDecision(lo, hi uint64) (none, all bool) {
 		return false, false
 	}
 }
+
+// decide lifts zoneDecision over a column's ZoneRange result: a segment
+// without a tracked zone (ok false) is decided neither way.
+func (p Predicate) decide(lo, hi uint64, ok bool) (none, all, tracked bool) {
+	if !ok {
+		return false, false, false
+	}
+	none, all = p.zoneDecision(lo, hi)
+	return none, all, true
+}

@@ -72,8 +72,8 @@ func TestZonePrunedScanMatchesScalar(t *testing.T) {
 		{Op: LE, A: 0},
 		{Op: GT, A: word.LowMask(k) - 1},
 	} {
-		vb := VBP(vcol, p)
-		hb := HBP(hcol, p)
+		vb := VBPStats(vcol, p, nil)
+		hb := HBPStats(hcol, p, nil)
 		for i, v := range vals {
 			want := p.Matches(v)
 			if vb.Get(i) != want {
@@ -105,7 +105,7 @@ func TestScanWithoutZones(t *testing.T) {
 			t.Fatal("FromWords column unexpectedly has zones")
 		}
 		p := Predicate{Op: LT, A: 2000}
-		bm := VBP(col, p)
+		bm := VBPStats(col, p, nil)
 		for i, v := range vals {
 			if bm.Get(i) != p.Matches(v) {
 				t.Fatalf("VBP row %d mismatch without zones", i)
@@ -123,7 +123,7 @@ func TestScanWithoutZones(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := Predicate{Op: Between, A: 100, B: 3000}
-		bm := HBP(col, p)
+		bm := HBPStats(col, p, nil)
 		for i, v := range vals {
 			if bm.Get(i) != p.Matches(v) {
 				t.Fatalf("HBP row %d mismatch without zones", i)
@@ -150,12 +150,12 @@ func BenchmarkZonePruning(b *testing.B) {
 	p := Predicate{Op: Between, A: 1000, B: 2000}
 	b.Run("sorted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			VBP(sorted, p)
+			VBPStats(sorted, p, nil)
 		}
 	})
 	b.Run("shuffled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			VBP(random, p)
+			VBPStats(random, p, nil)
 		}
 	})
 }

@@ -266,9 +266,9 @@ func (inst *Instance) Scan() *bitvec.Bitmap {
 		p := scan.Predicate{Op: scan.LT, A: c.cutoff}
 		var m *bitvec.Bitmap
 		if c.layout == VBP {
-			m = scan.VBP(c.v, p)
+			m = scan.VBPStats(c.v, p, nil)
 		} else {
-			m = scan.HBP(c.h, p)
+			m = scan.HBPStats(c.h, p, nil)
 		}
 		if f == nil {
 			f = m

@@ -366,15 +366,26 @@ func TestFusedFallbacks(t *testing.T) {
 
 // FuzzFusedEquivalence is the fused-vs-two-phase differential fuzzer: any
 // discrepancy in any aggregate between the fused path and the bitmap path
-// is a bug, whatever the data, width, predicate, or thread count.
+// is a bug, whatever the data, width, operator, bit-group count, or thread
+// count. The operator and the group count pick the scan kernel's arm: the
+// lanes it stages, and for HBP the single-group Lamport form or the
+// staged eq chain.
 func FuzzFusedEquivalence(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 200, 17}, uint8(8), uint8(2), uint64(100), uint64(200), uint8(1), true)
-	f.Add([]byte{0, 0, 0, 0}, uint8(1), uint8(0), uint64(0), uint64(1), uint8(4), false)
-	f.Add([]byte{255, 254, 7}, uint8(13), uint8(6), uint64(50), uint64(5000), uint8(8), true)
-	f.Add([]byte{}, uint8(5), uint8(4), uint64(9), uint64(9), uint8(2), false)
+	f.Add([]byte{1, 2, 3, 200, 17}, uint8(8), uint8(2), uint8(0), uint64(100), uint64(200), uint8(1), true)
+	f.Add([]byte{0, 0, 0, 0}, uint8(1), uint8(0), uint8(1), uint64(0), uint64(1), uint8(4), false)
+	f.Add([]byte{255, 254, 7}, uint8(13), uint8(6), uint8(2), uint64(50), uint64(5000), uint8(8), true)
+	f.Add([]byte{}, uint8(5), uint8(4), uint8(0), uint64(9), uint64(9), uint8(2), false)
+	f.Add([]byte{9, 90, 200, 31, 64, 65}, uint8(11), uint8(3), uint8(1), uint64(700), uint64(900), uint8(3), false)
+	f.Add([]byte{9, 90, 200, 31, 64, 65}, uint8(11), uint8(5), uint8(3), uint64(700), uint64(900), uint8(1), false)
 
-	f.Fuzz(func(t *testing.T, data []byte, kRaw, opRaw uint8, a, b uint64, threadsRaw uint8, useVBP bool) {
+	f.Fuzz(func(t *testing.T, data []byte, kRaw, opRaw, groupsRaw uint8, a, b uint64, threadsRaw uint8, useVBP bool) {
 		k := int(kRaw)%17 + 1
+		// groupsRaw 0 keeps the layout's default bit-group size; 1..3 ask
+		// for that many groups.
+		var opts []ColumnOption
+		if groups := int(groupsRaw) % 4; groups > 0 {
+			opts = append(opts, WithGroupBits((k+groups-1)/groups))
+		}
 		layout := HBP
 		if useVBP {
 			layout = VBP
@@ -411,7 +422,7 @@ func FuzzFusedEquivalence(f *testing.F) {
 		}
 		threads := int(threadsRaw)%8 + 1
 
-		tbl := NewTableFromColumns([]string{"x"}, []*Column{FromValues(layout, k, vals)})
+		tbl := NewTableFromColumns([]string{"x"}, []*Column{FromValues(layout, k, vals, opts...)})
 		mk := func() *Query {
 			return tbl.Query().With(Parallel(threads)).Where("x", pred)
 		}

@@ -46,11 +46,11 @@ func (c *Column) ScanStats(p Predicate, rec *StatsCollector) *Bitmap {
 		// IN-lists run one equality scan per member (§II-E); each counts.
 		b = bitvec.New(c.Len())
 		for _, v := range p.list {
-			b.Or(c.scanSimpleStats(scan.Predicate{Op: scan.EQ, A: v}, &es))
+			b.Or(c.scanSimple(scan.Predicate{Op: scan.EQ, A: v}, &es))
 			es.Scans++
 		}
 	} else {
-		b = c.scanSimpleStats(p.p, &es)
+		b = c.scanSimple(p.p, &es)
 		es.Scans++
 	}
 	if c.nulls != nil {
@@ -61,7 +61,8 @@ func (c *Column) ScanStats(p Predicate, rec *StatsCollector) *Bitmap {
 	return &Bitmap{b: b}
 }
 
-func (c *Column) scanSimpleStats(p scan.Predicate, es *metrics.ExecStats) *bitvec.Bitmap {
+// scanSimple runs one simple-predicate scan; a nil es collects nothing.
+func (c *Column) scanSimple(p scan.Predicate, es *metrics.ExecStats) *bitvec.Bitmap {
 	if c.layout == VBP {
 		return scan.VBPStats(c.v, p, es)
 	}
