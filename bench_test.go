@@ -5,7 +5,7 @@
 //	go test -bench 'Fig5'   — aggregation BP vs NBP across selectivities
 //	go test -bench 'Fig6'   — across value widths
 //	go test -bench 'Fig7'   — across data sizes
-//	go test -bench 'Fig8'   — multi-threading and wide-word acceleration
+//	go test -bench 'Fig8'   — multi-threading acceleration
 //	go test -bench 'Table2' — TPC-H style queries, scan vs aggregation
 //
 // The cmd/bpagg-bench tool prints the same experiments as paper-style
@@ -13,6 +13,7 @@
 package bpagg_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -70,19 +71,20 @@ var aggCases = []struct {
 }
 
 func bpRunner(w *bench.Workload, layout tpch.Layout, agg bench.Agg, o parallel.Options) func() {
+	ctx := context.Background()
 	switch {
 	case layout == tpch.VBP && agg == bench.AggSum:
-		return func() { parallel.VBPSum(w.V, w.F, o) }
+		return func() { parallel.VBPSumCtx(ctx, w.V, w.F, o) }
 	case layout == tpch.VBP && agg == bench.AggMinMax:
-		return func() { parallel.VBPMin(w.V, w.F, o) }
+		return func() { parallel.VBPMinCtx(ctx, w.V, w.F, o) }
 	case layout == tpch.VBP && agg == bench.AggMedian:
-		return func() { parallel.VBPMedian(w.V, w.F, o) }
+		return func() { parallel.VBPMedianCtx(ctx, w.V, w.F, o) }
 	case layout == tpch.HBP && agg == bench.AggSum:
-		return func() { parallel.HBPSum(w.H, w.F, o) }
+		return func() { parallel.HBPSumCtx(ctx, w.H, w.F, o) }
 	case layout == tpch.HBP && agg == bench.AggMinMax:
-		return func() { parallel.HBPMin(w.H, w.F, o) }
+		return func() { parallel.HBPMinCtx(ctx, w.H, w.F, o) }
 	default:
-		return func() { parallel.HBPMedian(w.H, w.F, o) }
+		return func() { parallel.HBPMedianCtx(ctx, w.H, w.F, o) }
 	}
 }
 
@@ -156,9 +158,8 @@ func BenchmarkFig7(b *testing.B) {
 	}
 }
 
-// BenchmarkFig8 reproduces Figure 8: bit-parallel aggregation under
-// multi-threading (MT), 256-bit wide words (SIMD stand-in), and both.
-// Compare against the serial rows to obtain the speedup bars.
+// BenchmarkFig8 reproduces Figure 8's multi-threading (MT) bars: compare
+// against the serial rows to obtain the speedup.
 func BenchmarkFig8(b *testing.B) {
 	w := workload(benchN, 25, 0.1)
 	modes := []struct {
@@ -167,8 +168,6 @@ func BenchmarkFig8(b *testing.B) {
 	}{
 		{"serial", parallel.Options{}},
 		{"MT", parallel.Options{Threads: 4}},
-		{"SIMD", parallel.Options{Wide: true}},
-		{"MT+SIMD", parallel.Options{Threads: 4, Wide: true}},
 	}
 	for _, c := range aggCases {
 		for _, m := range modes {

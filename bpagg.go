@@ -19,9 +19,8 @@
 //	med, ok := col.Median(sel)
 //
 // Aggregates accept execution options: bpagg.Parallel(n) partitions the
-// column across n goroutines and bpagg.WideWords() switches to 256-bit
-// wide-word (4x64 lane) kernels — the two acceleration axes of the paper's
-// §IV-B.
+// column across n goroutines (the multi-threading axis of the paper's
+// §IV-B).
 //
 // Values must be unsigned integer codes. The Decimal, Signed and Dict
 // codecs provide order-preserving mappings for fixed-point decimals, signed
@@ -31,12 +30,10 @@ package bpagg
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"bpagg/internal/bitvec"
 	"bpagg/internal/core"
 	"bpagg/internal/hbp"
-	"bpagg/internal/nbp"
 	"bpagg/internal/parallel"
 	"bpagg/internal/scan"
 	"bpagg/internal/vbp"
@@ -344,134 +341,64 @@ func (c *Column) Count(sel *Bitmap) uint64 {
 	return core.Count(c.effective(sel))
 }
 
-// Sum returns the sum of the selected values. The caller must ensure the
-// true sum fits in uint64 (guaranteed when Len < 2^(64-BitWidth)).
+// Sum returns the sum of the selected values. A true total past uint64
+// (possible only when Len ≥ 2^(64-BitWidth)) panics with *OverflowError;
+// use SumContext to receive it as an error.
 func (c *Column) Sum(sel *Bitmap, opts ...ExecOption) uint64 {
-	c.checkSel(sel)
-	if c.sumOverflowPossible() {
-		// Reroute through the checked Context path so a true overflow
-		// surfaces as a *OverflowError panic instead of a wrapped value.
-		v, err := c.SumContext(nil, sel, opts...)
-		fusedMust(err)
-		return v
-	}
-	o := execOptions(opts)
-	eff := c.effective(sel)
-	if c.useReconstruct(eff, o) {
-		defer recordReconstruct(o.par.Stats, eff, time.Now())
-		return nbp.SumOpt(c.nbpSource(), eff, nbpOptions(o))
-	}
-	if c.layout == VBP {
-		return parallel.VBPSum(c.v, eff, o.par)
-	}
-	return parallel.HBPSum(c.h, eff, o.par)
+	v, err := c.SumContext(nil, sel, opts...)
+	fusedMust(err)
+	return v
 }
 
 // Min returns the minimum selected value; ok is false when the selection is
 // empty.
 func (c *Column) Min(sel *Bitmap, opts ...ExecOption) (uint64, bool) {
-	c.checkSel(sel)
-	o := execOptions(opts)
-	eff := c.effective(sel)
-	if c.useReconstruct(eff, o) {
-		defer recordReconstruct(o.par.Stats, eff, time.Now())
-		return nbp.MinOpt(c.nbpSource(), eff, nbpOptions(o))
-	}
-	if c.layout == VBP {
-		return parallel.VBPMin(c.v, eff, o.par)
-	}
-	return parallel.HBPMin(c.h, eff, o.par)
+	v, ok, err := c.MinContext(nil, sel, opts...)
+	fusedMust(err)
+	return v, ok
 }
 
 // Max returns the maximum selected value; ok is false when the selection is
 // empty.
 func (c *Column) Max(sel *Bitmap, opts ...ExecOption) (uint64, bool) {
-	c.checkSel(sel)
-	o := execOptions(opts)
-	eff := c.effective(sel)
-	if c.useReconstruct(eff, o) {
-		defer recordReconstruct(o.par.Stats, eff, time.Now())
-		return nbp.MaxOpt(c.nbpSource(), eff, nbpOptions(o))
-	}
-	if c.layout == VBP {
-		return parallel.VBPMax(c.v, eff, o.par)
-	}
-	return parallel.HBPMax(c.h, eff, o.par)
+	v, ok, err := c.MaxContext(nil, sel, opts...)
+	fusedMust(err)
+	return v, ok
 }
 
 // Avg returns the mean of the selected values; ok is false when the
 // selection is empty.
 func (c *Column) Avg(sel *Bitmap, opts ...ExecOption) (float64, bool) {
-	c.checkSel(sel)
-	if c.sumOverflowPossible() {
-		v, ok, err := c.AvgContext(nil, sel, opts...)
-		fusedMust(err)
-		return v, ok
-	}
-	o := execOptions(opts)
-	eff := c.effective(sel)
-	if c.useReconstruct(eff, o) {
-		defer recordReconstruct(o.par.Stats, eff, time.Now())
-		return nbp.AvgOpt(c.nbpSource(), eff, nbpOptions(o))
-	}
-	if c.layout == VBP {
-		return parallel.VBPAvg(c.v, eff, o.par)
-	}
-	return parallel.HBPAvg(c.h, eff, o.par)
+	v, ok, err := c.AvgContext(nil, sel, opts...)
+	fusedMust(err)
+	return v, ok
 }
 
 // Median returns the lower median of the selected values; ok is false when
 // the selection is empty.
 func (c *Column) Median(sel *Bitmap, opts ...ExecOption) (uint64, bool) {
-	c.checkSel(sel)
-	o := execOptions(opts)
-	eff := c.effective(sel)
-	if c.useReconstruct(eff, o) {
-		defer recordReconstruct(o.par.Stats, eff, time.Now())
-		return nbp.MedianOpt(c.nbpSource(), eff, nbpOptions(o))
-	}
-	if c.layout == VBP {
-		return parallel.VBPMedian(c.v, eff, o.par)
-	}
-	return parallel.HBPMedian(c.h, eff, o.par)
+	v, ok, err := c.MedianContext(nil, sel, opts...)
+	fusedMust(err)
+	return v, ok
 }
 
 // Rank returns the r-th smallest selected value (1-based) — the
 // r-selection the paper's MEDIAN algorithms generalize to. ok is false
 // when fewer than r rows are selected or r is 0.
 func (c *Column) Rank(sel *Bitmap, r uint64, opts ...ExecOption) (uint64, bool) {
-	c.checkSel(sel)
-	o := execOptions(opts)
-	eff := c.effective(sel)
-	if c.useReconstruct(eff, o) {
-		defer recordReconstruct(o.par.Stats, eff, time.Now())
-		return nbp.RankOpt(c.nbpSource(), eff, r, nbpOptions(o))
-	}
-	if c.layout == VBP {
-		return parallel.VBPRank(c.v, eff, r, o.par)
-	}
-	return parallel.HBPRank(c.h, eff, r, o.par)
+	v, ok, err := c.RankContext(nil, sel, r, opts...)
+	fusedMust(err)
+	return v, ok
 }
 
 // Quantile returns the value at quantile q in [0, 1] of the selected rows
 // (nearest-rank definition: rank = ceil(q*count), with q=0 meaning the
-// minimum). ok is false when the selection is empty.
+// minimum). ok is false when the selection is empty; q outside [0, 1]
+// (or NaN) panics.
 func (c *Column) Quantile(sel *Bitmap, q float64, opts ...ExecOption) (uint64, bool) {
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("bpagg: quantile %v outside [0,1]", q))
-	}
-	cnt := c.Count(sel)
-	if cnt == 0 {
-		return 0, false
-	}
-	r := uint64(float64(cnt)*q + 0.999999999)
-	if r == 0 {
-		r = 1
-	}
-	if r > cnt {
-		r = cnt
-	}
-	return c.Rank(sel, r, opts...)
+	v, ok, err := c.QuantileContext(nil, sel, q, opts...)
+	fusedMust(err)
+	return v, ok
 }
 
 func (c *Column) checkSel(sel *Bitmap) {
@@ -481,9 +408,9 @@ func (c *Column) checkSel(sel *Bitmap) {
 	}
 }
 
-// ExecOption configures aggregate execution: the paper's two §IV-B
-// acceleration knobs (Parallel, WideWords) plus the §III access-method
-// choice (Access).
+// ExecOption configures aggregate execution: the paper's §IV-B
+// multi-threading knob (Parallel) plus the §III access-method choice
+// (Access).
 type ExecOption func(*execConfig)
 
 // execConfig is the resolved option bag of one aggregate call.
@@ -495,12 +422,6 @@ type execConfig struct {
 // Parallel partitions the work across n goroutines.
 func Parallel(n int) ExecOption {
 	return func(c *execConfig) { c.par.Threads = n }
-}
-
-// WideWords switches to the 256-bit wide-word kernels (four 64-bit lanes
-// per step — the portable stand-in for the paper's AVX2 acceleration).
-func WideWords() ExecOption {
-	return func(c *execConfig) { c.par.Wide = true }
 }
 
 func execOptions(opts []ExecOption) execConfig {

@@ -122,8 +122,7 @@ func TestExecOptionsAgree(t *testing.T) {
 		baseMed, _ := col.Median(sel)
 		for _, opts := range [][]ExecOption{
 			{Parallel(4)},
-			{WideWords()},
-			{Parallel(4), WideWords()},
+			{Parallel(8)},
 			{Parallel(1)},
 		} {
 			if got := col.Sum(sel, opts...); got != base {

@@ -1,14 +1,12 @@
 // Command bpagg-bench regenerates the paper's evaluation (Feng & Lo, ICDE
 // 2015, §IV): Figures 5-7 (micro-benchmarks of the aggregation phase),
-// Figure 8 (multi-threading and wide-word speedups) and Table II (TPC-H
+// Figure 8 (multi-threading speedups) and Table II (TPC-H
 // style queries), plus a fused-pipeline A/B comparison ("fused") of the
 // scan→aggregate path against the two-phase scan-then-aggregate path,
 // a grouped A/B comparison ("groupby") of the single-pass bit-sliced
 // GROUP BY engine against the legacy per-group walk across cardinalities,
 // with a high-cardinality extension ("groupby-hicard") that sweeps group
-// counts up to 2^20 through the hash-banked partition tier, a SUM
-// kernel A/B comparison ("sum-kernels") of the carry-save positional-
-// popcount kernels against the per-word-popcount bodies they replaced,
+// counts up to 2^20 through the hash-banked partition tier,
 // a shard-count sweep ("shard-scale") of the sharded partitioned
 // store against the flat table it was split from, and a range-width
 // sweep ("range-scale") of the prefix-sum range index against the fused
@@ -109,12 +107,6 @@ var experiments = []experimentSpec{
 		rows := bench.RangeScale(rc.cfg)
 		bench.PrintRangeScale(os.Stdout, rows, rc.cfg)
 		rc.report.AddRangeScale(rows)
-		return nil
-	}},
-	{"sum-kernels", true, func(rc runCtx) error {
-		rows, wideRows := bench.SumKernels(rc.cfg)
-		bench.PrintSumKernels(os.Stdout, rows, wideRows, rc.cfg)
-		rc.report.AddSumKernels(rows, wideRows)
 		return nil
 	}},
 	{"groupby", true, func(rc runCtx) error {

@@ -68,7 +68,7 @@ func usage() {
   bpagg load  -csv FILE -schema SPEC [-shard-rows N] -out FILE
               pack CSV into a .bpag table (N > 0 splits it into a
               sharded partitioned store with shard-catalog pruning)
-  bpagg query -table FILE [-threads N] [-wide] [-timeout D] [-stats] [-http ADDR] [SQL]
+  bpagg query -table FILE [-threads N] [-timeout D] [-stats] [-http ADDR] [SQL]
               (omit SQL for an interactive session reading stdin)
   bpagg info  -table FILE
 
@@ -146,7 +146,6 @@ func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	table := fs.String("table", "", "packed .bpag table")
 	threads := fs.Int("threads", 1, "worker goroutines for aggregation")
-	wide := fs.Bool("wide", false, "use 256-bit wide-word kernels")
 	auto := fs.Bool("auto", true, "pick bit-parallel vs reconstruction per query selectivity")
 	timeout := fs.Duration("timeout", 0, "per-query deadline (0 = none)")
 	stats := fs.Bool("stats", false, "print per-query execution statistics after each result")
@@ -169,7 +168,7 @@ func cmdQuery(args []string) error {
 		}()
 		fmt.Fprintf(os.Stderr, "bpagg: pprof at http://%s/debug/pprof/\n", *httpAddr)
 	}
-	opts := sqlmini.ExecOptions{Threads: *threads, Wide: *wide, Auto: *auto}
+	opts := sqlmini.ExecOptions{Threads: *threads, Auto: *auto}
 	if *stats {
 		opts.Stats = bpagg.NewStatsCollector()
 	}

@@ -50,7 +50,6 @@ func run(args []string) error {
 	table := fs.String("table", "", "packed .bpag table to serve (required)")
 	addr := fs.String("addr", ":8080", "listen address")
 	threads := fs.Int("threads", 0, "worker goroutines per query (0 = engine default)")
-	wide := fs.Bool("wide", false, "use 256-bit wide-word kernels")
 	auto := fs.Bool("auto", true, "pick bit-parallel vs reconstruction per query selectivity")
 	timeout := fs.Duration("timeout", 2*time.Second, "default per-query deadline")
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "cap on per-request ?timeout= overrides")
@@ -78,7 +77,7 @@ func run(args []string) error {
 
 	srv, err := server.New(server.Config{
 		Catalog:          cat,
-		Exec:             sqlmini.ExecOptions{Threads: *threads, Wide: *wide, Auto: *auto},
+		Exec:             sqlmini.ExecOptions{Threads: *threads, Auto: *auto},
 		MaxConcurrent:    *concurrency,
 		MaxQueue:         *queue,
 		DefaultTimeout:   *timeout,

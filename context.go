@@ -12,10 +12,10 @@ import (
 
 // Error handling and cancellation contract
 //
-// The ...Context methods below are the hardened twins of the plain
-// aggregate methods: they accept a context.Context, validate their
-// arguments instead of panicking, and return errors for everything that
-// can go wrong at runtime — cancellation (context.Canceled), deadlines
+// The ...Context methods below are the one implementation of the
+// aggregates: they accept a context.Context, validate their arguments
+// instead of panicking, and return errors for everything that can go
+// wrong at runtime — cancellation (context.Canceled), deadlines
 // (context.DeadlineExceeded), mismatched selections, out-of-range
 // quantiles, and recovered worker panics (*PanicError).
 //
@@ -26,11 +26,12 @@ import (
 // worker goroutines are joined before the call returns; no goroutine
 // outlives its aggregate.
 //
-// The plain methods (Sum, Median, ...) keep their original contract:
-// panics are reserved for programmer errors (mismatched selection
-// lengths, out-of-range quantile constants), and a worker panic
-// propagates. Code operating on untrusted input should use the
-// ...Context variants.
+// The plain methods (Sum, Median, ...) call their Context twin with a
+// nil ctx and re-raise its error through fusedMust: panics are reserved
+// for programmer errors (mismatched selection lengths, out-of-range
+// quantile constants, a sum past uint64), and a worker panic propagates
+// with its original value. Code operating on untrusted input should use
+// the ...Context variants.
 
 // PanicError reports a worker panic recovered during a parallel
 // aggregate: one corrupt segment or faulty kernel surfaces as an error
@@ -72,7 +73,7 @@ func orBackground(ctx context.Context) context.Context {
 	return ctx
 }
 
-// checkSelErr is the error-returning twin of checkSel.
+// checkSelErr validates a selection against the column's length.
 func (c *Column) checkSelErr(sel *Bitmap) error {
 	if sel == nil {
 		return fmt.Errorf("bpagg: nil selection")
@@ -283,19 +284,12 @@ func (c *Column) QuantileContext(ctx context.Context, sel *Bitmap, q float64, op
 	if err := c.checkSelErr(sel); err != nil {
 		return 0, false, err
 	}
-	if q < 0 || q > 1 || q != q { // q != q rejects NaN
-		return 0, false, fmt.Errorf("bpagg: quantile %v outside [0,1]", q)
+	if err := checkQuantile(q); err != nil {
+		return 0, false, err
 	}
-	cnt := c.Count(sel)
-	if cnt == 0 {
+	r, ok := quantileRank(q)(c.Count(sel))
+	if !ok {
 		return 0, false, nil
-	}
-	r := uint64(float64(cnt)*q + 0.999999999)
-	if r == 0 {
-		r = 1
-	}
-	if r > cnt {
-		r = cnt
 	}
 	return c.rankContext(ctx, sel, r, opts)
 }

@@ -166,7 +166,7 @@ func TestContextAggregatesMatchPlain(t *testing.T) {
 	ctx := context.Background()
 	for _, layout := range []Layout{VBP, HBP} {
 		col, sel := bigColumn(t, layout, 64*101+17, 13)
-		for _, opts := range [][]ExecOption{nil, {Parallel(4)}, {Parallel(4), WideWords()}, {Access(Auto)}} {
+		for _, opts := range [][]ExecOption{nil, {Parallel(4)}, {Access(Auto)}} {
 			if got, err := col.SumContext(ctx, sel, opts...); err != nil || got != col.Sum(sel, opts...) {
 				t.Fatalf("%v SumContext: (%d,%v) vs %d", layout, got, err, col.Sum(sel, opts...))
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -121,5 +122,46 @@ func TestErrorContract(t *testing.T) {
 	// classification agrees on both sides of the internal boundary.
 	if !errors.Is(core.ErrGroupCardinality, ErrGroupCardinality) {
 		t.Error("bpagg.ErrGroupCardinality is not core.ErrGroupCardinality")
+	}
+}
+
+// TestGroupedAvgOverflowNamesGroup pins the grouped overflow contract on
+// the per-group (non-banked) path of the plain method: the *OverflowError
+// that Grouped.Avg panics with names the offending group and carries the
+// same 128-bit total as AvgContext's error. The measure column holds a
+// NULL, which is what keeps the banked kernels out.
+func TestGroupedAvgOverflowNamesGroup(t *testing.T) {
+	v, g := NewColumn(VBP, 64), NewColumn(VBP, 2)
+	for _, row := range []struct {
+		g, v uint64
+		null bool
+	}{{g: 0, v: 7}, {g: 1, v: 1 << 63}, {g: 2, null: true}, {g: 1, v: 1 << 63}} {
+		g.Append(row.g)
+		if row.null {
+			v.AppendNull()
+		} else {
+			v.Append(row.v)
+		}
+	}
+	grouped := NewTableFromColumns([]string{"g", "v"}, []*Column{g, v}).Query().GroupBy("g")
+	if _, ok := grouped.banked(v); ok {
+		t.Fatal("a NULL in the measure column must keep the banked path out")
+	}
+
+	_, err := grouped.AvgContext(context.Background(), "v")
+	var want *OverflowError
+	if !errors.As(err, &want) {
+		t.Fatalf("AvgContext = %v, want *OverflowError", err)
+	}
+	recovered := mustPanic(t, func() { grouped.Avg("v") })
+	got, ok := recovered.(*OverflowError)
+	if !ok {
+		t.Fatalf("Grouped.Avg panicked with %#v, want *OverflowError", recovered)
+	}
+	if got.Hi != 1 || got.Lo != 0 || got.Hi != want.Hi || got.Lo != want.Lo {
+		t.Errorf("Grouped.Avg total (%d, %d), AvgContext (%d, %d), want (1, 0)", got.Hi, got.Lo, want.Hi, want.Lo)
+	}
+	if key := grouped.KeyParts(1); !reflect.DeepEqual(got.Group, key) || !reflect.DeepEqual(want.Group, key) {
+		t.Errorf("Grouped.Avg names group %v, AvgContext %v, want %v", got.Group, want.Group, key)
 	}
 }

@@ -128,15 +128,15 @@ func ExampleAccess() {
 	// 317112
 }
 
-// Aggregation accelerates with goroutines and 256-bit wide words — the
-// paper's two §IV-B axes.
+// Aggregation accelerates with goroutines — the multi-threading axis of
+// the paper's §IV-B.
 func ExampleParallel() {
 	vals := make([]uint64, 100000)
 	for i := range vals {
 		vals[i] = uint64(i % 1000)
 	}
 	col := bpagg.FromValues(bpagg.VBP, 10, vals)
-	sum := col.Sum(col.All(), bpagg.Parallel(4), bpagg.WideWords())
+	sum := col.Sum(col.All(), bpagg.Parallel(4))
 	fmt.Println(sum)
 	// Output: 49950000
 }

@@ -57,15 +57,15 @@ func main() {
 		price.DecodeMoney(medP), price.DecodeMoney(p95), price.DecodeMoney(maxP),
 		q15.CountRows(), time.Since(start))
 
-	// The same Q6 with multi-threading and wide words enabled.
+	// The same Q6 with multi-threading enabled.
 	start = time.Now()
 	revenue2 := tbl.Query().
 		Where("shipdate", bpagg.Between(8766, 9130)).
 		Where("discount", bpagg.Between(5, 7)).
 		Where("quantity", bpagg.Less(24)).
-		With(bpagg.Parallel(4), bpagg.WideWords()).
+		With(bpagg.Parallel(4)).
 		Sum("revenue")
-	fmt.Printf("\nQ6 again with Parallel(4)+WideWords: %v", time.Since(start))
+	fmt.Printf("\nQ6 again with Parallel(4): %v", time.Since(start))
 	if revenue2 != revenue {
 		fmt.Println("  MISMATCH!")
 		return

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"bpagg/internal/bitvec"
 	"bpagg/internal/core"
@@ -44,7 +43,7 @@ import (
 //
 // GroupBy picks the strategy at plan time: direct or hash when the query
 // qualifies (same spirit as the Query.Fused gate: no user bitmap, no
-// NULLs on the grouping columns, bit-parallel 64-bit execution), legacy
+// NULLs on the grouping columns, bit-parallel execution), legacy
 // otherwise or past MaxSinglePassGroups discovered keys. Results are
 // bit-identical across strategies and thread counts.
 type Grouped struct {
@@ -115,7 +114,7 @@ func (g *Grouped) Strategy() GroupStrategy { return g.strategy }
 
 // groupSinglePass attempts the single-pass partition (direct or hash
 // tier). ok is false when the query does not qualify (pre-materialized
-// or user-supplied selection, NULLs on a grouping column, wide words,
+// or user-supplied selection, NULLs on a grouping column,
 // non-bit-parallel access, or cardinality past the tier budget) — the
 // caller then runs the legacy walk. A returned error is a real execution
 // failure (cancellation, worker panic), never a fallback signal.
@@ -129,7 +128,7 @@ func (q *Query) groupSinglePass(ctx context.Context, cols []*Column, widths []in
 		}
 	}
 	o := execOptions(q.execs)
-	if o.access != BitParallel || o.par.Wide {
+	if o.access != BitParallel {
 		return nil, false, nil
 	}
 	base := q.Selection()
@@ -249,15 +248,7 @@ func (q *Query) legacyGroupWalk(ctx context.Context, cols []*Column, widths []in
 // packed composite of the columns' codes (see Keys/KeyParts); the
 // combined key width must fit 64 bits.
 func (q *Query) GroupBy(columns ...string) *Grouped {
-	cols := make([]*Column, len(columns))
-	for i, column := range columns {
-		col := q.t.cols[column]
-		if col == nil {
-			panic(fmt.Sprintf("bpagg: unknown column %q", column))
-		}
-		cols[i] = col
-	}
-	g, err := q.groupByCols(context.Background(), cols)
+	g, err := q.GroupByContext(nil, columns...)
 	fusedMust(err)
 	return g
 }
@@ -309,13 +300,13 @@ func (g *Grouped) groupCount(i int) uint64 {
 // banked single-pass kernels, and resolves the execution options if so.
 // The gate mirrors groupSinglePass's per-column conditions: the
 // partition itself must be single-pass, the measure column NULL-free,
-// and execution bit-parallel with 64-bit words.
+// and execution bit-parallel.
 func (g *Grouped) banked(col *Column) (execConfig, bool) {
 	if !g.SinglePass() || col.nulls != nil {
 		return execConfig{}, false
 	}
 	o := execOptions(g.q.execs)
-	if o.access != BitParallel || o.par.Wide {
+	if o.access != BitParallel {
 		return execConfig{}, false
 	}
 	return o, true
@@ -391,15 +382,8 @@ func (g *Grouped) bankedExtreme(ctx context.Context, col *Column, o execConfig, 
 // other per-group aggregates; the hash tier serves them from the counts
 // tallied during partitioning.
 func (g *Grouped) Count() []uint64 {
-	start := time.Now()
-	out := make([]uint64, len(g.keys))
-	for i := range g.keys {
-		out[i] = g.groupCount(i)
-	}
-	g.q.stats.Record(ExecStats{
-		Aggregates: uint64(len(g.keys)),
-		AggNanos:   time.Since(start).Nanoseconds(),
-	})
+	out, err := g.CountContext(nil)
+	fusedMust(err)
 	return out
 }
 
@@ -416,74 +400,43 @@ func (g *Grouped) decorateOverflow(err error, i int) error {
 
 // Sum aggregates SUM of the named column per group: banked single-pass
 // over the measure column when the partition and column qualify, one
-// Column.Sum per group otherwise. Either path panics with an
+// Column.SumContext per group otherwise. Either path panics with an
 // *OverflowError naming the offending group when a group's sum exceeds
 // uint64 (use SumContext to receive it as an error).
 func (g *Grouped) Sum(column string) []uint64 {
-	col := g.q.col(column)
-	if o, ok := g.banked(col); ok {
-		out, err := g.bankedSum(context.Background(), col, o)
-		fusedMust(err)
-		return out
-	}
-	out := make([]uint64, len(g.keys))
-	for i := range g.keys {
-		v, err := col.SumContext(context.Background(), g.Selection(i), g.q.execs...)
-		fusedMust(g.decorateOverflow(err, i))
-		out[i] = v
-	}
+	out, err := g.SumContext(nil, column)
+	fusedMust(err)
 	return out
 }
 
 // Min aggregates MIN of the named column per group. Every group is
 // non-empty by construction, so no ok flags are needed.
 func (g *Grouped) Min(column string) []uint64 {
-	return g.extreme(column, true)
+	out, err := g.MinContext(nil, column)
+	fusedMust(err)
+	return out
 }
 
 // Max aggregates MAX of the named column per group.
 func (g *Grouped) Max(column string) []uint64 {
-	return g.extreme(column, false)
-}
-
-func (g *Grouped) extreme(column string, wantMin bool) []uint64 {
-	col := g.q.col(column)
-	if o, ok := g.banked(col); ok {
-		vals, anys, err := g.bankedExtreme(context.Background(), col, o, wantMin)
-		fusedMust(err)
-		for _, any := range anys {
-			if !any {
-				panic("bpagg: empty group selection — grouping invariant violated")
-			}
-		}
-		return vals
-	}
-	if wantMin {
-		return g.each(column, (*Column).Min)
-	}
-	return g.each(column, (*Column).Max)
+	out, err := g.MaxContext(nil, column)
+	fusedMust(err)
+	return out
 }
 
 // Median aggregates the lower MEDIAN of the named column per group.
 func (g *Grouped) Median(column string) []uint64 {
-	return g.each(column, (*Column).Median)
+	out, err := g.MedianContext(nil, column)
+	fusedMust(err)
+	return out
 }
 
 // Avg aggregates AVG of the named column per group. Like Sum, a group
 // whose running sum exceeds uint64 panics with an *OverflowError (use
 // AvgContext to receive it as an error).
 func (g *Grouped) Avg(column string) []float64 {
-	col := g.q.col(column)
-	if o, ok := g.banked(col); ok {
-		out, err := g.bankedAvg(context.Background(), col, o)
-		fusedMust(err)
-		return out
-	}
-	out := make([]float64, len(g.keys))
-	for i := range g.keys {
-		v, _ := col.Avg(g.Selection(i), g.q.execs...)
-		out[i] = v
-	}
+	out, err := g.AvgContext(nil, column)
+	fusedMust(err)
 	return out
 }
 
@@ -503,17 +456,4 @@ func (g *Grouped) bankedAvg(ctx context.Context, col *Column, o execConfig) ([]f
 		}
 	}
 	return out, nil
-}
-
-func (g *Grouped) each(column string, agg func(*Column, *Bitmap, ...ExecOption) (uint64, bool)) []uint64 {
-	col := g.q.col(column)
-	out := make([]uint64, len(g.keys))
-	for i := range g.keys {
-		v, ok := agg(col, g.Selection(i), g.q.execs...)
-		if !ok {
-			panic("bpagg: empty group selection — grouping invariant violated")
-		}
-		out[i] = v
-	}
-	return out
 }

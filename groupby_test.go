@@ -275,10 +275,10 @@ func TestGroupByWithExecOptions(t *testing.T) {
 	tbl.AddColumn("v", VBP, 10)
 	tbl.AppendColumnar(map[string][]uint64{"g": g, "v": v})
 	base := tbl.Query().GroupBy("g").Sum("v")
-	fast := tbl.Query().With(Parallel(4), WideWords()).GroupBy("g").Sum("v")
+	fast := tbl.Query().With(Parallel(4)).GroupBy("g").Sum("v")
 	for i := range base {
 		if base[i] != fast[i] {
-			t.Fatalf("group %d: serial %d, parallel+wide %d", i, base[i], fast[i])
+			t.Fatalf("group %d: serial %d, parallel %d", i, base[i], fast[i])
 		}
 	}
 }

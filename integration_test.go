@@ -31,7 +31,7 @@ func TestLargePipeline(t *testing.T) {
 	q := tbl.Query().
 		Where("price", Less(1<<19)).
 		Where("qty", GreaterEq(10)).
-		With(Parallel(4), WideWords())
+		With(Parallel(4))
 	var wantCount, wantSum uint64
 	perRegion := map[uint64]uint64{}
 	for i := 0; i < n; i++ {

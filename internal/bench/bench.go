@@ -1,7 +1,7 @@
 // Package bench is the experiment harness that regenerates every figure
 // and table of the paper's evaluation (§IV): the selectivity sweep
 // (Figure 5), the value-width sweep (Figure 6), the data-size sweep
-// (Figure 7), the multi-threading/SIMD speedups (Figure 8) and the TPC-H
+// (Figure 7), the multi-threading speedups (Figure 8) and the TPC-H
 // comparison (Table II).
 //
 // The paper reports processor cycles per tuple read with RDTSC on a fixed

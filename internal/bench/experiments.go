@@ -1,10 +1,10 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 
 	"bpagg/internal/bitvec"
-	"bpagg/internal/core"
 	"bpagg/internal/nbp"
 	"bpagg/internal/parallel"
 	"bpagg/internal/tpch"
@@ -57,19 +57,20 @@ func (w *Workload) WithSelectivity(sel float64, seed int64) *Workload {
 
 // runBP returns a closure executing one bit-parallel aggregate evaluation.
 func (w *Workload) runBP(layout tpch.Layout, agg Agg, o parallel.Options) func() {
+	ctx := context.Background()
 	switch {
 	case layout == tpch.VBP && agg == AggSum:
-		return func() { parallel.VBPSum(w.V, w.F, o) }
+		return func() { parallel.VBPSumCtx(ctx, w.V, w.F, o) }
 	case layout == tpch.VBP && agg == AggMinMax:
-		return func() { parallel.VBPMin(w.V, w.F, o) }
+		return func() { parallel.VBPMinCtx(ctx, w.V, w.F, o) }
 	case layout == tpch.VBP && agg == AggMedian:
-		return func() { parallel.VBPMedian(w.V, w.F, o) }
+		return func() { parallel.VBPMedianCtx(ctx, w.V, w.F, o) }
 	case layout == tpch.HBP && agg == AggSum:
-		return func() { parallel.HBPSum(w.H, w.F, o) }
+		return func() { parallel.HBPSumCtx(ctx, w.H, w.F, o) }
 	case layout == tpch.HBP && agg == AggMinMax:
-		return func() { parallel.HBPMin(w.H, w.F, o) }
+		return func() { parallel.HBPMinCtx(ctx, w.H, w.F, o) }
 	default:
-		return func() { parallel.HBPMedian(w.H, w.F, o) }
+		return func() { parallel.HBPMedianCtx(ctx, w.H, w.F, o) }
 	}
 }
 
@@ -164,19 +165,17 @@ func measureRow(cfg Config, w *Workload, layout tpch.Layout, agg Agg, param floa
 	}
 }
 
-// Fig8Row is one bar group of Figure 8: speedups of the accelerated
-// bit-parallel variants over the single-threaded bit-parallel baseline.
+// Fig8Row is one bar group of Figure 8: the speedup of multi-threaded
+// bit-parallel aggregation over the single-threaded baseline. The
+// paper's SIMD bars are not reproduced: Go has no SIMD intrinsics.
 type Fig8Row struct {
 	Layout   tpch.Layout
 	Agg      Agg
 	SerialNs float64
-	MT       float64 // multi-threading only
-	SIMD     float64 // wide words only
-	Both     float64 // multi-threading + wide words
+	MT       float64 // serial ns / multi-threaded ns
 }
 
-// Fig8 measures the multi-threading and wide-word speedups (paper
-// Figure 8).
+// Fig8 measures the multi-threading speedup (paper Figure 8).
 func Fig8(cfg Config) []Fig8Row {
 	w := NewWorkload(cfg.N, cfg.K, cfg.Sel, cfg.Seed)
 	var rows []Fig8Row
@@ -184,12 +183,7 @@ func Fig8(cfg Config) []Fig8Row {
 		for _, agg := range Aggs {
 			serial := MeasureNsPerTuple(w.N, cfg.MinTime, w.runBP(layout, agg, parallel.Options{}))
 			mt := MeasureNsPerTuple(w.N, cfg.MinTime, w.runBP(layout, agg, parallel.Options{Threads: cfg.Threads}))
-			simd := MeasureNsPerTuple(w.N, cfg.MinTime, w.runBP(layout, agg, parallel.Options{Wide: true}))
-			both := MeasureNsPerTuple(w.N, cfg.MinTime, w.runBP(layout, agg, parallel.Options{Threads: cfg.Threads, Wide: true}))
-			rows = append(rows, Fig8Row{
-				Layout: layout, Agg: agg, SerialNs: serial,
-				MT: serial / mt, SIMD: serial / simd, Both: serial / both,
-			})
+			rows = append(rows, Fig8Row{Layout: layout, Agg: agg, SerialNs: serial, MT: serial / mt})
 		}
 	}
 	return rows
@@ -211,16 +205,15 @@ type Table2Row struct {
 	TotImprove  float64
 }
 
-// Table2 runs the nine TPC-H queries in one layout (paper Table II;
-// multi-threaded on both methods, wide words on the bit-parallel side,
-// mirroring the paper's "multi-threaded; SIMD-enabled" setting).
+// Table2 runs the nine TPC-H queries in one layout (paper Table II),
+// multi-threaded on both methods.
 func Table2(cfg Config, layout tpch.Layout) []Table2Row {
 	var rows []Table2Row
 	for _, q := range tpch.Queries() {
 		inst := tpch.Build(q, layout, cfg.N, cfg.Seed)
 		var f *bitvec.Bitmap
 		scanNs := MeasureNsPerTuple(cfg.N, cfg.MinTime, func() { f = inst.Scan() })
-		bpOpts := parallel.Options{Threads: cfg.Threads, Wide: true}
+		bpOpts := parallel.Options{Threads: cfg.Threads}
 		nbpOpts := nbp.Options{Threads: cfg.Threads}
 		nbpNs := MeasureNsPerTuple(cfg.N, cfg.MinTime, func() { inst.RunAggNBP(f, nbpOpts) })
 		bpNs := MeasureNsPerTuple(cfg.N, cfg.MinTime, func() { inst.RunAggBP(f, bpOpts) })
@@ -256,7 +249,7 @@ func Sanity(cfg Config) bool {
 		for _, layout := range Layouts {
 			inst := tpch.Build(q, layout, 20000, cfg.Seed)
 			f := inst.Scan()
-			bp := inst.RunAggBP(f, parallel.Options{Threads: cfg.Threads, Wide: true})
+			bp := inst.RunAggBP(f, parallel.Options{Threads: cfg.Threads})
 			nb := inst.RunAggNBP(f, nbp.Options{Threads: cfg.Threads})
 			for i := range bp {
 				if bp[i] != nb[i] {
@@ -267,17 +260,14 @@ func Sanity(cfg Config) bool {
 	}
 	// Micro workload cross-check.
 	w := NewWorkload(50000, cfg.K, cfg.Sel, cfg.Seed)
-	if parallel.VBPSum(w.V, w.F, parallel.Options{}) != nbp.Sum(w.V, w.F) {
+	ctx := context.Background()
+	if sv, err := parallel.VBPSumCtx(ctx, w.V, w.F, parallel.Options{}); err != nil || sv != nbp.Sum(w.V, w.F) {
 		return false
 	}
-	if parallel.HBPSum(w.H, w.F, parallel.Options{}) != nbp.Sum(w.H, w.F) {
+	if sh, err := parallel.HBPSumCtx(ctx, w.H, w.F, parallel.Options{}); err != nil || sh != nbp.Sum(w.H, w.F) {
 		return false
 	}
-	mv, okv := parallel.VBPMedian(w.V, w.F, parallel.Options{})
+	mv, okv, err := parallel.VBPMedianCtx(ctx, w.V, w.F, parallel.Options{})
 	mn, okn := nbp.Median(w.V, w.F)
-	if mv != mn || okv != okn {
-		return false
-	}
-	_ = core.Count(w.F)
-	return true
+	return err == nil && mv == mn && okv == okn
 }

@@ -32,8 +32,6 @@ type Report struct {
 	GroupBy       []GroupByJSON       `json:"groupby,omitempty"`
 	GroupByHiCard []GroupByHiCardJSON `json:"groupby_hicard,omitempty"`
 	Server        []ServerJSON        `json:"concurrent_clients,omitempty"`
-	SumKernels    []SumKernelsJSON    `json:"sum_kernels,omitempty"`
-	SumKernelsW   []SumKernelsWJSON   `json:"sum_kernels_wide,omitempty"`
 	ShardScale    []ShardScaleJSON    `json:"shard_scale,omitempty"`
 	RangeScale    []RangeScaleJSON    `json:"range_scale,omitempty"`
 }
@@ -74,8 +72,6 @@ type Fig8JSON struct {
 	Agg      string  `json:"agg"`
 	SerialNs float64 `json:"serial_ns_per_tuple"`
 	MT       float64 `json:"mt_speedup"`
-	SIMD     float64 `json:"simd_speedup"`
-	Both     float64 `json:"both_speedup"`
 }
 
 // Table2JSON is a Table2Row tagged with its layout.
@@ -146,7 +142,7 @@ func (r *Report) AddFig7(rows []MicroRow) {
 	}
 }
 
-// AddFig8 records the threading/wide-word grid.
+// AddFig8 records the multi-threading grid.
 func (r *Report) AddFig8(rows []Fig8Row) {
 	if r == nil {
 		return
@@ -154,7 +150,7 @@ func (r *Report) AddFig8(rows []Fig8Row) {
 	for _, row := range rows {
 		r.Fig8 = append(r.Fig8, Fig8JSON{
 			Layout: row.Layout.String(), Agg: row.Agg.String(),
-			SerialNs: row.SerialNs, MT: row.MT, SIMD: row.SIMD, Both: row.Both,
+			SerialNs: row.SerialNs, MT: row.MT,
 		})
 	}
 }
@@ -271,41 +267,6 @@ func (r *Report) AddServer(rows []ServerRow) {
 			QPS: row.QPS, P50Ms: row.P50Ms, P99Ms: row.P99Ms,
 			WordsTouched: row.WordsTouched, Scans: row.Scans,
 			Batches: row.Batches, Batched: row.Batched,
-		})
-	}
-}
-
-// SumKernelsJSON is a SumKernelsRow in the report.
-type SumKernelsJSON struct {
-	Route    string  `json:"route"`
-	Mix      string  `json:"mix"`
-	LegacyNs float64 `json:"legacy_ns_per_tuple"`
-	PosPopNs float64 `json:"pospop_ns_per_tuple"`
-	Speedup  float64 `json:"speedup"`
-}
-
-// SumKernelsWJSON is a SumKernelsWideRow in the report.
-type SumKernelsWJSON struct {
-	Mix    string  `json:"mix"`
-	CoreNs float64 `json:"core_ns_per_tuple"`
-	WideNs float64 `json:"wide_ns_per_tuple"`
-	Ratio  float64 `json:"ratio"`
-}
-
-// AddSumKernels records both SUM-kernel A/B grids.
-func (r *Report) AddSumKernels(rows []SumKernelsRow, wideRows []SumKernelsWideRow) {
-	if r == nil {
-		return
-	}
-	for _, row := range rows {
-		r.SumKernels = append(r.SumKernels, SumKernelsJSON{
-			Route: row.Route, Mix: row.Mix,
-			LegacyNs: row.LegacyNs, PosPopNs: row.PosPopNs, Speedup: row.Speedup,
-		})
-	}
-	for _, row := range wideRows {
-		r.SumKernelsW = append(r.SumKernelsW, SumKernelsWJSON{
-			Mix: row.Mix, CoreNs: row.CoreNs, WideNs: row.WideNs, Ratio: row.Ratio,
 		})
 	}
 }

@@ -11,7 +11,7 @@ import (
 func TestReportJSONRoundTrip(t *testing.T) {
 	rep := NewReport(DefaultConfig())
 	rep.AddFig5([]MicroRow{{Layout: tpch.VBP, Agg: AggSum, Param: 0.1, NBPns: 2.0, BPns: 0.5, Speedup: 4.0}})
-	rep.AddFig8([]Fig8Row{{Layout: tpch.HBP, Agg: AggMinMax, SerialNs: 1.5, MT: 3.1, SIMD: 2.2, Both: 5.0}})
+	rep.AddFig8([]Fig8Row{{Layout: tpch.HBP, Agg: AggMinMax, SerialNs: 1.5, MT: 3.1}})
 	rep.AddTable2(tpch.VBP, []Table2Row{{Query: "Q1", Selectivity: 0.1, ScanNs: 0.3, AggNBPNs: 2.0, AggBPNs: 0.4}})
 
 	var buf bytes.Buffer

@@ -45,14 +45,12 @@ func PrintFig7(w io.Writer, rows []MicroRow) {
 	}
 }
 
-// PrintFig8 renders the acceleration speedups (paper Figure 8).
+// PrintFig8 renders the multi-threading speedups (paper Figure 8).
 func PrintFig8(w io.Writer, rows []Fig8Row, threads int) {
-	fmt.Fprintf(w, "Figure 8 — speedup over single-threaded bit-parallel (threads=%d, wide=4x64)\n", threads)
-	fmt.Fprintf(w, "%-7s %-8s %12s %10s %10s %10s\n",
-		"layout", "agg", "serial ns/t", "MT", "SIMD", "MT+SIMD")
+	fmt.Fprintf(w, "Figure 8 — speedup over single-threaded bit-parallel (threads=%d)\n", threads)
+	fmt.Fprintf(w, "%-7s %-8s %12s %10s\n", "layout", "agg", "serial ns/t", "MT")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-7s %-8s %12.3f %9.1fx %9.1fx %9.1fx\n",
-			r.Layout, r.Agg, r.SerialNs, r.MT, r.SIMD, r.Both)
+		fmt.Fprintf(w, "%-7s %-8s %12.3f %9.1fx\n", r.Layout, r.Agg, r.SerialNs, r.MT)
 	}
 }
 

@@ -47,8 +47,7 @@ func (s FusedStats) Add(o FusedStats) FusedStats {
 // returns the still-register-resident filter word. allMatch reports that
 // every predicate zone-decided "all" (the cache-service opportunity); the
 // returned word is then all-ones and the caller masks it to the window's
-// valid tuples. Exported so the wide-word kernels of internal/wide feed
-// from the same conjunction (and move the same counters) as the core ones.
+// valid tuples.
 //
 // For a single predicate the counters are exactly those of the two-phase
 // scan. For conjunctions the fused path may count less: once a predicate

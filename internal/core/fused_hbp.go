@@ -201,41 +201,24 @@ func HBPFusedFoldExtreme(col *hbp.Column, preds []scan.WindowPred, temp []uint64
 // over segments [segLo, segHi) without materializing anything. COUNT
 // touches no packed aggregate words, so only the scan-side counters move.
 func HBPFusedCount(col *hbp.Column, preds []scan.WindowPred, segLo, segHi int, st *FusedStats) (cnt uint64) {
-	if PosPopEnabled {
-		var oc word.OnesCounter
-		for seg := segLo; seg < segHi; seg++ {
-			fw, _ := FusedWindow(preds, seg, st)
-			oc.Feed(fw & word.LowMask(col.SegmentValues(seg)))
-		}
-		return oc.Total()
-	}
+	var oc word.OnesCounter
 	for seg := segLo; seg < segHi; seg++ {
 		fw, _ := FusedWindow(preds, seg, st)
-		fw &= word.LowMask(col.SegmentValues(seg))
-		cnt += uint64(bits.OnesCount64(fw))
+		oc.Feed(fw & word.LowMask(col.SegmentValues(seg)))
 	}
-	return cnt
+	return oc.Total()
 }
 
 // HBPFusedCandidates fills the per-segment rank candidate vectors
 // directly from the predicate conjunction — the fused replacement for
 // scan + NewHBPCandidates — and returns the number of selected tuples.
 func HBPFusedCandidates(col *hbp.Column, preds []scan.WindowPred, v []uint64, segLo, segHi int, st *FusedStats) (cnt uint64) {
-	if PosPopEnabled {
-		var oc word.OnesCounter
-		for seg := segLo; seg < segHi; seg++ {
-			fw, _ := FusedWindow(preds, seg, st)
-			fw &= word.LowMask(col.SegmentValues(seg))
-			v[seg] = fw
-			oc.Feed(fw)
-		}
-		return oc.Total()
-	}
+	var oc word.OnesCounter
 	for seg := segLo; seg < segHi; seg++ {
 		fw, _ := FusedWindow(preds, seg, st)
 		fw &= word.LowMask(col.SegmentValues(seg))
 		v[seg] = fw
-		cnt += uint64(bits.OnesCount64(fw))
+		oc.Feed(fw)
 	}
-	return cnt
+	return oc.Total()
 }

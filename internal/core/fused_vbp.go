@@ -16,11 +16,7 @@ import (
 func VBPFusedSumCount(col *vbp.Column, preds []scan.WindowPred, segLo, segHi int, st *FusedStats) (sum, cnt uint64) {
 	k := col.K()
 	bSum := make([]uint64, k)
-	groups := col.Groups()
-	var acc *vbpBlockSum
-	if PosPopEnabled {
-		acc = newVBPBlockSum(k, bSum)
-	}
+	acc := newVBPBlockSum(k, bSum)
 	for seg := segLo; seg < segHi; seg++ {
 		fw, allMatch := FusedWindow(preds, seg, st)
 		if fw == 0 {
@@ -41,21 +37,9 @@ func VBPFusedSumCount(col *vbp.Column, preds []scan.WindowPred, segLo, segHi int
 		cnt += uint64(bits.OnesCount64(fw))
 		st.SegmentsAggregated++
 		st.WordsTouched += uint64(k)
-		if acc != nil {
-			acc.push(col, seg, fw)
-			continue
-		}
-		for g := range groups {
-			gr := &groups[g]
-			base := seg * gr.Bits
-			for b := 0; b < gr.Bits; b++ {
-				bSum[gr.StartBit+b] += uint64(bits.OnesCount64(gr.Words[base+b] & fw))
-			}
-		}
+		acc.push(col, seg, fw)
 	}
-	if acc != nil {
-		acc.finish(col)
-	}
+	acc.finish(col)
 	for p := 0; p < k; p++ {
 		sum += bSum[p] << uint(k-1-p)
 	}
@@ -125,20 +109,12 @@ func VBPFusedFoldExtreme(col *vbp.Column, preds []scan.WindowPred, temp []uint64
 // filter word is popcounted while register-resident. COUNT touches no
 // packed aggregate words, so only the scan-side counters move.
 func VBPFusedCount(col *vbp.Column, preds []scan.WindowPred, segLo, segHi int, st *FusedStats) (cnt uint64) {
-	if PosPopEnabled {
-		var oc word.OnesCounter
-		for seg := segLo; seg < segHi; seg++ {
-			fw, _ := FusedWindow(preds, seg, st)
-			oc.Feed(fw & word.LowMask(col.SegmentValues(seg)))
-		}
-		return oc.Total()
-	}
+	var oc word.OnesCounter
 	for seg := segLo; seg < segHi; seg++ {
 		fw, _ := FusedWindow(preds, seg, st)
-		fw &= word.LowMask(col.SegmentValues(seg))
-		cnt += uint64(bits.OnesCount64(fw))
+		oc.Feed(fw & word.LowMask(col.SegmentValues(seg)))
 	}
-	return cnt
+	return oc.Total()
 }
 
 // VBPFusedCandidates fills the per-segment rank candidate vectors
@@ -146,21 +122,12 @@ func VBPFusedCount(col *vbp.Column, preds []scan.WindowPred, segLo, segHi int, s
 // scan + NewVBPCandidates — and returns the number of selected tuples.
 // The radix rounds then run unchanged on v.
 func VBPFusedCandidates(col *vbp.Column, preds []scan.WindowPred, v []uint64, segLo, segHi int, st *FusedStats) (cnt uint64) {
-	if PosPopEnabled {
-		var oc word.OnesCounter
-		for seg := segLo; seg < segHi; seg++ {
-			fw, _ := FusedWindow(preds, seg, st)
-			fw &= word.LowMask(col.SegmentValues(seg))
-			v[seg] = fw
-			oc.Feed(fw)
-		}
-		return oc.Total()
-	}
+	var oc word.OnesCounter
 	for seg := segLo; seg < segHi; seg++ {
 		fw, _ := FusedWindow(preds, seg, st)
 		fw &= word.LowMask(col.SegmentValues(seg))
 		v[seg] = fw
-		cnt += uint64(bits.OnesCount64(fw))
+		oc.Feed(fw)
 	}
-	return cnt
+	return oc.Total()
 }

@@ -325,12 +325,8 @@ func VBPGroupSumRange128(col *vbp.Column, sels []*bitvec.Bitmap, segLo, segHi in
 	// lands in the same bSums bank the per-word loop fills, so the combine
 	// in VBPGroupSumFinish is oblivious to the route. Cache-served
 	// segments don't disturb the run — addition order is irrelevant.
-	var acc *vbpRunSum
-	var sink func(gi, p int, c uint64)
-	if PosPopEnabled {
-		acc = newVBPRunSum(k)
-		sink = func(gi, p int, c uint64) { bSums[gi*k+p] += c }
-	}
+	acc := newVBPRunSum(k)
+	sink := func(gi, p int, c uint64) { bSums[gi*k+p] += c }
 	for seg := segLo; seg < segHi; seg++ {
 		liveG, liveW = liveG[:0], liveW[:0]
 		for gi, s := range sels {
@@ -352,13 +348,11 @@ func VBPGroupSumRange128(col *vbp.Column, sels []*bitvec.Bitmap, segLo, segHi in
 		}
 		st.Segments++
 		st.Words += uint64(k)
-		if acc != nil && len(liveG) == 1 {
+		if len(liveG) == 1 {
 			acc.push(&pl, liveG[0], seg, liveW[0], sink)
 			continue
 		}
-		if acc != nil {
-			acc.drain(&pl, sink)
-		}
+		acc.drain(&pl, sink)
 		for p := 0; p < k; p++ {
 			x := pl.word(p, seg)
 			if x == 0 {
@@ -369,9 +363,7 @@ func VBPGroupSumRange128(col *vbp.Column, sels []*bitvec.Bitmap, segLo, segHi in
 			}
 		}
 	}
-	if acc != nil {
-		acc.drain(&pl, sink)
-	}
+	acc.drain(&pl, sink)
 }
 
 // VBPGroupSumFinish folds the per-bit banks into the per-group 128-bit

@@ -51,13 +51,9 @@ func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los 
 	// run accumulator keyed on the entry's group; per-plane counts land as
 	// checked shift-adds, exactly what the wide path below does per word.
 	// Multi-entry runs drain first and take the per-word loops.
-	var acc *vbpRunSum
-	var sink func(gi, p int, c uint64)
-	if PosPopEnabled {
-		acc = newVBPRunSum(k)
-		sink = func(gi, p int, c uint64) {
-			his[gi], los[gi] = addShift128(his[gi], los[gi], c, uint(k-1-p))
-		}
+	acc := newVBPRunSum(k)
+	sink := func(gi, p int, c uint64) {
+		his[gi], los[gi] = addShift128(his[gi], los[gi], c, uint(k-1-p))
 	}
 	var esum [64]uint64
 	for r := runLo; r < runHi; r++ {
@@ -73,13 +69,11 @@ func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los 
 		}
 		st.Segments++
 		st.Words += uint64(k)
-		if acc != nil {
-			if hi == lo+1 {
-				acc.push(&pl, int(se.GI[lo]), seg, se.W[lo], sink)
-				continue
-			}
-			acc.drain(&pl, sink)
+		if hi == lo+1 {
+			acc.push(&pl, int(se.GI[lo]), seg, se.W[lo], sink)
+			continue
 		}
+		acc.drain(&pl, sink)
 		if small {
 			ne := hi - lo
 			for i := 0; i < ne; i++ {
@@ -117,9 +111,7 @@ func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los 
 			}
 		}
 	}
-	if acc != nil {
-		acc.drain(&pl, sink)
-	}
+	acc.drain(&pl, sink)
 }
 
 // HBPHashSumRuns is the HBP twin of VBPHashSumRuns: per entry the

@@ -24,13 +24,6 @@ import (
 // contract (SumOverflowPossible, sumCacheExactK) is untouched: checked
 // kernels feed the same bSum banks and combine with addShift128 as before.
 
-// PosPopEnabled routes the VBP SUM/COUNT kernels through the carry-save
-// accumulators. The legacy per-word-popcount bodies stay available for
-// A/B measurement (bpagg-bench -experiment sum-kernels) and differential
-// tests; flipping the toggle never changes results. Read once at kernel
-// entry — not safe to flip mid-query.
-var PosPopEnabled = true
-
 // posPopBlock is the carry-save block span: how many (segment, filter)
 // pairs buffer before each plane folds them through one CSA8 step.
 const posPopBlock = 8
@@ -127,73 +120,56 @@ func (a *vbpBlockSum) finish(col *vbp.Column) {
 // [segLo, segHi) — the shared inner product of VBPSumRange and
 // VBPSumRange128, which differ only in how they combine bSum.
 //
-// The carry-save branch skips the push/flush buffering entirely: the
-// range is consecutive, so full blocks of posPopBlock segments feed the
-// CSA tree directly (a zero filter word is a carry-save no-op, so only
-// all-zero blocks are skipped), and lane indices advance by the plane
-// stride instead of being gathered.
+// It skips the push/flush buffering entirely: the range is consecutive,
+// so full blocks of posPopBlock segments feed the CSA tree directly (a
+// zero filter word is a carry-save no-op, so only all-zero blocks are
+// skipped), and lane indices advance by the plane stride instead of
+// being gathered.
 func vbpBSumRange(col *vbp.Column, f *bitvec.Bitmap, bSum []uint64, segLo, segHi int) {
-	if PosPopEnabled {
-		k := col.K()
-		pl := newVBPPlanes(col)
-		backing := make([]uint64, 3*k)
-		ones, twos, fours := backing[:k], backing[k:2*k], backing[2*k:]
-		seg := segLo
-		for ; seg+posPopBlock <= segHi; seg += posPopBlock {
-			f0, f1, f2, f3 := f.Word(seg), f.Word(seg+1), f.Word(seg+2), f.Word(seg+3)
-			f4, f5, f6, f7 := f.Word(seg+4), f.Word(seg+5), f.Word(seg+6), f.Word(seg+7)
-			if f0|f1|f2|f3|f4|f5|f6|f7 == 0 {
-				continue
-			}
-			for p := 0; p < k; p++ {
-				ws, st, off := pl.words[p], pl.stride[p], pl.off[p]
-				i0 := seg*st + off
-				i1, i2, i3 := i0+st, i0+2*st, i0+3*st
-				i4, i5, i6, i7 := i0+4*st, i0+5*st, i0+6*st, i0+7*st
-				w0, w1, w2, w3 := ws[i0]&f0, ws[i1]&f1, ws[i2]&f2, ws[i3]&f3
-				w4, w5, w6, w7 := ws[i4]&f4, ws[i5]&f5, ws[i6]&f6, ws[i7]&f7
-				o, t, fr := ones[p], twos[p], fours[p]
-				var tA, tB, fA, fB, eights uint64
-				o, tA = word.CSA(o, w0, w1)
-				o, tB = word.CSA(o, w2, w3)
-				t, fA = word.CSA(t, tA, tB)
-				o, tA = word.CSA(o, w4, w5)
-				o, tB = word.CSA(o, w6, w7)
-				t, fB = word.CSA(t, tA, tB)
-				fr, eights = word.CSA(fr, fA, fB)
-				ones[p], twos[p], fours[p] = o, t, fr
-				if eights != 0 {
-					bSum[p] += uint64(bits.OnesCount64(eights)) << 3
-				}
-			}
-		}
-		for ; seg < segHi; seg++ {
-			fw := f.Word(seg)
-			if fw == 0 {
-				continue
-			}
-			for p := 0; p < k; p++ {
-				bSum[p] += uint64(bits.OnesCount64(pl.word(p, seg) & fw))
-			}
+	k := col.K()
+	pl := newVBPPlanes(col)
+	backing := make([]uint64, 3*k)
+	ones, twos, fours := backing[:k], backing[k:2*k], backing[2*k:]
+	seg := segLo
+	for ; seg+posPopBlock <= segHi; seg += posPopBlock {
+		f0, f1, f2, f3 := f.Word(seg), f.Word(seg+1), f.Word(seg+2), f.Word(seg+3)
+		f4, f5, f6, f7 := f.Word(seg+4), f.Word(seg+5), f.Word(seg+6), f.Word(seg+7)
+		if f0|f1|f2|f3|f4|f5|f6|f7 == 0 {
+			continue
 		}
 		for p := 0; p < k; p++ {
-			bSum[p] += word.CSAFold(ones[p], twos[p], fours[p])
+			ws, st, off := pl.words[p], pl.stride[p], pl.off[p]
+			i0 := seg*st + off
+			i1, i2, i3 := i0+st, i0+2*st, i0+3*st
+			i4, i5, i6, i7 := i0+4*st, i0+5*st, i0+6*st, i0+7*st
+			w0, w1, w2, w3 := ws[i0]&f0, ws[i1]&f1, ws[i2]&f2, ws[i3]&f3
+			w4, w5, w6, w7 := ws[i4]&f4, ws[i5]&f5, ws[i6]&f6, ws[i7]&f7
+			o, t, fr := ones[p], twos[p], fours[p]
+			var tA, tB, fA, fB, eights uint64
+			o, tA = word.CSA(o, w0, w1)
+			o, tB = word.CSA(o, w2, w3)
+			t, fA = word.CSA(t, tA, tB)
+			o, tA = word.CSA(o, w4, w5)
+			o, tB = word.CSA(o, w6, w7)
+			t, fB = word.CSA(t, tA, tB)
+			fr, eights = word.CSA(fr, fA, fB)
+			ones[p], twos[p], fours[p] = o, t, fr
+			if eights != 0 {
+				bSum[p] += uint64(bits.OnesCount64(eights)) << 3
+			}
 		}
-		return
 	}
-	groups := col.Groups()
-	for g := range groups {
-		gr := &groups[g]
-		for seg := segLo; seg < segHi; seg++ {
-			fw := f.Word(seg)
-			if fw == 0 {
-				continue
-			}
-			base := seg * gr.Bits
-			for b := 0; b < gr.Bits; b++ {
-				bSum[gr.StartBit+b] += uint64(bits.OnesCount64(gr.Words[base+b] & fw))
-			}
+	for ; seg < segHi; seg++ {
+		fw := f.Word(seg)
+		if fw == 0 {
+			continue
 		}
+		for p := 0; p < k; p++ {
+			bSum[p] += uint64(bits.OnesCount64(pl.word(p, seg) & fw))
+		}
+	}
+	for p := 0; p < k; p++ {
+		bSum[p] += word.CSAFold(ones[p], twos[p], fours[p])
 	}
 }
 

@@ -22,17 +22,11 @@ func benchCol(b *testing.B, k, n int, sel float64) (*vbp.Column, *bitvec.Bitmap)
 	return vbp.Pack(vals, k, 4), f
 }
 
-func benchSum(b *testing.B, on bool) {
+func BenchmarkVBPSumPosPop(b *testing.B) {
 	col, f := benchCol(b, 25, 1<<20, 0.1)
-	old := PosPopEnabled
-	PosPopEnabled = on
-	defer func() { PosPopEnabled = old }()
 	b.SetBytes(int64(25 * (1 << 20) / 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		VBPSumRange(col, f, 0, col.NumSegments())
 	}
 }
-
-func BenchmarkVBPSumLegacy(b *testing.B) { benchSum(b, false) }
-func BenchmarkVBPSumPosPop(b *testing.B) { benchSum(b, true) }

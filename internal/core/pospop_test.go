@@ -12,20 +12,11 @@ import (
 )
 
 // The carry-save accumulators must be invisible: every routed kernel
-// returns bit-identical results with PosPopEnabled on and off, and both
-// agree with a big.Int scalar loop. Columns deliberately end mid-block
-// (n not a multiple of 8·64) so partial trailing blocks and the run
-// drains are always exercised.
+// agrees with a big.Int scalar loop over the plain values. Columns
+// deliberately end mid-block (n not a multiple of 8·64) so partial
+// trailing blocks and the run drains are always exercised.
 
-func withPosPop(t *testing.T, on bool, f func()) {
-	t.Helper()
-	old := PosPopEnabled
-	PosPopEnabled = on
-	defer func() { PosPopEnabled = old }()
-	f()
-}
-
-func TestPosPopSumToggleEquivalence(t *testing.T) {
+func TestPosPopSumMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, k := range []int{1, 7, 25, 40, 63, 64} {
 		for _, n := range []int{1, 64, 127, 64*8 + 1, 977, 64 * 21} {
@@ -46,30 +37,17 @@ func TestPosPopSumToggleEquivalence(t *testing.T) {
 			col := vbp.Pack(vals, k, tau)
 			nseg := col.NumSegments()
 
-			var legacy, pospop uint64
-			withPosPop(t, false, func() { legacy = VBPSumRange(col, f, 0, nseg) })
-			withPosPop(t, true, func() { pospop = VBPSumRange(col, f, 0, nseg) })
-			if legacy != pospop {
-				t.Fatalf("k=%d n=%d: VBPSumRange legacy %d, pospop %d", k, n, legacy, pospop)
+			if got := VBPSumRange(col, f, 0, nseg); !SumOverflowPossible(k, n) && want.Uint64() != got {
+				t.Fatalf("k=%d n=%d: VBPSumRange %d, big.Int %s", k, n, got, want)
 			}
-			if !SumOverflowPossible(k, n) && want.Uint64() != pospop {
-				t.Fatalf("k=%d n=%d: VBPSumRange %d, big.Int %s", k, n, pospop, want)
-			}
-
-			var lhi, llo, phi, plo uint64
-			withPosPop(t, false, func() { lhi, llo = VBPSumRange128(col, f, 0, nseg) })
-			withPosPop(t, true, func() { phi, plo = VBPSumRange128(col, f, 0, nseg) })
-			if lhi != phi || llo != plo {
-				t.Fatalf("k=%d n=%d: VBPSumRange128 legacy (%d,%d), pospop (%d,%d)", k, n, lhi, llo, phi, plo)
-			}
-			if big128(phi, plo).Cmp(want) != 0 {
-				t.Fatalf("k=%d n=%d: VBPSumRange128 %s, big.Int %s", k, n, big128(phi, plo), want)
+			if hi, lo := VBPSumRange128(col, f, 0, nseg); big128(hi, lo).Cmp(want) != 0 {
+				t.Fatalf("k=%d n=%d: VBPSumRange128 %s, big.Int %s", k, n, big128(hi, lo), want)
 			}
 		}
 	}
 }
 
-func TestPosPopFusedToggleEquivalence(t *testing.T) {
+func TestPosPopFusedMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const k, n = 25, 64*13 + 17
 	// Sorted values give the predicate zones real pruning/all-match
@@ -98,41 +76,23 @@ func TestPosPopFusedToggleEquivalence(t *testing.T) {
 			}
 		}
 
-		var lSum, lCnt, pSum, pCnt uint64
-		var lst, pst FusedStats
-		withPosPop(t, false, func() { lSum, lCnt = VBPFusedSumCount(col, preds, 0, col.NumSegments(), &lst) })
-		withPosPop(t, true, func() { pSum, pCnt = VBPFusedSumCount(col, preds, 0, col.NumSegments(), &pst) })
-		if lSum != pSum || lCnt != pCnt {
-			t.Fatalf("sorted=%v: fused legacy (%d,%d), pospop (%d,%d)", sorted, lSum, lCnt, pSum, pCnt)
-		}
-		if lst != pst {
-			t.Fatalf("sorted=%v: FusedStats differ across toggle: %+v vs %+v", sorted, lst, pst)
-		}
-		if pSum != want.Uint64() || pCnt != wantCnt {
-			t.Fatalf("sorted=%v: fused (%d,%d), scalar (%s,%d)", sorted, pSum, pCnt, want, wantCnt)
-		}
-
-		var hi, lo, cnt uint64
 		var st FusedStats
-		withPosPop(t, true, func() { hi, lo, cnt = VBPFusedSumCount128(col, preds, 0, col.NumSegments(), &st) })
-		if big128(hi, lo).Cmp(want) != 0 || cnt != wantCnt {
+		if sum, cnt := VBPFusedSumCount(col, preds, 0, col.NumSegments(), &st); sum != want.Uint64() || cnt != wantCnt {
+			t.Fatalf("sorted=%v: fused (%d,%d), scalar (%s,%d)", sorted, sum, cnt, want, wantCnt)
+		}
+		if hi, lo, cnt := VBPFusedSumCount128(col, preds, 0, col.NumSegments(), &st); big128(hi, lo).Cmp(want) != 0 || cnt != wantCnt {
 			t.Fatalf("sorted=%v: fused128 (%s,%d), scalar (%s,%d)", sorted, big128(hi, lo), cnt, want, wantCnt)
 		}
-
-		var c1, c2 uint64
-		var cst1, cst2 FusedStats
-		withPosPop(t, false, func() { c1 = VBPFusedCount(col, preds, 0, col.NumSegments(), &cst1) })
-		withPosPop(t, true, func() { c2 = VBPFusedCount(col, preds, 0, col.NumSegments(), &cst2) })
-		if c1 != c2 || c2 != wantCnt || cst1 != cst2 {
-			t.Fatalf("sorted=%v: fused count legacy %d, pospop %d, want %d", sorted, c1, c2, wantCnt)
+		if cnt := VBPFusedCount(col, preds, 0, col.NumSegments(), &st); cnt != wantCnt {
+			t.Fatalf("sorted=%v: fused count %d, want %d", sorted, cnt, wantCnt)
 		}
 	}
 }
 
-// TestPosPopGroupSumToggle drives the direct grouped bank kernel with
-// single-live-group runs (sorted group assignment), group changes, and
-// interleaved multi-group segments, comparing toggle sides and big.Int.
-func TestPosPopGroupSumToggle(t *testing.T) {
+// TestPosPopGroupSumMatchesScalar drives the direct grouped bank kernel
+// with single-live-group runs (sorted group assignment), group changes,
+// and interleaved multi-group segments, comparing against big.Int.
+func TestPosPopGroupSumMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const k, n, G = 30, 64*19 + 31, 5
 	vals := make([]uint64, n)
@@ -163,32 +123,23 @@ func TestPosPopGroupSumToggle(t *testing.T) {
 		want[gis[i]].Add(want[gis[i]], new(big.Int).SetUint64(v))
 	}
 
-	run := func() ([]uint64, []uint64) {
-		bSums := make([]uint64, G*k)
-		his := make([]uint64, G)
-		los := make([]uint64, G)
-		var st GroupStats
-		VBPGroupSumRange128(col, sels, 0, col.NumSegments(), bSums, his, los, &st)
-		VBPGroupSumFinish(k, bSums, his, los)
-		return his, los
-	}
-	var lhis, llos, phis, plos []uint64
-	withPosPop(t, false, func() { lhis, llos = run() })
-	withPosPop(t, true, func() { phis, plos = run() })
+	bSums := make([]uint64, G*k)
+	his := make([]uint64, G)
+	los := make([]uint64, G)
+	var st GroupStats
+	VBPGroupSumRange128(col, sels, 0, col.NumSegments(), bSums, his, los, &st)
+	VBPGroupSumFinish(k, bSums, his, los)
 	for g := 0; g < G; g++ {
-		if lhis[g] != phis[g] || llos[g] != plos[g] {
-			t.Fatalf("group %d: legacy (%d,%d), pospop (%d,%d)", g, lhis[g], llos[g], phis[g], plos[g])
-		}
-		if big128(phis[g], plos[g]).Cmp(want[g]) != 0 {
-			t.Fatalf("group %d: banked %s, big.Int %s", g, big128(phis[g], plos[g]), want[g])
+		if big128(his[g], los[g]).Cmp(want[g]) != 0 {
+			t.Fatalf("group %d: banked %s, big.Int %s", g, big128(his[g], los[g]), want[g])
 		}
 	}
 }
 
-// TestPosPopHashSumRunsToggle builds a run list mixing single-entry runs
+// TestPosPopHashSumRunsMatchesScalar builds a run list mixing single-entry runs
 // (long same-group stretches and group flips, which exercise the drain)
 // with multi-entry runs, on both the k ≤ 57 and the wide entry paths.
-func TestPosPopHashSumRunsToggle(t *testing.T) {
+func TestPosPopHashSumRunsMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, k := range []int{25, 61} {
 		const nseg, G = 37, 6
@@ -242,22 +193,13 @@ func TestPosPopHashSumRunsToggle(t *testing.T) {
 			se.Start = append(se.Start, se.Start[len(se.Start)-1]+int32(ents))
 		}
 
-		run := func() ([]uint64, []uint64) {
-			his := make([]uint64, G)
-			los := make([]uint64, G)
-			var st GroupStats
-			VBPHashSumRuns(col, se, 0, se.NumRuns(), his, los, &st)
-			return his, los
-		}
-		var lhis, llos, phis, plos []uint64
-		withPosPop(t, false, func() { lhis, llos = run() })
-		withPosPop(t, true, func() { phis, plos = run() })
+		his := make([]uint64, G)
+		los := make([]uint64, G)
+		var st GroupStats
+		VBPHashSumRuns(col, se, 0, se.NumRuns(), his, los, &st)
 		for g := 0; g < G; g++ {
-			if lhis[g] != phis[g] || llos[g] != plos[g] {
-				t.Fatalf("k=%d group %d: legacy (%d,%d), pospop (%d,%d)", k, g, lhis[g], llos[g], phis[g], plos[g])
-			}
-			if big128(phis[g], plos[g]).Cmp(want[g]) != 0 {
-				t.Fatalf("k=%d group %d: hashed %s, big.Int %s", k, g, big128(phis[g], plos[g]), want[g])
+			if big128(his[g], los[g]).Cmp(want[g]) != 0 {
+				t.Fatalf("k=%d group %d: hashed %s, big.Int %s", k, g, big128(his[g], los[g]), want[g])
 			}
 		}
 	}

@@ -10,8 +10,7 @@ import (
 // tuples, so the drivers compute their stats analytically with the
 // functions below instead of instrumenting the kernel loops. That keeps
 // the hot paths byte-identical whether collection is on or off, and
-// makes the counts independent of thread count and of the 64-bit vs
-// wide kernels (both read the same logical words).
+// makes the counts independent of thread count.
 
 // VBPLiveSegments counts the segments in [segLo, segHi) whose filter
 // word selects at least one tuple — the segments a dense VBP kernel

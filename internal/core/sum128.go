@@ -112,12 +112,8 @@ func HBPSumRange128(col *hbp.Column, f *bitvec.Bitmap, segLo, segHi int) (hi, lo
 func VBPFusedSumCount128(col *vbp.Column, preds []scan.WindowPred, segLo, segHi int, st *FusedStats) (hi, lo, cnt uint64) {
 	k := col.K()
 	bSum := make([]uint64, k)
-	groups := col.Groups()
 	cacheOK := k <= sumCacheExactK
-	var acc *vbpBlockSum
-	if PosPopEnabled {
-		acc = newVBPBlockSum(k, bSum)
-	}
+	acc := newVBPBlockSum(k, bSum)
 	for seg := segLo; seg < segHi; seg++ {
 		fw, allMatch := FusedWindow(preds, seg, st)
 		if fw == 0 {
@@ -138,21 +134,9 @@ func VBPFusedSumCount128(col *vbp.Column, preds []scan.WindowPred, segLo, segHi 
 		cnt += uint64(bits.OnesCount64(fw))
 		st.SegmentsAggregated++
 		st.WordsTouched += uint64(k)
-		if acc != nil {
-			acc.push(col, seg, fw)
-			continue
-		}
-		for g := range groups {
-			gr := &groups[g]
-			base := seg * gr.Bits
-			for b := 0; b < gr.Bits; b++ {
-				bSum[gr.StartBit+b] += uint64(bits.OnesCount64(gr.Words[base+b] & fw))
-			}
-		}
+		acc.push(col, seg, fw)
 	}
-	if acc != nil {
-		acc.finish(col)
-	}
+	acc.finish(col)
 	for p := 0; p < k; p++ {
 		hi, lo = addShift128(hi, lo, bSum[p], uint(k-1-p))
 	}

@@ -49,7 +49,7 @@ import (
 //     a kernel processed.
 //   - WordsTouched: packed column words a kernel had to read. This is
 //     defined analytically from the layout (see DESIGN.md §8), so it is
-//     independent of thread count and of the 64-bit vs wide kernels.
+//     independent of thread count.
 //   - RadixRounds: rendezvous rounds of the MEDIAN/rank radix descent
 //     (VBP: one per bit position; HBP: one per bit-group chunk).
 //   - SegmentsCacheServed: all-match segments the fused scan→aggregate

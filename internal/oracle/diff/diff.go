@@ -11,7 +11,7 @@
 //
 //	{fresh, rebuilt, reloaded} cache state ×
 //	{1, 8} threads ×
-//	{fused, fused-wide, two-phase, wide-word, reconstruct} route ×
+//	{fused, two-phase, reconstruct} route ×
 //	{COUNT(*), COUNT, SUM, MIN, MAX, AVG, MEDIAN, rank, quantile}
 //
 // plus GROUP BY, TopK/BottomK spot checks, and the positional axis
@@ -179,19 +179,13 @@ func Check(c Case) error {
 
 	for _, st := range states {
 		for ti, th := range threads {
-			if err := checkFused(&c, exp, st.name, st.tbl, th, false); err != nil {
+			if err := checkFused(&c, exp, st.name, st.tbl, th); err != nil {
 				return err
 			}
 			if err := checkColumn(&c, exp, st.name, st.tbl, th, "twophase"); err != nil {
 				return err
 			}
 			if ti == 0 {
-				if err := checkFused(&c, exp, st.name, st.tbl, th, true); err != nil {
-					return err
-				}
-				if err := checkColumn(&c, exp, st.name, st.tbl, th, "wide"); err != nil {
-					return err
-				}
 				if err := checkColumn(&c, exp, st.name, st.tbl, th, "recon"); err != nil {
 					return err
 				}
@@ -452,23 +446,11 @@ func capture2[T any](f func() (T, bool)) (v T, ok bool, err error) {
 }
 
 // checkFused drives the lazy Query API — the fused path whenever the
-// planner allows it, with its documented fallbacks otherwise. With wide
-// set, the query additionally requests the 256-bit kernels, exercising
-// the internal/wide fused twins.
-func checkFused(c *Case, exp *expectation, state string, tbl *bpagg.Table, th int, wide bool) error {
-	route := "fused"
-	if wide {
-		route = "fused-wide"
-	}
-	e := tag{c, state, route, th}
+// planner allows it, with its documented fallbacks otherwise.
+func checkFused(c *Case, exp *expectation, state string, tbl *bpagg.Table, th int) error {
+	e := tag{c, state, "fused", th}
 	ctx := context.Background()
-	nq := func() *bpagg.Query {
-		q := newQuery(c, tbl, th)
-		if wide {
-			q = q.With(bpagg.WideWords())
-		}
-		return q
-	}
+	nq := func() *bpagg.Query { return newQuery(c, tbl, th) }
 
 	cr, err := capture1(func() uint64 { return nq().CountRows() })
 	if ferr := cmpU64(e, "COUNT(*)", cr, err, exp.countRows); ferr != nil {
@@ -528,17 +510,14 @@ func checkFused(c *Case, exp *expectation, state string, tbl *bpagg.Table, th in
 
 // checkColumn drives the two-phase path: materialize the selection once,
 // then run every aggregate through the Column Context API. route selects
-// the execution options: "twophase" (bit-parallel 64-bit kernels),
-// "wide" (256-bit wide-word kernels), "recon" (reconstruction baseline).
+// the execution options: "twophase" (bit-parallel kernels) or "recon"
+// (reconstruction baseline).
 func checkColumn(c *Case, exp *expectation, state string, tbl *bpagg.Table, th int, route string) error {
 	e := tag{c, state, route, th}
 	ctx := context.Background()
 
 	opts := []bpagg.ExecOption{bpagg.Parallel(th)}
-	switch route {
-	case "wide":
-		opts = append(opts, bpagg.WideWords())
-	case "recon":
+	if route == "recon" {
 		opts = append(opts, bpagg.Access(bpagg.Reconstruct))
 	}
 

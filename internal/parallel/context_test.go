@@ -3,19 +3,24 @@ package parallel
 import (
 	"context"
 	"errors"
+	"math/big"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bpagg/internal/bitvec"
 	"bpagg/internal/core"
 	"bpagg/internal/faultinject"
 	"bpagg/internal/hbp"
+	"bpagg/internal/scan"
 	"bpagg/internal/vbp"
 )
 
 // TestCtxVariantsMatchCore pins every Ctx driver against the serial core
-// reference across layouts, thread counts, and kernels.
+// reference across layouts, bit-group sizes and thread counts.
 func TestCtxVariantsMatchCore(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(91))
@@ -28,7 +33,7 @@ func TestCtxVariantsMatchCore(t *testing.T) {
 	} {
 		vals, f := fixture(rng, sh.n, sh.k, sh.sel)
 		vcol := vbp.Pack(vals, sh.k, 4)
-		hcol := hbp.Pack(vals, sh.k, hbp.DefaultTau(sh.k))
+		hcols := []*hbp.Column{hbp.Pack(vals, sh.k, 4), hbp.Pack(vals, sh.k, hbp.DefaultTau(sh.k))}
 		u := core.Count(f)
 		for _, o := range optsMatrix {
 			if got, err := VBPSumCtx(ctx, vcol, f, o); err != nil || got != core.VBPSum(vcol, f) {
@@ -57,29 +62,31 @@ func TestCtxVariantsMatchCore(t *testing.T) {
 				}
 			}
 
-			if got, err := HBPSumCtx(ctx, hcol, f, o); err != nil || got != core.HBPSum(hcol, f) {
-				t.Fatalf("HBPSumCtx %+v: got (%d,%v) want (%d,nil)", o, got, err, core.HBPSum(hcol, f))
-			}
-			wantMin, wantMinOK = core.HBPMin(hcol, f)
-			if got, ok, err := HBPMinCtx(ctx, hcol, f, o); err != nil || got != wantMin || ok != wantMinOK {
-				t.Fatalf("HBPMinCtx %+v: got (%d,%v,%v) want (%d,%v,nil)", o, got, ok, err, wantMin, wantMinOK)
-			}
-			wantMax, wantMaxOK = core.HBPMax(hcol, f)
-			if got, ok, err := HBPMaxCtx(ctx, hcol, f, o); err != nil || got != wantMax || ok != wantMaxOK {
-				t.Fatalf("HBPMaxCtx %+v: got (%d,%v,%v) want (%d,%v,nil)", o, got, ok, err, wantMax, wantMaxOK)
-			}
-			wantMed, wantMedOK = core.HBPMedian(hcol, f)
-			if got, ok, err := HBPMedianCtx(ctx, hcol, f, o); err != nil || got != wantMed || ok != wantMedOK {
-				t.Fatalf("HBPMedianCtx %+v: got (%d,%v,%v) want (%d,%v,nil)", o, got, ok, err, wantMed, wantMedOK)
-			}
-			wantAvg, wantAvgOK = core.HBPAvg(hcol, f)
-			if got, ok, err := HBPAvgCtx(ctx, hcol, f, o); err != nil || got != wantAvg || ok != wantAvgOK {
-				t.Fatalf("HBPAvgCtx %+v: got (%v,%v,%v) want (%v,%v,nil)", o, got, ok, err, wantAvg, wantAvgOK)
-			}
-			for _, r := range []uint64{0, 1, u, u + 1} {
-				wr, wok := core.HBPRank(hcol, f, r)
-				if got, ok, err := HBPRankCtx(ctx, hcol, f, r, o); err != nil || got != wr || ok != wok {
-					t.Fatalf("HBPRankCtx(%d) %+v: got (%d,%v,%v) want (%d,%v,nil)", r, o, got, ok, err, wr, wok)
+			for _, hcol := range hcols {
+				if got, err := HBPSumCtx(ctx, hcol, f, o); err != nil || got != core.HBPSum(hcol, f) {
+					t.Fatalf("HBPSumCtx %+v: got (%d,%v) want (%d,nil)", o, got, err, core.HBPSum(hcol, f))
+				}
+				wantMin, wantMinOK := core.HBPMin(hcol, f)
+				if got, ok, err := HBPMinCtx(ctx, hcol, f, o); err != nil || got != wantMin || ok != wantMinOK {
+					t.Fatalf("HBPMinCtx %+v: got (%d,%v,%v) want (%d,%v,nil)", o, got, ok, err, wantMin, wantMinOK)
+				}
+				wantMax, wantMaxOK := core.HBPMax(hcol, f)
+				if got, ok, err := HBPMaxCtx(ctx, hcol, f, o); err != nil || got != wantMax || ok != wantMaxOK {
+					t.Fatalf("HBPMaxCtx %+v: got (%d,%v,%v) want (%d,%v,nil)", o, got, ok, err, wantMax, wantMaxOK)
+				}
+				wantMed, wantMedOK := core.HBPMedian(hcol, f)
+				if got, ok, err := HBPMedianCtx(ctx, hcol, f, o); err != nil || got != wantMed || ok != wantMedOK {
+					t.Fatalf("HBPMedianCtx %+v: got (%d,%v,%v) want (%d,%v,nil)", o, got, ok, err, wantMed, wantMedOK)
+				}
+				wantAvg, wantAvgOK := core.HBPAvg(hcol, f)
+				if got, ok, err := HBPAvgCtx(ctx, hcol, f, o); err != nil || got != wantAvg || ok != wantAvgOK {
+					t.Fatalf("HBPAvgCtx %+v: got (%v,%v,%v) want (%v,%v,nil)", o, got, ok, err, wantAvg, wantAvgOK)
+				}
+				for _, r := range []uint64{0, 1, u, u + 1} {
+					wr, wok := core.HBPRank(hcol, f, r)
+					if got, ok, err := HBPRankCtx(ctx, hcol, f, r, o); err != nil || got != wr || ok != wok {
+						t.Fatalf("HBPRankCtx(%d) %+v: got (%d,%v,%v) want (%d,%v,nil)", r, o, got, ok, err, wr, wok)
+					}
 				}
 			}
 		}
@@ -237,41 +244,168 @@ func TestPartitionDegenerateInputs(t *testing.T) {
 	}
 }
 
-// TestThreadCountDeterminism requires Threads=1 and Threads=8 (and the
-// wide kernels) to produce bit-identical SUM/MIN/MAX/MEDIAN results.
+// TestThreadCountDeterminism requires Threads=1 and Threads=8 to produce
+// bit-identical SUM/MIN/MAX/MEDIAN results.
 func TestThreadCountDeterminism(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(95))
 	vals, f := fixture(rng, 64*300+13, 21, 0.6)
-	serial := Options{Threads: 1}
-	for _, o := range []Options{{Threads: 8}, {Threads: 8, Wide: true}} {
-		vcol := vbp.Pack(vals, 21, 4)
-		if a, b := VBPSum(vcol, f, serial), VBPSum(vcol, f, o); a != b {
-			t.Fatalf("VBPSum differs: serial %d, %+v %d", a, o, b)
-		}
-		a1, aok := VBPMin(vcol, f, serial)
-		b1, bok := VBPMin(vcol, f, o)
+	serial, o := Options{Threads: 1}, Options{Threads: 8}
+	vcol := vbp.Pack(vals, 21, 4)
+	hcol := hbp.Pack(vals, 21, hbp.DefaultTau(21))
+	a, _ := VBPSumCtx(ctx, vcol, f, serial)
+	if b, _ := VBPSumCtx(ctx, vcol, f, o); a != b {
+		t.Fatalf("VBPSum differs: serial %d, %+v %d", a, o, b)
+	}
+	a, _ = HBPSumCtx(ctx, hcol, f, serial)
+	if b, _ := HBPSumCtx(ctx, hcol, f, o); a != b {
+		t.Fatalf("HBPSum differs: serial %d, %+v %d", a, o, b)
+	}
+	for name, agg := range map[string]func(Options) (uint64, bool, error){
+		"VBPMin":    func(o Options) (uint64, bool, error) { return VBPMinCtx(ctx, vcol, f, o) },
+		"VBPMax":    func(o Options) (uint64, bool, error) { return VBPMaxCtx(ctx, vcol, f, o) },
+		"VBPMedian": func(o Options) (uint64, bool, error) { return VBPMedianCtx(ctx, vcol, f, o) },
+		"HBPMedian": func(o Options) (uint64, bool, error) { return HBPMedianCtx(ctx, hcol, f, o) },
+	} {
+		a1, aok, _ := agg(serial)
+		b1, bok, _ := agg(o)
 		if a1 != b1 || aok != bok {
-			t.Fatalf("VBPMin differs: serial (%d,%v), %+v (%d,%v)", a1, aok, o, b1, bok)
+			t.Fatalf("%s differs: serial (%d,%v), %+v (%d,%v)", name, a1, aok, o, b1, bok)
 		}
-		a1, aok = VBPMax(vcol, f, serial)
-		b1, bok = VBPMax(vcol, f, o)
-		if a1 != b1 || aok != bok {
-			t.Fatalf("VBPMax differs: serial (%d,%v), %+v (%d,%v)", a1, aok, o, b1, bok)
-		}
-		a1, aok = VBPMedian(vcol, f, serial)
-		b1, bok = VBPMedian(vcol, f, o)
-		if a1 != b1 || aok != bok {
-			t.Fatalf("VBPMedian differs: serial (%d,%v), %+v (%d,%v)", a1, aok, o, b1, bok)
-		}
+	}
+}
 
-		hcol := hbp.Pack(vals, 21, hbp.DefaultTau(21))
-		if a, b := HBPSum(hcol, f, serial), HBPSum(hcol, f, o); a != b {
-			t.Fatalf("HBPSum differs: serial %d, %+v %d", a, o, b)
+// TestForEachRangeErrSinglePartitionInline pins the single-partition
+// path: the caller's goroutine is worker 0 (no goroutine is spawned), and
+// it keeps everything the goroutine workers do — panic containment with
+// the stack, a ctx check and both fault sites before every block, and
+// the first error returned.
+func TestForEachRangeErrSinglePartitionInline(t *testing.T) {
+	defer faultinject.Reset()
+	ctx := context.Background()
+	const nseg = workerBlock*2 + 5
+
+	before := runtime.NumGoroutine()
+	var blocks int
+	used, err := forEachRangeErr(ctx, nseg, 1, func(w, lo, hi int) error {
+		blocks++ // unsynchronised on purpose: -race fails if this is not the caller's goroutine
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("NumGoroutine inside the worker = %d, was %d before the call", n, before)
 		}
-		a1, aok = HBPMedian(hcol, f, serial)
-		b1, bok = HBPMedian(hcol, f, o)
-		if a1 != b1 || aok != bok {
-			t.Fatalf("HBPMedian differs: serial (%d,%v), %+v (%d,%v)", a1, aok, o, b1, bok)
+		buf := make([]byte, 4096)
+		if st := string(buf[:runtime.Stack(buf, false)]); !strings.Contains(st, "TestForEachRangeErrSinglePartitionInline") {
+			t.Errorf("worker is not on the caller's stack:\n%s", st)
+		}
+		if w != 0 {
+			t.Errorf("worker index %d, want 0", w)
+		}
+		return nil
+	})
+	if err != nil || used != 1 || blocks != 3 {
+		t.Fatalf("forEachRangeErr = (%d, %v) over %d blocks, want (1, nil) over 3", used, err, blocks)
+	}
+	// One segment is one partition at any thread count.
+	if used, err := forEachRangeErr(ctx, 1, 8, func(w, lo, hi int) error { return nil }); used != 1 || err != nil {
+		t.Fatalf("forEachRangeErr(nseg=1, threads=8) = (%d, %v), want (1, nil)", used, err)
+	}
+
+	_, err = forEachRangeErr(ctx, nseg, 1, func(w, lo, hi int) error { panic("inline fault") })
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Worker != 0 || pe.Value != "inline fault" || len(pe.Stack) == 0 {
+		t.Fatalf("panicking inline worker = %v, want *PanicError{Worker: 0} with a stack", err)
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	blocks = 0
+	_, err = forEachRangeErr(cctx, nseg, 1, func(w, lo, hi int) error {
+		blocks++
+		cancel()
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || blocks != 1 {
+		t.Fatalf("cancel inside block 1 = %v after %d blocks, want context.Canceled after 1", err, blocks)
+	}
+
+	errStart, errRange := errors.New("start fault"), errors.New("range fault")
+	faultinject.Set(faultinject.SiteWorkerRange, func(args ...any) error {
+		if blocks++; blocks == 2 {
+			return errRange
+		}
+		return nil
+	})
+	blocks = 0
+	if _, err = forEachRangeErr(ctx, nseg, 1, func(w, lo, hi int) error { return nil }); err != errRange {
+		t.Fatalf("injected SiteWorkerRange fault = %v, want %v", err, errRange)
+	}
+	faultinject.Set(faultinject.SiteWorkerStart, func(args ...any) error { return errStart })
+	if _, err = forEachRangeErr(ctx, nseg, 1, func(w, lo, hi int) error { return nil }); err != errStart {
+		t.Fatalf("injected SiteWorkerStart fault = %v, want %v", err, errStart)
+	}
+}
+
+// TestSumDriversOverflowContract pins the folded SUM skeleton: on a
+// column where overflow is possible the two-phase and fused drivers of
+// both layouts return *OverflowError carrying the exact 128-bit total at
+// any thread count, and the plain uint64 sum when the total fits or the
+// column cannot overflow at all.
+func TestSumDriversOverflowContract(t *testing.T) {
+	ctx := context.Background()
+	const n = 64*40 + 9
+	for _, tc := range []struct {
+		name string
+		k    int
+		val  func(i int) uint64
+	}{
+		{"overflows", 64, func(i int) uint64 { return 1<<63 + uint64(i) }},
+		{"possible-but-fits", 64, func(i int) uint64 { return uint64(i) << 40 }},
+		{"impossible", 20, func(i int) uint64 { return uint64(i*7919) & (1<<20 - 1) }},
+	} {
+		vals := make([]uint64, n)
+		f := bitvec.New(n)
+		want := new(big.Int)
+		for i := range vals {
+			vals[i] = tc.val(i)
+			if i%3 != 0 { // the predicate below selects the same rows
+				f.Set(i)
+				want.Add(want, new(big.Int).SetUint64(vals[i]))
+			}
+		}
+		wantHi := new(big.Int).Rsh(want, 64).Uint64()
+		wantLo := new(big.Int).And(want, new(big.Int).SetUint64(^uint64(0))).Uint64()
+		if possible := core.SumOverflowPossible(tc.k, n); possible != (tc.k == 64) {
+			t.Fatalf("%s: SumOverflowPossible = %v", tc.name, possible)
+		}
+		// A 2-bit selector column (i%3) gives the fused drivers a predicate.
+		sel := make([]uint64, n)
+		for i := range sel {
+			sel[i] = uint64(i % 3)
+		}
+		vcol, hcol := vbp.Pack(vals, tc.k, 4), hbp.Pack(vals, tc.k, hbp.DefaultTau(tc.k))
+		vpreds := []scan.WindowPred{scan.NewVBPWindowPred(vbp.Pack(sel, 2, 2), scan.Predicate{Op: scan.NE, A: 0})}
+		for _, threads := range []int{1, 8} {
+			o := Options{Threads: threads}
+			check := func(driver string, got uint64, err error) {
+				t.Helper()
+				var oe *OverflowError
+				switch {
+				case wantHi != 0:
+					if !errors.As(err, &oe) || oe.Hi != wantHi || oe.Lo != wantLo {
+						t.Fatalf("%s %s threads=%d: got (%d, %v), want OverflowError{Hi: %d, Lo: %d}",
+							tc.name, driver, threads, got, err, wantHi, wantLo)
+					}
+				case err != nil || got != wantLo:
+					t.Fatalf("%s %s threads=%d: got (%d, %v), want (%d, nil)", tc.name, driver, threads, got, err, wantLo)
+				}
+			}
+			got, err := VBPSumCtx(ctx, vcol, f, o)
+			check("VBPSumCtx", got, err)
+			got, err = HBPSumCtx(ctx, hcol, f, o)
+			check("HBPSumCtx", got, err)
+			got, cnt, err := VBPFusedSumCtx(ctx, vcol, vpreds, o)
+			check("VBPFusedSumCtx", got, err)
+			if err == nil && cnt != uint64(f.Count()) {
+				t.Fatalf("%s VBPFusedSumCtx threads=%d: count %d, want %d", tc.name, threads, cnt, f.Count())
+			}
 		}
 	}
 }

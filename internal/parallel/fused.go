@@ -9,21 +9,15 @@ import (
 	"bpagg/internal/metrics"
 	"bpagg/internal/scan"
 	"bpagg/internal/vbp"
-	"bpagg/internal/wide"
 )
 
 // Fused scan→aggregate drivers. Each driver partitions the segment range
-// exactly like the two-phase Ctx twins (forEachRangeErr, so cancellation
+// exactly like the two-phase drivers (forEachRangeErr, so cancellation
 // and panic hardening come for free, uniformly at Threads=1), but the
 // worker bodies run the core fused kernels: per segment the predicate
 // conjunction's filter word is computed and consumed while still
 // register-resident, and all-match segments are answered from the
-// per-segment aggregate caches. With o.Wide the SUM/extreme bodies and
-// the rank rounds run the internal/wide twins instead — the filter-side
-// conjunction and every FusedStats counter are identical on both widths,
-// so EXPLAIN ANALYZE cannot tell them apart. COUNT-only and candidate
-// passes stay on the 64-bit kernels even when Wide: they touch no
-// aggregate words, so there is nothing for wide words to amortize.
+// per-segment aggregate caches.
 //
 // Work counting is always on in the kernels (core.FusedStats is cheap
 // plain-field accumulation); the counters only reach a collector when
@@ -54,78 +48,52 @@ func (o Options) fusedStatsEnd(ws []metrics.ExecStats, start time.Time, fss []co
 }
 
 // VBPFusedSumCtx computes SUM and COUNT of the tuples matching the
-// predicate conjunction over a VBP column in one fused pass, honoring ctx.
+// predicate conjunction over a VBP column in one fused pass, honoring
+// ctx; the overflow contract is VBPSumCtx's.
 func VBPFusedSumCtx(ctx context.Context, col *vbp.Column, preds []scan.WindowPred, o Options) (sum, cnt uint64, err error) {
-	if core.SumOverflowPossible(col.K(), col.Len()) {
-		return vbpFusedSumCtx128(ctx, col, preds, o)
-	}
-	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	n := o.threads()
-	sums := make([]uint64, n)
-	cnts := make([]uint64, n)
-	fss := make([]core.FusedStats, n)
-	_, err = forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-		t0 := statsNow(ws)
-		var s, c uint64
-		if o.Wide {
-			s, c = wide.VBPFusedSumCount(col, preds, lo, hi, &fss[w])
-		} else {
-			s, c = core.VBPFusedSumCount(col, preds, lo, hi, &fss[w])
+	checked := core.SumOverflowPossible(col.K(), col.Len())
+	return o.fusedSumCtx(ctx, col.NumSegments(), len(preds), func(lo, hi int, st *core.FusedStats) (ph, pl, c uint64) {
+		if checked {
+			return core.VBPFusedSumCount128(col, preds, lo, hi, st)
 		}
-		sums[w] += s
-		cnts[w] += c
-		if ws != nil {
-			busyOnly(ws, w, t0)
-		}
-		return nil
+		pl, c = core.VBPFusedSumCount(col, preds, lo, hi, st)
+		return 0, pl, c
 	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for w := 0; w < n; w++ {
-		sum += sums[w]
-		cnt += cnts[w]
-	}
-	o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
-	return sum, cnt, nil
 }
 
 // HBPFusedSumCtx computes SUM and COUNT of the tuples matching the
 // predicate conjunction over an HBP column in one fused pass, honoring ctx.
 func HBPFusedSumCtx(ctx context.Context, col *hbp.Column, preds []scan.WindowPred, o Options) (sum, cnt uint64, err error) {
-	if core.SumOverflowPossible(col.K(), col.Len()) {
-		return hbpFusedSumCtx128(ctx, col, preds, o)
-	}
-	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	n := o.threads()
-	sums := make([]uint64, n)
-	cnts := make([]uint64, n)
-	fss := make([]core.FusedStats, n)
-	_, err = forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-		t0 := statsNow(ws)
-		var s, c uint64
-		if o.Wide {
-			s, c = wide.HBPFusedSumCount(col, preds, lo, hi, &fss[w])
-		} else {
-			s, c = core.HBPFusedSumCount(col, preds, lo, hi, &fss[w])
+	checked := core.SumOverflowPossible(col.K(), col.Len())
+	return o.fusedSumCtx(ctx, col.NumSegments(), len(preds), func(lo, hi int, st *core.FusedStats) (ph, pl, c uint64) {
+		if checked {
+			return core.HBPFusedSumCount128(col, preds, lo, hi, st)
 		}
-		sums[w] += s
-		cnts[w] += c
+		pl, c = core.HBPFusedSumCount(col, preds, lo, hi, st)
+		return 0, pl, c
+	})
+}
+
+// fusedSumCtx runs a fused SUM+COUNT kernel through the SUM skeleton with
+// the fused drivers' stats plumbing.
+func (o Options) fusedSumCtx(ctx context.Context, nseg, npreds int, kernel func(lo, hi int, st *core.FusedStats) (ph, pl, cnt uint64)) (sum, cnt uint64, err error) {
+	ws, start := o.statsBegin()
+	fss := make([]core.FusedStats, o.threads())
+	hi, lo, cnt, err := sumRanges(ctx, nseg, o.threads(), func(w, segLo, segHi int) (uint64, uint64, uint64) {
+		t0 := statsNow(ws)
+		ph, pl, c := kernel(segLo, segHi, &fss[w])
 		if ws != nil {
 			busyOnly(ws, w, t0)
 		}
-		return nil
+		return ph, pl, c
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	for w := 0; w < n; w++ {
-		sum += sums[w]
-		cnt += cnts[w]
+	o.fusedStatsEnd(ws, start, fss, npreds, metrics.ExecStats{})
+	if sum, err = sum128Result(hi, lo); err != nil {
+		return 0, 0, err
 	}
-	o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
 	return sum, cnt, nil
 }
 
@@ -192,18 +160,9 @@ func VBPFusedExtremeCtx(ctx context.Context, col *vbp.Column, preds []scan.Windo
 	k := col.K()
 	nseg := col.NumSegments()
 	n := o.threads()
-	var temps [][]uint64
-	var wideTemps []wide.VBPExtremeTemps
-	if o.Wide {
-		wideTemps = make([]wide.VBPExtremeTemps, n)
-		for w := range wideTemps {
-			wideTemps[w] = wide.NewVBPExtremeTemps(k, wantMin)
-		}
-	} else {
-		temps = make([][]uint64, n)
-		for w := range temps {
-			temps[w] = core.NewVBPExtremeTemp(k, wantMin)
-		}
+	temps := make([][]uint64, n)
+	for w := range temps {
+		temps[w] = core.NewVBPExtremeTemp(k, wantMin)
 	}
 	bests := make([]uint64, n)
 	anys := make([]bool, n)
@@ -211,13 +170,7 @@ func VBPFusedExtremeCtx(ctx context.Context, col *vbp.Column, preds []scan.Windo
 	fss := make([]core.FusedStats, n)
 	used, err := forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
 		t0 := statsNow(ws)
-		var b, c uint64
-		var a bool
-		if o.Wide {
-			b, a, c = wide.VBPFusedFoldExtreme(col, preds, &wideTemps[w], wantMin, lo, hi, &fss[w])
-		} else {
-			b, a, c = core.VBPFusedFoldExtreme(col, preds, temps[w], wantMin, lo, hi, &fss[w])
-		}
+		b, a, c := core.VBPFusedFoldExtreme(col, preds, temps[w], wantMin, lo, hi, &fss[w])
 		if a && (!anys[w] || wantMin && b < bests[w] || !wantMin && b > bests[w]) {
 			bests[w] = b
 			anys[w] = true
@@ -238,17 +191,7 @@ func VBPFusedExtremeCtx(ctx context.Context, col *vbp.Column, preds []scan.Windo
 		o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
 		return 0, 0, nil
 	}
-	if o.Wide {
-		// Flatten the per-worker lane temps: each worker folded four
-		// independent SLOTMIN/SLOTMAX instances.
-		flat := make([][]uint64, 0, 4*used)
-		for w := 0; w < used; w++ {
-			flat = append(flat, wideTemps[w][:]...)
-		}
-		v = core.VBPFinishExtreme(flat, k, wantMin)
-	} else {
-		v = core.VBPFinishExtreme(temps[:used], k, wantMin)
-	}
+	v = core.VBPFinishExtreme(temps[:used], k, wantMin)
 	for w := 0; w < used; w++ {
 		if anys[w] && (wantMin && bests[w] < v || !wantMin && bests[w] > v) {
 			v = bests[w]
@@ -265,18 +208,9 @@ func HBPFusedExtremeCtx(ctx context.Context, col *hbp.Column, preds []scan.Windo
 	ws, start := o.statsBegin()
 	nseg := col.NumSegments()
 	n := o.threads()
-	var temps [][]uint64
-	var wideTemps []wide.HBPExtremeTemps
-	if o.Wide {
-		wideTemps = make([]wide.HBPExtremeTemps, n)
-		for w := range wideTemps {
-			wideTemps[w] = wide.NewHBPExtremeTemps(col, wantMin)
-		}
-	} else {
-		temps = make([][]uint64, n)
-		for w := range temps {
-			temps[w] = core.NewHBPExtremeTemp(col, wantMin)
-		}
+	temps := make([][]uint64, n)
+	for w := range temps {
+		temps[w] = core.NewHBPExtremeTemp(col, wantMin)
 	}
 	bests := make([]uint64, n)
 	anys := make([]bool, n)
@@ -284,13 +218,7 @@ func HBPFusedExtremeCtx(ctx context.Context, col *hbp.Column, preds []scan.Windo
 	fss := make([]core.FusedStats, n)
 	used, err := forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
 		t0 := statsNow(ws)
-		var b, c uint64
-		var a bool
-		if o.Wide {
-			b, a, c = wide.HBPFusedFoldExtreme(col, preds, &wideTemps[w], wantMin, lo, hi, &fss[w])
-		} else {
-			b, a, c = core.HBPFusedFoldExtreme(col, preds, temps[w], wantMin, lo, hi, &fss[w])
-		}
+		b, a, c := core.HBPFusedFoldExtreme(col, preds, temps[w], wantMin, lo, hi, &fss[w])
 		if a && (!anys[w] || wantMin && b < bests[w] || !wantMin && b > bests[w]) {
 			bests[w] = b
 			anys[w] = true
@@ -311,15 +239,7 @@ func HBPFusedExtremeCtx(ctx context.Context, col *hbp.Column, preds []scan.Windo
 		o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
 		return 0, 0, nil
 	}
-	if o.Wide {
-		flat := make([][]uint64, 0, 4*used)
-		for w := 0; w < used; w++ {
-			flat = append(flat, wideTemps[w][:]...)
-		}
-		v = core.HBPFinishExtreme(col, flat, wantMin)
-	} else {
-		v = core.HBPFinishExtreme(col, temps[:used], wantMin)
-	}
+	v = core.HBPFinishExtreme(col, temps[:used], wantMin)
 	for w := 0; w < used; w++ {
 		if anys[w] && (wantMin && bests[w] < v || !wantMin && bests[w] > v) {
 			v = bests[w]
@@ -334,9 +254,7 @@ func HBPFusedExtremeCtx(ctx context.Context, col *hbp.Column, preds []scan.Windo
 // vectors are built by the fused pass (no bitmap); rankOf maps the
 // selected tuple count u to the 1-based rank to extract (MEDIAN passes
 // (u+1)/2) and reports whether a rank is wanted at all. The radix descent
-// then runs the same per-bit rendezvous as VBPRankCtx; with o.Wide the
-// count and refine rounds run the wide kernels (the candidate-building
-// fused pass stays 64-bit — it touches no aggregate words).
+// then runs the same per-bit rendezvous as VBPRankCtx.
 func VBPFusedRankCtx(ctx context.Context, col *vbp.Column, preds []scan.WindowPred, rankOf func(u uint64) (uint64, bool), o Options) (val, cnt uint64, ok bool, err error) {
 	ws, start := o.statsBegin()
 	nseg := col.NumSegments()
@@ -378,11 +296,7 @@ func VBPFusedRankCtx(ctx context.Context, col *vbp.Column, preds []scan.WindowPr
 		}
 		_, err := forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
 			t0 := statsNow(ws)
-			if o.Wide {
-				partials[w] += wide.VBPRankCountRange(col, v, p, lo, hi)
-			} else {
-				partials[w] += core.VBPRankCount(col, v, p, lo, hi)
-			}
+			partials[w] += core.VBPRankCount(col, v, p, lo, hi)
 			if ws != nil {
 				// Charge the whole round here: refine reads the same
 				// bit-position word for the same live segments.
@@ -408,11 +322,7 @@ func VBPFusedRankCtx(ctx context.Context, col *vbp.Column, preds []scan.WindowPr
 		extra.RadixRounds++
 		_, err = forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
 			t0 := statsNow(ws)
-			if o.Wide {
-				wide.VBPRankRefineRange(col, v, p, keepOnes, lo, hi)
-			} else {
-				core.VBPRankRefine(col, v, p, keepOnes, lo, hi)
-			}
+			core.VBPRankRefine(col, v, p, keepOnes, lo, hi)
 			if ws != nil {
 				busyOnly(ws, w, t0)
 			}
@@ -429,8 +339,7 @@ func VBPFusedRankCtx(ctx context.Context, col *vbp.Column, preds []scan.WindowPr
 // HBPFusedRankCtx computes a rank statistic of the tuples matching the
 // predicate conjunction over an HBP column, honoring ctx; see
 // VBPFusedRankCtx for the rankOf contract. The radix descent runs the
-// same per-chunk histogram rendezvous as HBPRankCtx; with o.Wide the
-// refine rounds run the wide kernel (histograms have no wide variant).
+// same per-chunk histogram rendezvous as HBPRankCtx.
 func HBPFusedRankCtx(ctx context.Context, col *hbp.Column, preds []scan.WindowPred, rankOf func(u uint64) (uint64, bool), o Options) (val, cnt uint64, ok bool, err error) {
 	ws, start := o.statsBegin()
 	nseg := col.NumSegments()
@@ -532,11 +441,7 @@ func HBPFusedRankCtx(ctx context.Context, col *hbp.Column, preds []scan.WindowPr
 			}
 			_, err = forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
 				t0 := statsNow(ws)
-				if o.Wide {
-					wide.HBPRankRefineChunkRange(col, v, g, shift, width, uint64(bin), lo, hi)
-				} else {
-					core.HBPRankRefineChunk(col, v, g, shift, width, uint64(bin), lo, hi)
-				}
+				core.HBPRankRefineChunk(col, v, g, shift, width, uint64(bin), lo, hi)
 				if ws != nil {
 					busyOnly(ws, w, t0)
 				}

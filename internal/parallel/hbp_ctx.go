@@ -7,38 +7,30 @@ import (
 	"bpagg/internal/core"
 	"bpagg/internal/hbp"
 	"bpagg/internal/metrics"
-	"bpagg/internal/wide"
 )
 
-// HBPSumCtx computes SUM over an HBP column, honoring ctx.
+// HBPSumCtx computes SUM over an HBP column, honoring ctx; the overflow
+// contract is VBPSumCtx's.
 func HBPSumCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, o Options) (uint64, error) {
-	if core.SumOverflowPossible(col.K(), col.Len()) {
-		return hbpSumCtx128(ctx, col, f, o)
-	}
 	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	partials := make([]uint64, o.threads())
-	_, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
+	checked := core.SumOverflowPossible(col.K(), col.Len())
+	hi, lo, _, err := sumRanges(ctx, col.NumSegments(), o.threads(), func(w, segLo, segHi int) (ph, pl, _ uint64) {
 		t0 := statsNow(ws)
-		if o.Wide {
-			partials[w] += wide.HBPSumRange(col, f, lo, hi)
+		if checked {
+			ph, pl = core.HBPSumRange128(col, f, segLo, segHi)
 		} else {
-			partials[w] += core.HBPSumRange(col, f, lo, hi)
+			pl = core.HBPSumRange(col, f, segLo, segHi)
 		}
 		if ws != nil {
-			hbpCollectDense(ws, w, col, f, lo, hi, t0)
+			hbpCollectDense(ws, w, col, f, segLo, segHi, t0)
 		}
-		return nil
+		return ph, pl, 0
 	})
 	if err != nil {
 		return 0, err
 	}
-	var sum uint64
-	for _, p := range partials {
-		sum += p
-	}
 	o.statsEnd(ws, start, metrics.ExecStats{})
-	return sum, nil
+	return sum128Result(hi, lo)
 }
 
 // HBPMinCtx computes MIN over an HBP column, honoring ctx; ok is false
@@ -58,45 +50,22 @@ func hbpExtremeCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, o Opt
 	}
 	ws, start := o.statsBegin()
 	nseg := col.NumSegments()
-	var temps [][]uint64
-	if o.Wide {
-		workerTemps := make([]wide.HBPExtremeTemps, o.threads())
-		for w := range workerTemps {
-			workerTemps[w] = wide.NewHBPExtremeTemps(col, wantMin)
-		}
-		used, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
-			t0 := statsNow(ws)
-			wide.HBPFoldExtremeRange(col, f, &workerTemps[w], wantMin, lo, hi)
-			if ws != nil {
-				hbpCollectDense(ws, w, col, f, lo, hi, t0)
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, false, err
-		}
-		for w := 0; w < used; w++ {
-			temps = append(temps, workerTemps[w][:]...)
-		}
-	} else {
-		workerTemps := make([][]uint64, o.threads())
-		for w := range workerTemps {
-			workerTemps[w] = core.NewHBPExtremeTemp(col, wantMin)
-		}
-		used, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
-			t0 := statsNow(ws)
-			core.HBPFoldExtreme(col, f, workerTemps[w], wantMin, lo, hi)
-			if ws != nil {
-				hbpCollectDense(ws, w, col, f, lo, hi, t0)
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, false, err
-		}
-		temps = workerTemps[:used]
+	temps := make([][]uint64, o.threads())
+	for w := range temps {
+		temps[w] = core.NewHBPExtremeTemp(col, wantMin)
 	}
-	v := core.HBPFinishExtreme(col, temps, wantMin)
+	used, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
+		t0 := statsNow(ws)
+		core.HBPFoldExtreme(col, f, temps[w], wantMin, lo, hi)
+		if ws != nil {
+			hbpCollectDense(ws, w, col, f, lo, hi, t0)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, false, err
+	}
+	v := core.HBPFinishExtreme(col, temps[:used], wantMin)
 	o.statsEnd(ws, start, metrics.ExecStats{})
 	return v, true, nil
 }
@@ -189,11 +158,7 @@ func HBPRankCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, r uint64
 			}
 			_, err = forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
 				t0 := statsNow(ws)
-				if o.Wide {
-					wide.HBPRankRefineChunkRange(col, v, g, shift, width, uint64(bin), lo, hi)
-				} else {
-					core.HBPRankRefineChunk(col, v, g, shift, width, uint64(bin), lo, hi)
-				}
+				core.HBPRankRefineChunk(col, v, g, shift, width, uint64(bin), lo, hi)
 				if ws != nil {
 					busyOnly(ws, w, t0)
 				}

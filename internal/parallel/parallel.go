@@ -1,8 +1,7 @@
 // Package parallel implements multi-threaded drivers for the bit-parallel
 // aggregation kernels (paper §IV-B): the column's segments are partitioned
-// across worker goroutines, each worker runs the serial (package core) or
-// wide-word (package wide) kernel over its partition, and the partial
-// results combine at the end.
+// across worker goroutines, each worker runs the serial (package core)
+// kernel over its partition, and the partial results combine at the end.
 //
 // SUM/MIN/MAX decompose freely. MEDIAN (and general r-selection) has the
 // synchronization point the paper describes: every radix step needs the
@@ -10,23 +9,16 @@
 // worker may refine its candidates, so workers rendezvous once per step.
 package parallel
 
-import (
-	"sync"
-
-	"bpagg/internal/metrics"
-)
+import "bpagg/internal/metrics"
 
 // Options selects the execution strategy.
 type Options struct {
 	// Threads is the number of worker goroutines; values < 2 mean serial.
 	Threads int
-	// Wide selects the 256-bit wide-word kernels of package wide.
-	Wide bool
 	// Stats, when non-nil, receives one ExecStats batch per driver call
 	// (segments aggregated, words touched, radix rounds, busy/wall
-	// time). Enabling collection routes even Threads=1 calls through the
-	// partitioned path so the counters are computed uniformly; nil (the
-	// default) leaves every code path exactly as without collection.
+	// time); nil (the default) keeps the workers off the clock and the
+	// counters.
 	Stats *metrics.Collector
 }
 
@@ -58,20 +50,4 @@ func partition(nseg, n int) [][2]int {
 		lo = hi
 	}
 	return out
-}
-
-// forEachRange runs fn over each partition range on its own goroutine and
-// waits for all of them.
-func forEachRange(nseg, threads int, fn func(worker, segLo, segHi int)) int {
-	parts := partition(nseg, threads)
-	var wg sync.WaitGroup
-	for w, p := range parts {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, p[0], p[1])
-	}
-	wg.Wait()
-	return len(parts)
 }

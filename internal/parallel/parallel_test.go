@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"bpagg/internal/bitvec"
-	"bpagg/internal/core"
-	"bpagg/internal/hbp"
-	"bpagg/internal/vbp"
 	"bpagg/internal/word"
 )
 
@@ -68,98 +65,8 @@ func TestPartitionCoversEverySegment(t *testing.T) {
 
 var optsMatrix = []Options{
 	{Threads: 1},
-	{Threads: 1, Wide: true},
 	{Threads: 2},
 	{Threads: 4},
-	{Threads: 4, Wide: true},
 	{Threads: 16}, // more threads than segments in small fixtures
 	{Threads: 0},  // degenerate: treated as serial
-}
-
-func TestParallelVBPMatchesCore(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for _, sh := range []struct {
-		n   int
-		k   int
-		sel float64
-	}{
-		{1, 8, 1}, {64 * 11, 25, 0.3}, {64*6 + 7, 12, 0.01}, {500, 8, 0}, {64 * 16, 7, 0.9},
-	} {
-		vals, f := fixture(rng, sh.n, sh.k, sh.sel)
-		col := vbp.Pack(vals, sh.k, 4)
-		wantSum := core.VBPSum(col, f)
-		wantMin, wantMinOK := core.VBPMin(col, f)
-		wantMax, wantMaxOK := core.VBPMax(col, f)
-		wantMed, wantMedOK := core.VBPMedian(col, f)
-		u := core.Count(f)
-		for _, o := range optsMatrix {
-			if got := VBPSum(col, f, o); got != wantSum {
-				t.Fatalf("VBPSum %+v n=%d: got %d want %d", o, sh.n, got, wantSum)
-			}
-			if got, ok := VBPMin(col, f, o); got != wantMin || ok != wantMinOK {
-				t.Fatalf("VBPMin %+v: got (%d,%v) want (%d,%v)", o, got, ok, wantMin, wantMinOK)
-			}
-			if got, ok := VBPMax(col, f, o); got != wantMax || ok != wantMaxOK {
-				t.Fatalf("VBPMax %+v: got (%d,%v) want (%d,%v)", o, got, ok, wantMax, wantMaxOK)
-			}
-			if got, ok := VBPMedian(col, f, o); got != wantMed || ok != wantMedOK {
-				t.Fatalf("VBPMedian %+v: got (%d,%v) want (%d,%v)", o, got, ok, wantMed, wantMedOK)
-			}
-			for _, r := range []uint64{0, 1, u, u + 1} {
-				wr, wok := core.VBPRank(col, f, r)
-				if got, ok := VBPRank(col, f, r, o); got != wr || ok != wok {
-					t.Fatalf("VBPRank(%d) %+v: got (%d,%v) want (%d,%v)", r, o, got, ok, wr, wok)
-				}
-			}
-			wa, waOK := core.VBPAvg(col, f)
-			if got, ok := VBPAvg(col, f, o); got != wa || ok != waOK {
-				t.Fatalf("VBPAvg %+v: got (%v,%v) want (%v,%v)", o, got, ok, wa, waOK)
-			}
-		}
-	}
-}
-
-func TestParallelHBPMatchesCore(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	for _, sh := range []struct {
-		n   int
-		k   int
-		sel float64
-	}{
-		{1, 8, 1}, {64 * 11, 25, 0.3}, {64*6 + 7, 12, 0.01}, {500, 8, 0}, {700, 25, 0.9},
-	} {
-		for _, tau := range []int{4, hbp.DefaultTau(sh.k)} {
-			vals, f := fixture(rng, sh.n, sh.k, sh.sel)
-			col := hbp.Pack(vals, sh.k, tau)
-			wantSum := core.HBPSum(col, f)
-			wantMin, wantMinOK := core.HBPMin(col, f)
-			wantMax, wantMaxOK := core.HBPMax(col, f)
-			wantMed, wantMedOK := core.HBPMedian(col, f)
-			u := core.Count(f)
-			for _, o := range optsMatrix {
-				if got := HBPSum(col, f, o); got != wantSum {
-					t.Fatalf("HBPSum %+v n=%d tau=%d: got %d want %d", o, sh.n, tau, got, wantSum)
-				}
-				if got, ok := HBPMin(col, f, o); got != wantMin || ok != wantMinOK {
-					t.Fatalf("HBPMin %+v: got (%d,%v) want (%d,%v)", o, got, ok, wantMin, wantMinOK)
-				}
-				if got, ok := HBPMax(col, f, o); got != wantMax || ok != wantMaxOK {
-					t.Fatalf("HBPMax %+v: got (%d,%v) want (%d,%v)", o, got, ok, wantMax, wantMaxOK)
-				}
-				if got, ok := HBPMedian(col, f, o); got != wantMed || ok != wantMedOK {
-					t.Fatalf("HBPMedian %+v: got (%d,%v) want (%d,%v)", o, got, ok, wantMed, wantMedOK)
-				}
-				for _, r := range []uint64{0, 1, u, u + 1} {
-					wr, wok := core.HBPRank(col, f, r)
-					if got, ok := HBPRank(col, f, r, o); got != wr || ok != wok {
-						t.Fatalf("HBPRank(%d) %+v: got (%d,%v) want (%d,%v)", r, o, got, ok, wr, wok)
-					}
-				}
-				wa, waOK := core.HBPAvg(col, f)
-				if got, ok := HBPAvg(col, f, o); got != wa || ok != waOK {
-					t.Fatalf("HBPAvg %+v: got (%v,%v) want (%v,%v)", o, got, ok, wa, waOK)
-				}
-			}
-		}
-	}
 }

@@ -10,20 +10,19 @@ import (
 	"bpagg/internal/vbp"
 )
 
-// Stats plumbing for the drivers. Collection is per-call: a driver with
-// o.Stats == nil runs exactly the pre-observability code (the workers
-// never look at the clock or the counters), while an enabled driver
-// allocates one ExecStats per worker, lets each worker accumulate into
-// its own slot (forEachRangeErr may call a worker several times with
-// sub-ranges, so every update is +=), and merges the slots into one
-// Record at the end.
+// Stats plumbing for the drivers. Collection is per-call: with
+// o.Stats == nil the workers never look at the clock or the counters,
+// while an enabled driver allocates one ExecStats per worker, lets each
+// worker accumulate into its own slot (forEachRangeErr may call a worker
+// several times with sub-ranges, so every update is +=), and merges the
+// slots into one Record at the end.
 //
 // The derived counters (SegmentsAggregated, WordsTouched) come from the
 // analytic helpers in package core rather than kernel instrumentation;
 // their per-layout definitions are documented in DESIGN.md §8. Because
 // they only depend on layout geometry and the filter, the totals are
-// identical for any thread count and for the 64-bit vs wide kernels —
-// the property the determinism tests assert.
+// identical for any thread count — the property the determinism tests
+// assert.
 
 // statsBegin returns the per-worker accumulation slots and the driver
 // start time, or nils when collection is disabled.

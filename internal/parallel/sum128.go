@@ -4,17 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-
-	"bpagg/internal/bitvec"
-	"bpagg/internal/core"
-	"bpagg/internal/hbp"
-	"bpagg/internal/metrics"
-	"bpagg/internal/scan"
-	"bpagg/internal/vbp"
 )
 
 // OverflowError reports that the true SUM exceeds uint64. The drivers
-// only return it from the checked 128-bit paths, which run when
+// only return it from the checked 128-bit kernels, which run when
 // core.SumOverflowPossible says the column could wrap; the exact total is
 // Hi·2^64 + Lo. The public API layer re-wraps it into bpagg.OverflowError.
 type OverflowError struct {
@@ -26,14 +19,38 @@ func (e *OverflowError) Error() string {
 	return fmt.Sprintf("parallel: sum overflows uint64 (hi=%d, lo=%d)", e.Hi, e.Lo)
 }
 
-// merge128 folds per-worker 128-bit partials into one (hi, lo) pair.
-func merge128(his, los []uint64) (hi, lo uint64) {
-	for w := range his {
-		nl, carry := bits.Add64(lo, los[w], 0)
-		lo = nl
-		hi += his[w] + carry
+// sumPart is one worker's SUM partial: a 128-bit (hi, lo) running total
+// plus, on the fused drivers, the selected tuple count.
+type sumPart struct{ hi, lo, cnt uint64 }
+
+// sumRanges is the skeleton behind the two-phase and fused SUM drivers of
+// both layouts: body aggregates segments [lo, hi) and returns a (hi, lo,
+// cnt) partial, which accumulates per worker and merges in ascending
+// worker order. Partials are always carried in 128 bits; the driver picks
+// the unchecked or the checked kernel once per call from
+// core.SumOverflowPossible, and an unchecked kernel just reports hi = 0
+// (its partials cannot wrap, by the definition of that gate).
+func sumRanges(ctx context.Context, nseg, threads int, body func(w, lo, hi int) (ph, pl, cnt uint64)) (hi, lo, cnt uint64, err error) {
+	parts := make([]sumPart, threads)
+	_, err = forEachRangeErr(ctx, nseg, threads, func(w, segLo, segHi int) error {
+		ph, pl, c := body(w, segLo, segHi)
+		p := &parts[w]
+		var carry uint64
+		p.lo, carry = bits.Add64(p.lo, pl, 0)
+		p.hi += ph + carry
+		p.cnt += c
+		return nil
+	})
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	return hi, lo
+	for _, p := range parts {
+		var carry uint64
+		lo, carry = bits.Add64(lo, p.lo, 0)
+		hi += p.hi + carry
+		cnt += p.cnt
+	}
+	return hi, lo, cnt, nil
 }
 
 // sum128Result maps a merged 128-bit total to the driver return contract:
@@ -43,130 +60,4 @@ func sum128Result(hi, lo uint64) (uint64, error) {
 		return 0, &OverflowError{Hi: hi, Lo: lo}
 	}
 	return lo, nil
-}
-
-// vbpSumCtx128 is the checked twin of VBPSumCtx. The wide-word option is
-// ignored here: the 256-bit kernels have no checked variant, and this
-// path only runs on columns where overflow is possible at all.
-func vbpSumCtx128(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, o Options) (uint64, error) {
-	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	n := o.threads()
-	his := make([]uint64, n)
-	los := make([]uint64, n)
-	_, err := forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-		t0 := statsNow(ws)
-		ph, pl := core.VBPSumRange128(col, f, lo, hi)
-		nl, carry := bits.Add64(los[w], pl, 0)
-		los[w] = nl
-		his[w] += ph + carry
-		if ws != nil {
-			vbpCollectDense(ws, w, col, f, lo, hi, t0)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	hi, lo := merge128(his, los)
-	o.statsEnd(ws, start, metrics.ExecStats{})
-	return sum128Result(hi, lo)
-}
-
-// hbpSumCtx128 is the checked twin of HBPSumCtx (wide ignored, as above).
-func hbpSumCtx128(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, o Options) (uint64, error) {
-	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	n := o.threads()
-	his := make([]uint64, n)
-	los := make([]uint64, n)
-	_, err := forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-		t0 := statsNow(ws)
-		ph, pl := core.HBPSumRange128(col, f, lo, hi)
-		nl, carry := bits.Add64(los[w], pl, 0)
-		los[w] = nl
-		his[w] += ph + carry
-		if ws != nil {
-			hbpCollectDense(ws, w, col, f, lo, hi, t0)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	hi, lo := merge128(his, los)
-	o.statsEnd(ws, start, metrics.ExecStats{})
-	return sum128Result(hi, lo)
-}
-
-// vbpFusedSumCtx128 is the checked twin of VBPFusedSumCtx.
-func vbpFusedSumCtx128(ctx context.Context, col *vbp.Column, preds []scan.WindowPred, o Options) (sum, cnt uint64, err error) {
-	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	n := o.threads()
-	his := make([]uint64, n)
-	los := make([]uint64, n)
-	cnts := make([]uint64, n)
-	fss := make([]core.FusedStats, n)
-	_, err = forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-		t0 := statsNow(ws)
-		ph, pl, c := core.VBPFusedSumCount128(col, preds, lo, hi, &fss[w])
-		nl, carry := bits.Add64(los[w], pl, 0)
-		los[w] = nl
-		his[w] += ph + carry
-		cnts[w] += c
-		if ws != nil {
-			busyOnly(ws, w, t0)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	hi, lo := merge128(his, los)
-	for w := 0; w < n; w++ {
-		cnt += cnts[w]
-	}
-	o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
-	sum, err = sum128Result(hi, lo)
-	if err != nil {
-		return 0, 0, err
-	}
-	return sum, cnt, nil
-}
-
-// hbpFusedSumCtx128 is the checked twin of HBPFusedSumCtx.
-func hbpFusedSumCtx128(ctx context.Context, col *hbp.Column, preds []scan.WindowPred, o Options) (sum, cnt uint64, err error) {
-	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	n := o.threads()
-	his := make([]uint64, n)
-	los := make([]uint64, n)
-	cnts := make([]uint64, n)
-	fss := make([]core.FusedStats, n)
-	_, err = forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-		t0 := statsNow(ws)
-		ph, pl, c := core.HBPFusedSumCount128(col, preds, lo, hi, &fss[w])
-		nl, carry := bits.Add64(los[w], pl, 0)
-		los[w] = nl
-		his[w] += ph + carry
-		cnts[w] += c
-		if ws != nil {
-			busyOnly(ws, w, t0)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	hi, lo := merge128(his, los)
-	for w := 0; w < n; w++ {
-		cnt += cnts[w]
-	}
-	o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
-	sum, err = sum128Result(hi, lo)
-	if err != nil {
-		return 0, 0, err
-	}
-	return sum, cnt, nil
 }

@@ -7,49 +7,36 @@ import (
 	"bpagg/internal/core"
 	"bpagg/internal/metrics"
 	"bpagg/internal/vbp"
-	"bpagg/internal/wide"
 )
 
-// The Ctx variants are the hardened twins of the drivers in vbp.go: the
-// same kernels and partitioning, but run through forEachRangeErr so
-// cancellation is observed between segment blocks (and at each radix
-// rendezvous for rank) and worker panics come back as *PanicError. They
-// run the partitioned path even at Threads=1, trading a goroutine spawn
-// for a uniform cancellation guarantee.
-//
-// Stats collection follows the same contract as the plain drivers; a
-// worker body may run several times with sub-ranges, so every stats
-// update accumulates (the collect helpers use +=).
+// Every driver runs through forEachRangeErr, so cancellation is observed
+// between segment blocks (and at each radix rendezvous for rank) and
+// worker panics come back as *PanicError, uniformly at any thread count.
+// A worker body may run several times with sub-ranges, so every partial
+// and every stats update accumulates (the collect helpers use +=).
 
-// VBPSumCtx computes SUM over a VBP column, honoring ctx.
+// VBPSumCtx computes SUM over a VBP column, honoring ctx. A total past
+// uint64 on a column where that is possible returns *OverflowError.
 func VBPSumCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, o Options) (uint64, error) {
-	if core.SumOverflowPossible(col.K(), col.Len()) {
-		return vbpSumCtx128(ctx, col, f, o)
-	}
 	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	partials := make([]uint64, o.threads())
-	_, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
+	checked := core.SumOverflowPossible(col.K(), col.Len())
+	hi, lo, _, err := sumRanges(ctx, col.NumSegments(), o.threads(), func(w, segLo, segHi int) (ph, pl, _ uint64) {
 		t0 := statsNow(ws)
-		if o.Wide {
-			partials[w] += wide.VBPSumRange(col, f, lo, hi)
+		if checked {
+			ph, pl = core.VBPSumRange128(col, f, segLo, segHi)
 		} else {
-			partials[w] += core.VBPSumRange(col, f, lo, hi)
+			pl = core.VBPSumRange(col, f, segLo, segHi)
 		}
 		if ws != nil {
-			vbpCollectDense(ws, w, col, f, lo, hi, t0)
+			vbpCollectDense(ws, w, col, f, segLo, segHi, t0)
 		}
-		return nil
+		return ph, pl, 0
 	})
 	if err != nil {
 		return 0, err
 	}
-	var sum uint64
-	for _, p := range partials {
-		sum += p
-	}
 	o.statsEnd(ws, start, metrics.ExecStats{})
-	return sum, nil
+	return sum128Result(hi, lo)
 }
 
 // VBPMinCtx computes MIN over a VBP column, honoring ctx; ok is false
@@ -70,45 +57,22 @@ func vbpExtremeCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, o Opt
 	ws, start := o.statsBegin()
 	k := col.K()
 	nseg := col.NumSegments()
-	var temps [][]uint64
-	if o.Wide {
-		workerTemps := make([]wide.VBPExtremeTemps, o.threads())
-		for w := range workerTemps {
-			workerTemps[w] = wide.NewVBPExtremeTemps(k, wantMin)
-		}
-		used, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
-			t0 := statsNow(ws)
-			wide.VBPFoldExtremeRange(col, f, &workerTemps[w], wantMin, lo, hi)
-			if ws != nil {
-				vbpCollectDense(ws, w, col, f, lo, hi, t0)
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, false, err
-		}
-		for w := 0; w < used; w++ {
-			temps = append(temps, workerTemps[w][:]...)
-		}
-	} else {
-		workerTemps := make([][]uint64, o.threads())
-		for w := range workerTemps {
-			workerTemps[w] = core.NewVBPExtremeTemp(k, wantMin)
-		}
-		used, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
-			t0 := statsNow(ws)
-			core.VBPFoldExtreme(col, f, workerTemps[w], wantMin, lo, hi)
-			if ws != nil {
-				vbpCollectDense(ws, w, col, f, lo, hi, t0)
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, false, err
-		}
-		temps = workerTemps[:used]
+	temps := make([][]uint64, o.threads())
+	for w := range temps {
+		temps[w] = core.NewVBPExtremeTemp(k, wantMin)
 	}
-	v := core.VBPFinishExtreme(temps, k, wantMin)
+	used, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
+		t0 := statsNow(ws)
+		core.VBPFoldExtreme(col, f, temps[w], wantMin, lo, hi)
+		if ws != nil {
+			vbpCollectDense(ws, w, col, f, lo, hi, t0)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, false, err
+	}
+	v := core.VBPFinishExtreme(temps[:used], k, wantMin)
 	o.statsEnd(ws, start, metrics.ExecStats{})
 	return v, true, nil
 }
@@ -147,11 +111,7 @@ func VBPRankCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, r uint64
 		}
 		_, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
 			t0 := statsNow(ws)
-			if o.Wide {
-				partials[w] += wide.VBPRankCountRange(col, v, p, lo, hi)
-			} else {
-				partials[w] += core.VBPRankCount(col, v, p, lo, hi)
-			}
+			partials[w] += core.VBPRankCount(col, v, p, lo, hi)
 			if ws != nil {
 				// Charge the whole round here: refine reads the same
 				// bit-position word for the same live segments.
@@ -177,11 +137,7 @@ func VBPRankCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, r uint64
 		extra.RadixRounds++
 		_, err = forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
 			t0 := statsNow(ws)
-			if o.Wide {
-				wide.VBPRankRefineRange(col, v, p, keepOnes, lo, hi)
-			} else {
-				core.VBPRankRefine(col, v, p, keepOnes, lo, hi)
-			}
+			core.VBPRankRefine(col, v, p, keepOnes, lo, hi)
 			if ws != nil {
 				busyOnly(ws, w, t0)
 			}

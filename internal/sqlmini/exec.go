@@ -19,7 +19,6 @@ type Result struct {
 // ExecOptions forwards execution knobs to the aggregates.
 type ExecOptions struct {
 	Threads int
-	Wide    bool
 	// Auto lets each aggregate pick between the bit-parallel kernels and
 	// the reconstruction baseline from the realized selectivity (the
 	// paper's optimizer policy). Queries eligible for the fused
@@ -36,9 +35,6 @@ func (o ExecOptions) opts() []bpagg.ExecOption {
 	var out []bpagg.ExecOption
 	if o.Threads > 1 {
 		out = append(out, bpagg.Parallel(o.Threads))
-	}
-	if o.Wide {
-		out = append(out, bpagg.WideWords())
 	}
 	if o.Auto {
 		out = append(out, bpagg.Access(bpagg.Auto))

@@ -244,7 +244,7 @@ func TestExecuteExecOptionsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Execute(cat, q, ExecOptions{Threads: 4, Wide: true})
+	fast, err := Execute(cat, q, ExecOptions{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

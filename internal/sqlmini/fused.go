@@ -15,8 +15,7 @@ import (
 // bitmap, all-match segments served from the per-segment aggregate caches).
 // The translation is decided per conjunct; whenever any condition needs
 // bitmap machinery (IN-lists) or any aggregate would not fuse (NULLs,
-// mismatched window widths — WideWords now fuses, running the
-// internal/wide fused twins), execution falls back to the
+// mismatched window widths), execution falls back to the
 // bindWhere + bitmap path unchanged. ExecOptions.Auto only affects that
 // fallback: fuse-eligible queries fuse regardless, Auto's bit-parallel
 // vs reconstruction choice applying where a filter bitmap exists.
@@ -162,9 +161,6 @@ func buildFusedQuery(cat *catalog.Catalog, bps []boundPred, o ExecOptions, stats
 	bq := cat.Table.Query()
 	if o.Threads > 1 {
 		bq.With(bpagg.Parallel(o.Threads))
-	}
-	if o.Wide {
-		bq.With(bpagg.WideWords())
 	}
 	// Auto is deliberately NOT applied here: Auto delegates the access-path
 	// choice to the planner, and for a fuse-eligible query the fused

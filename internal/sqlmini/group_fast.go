@@ -15,10 +15,9 @@ import (
 // group key in one traversal of the grouping column and answers
 // SUM/MIN/MAX for all groups with the banked kernels (DESIGN.md §12).
 // Whenever any condition needs bitmap machinery (IN-lists), the
-// grouping column has NULLs, WideWords is requested, or the dictionary
-// cardinality exceeds the engine's single-pass ceiling, execution falls
-// back to the groupSelections walk + per-group aggregateRow path
-// unchanged.
+// grouping column has NULLs, or the dictionary cardinality exceeds the
+// engine's single-pass ceiling, execution falls back to the
+// groupSelections walk + per-group aggregateRow path unchanged.
 
 // groupSinglePassEligible reproduces the engine's single-pass gate at
 // plan time so the executor and EXPLAIN route identically. The
@@ -29,7 +28,7 @@ import (
 // the single-pass path (direct tier for one ≤10-bit column, hash tier
 // otherwise).
 func groupSinglePassEligible(cat *catalog.Catalog, q *Query, o ExecOptions) ([]boundPred, bool) {
-	if len(q.GroupBy) == 0 || o.Wide {
+	if len(q.GroupBy) == 0 {
 		return nil, false
 	}
 	bps, ok := bindPreds(cat, q.Where)

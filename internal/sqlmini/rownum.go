@@ -99,9 +99,6 @@ func buildRangeQuery(cat *catalog.Catalog, o ExecOptions, stats *bpagg.StatsColl
 	if o.Threads > 1 {
 		bq.With(bpagg.Parallel(o.Threads))
 	}
-	if o.Wide {
-		bq.With(bpagg.WideWords())
-	}
 	bq.WithStatsInto(stats)
 	return bq
 }

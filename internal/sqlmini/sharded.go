@@ -91,9 +91,6 @@ func buildShardedQuery(cat *catalog.Catalog, bps []boundPred, o ExecOptions, sta
 	if o.Threads > 1 {
 		sq = sq.With(bpagg.Parallel(o.Threads))
 	}
-	if o.Wide {
-		sq = sq.With(bpagg.WideWords())
-	}
 	if o.Auto {
 		sq = sq.With(bpagg.Access(bpagg.Auto))
 	}

@@ -1,6 +1,8 @@
 package tpch
 
 import (
+	"context"
+
 	"bpagg/internal/bitvec"
 	"bpagg/internal/core"
 	"bpagg/internal/nbp"
@@ -103,30 +105,44 @@ func (c *Column) source() interface {
 	return c.h
 }
 
+// must and must2 unwrap a driver result. The benchmark columns are
+// synthetic and run under context.Background(), so a driver error (SUM
+// overflow, worker panic) can only be a bug here.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func must2[T any](v T, ok bool, err error) (T, bool) {
+	return must(v, err), ok
+}
+
 func (c *Column) sumBP(f *bitvec.Bitmap, o parallel.Options) uint64 {
 	if c.layout == VBP {
-		return parallel.VBPSum(c.v, f, o)
+		return must(parallel.VBPSumCtx(context.Background(), c.v, f, o))
 	}
-	return parallel.HBPSum(c.h, f, o)
+	return must(parallel.HBPSumCtx(context.Background(), c.h, f, o))
 }
 
 func (c *Column) avgBP(f *bitvec.Bitmap, o parallel.Options) (float64, bool) {
 	if c.layout == VBP {
-		return parallel.VBPAvg(c.v, f, o)
+		return must2(parallel.VBPAvgCtx(context.Background(), c.v, f, o))
 	}
-	return parallel.HBPAvg(c.h, f, o)
+	return must2(parallel.HBPAvgCtx(context.Background(), c.h, f, o))
 }
 
 func (c *Column) maxBP(f *bitvec.Bitmap, o parallel.Options) (uint64, bool) {
 	if c.layout == VBP {
-		return parallel.VBPMax(c.v, f, o)
+		return must2(parallel.VBPMaxCtx(context.Background(), c.v, f, o))
 	}
-	return parallel.HBPMax(c.h, f, o)
+	return must2(parallel.HBPMaxCtx(context.Background(), c.h, f, o))
 }
 
 func (c *Column) medianBP(f *bitvec.Bitmap, o parallel.Options) (uint64, bool) {
 	if c.layout == VBP {
-		return parallel.VBPMedian(c.v, f, o)
+		return must2(parallel.VBPMedianCtx(context.Background(), c.v, f, o))
 	}
-	return parallel.HBPMedian(c.h, f, o)
+	return must2(parallel.HBPMedianCtx(context.Background(), c.h, f, o))
 }

@@ -60,7 +60,7 @@ func TestBPAndNBPAgreeOnEveryQuery(t *testing.T) {
 			inst := Build(q, layout, n, 11)
 			f := inst.Scan()
 			bp := inst.RunAggBP(f, parallel.Options{})
-			bpMT := inst.RunAggBP(f, parallel.Options{Threads: 4, Wide: true})
+			bpMT := inst.RunAggBP(f, parallel.Options{Threads: 4})
 			nbpRes := inst.RunAggNBP(f, nbp.Options{Threads: 2})
 			for i := range bp {
 				if bp[i] != nbpRes[i] {
@@ -68,7 +68,7 @@ func TestBPAndNBPAgreeOnEveryQuery(t *testing.T) {
 						q.Name, layout, q.Aggs[i].Name, bp[i], nbpRes[i])
 				}
 				if bp[i] != bpMT[i] {
-					t.Errorf("%s %v agg %s: serial %+v, MT+wide %+v",
+					t.Errorf("%s %v agg %s: serial %+v, MT %+v",
 						q.Name, layout, q.Aggs[i].Name, bp[i], bpMT[i])
 				}
 			}

@@ -8,7 +8,7 @@ import "math/bits"
 // (ones/twos/fours planes) and pays one POPCNT per block tier, not per
 // word. The primitives here are the per-word building blocks; the block
 // accumulators that stream (segment, filter word) pairs through them live
-// next to the kernels in internal/core and internal/wide.
+// next to the kernels in internal/core.
 
 // CSA is a carry-save adder: a, b and the incoming partial c are treated
 // as 64 independent one-bit lanes, and each lane's full-adder sum and

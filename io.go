@@ -353,7 +353,7 @@ func readWords(r io.Reader, count int) ([]uint64, error) {
 		initial = 64 * 1024
 	}
 	words := make([]uint64, 0, initial)
-	buf := make([]byte, 8*1024)
+	buf := make([]byte, 8*min(count, 1024))
 	for len(words) < count {
 		chunk := count - len(words)
 		if chunk > 1024 {

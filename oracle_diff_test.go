@@ -7,7 +7,7 @@ import (
 )
 
 // TestOracleDifferentialSweep is the PR-gating differential sweep: every
-// generated adversarial case runs the full {fused, two-phase, wide,
+// generated adversarial case runs the full {fused, two-phase,
 // reconstruct} × {fresh, rebuilt, reloaded} × {1, 8 threads} matrix for
 // all aggregates and predicate forms against the naive oracle
 // (DESIGN.md §11). A failure message names the exact matrix cell and the

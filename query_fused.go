@@ -26,8 +26,7 @@ import (
 //   - neither the clause columns nor the aggregate column have NULLs
 //     (NULL semantics live in the validity-bitmap intersection);
 //   - execution is the bit-parallel access method (Reconstruct/Auto fall
-//     back to two phases; WideWords fuses too — internal/wide carries
-//     fused twins of the SUM and MIN/MAX kernels and wide rank rounds);
+//     back to two phases);
 //   - all columns involved agree on the window width (VBP's 64, HBP's
 //     values-per-segment), so one filter word addresses one segment
 //     everywhere.
@@ -102,9 +101,10 @@ func (q *Query) fusedPlan(agg *Column) (preds []scan.WindowPred, o execConfig, o
 	return preds, o, true
 }
 
-// fusedMust re-raises a fused-path failure on the plain (non-Context)
-// query methods, preserving their contract that worker panics propagate
-// with the original panic value.
+// fusedMust re-raises a ...Context failure on the plain (non-Context)
+// methods, which are thin wrappers over their Context twins: a worker
+// panic propagates with the original panic value, everything else
+// (misuse, *OverflowError) panics with the error itself.
 func fusedMust(err error) {
 	if err == nil {
 		return
@@ -167,7 +167,18 @@ func (q *Query) fusedCount(ctx context.Context, preds []scan.WindowPred, o execC
 // medianRank is the lower-median rank function for the fused rank driver.
 func medianRank(u uint64) (uint64, bool) { return (u + 1) / 2, u > 0 }
 
-// quantileRank returns the nearest-rank function for quantile q in [0,1].
+// checkQuantile rejects a quantile outside [0, 1]; the negated form also
+// rejects NaN, which would otherwise reach quantileRank's float→uint64
+// conversion, whose result for NaN differs by architecture.
+func checkQuantile(q float64) error {
+	if !(q >= 0 && q <= 1) {
+		return fmt.Errorf("bpagg: quantile %v outside [0,1]", q)
+	}
+	return nil
+}
+
+// quantileRank returns the nearest-rank function for quantile q in [0,1]
+// (rank = ceil(q·count), with q = 0 meaning the minimum).
 func quantileRank(q float64) func(u uint64) (uint64, bool) {
 	return func(u uint64) (uint64, bool) {
 		if u == 0 {

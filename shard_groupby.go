@@ -455,8 +455,8 @@ func (g *ShardedGrouped) MedianOkContext(ctx context.Context, column string) ([]
 // QuantileOkContext answers the nearest-rank quantile of the named
 // column per group, honoring ctx, with ok[i]=false for all-NULL groups.
 func (g *ShardedGrouped) QuantileOkContext(ctx context.Context, column string, quantile float64) ([]uint64, []bool, error) {
-	if quantile < 0 || quantile > 1 || quantile != quantile {
-		return nil, nil, fmt.Errorf("bpagg: quantile %v outside [0,1]", quantile)
+	if err := checkQuantile(quantile); err != nil {
+		return nil, nil, err
 	}
 	return g.rankOkContext(ctx, column, quantileRank(quantile))
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"bpagg/internal/hbp"
 )
 
 // Sharded tables serialize as a versioned container around the existing
@@ -120,8 +122,10 @@ func ReadShardedTable(r io.Reader) (*ShardedTable, error) {
 		bits   int
 		tau    int
 	}
-	schema := make([]schemaEntry, colCount)
-	for i := range schema {
+	// Grown by append, not sized from the header: colCount is untrusted and
+	// every entry costs at least nine input bytes before it is stored.
+	var schema []schemaEntry
+	for i := uint32(0); i < colCount; i++ {
 		var nameLen uint32
 		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
 			return nil, fmt.Errorf("bpagg: reading schema name length: %w", err)
@@ -145,14 +149,15 @@ func ReadShardedTable(r io.Reader) (*ShardedTable, error) {
 		if Layout(layout) != VBP && Layout(layout) != HBP {
 			return nil, fmt.Errorf("bpagg: unknown layout %d", layout)
 		}
-		if k < 1 || k > 64 || tau < 1 || tau > k {
+		if k < 1 || k > 64 || tau < 1 || tau > k || Layout(layout) == HBP && tau > hbp.MaxTau {
 			return nil, fmt.Errorf("bpagg: implausible schema widths (k=%d tau=%d)", k, tau)
 		}
-		schema[i] = schemaEntry{string(nameBuf), Layout(layout), int(k), int(tau)}
-		if _, dup := st.index[schema[i].name]; dup {
-			return nil, fmt.Errorf("bpagg: duplicate column %q", schema[i].name)
+		se := schemaEntry{string(nameBuf), Layout(layout), int(k), int(tau)}
+		if _, dup := st.index[se.name]; dup {
+			return nil, fmt.Errorf("bpagg: duplicate column %q", se.name)
 		}
-		st.AddColumn(schema[i].name, schema[i].layout, schema[i].bits, WithGroupBits(schema[i].tau))
+		st.AddColumn(se.name, se.layout, se.bits, WithGroupBits(se.tau))
+		schema = append(schema, se)
 	}
 
 	rows := 0
@@ -244,6 +249,9 @@ func ReadPartitioned(r io.Reader) (*ShardedTable, error) {
 		t, err := ReadTable(br)
 		if err != nil {
 			return nil, err
+		}
+		if len(t.names) == 0 {
+			return nil, fmt.Errorf("bpagg: flat table file has no columns")
 		}
 		return PartitionTable(t), nil
 	default:

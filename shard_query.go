@@ -104,7 +104,7 @@ func (q *ShardedQuery) WhereErr(column string, p Predicate) (*ShardedQuery, erro
 	return q, nil
 }
 
-// With sets execution options (Parallel, WideWords) for the aggregates.
+// With sets execution options (Parallel, Access) for the aggregates.
 // Parallel(n) governs both the shard fan-out width and each per-shard
 // query's intra-shard parallelism.
 func (q *ShardedQuery) With(opts ...ExecOption) *ShardedQuery {
@@ -523,17 +523,14 @@ func (q *ShardedQuery) Rank(column string, r uint64) (uint64, bool) {
 // QuantileContext returns the quantile-q value of the named column,
 // honoring ctx.
 func (q *ShardedQuery) QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error) {
-	if quantile < 0 || quantile > 1 || quantile != quantile {
-		return 0, false, fmt.Errorf("bpagg: quantile %v outside [0,1]", quantile)
+	if err := checkQuantile(quantile); err != nil {
+		return 0, false, err
 	}
 	return q.rankSearch(ctx, column, quantileRank(quantile))
 }
 
 // Quantile returns the q-quantile (nearest rank) of the named column.
 func (q *ShardedQuery) Quantile(column string, quantile float64) (uint64, bool) {
-	if quantile < 0 || quantile > 1 {
-		panic(fmt.Sprintf("bpagg: quantile %v outside [0,1]", quantile))
-	}
 	v, ok, err := q.QuantileContext(context.Background(), column, quantile)
 	fusedMust(err)
 	return v, ok

@@ -357,9 +357,6 @@ func (r *ShardedRangeQuery) RankContext(ctx context.Context, column string, rank
 
 // Quantile returns the q-quantile (nearest rank) within the range.
 func (r *ShardedRangeQuery) Quantile(column string, quantile float64) (uint64, bool) {
-	if quantile < 0 || quantile > 1 {
-		panic(fmt.Sprintf("bpagg: quantile %v outside [0,1]", quantile))
-	}
 	v, ok, err := r.QuantileContext(context.Background(), column, quantile)
 	fusedMust(err)
 	return v, ok
@@ -367,8 +364,8 @@ func (r *ShardedRangeQuery) Quantile(column string, quantile float64) (uint64, b
 
 // QuantileContext is Quantile honoring ctx.
 func (r *ShardedRangeQuery) QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error) {
-	if quantile < 0 || quantile > 1 || quantile != quantile {
-		return 0, false, fmt.Errorf("bpagg: quantile %v outside [0,1]", quantile)
+	if err := checkQuantile(quantile); err != nil {
+		return 0, false, err
 	}
 	return r.rankSearch(ctx, column, quantileRank(quantile))
 }

@@ -84,43 +84,6 @@ func TestStatsThreadDeterminism(t *testing.T) {
 	}
 }
 
-// TestStatsWideWordInvariance: the wide (256-bit) kernels process the
-// same logical words, so counters must not depend on the Wide option
-// either.
-func TestStatsWideWordInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	const n, k = 4096, 12
-	vals := make([]uint64, n)
-	for i := range vals {
-		vals[i] = rng.Uint64() & ((1 << k) - 1)
-	}
-	for _, layout := range []Layout{VBP, HBP} {
-		col := NewColumn(layout, k)
-		col.Append(vals...)
-		sel := col.Scan(Greater(100))
-		collect := func(opts ...ExecOption) ExecStats {
-			rec := NewStatsCollector()
-			col.Sum(sel, append(opts, CollectStats(rec))...)
-			if _, ok := col.Median(sel, append(opts, CollectStats(rec))...); !ok {
-				t.Fatalf("%v: empty median", layout)
-			}
-			return rec.Snapshot()
-		}
-		narrow := collect()
-		wide := collect(WideWords())
-		if narrow.WordsTouched != wide.WordsTouched {
-			t.Errorf("%v: WordsTouched narrow %d, wide %d", layout, narrow.WordsTouched, wide.WordsTouched)
-		}
-		if narrow.SegmentsAggregated != wide.SegmentsAggregated {
-			t.Errorf("%v: SegmentsAggregated narrow %d, wide %d",
-				layout, narrow.SegmentsAggregated, wide.SegmentsAggregated)
-		}
-		if narrow.RadixRounds != wide.RadixRounds {
-			t.Errorf("%v: RadixRounds narrow %d, wide %d", layout, narrow.RadixRounds, wide.RadixRounds)
-		}
-	}
-}
-
 // TestStatsConcurrentQueries hammers one shared collector from many
 // concurrent queries — the serving-process shape — and checks the totals
 // under the race detector. Counters are deterministic per query, so the

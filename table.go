@@ -1,7 +1,6 @@
 package bpagg
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -187,7 +186,7 @@ func (q *Query) Where(column string, p Predicate) *Query {
 	return q
 }
 
-// With sets execution options (Parallel, WideWords) for the aggregates.
+// With sets execution options (Parallel, Access) for the aggregates.
 func (q *Query) With(opts ...ExecOption) *Query {
 	q.execs = append(q.execs, opts...)
 	return q
@@ -238,103 +237,56 @@ func (q *Query) Selection() *Bitmap {
 
 // CountRows returns the number of rows passing the filter.
 func (q *Query) CountRows() uint64 {
-	if preds, o, ok := q.fusedPlan(nil); ok {
-		cnt, err := q.fusedCount(context.Background(), preds, o)
-		fusedMust(err)
-		return cnt
-	}
-	return uint64(q.Selection().Count())
+	cnt, err := q.CountRowsContext(nil)
+	fusedMust(err)
+	return cnt
 }
 
 // Sum aggregates SUM over the named column.
 func (q *Query) Sum(column string) uint64 {
-	col := q.col(column)
-	if preds, o, ok := q.fusedPlan(col); ok {
-		sum, _, err := col.fusedSum(context.Background(), preds, o)
-		fusedMust(err)
-		return sum
-	}
-	return col.Sum(q.Selection(), q.execs...)
+	v, err := q.SumContext(nil, column)
+	fusedMust(err)
+	return v
 }
 
 // Min aggregates MIN over the named column.
 func (q *Query) Min(column string) (uint64, bool) {
-	return q.extreme(column, true)
+	v, ok, err := q.MinContext(nil, column)
+	fusedMust(err)
+	return v, ok
 }
 
 // Max aggregates MAX over the named column.
 func (q *Query) Max(column string) (uint64, bool) {
-	return q.extreme(column, false)
-}
-
-func (q *Query) extreme(column string, wantMin bool) (uint64, bool) {
-	col := q.col(column)
-	if preds, o, ok := q.fusedPlan(col); ok {
-		v, cnt, err := col.fusedExtreme(context.Background(), preds, o, wantMin)
-		fusedMust(err)
-		return v, cnt > 0
-	}
-	if wantMin {
-		return col.Min(q.Selection(), q.execs...)
-	}
-	return col.Max(q.Selection(), q.execs...)
+	v, ok, err := q.MaxContext(nil, column)
+	fusedMust(err)
+	return v, ok
 }
 
 // Avg aggregates AVG over the named column.
 func (q *Query) Avg(column string) (float64, bool) {
-	col := q.col(column)
-	if preds, o, ok := q.fusedPlan(col); ok {
-		sum, cnt, err := col.fusedSum(context.Background(), preds, o)
-		fusedMust(err)
-		if cnt == 0 {
-			return 0, false
-		}
-		return float64(sum) / float64(cnt), true
-	}
-	return col.Avg(q.Selection(), q.execs...)
+	v, ok, err := q.AvgContext(nil, column)
+	fusedMust(err)
+	return v, ok
 }
 
 // Median aggregates the lower MEDIAN over the named column.
 func (q *Query) Median(column string) (uint64, bool) {
-	col := q.col(column)
-	if preds, o, ok := q.fusedPlan(col); ok {
-		v, _, found, err := col.fusedRank(context.Background(), preds, o, medianRank)
-		fusedMust(err)
-		return v, found
-	}
-	return col.Median(q.Selection(), q.execs...)
+	v, ok, err := q.MedianContext(nil, column)
+	fusedMust(err)
+	return v, ok
 }
 
 // Rank returns the r-th smallest selected value of the named column.
 func (q *Query) Rank(column string, r uint64) (uint64, bool) {
-	col := q.col(column)
-	if preds, o, ok := q.fusedPlan(col); ok {
-		v, _, found, err := col.fusedRank(context.Background(), preds, o,
-			func(uint64) (uint64, bool) { return r, true })
-		fusedMust(err)
-		return v, found
-	}
-	return col.Rank(q.Selection(), r, q.execs...)
+	v, ok, err := q.RankContext(nil, column, r)
+	fusedMust(err)
+	return v, ok
 }
 
 // Quantile returns the q-quantile (nearest rank) of the named column.
 func (q *Query) Quantile(column string, quantile float64) (uint64, bool) {
-	if quantile < 0 || quantile > 1 {
-		panic(fmt.Sprintf("bpagg: quantile %v outside [0,1]", quantile))
-	}
-	col := q.col(column)
-	if preds, o, ok := q.fusedPlan(col); ok {
-		v, _, found, err := col.fusedRank(context.Background(), preds, o, quantileRank(quantile))
-		fusedMust(err)
-		return v, found
-	}
-	return col.Quantile(q.Selection(), quantile, q.execs...)
-}
-
-func (q *Query) col(name string) *Column {
-	c := q.t.cols[name]
-	if c == nil {
-		panic(fmt.Sprintf("bpagg: unknown column %q", name))
-	}
-	return c
+	v, ok, err := q.QuantileContext(nil, column, quantile)
+	fusedMust(err)
+	return v, ok
 }

@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// Error-returning and context-aware query layer: the hardened twins of
-// the chaining Query/Grouped API. Unknown column names — the one
-// untrusted input this layer sees — come back as errors instead of
-// panics, and every aggregate accepts a context.
+// Error-returning and context-aware query layer: the implementation
+// behind the chaining Query/Grouped API, whose plain methods wrap these.
+// Unknown column names — the one untrusted input this layer sees — come
+// back as errors instead of panics, and every aggregate accepts a
+// context.
 
 // ColumnErr returns the named column or an error when absent — the
 // error-returning twin of Column for callers resolving untrusted names.
@@ -158,8 +159,8 @@ func (q *Query) QuantileContext(ctx context.Context, column string, quantile flo
 	if err != nil {
 		return 0, false, err
 	}
-	if quantile < 0 || quantile > 1 || quantile != quantile {
-		return 0, false, fmt.Errorf("bpagg: quantile %v outside [0,1]", quantile)
+	if err := checkQuantile(quantile); err != nil {
+		return 0, false, err
 	}
 	if preds, o, ok := q.fusedPlan(col); ok {
 		v, _, found, err := col.fusedRank(orBackground(ctx), preds, o, quantileRank(quantile))

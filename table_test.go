@@ -87,9 +87,9 @@ func TestTableQueryNoFilter(t *testing.T) {
 func TestTableQueryWithExecOptions(t *testing.T) {
 	tbl, _, _, _ := buildOrdersTable(t, 3000)
 	base := tbl.Query().Where("price", Less(40000)).Sum("qty")
-	got := tbl.Query().Where("price", Less(40000)).With(Parallel(4), WideWords()).Sum("qty")
+	got := tbl.Query().Where("price", Less(40000)).With(Parallel(4)).Sum("qty")
 	if got != base {
-		t.Fatalf("parallel+wide Sum = %d, want %d", got, base)
+		t.Fatalf("parallel Sum = %d, want %d", got, base)
 	}
 }
 
