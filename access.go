@@ -21,7 +21,9 @@ const (
 	Reconstruct
 	// Auto picks per call: bit-parallel when the selection is dense
 	// enough that whole-word processing wins, reconstruction when only a
-	// sliver of tuples passed the filter.
+	// sliver of tuples passed the filter. The choice needs a realized
+	// selection, so it governs two-phase aggregates only: a query that can
+	// fuse, partition single-pass or run banked still does.
 	Auto
 )
 

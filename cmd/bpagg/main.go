@@ -122,9 +122,10 @@ func cmdLoad(args []string) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	if cat.Sharded != nil {
+	if *shardRows > 0 {
+		st := cat.Store()
 		fmt.Printf("loaded %d rows, %d columns, %d shards of %d rows -> %s (%d bytes) in %v\n",
-			cat.Rows(), len(cat.Specs), cat.Sharded.NumShards(), cat.Sharded.ShardRows(),
+			st.Rows(), len(cat.Specs), st.NumShards(), st.ShardRows(),
 			*out, n, time.Since(start).Round(time.Millisecond))
 		return nil
 	}
@@ -273,24 +274,15 @@ func cmdInfo(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("rows: %d\n", cat.Rows())
-	if cat.Sharded != nil {
-		fmt.Printf("shards: %d (up to %d rows each)\n",
-			cat.Sharded.NumShards(), cat.Sharded.ShardRows())
-	}
+	st := cat.Store()
+	fmt.Printf("rows: %d\n", st.Rows())
+	fmt.Printf("shards: %d (up to %d rows each)\n", st.NumShards(), st.ShardRows())
 	fmt.Printf("%-16s %-10s %-7s %6s %8s %10s\n",
 		"column", "type", "layout", "bits", "nulls", "words")
 	for _, sp := range cat.Specs {
-		if cat.Sharded != nil {
-			layout, bits, nulls, words := cat.Sharded.ColumnInfo(sp.Name)
-			fmt.Printf("%-16s %-10s %-7s %6d %8d %10d\n",
-				sp.Name, typeLabel(sp), layout, bits, nulls, words)
-			continue
-		}
-		col := cat.Table.Column(sp.Name)
+		layout, bits, nulls, words := st.ColumnInfo(sp.Name)
 		fmt.Printf("%-16s %-10s %-7s %6d %8d %10d\n",
-			sp.Name, typeLabel(sp), col.Layout(), col.BitWidth(),
-			col.NullCount(), col.MemoryWords())
+			sp.Name, typeLabel(sp), layout, bits, nulls, words)
 	}
 	return nil
 }

@@ -43,7 +43,7 @@ import (
 //
 // GroupBy picks the strategy at plan time: direct or hash when the query
 // qualifies (same spirit as the Query.Fused gate: no user bitmap, no
-// NULLs on the grouping columns, bit-parallel execution), legacy
+// NULLs on the grouping columns, access not pinned to Reconstruct), legacy
 // otherwise or past MaxSinglePassGroups discovered keys. Results are
 // bit-identical across strategies and thread counts.
 type Grouped struct {
@@ -52,7 +52,7 @@ type Grouped struct {
 	widths   []int
 	keys     []uint64
 	sels     []*Bitmap // dense selections (direct + legacy); nil for hash
-	counts   []uint64  // per-group row counts (hash); nil otherwise
+	counts   []uint64  // per-group row counts: tallied by the hash partition, popcounted on first use otherwise
 	hp       *parallel.HashPartition
 	strategy GroupStrategy
 }
@@ -115,7 +115,7 @@ func (g *Grouped) Strategy() GroupStrategy { return g.strategy }
 // groupSinglePass attempts the single-pass partition (direct or hash
 // tier). ok is false when the query does not qualify (pre-materialized
 // or user-supplied selection, NULLs on a grouping column,
-// non-bit-parallel access, or cardinality past the tier budget) — the
+// Reconstruct access, or cardinality past the tier budget) — the
 // caller then runs the legacy walk. A returned error is a real execution
 // failure (cancellation, worker panic), never a fallback signal.
 func (q *Query) groupSinglePass(ctx context.Context, cols []*Column, widths []int) (*Grouped, bool, error) {
@@ -128,7 +128,7 @@ func (q *Query) groupSinglePass(ctx context.Context, cols []*Column, widths []in
 		}
 	}
 	o := execOptions(q.execs)
-	if o.access != BitParallel {
+	if o.access == Reconstruct {
 		return nil, false, nil
 	}
 	base := q.Selection()
@@ -288,25 +288,29 @@ func (g *Grouped) Selection(i int) *Bitmap {
 }
 
 // groupCount returns group i's row count without materializing the hash
-// tier's selection.
+// tier's selection. The dense tiers popcount every group once and keep
+// the counts, so COUNT(*) and an AVG divisor share one pass.
 func (g *Grouped) groupCount(i int) uint64 {
-	if g.counts != nil {
-		return g.counts[i]
+	if g.counts == nil {
+		g.counts = make([]uint64, len(g.sels))
+		for j, sel := range g.sels {
+			g.counts[j] = uint64(sel.Count())
+		}
 	}
-	return uint64(g.sels[i].Count())
+	return g.counts[i]
 }
 
 // banked reports whether a per-group aggregate over col can run the
 // banked single-pass kernels, and resolves the execution options if so.
 // The gate mirrors groupSinglePass's per-column conditions: the
 // partition itself must be single-pass, the measure column NULL-free,
-// and execution bit-parallel.
+// and access not pinned to Reconstruct.
 func (g *Grouped) banked(col *Column) (execConfig, bool) {
 	if !g.SinglePass() || col.nulls != nil {
 		return execConfig{}, false
 	}
 	o := execOptions(g.q.execs)
-	if o.access != BitParallel {
+	if o.access == Reconstruct {
 		return execConfig{}, false
 	}
 	return o, true

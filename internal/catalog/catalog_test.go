@@ -3,6 +3,7 @@ package catalog
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"bpagg"
@@ -238,5 +239,42 @@ func TestFormatters(t *testing.T) {
 	}
 	if !cat.Summable("price") || cat.Summable("region") {
 		t.Error("Summable wrong")
+	}
+}
+
+// TestStoreAdoptsFlatTableOnce: Store serves a flat table as a one-shard
+// store over the same columns, adopted exactly once however many queries
+// ask at the same moment; a sharded catalog is its own store.
+func TestStoreAdoptsFlatTableOnce(t *testing.T) {
+	cat := loadOrders(t)
+	stores := make([]*bpagg.ShardedTable, 8)
+	var wg sync.WaitGroup
+	for i := range stores {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			stores[i] = cat.Store()
+		}(i)
+	}
+	wg.Wait()
+	for i, st := range stores {
+		if st != stores[0] {
+			t.Fatalf("goroutine %d adopted its own store", i)
+		}
+	}
+	st := cat.Store()
+	if st.NumShards() != 1 || st.Rows() != cat.Table.Rows() || cat.Rows() != 5 {
+		t.Fatalf("adopted store: %d shards, %d rows", st.NumShards(), st.Rows())
+	}
+	if got, want := st.Query().Sum("qty"), cat.Table.Query().Sum("qty"); got != want {
+		t.Errorf("store SUM(qty) = %d, table %d", got, want)
+	}
+	if _, _, _, words := st.ColumnInfo("qty"); words != cat.Table.Column("qty").MemoryWords() {
+		t.Errorf("adoption copied the column: %d words, table has %d", words, cat.Table.Column("qty").MemoryWords())
+	}
+
+	cat.Shard(2)
+	if cat.Store() != cat.Sharded || cat.Store().NumShards() != 3 {
+		t.Errorf("sharded catalog's store is not its Sharded table")
 	}
 }

@@ -9,21 +9,38 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"bpagg"
 )
 
-// Catalog is a typed view over a packed table: the schema, the table, and
-// the per-column dictionaries. When Sharded is non-nil the catalog is
-// backed by a partitioned store and the SQL layer routes execution
-// through it (shard-catalog pruning, parallel fan-out); Table may then be
-// nil — every binding and formatting helper consults only Specs and the
-// dictionaries.
+// Catalog is a typed view over a packed table: the schema, the data, and
+// the per-column dictionaries. The data is either a partitioned store
+// (Sharded) or a flat Table; readers never ask which — they call Store,
+// which serves a flat table as the one-shard store it is. Every binding
+// and formatting helper consults only Specs and the dictionaries.
 type Catalog struct {
 	Specs   []Spec
 	Table   *bpagg.Table
 	Sharded *bpagg.ShardedTable
 	dicts   map[string]*bpagg.Dict
+
+	adopt   sync.Once
+	adopted *bpagg.ShardedTable // Table as a one-shard store; see Store
+}
+
+// Store returns the partitioned store queries execute against: Sharded,
+// or else Table adopted as a single shard — once, without copying
+// (bpagg.PartitionTable), and safely from concurrent queries. The
+// adoption reads the shard bounds off the table as it is then, so a flat
+// Table must not be appended to once it serves queries through a catalog;
+// a store that grows while it is served is built sharded.
+func (c *Catalog) Store() *bpagg.ShardedTable {
+	if c.Sharded != nil {
+		return c.Sharded
+	}
+	c.adopt.Do(func() { c.adopted = bpagg.PartitionTable(c.Table) })
+	return c.adopted
 }
 
 // Shard converts the catalog to sharded execution: the flat table is
@@ -37,13 +54,8 @@ func (c *Catalog) Shard(shardRows int) {
 	c.Table = nil
 }
 
-// Rows reports the row count of whichever store backs the catalog.
-func (c *Catalog) Rows() int {
-	if c.Sharded != nil {
-		return c.Sharded.Rows()
-	}
-	return c.Table.Rows()
-}
+// Rows reports the store's row count.
+func (c *Catalog) Rows() int { return c.Store().Rows() }
 
 // Spec returns the named column's spec, or nil.
 func (c *Catalog) Spec(name string) *Spec {

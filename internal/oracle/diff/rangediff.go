@@ -23,7 +23,8 @@ import (
 // {1, 8} threads matrix; checkShardedRange/checkShardedWindow run the
 // partitioned twins inside CheckSharded's {split, reloaded} matrix, so
 // shard pruning and per-shard local-range translation answer to the same
-// arbiter.
+// arbiter. GROUP BY under a range (checkRangeGroupBy) answers to the
+// oracle's partition of the same positional slice on both stores.
 
 // rangeProbes returns the deterministic positional probes for an n-row
 // table: full, empty, past-the-end clipping, single rows at the head and
@@ -37,7 +38,7 @@ func rangeProbes(n int) [][2]int {
 		{0, 1},             // head row
 		{n / 2, n/2 + 1},   // interior single row
 		{64, 192},          // aligned whole segments (clips on small tables)
-		{1, max(1, n - 1)}, // both boundary fringes partial
+		{1, max(1, n-1)},   // both boundary fringes partial
 		{n / 4, 3*n/4 + 1}, // interior, misaligned on both ends
 	}
 	out := ps[:0]
@@ -195,12 +196,98 @@ func checkRangeAggs(e tag, oa *oracle.Column, rsel []bool, probe [2]int, full bo
 	return cmpOK(e, name("QUANTILE(0.5)"), v, ok, err, want)
 }
 
+// rangeGrouped is what a GROUP BY under a row range answers with on
+// either store (*bpagg.Grouped, *bpagg.ShardedGrouped).
+type rangeGrouped interface {
+	Keys() []uint64
+	CountContext(context.Context) ([]uint64, error)
+	SumContext(context.Context, string) ([]uint64, error)
+	MedianContext(context.Context, string) ([]uint64, error)
+}
+
+// checkRangeGroupBy compares GROUP BY over one positional range with the
+// oracle's partition of the range's slice of the selection: keys, row
+// counts, SUM under the overflow contract, and MEDIAN (an error when a
+// group holds only NULLs, as for the unrestricted grouped aggregates).
+func checkRangeGroupBy(e tag, c *Case, exp *expectation, rsel []bool, probe [2]int, group func(context.Context) (rangeGrouped, error)) error {
+	ctx := context.Background()
+	name := func(agg string) string { return fmt.Sprintf("GROUPBY %s[%d,%d)", agg, probe[0], probe[1]) }
+	var keys []uint64
+	var groups [][]bool
+	if c.G2 != nil {
+		keys, groups = oracle.GroupByComposite([]*oracle.Column{exp.og, exp.og2}, []int{c.gk(), c.g2k()}, rsel)
+	} else {
+		keys, groups = exp.og.GroupBy(rsel)
+	}
+	g, err := group(ctx)
+	if err != nil {
+		return e.fail(name("KEYS"), "unexpected error: %v", err)
+	}
+	if ferr := cmpSlice(e, name("KEYS"), g.Keys(), keys); ferr != nil {
+		return ferr
+	}
+	want := make([]uint64, len(keys))
+	for i := range keys {
+		want[i] = oracle.CountRows(groups[i])
+	}
+	counts, err := g.CountContext(ctx)
+	if err != nil {
+		return e.fail(name("COUNT"), "unexpected error: %v", err)
+	}
+	if ferr := cmpSlice(e, name("COUNT"), counts, want); ferr != nil {
+		return ferr
+	}
+
+	overflows, hasValues := false, true
+	for i := range keys {
+		s, fits := exp.oa.SumUint64(groups[i])
+		want[i], overflows = s, overflows || !fits
+		hasValues = hasValues && exp.oa.Count(groups[i]) > 0
+	}
+	sums, err := g.SumContext(ctx, "a")
+	var ov *bpagg.OverflowError
+	switch {
+	case overflows && !errors.As(err, &ov):
+		return e.fail(name("SUM"), "a group sum overflows uint64; engine returned %v err=%v, want *bpagg.OverflowError", sums, err)
+	case !overflows && err != nil:
+		return e.fail(name("SUM"), "unexpected error: %v", err)
+	case !overflows:
+		if ferr := cmpSlice(e, name("SUM"), sums, want); ferr != nil {
+			return ferr
+		}
+	}
+
+	meds, err := g.MedianContext(ctx, "a")
+	if !hasValues {
+		if err == nil {
+			return e.fail(name("MEDIAN"), "a group has only NULLs; engine returned %v, want the empty-group error", meds)
+		}
+		return nil
+	}
+	if err != nil {
+		return e.fail(name("MEDIAN"), "unexpected error: %v", err)
+	}
+	for i := range keys {
+		want[i], _ = exp.oa.Median(groups[i])
+	}
+	return cmpSlice(e, name("MEDIAN"), meds, want)
+}
+
+// groupCols names the case's grouping columns.
+func groupCols(c *Case) []string {
+	if c.G2 != nil {
+		return []string{"g", "g2"}
+	}
+	return []string{"g"}
+}
+
 // checkRange drives the flat positional Range API over the probe battery.
 // Predicate-free cases take the index-served O(1) path (NULL-bearing
 // columns fall back internally); cases with predicates exercise the
 // range-as-conjunct bitmap fallback. Every third probe adds the
-// rank-family battery. With deep unset (the secondary thread counts),
-// only that rank-bearing subset runs — thread sensitivity lives in the
+// rank-family battery, and GROUP BY under the range when the case has a
+// grouping column. With deep unset (the secondary thread counts), only
+// that rank-bearing subset runs — thread sensitivity lives in the
 // kernels the primary thread already swept probe by probe.
 func checkRange(c *Case, exp *expectation, state string, tbl *bpagg.Table, th int, deep bool) error {
 	e := tag{c, state, "range", th}
@@ -227,6 +314,14 @@ func checkRange(c *Case, exp *expectation, state string, tbl *bpagg.Table, th in
 		}
 		if err := checkRangeAggs(e, exp.oa, rsel, p, i%3 == 0, nr); err != nil {
 			return err
+		}
+		if c.G != nil && i%3 == 0 {
+			err := checkRangeGroupBy(e, c, exp, rsel, p, func(ctx context.Context) (rangeGrouped, error) {
+				return newQuery(c, tbl, th).Range(p[0], p[1]).GroupByContext(ctx, groupCols(c)...)
+			})
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -265,6 +360,14 @@ func checkShardedRange(c *Case, exp *expectation, state string, st *bpagg.Sharde
 		}
 		if err := checkRangeAggs(e, exp.oa, rsel, p, deep && i == 0, nr); err != nil {
 			return err
+		}
+		if c.G != nil && i%3 == 0 {
+			err := checkRangeGroupBy(e, c, exp, rsel, p, func(ctx context.Context) (rangeGrouped, error) {
+				return newShardedQuery(c, st, th).Range(p[0], p[1]).GroupByContext(ctx, groupCols(c)...)
+			})
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil

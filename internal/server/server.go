@@ -313,17 +313,12 @@ func (s *Server) execute(ctx context.Context, q *sqlmini.Query) (*sqlmini.Result
 // batchEligible applies the batching gate: feature on, query in a
 // shareable class, and enough concurrent company to share with.
 func (s *Server) batchEligible(q *sqlmini.Query) (string, bool) {
-	if s.cfg.DisableBatching {
+	if s.cfg.DisableBatching || s.adm.load() < s.cfg.BatchMinInflight {
 		return "", false
 	}
-	key, ok := sqlmini.BatchKey(s.cfg.Catalog, q)
-	if !ok {
-		return "", false
-	}
-	if s.adm.load() < s.cfg.BatchMinInflight {
-		return "", false
-	}
-	return key, true
+	// The class key binds the WHERE list, so it is worked out only once
+	// there is company to share with.
+	return sqlmini.BatchKey(s.cfg.Catalog, q)
 }
 
 // countOutcome classifies one finished request into the counters.

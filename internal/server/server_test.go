@@ -18,7 +18,12 @@ import (
 
 // testCatalog builds a small read-only sales table shared by all server
 // tests (catalogs are immutable once loaded).
-var testCatalog = sync.OnceValue(func() *catalog.Catalog {
+var testCatalog = sync.OnceValue(func() *catalog.Catalog { return loadTestCatalog(0) })
+
+// shardedCatalog is testCatalog's data as a partitioned store.
+var shardedCatalog = sync.OnceValue(func() *catalog.Catalog { return loadTestCatalog(500) })
+
+func loadTestCatalog(shardRows int) *catalog.Catalog {
 	specs, err := catalog.ParseSchema("price:uint(12):vbp, qty:uint(8):hbp, region:string")
 	if err != nil {
 		panic(err)
@@ -33,8 +38,11 @@ var testCatalog = sync.OnceValue(func() *catalog.Catalog {
 	if err != nil {
 		panic(err)
 	}
+	if shardRows > 0 {
+		cat.Shard(shardRows)
+	}
 	return cat
-})
+}
 
 // bigCatalog is large enough that every worker processes multiple
 // 4096-segment blocks, so mid-scan cancellation checks actually fire.
@@ -355,8 +363,14 @@ func TestDrainHardCancelsStuckQuery(t *testing.T) {
 }
 
 func TestBatchingAmortizes(t *testing.T) {
+	t.Run("flat", func(t *testing.T) { batchingAmortizes(t, testCatalog()) })
+	t.Run("sharded", func(t *testing.T) { batchingAmortizes(t, shardedCatalog()) })
+}
+
+func batchingAmortizes(t *testing.T, cat *catalog.Catalog) {
 	const n = 8
 	workload := func(t *testing.T, cfg Config) (*Server, []Response) {
+		cfg.Catalog = cat
 		s, ts := newTestServer(t, cfg)
 		out := make([]Response, n)
 		start := make(chan struct{})

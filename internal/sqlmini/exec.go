@@ -3,10 +3,22 @@ package sqlmini
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"bpagg"
 	"bpagg/internal/catalog"
 )
+
+// Execution model (DESIGN.md §17). There is one executor over one store:
+// the catalog's partitioned store, of which a flat table is the one-shard
+// case. A statement is bound (select list checked, rownum peeled off,
+// every other conjunct translated to an engine predicate), turned into
+// one bpagg.ShardedQuery, and answered by one of two cell loops — one
+// result row, or one row per group — over either that query or its
+// restriction to a row range. Which kernels run (fused or two-phase,
+// direct, hash or legacy partition, index-served range) is the engine's
+// decision; this package asks it (ShardedQuery.Fused,
+// ShardedGrouped.Strategy) and never re-derives it.
 
 // Result is an executed query: one row when ungrouped, one row per group
 // otherwise. Cells are rendered in each column's domain (decimals with
@@ -19,30 +31,15 @@ type Result struct {
 // ExecOptions forwards execution knobs to the aggregates.
 type ExecOptions struct {
 	Threads int
-	// Auto lets each aggregate pick between the bit-parallel kernels and
-	// the reconstruction baseline from the realized selectivity (the
-	// paper's optimizer policy). Queries eligible for the fused
-	// scan→aggregate pipeline fuse regardless — there is no realized
-	// selectivity to consult before the scan — so Auto governs only
-	// queries that run the bitmap path.
+	// Auto lets each two-phase aggregate pick between the bit-parallel
+	// kernels and the reconstruction baseline from the realized
+	// selectivity (the paper's optimizer policy). Aggregates that fuse
+	// with their scans do so regardless — there is no realized
+	// selectivity to consult before the scan.
 	Auto bool
 	// Stats, when non-nil, receives execution statistics from every scan
 	// and aggregate the query runs.
 	Stats *bpagg.StatsCollector
-}
-
-func (o ExecOptions) opts() []bpagg.ExecOption {
-	var out []bpagg.ExecOption
-	if o.Threads > 1 {
-		out = append(out, bpagg.Parallel(o.Threads))
-	}
-	if o.Auto {
-		out = append(out, bpagg.Access(bpagg.Auto))
-	}
-	if o.Stats != nil {
-		out = append(out, bpagg.CollectStats(o.Stats))
-	}
-	return out
 }
 
 // Execute runs a parsed query against a catalog.
@@ -83,107 +80,61 @@ func ExecuteContext(ctx context.Context, cat *catalog.Catalog, q *Query, o ExecO
 		}
 		return out, nil
 	}
+	b, err := bind(cat, q)
+	if err != nil {
+		return nil, err
+	}
+	sq, err := buildQuery(cat, b.preds, o, o.Stats)
+	if err != nil {
+		return nil, err
+	}
+	r, err := b.run(ctx, cat, q, sq)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Headers: headers(q), Rows: r.rows}, nil
+}
+
+// bound is a statement after binding: the row-position range peeled off
+// the WHERE list (nil when none), the conditions left over, and their
+// translation into engine predicates.
+type bound struct {
+	rng   *rowRange
+	rest  []Condition
+	preds []boundPred
+}
+
+// bind checks the statement against the schema and translates its WHERE
+// list. Everything it rejects is the query's fault (*BadQueryError);
+// errors past this point come from the engine (deadline, cancel,
+// overflow, cardinality) and propagate untyped, so a timeout is never
+// misclassified as a bad request.
+func bind(cat *catalog.Catalog, q *Query) (b bound, err error) {
 	if err := validateSelects(cat, q); err != nil {
-		return nil, err
+		return b, err
 	}
-
-	// Row-position routing: WHERE rownum BETWEEN peels off into a range
-	// restriction (see rownum.go) before any predicate binding — rownum is
-	// no catalog column, so every later stage sees only the rest.
-	rng, rest, err := splitRownum(cat, q.Where)
-	if err != nil {
-		return nil, err
+	if b.rng, b.rest, err = splitRownum(cat, q.Where); err != nil {
+		return b, err
 	}
-
-	// Partitioned-store routing: a sharded catalog executes through the
-	// shard fan-out (see sharded.go); the flat paths below assume
-	// cat.Table and never run for it.
-	if cat.Sharded != nil {
-		return executeSharded(ctx, cat, q, o, rng, rest)
+	if b.preds, err = bindPreds(cat, b.rest); err != nil {
+		return b, err
 	}
-
-	if rng != nil {
-		return executeRange(ctx, cat, q, o, rng, rest)
-	}
-
-	if len(q.GroupBy) == 0 {
-		// Fused path first: when every conjunct translates to a simple
-		// predicate and every aggregate fuses, no filter bitmap is built
-		// (see fused.go). Otherwise fall through to the bitmap executor.
-		if row, ok, err := tryFusedRow(ctx, cat, q, o); err != nil {
-			return nil, err
-		} else if ok {
-			return &Result{Headers: headers(q, false), Rows: [][]string{row}}, nil
-		}
-	} else {
-		// Grouped twin: single-pass partition + banked aggregates when the
-		// query qualifies (see group_fast.go). Otherwise fall through to
-		// the per-group walk below.
-		if rows, ok, err := tryGroupedRows(ctx, cat, q, o); err != nil {
-			return nil, err
-		} else if ok {
-			return &Result{Headers: headers(q, true), Rows: rows}, nil
-		}
-	}
-
-	sel, err := bindWhere(cat, q.Where, o.Stats)
-	if err != nil {
-		return nil, err
-	}
-	return executeBitmap(ctx, cat, q, sel, o)
-}
-
-// executeBitmap is the bitmap executor's tail — the ungrouped aggregate
-// row or the per-group walk — against an already-bound selection. Both
-// the plain path and the rownum-masked path (executeRange) end here.
-func executeBitmap(ctx context.Context, cat *catalog.Catalog, q *Query, sel *bpagg.Bitmap, o ExecOptions) (*Result, error) {
-	if len(q.GroupBy) == 0 {
-		row, err := aggregateRow(ctx, cat, q.Selects, sel, o)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Headers: headers(q, false), Rows: [][]string{row}}, nil
-	}
-
-	gcols, err := groupCols(cat, q)
-	if err != nil {
-		return nil, err
-	}
-	grouped, err := groupSelections(ctx, gcols, sel, o.Stats)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Headers: headers(q, true)}
-	for _, g := range grouped {
-		row, err := aggregateRow(ctx, cat, q.Selects, g.sel, o)
-		if err != nil {
-			return nil, err
-		}
-		cells := make([]string, 0, len(q.GroupBy)+len(row))
-		for j, name := range q.GroupBy {
-			cells = append(cells, cat.FormatValue(name, g.parts[j]))
-		}
-		res.Rows = append(res.Rows, append(cells, row...))
-	}
-	return res, nil
-}
-
-// groupCols resolves the GROUP BY column list against the catalog.
-func groupCols(cat *catalog.Catalog, q *Query) ([]*bpagg.Column, error) {
-	cols := make([]*bpagg.Column, len(q.GroupBy))
-	for i, name := range q.GroupBy {
+	for _, name := range q.GroupBy {
 		if cat.Spec(name) == nil {
-			return nil, badf("sql: unknown GROUP BY column %q", name)
+			return b, badf("sql: unknown GROUP BY column %q", name)
 		}
-		cols[i] = cat.Table.Column(name)
 	}
-	return cols, nil
+	return b, nil
 }
 
-// validateSelects checks the select list against the schema. Quantile
-// arguments are re-checked because a Query need not come from Parse.
+// validateSelects checks the select list against the schema. Aggregate
+// codes and quantile arguments are re-checked because a Query need not
+// come from Parse.
 func validateSelects(cat *catalog.Catalog, q *Query) error {
 	for _, sel := range q.Selects {
+		if sel.Func < CountStar || sel.Func > Quantile {
+			return badf("sql: unsupported aggregate %v", sel.Func)
+		}
 		if sel.Func == CountStar {
 			continue
 		}
@@ -200,139 +151,203 @@ func validateSelects(cat *catalog.Catalog, q *Query) error {
 	return nil
 }
 
-func headers(q *Query, grouped bool) []string {
-	var hs []string
-	if grouped {
-		hs = append(hs, q.GroupBy...)
-	}
+func headers(q *Query) []string {
+	hs := make([]string, 0, len(q.GroupBy)+len(q.Selects))
+	hs = append(hs, q.GroupBy...)
 	for _, s := range q.Selects {
 		hs = append(hs, s.Label())
 	}
 	return hs
 }
 
-type group struct {
-	parts []uint64 // one code per GROUP BY column
-	sel   *bpagg.Bitmap
-}
-
-// groupSelections walks the distinct keys bit-parallel (repeated MIN plus
-// one equality scan per key) and intersects per-key equality with the
-// filter. The key is the minimum of the residual, so removing its rows
-// (AndNot of the equality bitmap) leaves exactly the strictly-greater
-// residual the next step needs — one scan per group, not two. Composite
-// keys nest one walk per column: each discovered value refines its
-// parent's selection before recursing, so groups come out in ascending
-// composite order and rows NULL in any grouping column drop out. A
-// canceled ctx stops the walk after the current key. A non-nil rec
-// collects the walk's scan and MIN statistics.
-func groupSelections(ctx context.Context, gcols []*bpagg.Column, sel *bpagg.Bitmap, rec *bpagg.StatsCollector) ([]group, error) {
-	var gopts []bpagg.ExecOption
-	if rec != nil {
-		gopts = append(gopts, bpagg.CollectStats(rec))
+// buildQuery assembles the store query for the translated conjuncts,
+// directing its stats into the given collector (nil for none).
+func buildQuery(cat *catalog.Catalog, preds []boundPred, o ExecOptions, stats *bpagg.StatsCollector) (*bpagg.ShardedQuery, error) {
+	sq := cat.Store().Query().WithStatsInto(stats)
+	if o.Threads > 1 {
+		sq.With(bpagg.Parallel(o.Threads))
 	}
-	var out []group
-	var walk func(sel *bpagg.Bitmap, depth int, prefix []uint64) error
-	walk = func(sel *bpagg.Bitmap, depth int, prefix []uint64) error {
-		gcol := gcols[depth]
-		rest := sel.Clone()
-		for {
-			v, ok, err := gcol.MinContext(ctx, rest, gopts...)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			eq := gcol.ScanStats(bpagg.Equal(v), rec)
-			sub := sel.Clone().And(eq)
-			parts := append(append([]uint64(nil), prefix...), v)
-			if depth == len(gcols)-1 {
-				out = append(out, group{parts: parts, sel: sub})
-			} else if err := walk(sub, depth+1, parts); err != nil {
-				return err
-			}
-			rest.AndNot(eq)
+	if o.Auto {
+		sq.With(bpagg.Access(bpagg.Auto))
+	}
+	for _, bp := range preds {
+		if _, err := sq.WhereErr(bp.column, bp.pred); err != nil {
+			return nil, badQuery(err)
 		}
 	}
-	if err := walk(sel, 0, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return sq, nil
 }
 
-func aggregateRow(ctx context.Context, cat *catalog.Catalog, sels []SelectExpr, sel *bpagg.Bitmap, o ExecOptions) ([]string, error) {
-	row := make([]string, len(sels))
-	for i, s := range sels {
-		cell, err := computeCell(ctx, cat, s, sel, o)
+// source is what the cell loops aggregate over: the store query, or its
+// restriction to a row range.
+type source interface {
+	CountRowsContext(ctx context.Context) (uint64, error)
+	CountContext(ctx context.Context, column string) (uint64, error)
+	SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error)
+	MinContext(ctx context.Context, column string) (uint64, bool, error)
+	MaxContext(ctx context.Context, column string) (uint64, bool, error)
+	MedianContext(ctx context.Context, column string) (uint64, bool, error)
+	QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error)
+	GroupByContext(ctx context.Context, columns ...string) (*bpagg.ShardedGrouped, error)
+}
+
+// ran is an executed statement: its rows plus the engine's account of
+// the tier that produced them, which EXPLAIN ANALYZE prints.
+type ran struct {
+	rows  [][]string
+	fused bool                // ungrouped, no row range: every aggregate ran fused
+	tier  bpagg.GroupStrategy // grouped
+}
+
+// run executes the bound statement on sq.
+func (b bound) run(ctx context.Context, cat *catalog.Catalog, q *Query, sq *bpagg.ShardedQuery) (ran, error) {
+	var src source = sq
+	var r ran
+	switch {
+	case b.rng != nil:
+		src = sq.Range(b.rng.lo, b.rng.hi)
+	case len(q.GroupBy) == 0:
+		// Fusion is all or nothing: when one aggregate cannot fuse, every
+		// live shard materializes its selection once and all aggregates
+		// consume it, whatever their order in the select list — N fused
+		// passes would each rescan the filter.
+		r.fused = true
+		for _, s := range q.Selects {
+			if !sq.Fused(aggColumn(s)) {
+				r.fused = false
+				if err := sq.MaterializeContext(ctx); err != nil {
+					return r, err
+				}
+				break
+			}
+		}
+	}
+	if len(q.GroupBy) == 0 {
+		row := make([]string, len(q.Selects))
+		for i, s := range q.Selects {
+			cell, err := rowCell(ctx, cat, s, src)
+			if err != nil {
+				return r, err
+			}
+			row[i] = cell
+		}
+		r.rows = [][]string{row}
+		return r, nil
+	}
+	g, err := src.GroupByContext(ctx, q.GroupBy...)
+	if err != nil {
+		return r, err
+	}
+	r.tier = g.Strategy()
+	r.rows, err = groupedRows(ctx, cat, q, g)
+	return r, err
+}
+
+// aggColumn is the column an aggregate reads; empty for COUNT(*).
+func aggColumn(s SelectExpr) string {
+	if s.Func == CountStar {
+		return ""
+	}
+	return s.Column
+}
+
+// rowCell evaluates one SELECT expression over the source and renders
+// the result cell. The shared-scan batch executor (ExecuteShared)
+// memoizes these so N queries asking the same aggregate pay for it once.
+func rowCell(ctx context.Context, cat *catalog.Catalog, s SelectExpr, src source) (string, error) {
+	switch s.Func {
+	case CountStar:
+		cnt, err := src.CountRowsContext(ctx)
+		return strconv.FormatUint(cnt, 10), err
+	case Count:
+		cnt, err := src.CountContext(ctx, s.Column)
+		return strconv.FormatUint(cnt, 10), err
+	case Sum, Avg:
+		sum, cnt, err := src.SumCountContext(ctx, s.Column)
+		if err != nil {
+			return "", err
+		}
+		if s.Func == Sum {
+			return cat.FormatSum(s.Column, sum, cnt), nil
+		}
+		return cat.FormatAvg(s.Column, sum, cnt), nil
+	}
+	var v uint64
+	var ok bool
+	var err error
+	switch s.Func {
+	case Min:
+		v, ok, err = src.MinContext(ctx, s.Column)
+	case Max:
+		v, ok, err = src.MaxContext(ctx, s.Column)
+	case Median:
+		v, ok, err = src.MedianContext(ctx, s.Column)
+	case Quantile:
+		v, ok, err = src.QuantileContext(ctx, s.Column, s.Arg)
+	}
+	return formatOpt(cat, s.Column, v, ok), err
+}
+
+// groupedRows renders one row per group: the key parts, then one column
+// of cells per SELECT expression from the bulk per-group aggregates. The
+// NULL-tolerant Ok variants render a group whose measure values are all
+// NULL as NULL. No group is no row.
+func groupedRows(ctx context.Context, cat *catalog.Catalog, q *Query, g *bpagg.ShardedGrouped) ([][]string, error) {
+	if g.Len() == 0 {
+		return nil, nil
+	}
+	counts, err := g.CountContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]string, g.Len())
+	for i := range rows {
+		rows[i] = make([]string, 0, len(q.GroupBy)+len(q.Selects))
+		for j, part := range g.KeyParts(i) {
+			rows[i] = append(rows[i], cat.FormatValue(q.GroupBy[j], part))
+		}
+	}
+	for _, s := range q.Selects {
+		var vals, nn []uint64
+		var oks []bool
+		var err error
+		switch s.Func {
+		case CountStar:
+			vals = counts
+		case Count:
+			vals, err = g.NonNullCountContext(ctx, s.Column)
+		case Sum, Avg:
+			if vals, err = g.SumContext(ctx, s.Column); err == nil {
+				nn, err = g.NonNullCountContext(ctx, s.Column)
+			}
+		case Min:
+			vals, oks, err = g.MinOkContext(ctx, s.Column)
+		case Max:
+			vals, oks, err = g.MaxOkContext(ctx, s.Column)
+		case Median:
+			vals, oks, err = g.MedianOkContext(ctx, s.Column)
+		case Quantile:
+			vals, oks, err = g.QuantileOkContext(ctx, s.Column, s.Arg)
+		}
 		if err != nil {
 			return nil, err
 		}
-		row[i] = cell
+		for i := range rows {
+			var cell string
+			switch {
+			case s.Func == Sum:
+				cell = cat.FormatSum(s.Column, vals[i], nn[i])
+			case s.Func == Avg:
+				cell = cat.FormatAvg(s.Column, vals[i], nn[i])
+			case oks != nil:
+				cell = formatOpt(cat, s.Column, vals[i], oks[i])
+			default:
+				cell = strconv.FormatUint(vals[i], 10)
+			}
+			rows[i] = append(rows[i], cell)
+		}
 	}
-	return row, nil
-}
-
-// computeCell evaluates one SELECT expression against a selection and
-// renders the result cell. It is the per-aggregate unit both the
-// per-query path (aggregateRow) and the shared-scan batch executor
-// (ExecuteShared) call — the latter memoizes cells so N queries asking
-// the same aggregate over the same selection pay for it once.
-func computeCell(ctx context.Context, cat *catalog.Catalog, s SelectExpr, sel *bpagg.Bitmap, o ExecOptions) (string, error) {
-	if s.Func == CountStar {
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%d", sel.Count()), nil
-	}
-	opts := o.opts()
-	col := cat.Table.Column(s.Column)
-	switch s.Func {
-	case Count:
-		cnt, err := col.CountContext(ctx, sel)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("%d", cnt), nil
-	case Sum:
-		sum, err := col.SumContext(ctx, sel, opts...)
-		if err != nil {
-			return "", err
-		}
-		return cat.FormatSum(s.Column, sum, col.Count(sel)), nil
-	case Avg:
-		sum, err := col.SumContext(ctx, sel, opts...)
-		if err != nil {
-			return "", err
-		}
-		return cat.FormatAvg(s.Column, sum, col.Count(sel)), nil
-	case Min:
-		v, ok, err := col.MinContext(ctx, sel, opts...)
-		if err != nil {
-			return "", err
-		}
-		return formatOpt(cat, s.Column, v, ok), nil
-	case Max:
-		v, ok, err := col.MaxContext(ctx, sel, opts...)
-		if err != nil {
-			return "", err
-		}
-		return formatOpt(cat, s.Column, v, ok), nil
-	case Median:
-		v, ok, err := col.MedianContext(ctx, sel, opts...)
-		if err != nil {
-			return "", err
-		}
-		return formatOpt(cat, s.Column, v, ok), nil
-	case Quantile:
-		v, ok, err := col.QuantileContext(ctx, sel, s.Arg, opts...)
-		if err != nil {
-			return "", err
-		}
-		return formatOpt(cat, s.Column, v, ok), nil
-	default:
-		return "", badf("sql: unsupported aggregate %v", s.Func)
-	}
+	return rows, nil
 }
 
 func formatOpt(cat *catalog.Catalog, col string, code uint64, ok bool) string {
@@ -342,145 +357,125 @@ func formatOpt(cat *catalog.Catalog, col string, code uint64, ok bool) string {
 	return cat.FormatValue(col, code)
 }
 
-// bindWhere turns the conjunctive predicate list into one selection bitmap,
-// translating literals into code space with floor/ceil semantics so
+// boundPred is one WHERE conjunct translated into engine predicate space.
+type boundPred struct {
+	column string
+	pred   bpagg.Predicate
+}
+
+// bindPreds translates the conjunctive condition list into engine
+// predicates, literals going into code space with floor/ceil semantics so
 // unrepresentable constants (10.005 on a cent-scaled column, out-of-range
-// values) select exactly the right rows.
-func bindWhere(cat *catalog.Catalog, conds []Condition, rec *bpagg.StatsCollector) (*bpagg.Bitmap, error) {
-	tbl := cat.Table
-	if len(conds) == 0 {
-		first := tbl.Column(tbl.Columns()[0])
-		return first.All(), nil
-	}
-	var sel *bpagg.Bitmap
+// values) select exactly the right rows. BETWEEN becomes its two bounds;
+// an IN-list binds each member exactly, and members no stored value can
+// equal drop out of the list. Conditions that statically match everything
+// or nothing stay predicates with those semantics: "nothing" compares
+// below code zero, so shard bounds and zone maps prune without touching
+// data.
+func bindPreds(cat *catalog.Catalog, conds []Condition) ([]boundPred, error) {
+	out := make([]boundPred, 0, len(conds))
 	for _, cond := range conds {
-		m, err := bindCondition(cat, cond, rec)
-		if err != nil {
-			return nil, err
-		}
-		if sel == nil {
-			sel = m
-		} else {
-			sel.And(m)
-		}
-	}
-	return sel, nil
-}
-
-func bindCondition(cat *catalog.Catalog, cond Condition, rec *bpagg.StatsCollector) (*bpagg.Bitmap, error) {
-	col := cat.Table.Column(cond.Column)
-	if col == nil {
-		return nil, badf("sql: unknown column %q", cond.Column)
-	}
-	switch cond.Op {
-	case OpBetween:
-		lo, err := bindOne(cat, col, Condition{Column: cond.Column, Op: OpGe, Lits: cond.Lits[:1]}, rec)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := bindOne(cat, col, Condition{Column: cond.Column, Op: OpLe, Lits: cond.Lits[1:2]}, rec)
-		if err != nil {
-			return nil, err
-		}
-		return lo.And(hi), nil
-	case OpIn:
-		out := col.None()
-		for _, lit := range cond.Lits {
-			m, err := bindOne(cat, col, Condition{Column: cond.Column, Op: OpEq, Lits: []Literal{lit}}, rec)
-			if err != nil {
-				return nil, err
-			}
-			out.Or(m)
-		}
-		return out, nil
-	default:
-		return bindOne(cat, col, cond, rec)
-	}
-}
-
-// bindOne binds a single-literal comparison.
-func bindOne(cat *catalog.Catalog, col *bpagg.Column, cond Condition, rec *bpagg.StatsCollector) (*bpagg.Bitmap, error) {
-	lit := cond.Lits[0]
-	if lit.IsString {
-		code, ok, err := cat.StrToCode(cond.Column, lit.Str)
-		if err != nil {
-			return nil, badQuery(err)
+		if cat.Spec(cond.Column) == nil {
+			return nil, badf("sql: unknown column %q", cond.Column)
 		}
 		switch cond.Op {
-		case OpEq:
-			if !ok {
-				return col.None(), nil
+		case OpIn:
+			codes := make([]uint64, 0, len(cond.Lits))
+			for _, lit := range cond.Lits {
+				code, ok, err := exactCode(cat, cond.Column, lit)
+				if err != nil {
+					return nil, badQuery(err)
+				}
+				if ok {
+					codes = append(codes, code)
+				}
 			}
-			return col.ScanStats(bpagg.Equal(code), rec), nil
-		case OpNe:
-			if !ok {
-				return allNonNull(cat, col, cond.Column, rec)
+			out = append(out, boundPred{cond.Column, bpagg.In(codes...)})
+		case OpBetween:
+			lo, err := bindOnePred(cat, cond.Column, OpGe, cond.Lits[0])
+			if err != nil {
+				return nil, badQuery(err)
 			}
-			return col.ScanStats(bpagg.NotEqual(code), rec), nil
+			hi, err := bindOnePred(cat, cond.Column, OpLe, cond.Lits[1])
+			if err != nil {
+				return nil, badQuery(err)
+			}
+			out = append(out, boundPred{cond.Column, lo}, boundPred{cond.Column, hi})
 		default:
-			return nil, badf("sql: only = and != apply to string column %q", cond.Column)
+			p, err := bindOnePred(cat, cond.Column, cond.Op, cond.Lits[0])
+			if err != nil {
+				return nil, badQuery(err)
+			}
+			out = append(out, boundPred{cond.Column, p})
 		}
 	}
-
-	cr, err := cat.NumToCode(cond.Column, lit.Num)
-	if err != nil {
-		return nil, badQuery(err)
-	}
-	all := func() (*bpagg.Bitmap, error) { return allNonNull(cat, col, cond.Column, rec) }
-	none := func() (*bpagg.Bitmap, error) { return col.None(), nil }
-	switch cond.Op {
-	case OpEq:
-		if cr.Below || cr.Above || !cr.Exact {
-			return none()
-		}
-		return col.ScanStats(bpagg.Equal(cr.Floor), rec), nil
-	case OpNe:
-		if cr.Below || cr.Above || !cr.Exact {
-			return all()
-		}
-		return col.ScanStats(bpagg.NotEqual(cr.Floor), rec), nil
-	case OpLt:
-		if cr.Below {
-			return none()
-		}
-		if cr.Above {
-			return all()
-		}
-		// v < L <=> code < ceil(L) when L is not a code, code < L otherwise.
-		return col.ScanStats(bpagg.Less(cr.Ceil), rec), nil
-	case OpLe:
-		if cr.Below {
-			return none()
-		}
-		if cr.Above {
-			return all()
-		}
-		return col.ScanStats(bpagg.LessEq(cr.Floor), rec), nil
-	case OpGt:
-		if cr.Above {
-			return none()
-		}
-		if cr.Below {
-			return all()
-		}
-		return col.ScanStats(bpagg.Greater(cr.Floor), rec), nil
-	case OpGe:
-		if cr.Above {
-			return none()
-		}
-		if cr.Below {
-			return all()
-		}
-		return col.ScanStats(bpagg.GreaterEq(cr.Ceil), rec), nil
-	}
-	return nil, badf("sql: unsupported operator %d", int(cond.Op))
+	return out, nil
 }
 
-// allNonNull selects every non-NULL row of the column.
-func allNonNull(cat *catalog.Catalog, col *bpagg.Column, name string, rec *bpagg.StatsCollector) (*bpagg.Bitmap, error) {
-	max, err := cat.MaxCode(name)
-	if err != nil {
-		return nil, badQuery(err)
+// exactCode translates a literal that has to equal a stored value; ok is
+// false when none can (a string absent from the dictionary, a number
+// outside the domain or between two codes).
+func exactCode(cat *catalog.Catalog, column string, lit Literal) (code uint64, ok bool, err error) {
+	if lit.IsString {
+		return cat.StrToCode(column, lit.Str)
 	}
-	return col.ScanStats(bpagg.LessEq(max), rec), nil
+	cr, err := cat.NumToCode(column, lit.Num)
+	return cr.Floor, err == nil && !cr.Below && !cr.Above && cr.Exact, err
+}
+
+// bindOnePred translates a single-literal comparison.
+func bindOnePred(cat *catalog.Catalog, column string, op CmpOp, lit Literal) (bpagg.Predicate, error) {
+	none := bpagg.Less(0) // every code is >= 0
+	all := func() (bpagg.Predicate, error) {
+		max, err := cat.MaxCode(column)
+		return bpagg.LessEq(max), err
+	}
+	if op == OpEq || op == OpNe {
+		code, ok, err := exactCode(cat, column, lit)
+		switch {
+		case err != nil:
+			return none, err
+		case op == OpEq && ok:
+			return bpagg.Equal(code), nil
+		case op == OpEq:
+			return none, nil
+		case ok:
+			return bpagg.NotEqual(code), nil
+		}
+		return all()
+	}
+	if lit.IsString {
+		if _, _, err := cat.StrToCode(column, lit.Str); err != nil {
+			return none, err
+		}
+		return none, fmt.Errorf("sql: only = and != apply to string column %q", column)
+	}
+	cr, err := cat.NumToCode(column, lit.Num)
+	if err != nil {
+		return none, err
+	}
+	switch op {
+	case OpLt, OpLe:
+		switch {
+		case cr.Below:
+			return none, nil
+		case cr.Above:
+			return all()
+		case op == OpLt:
+			// v < L <=> code < ceil(L) when L is not a code, code < L otherwise.
+			return bpagg.Less(cr.Ceil), nil
+		}
+		return bpagg.LessEq(cr.Floor), nil
+	case OpGt, OpGe:
+		switch {
+		case cr.Above:
+			return none, nil
+		case cr.Below:
+			return all()
+		case op == OpGt:
+			return bpagg.Greater(cr.Floor), nil
+		}
+		return bpagg.GreaterEq(cr.Ceil), nil
+	}
+	return none, fmt.Errorf("sql: unsupported operator %d", int(op))
 }

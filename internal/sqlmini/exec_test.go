@@ -1,9 +1,11 @@
 package sqlmini
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"bpagg"
 	"bpagg/internal/catalog"
 )
 
@@ -290,6 +292,46 @@ func TestExecuteNulls(t *testing.T) {
 	for i, w := range want {
 		if res.Rows[0][i] != w {
 			t.Errorf("col %d = %q, want %q", i, res.Rows[0][i], w)
+		}
+	}
+}
+
+// TestEmptyGroupedResultIsNil: a grouped statement that selects no row
+// answers with no rows — nil, the same on every store.
+func TestEmptyGroupedResultIsNil(t *testing.T) {
+	flat, sharded := loadSalesSharded(t, 2)
+	for _, cat := range []*catalog.Catalog{flat, sharded} {
+		for _, sql := range []string{
+			"SELECT COUNT(*), SUM(qty) WHERE qty > 60 GROUP BY region",
+			"SELECT MEDIAN(price) WHERE region IN ('NOWHERE') GROUP BY region, qty",
+			"SELECT COUNT(*) WHERE rownum BETWEEN 4 AND 2 GROUP BY region",
+		} {
+			if res := run(t, cat, sql); res.Rows != nil {
+				t.Errorf("%d shards, %q: Rows = %#v, want nil", cat.Store().NumShards(), sql, res.Rows)
+			}
+		}
+	}
+}
+
+// TestBadAggFuncIsBadQuery: an aggregate code outside the AST's range in
+// a hand-built query is the query's fault on every store, reported before
+// any engine call — bpaggd answers 400, not 500.
+func TestBadAggFuncIsBadQuery(t *testing.T) {
+	flat, sharded := loadSalesSharded(t, 2)
+	for _, cat := range []*catalog.Catalog{flat, sharded} {
+		for _, q := range []*Query{
+			{Selects: []SelectExpr{{Func: AggFunc(99), Column: "qty"}}},
+			{Selects: []SelectExpr{{Func: Sum, Column: "qty"}, {Func: AggFunc(-1), Column: "qty"}}, GroupBy: []string{"region"}},
+		} {
+			rec := bpagg.NewStatsCollector()
+			_, err := Execute(cat, q, ExecOptions{Stats: rec})
+			var bad *BadQueryError
+			if !errors.As(err, &bad) {
+				t.Errorf("%d shards: err = %v (%T), want *BadQueryError", cat.Store().NumShards(), err, err)
+			}
+			if s := rec.Snapshot(); s.Scans != 0 || s.Aggregates != 0 || s.ShardsScanned != 0 {
+				t.Errorf("%d shards: engine ran before the rejection: %+v", cat.Store().NumShards(), s)
+			}
 		}
 	}
 }

@@ -11,26 +11,24 @@ import (
 	"bpagg/internal/catalog"
 )
 
-// EXPLAIN ANALYZE: the query executes normally, but every stage runs
-// with its own stats collector and the result is the plan tree instead
-// of the rows. The tree mirrors the engine's actual dataflow —
-// aggregates consume the combined filter, which intersects one
-// bit-parallel scan per WHERE predicate:
+// EXPLAIN ANALYZE: the query executes normally, with its own stats
+// collector, and the result is the plan instead of the rows. Every store
+// and every statement has the same two-line shape, because there is one
+// executor (exec.go):
 //
 //	query
-//	└─ aggregate ...
-//	   └─ [group by ...]
-//	      └─ combine ...
-//	         ├─ scan pred1 ...
-//	         └─ scan pred2 ...
+//	└─ stage detail [tier]
 //
-// When the executor takes the fused path instead (ungrouped, every
-// conjunct a simple predicate, every aggregate fusible — see fused.go and
-// DESIGN.md §10), the scan/combine/aggregate stages collapse into the one
-// stage that actually runs:
-//
-//	query
-//	└─ scan+agg (fused) ...
+// stage is scan+agg (one result row), group+agg (one row per group) or
+// range (one result row over a rownum range); a grouped statement under a
+// rownum range is a group+agg whose detail names the rows. The tier is
+// the engine's own answer: [fused] or [two-phase] on scan+agg
+// (ShardedQuery.Fused), [direct|hash|legacy tier] on group+agg
+// (ShardedGrouped.Strategy); a range stage shows how it was served by
+// its index_segments and scans counters. Every stage carries
+// shards_scanned/shards_pruned summed over its fan-outs — a flat table is
+// one shard. The counters are the stage's whole cost: the filter scans
+// are not broken out per predicate.
 //
 // Every counter on a node comes from the ExecStats machinery (DESIGN.md
 // §8), so the plan's numbers are the same ones a caller would get from
@@ -38,16 +36,14 @@ import (
 
 // PlanNode is one stage of an executed EXPLAIN ANALYZE plan.
 type PlanNode struct {
-	// Op identifies the stage: "query", "aggregate", "group", "combine",
-	// "scan", "range mask", "scan+agg (fused)", "group+agg (single-pass)",
-	// "range (prefix-index)", "shard scan+agg", "shard group+agg", or
-	// "shard range".
+	// Op identifies the stage: "query", "scan+agg", "group+agg" or
+	// "range".
 	Op string
-	// Detail is the stage's SQL-ish description (predicate, aggregate
-	// list, grouping column).
+	// Detail is the stage's SQL-ish description (aggregate list, row
+	// range, grouping columns, predicates) and its tier tag.
 	Detail string
-	// Rows is the stage's output cardinality: matching rows for scans
-	// and combine, groups for group, result rows for aggregate/query.
+	// Rows is the stage's output cardinality: matching rows for scan+agg
+	// and range, groups for group+agg, result rows for query.
 	Rows uint64
 	// Stats holds the counters recorded while this stage ran.
 	Stats bpagg.ExecStats
@@ -79,258 +75,69 @@ func ExplainAnalyzeContext(ctx context.Context, cat *catalog.Catalog, q *Query, 
 			res, err = nil, fmt.Errorf("sql: internal error explaining query: %v", r)
 		}
 	}()
-	if err := validateSelects(cat, q); err != nil {
-		return nil, err
-	}
 	queryStart := time.Now()
-
-	// Row-position routing mirrors ExecuteContext: rownum peels off before
-	// any predicate binding, and a rownum-only ungrouped query plans as the
-	// one index-served stage:
-	//
-	//	query
-	//	└─ range (prefix-index) ...
-	rng, rest, err := splitRownum(cat, q.Where)
+	b, err := bind(cat, q)
 	if err != nil {
 		return nil, err
 	}
-
-	// Sharded plan: the executor's routing is reproduced exactly — a
-	// sharded catalog always takes the shard fan-out, so the plan is the
-	// one stage that runs, with the shard-catalog pruning counters
-	// (shards_scanned/shards_pruned) on it:
-	//
-	//	query
-	//	└─ shard scan+agg ...      (or shard group+agg when grouped)
-	if cat.Sharded != nil {
-		return explainSharded(ctx, cat, q, o, queryStart, rng, rest)
-	}
-
-	if rng != nil {
-		return explainRange(ctx, cat, q, o, queryStart, rng, rest)
-	}
-
-	// Fused plan: the executor's routing decision is reproduced exactly
-	// (same bindPreds + queryFusesAll gate as ExecuteContext), so the plan
-	// always shows the stages that would really run.
-	if len(q.GroupBy) == 0 {
-		if bps, ok := bindPreds(cat, q.Where); ok && len(bps) > 0 {
-			rec := bpagg.NewStatsCollector()
-			bq, err := buildFusedQuery(cat, bps, o, rec)
-			if err == nil && queryFusesAll(bq, q.Selects) {
-				t0 := time.Now()
-				if _, err := aggregateRowQuery(ctx, cat, q.Selects, bq); err != nil {
-					return nil, err
-				}
-				wall := time.Since(t0)
-				// The matching-row cardinality is plan decoration the fused
-				// aggregates never compute; count it on a stats-free twin so
-				// the recorded counters stay exactly what execution cost.
-				cq, err := buildFusedQuery(cat, bps, o, nil)
-				if err != nil {
-					return nil, err
-				}
-				rows, err := cq.CountRowsContext(ctx)
-				if err != nil {
-					return nil, err
-				}
-				fused := &PlanNode{
-					Op:     "scan+agg (fused)",
-					Detail: fusedDetail(q),
-					Rows:   rows,
-					Stats:  rec.Snapshot(),
-					Wall:   wall,
-				}
-				root := &PlanNode{
-					Op:       "query",
-					Rows:     1,
-					Wall:     time.Since(queryStart),
-					Children: []*PlanNode{fused},
-				}
-				if o.Stats != nil {
-					recordTree(o.Stats, root)
-				}
-				return &ExplainResult{Root: root}, nil
-			}
-		}
-	}
-
-	// Grouped single-pass plan: like the fused plan, the executor's
-	// routing gate is reproduced exactly (groupSinglePassEligible is
-	// complete — the dictionary bound rules out the runtime cardinality
-	// fallback), so the plan shows the one stage that really runs:
-	//
-	//	query
-	//	└─ group+agg (single-pass) ...
-	if len(q.GroupBy) != 0 {
-		if bps, ok := groupSinglePassEligible(cat, q, o); ok {
-			rec := bpagg.NewStatsCollector()
-			bq, err := buildFusedQuery(cat, bps, o, rec)
-			if err == nil {
-				oa := o
-				oa.Stats = rec
-				t0 := time.Now()
-				g, err := bq.GroupByContext(ctx, q.GroupBy...)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := groupedRows(ctx, cat, q, g, oa); err != nil {
-					return nil, err
-				}
-				node := &PlanNode{
-					Op:     "group+agg (single-pass)",
-					Detail: groupFastDetail(q) + " [" + g.Strategy().String() + " tier]",
-					Rows:   uint64(g.Len()),
-					Stats:  rec.Snapshot(),
-					Wall:   time.Since(t0),
-				}
-				root := &PlanNode{
-					Op:       "query",
-					Rows:     uint64(g.Len()),
-					Wall:     time.Since(queryStart),
-					Children: []*PlanNode{node},
-				}
-				if o.Stats != nil {
-					recordTree(o.Stats, root)
-				}
-				return &ExplainResult{Root: root}, nil
-			}
-		}
-	}
-
-	return explainBitmap(ctx, cat, q, q.Where, nil, o, queryStart)
-}
-
-// explainBitmap builds the scan/combine/group/aggregate plan for the
-// bitmap executor, over the given conditions. A non-nil rng adds the
-// row-position mask as one more combine input — exactly how executeRange's
-// fallback applies it.
-func explainBitmap(ctx context.Context, cat *catalog.Catalog, q *Query, conds []Condition, rng *rowRange, o ExecOptions, queryStart time.Time) (*ExplainResult, error) {
-	// Scan stage: one bit-parallel scan per WHERE predicate, each with
-	// its own collector so per-predicate pruning is visible.
-	var scans []*PlanNode
-	var masks []*bpagg.Bitmap
-	for _, cond := range conds {
-		rec := bpagg.NewStatsCollector()
-		t0 := time.Now()
-		m, err := bindCondition(cat, cond, rec)
-		if err != nil {
-			return nil, err
-		}
-		scans = append(scans, &PlanNode{
-			Op:     "scan",
-			Detail: cond.String(),
-			Rows:   uint64(m.Count()),
-			Stats:  rec.Snapshot(),
-			Wall:   time.Since(t0),
-		})
-		masks = append(masks, m)
-	}
-	if rng != nil {
-		t0 := time.Now()
-		m := rangeMask(cat, rng)
-		scans = append(scans, &PlanNode{
-			Op:     "range mask",
-			Detail: fmt.Sprintf("rows [%d, %d)", rng.lo, rng.hi),
-			Rows:   uint64(m.Count()),
-			Wall:   time.Since(t0),
-		})
-		masks = append(masks, m)
-	}
-
-	// Combine stage: intersect the per-predicate selections (§II-E).
-	t0 := time.Now()
-	var sel *bpagg.Bitmap
-	for _, m := range masks {
-		if sel == nil {
-			sel = m
-		} else {
-			sel.And(m)
-		}
-	}
-	combine := &PlanNode{Op: "combine", Children: scans, Wall: time.Since(t0)}
-	if sel == nil {
-		tbl := cat.Table
-		sel = tbl.Column(tbl.Columns()[0]).All()
-		combine.Detail = "no predicates (all rows)"
-	} else if len(masks) == 1 {
-		combine.Detail = "1 predicate"
-	} else {
-		combine.Detail = fmt.Sprintf("%d predicates (AND)", len(masks))
-	}
-	combine.Rows = uint64(sel.Count())
-
-	// Optional group stage: the bit-parallel distinct-key walk.
-	agg := &PlanNode{Op: "aggregate", Detail: selectList(q)}
-	above := combine
-	var groups []group
-	if len(q.GroupBy) != 0 {
-		gcols, err := groupCols(cat, q)
-		if err != nil {
-			return nil, err
-		}
-		rec := bpagg.NewStatsCollector()
-		t0 := time.Now()
-		groups, err = groupSelections(ctx, gcols, sel, rec)
-		if err != nil {
-			return nil, err
-		}
-		above = &PlanNode{
-			Op:       "group",
-			Detail:   "by " + strings.Join(q.GroupBy, ", "),
-			Rows:     uint64(len(groups)),
-			Stats:    rec.Snapshot(),
-			Wall:     time.Since(t0),
-			Children: []*PlanNode{combine},
-		}
-	}
-	agg.Children = []*PlanNode{above}
-
-	// Aggregate stage: all SELECT expressions (per group when grouped)
-	// share one collector.
 	rec := bpagg.NewStatsCollector()
-	oa := o
-	oa.Stats = rec
-	t0 = time.Now()
-	if len(q.GroupBy) == 0 {
-		if _, err := aggregateRow(ctx, cat, q.Selects, sel, oa); err != nil {
+	sq, err := buildQuery(cat, b.preds, o, rec)
+	if err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	r, err := b.run(ctx, cat, q, sq)
+	if err != nil {
+		return nil, err
+	}
+	stage := &PlanNode{Op: "scan+agg", Detail: selectList(q), Stats: rec.Snapshot(), Wall: time.Since(t0)}
+	root := &PlanNode{Op: "query", Rows: 1, Children: []*PlanNode{stage}}
+	tier := "two-phase"
+	if r.fused {
+		tier = "fused"
+	}
+	if b.rng != nil {
+		stage.Op, tier = "range", ""
+		stage.Detail += fmt.Sprintf(" rows [%d, %d)", b.rng.lo, b.rng.hi)
+	}
+	if len(q.GroupBy) != 0 {
+		stage.Op, tier = "group+agg", r.tier.String()+" tier"
+		stage.Detail += " by " + strings.Join(q.GroupBy, ", ")
+		stage.Rows, root.Rows = uint64(len(r.rows)), uint64(len(r.rows))
+	} else {
+		// Matching-row cardinality is plan decoration the aggregates never
+		// compute; count it on a stats-free twin so the recorded counters
+		// stay exactly what execution cost.
+		cq, err := buildQuery(cat, b.preds, o, nil)
+		if err != nil {
 			return nil, err
 		}
-		agg.Rows = 1
-	} else {
-		for _, g := range groups {
-			if _, err := aggregateRow(ctx, cat, q.Selects, g.sel, oa); err != nil {
-				return nil, err
-			}
+		var src source = cq
+		if b.rng != nil {
+			src = cq.Range(b.rng.lo, b.rng.hi)
 		}
-		agg.Rows = uint64(len(groups))
+		if stage.Rows, err = src.CountRowsContext(ctx); err != nil {
+			return nil, err
+		}
 	}
-	agg.Stats = rec.Snapshot()
-	agg.Wall = time.Since(t0)
-
-	root := &PlanNode{
-		Op:       "query",
-		Rows:     agg.Rows,
-		Wall:     time.Since(queryStart),
-		Children: []*PlanNode{agg},
+	if len(b.rest) > 0 {
+		conds := make([]string, len(b.rest))
+		for i, c := range b.rest {
+			conds[i] = c.String()
+		}
+		stage.Detail += " where " + strings.Join(conds, " AND ")
 	}
-	if o.Stats != nil {
-		// EXPLAIN ANALYZE executes the query for real, so a session-level
-		// collector must see its work too. Stage collectors are
-		// independent, so summing the tree never double-counts.
-		recordTree(o.Stats, root)
+	if tier != "" && stage.Stats.ShardsScanned > 0 { // a tier ran only if a shard did
+		stage.Detail += " [" + tier + "]"
 	}
+	root.Wall = time.Since(queryStart)
+	// EXPLAIN ANALYZE executes the query for real, so a session-level
+	// collector must see its work too.
+	o.Stats.Record(stage.Stats)
 	return &ExplainResult{Root: root}, nil
 }
 
-func recordTree(rec *bpagg.StatsCollector, n *PlanNode) {
-	rec.Record(n.Stats)
-	for _, c := range n.Children {
-		recordTree(rec, c)
-	}
-}
-
-// selectList renders the aggregate list for the plan's aggregate node.
+// selectList renders the aggregate list for the plan's stage.
 func selectList(q *Query) string {
 	parts := make([]string, len(q.Selects))
 	for i, s := range q.Selects {
@@ -370,8 +177,7 @@ func renderNode(w io.Writer, n *PlanNode, prefix, childPrefix string, norm bool)
 	return nil
 }
 
-// describe renders one node line: op, detail, then the counters relevant
-// to the stage kind.
+// describe renders one node line: op, detail, then the stage's counters.
 func (n *PlanNode) describe(norm bool) string {
 	dur := func(d time.Duration) string {
 		if norm {
@@ -389,42 +195,14 @@ func (n *PlanNode) describe(norm bool) string {
 	add := func(format string, args ...any) {
 		fields = append(fields, fmt.Sprintf(format, args...))
 	}
-	switch n.Op {
-	case "scan":
+	if n.Op == "group+agg" {
+		add("groups=%d", n.Rows)
+	} else {
 		add("rows=%d", n.Rows)
-		add("segments=%d", n.Stats.SegmentsScanned)
-		add("pruned_none=%d", n.Stats.SegmentsPrunedNone)
-		add("pruned_all=%d", n.Stats.SegmentsPrunedAll)
-		add("pruned=%.1f%%", 100*n.Stats.PruneRatio())
-		add("words=%d", n.Stats.WordsCompared)
-		add("time=%s", dur(n.Wall))
-	case "combine", "range mask":
-		add("rows=%d", n.Rows)
-		add("time=%s", dur(n.Wall))
-	case "range (prefix-index)":
-		add("rows=%d", n.Rows)
-		add("aggs=%d", n.Stats.Aggregates)
-		add("index_segments=%d", n.Stats.SegmentsIndexServed)
-		add("fringe_words=%d", n.Stats.RangeFringeWords)
-		add("busy=%s", dur(n.Stats.WorkerBusy()))
-		add("time=%s", dur(n.Wall))
-	case "shard range":
-		add("rows=%d", n.Rows)
+	}
+	if n.Op != "query" {
 		add("shards_scanned=%d", n.Stats.ShardsScanned)
 		add("shards_pruned=%d", n.Stats.ShardsPruned)
-		add("aggs=%d", n.Stats.Aggregates)
-		add("index_segments=%d", n.Stats.SegmentsIndexServed)
-		add("fringe_words=%d", n.Stats.RangeFringeWords)
-		add("busy=%s", dur(n.Stats.WorkerBusy()))
-		add("time=%s", dur(n.Wall))
-	case "group":
-		add("groups=%d", n.Rows)
-		add("scans=%d", n.Stats.Scans)
-		add("words_compared=%d", n.Stats.WordsCompared)
-		add("words_touched=%d", n.Stats.WordsTouched)
-		add("time=%s", dur(n.Wall))
-	case "scan+agg (fused)":
-		add("rows=%d", n.Rows)
 		add("aggs=%d", n.Stats.Aggregates)
 		add("scans=%d", n.Stats.Scans)
 		add("pruned_none=%d", n.Stats.SegmentsPrunedNone)
@@ -432,56 +210,26 @@ func (n *PlanNode) describe(norm bool) string {
 		add("cache_served=%d", n.Stats.SegmentsCacheServed)
 		add("words_compared=%d", n.Stats.WordsCompared)
 		add("words_touched=%d", n.Stats.WordsTouched)
+		switch n.Op {
+		case "range":
+			add("index_segments=%d", n.Stats.SegmentsIndexServed)
+			add("fringe_words=%d", n.Stats.RangeFringeWords)
+		case "group+agg":
+			add("bank_words=%d", n.Stats.GroupBankWords)
+			if n.Stats.HashProbes > 0 || n.Stats.HashGrowths > 0 {
+				add("hash_probes=%d", n.Stats.HashProbes)
+				add("hash_growths=%d", n.Stats.HashGrowths)
+			}
+		}
 		if n.Stats.RadixRounds > 0 {
 			add("radix_rounds=%d", n.Stats.RadixRounds)
 		}
-		add("busy=%s", dur(n.Stats.WorkerBusy()))
-		add("time=%s", dur(n.Wall))
-	case "shard scan+agg", "shard group+agg":
-		if n.Op == "shard group+agg" {
-			add("groups=%d", n.Rows)
-		} else {
-			add("rows=%d", n.Rows)
-		}
-		add("shards_scanned=%d", n.Stats.ShardsScanned)
-		add("shards_pruned=%d", n.Stats.ShardsPruned)
-		add("aggs=%d", n.Stats.Aggregates)
-		add("scans=%d", n.Stats.Scans)
-		add("pruned_none=%d", n.Stats.SegmentsPrunedNone)
-		add("pruned_all=%d", n.Stats.SegmentsPrunedAll)
-		add("cache_served=%d", n.Stats.SegmentsCacheServed)
-		add("words_compared=%d", n.Stats.WordsCompared)
-		add("words_touched=%d", n.Stats.WordsTouched)
-		add("busy=%s", dur(n.Stats.WorkerBusy()))
-		add("time=%s", dur(n.Wall))
-	case "group+agg (single-pass)":
-		add("groups=%d", n.Stats.GroupsDiscovered)
-		add("aggs=%d", n.Stats.Aggregates)
-		add("scans=%d", n.Stats.Scans)
-		add("cache_served=%d", n.Stats.SegmentsCacheServed)
-		add("words_compared=%d", n.Stats.WordsCompared)
-		add("words_touched=%d", n.Stats.WordsTouched)
-		add("bank_words=%d", n.Stats.GroupBankWords)
-		if n.Stats.HashProbes > 0 || n.Stats.HashGrowths > 0 {
-			add("hash_probes=%d", n.Stats.HashProbes)
-			add("hash_growths=%d", n.Stats.HashGrowths)
-		}
-		add("busy=%s", dur(n.Stats.WorkerBusy()))
-		add("time=%s", dur(n.Wall))
-	case "aggregate":
-		add("aggs=%d", n.Stats.Aggregates)
-		add("segments=%d", n.Stats.SegmentsAggregated)
-		add("words=%d", n.Stats.WordsTouched)
-		add("radix_rounds=%d", n.Stats.RadixRounds)
 		if n.Stats.ReconstructedRows > 0 {
 			add("reconstructed=%d", n.Stats.ReconstructedRows)
 		}
 		add("busy=%s", dur(n.Stats.WorkerBusy()))
-		add("time=%s", dur(n.Wall))
-	default: // query
-		add("rows=%d", n.Rows)
-		add("time=%s", dur(n.Wall))
 	}
+	add("time=%s", dur(n.Wall))
 	b.WriteString(" (")
 	b.WriteString(strings.Join(fields, ", "))
 	b.WriteString(")")

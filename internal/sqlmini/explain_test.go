@@ -61,23 +61,55 @@ func explainLinesOpts(t *testing.T, cat *catalog.Catalog, sql string, o ExecOpti
 	return ex.Lines(true)
 }
 
+// goldenCases are the pinned plans. The first eight run on the flat-built
+// orders fixture and predate the fold of the flat SQL routes into the
+// one-shard store: sums holds, per case, the total over every node of the
+// old plan tree (scan, range mask, combine, group, aggregate and the
+// fused, single-pass and prefix-index stages) of {aggs, scans,
+// pruned_none, pruned_all, words_compared, words_touched, radix_rounds,
+// cache_served, index_segments, fringe_words}, which the one stage of the
+// new plan must report unchanged. The last three run on sharded fixtures.
+var goldenCases = []struct {
+	name    string
+	sql     string
+	sharded bool
+	sums    [10]uint64
+}{
+	{"sum_filtered", "EXPLAIN ANALYZE SELECT SUM(amount), COUNT(*) WHERE amount < 150", false,
+		[10]uint64{2, 2, 8, 0, 20, 10, 0, 0, 0, 0}},
+	{"median_two_preds", "EXPLAIN ANALYZE SELECT MEDIAN(qty) WHERE region = 'EU' AND amount BETWEEN 90 AND 600", false,
+		[10]uint64{1, 3, 1, 7, 30, 25, 1, 0, 0, 0}},
+	{"group_by", "EXPLAIN ANALYZE SELECT SUM(qty), MAX(amount) GROUP BY region", false,
+		[10]uint64{5, 1, 0, 0, 10, 155, 0, 0, 0, 0}},
+	{"no_predicates", "EXPLAIN ANALYZE SELECT COUNT(*), MIN(amount)", false,
+		[10]uint64{1, 0, 0, 0, 0, 50, 0, 0, 0, 0}},
+	{"in_list", "EXPLAIN ANALYZE SELECT SUM(amount) WHERE region IN ('EU', 'US') AND qty != 0", false,
+		[10]uint64{1, 3, 0, 1, 48, 50, 0, 0, 0, 0}},
+	{"rownum_range", "EXPLAIN ANALYZE SELECT SUM(amount), COUNT(*) WHERE rownum BETWEEN 64 AND 191", false,
+		[10]uint64{3, 0, 0, 0, 0, 0, 0, 0, 2, 0}},
+	{"rownum_masked", "EXPLAIN ANALYZE SELECT SUM(amount) WHERE rownum BETWEEN 10 AND 250 AND region = 'EU'", false,
+		[10]uint64{1, 1, 0, 0, 10, 40, 0, 0, 0, 0}},
+	{"group_by_hash", "EXPLAIN ANALYZE SELECT SUM(amount), COUNT(*) GROUP BY region, qty", false,
+		[10]uint64{61, 1, 0, 0, 115, 50, 0, 0, 0, 0}},
+	{name: "sharded_pruned_range", sql: "EXPLAIN ANALYZE SELECT SUM(qty), COUNT(*) WHERE amount >= 700", sharded: true},
+	{name: "sharded_in_list", sql: "EXPLAIN ANALYZE SELECT SUM(amount), MIN(qty) WHERE region IN ('EU', 'US') AND qty != 0", sharded: true},
+	{name: "sharded_rownum_group_by", sql: "EXPLAIN ANALYZE SELECT COUNT(*), SUM(amount) WHERE rownum BETWEEN 60 AND 139 GROUP BY region", sharded: true},
+}
+
+// TestExplainGolden pins every plan's text. Threads is 1 because the hash
+// tier's HashProbes depends on per-worker key arrival order (DESIGN.md
+// §12); every other counter is thread-invariant
+// (TestExplainStatsThreadInvariant).
 func TestExplainGolden(t *testing.T) {
-	cat := loadOrders(t)
-	cases := []struct {
-		name string
-		sql  string
-	}{
-		{"sum_filtered", "EXPLAIN ANALYZE SELECT SUM(amount), COUNT(*) WHERE amount < 150"},
-		{"median_two_preds", "EXPLAIN ANALYZE SELECT MEDIAN(qty) WHERE region = 'EU' AND amount BETWEEN 90 AND 600"},
-		{"group_by", "EXPLAIN ANALYZE SELECT SUM(qty), MAX(amount) GROUP BY region"},
-		{"no_predicates", "EXPLAIN ANALYZE SELECT COUNT(*), MIN(amount)"},
-		{"in_list", "EXPLAIN ANALYZE SELECT SUM(amount) WHERE region IN ('EU', 'US') AND qty != 0"},
-		{"rownum_range", "EXPLAIN ANALYZE SELECT SUM(amount), COUNT(*) WHERE rownum BETWEEN 64 AND 191"},
-		{"rownum_masked", "EXPLAIN ANALYZE SELECT SUM(amount) WHERE rownum BETWEEN 10 AND 250 AND region = 'EU'"},
-	}
-	for _, tc := range cases {
+	flat, sharded := loadOrders(t), loadOrders(t)
+	sharded.Shard(64)
+	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := strings.Join(explainLines(t, cat, tc.sql), "\n") + "\n"
+			cat := flat
+			if tc.sharded {
+				cat = sharded
+			}
+			got := strings.Join(explainLinesOpts(t, cat, tc.sql, ExecOptions{Threads: 1}), "\n") + "\n"
 			path := filepath.Join("testdata", "explain", tc.name+".golden")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -99,38 +131,48 @@ func TestExplainGolden(t *testing.T) {
 	}
 }
 
-// TestExplainGoldenHashTier pins the hash-banked plan shape: a composite
-// GROUP BY routes single-pass through the hash tier and the node reports
-// the tier plus its probe/growth counters. Threads is pinned to 1 because
-// HashProbes depends on per-worker key arrival order (DESIGN.md §12) —
-// with one worker the counters are exactly reproducible.
+// TestExplainGoldenSums: the one stage of a flat-built plan reports
+// exactly what the nodes of the old plan tree summed to — the fold moved
+// no work and lost no counter.
+func TestExplainGoldenSums(t *testing.T) {
+	cat := loadOrders(t)
+	for _, tc := range goldenCases {
+		if tc.sharded {
+			continue
+		}
+		q, err := Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := ExplainAnalyze(cat, q, ExecOptions{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ex.Root.Children[0].Stats
+		got := [10]uint64{s.Aggregates, s.Scans, s.SegmentsPrunedNone, s.SegmentsPrunedAll, s.WordsCompared,
+			s.WordsTouched, s.RadixRounds, s.SegmentsCacheServed, s.SegmentsIndexServed, s.RangeFringeWords}
+		if got != tc.sums {
+			t.Errorf("%s: stage counters %v, old tree summed to %v", tc.name, got, tc.sums)
+		}
+	}
+}
+
+// TestExplainGoldenHashTier: a composite GROUP BY partitions single-pass
+// through the hash tier and the stage reports the tier plus its
+// probe/growth counters (the text is pinned by TestExplainGolden).
 func TestExplainGoldenHashTier(t *testing.T) {
 	cat := loadOrders(t)
 	const sql = "EXPLAIN ANALYZE SELECT SUM(amount), COUNT(*) GROUP BY region, qty"
-	got := strings.Join(explainLinesOpts(t, cat, sql, ExecOptions{Threads: 1}), "\n") + "\n"
-	path := filepath.Join("testdata", "explain", "group_by_hash.golden")
-	if *update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("plan mismatch for %q\n--- got ---\n%s--- want ---\n%s", sql, got, want)
-	}
+	got := strings.Join(explainLinesOpts(t, cat, sql, ExecOptions{Threads: 1}), "\n")
 	if !strings.Contains(got, "[hash tier]") || !strings.Contains(got, "hash_probes=") {
 		t.Errorf("hash-tier plan does not report the tier and probe counters:\n%s", got)
 	}
 }
 
 // TestExplainExecuteRouting checks the EXPLAIN path through the normal
-// Execute entry point: one "QUERY PLAN" column, one row per plan line.
-// A fusible query collapses to the single scan+agg stage; an IN-list
-// keeps the two-phase scan/combine tree.
+// Execute entry point: one "QUERY PLAN" column, one row per plan line,
+// always the query root over the one stage that ran. A fusible query is
+// tagged [fused]; an IN-list cannot fuse and is tagged [two-phase].
 func TestExplainExecuteRouting(t *testing.T) {
 	cat := loadOrders(t)
 	res := run(t, cat, "EXPLAIN ANALYZE SELECT COUNT(*) WHERE amount > 100")
@@ -138,31 +180,22 @@ func TestExplainExecuteRouting(t *testing.T) {
 		t.Fatalf("headers = %v", res.Headers)
 	}
 	if len(res.Rows) != 2 {
-		t.Fatalf("plan rows = %d, want query + fused stage:\n%s", len(res.Rows), planText(res))
+		t.Fatalf("plan rows = %d, want query + stage:\n%s", len(res.Rows), planText(res))
 	}
 	if !strings.HasPrefix(res.Rows[0][0], "query ") {
 		t.Errorf("first line = %q, want query root", res.Rows[0][0])
 	}
-	if !strings.Contains(res.Rows[1][0], "scan+agg (fused)") ||
-		!strings.Contains(res.Rows[1][0], "amount > 100") {
+	if !strings.Contains(res.Rows[1][0], "scan+agg count(*) where amount > 100 [fused]") {
 		t.Errorf("second line = %q, want fused scan+agg stage for the predicate", res.Rows[1][0])
 	}
 
 	res = run(t, cat, "EXPLAIN ANALYZE SELECT COUNT(*) WHERE amount IN (30, 60)")
-	if len(res.Rows) < 3 {
-		t.Fatalf("plan rows = %d, want at least query/aggregate/scan:\n%s", len(res.Rows), planText(res))
+	if len(res.Rows) != 2 {
+		t.Fatalf("plan rows = %d, want query + stage:\n%s", len(res.Rows), planText(res))
 	}
-	var sawScan bool
-	for _, row := range res.Rows {
-		if strings.Contains(row[0], "scan amount IN") {
-			sawScan = true
-		}
-		if strings.Contains(row[0], "fused") {
-			t.Errorf("IN-list plan has a fused stage: %q", row[0])
-		}
-	}
-	if !sawScan {
-		t.Errorf("no scan node for the IN predicate in:\n%s", planText(res))
+	if !strings.Contains(res.Rows[1][0], "scan+agg count(*) where amount IN (30, 60) [two-phase]") ||
+		!strings.Contains(res.Rows[1][0], "scans=2") {
+		t.Errorf("second line = %q, want two-phase scan+agg with one scan per IN member", res.Rows[1][0])
 	}
 }
 
@@ -184,23 +217,8 @@ func TestExplainFeedsSessionCollector(t *testing.T) {
 	if s.Scans == 0 || s.Aggregates == 0 || s.WordsTouched == 0 {
 		t.Fatalf("session collector not fed by explain: %+v", s)
 	}
-	var scanNode *PlanNode
-	var walk func(n *PlanNode)
-	walk = func(n *PlanNode) {
-		if n.Op == "scan" {
-			scanNode = n
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(ex.Root)
-	if scanNode == nil {
-		t.Fatal("no scan node in plan")
-	}
-	if s.WordsCompared != scanNode.Stats.WordsCompared {
-		t.Errorf("session WordsCompared = %d, scan node reports %d",
-			s.WordsCompared, scanNode.Stats.WordsCompared)
+	if stage := ex.Root.Children[0].Stats; s != stage {
+		t.Errorf("session collector %+v, stage reports %+v", s, stage)
 	}
 }
 
@@ -223,10 +241,9 @@ func TestExplainPlainRejected(t *testing.T) {
 	}
 }
 
-// TestExplainCrossCheckMedian is the issue's acceptance check: the
-// numbers EXPLAIN ANALYZE prints for a filtered MEDIAN query must be the
-// same ones the public ExecStats API reports when the caller runs the
-// stages by hand.
+// TestExplainCrossCheckMedian: the numbers EXPLAIN ANALYZE prints for a
+// filtered MEDIAN query must be the same ones the public ExecStats API
+// reports when the caller runs the scans and the aggregate by hand.
 func TestExplainCrossCheckMedian(t *testing.T) {
 	cat := loadOrders(t)
 	const sql = "EXPLAIN ANALYZE SELECT MEDIAN(qty) WHERE amount BETWEEN 90 AND 600"
@@ -238,75 +255,49 @@ func TestExplainCrossCheckMedian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Walk the tree: query → aggregate → combine → scan.
 	root := ex.Root
 	if root.Op != "query" || len(root.Children) != 1 {
 		t.Fatalf("bad root: %+v", root)
 	}
-	agg := root.Children[0]
-	if agg.Op != "aggregate" || len(agg.Children) != 1 {
-		t.Fatalf("bad aggregate node: %+v", agg)
-	}
-	combine := agg.Children[0]
-	if combine.Op != "combine" || len(combine.Children) != 1 {
-		t.Fatalf("bad combine node: %+v", combine)
-	}
-	scanNode := combine.Children[0]
-	if scanNode.Op != "scan" {
-		t.Fatalf("bad scan node: %+v", scanNode)
+	stage := root.Children[0]
+	if stage.Op != "scan+agg" || len(stage.Children) != 0 || !strings.HasSuffix(stage.Detail, "[two-phase]") {
+		t.Fatalf("bad stage: %+v", stage)
 	}
 
-	// Re-run the scan stage by hand through the public API.
+	// Re-run the stage by hand through the public API: the two scans of
+	// the BETWEEN, then MEDIAN over their intersection (qty is HBP and
+	// amount VBP, so the window widths differ and the engine cannot fuse).
+	rec := bpagg.NewStatsCollector()
 	col := cat.Table.Column("amount")
-	srec := bpagg.NewStatsCollector()
-	lo := col.ScanStats(bpagg.GreaterEq(90), srec)
-	hi := col.ScanStats(bpagg.LessEq(600), srec)
-	sel := lo.And(hi)
-	ss := srec.Snapshot()
-	if ss.Scans != scanNode.Stats.Scans {
-		t.Errorf("scan Scans: plan %d, manual %d", scanNode.Stats.Scans, ss.Scans)
-	}
-	if ss.SegmentsScanned != scanNode.Stats.SegmentsScanned {
-		t.Errorf("SegmentsScanned: plan %d, manual %d", scanNode.Stats.SegmentsScanned, ss.SegmentsScanned)
-	}
-	if ss.SegmentsPrunedAll != scanNode.Stats.SegmentsPrunedAll {
-		t.Errorf("SegmentsPrunedAll: plan %d, manual %d", scanNode.Stats.SegmentsPrunedAll, ss.SegmentsPrunedAll)
-	}
-	if ss.SegmentsPrunedNone != scanNode.Stats.SegmentsPrunedNone {
-		t.Errorf("SegmentsPrunedNone: plan %d, manual %d", scanNode.Stats.SegmentsPrunedNone, ss.SegmentsPrunedNone)
-	}
-	if ss.WordsCompared != scanNode.Stats.WordsCompared {
-		t.Errorf("WordsCompared: plan %d, manual %d", scanNode.Stats.WordsCompared, ss.WordsCompared)
-	}
-	if uint64(sel.Count()) != scanNode.Rows {
-		t.Errorf("scan rows: plan %d, manual %d", scanNode.Rows, sel.Count())
-	}
-	if uint64(sel.Count()) != combine.Rows {
-		t.Errorf("combine rows: plan %d, manual %d", combine.Rows, sel.Count())
-	}
-
-	// Re-run the aggregate stage by hand: MEDIAN over the same selection.
-	arec := bpagg.NewStatsCollector()
-	wantMed, ok, err := cat.Table.Column("qty").MedianContext(context.Background(), sel, bpagg.CollectStats(arec))
+	sel := col.ScanStats(bpagg.GreaterEq(90), rec).And(col.ScanStats(bpagg.LessEq(600), rec))
+	wantMed, ok, err := cat.Table.Column("qty").MedianContext(context.Background(), sel, bpagg.CollectStats(rec))
 	if err != nil || !ok {
 		t.Fatalf("manual median: ok=%v err=%v", ok, err)
 	}
-	as := arec.Snapshot()
-	if as.Aggregates != agg.Stats.Aggregates {
-		t.Errorf("Aggregates: plan %d, manual %d", agg.Stats.Aggregates, as.Aggregates)
+	manual, plan := rec.Snapshot(), stage.Stats
+	for _, c := range []struct {
+		name         string
+		plan, manual uint64
+	}{
+		{"Scans", plan.Scans, manual.Scans},
+		{"SegmentsScanned", plan.SegmentsScanned, manual.SegmentsScanned},
+		{"SegmentsPrunedAll", plan.SegmentsPrunedAll, manual.SegmentsPrunedAll},
+		{"SegmentsPrunedNone", plan.SegmentsPrunedNone, manual.SegmentsPrunedNone},
+		{"WordsCompared", plan.WordsCompared, manual.WordsCompared},
+		{"Aggregates", plan.Aggregates, manual.Aggregates},
+		{"SegmentsAggregated", plan.SegmentsAggregated, manual.SegmentsAggregated},
+		{"WordsTouched", plan.WordsTouched, manual.WordsTouched},
+		{"RadixRounds", plan.RadixRounds, manual.RadixRounds},
+	} {
+		if c.plan != c.manual {
+			t.Errorf("%s: plan %d, manual %d", c.name, c.plan, c.manual)
+		}
 	}
-	if as.SegmentsAggregated != agg.Stats.SegmentsAggregated {
-		t.Errorf("SegmentsAggregated: plan %d, manual %d", agg.Stats.SegmentsAggregated, as.SegmentsAggregated)
-	}
-	if as.WordsTouched != agg.Stats.WordsTouched {
-		t.Errorf("WordsTouched: plan %d, manual %d", agg.Stats.WordsTouched, as.WordsTouched)
-	}
-	if as.RadixRounds != agg.Stats.RadixRounds {
-		t.Errorf("RadixRounds: plan %d, manual %d", agg.Stats.RadixRounds, as.RadixRounds)
-	}
-	if as.RadixRounds == 0 {
+	if manual.RadixRounds == 0 {
 		t.Error("MEDIAN recorded zero radix rounds")
+	}
+	if uint64(sel.Count()) != stage.Rows {
+		t.Errorf("stage rows: plan %d, manual %d", stage.Rows, sel.Count())
 	}
 
 	// And the plan's answer must match the plain query result.

@@ -1,24 +1,19 @@
 package sqlmini
 
 import (
-	"context"
-	"fmt"
 	"math"
-	"strings"
-	"time"
 
-	"bpagg"
 	"bpagg/internal/catalog"
 )
 
 // rownum pseudo-column: WHERE rownum BETWEEN a AND b restricts the query
-// to rows [a, b] by 0-based position, routed to the engine's prefix-sum
-// range index (bpagg.Query.Range / ShardedQuery.Range, DESIGN.md §16).
-// When nothing else filters the rows and the query is ungrouped, the
-// aggregates answer from the index in O(1) per aggregate; otherwise the
-// range becomes one more conjunctive mask on the bitmap path. A catalog
-// column actually named "rownum" shadows the pseudo-column, so existing
-// schemas keep their meaning.
+// to rows [a, b] by 0-based position, executed as the store query's
+// Range (bpagg.ShardedQuery.Range, DESIGN.md §16): shards outside the
+// range prune, and when nothing else filters the rows the ungrouped
+// aggregates answer from the prefix-sum index in O(1) each; otherwise the
+// range is one more conjunctive mask inside each shard. A catalog column
+// actually named "rownum" shadows the pseudo-column, so existing schemas
+// keep their meaning.
 
 const rownumName = "rownum"
 
@@ -89,163 +84,4 @@ func splitRownum(cat *catalog.Catalog, conds []Condition) (*rowRange, []Conditio
 		}
 	}
 	return rng, rest, nil
-}
-
-// buildRangeQuery assembles the engine query whose Range serves the
-// rownum restriction, directing its stats into the given collector (nil
-// for none).
-func buildRangeQuery(cat *catalog.Catalog, o ExecOptions, stats *bpagg.StatsCollector) *bpagg.Query {
-	bq := cat.Table.Query()
-	if o.Threads > 1 {
-		bq.With(bpagg.Parallel(o.Threads))
-	}
-	bq.WithStatsInto(stats)
-	return bq
-}
-
-// rangeMask materializes the row-position mask through the engine's range
-// selection.
-func rangeMask(cat *catalog.Catalog, rng *rowRange) *bpagg.Bitmap {
-	return cat.Table.Query().Range(rng.lo, rng.hi).Selection()
-}
-
-// executeRange runs a rownum-restricted query against a flat catalog.
-// Ungrouped queries with no other predicate answer through the RangeQuery
-// API — index-served per aggregate; anything else binds the remaining
-// conjuncts as usual and applies the range as one more mask.
-func executeRange(ctx context.Context, cat *catalog.Catalog, q *Query, o ExecOptions, rng *rowRange, rest []Condition) (*Result, error) {
-	if len(rest) == 0 && len(q.GroupBy) == 0 {
-		rq := buildRangeQuery(cat, o, o.Stats).Range(rng.lo, rng.hi)
-		row, err := aggregateRowRange(ctx, cat, q.Selects, rq)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Headers: headers(q, false), Rows: [][]string{row}}, nil
-	}
-	sel, err := bindWhere(cat, rest, o.Stats)
-	if err != nil {
-		return nil, err
-	}
-	sel.And(rangeMask(cat, rng))
-	return executeBitmap(ctx, cat, q, sel, o)
-}
-
-// aggregateRowRange renders one result row through the RangeQuery API —
-// the row-position twin of aggregateRowQuery. SUM and AVG pair the
-// prefix-difference sum with the range's non-NULL count so formatting
-// never needs a bitmap; rank-family aggregates fall back inside the
-// engine with the range as a filter.
-func aggregateRowRange(ctx context.Context, cat *catalog.Catalog, sels []SelectExpr, rq *bpagg.RangeQuery) ([]string, error) {
-	row := make([]string, len(sels))
-	for i, s := range sels {
-		switch s.Func {
-		case CountStar:
-			cnt, err := rq.CountRowsContext(ctx)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = fmt.Sprintf("%d", cnt)
-		case Count:
-			cnt, err := rq.CountContext(ctx, s.Column)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = fmt.Sprintf("%d", cnt)
-		case Sum, Avg:
-			sum, err := rq.SumContext(ctx, s.Column)
-			if err != nil {
-				return nil, err
-			}
-			cnt, err := rq.CountContext(ctx, s.Column)
-			if err != nil {
-				return nil, err
-			}
-			if s.Func == Sum {
-				row[i] = cat.FormatSum(s.Column, sum, cnt)
-			} else {
-				row[i] = cat.FormatAvg(s.Column, sum, cnt)
-			}
-		case Min:
-			v, ok, err := rq.MinContext(ctx, s.Column)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = formatOpt(cat, s.Column, v, ok)
-		case Max:
-			v, ok, err := rq.MaxContext(ctx, s.Column)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = formatOpt(cat, s.Column, v, ok)
-		case Median:
-			v, ok, err := rq.MedianContext(ctx, s.Column)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = formatOpt(cat, s.Column, v, ok)
-		case Quantile:
-			v, ok, err := rq.QuantileContext(ctx, s.Column, s.Arg)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = formatOpt(cat, s.Column, v, ok)
-		default:
-			return nil, fmt.Errorf("sql: unsupported aggregate %v", s.Func)
-		}
-	}
-	return row, nil
-}
-
-// rangeDetail renders the range stage description: the aggregate list,
-// the row window, and any residual predicate conjunction.
-func rangeDetail(q *Query, rng *rowRange, conds []Condition) string {
-	d := fmt.Sprintf("%s rows [%d, %d)", selectList(q), rng.lo, rng.hi)
-	if len(conds) > 0 {
-		parts := make([]string, len(conds))
-		for i, c := range conds {
-			parts[i] = c.String()
-		}
-		d += " where " + strings.Join(parts, " AND ")
-	}
-	return d
-}
-
-// explainRange builds the EXPLAIN ANALYZE tree for a rownum-restricted
-// flat query, reproducing executeRange's routing exactly: the index-served
-// form is the one stage that runs, the masked form is the bitmap plan with
-// the range mask feeding combine alongside the predicate scans.
-func explainRange(ctx context.Context, cat *catalog.Catalog, q *Query, o ExecOptions, queryStart time.Time, rng *rowRange, rest []Condition) (*ExplainResult, error) {
-	if len(rest) != 0 || len(q.GroupBy) != 0 {
-		return explainBitmap(ctx, cat, q, rest, rng, o, queryStart)
-	}
-	rec := bpagg.NewStatsCollector()
-	rq := buildRangeQuery(cat, o, rec).Range(rng.lo, rng.hi)
-	t0 := time.Now()
-	if _, err := aggregateRowRange(ctx, cat, q.Selects, rq); err != nil {
-		return nil, err
-	}
-	wall := time.Since(t0)
-	// Matching-row cardinality is plan decoration; count it stats-free so
-	// the recorded counters stay exactly what execution cost.
-	rows, err := buildRangeQuery(cat, o, nil).Range(rng.lo, rng.hi).CountRowsContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	node := &PlanNode{
-		Op:     "range (prefix-index)",
-		Detail: rangeDetail(q, rng, nil),
-		Rows:   rows,
-		Stats:  rec.Snapshot(),
-		Wall:   wall,
-	}
-	root := &PlanNode{
-		Op:       "query",
-		Rows:     1,
-		Wall:     time.Since(queryStart),
-		Children: []*PlanNode{node},
-	}
-	if o.Stats != nil {
-		recordTree(o.Stats, root)
-	}
-	return &ExplainResult{Root: root}, nil
 }

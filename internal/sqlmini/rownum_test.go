@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"bpagg"
 )
 
 func TestRownumBasic(t *testing.T) {
@@ -126,19 +128,36 @@ func TestRownumShardedMatchesFlat(t *testing.T) {
 	}
 }
 
-func TestRownumShardedGroupByRejected(t *testing.T) {
-	_, sharded := loadSalesSharded(t, 2)
-	q, err := Parse("SELECT COUNT(*) WHERE rownum BETWEEN 0 AND 3 GROUP BY region")
+// TestRownumShardedGroupBy: GROUP BY under a row range answers the same
+// on a partitioned store as on the flat table — a range inside one
+// shard, straddling shard boundaries, covering everything, and empty —
+// and shards outside the range are pruned, not scanned.
+func TestRownumShardedGroupBy(t *testing.T) {
+	flat, sharded := bigSalesCatalogs(t, 1000, 128)
+	for _, rng := range [][2]int{{10, 100}, {100, 300}, {127, 128}, {0, 5000}, {500, 20}} {
+		sql := fmt.Sprintf("SELECT COUNT(*), COUNT(qty), SUM(price), MIN(qty), MEDIAN(delta) WHERE rownum BETWEEN %d AND %d AND delta >= -40 GROUP BY region",
+			rng[0], rng[1])
+		want, got := run(t, flat, sql), run(t, sharded, sql)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%q:\n  flat    = %v\n  sharded = %v", sql, want.Rows, got.Rows)
+		}
+		if empty := rng[1] < rng[0]; empty != (got.Rows == nil) {
+			t.Errorf("%q: rows = %#v, want nil exactly for the empty range", sql, got.Rows)
+		}
+	}
+
+	// Rows 100..300 touch shards 0, 1 and 2 of 8: the grouping fan-out
+	// and every per-group aggregate stay inside them.
+	q, err := Parse("SELECT COUNT(*) WHERE rownum BETWEEN 100 AND 300 GROUP BY region")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Execute(sharded, q, ExecOptions{})
-	var bad *BadQueryError
-	if !errors.As(err, &bad) {
-		t.Errorf("sharded rownum GROUP BY err = %v, want *BadQueryError", err)
+	rec := bpagg.NewStatsCollector()
+	if _, err := Execute(sharded, q, ExecOptions{Stats: rec}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ExplainAnalyze(sharded, q, ExecOptions{}); !errors.As(err, &bad) {
-		t.Errorf("explain sharded rownum GROUP BY err = %v, want *BadQueryError", err)
+	if s := rec.Snapshot(); s.ShardsScanned != 3 || s.ShardsPruned != 5 {
+		t.Errorf("shards scanned/pruned = %d/%d, want 3/5", s.ShardsScanned, s.ShardsPruned)
 	}
 }
 
@@ -156,35 +175,28 @@ func TestRownumNotBatchEligible(t *testing.T) {
 	}
 }
 
-// TestRownumExplainStages checks the plan shapes: index-served queries
-// collapse to the one range stage, masked queries show the range mask
-// feeding combine, sharded queries report the shard range fan-out.
+// TestRownumExplainStages checks the plan shapes: a rownum statement is
+// the one range stage on every store — index-served when nothing else
+// filters, carrying the residual predicate and its scan otherwise — and a
+// partitioned store prunes the shards outside the range.
 func TestRownumExplainStages(t *testing.T) {
 	cat := loadOrders(t)
 	lines := strings.Join(explainLines(t, cat, "EXPLAIN ANALYZE SELECT SUM(amount) WHERE rownum BETWEEN 64 AND 191"), "\n")
-	if !strings.Contains(lines, "range (prefix-index)") {
+	if !strings.Contains(lines, "range sum(amount) rows [64, 192)") {
 		t.Errorf("index-served plan missing range stage:\n%s", lines)
 	}
-	if !strings.Contains(lines, "index_segments=2, fringe_words=0") {
+	if !strings.Contains(lines, "scans=0") || !strings.Contains(lines, "index_segments=2, fringe_words=0") {
 		t.Errorf("aligned range should be fully index-served:\n%s", lines)
 	}
 
 	lines = strings.Join(explainLines(t, cat, "EXPLAIN ANALYZE SELECT SUM(amount) WHERE rownum BETWEEN 10 AND 250 AND region = 'EU'"), "\n")
-	if !strings.Contains(lines, "range mask") || !strings.Contains(lines, "scan region = 'EU'") {
-		t.Errorf("masked plan missing range mask + scan stages:\n%s", lines)
+	if !strings.Contains(lines, "range sum(amount) rows [10, 251) where region = 'EU'") || !strings.Contains(lines, "scans=1") {
+		t.Errorf("masked plan missing the range stage with its predicate scan:\n%s", lines)
 	}
 
 	_, sharded := bigSalesCatalogs(t, 1000, 128)
-	q, err := Parse("EXPLAIN ANALYZE SELECT SUM(qty) WHERE rownum BETWEEN 300 AND 500")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := ExplainAnalyze(sharded, q, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines = strings.Join(ex.Lines(true), "\n")
-	if !strings.Contains(lines, "shard range") || !strings.Contains(lines, "shards_pruned=") {
-		t.Errorf("sharded plan missing shard range stage:\n%s", lines)
+	lines = strings.Join(explainLines(t, sharded, "EXPLAIN ANALYZE SELECT SUM(qty) WHERE rownum BETWEEN 300 AND 500"), "\n")
+	if !strings.Contains(lines, "range sum(qty) rows [300, 501)") || !strings.Contains(lines, "shards_scanned=2, shards_pruned=6") {
+		t.Errorf("sharded plan missing the range stage or its pruning (6 of 8 shards lie outside):\n%s", lines)
 	}
 }

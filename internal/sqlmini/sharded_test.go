@@ -168,21 +168,31 @@ func TestShardedErrorClassification(t *testing.T) {
 	}
 }
 
-// Sharded catalogs must decline shared-scan batching — ExecuteShared's
-// selection is a flat-table bitmap — and fail cleanly (no panic) if a
-// batch reaches them anyway.
-func TestShardedNotBatchEligible(t *testing.T) {
-	_, sharded := loadSalesSharded(t, 2)
-	q, err := Parse("SELECT SUM(qty) WHERE qty < 24")
-	if err != nil {
-		t.Fatal(err)
+// TestShardedBatchEligible: a partitioned store batches like any other —
+// same class keys as the flat-built catalog, same answers as solo
+// (TestExecuteSharedAmortizes checks the work on both).
+func TestShardedBatchEligible(t *testing.T) {
+	flat, sharded := bigSalesCatalogs(t, 500, 77)
+	sqls := []string{
+		"SELECT SUM(qty), COUNT(*) WHERE region = 'EU' AND delta >= 5",
+		"SELECT MEDIAN(price), MIN(qty) WHERE delta >= 5 AND region = 'EU'",
 	}
-	if key, ok := BatchKey(sharded, q); ok {
-		t.Fatalf("sharded catalog reported batch-eligible (key %q)", key)
+	qs := make([]*Query, len(sqls))
+	for i, sql := range sqls {
+		qs[i] = parseQ(t, sql)
+		fk, fok := BatchKey(flat, qs[i])
+		sk, sok := BatchKey(sharded, qs[i])
+		if !fok || !sok || fk != sk {
+			t.Fatalf("%q: batch keys flat (%q, %v), sharded (%q, %v)", sql, fk, fok, sk, sok)
+		}
 	}
-	res := ExecuteShared(context.Background(), sharded, []*Query{q}, ExecOptions{})
-	if res[0].Err == nil {
-		t.Fatal("ExecuteShared on a sharded catalog returned no error")
+	for i, sr := range ExecuteShared(context.Background(), sharded, qs, ExecOptions{}) {
+		if sr.Err != nil {
+			t.Fatalf("member %d: %v", i, sr.Err)
+		}
+		if want := run(t, sharded, sqls[i]); !resultsEqual(sr.Res, want) {
+			t.Errorf("member %d: shared %v != solo %v", i, sr.Res.Rows, want.Rows)
+		}
 	}
 }
 
@@ -197,8 +207,8 @@ func TestShardedExplainAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := strings.Join(ex.Lines(true), "\n")
-	if !strings.Contains(plan, "shard scan+agg") {
-		t.Fatalf("plan missing shard stage:\n%s", plan)
+	if !strings.Contains(plan, "scan+agg sum(qty) where qty >= 5 [two-phase]") {
+		t.Fatalf("plan missing its stage:\n%s", plan)
 	}
 	if !strings.Contains(plan, "shards_scanned=") || !strings.Contains(plan, "shards_pruned=") {
 		t.Fatalf("plan missing shard counters:\n%s", plan)
@@ -218,8 +228,8 @@ func TestShardedExplainAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan = strings.Join(ex.Lines(true), "\n")
-	if !strings.Contains(plan, "shard group+agg") || !strings.Contains(plan, "shards_scanned=") {
-		t.Fatalf("grouped plan missing shard stage:\n%s", plan)
+	if !strings.Contains(plan, "group+agg count(*) by region [direct tier]") || !strings.Contains(plan, "shards_scanned=") {
+		t.Fatalf("grouped plan missing its stage:\n%s", plan)
 	}
 }
 

@@ -6,15 +6,16 @@ import (
 	"sort"
 	"strings"
 
+	"bpagg"
 	"bpagg/internal/catalog"
 )
 
 // Shared-scan execution: the multi-query sharing layer under bpaggd's
 // batching. Concurrent queries whose WHERE clauses bind to the same
 // predicate conjunction form one batch class; the class executes as ONE
-// traversal — the selection is materialized once and every distinct
-// aggregate across the batch runs once against it — instead of N
-// independent scan+aggregate passes. This is the cross-query form of the
+// store query — every live shard's selection is materialized once and
+// every distinct aggregate across the batch runs once against it —
+// instead of N independent scan+aggregate passes. This is the cross-query form of the
 // paper's intra-query amortization (tpchQ01_GPU answers NUM_AGGRS
 // aggregates per pass; here N queries' aggregates share a pass), and the
 // ExecStats of the shared collector prove it: one batch records one scan
@@ -25,31 +26,27 @@ import (
 // queries with equal keys select exactly the same rows, so their
 // aggregates can be answered from one shared selection. The key is built
 // from the *bound* predicates (literals translated to code space with
-// the floor/ceil semantics of bindWhere), so textually different but
+// the floor/ceil semantics of bindPreds), so textually different but
 // semantically identical literals coalesce, and conjunct order never
 // matters. ok is false when the query is not batch-eligible: grouped
-// queries, EXPLAIN, and WHERE clauses that need bitmap machinery
-// (IN-lists) or fail to bind.
+// queries, EXPLAIN, IN-lists, and WHERE clauses that fail to bind.
 func BatchKey(cat *catalog.Catalog, q *Query) (string, bool) {
 	if q == nil || q.Explain || len(q.GroupBy) != 0 {
 		return "", false
 	}
-	// Sharded catalogs are not batch-eligible: the shared selection is a
-	// flat-table bitmap, and the partitioned store has no global row
-	// numbering to build one against. Sharded queries execute (and prune)
-	// individually through executeSharded instead.
-	if cat.Sharded != nil {
-		return "", false
-	}
-	// rownum-restricted queries are not batch-eligible either: the shared
+	// rownum-restricted queries are not batch-eligible: the shared
 	// selection ignores row position, and they answer in O(1) from the
-	// range index individually, so batching buys nothing. bindPreds would
-	// reject the pseudo-column anyway; the gate is explicit for clarity.
+	// range index individually, so batching buys nothing.
 	if rng, _, err := splitRownum(cat, q.Where); err != nil || rng != nil {
 		return "", false
 	}
-	bps, ok := bindPreds(cat, q.Where)
-	if !ok {
+	for _, cond := range q.Where {
+		if cond.Op == OpIn {
+			return "", false
+		}
+	}
+	bps, err := bindPreds(cat, q.Where)
+	if err != nil {
 		return "", false
 	}
 	if len(bps) == 0 {
@@ -76,10 +73,10 @@ type SharedResult struct {
 }
 
 // ExecuteShared runs a batch of ungrouped queries belonging to one
-// BatchKey class against a single shared selection. The WHERE
-// conjunction is bound once (one scan pass, charged once to o.Stats) and
-// result cells are memoized by aggregate label, so N queries asking
-// SUM(price) pay for one SUM kernel invocation. Queries whose own key
+// BatchKey class as one store query. The WHERE conjunction is bound and
+// materialized once (one scan pass per live shard, charged once to
+// o.Stats) and result cells are memoized by aggregate label, so N queries
+// asking SUM(price) pay for one SUM kernel invocation. Queries whose own key
 // differs from the batch's (a caller bug) fail individually rather than
 // corrupting their neighbors' results.
 //
@@ -122,7 +119,7 @@ func ExecuteShared(ctx context.Context, cat *catalog.Catalog, qs []*Query, o Exe
 		}
 	}
 
-	sel, err := bindWhere(cat, qs[0].Where, o.Stats)
+	sq, err := sharedQuery(ctx, cat, qs[0], o)
 	if err != nil {
 		for i := range out {
 			if out[i].Err == nil {
@@ -151,7 +148,7 @@ func ExecuteShared(ctx context.Context, cat *catalog.Catalog, qs []*Query, o Exe
 			label := s.Label()
 			c, ok := memo[label]
 			if !ok {
-				v, err := computeCell(ctx, cat, s, sel, o)
+				v, err := rowCell(ctx, cat, s, sq)
 				c = cell{val: v, err: err}
 				memo[label] = c
 			}
@@ -165,7 +162,22 @@ func ExecuteShared(ctx context.Context, cat *catalog.Catalog, qs []*Query, o Exe
 			out[i].Err = qerr
 			continue
 		}
-		out[i].Res = &Result{Headers: headers(q, false), Rows: [][]string{row}}
+		out[i].Res = &Result{Headers: headers(q), Rows: [][]string{row}}
 	}
 	return out
+}
+
+// sharedQuery builds the batch's one store query from the class leader's
+// WHERE list and materializes every live shard's selection, so each
+// memoized cell is a two-phase aggregate over a filter scanned once.
+func sharedQuery(ctx context.Context, cat *catalog.Catalog, leader *Query, o ExecOptions) (*bpagg.ShardedQuery, error) {
+	preds, err := bindPreds(cat, leader.Where)
+	if err != nil {
+		return nil, err
+	}
+	sq, err := buildQuery(cat, preds, o, o.Stats)
+	if err != nil {
+		return nil, err
+	}
+	return sq, sq.MaterializeContext(ctx)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bpagg"
+	"bpagg/internal/catalog"
 )
 
 func parseQ(t *testing.T, sql string) *Query {
@@ -175,7 +176,12 @@ func TestExecuteSharedCanceled(t *testing.T) {
 // distinct aggregate, so the shared collector must record strictly fewer
 // scans and touched words than N solo executions.
 func TestExecuteSharedAmortizes(t *testing.T) {
-	cat := loadSales(t)
+	flat, sharded := loadSalesSharded(t, 2)
+	t.Run("flat", func(t *testing.T) { executeSharedAmortizes(t, flat) })
+	t.Run("sharded", func(t *testing.T) { executeSharedAmortizes(t, sharded) })
+}
+
+func executeSharedAmortizes(t *testing.T, cat *catalog.Catalog) {
 	const n = 8
 	sql := "SELECT SUM(qty), COUNT(*) WHERE region = 'EU' AND qty >= 5"
 

@@ -25,8 +25,9 @@ import (
 //     equality scans and need a bitmap);
 //   - neither the clause columns nor the aggregate column have NULLs
 //     (NULL semantics live in the validity-bitmap intersection);
-//   - execution is the bit-parallel access method (Reconstruct/Auto fall
-//     back to two phases);
+//   - execution is not pinned to the Reconstruct baseline (Auto chooses
+//     per two-phase aggregate from the realized selectivity, so it never
+//     suppresses fusion: there is no selection to consult before the scan);
 //   - all columns involved agree on the window width (VBP's 64, HBP's
 //     values-per-segment), so one filter word addresses one segment
 //     everywhere.
@@ -63,35 +64,43 @@ func (c *Column) windowBits() int {
 	return c.h.ValuesPerSegment()
 }
 
-// fusedPlan decides whether the query's clauses and the aggregate column
-// (nil for row counting) can run fused, and builds the per-window
-// predicate evaluators if so.
-func (q *Query) fusedPlan(agg *Column) (preds []scan.WindowPred, o execConfig, ok bool) {
-	if q.sel != nil || len(q.clauses) == 0 {
-		return nil, o, false
-	}
-	o = execOptions(q.execs)
-	if o.access != BitParallel {
-		return nil, o, false
+// fuses decides whether the query's clauses and the aggregate column
+// (nil for row counting) can run fused under the given access method —
+// the gate alone, which allocates nothing, so planners can ask it freely.
+func (q *Query) fuses(agg *Column, access AccessMethod) bool {
+	if q.sel != nil || len(q.clauses) == 0 || access == Reconstruct {
+		return false
 	}
 	wb := 0
 	if agg != nil {
 		if agg.nulls != nil {
-			return nil, o, false
+			return false
 		}
 		wb = agg.windowBits()
 	}
-	preds = make([]scan.WindowPred, 0, len(q.clauses))
 	for _, cl := range q.clauses {
 		if cl.pred.list != nil || cl.col.nulls != nil {
-			return nil, o, false
+			return false
 		}
 		cwb := cl.col.windowBits()
 		if wb == 0 {
 			wb = cwb
 		} else if cwb != wb {
-			return nil, o, false
+			return false
 		}
+	}
+	return true
+}
+
+// fusedPlan is fuses plus, when the query fuses, the per-window predicate
+// evaluators the fused drivers run.
+func (q *Query) fusedPlan(agg *Column) (preds []scan.WindowPred, o execConfig, ok bool) {
+	o = execOptions(q.execs)
+	if !q.fuses(agg, o.access) {
+		return nil, o, false
+	}
+	preds = make([]scan.WindowPred, 0, len(q.clauses))
+	for _, cl := range q.clauses {
 		if cl.col.layout == VBP {
 			preds = append(preds, scan.NewVBPWindowPred(cl.col.v, cl.pred.p))
 		} else {
@@ -231,6 +240,11 @@ func (q *Query) SumCountContext(ctx context.Context, column string) (sum, cnt ui
 // string asks about row counting (COUNT(*)), which has no aggregate
 // column. It never materializes the selection.
 func (q *Query) Fused(column string) bool {
+	return q.fusesColumn(column, execOptions(q.execs).access)
+}
+
+// fusesColumn is fuses by column name; an unknown name does not fuse.
+func (q *Query) fusesColumn(column string, access AccessMethod) bool {
 	var col *Column
 	if column != "" {
 		col = q.t.cols[column]
@@ -238,8 +252,7 @@ func (q *Query) Fused(column string) bool {
 			return false
 		}
 	}
-	_, _, ok := q.fusedPlan(col)
-	return ok
+	return q.fuses(col, access)
 }
 
 func checkPredFits(p Predicate, k int) {

@@ -175,6 +175,15 @@ func (r *RangeQuery) Selection() *Bitmap {
 	return r.selection()
 }
 
+// GroupByContext partitions the rows of the range that pass the filter by
+// the named columns' distinct values, honoring ctx. The range selection
+// is a materialized bitmap, so the partition is the per-group walk
+// (GroupLegacy) over it — the gate a materialized Query.Selection takes.
+func (r *RangeQuery) GroupByContext(ctx context.Context, columns ...string) (*Grouped, error) {
+	ranged := &Query{t: r.q.t, execs: r.q.execs, stats: r.q.stats, sel: r.selection()}
+	return ranged.GroupByContext(ctx, columns...)
+}
+
 // record books one index-served aggregate into the query's collector.
 func (r *RangeQuery) record(n uint64, st rangeidx.Stats, start time.Time) {
 	r.q.stats.Record(ExecStats{

@@ -29,6 +29,34 @@ type ShardedGrouped struct {
 // independently (the per-shard engine picks direct/hash/legacy as usual)
 // and the key sets union in sorted order.
 func (q *ShardedQuery) GroupByContext(ctx context.Context, columns ...string) (*ShardedGrouped, error) {
+	widths, err := q.groupWidths(columns)
+	if err != nil {
+		return nil, err
+	}
+	return q.groupParts(ctx, columns, widths, q.plan(nil), func(_ int, sq *Query) (*Grouped, error) {
+		return sq.GroupByContext(ctx, columns...)
+	})
+}
+
+// GroupByContext partitions the rows of the range that pass the filter by
+// the named columns' distinct values, honoring ctx: every shard the range
+// overlaps partitions its local slice (RangeQuery.GroupByContext) and the
+// key sets union exactly as for an unrestricted query. Shards outside the
+// range prune and count in ShardsPruned.
+func (r *ShardedRangeQuery) GroupByContext(ctx context.Context, columns ...string) (*ShardedGrouped, error) {
+	widths, err := r.q.groupWidths(columns)
+	if err != nil {
+		return nil, err
+	}
+	live, los, his := r.plan(nil)
+	return r.q.groupParts(ctx, columns, widths, live, func(slot int, sq *Query) (*Grouped, error) {
+		return sq.Range(los[slot], his[slot]).GroupByContext(ctx, columns...)
+	})
+}
+
+// groupWidths resolves the grouping columns' code widths and checks that
+// the composite key packs into one word.
+func (q *ShardedQuery) groupWidths(columns []string) ([]int, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("bpagg: GROUP BY needs at least one column")
 	}
@@ -45,11 +73,16 @@ func (q *ShardedQuery) GroupByContext(ctx context.Context, columns ...string) (*
 	if total > 64 {
 		return nil, fmt.Errorf("bpagg: composite group key is %d bits wide — keys must pack into 64 bits", total)
 	}
+	return widths, nil
+}
 
-	live := q.plan(nil)
+// groupParts partitions every live shard with part and merges the key
+// sets.
+func (q *ShardedQuery) groupParts(ctx context.Context, columns []string, widths []int, live []int,
+	part func(slot int, sq *Query) (*Grouped, error)) (*ShardedGrouped, error) {
 	parts := make([]*Grouped, len(live))
 	err := q.runShards(ctx, live, nil, func(slot, _ int, sq *Query) error {
-		g, err := sq.GroupByContext(ctx, columns...)
+		g, err := part(slot, sq)
 		parts[slot] = g
 		return err
 	})
@@ -58,22 +91,27 @@ func (q *ShardedQuery) GroupByContext(ctx context.Context, columns ...string) (*
 	}
 
 	// Union the per-shard key sets (each already ascending) into the
-	// global sorted key list, then index every shard group into it.
+	// global sorted key list — one shard's list is the union already —
+	// then index every shard group into it by walking both in step.
 	var keys []uint64
-	for _, part := range parts {
-		keys = append(keys, part.keys...)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	keys = dedupeSorted(keys)
-	at := make(map[uint64]int, len(keys))
-	for i, k := range keys {
-		at[k] = i
+	if len(parts) == 1 {
+		keys = parts[0].keys
+	} else {
+		for _, part := range parts {
+			keys = append(keys, part.keys...)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		keys = dedupeSorted(keys)
 	}
 	pos := make([][]int, len(parts))
 	for p, part := range parts {
 		pos[p] = make([]int, len(part.keys))
+		i := 0
 		for gi, k := range part.keys {
-			pos[p][gi] = at[k]
+			for keys[i] != k {
+				i++
+			}
+			pos[p][gi] = i
 		}
 	}
 	return &ShardedGrouped{q: q, cols: columns, widths: widths, keys: keys, parts: parts, pos: pos}, nil
@@ -100,6 +138,22 @@ func dedupeSorted(keys []uint64) []uint64 {
 
 // Len returns the number of groups.
 func (g *ShardedGrouped) Len() int { return len(g.keys) }
+
+// Strategy reports which partition strategy the live shards ran (EXPLAIN
+// ANALYZE support): their common single-pass tier, or GroupLegacy as soon
+// as one shard fell back to the per-group walk — and when no shard was
+// live, since nothing was partitioned.
+func (g *ShardedGrouped) Strategy() GroupStrategy {
+	if len(g.parts) == 0 {
+		return GroupLegacy
+	}
+	for _, part := range g.parts {
+		if part.strategy == GroupLegacy {
+			return GroupLegacy
+		}
+	}
+	return g.parts[0].strategy
+}
 
 // Keys returns the distinct group keys in ascending order.
 func (g *ShardedGrouped) Keys() []uint64 {
@@ -315,30 +369,25 @@ func (g *ShardedGrouped) Max(column string) []uint64 {
 }
 
 // measureNonNullCounts returns each group's count of non-NULL measure
-// values — AVG's divisor. When no live shard's measure column carries
-// NULLs this is exactly the merged row counts; otherwise each shard
+// values — AVG's divisor. A shard whose measure column carries no NULLs
+// contributes its partition's row counts (a divisor read off the
+// partition, not an aggregate, so nothing records); otherwise the shard
 // counts per group.
 func (g *ShardedGrouped) measureNonNullCounts(ctx context.Context, column string) ([]uint64, error) {
-	hasNulls := false
-	for _, part := range g.parts {
+	out := make([]uint64, len(g.keys))
+	for p, part := range g.parts {
 		col, err := part.q.colErr(column)
 		if err != nil {
 			return nil, err
 		}
-		if col.nulls != nil {
-			hasNulls = true
-			break
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-	}
-	if !hasNulls {
-		return g.CountContext(ctx)
-	}
-	out := make([]uint64, len(g.keys))
-	for p, part := range g.parts {
-		col, _ := part.q.colErr(column)
 		for gi := range part.keys {
-			c, err := col.CountContext(ctx, part.Selection(gi))
-			if err != nil {
+			var c uint64
+			if col.nulls == nil {
+				c = part.groupCount(gi)
+			} else if c, err = col.CountContext(ctx, part.Selection(gi)); err != nil {
 				return nil, err
 			}
 			out[g.pos[p][gi]] += c
@@ -392,22 +441,36 @@ func (g *ShardedGrouped) Avg(column string) []float64 {
 
 // rankOkContext answers one order statistic per group: rankOf maps a
 // group's non-NULL count to the target rank (ok=false when the group has
-// no values, reported as ok[i]=false rather than an error). Each group
-// binary-searches the value domain, counting per-shard within the
-// group's selection.
-func (g *ShardedGrouped) rankOkContext(ctx context.Context, column string,
-	rankOf func(u uint64) (uint64, bool)) ([]uint64, []bool, error) {
+// no values, reported as ok[i]=false rather than an error). With one live
+// shard each group's selection is whole, so the shard column's own radix
+// descent answers it (one). Otherwise each group binary-searches the
+// value domain, counting per-shard within the group's selection.
+func (g *ShardedGrouped) rankOkContext(ctx context.Context, column string, rankOf func(u uint64) (uint64, bool),
+	one func(col *Column, sel *Bitmap, execs []ExecOption) (uint64, bool, error)) ([]uint64, []bool, error) {
 	ctx = orBackground(ctx)
 	idx := g.q.st.spec(column)
 	if idx < 0 {
 		return nil, nil, fmt.Errorf("bpagg: unknown column %q", column)
 	}
+	out := make([]uint64, len(g.keys))
+	oks := make([]bool, len(g.keys))
+	if len(g.parts) == 1 {
+		part := g.parts[0]
+		col, err := part.q.colErr(column)
+		if err != nil {
+			return nil, nil, err
+		}
+		for i := range g.keys {
+			if out[i], oks[i], err = one(col, part.Selection(i), part.q.execs); err != nil {
+				return nil, nil, err
+			}
+		}
+		return out, oks, nil
+	}
 	counts, err := g.measureNonNullCounts(ctx, column)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]uint64, len(g.keys))
-	oks := make([]bool, len(g.keys))
 	for i := range g.keys {
 		r, ok := rankOf(counts[i])
 		if !ok {
@@ -434,7 +497,7 @@ func (g *ShardedGrouped) rankOkContext(ctx context.Context, column string,
 // MedianContext aggregates the lower MEDIAN of the named column per
 // group, honoring ctx.
 func (g *ShardedGrouped) MedianContext(ctx context.Context, column string) ([]uint64, error) {
-	out, oks, err := g.rankOkContext(ctx, column, medianRank)
+	out, oks, err := g.MedianOkContext(ctx, column)
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +512,10 @@ func (g *ShardedGrouped) MedianContext(ctx context.Context, column string) ([]ui
 // MedianOkContext is the NULL-tolerant twin of MedianContext; see
 // MinOkContext.
 func (g *ShardedGrouped) MedianOkContext(ctx context.Context, column string) ([]uint64, []bool, error) {
-	return g.rankOkContext(ctx, column, medianRank)
+	return g.rankOkContext(ctx, column, medianRank,
+		func(col *Column, sel *Bitmap, execs []ExecOption) (uint64, bool, error) {
+			return col.MedianContext(ctx, sel, execs...)
+		})
 }
 
 // QuantileOkContext answers the nearest-rank quantile of the named
@@ -458,7 +524,10 @@ func (g *ShardedGrouped) QuantileOkContext(ctx context.Context, column string, q
 	if err := checkQuantile(quantile); err != nil {
 		return nil, nil, err
 	}
-	return g.rankOkContext(ctx, column, quantileRank(quantile))
+	return g.rankOkContext(ctx, column, quantileRank(quantile),
+		func(col *Column, sel *Bitmap, execs []ExecOption) (uint64, bool, error) {
+			return col.QuantileContext(ctx, sel, quantile, execs...)
+		})
 }
 
 // NonNullCountContext returns each group's count of non-NULL values of

@@ -19,12 +19,18 @@ import (
 // in 128 bits, extremes compare, ranks binary-search on merged counts),
 // so every result is bit-identical to the flat engine at any thread
 // count.
+//
+// Each shard's Query is built at its first fan-out and kept for the
+// ShardedQuery's lifetime, so a selection one aggregate materializes
+// serves the next exactly as Query.sel does on a flat table: a one-shard
+// store does the work of the flat engine, no more.
 type ShardedQuery struct {
 	st      *ShardedTable
 	clauses []shardClause
 	execs   []ExecOption
 	stats   *StatsCollector
 	scratch shardScratch
+	shardQ  []*Query // by shard index; nil until the shard's first fan-out
 }
 
 // shardScratch holds the per-shard merge buffers, reused across a
@@ -109,6 +115,11 @@ func (q *ShardedQuery) WhereErr(column string, p Predicate) (*ShardedQuery, erro
 // query's intra-shard parallelism.
 func (q *ShardedQuery) With(opts ...ExecOption) *ShardedQuery {
 	q.execs = append(q.execs, opts...)
+	for _, sq := range q.shardQ {
+		if sq != nil {
+			sq.With(opts...)
+		}
+	}
 	return q
 }
 
@@ -118,7 +129,7 @@ func (q *ShardedQuery) With(opts ...ExecOption) *ShardedQuery {
 // aggregate counters into the same collector.
 func (q *ShardedQuery) WithStats() *ShardedQuery {
 	if q.stats == nil {
-		q.stats = NewStatsCollector()
+		q.WithStatsInto(NewStatsCollector())
 	}
 	return q
 }
@@ -128,6 +139,11 @@ func (q *ShardedQuery) WithStats() *ShardedQuery {
 func (q *ShardedQuery) WithStatsInto(rec *StatsCollector) *ShardedQuery {
 	if rec != nil {
 		q.stats = rec
+		for _, sq := range q.shardQ {
+			if sq != nil {
+				sq.WithStatsInto(rec)
+			}
+		}
 	}
 	return q
 }
@@ -138,12 +154,11 @@ func (q *ShardedQuery) Stats() ExecStats {
 	return q.stats.Snapshot()
 }
 
-// plan runs shard pruning: it returns the indices of the shards whose
-// catalog bounds can satisfy every clause (plus any probe clauses), in
-// shard order, and records ShardsScanned/ShardsPruned. A column with no
-// non-NULL value in a shard prunes that shard for any predicate, since a
-// scan never matches NULL.
-func (q *ShardedQuery) plan(extra []shardClause) []int {
+// liveShards runs shard pruning: it returns the indices of the shards
+// whose catalog bounds can satisfy every clause (plus any probe clauses),
+// in shard order. A column with no non-NULL value in a shard prunes that
+// shard for any predicate, since a scan never matches NULL.
+func (q *ShardedQuery) liveShards(extra []shardClause) []int {
 	live := q.scratch.live[:0]
 shards:
 	for s := range q.st.shards {
@@ -157,27 +172,62 @@ shards:
 		}
 		live = append(live, s)
 	}
-	q.stats.Record(ExecStats{
-		ShardsScanned: uint64(len(live)),
-		ShardsPruned:  uint64(len(q.st.shards) - len(live)),
-	})
 	q.scratch.live = live
 	return live
 }
 
+// recordPlan books one fan-out's pruning verdict.
+func (q *ShardedQuery) recordPlan(live int) {
+	q.stats.Record(ExecStats{
+		ShardsScanned: uint64(live),
+		ShardsPruned:  uint64(len(q.st.shards) - live),
+	})
+}
+
+// plan is liveShards for a fan-out that is about to run: it also records
+// ShardsScanned/ShardsPruned.
+func (q *ShardedQuery) plan(extra []shardClause) []int {
+	live := q.liveShards(extra)
+	q.recordPlan(len(live))
+	return live
+}
+
+// shardQuery returns shard s's kept Query, building it on first use and
+// forwarding any clause added since. Callers size q.shardQ first
+// (growShardQ) and touch one shard per goroutine.
+func (q *ShardedQuery) shardQuery(s int) *Query {
+	sq := q.shardQ[s]
+	if sq == nil {
+		sq = q.st.shards[s].Query().With(q.execs...).WithStatsInto(q.stats)
+		q.shardQ[s] = sq
+	}
+	for _, cl := range q.clauses[len(sq.clauses):] {
+		sq.Where(cl.name, cl.pred)
+	}
+	return sq
+}
+
+// growShardQ sizes the kept-query table to the store's current shards.
+func (q *ShardedQuery) growShardQ() {
+	if n := len(q.st.shards); len(q.shardQ) < n {
+		q.shardQ = append(q.shardQ, make([]*Query, n-len(q.shardQ))...)
+	}
+}
+
 // runShards executes fn once per live shard through the parallel index
 // fan-out. fn receives its slot in the live list (for deterministic
-// result placement), the shard index, and a fresh per-shard Query
-// carrying the recorded clauses, probe clauses, exec options, and stats
-// collector.
+// result placement), the shard index, and the shard's Query: the kept
+// one, or with probe clauses a fresh one carrying them on top of the
+// recorded clauses, so a probe never disturbs a kept selection.
 func (q *ShardedQuery) runShards(ctx context.Context, live []int, extra []shardClause,
 	fn func(slot, shard int, sq *Query) error) error {
+	q.growShardQ()
 	threads := execOptions(q.execs).par.Threads
 	err := parallel.ForEachIndexErr(orBackground(ctx), len(live), threads, func(i int) error {
-		sq := q.st.shards[live[i]].Query().With(q.execs...)
-		if q.stats != nil {
-			sq.WithStatsInto(q.stats)
+		if len(extra) == 0 {
+			return fn(i, live[i], q.shardQuery(live[i]))
 		}
+		sq := q.st.shards[live[i]].Query().With(q.execs...).WithStatsInto(q.stats)
 		for _, cl := range q.clauses {
 			sq.Where(cl.name, cl.pred)
 		}
@@ -187,6 +237,34 @@ func (q *ShardedQuery) runShards(ctx context.Context, live []int, extra []shardC
 		return fn(i, live[i], sq)
 	})
 	return wrapExecErr(err)
+}
+
+// Fused reports whether the next aggregate over the named column (the
+// empty string asks about COUNT(*)) would run the fused scan→aggregate
+// path on every live shard — Query.Fused asked of each shard the catalog
+// cannot prune. It executes and records nothing.
+func (q *ShardedQuery) Fused(column string) bool {
+	q.growShardQ()
+	access := execOptions(q.execs).access
+	for _, s := range q.liveShards(nil) {
+		if !q.shardQuery(s).fusesColumn(column, access) {
+			return false
+		}
+	}
+	return true
+}
+
+// MaterializeContext runs the pending Where clauses of every live shard
+// now, as two-phase scans into that shard's kept selection, so every
+// aggregate that follows consumes the same filter bitmap and none fuses
+// — what Query.Selection does on a flat table. A statement that knows one
+// of its aggregates cannot fuse calls it first and pays for the scans
+// once, whatever order its aggregates run in.
+func (q *ShardedQuery) MaterializeContext(ctx context.Context) error {
+	return q.runShards(ctx, q.liveShards(nil), nil, func(_, _ int, sq *Query) error {
+		sq.Selection()
+		return nil
+	})
 }
 
 // specIdxErr resolves an aggregate target column, as an error.
@@ -459,16 +537,37 @@ func (q *ShardedQuery) countLE(ctx context.Context, column string, idx int, v ui
 	return total, nil
 }
 
-// rankSearch finds the r-th smallest selected value by binary search on
-// the value domain: the answer is the smallest v with countLE(v) >= r,
-// which always is an actually-present value. Each probe is one counting
-// fan-out, so the search costs O(k) fan-outs — the sharded analogue of
-// the radix descent's k rendezvous rounds.
+// ranker is the rank family as Query and RangeQuery both spell it: what
+// a rank search hands the question to when one shard holds every row.
+type ranker interface {
+	MedianContext(ctx context.Context, column string) (uint64, bool, error)
+	RankContext(ctx context.Context, column string, r uint64) (uint64, bool, error)
+	QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error)
+}
+
+// rankSearch finds the r-th smallest selected value. With exactly one
+// live shard the merge of one partial is the identity, so the shard's
+// own radix descent answers (one). Otherwise it binary-searches the value
+// domain: the answer is the smallest v with countLE(v) >= r, which always
+// is an actually-present value. Each probe is one counting fan-out, so
+// the search costs O(k) fan-outs — the sharded analogue of the radix
+// descent's k rendezvous rounds.
 func (q *ShardedQuery) rankSearch(ctx context.Context, column string,
-	rankOf func(uint64) (uint64, bool)) (uint64, bool, error) {
+	rankOf func(uint64) (uint64, bool), one func(ranker) (uint64, bool, error)) (uint64, bool, error) {
 	idx, err := q.specIdxErr(column)
 	if err != nil {
 		return 0, false, err
+	}
+	if live := q.liveShards(nil); len(live) == 1 {
+		q.recordPlan(1)
+		var v uint64
+		var ok bool
+		err := q.runShards(ctx, live, nil, func(_, _ int, sq *Query) error {
+			var err error
+			v, ok, err = one(sq)
+			return err
+		})
+		return v, ok, err
 	}
 	u, err := q.CountContext(ctx, column)
 	if err != nil {
@@ -497,7 +596,8 @@ func (q *ShardedQuery) rankSearch(ctx context.Context, column string,
 // MedianContext aggregates the lower MEDIAN over the named column,
 // honoring ctx.
 func (q *ShardedQuery) MedianContext(ctx context.Context, column string) (uint64, bool, error) {
-	return q.rankSearch(ctx, column, medianRank)
+	return q.rankSearch(ctx, column, medianRank,
+		func(r ranker) (uint64, bool, error) { return r.MedianContext(ctx, column) })
 }
 
 // Median aggregates the lower MEDIAN over the named column.
@@ -510,7 +610,8 @@ func (q *ShardedQuery) Median(column string) (uint64, bool) {
 // RankContext returns the r-th smallest selected value of the named
 // column, honoring ctx.
 func (q *ShardedQuery) RankContext(ctx context.Context, column string, r uint64) (uint64, bool, error) {
-	return q.rankSearch(ctx, column, func(uint64) (uint64, bool) { return r, true })
+	return q.rankSearch(ctx, column, func(uint64) (uint64, bool) { return r, true },
+		func(rk ranker) (uint64, bool, error) { return rk.RankContext(ctx, column, r) })
 }
 
 // Rank returns the r-th smallest selected value of the named column.
@@ -526,7 +627,8 @@ func (q *ShardedQuery) QuantileContext(ctx context.Context, column string, quant
 	if err := checkQuantile(quantile); err != nil {
 		return 0, false, err
 	}
-	return q.rankSearch(ctx, column, quantileRank(quantile))
+	return q.rankSearch(ctx, column, quantileRank(quantile),
+		func(r ranker) (uint64, bool, error) { return r.QuantileContext(ctx, column, quantile) })
 }
 
 // Quantile returns the q-quantile (nearest rank) of the named column.

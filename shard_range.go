@@ -30,12 +30,11 @@ type ShardedRangeQuery struct {
 	lo, hi int
 }
 
-// plan prunes shards on catalog bounds (every clause plus any probe
-// clauses) and on range overlap, recording both prunes in the same
-// ShardsScanned/ShardsPruned counters. It returns the surviving shard
+// liveShards prunes shards on catalog bounds (every clause plus any
+// probe clauses) and on range overlap. It returns the surviving shard
 // indices with each one's local [lo, hi) slice of the global range,
 // parallel to the live list.
-func (r *ShardedRangeQuery) plan(extra []shardClause) (live, los, his []int) {
+func (r *ShardedRangeQuery) liveShards(extra []shardClause) (live, los, his []int) {
 	st := r.q.st
 	live, los, his = r.q.scratch.live[:0], r.q.scratch.rlo[:0], r.q.scratch.rhi[:0]
 	glo, ghi := clipRange(r.lo, r.hi, st.rows)
@@ -64,11 +63,15 @@ shards:
 		los = append(los, a)
 		his = append(his, b)
 	}
-	r.q.stats.Record(ExecStats{
-		ShardsScanned: uint64(len(live)),
-		ShardsPruned:  uint64(len(st.shards) - len(live)),
-	})
 	r.q.scratch.live, r.q.scratch.rlo, r.q.scratch.rhi = live, los, his
+	return live, los, his
+}
+
+// plan is liveShards for a fan-out that is about to run: both prunes
+// record in the same ShardsScanned/ShardsPruned counters.
+func (r *ShardedRangeQuery) plan(extra []shardClause) (live, los, his []int) {
+	live, los, his = r.liveShards(extra)
+	r.q.recordPlan(len(live))
 	return live, los, his
 }
 
@@ -140,14 +143,21 @@ func (r *ShardedRangeQuery) Sum(column string) uint64 {
 // SumContext is Sum honoring ctx; overflow returns *OverflowError with
 // the exact 128-bit total merged from the per-shard partials.
 func (r *ShardedRangeQuery) SumContext(ctx context.Context, column string) (uint64, error) {
-	hi, lo, _, err := r.sumCountParts(ctx, column)
+	sum, _, err := r.SumCountContext(ctx, column)
+	return sum, err
+}
+
+// SumCountContext aggregates SUM and the column's non-NULL COUNT within
+// the range in one fan-out — the shape AVG and SQL formatters need.
+func (r *ShardedRangeQuery) SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error) {
+	hi, lo, cnt, err := r.sumCountParts(ctx, column)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if hi != 0 {
-		return 0, &OverflowError{Hi: hi, Lo: lo}
+		return 0, 0, &OverflowError{Hi: hi, Lo: lo}
 	}
-	return lo, nil
+	return lo, cnt, nil
 }
 
 // sumCountParts merges per-shard 128-bit SUM partials and the column's
@@ -297,14 +307,25 @@ func (r *ShardedRangeQuery) countLE(ctx context.Context, column string, idx int,
 	return total, nil
 }
 
-// rankSearch is the range-limited twin of ShardedQuery.rankSearch: binary
-// search on the value domain with every counting probe restricted to the
-// range.
+// rankSearch is the range-limited twin of ShardedQuery.rankSearch: one
+// live shard answers from its own local range, otherwise binary search on
+// the value domain with every counting probe restricted to the range.
 func (r *ShardedRangeQuery) rankSearch(ctx context.Context, column string,
-	rankOf func(uint64) (uint64, bool)) (uint64, bool, error) {
+	rankOf func(uint64) (uint64, bool), one func(ranker) (uint64, bool, error)) (uint64, bool, error) {
 	idx, err := r.q.specIdxErr(column)
 	if err != nil {
 		return 0, false, err
+	}
+	if live, los, his := r.liveShards(nil); len(live) == 1 {
+		r.q.recordPlan(1)
+		var v uint64
+		var ok bool
+		err := r.q.runShards(ctx, live, nil, func(slot, _ int, sq *Query) error {
+			var err error
+			v, ok, err = one(sq.Range(los[slot], his[slot]))
+			return err
+		})
+		return v, ok, err
 	}
 	u, err := r.CountContext(ctx, column)
 	if err != nil {
@@ -340,7 +361,8 @@ func (r *ShardedRangeQuery) Median(column string) (uint64, bool) {
 
 // MedianContext is Median honoring ctx.
 func (r *ShardedRangeQuery) MedianContext(ctx context.Context, column string) (uint64, bool, error) {
-	return r.rankSearch(ctx, column, medianRank)
+	return r.rankSearch(ctx, column, medianRank,
+		func(rk ranker) (uint64, bool, error) { return rk.MedianContext(ctx, column) })
 }
 
 // Rank returns the rank-th smallest filtered value within the range.
@@ -352,7 +374,8 @@ func (r *ShardedRangeQuery) Rank(column string, rank uint64) (uint64, bool) {
 
 // RankContext is Rank honoring ctx.
 func (r *ShardedRangeQuery) RankContext(ctx context.Context, column string, rank uint64) (uint64, bool, error) {
-	return r.rankSearch(ctx, column, func(uint64) (uint64, bool) { return rank, true })
+	return r.rankSearch(ctx, column, func(uint64) (uint64, bool) { return rank, true },
+		func(rk ranker) (uint64, bool, error) { return rk.RankContext(ctx, column, rank) })
 }
 
 // Quantile returns the q-quantile (nearest rank) within the range.
@@ -367,7 +390,8 @@ func (r *ShardedRangeQuery) QuantileContext(ctx context.Context, column string, 
 	if err := checkQuantile(quantile); err != nil {
 		return 0, false, err
 	}
-	return r.rankSearch(ctx, column, quantileRank(quantile))
+	return r.rankSearch(ctx, column, quantileRank(quantile),
+		func(rk ranker) (uint64, bool, error) { return rk.QuantileContext(ctx, column, quantile) })
 }
 
 // Window partitions the store's rows into windows of size rows every step
