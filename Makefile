@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race server-race bench-harness ci bench bench-json clean
+.PHONY: build test vet race server-race shard-race bench-harness ci bench bench-json clean
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,14 @@ race:
 server-race:
 	$(GO) test -race -timeout 60s -count=1 ./internal/server/...
 
+# shard-race is the sharded store's gate and the one place its test
+# filter lives (the CI job calls this target): append atomicity, shard
+# rollover, catalog pruning, the fan-out's counter pin, cancellation and
+# twin method sets, range and window sweeps, the sharded oracle sweep, and
+# the sqlmini executor, which runs every statement against the store.
+shard-race:
+	$(GO) test -race -run 'Shard|Range|Window|FanOut|TwinMethodSets|Rownum|Store|GenerativeQueries|SQLCounterPin|ExecuteShared' -count=1 ./...
+
 # bench-harness vets and tests the repo benchmark (benchmark/ is its own
 # module, so the targets above do not see it): an internal/* signature
 # change that breaks the harness fails here, not at the next benchmark
@@ -31,7 +39,7 @@ server-race:
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-ci: vet build test race server-race bench-harness
+ci: vet build test race server-race shard-race bench-harness
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

@@ -3,6 +3,8 @@ package bpagg
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -194,4 +196,84 @@ func TestCancellationLeaksLegacyGroupWalk(t *testing.T) {
 		}
 		return err
 	})
+}
+
+// leakStore builds a 7-shard store of the leakTable columns whose six
+// full shards give each of eight in-shard workers more than one
+// 4096-segment block, so a cancel while workers are held lands in every
+// kernel at Parallel(8) as well as between shards at Parallel(1).
+func leakStore(t *testing.T) *ShardedTable {
+	t.Helper()
+	const shardRows = (8*4096 + 64) * 64
+	st := NewShardedTable(shardRows)
+	st.AddColumn("g", VBP, 4)
+	st.AddColumn("v", VBP, 10)
+	keys, vals := make([]uint64, shardRows), make([]uint64, shardRows)
+	for s := 0; s < 7; s++ {
+		n := shardRows
+		if s == 6 {
+			n = 100_000
+		}
+		for i := 0; i < n; i++ {
+			keys[i] = uint64((s*shardRows + i) % 8)
+			vals[i] = uint64((s*shardRows + i) % 1021)
+		}
+		st.AppendColumnar(map[string][]uint64{"g": keys[:n], "v": vals[:n]})
+	}
+	return st
+}
+
+// TestCancellationLeaksShardFanOut cancels inside the sharded facade's
+// one fan-out, through every kind of entry point that drives it: a scalar
+// aggregate, a ranged one (the filter keeps it off the range index, whose
+// lookups have no kernel to hold), a multi-shard MEDIAN held inside a
+// counting probe, GROUP BY, and a window sweep. Each must return
+// context.Canceled, join every worker, and leave the query usable: the
+// kept per-shard queries and the merge scratch are written slot by slot
+// and must not poison the next call.
+func TestCancellationLeaksShardFanOut(t *testing.T) {
+	st := leakStore(t)
+	rows := st.Rows()
+	for _, tc := range []struct {
+		name     string
+		filtered bool
+		run      func(ctx context.Context, q *ShardedQuery) (any, error)
+	}{
+		{"SumCountContext", true, func(ctx context.Context, q *ShardedQuery) (any, error) {
+			return c2(q.SumCountContext(ctx, "v"))
+		}},
+		{"Range.SumContext", true, func(ctx context.Context, q *ShardedQuery) (any, error) {
+			return c1(q.Range(1000, rows-1000).SumContext(ctx, "v"))
+		}},
+		{"MedianContext", false, func(ctx context.Context, q *ShardedQuery) (any, error) {
+			return c2(q.MedianContext(ctx, "v"))
+		}},
+		{"GroupByContext", true, func(ctx context.Context, q *ShardedQuery) (any, error) {
+			return onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c1(g.CountContext(ctx)) })(ctx, q)
+		}},
+		{"Window.SumContext", true, func(ctx context.Context, q *ShardedQuery) (any, error) {
+			return c1(q.Window(rows/3, rows/3).SumContext(ctx, "v"))
+		}},
+	} {
+		for _, threads := range []int{1, 8} {
+			query := func() *ShardedQuery {
+				q := st.Query().With(Parallel(threads))
+				if tc.filtered {
+					q.Where("v", Less(900))
+				}
+				return q
+			}
+			name := fmt.Sprintf("%s Parallel(%d)", tc.name, threads)
+			q := query()
+			cancelMidFlight(t, name, func(ctx context.Context) error {
+				_, err := tc.run(ctx, q)
+				return err
+			})
+			got, err := tc.run(context.Background(), q)
+			want, werr := tc.run(context.Background(), query())
+			if err != nil || werr != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s after a canceled call = %v (%v), a fresh query answers %v (%v)", name, got, err, want, werr)
+			}
+		}
+	}
 }

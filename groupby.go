@@ -266,10 +266,15 @@ func (g *Grouped) Keys() []uint64 {
 
 // KeyParts unpacks group i's key into one code per grouping column.
 func (g *Grouped) KeyParts(i int) []uint64 {
-	parts := make([]uint64, len(g.widths))
-	key := g.keys[i]
-	for j := len(g.widths) - 1; j >= 0; j-- {
-		w := uint(g.widths[j])
+	return unpackKey(g.keys[i], g.widths)
+}
+
+// unpackKey splits a packed composite key into one code per grouping
+// column (first column in the high bits).
+func unpackKey(key uint64, widths []int) []uint64 {
+	parts := make([]uint64, len(widths))
+	for j := len(widths) - 1; j >= 0; j-- {
+		w := uint(widths[j])
 		parts[j] = key & (1<<w - 1)
 		key >>= w
 	}
@@ -334,13 +339,9 @@ func measureGroupCol(col *Column) parallel.GroupCol {
 	return parallel.GroupCol{H: col.h}
 }
 
-// bankedSum runs the single-pass grouped SUM over all groups at once.
-// The kernels accumulate 128 bits per group; any hi != 0 surfaces as an
-// *OverflowError carrying the offending group's key, honoring the same
-// overflow contract as Column.Sum.
-func (g *Grouped) bankedSum(ctx context.Context, col *Column, o execConfig) ([]uint64, error) {
-	var his, los []uint64
-	var err error
+// bankedSums runs the single-pass grouped SUM over all groups at once.
+// The kernels accumulate 128 bits per group, so every partial is exact.
+func (g *Grouped) bankedSums(ctx context.Context, col *Column, o execConfig) (his, los []uint64, err error) {
 	switch {
 	case g.hp != nil:
 		his, los, err = parallel.HashGroupSumCtx(ctx, measureGroupCol(col), g.hp, o.par)
@@ -349,15 +350,7 @@ func (g *Grouped) bankedSum(ctx context.Context, col *Column, o execConfig) ([]u
 	default:
 		his, los, err = parallel.HBPGroupSumCtx(ctx, col.h, g.rawSels(), o.par)
 	}
-	if err != nil {
-		return nil, wrapExecErr(err)
-	}
-	for i, hi := range his {
-		if hi != 0 {
-			return nil, &OverflowError{Hi: hi, Lo: los[i], Group: g.KeyParts(i)}
-		}
-	}
-	return los, nil
+	return his, los, wrapExecErr(err)
 }
 
 // bankedExtreme runs the single-pass grouped MIN/MAX over all groups at
@@ -389,17 +382,6 @@ func (g *Grouped) Count() []uint64 {
 	out, err := g.CountContext(nil)
 	fusedMust(err)
 	return out
-}
-
-// decorateOverflow attaches group i's key to an *OverflowError bubbling
-// out of a per-group aggregate, so the grouped overflow contract (the
-// error names the offending group) holds on every path.
-func (g *Grouped) decorateOverflow(err error, i int) error {
-	var ov *OverflowError
-	if errors.As(err, &ov) && ov.Group == nil {
-		ov.Group = g.KeyParts(i)
-	}
-	return err
 }
 
 // Sum aggregates SUM of the named column per group: banked single-pass
@@ -442,22 +424,4 @@ func (g *Grouped) Avg(column string) []float64 {
 	out, err := g.AvgContext(nil, column)
 	fusedMust(err)
 	return out
-}
-
-// bankedAvg divides the banked sums by the group counts; with NULL-free
-// columns (a banked-gate precondition) the divisor is exactly the
-// group's row count, so the quotient is bit-identical to the per-group
-// path's.
-func (g *Grouped) bankedAvg(ctx context.Context, col *Column, o execConfig) ([]float64, error) {
-	sums, err := g.bankedSum(ctx, col, o)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(sums))
-	for i, s := range sums {
-		if cnt := g.groupCount(i); cnt > 0 {
-			out[i] = float64(s) / float64(cnt)
-		}
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package bpagg
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 )
@@ -37,4 +38,18 @@ func (e *OverflowError) Big() *big.Int {
 	b := new(big.Int).SetUint64(e.Hi)
 	b.Lsh(b, 64)
 	return b.Or(b, new(big.Int).SetUint64(e.Lo))
+}
+
+// sum128 widens a SUM result to its exact 128-bit value: a total past
+// uint64 arrives as an *OverflowError carrying it, which a merge adds
+// like any other partial — so merged totals, and merged overflow reports,
+// are exact. Any other error passes through.
+func sum128(v uint64, err error) (hi, lo uint64, _ error) {
+	if err != nil {
+		var ov *OverflowError
+		if errors.As(err, &ov) {
+			return ov.Hi, ov.Lo, nil
+		}
+	}
+	return 0, v, err
 }

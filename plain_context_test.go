@@ -54,9 +54,17 @@ type twin struct {
 	ctx   func() (any, error)
 }
 
-func c1[T any](v T, err error) (any, error)          { return v, err }
-func c2[T any](v T, ok bool, err error) (any, error) { return [2]any{v, ok}, err }
-func p2[T any](v T, ok bool) any                     { return [2]any{v, ok} }
+func c1[T any](v T, err error) (any, error)         { return v, err }
+func c2[T, U any](v T, u U, err error) (any, error) { return [2]any{v, u}, err }
+func p2[T any](v T, ok bool) any                    { return [2]any{v, ok} }
+
+// keysOf reduces a partition to its key list, the comparable part.
+func keysOf[G interface{ Keys() []uint64 }](g G, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return g.Keys(), nil
+}
 
 // checkTwin runs both doors: on a Context error the plain method must
 // panic with an equal error value, otherwise it must return an equal
@@ -106,6 +114,13 @@ func TestPlainIsContext(t *testing.T) {
 					}
 				}
 
+				// The sharded range view's plain GroupBy, promoted from the
+				// same implementation as ShardedQuery's.
+				st := ShardTable(tbl, 100)
+				rq := func() *ShardedRangeQuery { return st.Query().Where("p", pc.pred).Range(10, 300) }
+				checkTwin(t, twin{"ShardedRangeQuery.GroupBy", func() any { return rq().GroupBy("g").Keys() }, func() (any, error) { return keysOf(rq().GroupByContext(ctx, "g")) }})
+				checkTwin(t, twin{"ShardedRangeQuery.GroupBy(unknown column)", func() any { return rq().GroupBy("nope").Keys() }, func() (any, error) { return keysOf(rq().GroupByContext(ctx, "nope")) }})
+
 				// Query: a fresh query per call (Selection is sticky), once
 				// on the lazy route (fuses when the planner allows) and once
 				// with the bitmap materialized first.
@@ -119,6 +134,7 @@ func TestPlainIsContext(t *testing.T) {
 					}
 					for _, tw := range []twin{
 						{"Query.CountRows", func() any { return nq().CountRows() }, func() (any, error) { return c1(nq().CountRowsContext(ctx)) }},
+						{"Query.Count", func() any { return nq().Count("v") }, func() (any, error) { return c1(nq().CountContext(ctx, "v")) }},
 						{"Query.Sum", func() any { return nq().Sum("v") }, func() (any, error) { return c1(nq().SumContext(ctx, "v")) }},
 						{"Query.Min", func() any { return p2(nq().Min("v")) }, func() (any, error) { return c2(nq().MinContext(ctx, "v")) }},
 						{"Query.Max", func() any { return p2(nq().Max("v")) }, func() (any, error) { return c2(nq().MaxContext(ctx, "v")) }},
@@ -128,6 +144,8 @@ func TestPlainIsContext(t *testing.T) {
 						{"Query.Quantile", func() any { return p2(nq().Quantile("v", 0.9)) }, func() (any, error) { return c2(nq().QuantileContext(ctx, "v", 0.9)) }},
 						{"Query.Quantile(-1)", func() any { return p2(nq().Quantile("v", -1)) }, func() (any, error) { return c2(nq().QuantileContext(ctx, "v", -1)) }},
 						{"Query.Sum(unknown column)", func() any { return nq().Sum("nope") }, func() (any, error) { return c1(nq().SumContext(ctx, "nope")) }},
+						{"RangeQuery.GroupBy", func() any { return nq().Range(10, 300).GroupBy("g").Keys() }, func() (any, error) { return keysOf(nq().Range(10, 300).GroupByContext(ctx, "g")) }},
+						{"RangeQuery.GroupBy(unknown column)", func() any { return nq().Range(10, 300).GroupBy("nope").Keys() }, func() (any, error) { return keysOf(nq().Range(10, 300).GroupByContext(ctx, "nope")) }},
 					} {
 						tw.name = fmt.Sprintf("%s bitmap=%v", tw.name, bitmap)
 						checkTwin(t, tw)

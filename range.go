@@ -147,16 +147,26 @@ func (q *Query) Range(lo, hi int) *RangeQuery {
 type RangeQuery struct {
 	q      *Query
 	lo, hi int
+	ep     *tableEpoch // set by a window sweep, which pins one epoch for all its windows
+}
+
+// epoch returns the epoch the index-served aggregates read: the sweep's,
+// or else one pinned per aggregate call.
+func (r *RangeQuery) epoch() *tableEpoch {
+	if r.ep != nil {
+		return r.ep
+	}
+	return r.q.t.pinEpoch()
 }
 
 // snap returns the pinned index snapshot for the column when the fast
 // path applies: no Where clauses, no materialized selection, and the
-// column is indexed (NULL-free). Each aggregate call pins its own epoch.
+// column is indexed (NULL-free).
 func (r *RangeQuery) snap(column string) (*rangeidx.Snapshot, bool) {
 	if len(r.q.clauses) != 0 || r.q.sel != nil {
 		return nil, false
 	}
-	s := r.q.t.pinEpoch().cols[column]
+	s := r.epoch().cols[column]
 	return s, s != nil
 }
 
@@ -184,6 +194,14 @@ func (r *RangeQuery) GroupByContext(ctx context.Context, columns ...string) (*Gr
 	return ranged.GroupByContext(ctx, columns...)
 }
 
+// GroupBy partitions the rows of the range that pass the filter by the
+// distinct values of the named columns.
+func (r *RangeQuery) GroupBy(columns ...string) *Grouped {
+	g, err := r.GroupByContext(nil, columns...)
+	fusedMust(err)
+	return g
+}
+
 // record books one index-served aggregate into the query's collector.
 func (r *RangeQuery) record(n uint64, st rangeidx.Stats, start time.Time) {
 	r.q.stats.Record(ExecStats{
@@ -209,7 +227,7 @@ func (r *RangeQuery) CountRowsContext(ctx context.Context) (uint64, error) {
 	}
 	if len(r.q.clauses) == 0 && r.q.sel == nil {
 		start := time.Now()
-		lo, hi := clipRange(r.lo, r.hi, r.q.t.pinEpoch().rows)
+		lo, hi := clipRange(r.lo, r.hi, r.epoch().rows)
 		r.record(1, rangeidx.Stats{}, start)
 		return uint64(hi - lo), nil
 	}
@@ -272,6 +290,17 @@ func (r *RangeQuery) SumContext(ctx context.Context, column string) (uint64, err
 		return lo, nil
 	}
 	return col.SumContext(ctx, r.selection(), r.q.execs...)
+}
+
+// SumCountContext aggregates SUM and the column's non-NULL COUNT within
+// the range — the shape AVG and SQL formatters need. Both are O(1) on the
+// index path, so they stay two lookups rather than a third kernel.
+func (r *RangeQuery) SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error) {
+	if cnt, err = r.CountContext(ctx, column); err != nil {
+		return 0, 0, err
+	}
+	sum, err = r.SumContext(ctx, column)
+	return sum, cnt, err
 }
 
 // Min aggregates MIN over the named column within the range; ok is false

@@ -1,7 +1,9 @@
 package bpagg
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -229,6 +231,43 @@ func TestWindowMatchesRange(t *testing.T) {
 	empty.AddColumn("v", VBP, 8)
 	if got := empty.Query().Window(10, 10).Sum("v"); len(got) != 0 {
 		t.Fatalf("empty table window sum = %v, want empty", got)
+	}
+}
+
+// TestWindowHugeSize: a window size near MaxInt used to wrap start+size
+// negative — the flat index path counted MaxInt rows and summed nothing
+// past the first window, the sharded sweep panicked on the inverted
+// range. A size beyond the visible rows is the visible rows, on the index
+// path and the filtered fallback, flat and sharded.
+func TestWindowHugeSize(t *testing.T) {
+	for _, layout := range []Layout{VBP, HBP} {
+		tbl := NewTable()
+		tbl.AddColumn("v", layout, 8)
+		tbl.AppendColumnar(map[string][]uint64{"v": {1, 2, 3}})
+		st := ShardTable(tbl, 2)
+		for _, tc := range []struct {
+			name string
+			w    interface {
+				CountRows() []uint64
+				Sum(string) []uint64
+				Min(string) ([]uint64, []bool)
+				Avg(string) ([]float64, []bool)
+			}
+		}{
+			{"flat index", tbl.Query().Window(math.MaxInt, 1)},
+			{"flat fallback", tbl.Query().Where("v", Less(200)).Window(math.MaxInt, 1)},
+			{"sharded index", st.Query().Window(math.MaxInt, 1)},
+			{"sharded fallback", st.Query().Where("v", Less(200)).Window(math.MaxInt, 1)},
+		} {
+			counts, sums := tc.w.CountRows(), tc.w.Sum("v")
+			mins, _ := tc.w.Min("v")
+			avgs, _ := tc.w.Avg("v")
+			if !reflect.DeepEqual(counts, []uint64{3, 2, 1}) || !reflect.DeepEqual(sums, []uint64{6, 5, 3}) ||
+				!reflect.DeepEqual(mins, []uint64{1, 2, 3}) || !reflect.DeepEqual(avgs, []float64{2, 2.5, 3}) {
+				t.Errorf("%v %s: counts %v sums %v mins %v avgs %v, want [3 2 1] [6 5 3] [1 2 3] [2 2.5 3]",
+					layout, tc.name, counts, sums, mins, avgs)
+			}
+		}
 	}
 }
 

@@ -2,88 +2,41 @@ package bpagg
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
-
-	"bpagg/internal/parallel"
 )
 
-// ShardedGrouped is a ShardedQuery partitioned by grouping columns: each
+// ShardedGrouped is a sharded query partitioned by grouping columns: each
 // live shard runs its own (single-pass or legacy) GROUP BY partition, and
 // the per-shard banks merge by sorted key into one global key list. All
-// merges are performed in ascending key order over shard-order partials,
-// so results are bit-identical to the flat engine at any thread count.
+// merges are performed in ascending key order over shard-order partials
+// that each partition reports exactly (128-bit sums, extremes with
+// presence flags, non-NULL counts), so results are bit-identical to the
+// flat engine at any thread count.
 type ShardedGrouped struct {
-	q      *ShardedQuery
-	cols   []string
+	q      *shardState
 	widths []int
 	keys   []uint64   // global sorted key union
 	parts  []*Grouped // per live shard, in shard order
 	pos    [][]int    // pos[p][gi] = global index of parts[p]'s group gi
 }
 
-// GroupByContext partitions the query's selection by the named columns'
-// distinct values, honoring ctx. Every live shard partitions
-// independently (the per-shard engine picks direct/hash/legacy as usual)
-// and the key sets union in sorted order.
-func (q *ShardedQuery) GroupByContext(ctx context.Context, columns ...string) (*ShardedGrouped, error) {
-	widths, err := q.groupWidths(columns)
+// GroupByContext partitions the selection — within the row range, for a
+// range view — by the named columns' distinct values, honoring ctx. Every
+// live shard partitions independently (the per-shard engine picks
+// direct/hash/legacy as usual; a local range partitions through
+// RangeQuery.GroupByContext) and the key sets union in sorted order.
+func (f *fanOut) GroupByContext(ctx context.Context, columns ...string) (*ShardedGrouped, error) {
+	widths, err := f.groupWidths(columns)
 	if err != nil {
 		return nil, err
 	}
-	return q.groupParts(ctx, columns, widths, q.plan(nil), func(_ int, sq *Query) (*Grouped, error) {
-		return sq.GroupByContext(ctx, columns...)
-	})
-}
-
-// GroupByContext partitions the rows of the range that pass the filter by
-// the named columns' distinct values, honoring ctx: every shard the range
-// overlaps partitions its local slice (RangeQuery.GroupByContext) and the
-// key sets union exactly as for an unrestricted query. Shards outside the
-// range prune and count in ShardsPruned.
-func (r *ShardedRangeQuery) GroupByContext(ctx context.Context, columns ...string) (*ShardedGrouped, error) {
-	widths, err := r.q.groupWidths(columns)
-	if err != nil {
-		return nil, err
-	}
-	live, los, his := r.plan(nil)
-	return r.q.groupParts(ctx, columns, widths, live, func(slot int, sq *Query) (*Grouped, error) {
-		return sq.Range(los[slot], his[slot]).GroupByContext(ctx, columns...)
-	})
-}
-
-// groupWidths resolves the grouping columns' code widths and checks that
-// the composite key packs into one word.
-func (q *ShardedQuery) groupWidths(columns []string) ([]int, error) {
-	if len(columns) == 0 {
-		return nil, fmt.Errorf("bpagg: GROUP BY needs at least one column")
-	}
-	widths := make([]int, len(columns))
-	total := 0
-	for i, column := range columns {
-		idx := q.st.spec(column)
-		if idx < 0 {
-			return nil, fmt.Errorf("bpagg: unknown column %q", column)
-		}
-		widths[i] = q.st.specs[idx].bits
-		total += widths[i]
-	}
-	if total > 64 {
-		return nil, fmt.Errorf("bpagg: composite group key is %d bits wide — keys must pack into 64 bits", total)
-	}
-	return widths, nil
-}
-
-// groupParts partitions every live shard with part and merges the key
-// sets.
-func (q *ShardedQuery) groupParts(ctx context.Context, columns []string, widths []int, live []int,
-	part func(slot int, sq *Query) (*Grouped, error)) (*ShardedGrouped, error) {
+	live := f.liveShards(nil)
+	f.recordPlan(len(live))
 	parts := make([]*Grouped, len(live))
-	err := q.runShards(ctx, live, nil, func(slot, _ int, sq *Query) error {
-		g, err := part(slot, sq)
-		parts[slot] = g
+	err = f.fan(ctx, live, nil, func(slot int, ex shardExec) (err error) {
+		parts[slot], err = ex.GroupByContext(ctx, columns...)
 		return err
 	})
 	if err != nil {
@@ -114,15 +67,37 @@ func (q *ShardedQuery) groupParts(ctx context.Context, columns []string, widths 
 			pos[p][gi] = i
 		}
 	}
-	return &ShardedGrouped{q: q, cols: columns, widths: widths, keys: keys, parts: parts, pos: pos}, nil
+	return &ShardedGrouped{q: f.shardState, widths: widths, keys: keys, parts: parts, pos: pos}, nil
 }
 
-// GroupBy partitions the query's current selection by the distinct
-// values of the named columns.
-func (q *ShardedQuery) GroupBy(columns ...string) *ShardedGrouped {
-	g, err := q.GroupByContext(context.Background(), columns...)
+// GroupBy partitions the current selection by the distinct values of the
+// named columns.
+func (f *fanOut) GroupBy(columns ...string) *ShardedGrouped {
+	g, err := f.GroupByContext(context.Background(), columns...)
 	fusedMust(err)
 	return g
+}
+
+// groupWidths resolves the grouping columns' code widths and checks that
+// the composite key packs into one word.
+func (f *fanOut) groupWidths(columns []string) ([]int, error) {
+	if len(columns) == 0 {
+		return nil, fmt.Errorf("bpagg: GROUP BY needs at least one column")
+	}
+	widths := make([]int, len(columns))
+	total := 0
+	for i, column := range columns {
+		idx, err := f.st.specErr(column)
+		if err != nil {
+			return nil, err
+		}
+		widths[i] = f.st.specs[idx].bits
+		total += widths[i]
+	}
+	if total > 64 {
+		return nil, fmt.Errorf("bpagg: composite group key is %d bits wide — keys must pack into 64 bits", total)
+	}
+	return widths, nil
 }
 
 // dedupeSorted removes adjacent duplicates in place.
@@ -162,29 +137,28 @@ func (g *ShardedGrouped) Keys() []uint64 {
 
 // KeyParts unpacks group i's key into one code per grouping column.
 func (g *ShardedGrouped) KeyParts(i int) []uint64 {
-	parts := make([]uint64, len(g.widths))
-	key := g.keys[i]
-	for j := len(g.widths) - 1; j >= 0; j-- {
-		w := uint(g.widths[j])
-		parts[j] = key & (1<<w - 1)
-		key >>= w
+	return unpackKey(g.keys[i], g.widths)
+}
+
+// addCounts merges one per-group count vector per shard partition into
+// global key order.
+func (g *ShardedGrouped) addCounts(counts func(part *Grouped) ([]uint64, error)) ([]uint64, error) {
+	out := make([]uint64, len(g.keys))
+	for p, part := range g.parts {
+		c, err := counts(part)
+		if err != nil {
+			return nil, err
+		}
+		for gi, v := range c {
+			out[g.pos[p][gi]] += v
+		}
 	}
-	return parts
+	return out, nil
 }
 
 // CountContext returns each group's row count, honoring ctx.
 func (g *ShardedGrouped) CountContext(ctx context.Context) ([]uint64, error) {
-	out := make([]uint64, len(g.keys))
-	for p, part := range g.parts {
-		counts, err := part.CountContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		for gi, c := range counts {
-			out[g.pos[p][gi]] += c
-		}
-	}
-	return out, nil
+	return g.addCounts(func(part *Grouped) ([]uint64, error) { return part.CountContext(ctx) })
 }
 
 // Count returns each group's row count.
@@ -194,42 +168,11 @@ func (g *ShardedGrouped) Count() []uint64 {
 	return out
 }
 
-// groupSums128 returns one shard partition's per-group SUM partials in
-// full 128-bit precision: the banked kernels expose hi/lo directly, and
-// the per-group fallback recovers an overflowing group's exact total from
-// its *OverflowError. Keeping partials exact is what makes the merged
-// totals (and merged overflow reports) bit-identical to the flat engine.
-func groupSums128(ctx context.Context, g *Grouped, column string) (his, los []uint64, err error) {
-	col, err := g.q.colErr(column)
-	if err != nil {
-		return nil, nil, err
-	}
-	if o, ok := g.banked(col); ok {
-		switch {
-		case g.hp != nil:
-			his, los, err = parallel.HashGroupSumCtx(ctx, measureGroupCol(col), g.hp, o.par)
-		case col.layout == VBP:
-			his, los, err = parallel.VBPGroupSumCtx(ctx, col.v, g.rawSels(), o.par)
-		default:
-			his, los, err = parallel.HBPGroupSumCtx(ctx, col.h, g.rawSels(), o.par)
-		}
-		return his, los, wrapExecErr(err)
-	}
-	his = make([]uint64, g.Len())
-	los = make([]uint64, g.Len())
-	for i := 0; i < g.Len(); i++ {
-		v, err := col.SumContext(ctx, g.Selection(i), g.q.execs...)
-		if err != nil {
-			var ov *OverflowError
-			if errors.As(err, &ov) {
-				his[i], los[i] = ov.Hi, ov.Lo
-				continue
-			}
-			return nil, nil, err
-		}
-		los[i] = v
-	}
-	return his, los, nil
+// NonNullCountContext returns each group's count of non-NULL values of
+// the named measure column, honoring ctx — COUNT(col)'s grouped answer
+// and AVG's divisor.
+func (g *ShardedGrouped) NonNullCountContext(ctx context.Context, column string) ([]uint64, error) {
+	return g.addCounts(func(part *Grouped) ([]uint64, error) { return part.nonNullCounts(ctx, column) })
 }
 
 // SumContext aggregates SUM of the named column per group, honoring ctx.
@@ -240,7 +183,7 @@ func (g *ShardedGrouped) SumContext(ctx context.Context, column string) ([]uint6
 	his := make([]uint64, len(g.keys))
 	los := make([]uint64, len(g.keys))
 	for p, part := range g.parts {
-		phis, plos, err := groupSums128(ctx, part, column)
+		phis, plos, err := part.sums128(ctx, column)
 		if err != nil {
 			return nil, err
 		}
@@ -251,12 +194,7 @@ func (g *ShardedGrouped) SumContext(ctx context.Context, column string) ([]uint6
 			his[i] += phis[gi] + carry
 		}
 	}
-	for i, hi := range his {
-		if hi != 0 {
-			return nil, &OverflowError{Hi: hi, Lo: los[i], Group: g.KeyParts(i)}
-		}
-	}
-	return los, nil
+	return groupSums64(his, los, g.KeyParts)
 }
 
 // Sum aggregates SUM of the named column per group.
@@ -266,41 +204,36 @@ func (g *ShardedGrouped) Sum(column string) []uint64 {
 	return out
 }
 
-// groupExtremes returns one shard partition's per-group MIN/MAX partials
-// with presence flags (a group can hold only NULL measure values in one
-// shard while other shards carry its values).
-func groupExtremes(ctx context.Context, g *Grouped, column string, wantMin bool) (vals []uint64, anys []bool, err error) {
-	col, err := g.q.colErr(column)
+// AvgContext aggregates AVG of the named column per group, honoring ctx.
+// The quotient divides the exact merged sum by the merged non-NULL count,
+// so it is bit-identical to the flat engine's per-group AVG.
+func (g *ShardedGrouped) AvgContext(ctx context.Context, column string) ([]float64, error) {
+	sums, err := g.SumContext(ctx, column)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if o, ok := g.banked(col); ok {
-		return g.bankedExtreme(ctx, col, o, wantMin)
+	counts, err := g.NonNullCountContext(ctx, column)
+	if err != nil {
+		return nil, err
 	}
-	vals = make([]uint64, g.Len())
-	anys = make([]bool, g.Len())
-	for i := 0; i < g.Len(); i++ {
-		var v uint64
-		var any bool
-		var err error
-		if wantMin {
-			v, any, err = col.MinContext(ctx, g.Selection(i), g.q.execs...)
-		} else {
-			v, any, err = col.MaxContext(ctx, g.Selection(i), g.q.execs...)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		vals[i], anys[i] = v, any
-	}
-	return vals, anys, nil
+	return groupAvgs(sums, counts), nil
 }
 
+// Avg aggregates AVG of the named column per group.
+func (g *ShardedGrouped) Avg(column string) []float64 {
+	out, err := g.AvgContext(context.Background(), column)
+	fusedMust(err)
+	return out
+}
+
+// extremeOkContext merges the partitions' per-group MIN/MAX partials: a
+// group can hold only NULL measure values in one shard while other shards
+// carry its values, so absent partials are skipped, not errors.
 func (g *ShardedGrouped) extremeOkContext(ctx context.Context, column string, wantMin bool) ([]uint64, []bool, error) {
 	out := make([]uint64, len(g.keys))
 	found := make([]bool, len(g.keys))
 	for p, part := range g.parts {
-		vals, anys, err := groupExtremes(ctx, part, column, wantMin)
+		vals, anys, err := part.extremes(ctx, column, wantMin)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -318,19 +251,6 @@ func (g *ShardedGrouped) extremeOkContext(ctx context.Context, column string, wa
 	return out, found, nil
 }
 
-func (g *ShardedGrouped) extremeContext(ctx context.Context, column string, wantMin bool) ([]uint64, error) {
-	out, found, err := g.extremeOkContext(ctx, column, wantMin)
-	if err != nil {
-		return nil, err
-	}
-	for _, ok := range found {
-		if !ok {
-			return nil, fmt.Errorf("bpagg: empty group selection — grouping invariant violated")
-		}
-	}
-	return out, nil
-}
-
 // MinOkContext is the NULL-tolerant twin of MinContext: instead of
 // treating an all-NULL group as an invariant violation, it reports
 // ok[i]=false for groups with no non-NULL measure values — the semantics
@@ -346,12 +266,12 @@ func (g *ShardedGrouped) MaxOkContext(ctx context.Context, column string) ([]uin
 
 // MinContext aggregates MIN of the named column per group, honoring ctx.
 func (g *ShardedGrouped) MinContext(ctx context.Context, column string) ([]uint64, error) {
-	return g.extremeContext(ctx, column, true)
+	return allGroups(g.extremeOkContext(ctx, column, true))
 }
 
 // MaxContext aggregates MAX of the named column per group, honoring ctx.
 func (g *ShardedGrouped) MaxContext(ctx context.Context, column string) ([]uint64, error) {
-	return g.extremeContext(ctx, column, false)
+	return allGroups(g.extremeOkContext(ctx, column, false))
 }
 
 // Min aggregates MIN of the named column per group.
@@ -368,154 +288,49 @@ func (g *ShardedGrouped) Max(column string) []uint64 {
 	return out
 }
 
-// measureNonNullCounts returns each group's count of non-NULL measure
-// values — AVG's divisor. A shard whose measure column carries no NULLs
-// contributes its partition's row counts (a divisor read off the
-// partition, not an aggregate, so nothing records); otherwise the shard
-// counts per group.
-func (g *ShardedGrouped) measureNonNullCounts(ctx context.Context, column string) ([]uint64, error) {
-	out := make([]uint64, len(g.keys))
-	for p, part := range g.parts {
-		col, err := part.q.colErr(column)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for gi := range part.keys {
-			var c uint64
-			if col.nulls == nil {
-				c = part.groupCount(gi)
-			} else if c, err = col.CountContext(ctx, part.Selection(gi)); err != nil {
-				return nil, err
-			}
-			out[g.pos[p][gi]] += c
-		}
-	}
-	return out, nil
-}
-
-// AvgContext aggregates AVG of the named column per group, honoring ctx.
-// The quotient divides the exact merged sum by the merged non-NULL count,
-// so it is bit-identical to the flat engine's per-group AVG.
-func (g *ShardedGrouped) AvgContext(ctx context.Context, column string) ([]float64, error) {
-	his := make([]uint64, len(g.keys))
-	los := make([]uint64, len(g.keys))
-	for p, part := range g.parts {
-		phis, plos, err := groupSums128(ctx, part, column)
-		if err != nil {
-			return nil, err
-		}
-		for gi := range plos {
-			i := g.pos[p][gi]
-			var carry uint64
-			los[i], carry = bits.Add64(los[i], plos[gi], 0)
-			his[i] += phis[gi] + carry
-		}
-	}
-	for i, hi := range his {
-		if hi != 0 {
-			return nil, &OverflowError{Hi: hi, Lo: los[i], Group: g.KeyParts(i)}
-		}
-	}
-	counts, err := g.measureNonNullCounts(ctx, column)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(g.keys))
-	for i, s := range los {
-		if counts[i] > 0 {
-			out[i] = float64(s) / float64(counts[i])
-		}
-	}
-	return out, nil
-}
-
-// Avg aggregates AVG of the named column per group.
-func (g *ShardedGrouped) Avg(column string) []float64 {
-	out, err := g.AvgContext(context.Background(), column)
-	fusedMust(err)
-	return out
-}
-
-// rankOkContext answers one order statistic per group: rankOf maps a
-// group's non-NULL count to the target rank (ok=false when the group has
-// no values, reported as ok[i]=false rather than an error). With one live
+// rankOkContext answers one order statistic per group: c's rank function
+// maps a group's merged non-NULL count to the target rank (a group with
+// no values reports ok[i]=false rather than an error). With one live
 // shard each group's selection is whole, so the shard column's own radix
-// descent answers it (one). Otherwise each group binary-searches the
-// value domain, counting per-shard within the group's selection.
-func (g *ShardedGrouped) rankOkContext(ctx context.Context, column string, rankOf func(u uint64) (uint64, bool),
-	one func(col *Column, sel *Bitmap, execs []ExecOption) (uint64, bool, error)) ([]uint64, []bool, error) {
+// descent finds that rank. Otherwise each group binary-searches the value
+// domain, counting per-shard within the group's selection.
+func (g *ShardedGrouped) rankOkContext(ctx context.Context, c aggCall) ([]uint64, []bool, error) {
 	ctx = orBackground(ctx)
-	idx := g.q.st.spec(column)
-	if idx < 0 {
-		return nil, nil, fmt.Errorf("bpagg: unknown column %q", column)
-	}
-	out := make([]uint64, len(g.keys))
-	oks := make([]bool, len(g.keys))
-	if len(g.parts) == 1 {
-		part := g.parts[0]
-		col, err := part.q.colErr(column)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i := range g.keys {
-			if out[i], oks[i], err = one(col, part.Selection(i), part.q.execs); err != nil {
-				return nil, nil, err
-			}
-		}
-		return out, oks, nil
-	}
-	counts, err := g.measureNonNullCounts(ctx, column)
+	idx, err := g.q.st.specErr(c.column)
 	if err != nil {
 		return nil, nil, err
 	}
+	counts, err := g.NonNullCountContext(ctx, c.column)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]uint64, len(g.keys))
+	oks := make([]bool, len(g.keys))
 	for i := range g.keys {
-		r, ok := rankOf(counts[i])
+		r, ok := c.rankOf(counts[i])
 		if !ok {
 			continue
 		}
-		lo, hi := uint64(0), maxValForBits(g.q.st.specs[idx].bits)
-		for lo < hi {
-			mid := lo + (hi-lo)/2
-			cnt, err := g.groupCountLE(ctx, column, i, mid)
-			if err != nil {
-				return nil, nil, err
-			}
-			if cnt >= r {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
+		if len(g.parts) == 1 {
+			part := g.parts[0]
+			out[i], oks[i], err = part.q.t.cols[c.column].RankContext(ctx, part.Selection(i), r, part.q.execs...)
+		} else {
+			oks[i] = true
+			out[i], err = searchRank(g.q.st.specs[idx].bits, r, func(v uint64) (uint64, error) {
+				return g.groupCountLE(ctx, c.column, i, v)
+			})
 		}
-		out[i], oks[i] = lo, true
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 	return out, oks, nil
-}
-
-// MedianContext aggregates the lower MEDIAN of the named column per
-// group, honoring ctx.
-func (g *ShardedGrouped) MedianContext(ctx context.Context, column string) ([]uint64, error) {
-	out, oks, err := g.MedianOkContext(ctx, column)
-	if err != nil {
-		return nil, err
-	}
-	for _, ok := range oks {
-		if !ok {
-			return nil, fmt.Errorf("bpagg: empty group selection — grouping invariant violated")
-		}
-	}
-	return out, nil
 }
 
 // MedianOkContext is the NULL-tolerant twin of MedianContext; see
 // MinOkContext.
 func (g *ShardedGrouped) MedianOkContext(ctx context.Context, column string) ([]uint64, []bool, error) {
-	return g.rankOkContext(ctx, column, medianRank,
-		func(col *Column, sel *Bitmap, execs []ExecOption) (uint64, bool, error) {
-			return col.MedianContext(ctx, sel, execs...)
-		})
+	return g.rankOkContext(ctx, aggCall{op: opMedian, column: column})
 }
 
 // QuantileOkContext answers the nearest-rank quantile of the named
@@ -524,17 +339,13 @@ func (g *ShardedGrouped) QuantileOkContext(ctx context.Context, column string, q
 	if err := checkQuantile(quantile); err != nil {
 		return nil, nil, err
 	}
-	return g.rankOkContext(ctx, column, quantileRank(quantile),
-		func(col *Column, sel *Bitmap, execs []ExecOption) (uint64, bool, error) {
-			return col.QuantileContext(ctx, sel, quantile, execs...)
-		})
+	return g.rankOkContext(ctx, aggCall{op: opQuantile, column: column, quantile: quantile})
 }
 
-// NonNullCountContext returns each group's count of non-NULL values of
-// the named measure column, honoring ctx — COUNT(col)'s grouped answer
-// and AVG's divisor.
-func (g *ShardedGrouped) NonNullCountContext(ctx context.Context, column string) ([]uint64, error) {
-	return g.measureNonNullCounts(orBackground(ctx), column)
+// MedianContext aggregates the lower MEDIAN of the named column per
+// group, honoring ctx.
+func (g *ShardedGrouped) MedianContext(ctx context.Context, column string) ([]uint64, error) {
+	return allGroups(g.MedianOkContext(ctx, column))
 }
 
 // Median aggregates the lower MEDIAN of the named column per group.
@@ -556,10 +367,7 @@ func (g *ShardedGrouped) groupCountLE(ctx context.Context, column string, i int,
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
-			col, err := part.q.colErr(column)
-			if err != nil {
-				return 0, err
-			}
+			col := part.q.t.cols[column]
 			sel := part.Selection(gi).Clone().And(col.ScanStats(LessEq(v), g.q.stats))
 			total += uint64(sel.Count())
 		}

@@ -2,7 +2,6 @@ package bpagg
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 
@@ -24,7 +23,32 @@ import (
 // ShardedQuery's lifetime, so a selection one aggregate materializes
 // serves the next exactly as Query.sel does on a flat table: a one-shard
 // store does the work of the flat engine, no more.
+//
+// The aggregates are fanOut's, promoted: ShardedRangeQuery shares them.
 type ShardedQuery struct {
+	fanOut
+}
+
+// ShardedRangeQuery aggregates over a global row range of a ShardedTable.
+// See ShardedQuery.Range.
+type ShardedRangeQuery struct {
+	fanOut
+}
+
+// fanOut is the one implementation of every sharded aggregate (DESIGN.md
+// §15): plan the live shards, hand each one's executor the aggregate
+// call, merge the partials. A row range is a field of the plan, not a
+// second implementation: a range view is its query's state plus [lo, hi).
+type fanOut struct {
+	*shardState
+	ranged bool
+	lo, hi int // global rows [lo, hi), when ranged
+}
+
+// shardState is what a ShardedQuery owns and its range views share: the
+// recorded clauses and options, the kept per-shard queries and the merge
+// scratch. Like Query it serves one goroutine at a time.
+type shardState struct {
 	st      *ShardedTable
 	clauses []shardClause
 	execs   []ExecOption
@@ -33,42 +57,14 @@ type ShardedQuery struct {
 	shardQ  []*Query // by shard index; nil until the shard's first fan-out
 }
 
-// shardScratch holds the per-shard merge buffers, reused across a
+// shardScratch holds the plan and the per-shard partials, reused across a
 // query's fan-outs: window sweeps and rank binary searches issue one
 // fan-out per window or probe step and would otherwise reallocate the
-// same small slices every time. A ShardedQuery (like Query) serves one
-// goroutine at a time, and within one fan-out each worker writes only
-// its own slot, so reuse is safe.
+// same small slices every time. Within one fan-out each worker writes
+// only its own slot, so reuse is safe.
 type shardScratch struct {
 	live, rlo, rhi []int
-	u64            [3][]uint64
-	oks            []bool
-}
-
-// uints returns one of the scratch's zeroed uint64 buffers at length n.
-func (s *shardScratch) uints(slot, n int) []uint64 {
-	b := s.u64[slot]
-	if cap(b) < n {
-		b = make([]uint64, n)
-		s.u64[slot] = b
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
-// bools returns the scratch's zeroed bool buffer at length n.
-func (s *shardScratch) bools(n int) []bool {
-	if cap(s.oks) < n {
-		s.oks = make([]bool, n)
-	}
-	b := s.oks[:n]
-	for i := range b {
-		b[i] = false
-	}
-	return b
+	parts          []partial
 }
 
 // shardClause is one recorded WHERE conjunct: the column (by name and
@@ -81,7 +77,7 @@ type shardClause struct {
 
 // Query starts a query over the partitioned store.
 func (st *ShardedTable) Query() *ShardedQuery {
-	return &ShardedQuery{st: st}
+	return &ShardedQuery{fanOut{shardState: &shardState{st: st}}}
 }
 
 // Where adds a conjunctive predicate on the named column. Like
@@ -99,9 +95,9 @@ func (q *ShardedQuery) Where(column string, p Predicate) *ShardedQuery {
 
 // WhereErr is the error-returning twin of Where.
 func (q *ShardedQuery) WhereErr(column string, p Predicate) (*ShardedQuery, error) {
-	idx := q.st.spec(column)
-	if idx < 0 {
-		return nil, fmt.Errorf("bpagg: unknown column %q", column)
+	idx, err := q.st.specErr(column)
+	if err != nil {
+		return nil, err
 	}
 	if !p.fits(q.st.specs[idx].bits) {
 		return nil, fmt.Errorf("bpagg: predicate constant does not fit in %d bits", q.st.specs[idx].bits)
@@ -154,89 +150,20 @@ func (q *ShardedQuery) Stats() ExecStats {
 	return q.stats.Snapshot()
 }
 
-// liveShards runs shard pruning: it returns the indices of the shards
-// whose catalog bounds can satisfy every clause (plus any probe clauses),
-// in shard order. A column with no non-NULL value in a shard prunes that
-// shard for any predicate, since a scan never matches NULL.
-func (q *ShardedQuery) liveShards(extra []shardClause) []int {
-	live := q.scratch.live[:0]
-shards:
-	for s := range q.st.shards {
-		for _, cls := range [][]shardClause{q.clauses, extra} {
-			for _, cl := range cls {
-				b := q.st.bounds[s][cl.col]
-				if !b.any || !cl.pred.mayMatch(b.min, b.max) {
-					continue shards
-				}
-			}
-		}
-		live = append(live, s)
+// Range restricts the sharded query's aggregates to global rows [lo, hi)
+// by position (0-based, half-open; hi clips to the store). Shard s covers
+// rows [s·shardRows, s·shardRows+rows(s)) — only the tail shard can be
+// partial — so the range translates to one local range per shard, and
+// shards entirely outside it prune in the catalog pass alongside the
+// predicate-bounds pruning. Each surviving shard answers its local range
+// through its own Query.Range (index-served when the per-shard query is
+// filter-free), and partials merge in shard order exactly like every
+// other sharded aggregate. It panics when lo is negative or hi < lo.
+func (q *ShardedQuery) Range(lo, hi int) *ShardedRangeQuery {
+	if lo < 0 || hi < lo {
+		panic(fmt.Sprintf("bpagg: invalid row range [%d, %d)", lo, hi))
 	}
-	q.scratch.live = live
-	return live
-}
-
-// recordPlan books one fan-out's pruning verdict.
-func (q *ShardedQuery) recordPlan(live int) {
-	q.stats.Record(ExecStats{
-		ShardsScanned: uint64(live),
-		ShardsPruned:  uint64(len(q.st.shards) - live),
-	})
-}
-
-// plan is liveShards for a fan-out that is about to run: it also records
-// ShardsScanned/ShardsPruned.
-func (q *ShardedQuery) plan(extra []shardClause) []int {
-	live := q.liveShards(extra)
-	q.recordPlan(len(live))
-	return live
-}
-
-// shardQuery returns shard s's kept Query, building it on first use and
-// forwarding any clause added since. Callers size q.shardQ first
-// (growShardQ) and touch one shard per goroutine.
-func (q *ShardedQuery) shardQuery(s int) *Query {
-	sq := q.shardQ[s]
-	if sq == nil {
-		sq = q.st.shards[s].Query().With(q.execs...).WithStatsInto(q.stats)
-		q.shardQ[s] = sq
-	}
-	for _, cl := range q.clauses[len(sq.clauses):] {
-		sq.Where(cl.name, cl.pred)
-	}
-	return sq
-}
-
-// growShardQ sizes the kept-query table to the store's current shards.
-func (q *ShardedQuery) growShardQ() {
-	if n := len(q.st.shards); len(q.shardQ) < n {
-		q.shardQ = append(q.shardQ, make([]*Query, n-len(q.shardQ))...)
-	}
-}
-
-// runShards executes fn once per live shard through the parallel index
-// fan-out. fn receives its slot in the live list (for deterministic
-// result placement), the shard index, and the shard's Query: the kept
-// one, or with probe clauses a fresh one carrying them on top of the
-// recorded clauses, so a probe never disturbs a kept selection.
-func (q *ShardedQuery) runShards(ctx context.Context, live []int, extra []shardClause,
-	fn func(slot, shard int, sq *Query) error) error {
-	q.growShardQ()
-	threads := execOptions(q.execs).par.Threads
-	err := parallel.ForEachIndexErr(orBackground(ctx), len(live), threads, func(i int) error {
-		if len(extra) == 0 {
-			return fn(i, live[i], q.shardQuery(live[i]))
-		}
-		sq := q.st.shards[live[i]].Query().With(q.execs...).WithStatsInto(q.stats)
-		for _, cl := range q.clauses {
-			sq.Where(cl.name, cl.pred)
-		}
-		for _, cl := range extra {
-			sq.Where(cl.name, cl.pred)
-		}
-		return fn(i, live[i], sq)
-	})
-	return wrapExecErr(err)
+	return &ShardedRangeQuery{fanOut{shardState: q.shardState, ranged: true, lo: lo, hi: hi}}
 }
 
 // Fused reports whether the next aggregate over the named column (the
@@ -247,7 +174,7 @@ func (q *ShardedQuery) Fused(column string) bool {
 	q.growShardQ()
 	access := execOptions(q.execs).access
 	for _, s := range q.liveShards(nil) {
-		if !q.shardQuery(s).fusesColumn(column, access) {
+		if !q.shardQuery(s, nil).fusesColumn(column, access) {
 			return false
 		}
 	}
@@ -261,248 +188,349 @@ func (q *ShardedQuery) Fused(column string) bool {
 // of its aggregates cannot fuse calls it first and pays for the scans
 // once, whatever order its aggregates run in.
 func (q *ShardedQuery) MaterializeContext(ctx context.Context) error {
-	return q.runShards(ctx, q.liveShards(nil), nil, func(_, _ int, sq *Query) error {
-		sq.Selection()
+	return q.fan(ctx, q.liveShards(nil), nil, func(_ int, ex shardExec) error {
+		ex.Selection()
 		return nil
 	})
 }
 
-// specIdxErr resolves an aggregate target column, as an error.
-func (q *ShardedQuery) specIdxErr(column string) (int, error) {
-	idx := q.st.spec(column)
+// specErr resolves an aggregate, grouping or filter column to its specs
+// index, as an error when the store has no such column.
+func (st *ShardedTable) specErr(column string) (int, error) {
+	idx := st.spec(column)
 	if idx < 0 {
 		return -1, fmt.Errorf("bpagg: unknown column %q", column)
 	}
 	return idx, nil
 }
 
-// CountRowsContext counts the rows passing the filter (COUNT(*)),
-// honoring ctx.
-func (q *ShardedQuery) CountRowsContext(ctx context.Context) (uint64, error) {
-	live := q.plan(nil)
-	counts := q.scratch.uints(0, len(live))
-	err := q.runShards(ctx, live, nil, func(slot, _ int, sq *Query) error {
-		c, err := sq.CountRowsContext(ctx)
-		counts[slot] = c
+// mayMatch reports whether shard s's catalog bounds can satisfy cl. A
+// column with no non-NULL value in the shard prunes it for any predicate,
+// since a scan never matches NULL.
+func (st *ShardedTable) mayMatch(s int, cl *shardClause) bool {
+	b := st.bounds[s][cl.col]
+	return b.any && cl.pred.mayMatch(b.min, b.max)
+}
+
+// liveShards is the shard plan: the indices, in shard order, of the
+// shards whose catalog bounds can satisfy every clause (and the probe
+// clause of a rank search, if any) and, for a range view, that overlap
+// the range — with each one's local [lo, hi) slice of it in scratch.rlo
+// and rhi, parallel to the live list.
+func (f *fanOut) liveShards(probe *shardClause) []int {
+	st, sc := f.st, &f.scratch
+	sc.live, sc.rlo, sc.rhi = sc.live[:0], sc.rlo[:0], sc.rhi[:0]
+	glo, ghi := clipRange(f.lo, f.hi, st.rows)
+shards:
+	for s, shard := range st.shards {
+		a, b := 0, 0
+		if f.ranged {
+			base := s * st.shardRows
+			if a, b = max(glo-base, 0), min(ghi-base, shard.Rows()); a >= b {
+				continue
+			}
+		}
+		if probe != nil && !st.mayMatch(s, probe) {
+			continue
+		}
+		for i := range f.clauses {
+			if !st.mayMatch(s, &f.clauses[i]) {
+				continue shards
+			}
+		}
+		sc.live = append(sc.live, s)
+		if f.ranged {
+			sc.rlo, sc.rhi = append(sc.rlo, a), append(sc.rhi, b)
+		}
+	}
+	return sc.live
+}
+
+// recordPlan books one fan-out's pruning verdict.
+func (f *fanOut) recordPlan(live int) {
+	f.stats.Record(ExecStats{
+		ShardsScanned: uint64(live),
+		ShardsPruned:  uint64(len(f.st.shards) - live),
+	})
+}
+
+// growShardQ sizes the kept-query table to the store's current shards.
+func (f *fanOut) growShardQ() {
+	if n := len(f.st.shards); len(f.shardQ) < n {
+		f.shardQ = append(f.shardQ, make([]*Query, n-len(f.shardQ))...)
+	}
+}
+
+// shardQuery returns shard s's Query: the kept one, built on first use and
+// forwarded any clause added since — or, for a rank probe, a fresh one
+// carrying the probe clause on top of the recorded clauses, so a probe
+// never disturbs a kept selection. Callers size the kept-query table first
+// (growShardQ) and touch one shard per goroutine.
+func (f *fanOut) shardQuery(s int, probe *shardClause) *Query {
+	sq := f.shardQ[s]
+	if sq == nil || probe != nil {
+		sq = f.st.shards[s].Query().With(f.execs...).WithStatsInto(f.stats)
+		if probe == nil {
+			f.shardQ[s] = sq
+		}
+	}
+	for _, cl := range f.clauses[len(sq.clauses):] {
+		sq.Where(cl.name, cl.pred)
+	}
+	if probe != nil {
+		sq.Where(probe.name, probe.pred)
+	}
+	return sq
+}
+
+// shardExec is what one live shard answers a fan-out with: the shard's
+// *Query, or the *RangeQuery cut from it when the plan carries a row
+// range. The two are different engines on purpose — a filter-free range
+// is served by the shard's prefix-sum index, an unranged filter fuses —
+// so the fan-out picks the executor and never re-derives its answer.
+type shardExec interface {
+	Selection() *Bitmap
+	CountRowsContext(ctx context.Context) (uint64, error)
+	CountContext(ctx context.Context, column string) (uint64, error)
+	SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error)
+	MinContext(ctx context.Context, column string) (uint64, bool, error)
+	MaxContext(ctx context.Context, column string) (uint64, bool, error)
+	MedianContext(ctx context.Context, column string) (uint64, bool, error)
+	RankContext(ctx context.Context, column string, r uint64) (uint64, bool, error)
+	QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error)
+	GroupByContext(ctx context.Context, columns ...string) (*Grouped, error)
+}
+
+// fan executes fn once per live shard through the parallel index fan-out
+// (one live shard runs inline on the caller's goroutine). fn receives its
+// slot in the live list, for deterministic result placement, and the
+// shard's executor.
+func (f *fanOut) fan(ctx context.Context, live []int, probe *shardClause,
+	fn func(slot int, ex shardExec) error) error {
+	f.growShardQ()
+	threads := execOptions(f.execs).par.Threads
+	err := parallel.ForEachIndexErr(orBackground(ctx), len(live), threads, func(i int) error {
+		sq := f.shardQuery(live[i], probe)
+		if f.ranged {
+			return fn(i, sq.Range(f.scratch.rlo[i], f.scratch.rhi[i]))
+		}
+		return fn(i, sq)
+	})
+	return wrapExecErr(err)
+}
+
+// aggOp names the per-shard call of a scalar aggregate. The additive ops
+// come first: their partials merge by 128-bit addition, the rest as
+// extremes.
+type aggOp uint8
+
+const (
+	opCountRows aggOp = iota
+	opCount
+	opSumCount
+	opMin
+	opMax
+	opMedian
+	opRank
+	opQuantile
+)
+
+// aggCall is one scalar aggregate as every live shard is asked it.
+type aggCall struct {
+	op       aggOp
+	column   string
+	rank     uint64  // opRank
+	quantile float64 // opQuantile
+}
+
+// partial is one shard's answer: a 128-bit sum with its non-NULL count
+// (counts alone use cnt), or a value with its presence flag in lo and ok.
+type partial struct {
+	hi, lo, cnt uint64
+	ok          bool
+}
+
+// on asks one shard's executor.
+func (c aggCall) on(ctx context.Context, ex shardExec) (p partial, err error) {
+	switch c.op {
+	case opCountRows:
+		p.cnt, err = ex.CountRowsContext(ctx)
+	case opCount:
+		p.cnt, err = ex.CountContext(ctx, c.column)
+	case opSumCount:
+		p.lo, p.cnt, err = ex.SumCountContext(ctx, c.column)
+		p.hi, p.lo, err = sum128(p.lo, err)
+	case opMin:
+		p.lo, p.ok, err = ex.MinContext(ctx, c.column)
+	case opMax:
+		p.lo, p.ok, err = ex.MaxContext(ctx, c.column)
+	case opMedian:
+		p.lo, p.ok, err = ex.MedianContext(ctx, c.column)
+	case opRank:
+		p.lo, p.ok, err = ex.RankContext(ctx, c.column, c.rank)
+	case opQuantile:
+		p.lo, p.ok, err = ex.QuantileContext(ctx, c.column, c.quantile)
+	}
+	return p, err
+}
+
+// merge folds the per-shard partials in shard order. Addition and
+// comparison are order-insensitive and exact, so the result is the flat
+// engine's at any thread count; the merge of one partial is that partial,
+// which is why a rank question with one live shard (the only way a rank
+// op gets here) is answered by that shard's own radix descent.
+func (c aggCall) merge(parts []partial) (m partial) {
+	for _, p := range parts {
+		switch {
+		case c.op <= opSumCount:
+			var carry uint64
+			m.lo, carry = bits.Add64(m.lo, p.lo, 0)
+			m.hi += p.hi + carry
+			m.cnt += p.cnt
+		case !p.ok:
+		case !m.ok || (c.op == opMax && p.lo > m.lo) || (c.op != opMax && p.lo < m.lo):
+			m.lo, m.ok = p.lo, true
+		}
+	}
+	return m
+}
+
+// rankOf maps the selected non-NULL count to the wanted 1-based rank.
+func (c aggCall) rankOf(u uint64) (uint64, bool) {
+	switch c.op {
+	case opMedian:
+		return medianRank(u)
+	case opQuantile:
+		return quantileRank(c.quantile)(u)
+	}
+	return c.rank, true
+}
+
+// run answers one scalar aggregate: plan, fan out, merge.
+func (f *fanOut) run(ctx context.Context, c aggCall, probe *shardClause) (partial, error) {
+	if c.op != opCountRows {
+		if _, err := f.st.specErr(c.column); err != nil {
+			return partial{}, err
+		}
+	}
+	return f.runOn(ctx, c, probe, f.liveShards(probe))
+}
+
+// runOn is run over a plan already made, recording its pruning verdict.
+func (f *fanOut) runOn(ctx context.Context, c aggCall, probe *shardClause, live []int) (partial, error) {
+	f.recordPlan(len(live))
+	if cap(f.scratch.parts) < len(live) {
+		f.scratch.parts = make([]partial, len(live))
+	}
+	parts := f.scratch.parts[:len(live)]
+	err := f.fan(ctx, live, probe, func(slot int, ex shardExec) (err error) {
+		parts[slot], err = c.on(ctx, ex)
 		return err
 	})
 	if err != nil {
-		return 0, err
+		return partial{}, err
 	}
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	return total, nil
+	return c.merge(parts), nil
+}
+
+// CountRowsContext counts the rows passing the filter (COUNT(*)),
+// honoring ctx.
+func (f *fanOut) CountRowsContext(ctx context.Context) (uint64, error) {
+	p, err := f.run(ctx, aggCall{op: opCountRows}, nil)
+	return p.cnt, err
 }
 
 // CountRows returns the number of rows passing the filter.
-func (q *ShardedQuery) CountRows() uint64 {
-	c, err := q.CountRowsContext(context.Background())
+func (f *fanOut) CountRows() uint64 {
+	c, err := f.CountRowsContext(context.Background())
 	fusedMust(err)
 	return c
 }
 
 // CountContext counts selected non-NULL rows of the named column.
-func (q *ShardedQuery) CountContext(ctx context.Context, column string) (uint64, error) {
-	if _, err := q.specIdxErr(column); err != nil {
-		return 0, err
-	}
-	live := q.plan(nil)
-	counts := q.scratch.uints(0, len(live))
-	err := q.runShards(ctx, live, nil, func(slot, _ int, sq *Query) error {
-		c, err := sq.CountContext(ctx, column)
-		counts[slot] = c
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	return total, nil
+func (f *fanOut) CountContext(ctx context.Context, column string) (uint64, error) {
+	p, err := f.run(ctx, aggCall{op: opCount, column: column}, nil)
+	return p.cnt, err
 }
 
 // Count counts selected non-NULL rows of the named column.
-func (q *ShardedQuery) Count(column string) uint64 {
-	c, err := q.CountContext(context.Background(), column)
+func (f *fanOut) Count(column string) uint64 {
+	c, err := f.CountContext(context.Background(), column)
 	fusedMust(err)
 	return c
 }
 
-// sumParts collects each live shard's 128-bit SUM partial. A shard whose
-// own partial overflows uint64 reports it as an *OverflowError carrying
-// the exact 128-bit value, which merges like any other partial — so the
-// merged total (and any merged overflow report) is exact.
-func (q *ShardedQuery) sumParts(ctx context.Context, column string) (hi, lo uint64, err error) {
-	live := q.plan(nil)
-	his := q.scratch.uints(0, len(live))
-	los := q.scratch.uints(1, len(live))
-	err = q.runShards(ctx, live, nil, func(slot, _ int, sq *Query) error {
-		v, err := sq.SumContext(ctx, column)
-		if err != nil {
-			var ov *OverflowError
-			if errors.As(err, &ov) {
-				his[slot], los[slot] = ov.Hi, ov.Lo
-				return nil
-			}
-			return err
-		}
-		los[slot] = v
-		return nil
-	})
+// SumCountContext aggregates SUM and the column's non-NULL COUNT in one
+// fan-out — the shape AVG and SQL formatters need. A total exceeding
+// uint64 returns an *OverflowError carrying the exact 128-bit sum, matching
+// the flat engine's overflow contract: a shard whose own partial overflows
+// reports its exact value the same way, and that merges like any other.
+func (f *fanOut) SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error) {
+	p, err := f.run(ctx, aggCall{op: opSumCount, column: column}, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	for i := range los {
-		var carry uint64
-		lo, carry = bits.Add64(lo, los[i], 0)
-		hi += his[i] + carry
+	if p.hi != 0 {
+		return 0, 0, &OverflowError{Hi: p.hi, Lo: p.lo}
 	}
-	return hi, lo, nil
+	return p.lo, p.cnt, nil
 }
 
-// SumContext aggregates SUM over the named column, honoring ctx. A total
-// exceeding uint64 returns an *OverflowError carrying the exact 128-bit
-// sum, matching the flat engine's overflow contract.
-func (q *ShardedQuery) SumContext(ctx context.Context, column string) (uint64, error) {
-	if _, err := q.specIdxErr(column); err != nil {
-		return 0, err
-	}
-	hi, lo, err := q.sumParts(ctx, column)
-	if err != nil {
-		return 0, err
-	}
-	if hi != 0 {
-		return 0, &OverflowError{Hi: hi, Lo: lo}
-	}
-	return lo, nil
+// SumContext aggregates SUM over the named column, honoring ctx; overflow
+// returns *OverflowError (see SumCountContext).
+func (f *fanOut) SumContext(ctx context.Context, column string) (uint64, error) {
+	sum, _, err := f.SumCountContext(ctx, column)
+	return sum, err
 }
 
-// Sum aggregates SUM over the named column.
-func (q *ShardedQuery) Sum(column string) uint64 {
-	v, err := q.SumContext(context.Background(), column)
+// Sum aggregates SUM over the named column; overflow panics with
+// *OverflowError.
+func (f *fanOut) Sum(column string) uint64 {
+	v, err := f.SumContext(context.Background(), column)
 	fusedMust(err)
 	return v
 }
 
-// SumCountContext aggregates SUM and COUNT over the named column in one
-// fan-out.
-func (q *ShardedQuery) SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error) {
-	if _, err := q.specIdxErr(column); err != nil {
-		return 0, 0, err
-	}
-	live := q.plan(nil)
-	his := q.scratch.uints(0, len(live))
-	los := q.scratch.uints(1, len(live))
-	cnts := q.scratch.uints(2, len(live))
-	err = q.runShards(ctx, live, nil, func(slot, _ int, sq *Query) error {
-		s, c, err := sq.SumCountContext(ctx, column)
-		if err != nil {
-			var ov *OverflowError
-			if errors.As(err, &ov) {
-				his[slot], los[slot] = ov.Hi, ov.Lo
-				return nil
-			}
-			return err
-		}
-		los[slot], cnts[slot] = s, c
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	var hi uint64
-	for i := range los {
-		var carry uint64
-		sum, carry = bits.Add64(sum, los[i], 0)
-		hi += his[i] + carry
-		cnt += cnts[i]
-	}
-	if hi != 0 {
-		return 0, 0, &OverflowError{Hi: hi, Lo: sum}
-	}
-	return sum, cnt, nil
-}
-
-// extremeContext merges per-shard MIN/MAX partials.
-func (q *ShardedQuery) extremeContext(ctx context.Context, column string, wantMin bool) (uint64, bool, error) {
-	if _, err := q.specIdxErr(column); err != nil {
+// AvgContext aggregates AVG over the named column, honoring ctx. The
+// divisor is the filtered non-NULL row count, so the merged mean matches
+// the flat engine exactly.
+func (f *fanOut) AvgContext(ctx context.Context, column string) (float64, bool, error) {
+	sum, cnt, err := f.SumCountContext(ctx, column)
+	if err != nil || cnt == 0 {
 		return 0, false, err
-	}
-	live := q.plan(nil)
-	vals := q.scratch.uints(0, len(live))
-	oks := q.scratch.bools(len(live))
-	err := q.runShards(ctx, live, nil, func(slot, _ int, sq *Query) error {
-		var v uint64
-		var ok bool
-		var err error
-		if wantMin {
-			v, ok, err = sq.MinContext(ctx, column)
-		} else {
-			v, ok, err = sq.MaxContext(ctx, column)
-		}
-		vals[slot], oks[slot] = v, ok
-		return err
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	var best uint64
-	found := false
-	for i, ok := range oks {
-		if !ok {
-			continue
-		}
-		if !found || (wantMin && vals[i] < best) || (!wantMin && vals[i] > best) {
-			best = vals[i]
-		}
-		found = true
-	}
-	return best, found, nil
-}
-
-// MinContext aggregates MIN over the named column, honoring ctx.
-func (q *ShardedQuery) MinContext(ctx context.Context, column string) (uint64, bool, error) {
-	return q.extremeContext(ctx, column, true)
-}
-
-// MaxContext aggregates MAX over the named column, honoring ctx.
-func (q *ShardedQuery) MaxContext(ctx context.Context, column string) (uint64, bool, error) {
-	return q.extremeContext(ctx, column, false)
-}
-
-// Min aggregates MIN over the named column.
-func (q *ShardedQuery) Min(column string) (uint64, bool) {
-	v, ok, err := q.MinContext(context.Background(), column)
-	fusedMust(err)
-	return v, ok
-}
-
-// Max aggregates MAX over the named column.
-func (q *ShardedQuery) Max(column string) (uint64, bool) {
-	v, ok, err := q.MaxContext(context.Background(), column)
-	fusedMust(err)
-	return v, ok
-}
-
-// AvgContext aggregates AVG over the named column, honoring ctx.
-func (q *ShardedQuery) AvgContext(ctx context.Context, column string) (float64, bool, error) {
-	sum, cnt, err := q.SumCountContext(ctx, column)
-	if err != nil {
-		return 0, false, err
-	}
-	if cnt == 0 {
-		return 0, false, nil
 	}
 	return float64(sum) / float64(cnt), true, nil
 }
 
 // Avg aggregates AVG over the named column.
-func (q *ShardedQuery) Avg(column string) (float64, bool) {
-	v, ok, err := q.AvgContext(context.Background(), column)
+func (f *fanOut) Avg(column string) (float64, bool) {
+	v, ok, err := f.AvgContext(context.Background(), column)
+	fusedMust(err)
+	return v, ok
+}
+
+// MinContext aggregates MIN over the named column, honoring ctx.
+func (f *fanOut) MinContext(ctx context.Context, column string) (uint64, bool, error) {
+	p, err := f.run(ctx, aggCall{op: opMin, column: column}, nil)
+	return p.lo, p.ok, err
+}
+
+// MaxContext aggregates MAX over the named column, honoring ctx.
+func (f *fanOut) MaxContext(ctx context.Context, column string) (uint64, bool, error) {
+	p, err := f.run(ctx, aggCall{op: opMax, column: column}, nil)
+	return p.lo, p.ok, err
+}
+
+// Min aggregates MIN over the named column.
+func (f *fanOut) Min(column string) (uint64, bool) {
+	v, ok, err := f.MinContext(context.Background(), column)
+	fusedMust(err)
+	return v, ok
+}
+
+// Max aggregates MAX over the named column.
+func (f *fanOut) Max(column string) (uint64, bool) {
+	v, ok, err := f.MaxContext(context.Background(), column)
 	fusedMust(err)
 	return v, ok
 }
@@ -515,74 +543,17 @@ func maxValForBits(k int) uint64 {
 	return 1<<uint(k) - 1
 }
 
-// countLE counts selected rows whose column value is <= v, fanning out
-// with the probe clause included in shard pruning — a probe below every
-// shard bound scans nothing.
-func (q *ShardedQuery) countLE(ctx context.Context, column string, idx int, v uint64) (uint64, error) {
-	extra := []shardClause{{name: column, col: idx, pred: LessEq(v)}}
-	live := q.plan(extra)
-	counts := q.scratch.uints(0, len(live))
-	err := q.runShards(ctx, live, extra, func(slot, _ int, sq *Query) error {
-		c, err := sq.CountRowsContext(ctx)
-		counts[slot] = c
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	return total, nil
-}
-
-// ranker is the rank family as Query and RangeQuery both spell it: what
-// a rank search hands the question to when one shard holds every row.
-type ranker interface {
-	MedianContext(ctx context.Context, column string) (uint64, bool, error)
-	RankContext(ctx context.Context, column string, r uint64) (uint64, bool, error)
-	QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error)
-}
-
-// rankSearch finds the r-th smallest selected value. With exactly one
-// live shard the merge of one partial is the identity, so the shard's
-// own radix descent answers (one). Otherwise it binary-searches the value
-// domain: the answer is the smallest v with countLE(v) >= r, which always
-// is an actually-present value. Each probe is one counting fan-out, so
-// the search costs O(k) fan-outs — the sharded analogue of the radix
-// descent's k rendezvous rounds.
-func (q *ShardedQuery) rankSearch(ctx context.Context, column string,
-	rankOf func(uint64) (uint64, bool), one func(ranker) (uint64, bool, error)) (uint64, bool, error) {
-	idx, err := q.specIdxErr(column)
-	if err != nil {
-		return 0, false, err
-	}
-	if live := q.liveShards(nil); len(live) == 1 {
-		q.recordPlan(1)
-		var v uint64
-		var ok bool
-		err := q.runShards(ctx, live, nil, func(_, _ int, sq *Query) error {
-			var err error
-			v, ok, err = one(sq)
-			return err
-		})
-		return v, ok, err
-	}
-	u, err := q.CountContext(ctx, column)
-	if err != nil {
-		return 0, false, err
-	}
-	r, ok := rankOf(u)
-	if !ok || r < 1 || r > u {
-		return 0, false, nil
-	}
-	lo, hi := uint64(0), maxValForBits(q.st.specs[idx].bits)
+// searchRank returns the smallest k-bit value v with countLE(v) >= r —
+// for 1 <= r <= countLE(max) always an actually-present value, the r-th
+// smallest. It costs at most k counting probes: the merged analogue of
+// the radix descent's k rendezvous rounds.
+func searchRank(k int, r uint64, countLE func(v uint64) (uint64, error)) (uint64, error) {
+	lo, hi := uint64(0), maxValForBits(k)
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		cnt, err := q.countLE(ctx, column, idx, mid)
+		cnt, err := countLE(mid)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		if cnt >= r {
 			hi = mid
@@ -590,50 +561,79 @@ func (q *ShardedQuery) rankSearch(ctx context.Context, column string,
 			lo = mid + 1
 		}
 	}
-	return lo, true, nil
+	return lo, nil
+}
+
+// rankSearch finds the r-th smallest selected value. With exactly one
+// live shard the shard's own radix descent answers (see merge). Otherwise
+// it binary-searches the value domain on merged counts; each probe is one
+// counting fan-out whose probe clause takes part in shard pruning, so a
+// probe below every shard's bounds scans nothing.
+func (f *fanOut) rankSearch(ctx context.Context, c aggCall) (uint64, bool, error) {
+	idx, err := f.st.specErr(c.column)
+	if err != nil {
+		return 0, false, err
+	}
+	live := f.liveShards(nil)
+	if len(live) == 1 {
+		p, err := f.runOn(ctx, c, nil, live)
+		return p.lo, p.ok, err
+	}
+	u, err := f.runOn(ctx, aggCall{op: opCount, column: c.column}, nil, live)
+	if err != nil {
+		return 0, false, err
+	}
+	r, ok := c.rankOf(u.cnt)
+	if !ok || r < 1 || r > u.cnt {
+		return 0, false, nil
+	}
+	probe := shardClause{name: c.column, col: idx}
+	v, err := searchRank(f.st.specs[idx].bits, r, func(v uint64) (uint64, error) {
+		probe.pred = LessEq(v)
+		p, err := f.run(ctx, aggCall{op: opCountRows}, &probe)
+		return p.cnt, err
+	})
+	return v, err == nil, err
 }
 
 // MedianContext aggregates the lower MEDIAN over the named column,
 // honoring ctx.
-func (q *ShardedQuery) MedianContext(ctx context.Context, column string) (uint64, bool, error) {
-	return q.rankSearch(ctx, column, medianRank,
-		func(r ranker) (uint64, bool, error) { return r.MedianContext(ctx, column) })
+func (f *fanOut) MedianContext(ctx context.Context, column string) (uint64, bool, error) {
+	return f.rankSearch(ctx, aggCall{op: opMedian, column: column})
 }
 
 // Median aggregates the lower MEDIAN over the named column.
-func (q *ShardedQuery) Median(column string) (uint64, bool) {
-	v, ok, err := q.MedianContext(context.Background(), column)
+func (f *fanOut) Median(column string) (uint64, bool) {
+	v, ok, err := f.MedianContext(context.Background(), column)
 	fusedMust(err)
 	return v, ok
 }
 
 // RankContext returns the r-th smallest selected value of the named
 // column, honoring ctx.
-func (q *ShardedQuery) RankContext(ctx context.Context, column string, r uint64) (uint64, bool, error) {
-	return q.rankSearch(ctx, column, func(uint64) (uint64, bool) { return r, true },
-		func(rk ranker) (uint64, bool, error) { return rk.RankContext(ctx, column, r) })
+func (f *fanOut) RankContext(ctx context.Context, column string, r uint64) (uint64, bool, error) {
+	return f.rankSearch(ctx, aggCall{op: opRank, column: column, rank: r})
 }
 
 // Rank returns the r-th smallest selected value of the named column.
-func (q *ShardedQuery) Rank(column string, r uint64) (uint64, bool) {
-	v, ok, err := q.RankContext(context.Background(), column, r)
+func (f *fanOut) Rank(column string, r uint64) (uint64, bool) {
+	v, ok, err := f.RankContext(context.Background(), column, r)
 	fusedMust(err)
 	return v, ok
 }
 
 // QuantileContext returns the quantile-q value of the named column,
 // honoring ctx.
-func (q *ShardedQuery) QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error) {
+func (f *fanOut) QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error) {
 	if err := checkQuantile(quantile); err != nil {
 		return 0, false, err
 	}
-	return q.rankSearch(ctx, column, quantileRank(quantile),
-		func(r ranker) (uint64, bool, error) { return r.QuantileContext(ctx, column, quantile) })
+	return f.rankSearch(ctx, aggCall{op: opQuantile, column: column, quantile: quantile})
 }
 
 // Quantile returns the q-quantile (nearest rank) of the named column.
-func (q *ShardedQuery) Quantile(column string, quantile float64) (uint64, bool) {
-	v, ok, err := q.QuantileContext(context.Background(), column, quantile)
+func (f *fanOut) Quantile(column string, quantile float64) (uint64, bool) {
+	v, ok, err := f.QuantileContext(context.Background(), column, quantile)
 	fusedMust(err)
 	return v, ok
 }

@@ -242,6 +242,13 @@ func (q *Query) CountRows() uint64 {
 	return cnt
 }
 
+// Count counts selected non-NULL rows of the named column.
+func (q *Query) Count(column string) uint64 {
+	cnt, err := q.CountContext(nil, column)
+	fusedMust(err)
+	return cnt
+}
+
 // Sum aggregates SUM over the named column.
 func (q *Query) Sum(column string) uint64 {
 	v, err := q.SumContext(nil, column)

@@ -209,107 +209,166 @@ func (g *Grouped) CountContext(ctx context.Context) ([]uint64, error) {
 	return out, nil
 }
 
-// SumContext aggregates SUM of the named column per group, honoring
-// ctx. A group whose sum exceeds uint64 returns an *OverflowError
-// carrying the exact 128-bit total and the offending group's key.
-func (g *Grouped) SumContext(ctx context.Context, column string) ([]uint64, error) {
+// sums128 returns each group's SUM of the named column as an exact
+// 128-bit partial — what a merge across shard partitions adds up. The
+// banked kernels report hi/lo directly; the per-group path recovers an
+// overflowing group's exact total from its *OverflowError.
+func (g *Grouped) sums128(ctx context.Context, column string) (his, los []uint64, err error) {
 	col, err := g.q.colErr(column)
+	if err != nil {
+		return nil, nil, err
+	}
+	if o, ok := g.banked(col); ok {
+		return g.bankedSums(orBackground(ctx), col, o)
+	}
+	his, los = make([]uint64, len(g.keys)), make([]uint64, len(g.keys))
+	for i := range g.keys {
+		v, err := col.SumContext(ctx, g.Selection(i), g.q.execs...)
+		if his[i], los[i], err = sum128(v, err); err != nil {
+			return nil, nil, err
+		}
+	}
+	return his, los, nil
+}
+
+// groupSums64 narrows per-group 128-bit sums to the public result: the
+// first group in key order whose total exceeds uint64 is an
+// *OverflowError carrying the exact total and that group's key.
+func groupSums64(his, los []uint64, keyParts func(i int) []uint64) ([]uint64, error) {
+	for i, hi := range his {
+		if hi != 0 {
+			return nil, &OverflowError{Hi: hi, Lo: los[i], Group: keyParts(i)}
+		}
+	}
+	return los, nil
+}
+
+// SumContext aggregates SUM of the named column per group, honoring
+// ctx: banked single-pass over the measure column when the partition and
+// column qualify, one Column.SumContext per group otherwise. A group
+// whose sum exceeds uint64 returns an *OverflowError carrying the exact
+// 128-bit total and the offending group's key.
+func (g *Grouped) SumContext(ctx context.Context, column string) ([]uint64, error) {
+	his, los, err := g.sums128(ctx, column)
 	if err != nil {
 		return nil, err
 	}
-	if o, ok := g.banked(col); ok {
-		return g.bankedSum(orBackground(ctx), col, o)
-	}
-	out := make([]uint64, len(g.keys))
-	for i := range g.keys {
-		v, err := col.SumContext(ctx, g.Selection(i), g.q.execs...)
-		if err != nil {
-			return nil, g.decorateOverflow(err, i)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return groupSums64(his, los, g.KeyParts)
 }
 
 // MinContext aggregates MIN of the named column per group, honoring
 // ctx. Groups are non-empty by construction, so no ok flags are needed.
 func (g *Grouped) MinContext(ctx context.Context, column string) ([]uint64, error) {
-	return g.extremeContext(ctx, column, true)
+	return allGroups(g.extremes(ctx, column, true))
 }
 
 // MaxContext aggregates MAX of the named column per group, honoring
 // ctx.
 func (g *Grouped) MaxContext(ctx context.Context, column string) ([]uint64, error) {
-	return g.extremeContext(ctx, column, false)
+	return allGroups(g.extremes(ctx, column, false))
 }
 
-func (g *Grouped) extremeContext(ctx context.Context, column string, wantMin bool) ([]uint64, error) {
+// extremes returns each group's MIN or MAX of the named column with a
+// presence flag: anys[i] is false when group i holds no non-NULL value,
+// which a merge across shard partitions skips and MinContext/MaxContext
+// report as a broken invariant.
+func (g *Grouped) extremes(ctx context.Context, column string, wantMin bool) (vals []uint64, anys []bool, err error) {
 	col, err := g.q.colErr(column)
+	if err != nil {
+		return nil, nil, err
+	}
+	if o, ok := g.banked(col); ok {
+		return g.bankedExtreme(orBackground(ctx), col, o, wantMin)
+	}
+	if wantMin {
+		return g.eachContext(ctx, col, (*Column).MinContext)
+	}
+	return g.eachContext(ctx, col, (*Column).MaxContext)
+}
+
+// allGroups narrows a per-group result with presence flags to the plain
+// form, where a group without a value is an invariant violation.
+func allGroups(vals []uint64, oks []bool, err error) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o, ok := g.banked(col); ok {
-		vals, anys, err := g.bankedExtreme(orBackground(ctx), col, o, wantMin)
-		if err != nil {
-			return nil, err
+	for _, ok := range oks {
+		if !ok {
+			return nil, fmt.Errorf("bpagg: empty group selection — grouping invariant violated")
 		}
-		for _, any := range anys {
-			if !any {
-				return nil, fmt.Errorf("bpagg: empty group selection — grouping invariant violated")
-			}
-		}
-		return vals, nil
 	}
-	if wantMin {
-		return g.eachContext(ctx, column, (*Column).MinContext)
-	}
-	return g.eachContext(ctx, column, (*Column).MaxContext)
+	return vals, nil
 }
 
 // MedianContext aggregates the lower MEDIAN of the named column per
 // group, honoring ctx.
 func (g *Grouped) MedianContext(ctx context.Context, column string) ([]uint64, error) {
-	return g.eachContext(ctx, column, (*Column).MedianContext)
-}
-
-// AvgContext aggregates AVG of the named column per group, honoring
-// ctx. A group whose running sum exceeds uint64 returns an
-// *OverflowError carrying the exact 128-bit total.
-func (g *Grouped) AvgContext(ctx context.Context, column string) ([]float64, error) {
 	col, err := g.q.colErr(column)
 	if err != nil {
 		return nil, err
 	}
-	if o, ok := g.banked(col); ok {
-		return g.bankedAvg(orBackground(ctx), col, o)
-	}
-	out := make([]float64, len(g.keys))
-	for i := range g.keys {
-		v, _, err := col.AvgContext(ctx, g.Selection(i), g.q.execs...)
-		if err != nil {
-			return nil, g.decorateOverflow(err, i)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return allGroups(g.eachContext(ctx, col, (*Column).MedianContext))
 }
 
-func (g *Grouped) eachContext(ctx context.Context, column string,
-	agg func(*Column, context.Context, *Bitmap, ...ExecOption) (uint64, bool, error)) ([]uint64, error) {
+// nonNullCounts returns each group's count of non-NULL values of the
+// named column — COUNT(col) per group and AVG's divisor. A NULL-free
+// column's are the partition's row counts (read off the partition, not an
+// aggregate, so nothing records).
+func (g *Grouped) nonNullCounts(ctx context.Context, column string) ([]uint64, error) {
 	col, err := g.q.colErr(column)
 	if err != nil {
+		return nil, err
+	}
+	if err := orBackground(ctx).Err(); err != nil {
 		return nil, err
 	}
 	out := make([]uint64, len(g.keys))
 	for i := range g.keys {
-		v, ok, err := agg(col, ctx, g.Selection(i), g.q.execs...)
-		if err != nil {
+		if col.nulls == nil {
+			out[i] = g.groupCount(i)
+		} else if out[i], err = col.CountContext(ctx, g.Selection(i)); err != nil {
 			return nil, err
 		}
-		if !ok {
-			return nil, fmt.Errorf("bpagg: empty group selection — grouping invariant violated")
-		}
-		out[i] = v
 	}
 	return out, nil
+}
+
+// AvgContext aggregates AVG of the named column per group, honoring
+// ctx: the group's sum over its non-NULL count. A group whose sum exceeds
+// uint64 returns an *OverflowError carrying the exact 128-bit total and
+// the group's key.
+func (g *Grouped) AvgContext(ctx context.Context, column string) ([]float64, error) {
+	sums, err := g.SumContext(ctx, column)
+	if err != nil {
+		return nil, err
+	}
+	counts, err := g.nonNullCounts(ctx, column)
+	if err != nil {
+		return nil, err
+	}
+	return groupAvgs(sums, counts), nil
+}
+
+// groupAvgs divides per-group sums by their non-NULL counts; a group
+// without values averages to 0.
+func groupAvgs(sums, counts []uint64) []float64 {
+	out := make([]float64, len(sums))
+	for i, s := range sums {
+		if counts[i] > 0 {
+			out[i] = float64(s) / float64(counts[i])
+		}
+	}
+	return out
+}
+
+// eachContext runs one Column aggregate per group selection.
+func (g *Grouped) eachContext(ctx context.Context, col *Column,
+	agg func(*Column, context.Context, *Bitmap, ...ExecOption) (uint64, bool, error)) (vals []uint64, oks []bool, err error) {
+	vals, oks = make([]uint64, len(g.keys)), make([]bool, len(g.keys))
+	for i := range g.keys {
+		if vals[i], oks[i], err = agg(col, ctx, g.Selection(i), g.q.execs...); err != nil {
+			return nil, nil, err
+		}
+	}
+	return vals, oks, nil
 }

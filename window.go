@@ -3,9 +3,6 @@ package bpagg
 import (
 	"context"
 	"fmt"
-	"time"
-
-	"bpagg/internal/rangeidx"
 )
 
 // Window partitions the table's rows into windows of size rows starting
@@ -17,10 +14,24 @@ import (
 // epoch: all windows see the same row high-water mark even while appends
 // run concurrently. It panics unless size and step are at least 1.
 func (q *Query) Window(size, step int) *WindowQuery {
+	checkWindow(size, step)
+	return &WindowQuery{windows[*RangeQuery]{src: q, size: size, step: step}}
+}
+
+// Window partitions the store's rows into windows of size rows every step
+// rows and aggregates each window — the sharded twin of Query.Window.
+// Each window is one ShardedRangeQuery fan-out, so catalog pruning and
+// local-range translation apply per window. It panics unless size and
+// step are at least 1.
+func (q *ShardedQuery) Window(size, step int) *ShardedWindowQuery {
+	checkWindow(size, step)
+	return &ShardedWindowQuery{windows[*ShardedRangeQuery]{src: q, size: size, step: step}}
+}
+
+func checkWindow(size, step int) {
 	if size < 1 || step < 1 {
 		panic(fmt.Sprintf("bpagg: invalid window size %d step %d", size, step))
 	}
-	return &WindowQuery{q: q, size: size, step: step}
 }
 
 // WindowQuery aggregates per window. See Query.Window. Windows start at
@@ -28,231 +39,140 @@ func (q *Query) Window(size, step int) *WindowQuery {
 // the last windows clip to the table, and an empty table yields empty
 // result slices.
 type WindowQuery struct {
-	q          *Query
+	windows[*RangeQuery]
+}
+
+// ShardedWindowQuery aggregates per window over a ShardedTable, with
+// WindowQuery's window placement. See ShardedQuery.Window.
+type ShardedWindowQuery struct {
+	windows[*ShardedRangeQuery]
+}
+
+// rangeView is what a sweep moves from window to window and asks each
+// window's aggregate of: a *RangeQuery on a table, a *ShardedRangeQuery on
+// a store.
+type rangeView interface {
+	moveTo(lo, hi int)
+	CountRowsContext(ctx context.Context) (uint64, error)
+	SumContext(ctx context.Context, column string) (uint64, error)
+	MinContext(ctx context.Context, column string) (uint64, bool, error)
+	MaxContext(ctx context.Context, column string) (uint64, bool, error)
+	AvgContext(ctx context.Context, column string) (float64, bool, error)
+}
+
+// windows is the one implementation of the per-window aggregates, over
+// either range view; WindowQuery and ShardedWindowQuery promote its
+// methods.
+type windows[R rangeView] struct {
+	src        interface{ windowView() (view R, rows int) }
 	size, step int
 }
 
-// snap mirrors RangeQuery.snap: one pinned snapshot serves every window.
-func (w *WindowQuery) snap(column string) (*rangeidx.Snapshot, bool) {
-	if len(w.q.clauses) != 0 || w.q.sel != nil {
-		return nil, false
+// windowView is the flat sweep's range view and the row count its windows
+// cover. A filter-free sweep pins one epoch for all of them.
+func (q *Query) windowView() (*RangeQuery, int) {
+	r := &RangeQuery{q: q}
+	if len(q.clauses) != 0 || q.sel != nil {
+		return r, q.t.rows
 	}
-	s := w.q.t.pinEpoch().cols[column]
-	return s, s != nil
+	r.ep = q.t.pinEpoch()
+	return r, r.ep.rows
 }
 
-// record books one window sweep into the query's collector.
-func (w *WindowQuery) record(n int, st rangeidx.Stats, start time.Time) {
-	w.q.stats.Record(ExecStats{
-		Aggregates:          uint64(n),
-		AggNanos:            time.Since(start).Nanoseconds(),
-		SegmentsIndexServed: st.IndexSegments,
-		RangeFringeWords:    st.FringeWords,
-	})
+func (q *ShardedQuery) windowView() (*ShardedRangeQuery, int) {
+	return q.Range(0, 0), q.st.rows
+}
+
+func (r *RangeQuery) moveTo(lo, hi int)        { r.lo, r.hi = lo, hi }
+func (r *ShardedRangeQuery) moveTo(lo, hi int) { r.lo, r.hi = lo, hi }
+
+// sweep asks agg of every window in turn; oks[i] is agg's presence flag
+// for window i. The window end is clamped here, for every aggregate and
+// both stores: a size past the rows that remain is the rows that remain,
+// so start+size cannot wrap.
+func sweep[R rangeView, T any](w *windows[R], agg func(view R) (T, bool, error)) ([]T, []bool, error) {
+	view, rows := w.src.windowView()
+	out, oks := []T{}, []bool{}
+	for b := 0; b < rows; b += w.step {
+		view.moveTo(b, b+min(w.size, rows-b))
+		v, ok, err := agg(view)
+		if err != nil {
+			return nil, nil, err
+		}
+		out, oks = append(out, v), append(oks, ok)
+	}
+	return out, oks, nil
 }
 
 // CountRows returns each window's row count after the filter.
-func (w *WindowQuery) CountRows() []uint64 {
-	out, err := w.CountRowsContext(nil)
+func (w *windows[R]) CountRows() []uint64 {
+	out, err := w.CountRowsContext(context.Background())
 	fusedMust(err)
 	return out
 }
 
 // CountRowsContext is CountRows honoring ctx.
-func (w *WindowQuery) CountRowsContext(ctx context.Context) ([]uint64, error) {
-	ctx = orBackground(ctx)
-	if len(w.q.clauses) == 0 && w.q.sel == nil {
-		start := time.Now()
-		rows := w.q.t.pinEpoch().rows
-		out := []uint64{}
-		for b := 0; b < rows; b += w.step {
-			_, e := clipRange(b, b+w.size, rows)
-			out = append(out, uint64(e-b))
-		}
-		w.record(len(out), rangeidx.Stats{}, start)
-		return out, nil
-	}
-	base := w.q.Selection()
-	rows := w.q.t.rows
-	out := []uint64{}
-	for b := 0; b < rows; b += w.step {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out = append(out, uint64(base.Clone().And(rangeBitmap(rows, b, b+w.size)).Count()))
-	}
-	return out, nil
+func (w *windows[R]) CountRowsContext(ctx context.Context) ([]uint64, error) {
+	out, _, err := sweep(w, func(view R) (uint64, bool, error) {
+		c, err := view.CountRowsContext(ctx)
+		return c, true, err
+	})
+	return out, err
 }
 
 // Sum aggregates SUM of the named column per window. Any window's sum
 // exceeding uint64 panics with *OverflowError.
-func (w *WindowQuery) Sum(column string) []uint64 {
-	out, err := w.SumContext(nil, column)
+func (w *windows[R]) Sum(column string) []uint64 {
+	out, err := w.SumContext(context.Background(), column)
 	fusedMust(err)
 	return out
 }
 
 // SumContext is Sum honoring ctx; an overflowing window returns
 // *OverflowError.
-func (w *WindowQuery) SumContext(ctx context.Context, column string) ([]uint64, error) {
-	col, err := w.q.colErr(column)
-	if err != nil {
-		return nil, err
-	}
-	ctx = orBackground(ctx)
-	if s, ok := w.snap(column); ok {
-		start := time.Now()
-		var st rangeidx.Stats
-		out := []uint64{}
-		for b := 0; b < s.Rows(); b += w.step {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			hi, lo, s1 := s.Sum(b, b+w.size)
-			st.Add(s1)
-			if hi != 0 {
-				return nil, &OverflowError{Hi: hi, Lo: lo}
-			}
-			out = append(out, lo)
-		}
-		w.record(len(out), st, start)
-		return out, nil
-	}
-	base := w.q.Selection()
-	rows := w.q.t.rows
-	out := []uint64{}
-	for b := 0; b < rows; b += w.step {
-		sel := base.Clone().And(rangeBitmap(rows, b, b+w.size))
-		v, err := col.SumContext(ctx, sel, w.q.execs...)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
+func (w *windows[R]) SumContext(ctx context.Context, column string) ([]uint64, error) {
+	out, _, err := sweep(w, func(view R) (uint64, bool, error) {
+		v, err := view.SumContext(ctx, column)
+		return v, true, err
+	})
+	return out, err
 }
 
 // Min aggregates MIN of the named column per window; oks[i] is false when
 // window i holds no qualifying row.
-func (w *WindowQuery) Min(column string) ([]uint64, []bool) {
-	out, oks, err := w.MinContext(nil, column)
+func (w *windows[R]) Min(column string) ([]uint64, []bool) {
+	out, oks, err := w.MinContext(context.Background(), column)
 	fusedMust(err)
 	return out, oks
 }
 
 // Max aggregates MAX of the named column per window.
-func (w *WindowQuery) Max(column string) ([]uint64, []bool) {
-	out, oks, err := w.MaxContext(nil, column)
+func (w *windows[R]) Max(column string) ([]uint64, []bool) {
+	out, oks, err := w.MaxContext(context.Background(), column)
 	fusedMust(err)
 	return out, oks
 }
 
 // MinContext is Min honoring ctx.
-func (w *WindowQuery) MinContext(ctx context.Context, column string) ([]uint64, []bool, error) {
-	return w.extremeContext(ctx, column, true)
+func (w *windows[R]) MinContext(ctx context.Context, column string) ([]uint64, []bool, error) {
+	return sweep(w, func(view R) (uint64, bool, error) { return view.MinContext(ctx, column) })
 }
 
 // MaxContext is Max honoring ctx.
-func (w *WindowQuery) MaxContext(ctx context.Context, column string) ([]uint64, []bool, error) {
-	return w.extremeContext(ctx, column, false)
-}
-
-func (w *WindowQuery) extremeContext(ctx context.Context, column string, wantMin bool) ([]uint64, []bool, error) {
-	col, err := w.q.colErr(column)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx = orBackground(ctx)
-	out, oks := []uint64{}, []bool{}
-	if s, ok := w.snap(column); ok {
-		start := time.Now()
-		var st rangeidx.Stats
-		for b := 0; b < s.Rows(); b += w.step {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			var v uint64
-			var any bool
-			var s1 rangeidx.Stats
-			if wantMin {
-				v, any, s1 = s.Min(b, b+w.size)
-			} else {
-				v, any, s1 = s.Max(b, b+w.size)
-			}
-			st.Add(s1)
-			out, oks = append(out, v), append(oks, any)
-		}
-		w.record(len(out), st, start)
-		return out, oks, nil
-	}
-	base := w.q.Selection()
-	rows := w.q.t.rows
-	for b := 0; b < rows; b += w.step {
-		sel := base.Clone().And(rangeBitmap(rows, b, b+w.size))
-		var v uint64
-		var any bool
-		var err error
-		if wantMin {
-			v, any, err = col.MinContext(ctx, sel, w.q.execs...)
-		} else {
-			v, any, err = col.MaxContext(ctx, sel, w.q.execs...)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		out, oks = append(out, v), append(oks, any)
-	}
-	return out, oks, nil
+func (w *windows[R]) MaxContext(ctx context.Context, column string) ([]uint64, []bool, error) {
+	return sweep(w, func(view R) (uint64, bool, error) { return view.MaxContext(ctx, column) })
 }
 
 // Avg aggregates AVG of the named column per window; oks[i] is false when
 // window i holds no qualifying row.
-func (w *WindowQuery) Avg(column string) ([]float64, []bool) {
-	out, oks, err := w.AvgContext(nil, column)
+func (w *windows[R]) Avg(column string) ([]float64, []bool) {
+	out, oks, err := w.AvgContext(context.Background(), column)
 	fusedMust(err)
 	return out, oks
 }
 
 // AvgContext is Avg honoring ctx. Matching the scan path's contract, a
 // window whose sum exceeds uint64 returns *OverflowError.
-func (w *WindowQuery) AvgContext(ctx context.Context, column string) ([]float64, []bool, error) {
-	col, err := w.q.colErr(column)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx = orBackground(ctx)
-	out, oks := []float64{}, []bool{}
-	if s, ok := w.snap(column); ok {
-		start := time.Now()
-		var st rangeidx.Stats
-		for b := 0; b < s.Rows(); b += w.step {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			hi, lo, s1 := s.Sum(b, b+w.size)
-			st.Add(s1)
-			a, e := clipRange(b, b+w.size, s.Rows())
-			if a == e {
-				out, oks = append(out, 0), append(oks, false)
-				continue
-			}
-			if hi != 0 {
-				return nil, nil, &OverflowError{Hi: hi, Lo: lo}
-			}
-			out, oks = append(out, float64(lo)/float64(e-a)), append(oks, true)
-		}
-		w.record(len(out), st, start)
-		return out, oks, nil
-	}
-	base := w.q.Selection()
-	rows := w.q.t.rows
-	for b := 0; b < rows; b += w.step {
-		sel := base.Clone().And(rangeBitmap(rows, b, b+w.size))
-		v, any, err := col.AvgContext(ctx, sel, w.q.execs...)
-		if err != nil {
-			return nil, nil, err
-		}
-		out, oks = append(out, v), append(oks, any)
-	}
-	return out, oks, nil
+func (w *windows[R]) AvgContext(ctx context.Context, column string) ([]float64, []bool, error) {
+	return sweep(w, func(view R) (float64, bool, error) { return view.AvgContext(ctx, column) })
 }
