@@ -46,7 +46,7 @@ bench:
 
 # bench-json runs the paper's experiment suite at a CI-friendly size and
 # writes machine-readable results to BENCH_results.json (schema
-# bpagg-bench/v1) — the perf trajectory artifact.
+# bpagg-bench/v1) — the artifact CI uploads; the file is not committed.
 bench-json:
 	$(GO) run ./cmd/bpagg-bench -n 1048576 -mintime 25ms -json
 

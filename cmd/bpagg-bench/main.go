@@ -1,16 +1,9 @@
 // Command bpagg-bench regenerates the paper's evaluation (Feng & Lo, ICDE
 // 2015, §IV): Figures 5-7 (micro-benchmarks of the aggregation phase),
-// Figure 8 (multi-threading speedups) and Table II (TPC-H
-// style queries), plus a fused-pipeline A/B comparison ("fused") of the
-// scan→aggregate path against the two-phase scan-then-aggregate path,
-// a grouped A/B comparison ("groupby") of the single-pass bit-sliced
-// GROUP BY engine against the legacy per-group walk across cardinalities,
-// with a high-cardinality extension ("groupby-hicard") that sweeps group
-// counts up to 2^20 through the hash-banked partition tier,
-// a shard-count sweep ("shard-scale") of the sharded partitioned
-// store against the flat table it was split from, and a range-width
-// sweep ("range-scale") of the prefix-sum range index against the fused
-// scan fallback on filter-free positional ranges.
+// Figure 8 (multi-threading speedups) and Table II (TPC-H style queries),
+// plus the bpaggd serving A/B ("concurrent-clients") and the differential
+// soak ("oracle-soak"). The cross-PR performance trajectory is benchmark/,
+// not this command.
 //
 // Usage:
 //
@@ -22,7 +15,7 @@
 // Results print as aligned text tables matching the paper's layout; see
 // EXPERIMENTS.md for the paper-vs-measured record. With -json, the same
 // numbers are additionally written as machine-readable JSON (schema
-// bpagg-bench/v1) so CI can archive the perf trajectory.
+// bpagg-bench/v1), which CI archives as an artifact.
 package main
 
 import (
@@ -89,39 +82,6 @@ var experiments = []experimentSpec{
 		bench.PrintTable2(os.Stdout, tpch.HBP, hrows)
 		rc.report.AddTable2(tpch.VBP, vrows)
 		rc.report.AddTable2(tpch.HBP, hrows)
-		return nil
-	}},
-	{"fused", true, func(rc runCtx) error {
-		rows := bench.Fused(rc.cfg)
-		bench.PrintFused(os.Stdout, rows, rc.cfg)
-		rc.report.AddFused(rows)
-		return nil
-	}},
-	{"shard-scale", true, func(rc runCtx) error {
-		rows := bench.ShardScale(rc.cfg)
-		bench.PrintShardScale(os.Stdout, rows, rc.cfg)
-		rc.report.AddShardScale(rows)
-		return nil
-	}},
-	{"range-scale", true, func(rc runCtx) error {
-		rows := bench.RangeScale(rc.cfg)
-		bench.PrintRangeScale(os.Stdout, rows, rc.cfg)
-		rc.report.AddRangeScale(rows)
-		return nil
-	}},
-	{"groupby", true, func(rc runCtx) error {
-		rows := bench.GroupBy(rc.cfg)
-		bench.PrintGroupBy(os.Stdout, rows, rc.cfg)
-		rc.report.AddGroupBy(rows)
-		return nil
-	}},
-	// High-cardinality sweep into hash-tier territory; excluded from
-	// "all" — the largest points build multi-million-row tables and CI
-	// archives it as its own artifact.
-	{"groupby-hicard", false, func(rc runCtx) error {
-		rows := bench.GroupByHiCard(rc.cfg)
-		bench.PrintGroupByHiCard(os.Stdout, rows, rc.cfg)
-		rc.report.AddGroupByHiCard(rows)
 		return nil
 	}},
 	{"concurrent-clients", true, func(rc runCtx) error {

@@ -10,7 +10,6 @@ import (
 
 	"bpagg/internal/core"
 	"bpagg/internal/faultinject"
-	"bpagg/internal/parallel"
 )
 
 // TestErrorContract pins the error classification surface the serving
@@ -61,20 +60,39 @@ func TestErrorContract(t *testing.T) {
 		return err
 	}
 
+	// More distinct keys than the hash tier's budget (lowered through the
+	// test hook), through the public GroupByContext of a flat query, a
+	// row range of it, and a three-shard store whose first shard alone is
+	// over budget — wrapExecErr and the shard fan-out must both pass the
+	// sentinel through.
+	defer LowerHashGroupBudget(100)()
+	const cardRows = 300
+	cardKeys := make([]uint64, cardRows)
+	for i := range cardKeys {
+		cardKeys[i] = uint64(i)
+	}
+	cardTable := func() *Table {
+		tbl := NewTable()
+		tbl.AddColumn("g", VBP, 11)
+		tbl.AppendColumnar(map[string][]uint64{"g": cardKeys})
+		return tbl
+	}
 	cardinalityErr := func() error {
-		// Drive the partition kernel directly with > MaxGroups distinct
-		// keys; the public GroupBy swallows this signal into the legacy
-		// fallback, but kernel callers (and the serving layer, via the
-		// exported sentinel) observe it as an error.
-		n := (core.MaxGroups + 1) * 64
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = uint64(i / 64)
-		}
-		col := FromValues(VBP, 16, vals)
-		_, _, err := parallel.VBPGroupPartitionCtx(context.Background(), col.v, col.All().b, parallel.Options{})
+		_, err := cardTable().Query().GroupByContext(context.Background(), "g")
 		return err
 	}
+	cardinalityRangedErr := func() error {
+		_, err := cardTable().Query().Range(10, cardRows-10).GroupByContext(context.Background(), "g")
+		return err
+	}
+	cardinalityShardedErr := func() error {
+		st := NewShardedTable(128)
+		st.AddColumn("g", VBP, 11)
+		st.AppendColumnar(map[string][]uint64{"g": cardKeys})
+		_, err := st.Query().With(Parallel(2)).GroupByContext(context.Background(), "g")
+		return err
+	}
+	isCardinality := func(err error) bool { return errors.Is(err, ErrGroupCardinality) }
 
 	cases := []struct {
 		name string
@@ -95,9 +113,9 @@ func TestErrorContract(t *testing.T) {
 		{"canceled errors.Is", cancelErr, func(err error) bool {
 			return errors.Is(err, context.Canceled)
 		}},
-		{"group cardinality errors.Is", cardinalityErr, func(err error) bool {
-			return errors.Is(err, ErrGroupCardinality)
-		}},
+		{"group cardinality errors.Is", cardinalityErr, isCardinality},
+		{"group cardinality ranged errors.Is", cardinalityRangedErr, isCardinality},
+		{"group cardinality sharded errors.Is", cardinalityShardedErr, isCardinality},
 	}
 
 	for _, tc := range cases {

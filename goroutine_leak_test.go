@@ -173,29 +173,33 @@ func TestCancellationLeaksSinglePassGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !grouped.SinglePass() {
-		t.Fatal("partition did not take the single-pass path")
-	}
 	cancelMidFlight(t, "banked Grouped.SumContext", func(ctx context.Context) error {
 		_, err := grouped.SumContext(ctx, "v")
 		return err
 	})
 }
 
-// TestCancellationLeaksLegacyGroupWalk forces the legacy per-group walk
-// (a materialized selection disqualifies single-pass) and cancels during
-// its discovery scans.
-func TestCancellationLeaksLegacyGroupWalk(t *testing.T) {
+// TestCancellationLeaksMaterializedGroupBy cancels mid-partition when
+// the base bitmap is a materialized selection and when it is a row
+// range's mask: both are the single-pass partition and must join every
+// worker, leaving the query reusable.
+func TestCancellationLeaksMaterializedGroupBy(t *testing.T) {
 	tbl := leakTable(t)
 	q := tbl.Query().With(Parallel(2))
-	q.Selection() // materialize: forces the legacy walk
-	cancelMidFlight(t, "legacy GroupByContext walk", func(ctx context.Context) error {
-		g, err := q.GroupByContext(ctx, "g")
-		if err == nil && g.SinglePass() {
-			t.Error("legacy-walk test took the single-pass path")
-		}
+	q.Selection()
+	cancelMidFlight(t, "GroupByContext over a materialized selection", func(ctx context.Context) error {
+		_, err := q.GroupByContext(ctx, "g")
 		return err
 	})
+	cancelMidFlight(t, "GroupByContext over a row range", func(ctx context.Context) error {
+		_, err := q.Range(64, tbl.Rows()-64).GroupByContext(ctx, "g")
+		return err
+	})
+	if g, err := q.GroupByContext(context.Background(), "g"); err != nil {
+		t.Fatalf("query after cancel: %v", err)
+	} else if g.Len() != 8 {
+		t.Fatalf("query after cancel: %d groups, want 8", g.Len())
+	}
 }
 
 // leakStore builds a 7-shard store of the leakTable columns whose six

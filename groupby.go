@@ -2,7 +2,6 @@ package bpagg
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"bpagg/internal/bitvec"
@@ -18,7 +17,9 @@ import (
 // one uint64 composite (first column in the high bits), so the columns'
 // combined width must fit 64 bits.
 //
-// Three execution strategies produce that partition (DESIGN.md §12):
+// Two tiers produce that partition, both in one traversal of the
+// grouping columns over whatever bitmap the query's selection is — fresh,
+// materialized, caller-edited or a row range's mask (DESIGN.md §12):
 //
 //   - Direct (single column, key width ≤ core.DirectKeyBits): each
 //     64-value segment is visited once and the grouping column's
@@ -33,157 +34,73 @@ import (
 //     runs, merged by sorted key order. Selections stay sparse — counts
 //     and the banked aggregates come straight off the merged run list,
 //     and a dense bitmap is materialized per group only on demand.
-//   - Legacy per-group: repeated MIN walks the distinct values in
-//     ascending order, one BIT-PARALLEL-EQUAL scan per key intersected
-//     with the filter (nested per column for composite keys). Each step
-//     needs only the equality scan of the freshly found key — since that
-//     key is the minimum of the residual, removing its rows (AndNot)
-//     leaves exactly the strictly-greater residual the next step needs,
-//     so discovery costs G scans for G groups, not 2G.
 //
-// GroupBy picks the strategy at plan time: direct or hash when the query
-// qualifies (same spirit as the Query.Fused gate: no user bitmap, no
-// NULLs on the grouping columns, access not pinned to Reconstruct), legacy
-// otherwise or past MaxSinglePassGroups discovered keys. Results are
-// bit-identical across strategies and thread counts.
+// The tier is a function of the grouping columns alone (their count and
+// width). Rows NULL in a grouping column join no group. Results are
+// bit-identical across tiers and thread counts.
 type Grouped struct {
-	q        *Query
-	cols     []*Column
-	widths   []int
-	keys     []uint64
-	sels     []*Bitmap // dense selections (direct + legacy); nil for hash
-	counts   []uint64  // per-group row counts: tallied by the hash partition, popcounted on first use otherwise
-	hp       *parallel.HashPartition
-	strategy GroupStrategy
+	q      *Query
+	widths []int
+	keys   []uint64
+	sels   []*Bitmap // dense selections (direct tier); nil for hash
+	counts []uint64  // per-group row counts: tallied by the hash partition, popcounted on first use otherwise
+	hp     *parallel.HashPartition
 }
 
-// GroupStrategy identifies which partition strategy built a Grouped.
+// GroupStrategy identifies which partition tier built a Grouped.
 type GroupStrategy int
 
 const (
-	// GroupLegacy is the per-group MIN+equality walk.
-	GroupLegacy GroupStrategy = iota
 	// GroupDirect is the single-pass direct-mapped bank (key width ≤
 	// core.DirectKeyBits).
-	GroupDirect
+	GroupDirect GroupStrategy = iota
 	// GroupHash is the single-pass hash-banked tier.
 	GroupHash
 )
 
-// String returns "legacy", "direct" or "hash".
+// String returns "direct" or "hash".
 func (s GroupStrategy) String() string {
-	switch s {
-	case GroupDirect:
+	if s == GroupDirect {
 		return "direct"
-	case GroupHash:
-		return "hash"
-	default:
-		return "legacy"
 	}
+	return "hash"
 }
 
-// MaxSinglePassGroups is the group-cardinality ceiling of the
-// single-pass partition path (the hash tier's key budget); queries
-// grouping columns with more distinct values fall back to the legacy
-// per-group walk.
+// groupStrategy picks the tier from the grouping columns' code widths —
+// the only input that decides it.
+func groupStrategy(widths []int) GroupStrategy {
+	if len(widths) == 1 && widths[0] <= core.DirectKeyBits {
+		return GroupDirect
+	}
+	return GroupHash
+}
+
+// MaxSinglePassGroups is the hash tier's key budget: a GROUP BY that
+// discovers more distinct keys fails with ErrGroupCardinality. (The
+// direct tier cannot exceed its bank: 2^core.DirectKeyBits keys fit.)
 const MaxSinglePassGroups = core.MaxHashGroups
 
 // maxHashGroups is the hash tier's runtime key budget. It equals
-// MaxSinglePassGroups except in tests that lower it to exercise the
-// legacy fallback without building 2^20 distinct keys.
+// MaxSinglePassGroups except in tests that lower it to reach the budget
+// error without building 2^20 distinct keys.
 var maxHashGroups = core.MaxHashGroups
 
-// ErrGroupCardinality reports that a single-pass GROUP BY partition
-// discovered more distinct keys than MaxSinglePassGroups. Inside the
-// engine it is a fallback signal (GroupBy silently reruns the legacy
-// per-group walk), so it normally never escapes; it is exported so
-// callers that drive the partition kernels directly — and serving-layer
-// error→status mappings — can classify it with errors.Is. The sentinel
-// is wrap-stable: errors.Is matches it through any fmt.Errorf("%w")
-// chain (pinned by the error-contract table test).
+// ErrGroupCardinality is GroupBy's answer when the grouping columns hold
+// more than MaxSinglePassGroups distinct keys under the selection. There
+// is no slower tier behind it: the per-group alternative keeps one dense
+// n/8-byte bitmap per group, ≥ 128 GiB at the smallest table that can
+// have that many keys. Narrow the filter or group by fewer columns. The
+// sentinel is wrap-stable — errors.Is matches it through the shard
+// fan-out, sqlmini.Execute and any fmt.Errorf("%w") chain (pinned by the
+// error-contract table test) — and bpaggd maps it to 422.
 var ErrGroupCardinality = core.ErrGroupCardinality
 
-// SinglePass reports whether this partition was built by the
-// single-pass engine (EXPLAIN support). Banked per-group aggregate
-// kernels are only available on single-pass partitions.
-func (g *Grouped) SinglePass() bool { return g.strategy != GroupLegacy }
+// Strategy reports which partition tier built this Grouped (EXPLAIN
+// ANALYZE support).
+func (g *Grouped) Strategy() GroupStrategy { return groupStrategy(g.widths) }
 
-// Strategy reports which partition strategy built this Grouped
-// (EXPLAIN ANALYZE support).
-func (g *Grouped) Strategy() GroupStrategy { return g.strategy }
-
-// groupSinglePass attempts the single-pass partition (direct or hash
-// tier). ok is false when the query does not qualify (pre-materialized
-// or user-supplied selection, NULLs on a grouping column,
-// Reconstruct access, or cardinality past the tier budget) — the
-// caller then runs the legacy walk. A returned error is a real execution
-// failure (cancellation, worker panic), never a fallback signal.
-func (q *Query) groupSinglePass(ctx context.Context, cols []*Column, widths []int) (*Grouped, bool, error) {
-	if q.sel != nil {
-		return nil, false, nil
-	}
-	for _, col := range cols {
-		if col.nulls != nil {
-			return nil, false, nil
-		}
-	}
-	o := execOptions(q.execs)
-	if o.access == Reconstruct {
-		return nil, false, nil
-	}
-	base := q.Selection()
-
-	if len(cols) == 1 && cols[0].k <= core.DirectKeyBits {
-		col := cols[0]
-		var (
-			keys []uint64
-			bs   []*bitvec.Bitmap
-			err  error
-		)
-		if col.layout == VBP {
-			keys, bs, err = parallel.VBPGroupPartitionCtx(ctx, col.v, base.b, o.par)
-		} else {
-			keys, bs, err = parallel.HBPGroupPartitionCtx(ctx, col.h, base.b, o.par)
-		}
-		if err != nil {
-			if errors.Is(err, core.ErrGroupCardinality) {
-				return nil, false, nil
-			}
-			return nil, false, wrapExecErr(err)
-		}
-		g := &Grouped{q: q, cols: cols, widths: widths, keys: keys, strategy: GroupDirect}
-		g.sels = make([]*Bitmap, len(bs))
-		for i, b := range bs {
-			g.sels[i] = &Bitmap{b: b}
-		}
-		return g, true, nil
-	}
-
-	gcols := make([]parallel.GroupCol, len(cols))
-	for i, col := range cols {
-		if col.layout == VBP {
-			gcols[i] = parallel.GroupCol{V: col.v}
-		} else {
-			gcols[i] = parallel.GroupCol{H: col.h}
-		}
-	}
-	hp, err := parallel.HashGroupPartitionCtx(ctx, gcols, base.b, cols[0].Len(), maxHashGroups, o.par)
-	if err != nil {
-		if errors.Is(err, core.ErrGroupCardinality) {
-			return nil, false, nil
-		}
-		return nil, false, wrapExecErr(err)
-	}
-	return &Grouped{
-		q: q, cols: cols, widths: widths,
-		keys: hp.Keys, counts: hp.Counts, hp: hp,
-		strategy: GroupHash,
-	}, true, nil
-}
-
-// groupByCols is the strategy selector shared by GroupBy and
-// GroupByContext: composite width check, single-pass attempt (direct or
-// hash tier), legacy walk fallback.
+// groupByCols is the one route to a partition, shared by GroupBy and
+// GroupByContext: composite width check, then the single pass.
 func (q *Query) groupByCols(ctx context.Context, cols []*Column) (*Grouped, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("bpagg: GROUP BY needs at least one column")
@@ -197,56 +114,70 @@ func (q *Query) groupByCols(ctx context.Context, cols []*Column) (*Grouped, erro
 	if total > 64 {
 		return nil, fmt.Errorf("bpagg: composite group key is %d bits wide — keys must pack into 64 bits", total)
 	}
-	if g, ok, err := q.groupSinglePass(ctx, cols, widths); err != nil {
-		return nil, err
-	} else if ok {
-		return g, nil
-	}
-	return q.legacyGroupWalk(ctx, cols, widths)
+	return q.groupSinglePass(ctx, cols, widths)
 }
 
-// legacyGroupWalk runs the per-group MIN+equality walk, nesting one walk
-// per grouping column for composite keys: each discovered value of
-// column j refines its parent group's selection before recursing on
-// column j+1, so keys come out in ascending packed order. Rows NULL in
-// any grouping column never match an equality scan and drop out, the
-// same semantics as the single-pass tiers' NULL gate.
-func (q *Query) legacyGroupWalk(ctx context.Context, cols []*Column, widths []int) (*Grouped, error) {
-	g := &Grouped{q: q, cols: cols, widths: widths, strategy: GroupLegacy}
-	var walk func(sel *Bitmap, depth int, prefix uint64) error
-	walk = func(sel *Bitmap, depth int, prefix uint64) error {
-		col := cols[depth]
-		rest := sel.Clone()
-		for {
-			v, ok, err := col.MinContext(ctx, rest, q.execs...)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			eq := col.ScanStats(Equal(v), q.stats)
-			sub := sel.Clone().And(eq)
-			key := prefix<<uint(widths[depth]) | v
-			if depth == len(cols)-1 {
-				g.keys = append(g.keys, key)
-				g.sels = append(g.sels, sub)
-			} else if err := walk(sub, depth+1, key); err != nil {
-				return err
-			}
-			rest.AndNot(eq)
+// groupSinglePass partitions the query's selection, whatever built it,
+// in one pass over cols on the tier their widths select. The access pin
+// does not apply: a partition is not an aggregate (banked still honours
+// it per measure). A key count past the hash budget is
+// ErrGroupCardinality.
+func (q *Query) groupSinglePass(ctx context.Context, cols []*Column, widths []int) (*Grouped, error) {
+	o := execOptions(q.execs)
+	base := q.Selection().b
+	// A row NULL in a grouping column joins no group. The copy is made
+	// only when such a column exists; the query keeps its own selection.
+	owned := false
+	for _, col := range cols {
+		if col.nulls == nil {
+			continue
 		}
+		if !owned {
+			base, owned = base.Clone(), true
+		}
+		base.AndNot(col.nulls)
 	}
-	if err := walk(q.Selection(), 0, 0); err != nil {
-		return nil, err
+	g := &Grouped{q: q, widths: widths}
+
+	if groupStrategy(widths) == GroupDirect {
+		col := cols[0]
+		var (
+			bs  []*bitvec.Bitmap
+			err error
+		)
+		if col.layout == VBP {
+			g.keys, bs, err = parallel.VBPGroupPartitionCtx(ctx, col.v, base, o.par)
+		} else {
+			g.keys, bs, err = parallel.HBPGroupPartitionCtx(ctx, col.h, base, o.par)
+		}
+		if err != nil {
+			return nil, wrapExecErr(err)
+		}
+		g.sels = make([]*Bitmap, len(bs))
+		for i, b := range bs {
+			g.sels[i] = &Bitmap{b: b}
+		}
+		return g, nil
 	}
+
+	gcols := make([]parallel.GroupCol, len(cols))
+	for i, col := range cols {
+		gcols[i] = groupCol(col)
+	}
+	hp, err := parallel.HashGroupPartitionCtx(ctx, gcols, base, cols[0].Len(), maxHashGroups, o.par)
+	if err != nil {
+		return nil, wrapExecErr(err)
+	}
+	g.keys, g.counts, g.hp = hp.Keys, hp.Counts, hp
 	return g, nil
 }
 
 // GroupBy partitions the query's current selection by the distinct
 // values of the named columns. With several columns the group key is the
 // packed composite of the columns' codes (see Keys/KeyParts); the
-// combined key width must fit 64 bits.
+// combined key width must fit 64 bits. More than MaxSinglePassGroups
+// distinct keys panics with ErrGroupCardinality (use GroupByContext to
+// receive it as an error).
 func (q *Query) GroupBy(columns ...string) *Grouped {
 	g, err := q.GroupByContext(nil, columns...)
 	fusedMust(err)
@@ -293,7 +224,7 @@ func (g *Grouped) Selection(i int) *Bitmap {
 }
 
 // groupCount returns group i's row count without materializing the hash
-// tier's selection. The dense tiers popcount every group once and keep
+// tier's selection. The direct tier popcounts every group once and keeps
 // the counts, so COUNT(*) and an AVG divisor share one pass.
 func (g *Grouped) groupCount(i int) uint64 {
 	if g.counts == nil {
@@ -306,12 +237,11 @@ func (g *Grouped) groupCount(i int) uint64 {
 }
 
 // banked reports whether a per-group aggregate over col can run the
-// banked single-pass kernels, and resolves the execution options if so.
-// The gate mirrors groupSinglePass's per-column conditions: the
-// partition itself must be single-pass, the measure column NULL-free,
-// and access not pinned to Reconstruct.
+// banked single-pass kernels, and resolves the execution options if so:
+// the measure column must be NULL-free and access not pinned to
+// Reconstruct. Otherwise the aggregate runs once per group selection.
 func (g *Grouped) banked(col *Column) (execConfig, bool) {
-	if !g.SinglePass() || col.nulls != nil {
+	if col.nulls != nil {
 		return execConfig{}, false
 	}
 	o := execOptions(g.q.execs)
@@ -331,8 +261,8 @@ func (g *Grouped) rawSels() []*bitvec.Bitmap {
 	return bs
 }
 
-// measureGroupCol wraps a measure column for the hash drivers.
-func measureGroupCol(col *Column) parallel.GroupCol {
+// groupCol wraps a grouping or measure column for the hash drivers.
+func groupCol(col *Column) parallel.GroupCol {
 	if col.layout == VBP {
 		return parallel.GroupCol{V: col.v}
 	}
@@ -344,7 +274,7 @@ func measureGroupCol(col *Column) parallel.GroupCol {
 func (g *Grouped) bankedSums(ctx context.Context, col *Column, o execConfig) (his, los []uint64, err error) {
 	switch {
 	case g.hp != nil:
-		his, los, err = parallel.HashGroupSumCtx(ctx, measureGroupCol(col), g.hp, o.par)
+		his, los, err = parallel.HashGroupSumCtx(ctx, groupCol(col), g.hp, o.par)
 	case col.layout == VBP:
 		his, los, err = parallel.VBPGroupSumCtx(ctx, col.v, g.rawSels(), o.par)
 	default:
@@ -362,7 +292,7 @@ func (g *Grouped) bankedExtreme(ctx context.Context, col *Column, o execConfig, 
 	var err error
 	switch {
 	case g.hp != nil:
-		vals, anys, err = parallel.HashGroupExtremeCtx(ctx, measureGroupCol(col), g.hp, wantMin, o.par)
+		vals, anys, err = parallel.HashGroupExtremeCtx(ctx, groupCol(col), g.hp, wantMin, o.par)
 	case col.layout == VBP:
 		vals, anys, err = parallel.VBPGroupExtremeCtx(ctx, col.v, g.rawSels(), wantMin, o.par)
 	default:

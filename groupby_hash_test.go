@@ -142,7 +142,7 @@ func TestGroupHashSumOverflowCarriesKey(t *testing.T) {
 // FuzzGroupHashBank is the hash tier's property check: for fuzz-chosen
 // composite key widths past the direct tier, data shapes, layouts, and
 // thread counts, the hash-banked partition must agree bit for bit with
-// both the legacy per-key walk and a naive map-built oracle.
+// both the test-side reference walk and a naive map-built oracle.
 func FuzzGroupHashBank(f *testing.F) {
 	f.Add(int64(1), uint16(500), uint8(11), uint8(3), uint8(12), uint8(0), uint8(1))
 	f.Add(int64(2), uint16(2000), uint8(13), uint8(1), uint8(30), uint8(1), uint8(8))
@@ -210,17 +210,34 @@ func FuzzGroupHashBank(f *testing.F) {
 		if sp.Strategy() != GroupHash {
 			t.Fatalf("strategy = %v, want hash (k1=%d k2=%d)", sp.Strategy(), k1, k2)
 		}
-		ql := tbl.Query().With(Parallel(th))
-		ql.Selection()
-		legacy := ql.GroupBy("g", "g2")
-		if legacy.SinglePass() {
-			t.Fatal("materialized selection did not force the legacy walk")
+		qm := tbl.Query().With(Parallel(th))
+		qm.Selection()
+		materialized := qm.GroupBy("g", "g2")
+		if materialized.Strategy() != GroupHash {
+			t.Fatalf("materialized selection moved the tier to %v", materialized.Strategy())
+		}
+
+		// The reference walk is the third, independent opinion: same
+		// partition as the hash bank, same tallies as the map.
+		ref := referenceGroupWalk(t, tbl, tbl.Query().Selection(), "g", "g2")
+		requireSameGroups(t, sp, ref)
+		refSums, err := ref.SumContext(context.Background(), "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		refCounts, refMins, refMaxs := ref.Count(), ref.Min("v"), ref.Max("v")
+		for i, k := range ref.keys {
+			a := m[k]
+			if refCounts[i] != a.count || refSums[i] != a.sum || refMins[i] != a.min || refMaxs[i] != a.max {
+				t.Fatalf("reference walk: group %d (key %d): count/sum/min/max = %d/%d/%d/%d, oracle %d/%d/%d/%d",
+					i, k, refCounts[i], refSums[i], refMins[i], refMaxs[i], a.count, a.sum, a.min, a.max)
+			}
 		}
 
 		for _, eng := range []struct {
 			name string
 			g    *Grouped
-		}{{"hash", sp}, {"legacy", legacy}} {
+		}{{"hash", sp}, {"hash over a materialized selection", materialized}} {
 			gotKeys := eng.g.Keys()
 			if len(gotKeys) != len(wantKeys) {
 				t.Fatalf("%s: %d keys, oracle %d", eng.name, len(gotKeys), len(wantKeys))

@@ -18,10 +18,11 @@ func buildGroupTable(t testing.TB, layoutG, layoutV Layout, kG, kV int, keys, va
 	return tbl
 }
 
-// checkSinglePassVsLegacy runs the same grouped query through both
-// partition engines and requires bit-identical keys, selections, and
-// aggregates.
-func checkSinglePassVsLegacy(t *testing.T, tbl *Table, threads int, withFilter bool) {
+// checkAgainstReferenceWalk runs the same grouped query over a lazy and
+// over a materialized selection and requires both partitions to be
+// bit-identical — keys, selections, and aggregates — to the reference
+// walk over the same rows.
+func checkAgainstReferenceWalk(t *testing.T, tbl *Table, threads int, withFilter bool) {
 	t.Helper()
 	mk := func() *Query {
 		q := tbl.Query().With(Parallel(threads))
@@ -30,56 +31,46 @@ func checkSinglePassVsLegacy(t *testing.T, tbl *Table, threads int, withFilter b
 		}
 		return q
 	}
-	qs := mk()
-	sp := qs.GroupBy("g")
-	if !sp.SinglePass() {
-		t.Fatal("lazy query did not take the single-pass path")
+	ref := referenceGroupWalk(t, tbl, mk().Selection(), "g")
+	refSums, err := ref.SumContext(context.Background(), "v")
+	if err != nil {
+		t.Fatal(err)
 	}
-	ql := mk()
-	ql.Selection()
-	lg := ql.GroupBy("g")
-	if lg.SinglePass() {
-		t.Fatal("materialized selection did not force the legacy walk")
-	}
-
-	spKeys, lgKeys := sp.Keys(), lg.Keys()
-	if len(spKeys) != len(lgKeys) {
-		t.Fatalf("key counts differ: single-pass %d, legacy %d", len(spKeys), len(lgKeys))
-	}
-	for i := range spKeys {
-		if spKeys[i] != lgKeys[i] {
-			t.Fatalf("keys differ: single-pass %v, legacy %v", spKeys, lgKeys)
+	for _, materialize := range []bool{false, true} {
+		q := mk()
+		if materialize {
+			q.Selection()
 		}
-		a, b := sp.Selection(i), lg.Selection(i)
-		if a.Count() != b.Count() || a.Clone().AndNot(b).Count() != 0 {
-			t.Fatalf("group %d selection differs (single-pass %d rows, legacy %d rows)",
-				i, a.Count(), b.Count())
-		}
-	}
-	cmp := func(name string, a, b []uint64) {
-		t.Helper()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s differs at group %d: single-pass %d, legacy %d", name, i, a[i], b[i])
+		sp := q.GroupBy("g")
+		requireSameGroups(t, sp, ref)
+		cmp := func(name string, a, b []uint64) {
+			t.Helper()
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("%s differs at group %d (materialized=%v): engine %d, reference walk %d",
+						name, i, materialize, a[i], b[i])
+				}
 			}
 		}
-	}
-	cmp("Count", sp.Count(), lg.Count())
-	cmp("Sum", sp.Sum("v"), lg.Sum("v"))
-	cmp("Min", sp.Min("v"), lg.Min("v"))
-	cmp("Max", sp.Max("v"), lg.Max("v"))
-	cmp("Median", sp.Median("v"), lg.Median("v"))
-	spAvg, lgAvg := sp.Avg("v"), lg.Avg("v")
-	for i := range spAvg {
-		if spAvg[i] != lgAvg[i] {
-			t.Fatalf("Avg differs at group %d: single-pass %v, legacy %v", i, spAvg[i], lgAvg[i])
+		cmp("Count", sp.Count(), ref.Count())
+		cmp("Sum", sp.Sum("v"), refSums)
+		cmp("Min", sp.Min("v"), ref.Min("v"))
+		cmp("Max", sp.Max("v"), ref.Max("v"))
+		cmp("Median", sp.Median("v"), ref.Median("v"))
+		spAvg, refAvg := sp.Avg("v"), ref.Avg("v")
+		for i := range spAvg {
+			if spAvg[i] != refAvg[i] {
+				t.Fatalf("Avg differs at group %d: engine %v, reference walk %v", i, spAvg[i], refAvg[i])
+			}
 		}
 	}
 }
 
 // TestGroupSinglePassMatchesLegacy sweeps layouts, widths, cardinalities
 // (including the G=1 and G=segment-count edges), and thread counts,
-// requiring the two partition engines to agree everywhere.
+// requiring the single-pass partition to agree everywhere with the
+// per-group walk that used to be the engine's legacy tier and is now the
+// test-side reference (referenceGroupWalk).
 func TestGroupSinglePassMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	layouts := []Layout{VBP, HBP}
@@ -103,8 +94,8 @@ func TestGroupSinglePassMatchesLegacy(t *testing.T) {
 					}
 					tbl := buildGroupTable(t, lg, lv, kG, kV, keys, vals)
 					for _, th := range []int{1, 8} {
-						checkSinglePassVsLegacy(t, tbl, th, false)
-						checkSinglePassVsLegacy(t, tbl, th, true)
+						checkAgainstReferenceWalk(t, tbl, th, false)
+						checkAgainstReferenceWalk(t, tbl, th, true)
 					}
 				}
 			}
@@ -112,14 +103,14 @@ func TestGroupSinglePassMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestGroupSinglePassCardinalityFallback pins the strategy ladder around
-// the direct tier's budget: a grouping column just past the 10-bit direct
-// key width stays single-pass on the hash tier (the PR 7 contract — no
-// legacy fallback below MaxSinglePassGroups), and a cardinality past the
-// hash budget silently falls back to the legacy walk with identical
-// answers. The hash budget is lowered through the unexported test hook so
-// the fallback is exercised without building 2^20 distinct keys.
-func TestGroupSinglePassCardinalityFallback(t *testing.T) {
+// TestGroupCardinalityBudget pins the tier ladder around the direct
+// tier's budget: a grouping column just past the 10-bit direct key width
+// runs on the hash tier, and a cardinality past the hash budget is
+// ErrGroupCardinality — there is no slower tier behind it. The budget is
+// lowered through the unexported test hook so the error is reached
+// without building 2^20 distinct keys; a filter that brings the key count
+// back under the budget answers again.
+func TestGroupCardinalityBudget(t *testing.T) {
 	n := 1324 // past the direct tier's 1024-key budget, kG=11 > DirectKeyBits
 	keys := make([]uint64, n)
 	vals := make([]uint64, n)
@@ -129,44 +120,36 @@ func TestGroupSinglePassCardinalityFallback(t *testing.T) {
 	}
 	tbl := buildGroupTable(t, VBP, VBP, 11, 7, keys, vals)
 
-	check := func(g *Grouped, want GroupStrategy) {
-		t.Helper()
-		if g.Strategy() != want {
-			t.Fatalf("strategy = %v, want %v", g.Strategy(), want)
-		}
-		if g.Len() != n {
-			t.Fatalf("groups = %d, want %d", g.Len(), n)
-		}
-		sums := g.Sum("v")
-		for i := range sums {
-			if sums[i] != uint64(i%97) {
-				t.Fatalf("group %d sum = %d, want %d", i, sums[i], i%97)
-			}
-		}
-	}
-
 	g := tbl.Query().GroupBy("g")
-	if !g.SinglePass() {
-		t.Fatalf("%d groups within MaxSinglePassGroups=%d must stay single-pass",
-			n, MaxSinglePassGroups)
+	if g.Strategy() != GroupHash {
+		t.Fatalf("strategy = %v, want %v", g.Strategy(), GroupHash)
 	}
-	check(g, GroupHash)
+	if g.Len() != n {
+		t.Fatalf("groups = %d, want %d", g.Len(), n)
+	}
+	for i, sum := range g.Sum("v") {
+		if sum != uint64(i%97) {
+			t.Fatalf("group %d sum = %d, want %d", i, sum, i%97)
+		}
+	}
 
-	defer func(old int) { maxHashGroups = old }(maxHashGroups)
-	maxHashGroups = 1000
-	lg := tbl.Query().GroupBy("g")
-	if lg.SinglePass() {
-		t.Fatalf("%d groups exceed the lowered hash budget %d; expected legacy fallback",
-			n, maxHashGroups)
+	defer LowerHashGroupBudget(1000)()
+	if _, err := tbl.Query().GroupByContext(context.Background(), "g"); !errors.Is(err, ErrGroupCardinality) {
+		t.Fatalf("%d groups over the lowered hash budget %d: err = %v, want ErrGroupCardinality",
+			n, maxHashGroups, err)
 	}
-	check(lg, GroupLegacy)
+	under, err := tbl.Query().Where("g", Less(1000)).GroupByContext(context.Background(), "g")
+	if err != nil {
+		t.Fatalf("1000 groups at budget 1000: %v", err)
+	}
+	if under.Len() != 1000 {
+		t.Fatalf("groups = %d, want 1000", under.Len())
+	}
 }
 
 // TestGroupSinglePassStats asserts the single-pass counters: one
-// partition scan discovering all groups, banked words, exactly one
-// recorded aggregate per banked call, and the exact words-touched
-// relation vs the legacy path (a VBP measure column is read once per
-// live segment instead of once per live segment per group — G×).
+// partition scan discovering all groups, banked words, and exactly one
+// recorded aggregate per banked call.
 func TestGroupSinglePassStats(t *testing.T) {
 	const n, groups = 2048, 8
 	keys := make([]uint64, n)
@@ -180,9 +163,6 @@ func TestGroupSinglePassStats(t *testing.T) {
 
 	q := tbl.Query().WithStats()
 	g := q.GroupBy("g")
-	if !g.SinglePass() {
-		t.Fatal("expected the single-pass path")
-	}
 	s := q.Stats()
 	if s.Scans != 1 {
 		t.Errorf("partition Scans = %d, want 1 (one traversal for all groups)", s.Scans)
@@ -200,8 +180,7 @@ func TestGroupSinglePassStats(t *testing.T) {
 	if got := afterSum.Aggregates - s.Aggregates; got != 1 {
 		t.Errorf("banked Sum recorded %d aggregates, want 1", got)
 	}
-	spWords := afterSum.WordsTouched - s.WordsTouched
-	if spWords == 0 {
+	if afterSum.WordsTouched == s.WordsTouched {
 		t.Error("banked Sum moved no WordsTouched")
 	}
 
@@ -217,26 +196,11 @@ func TestGroupSinglePassStats(t *testing.T) {
 	if got := afterCount.Aggregates - afterExtremes.Aggregates; got != groups {
 		t.Errorf("Count recorded %d aggregates, want one per group (%d)", got, groups)
 	}
-
-	// Words-touched relation: the legacy path reads the measure column's
-	// k planes once per live segment per group; the banked kernel reads
-	// them once per live segment, shared by all groups — exactly G× less
-	// here, where every group is live in every segment.
-	ql := tbl.Query().WithStats()
-	ql.Selection()
-	lg := ql.GroupBy("g")
-	base := ql.Stats()
-	lg.Sum("v")
-	lgWords := ql.Stats().WordsTouched - base.WordsTouched
-	if lgWords != uint64(groups)*spWords {
-		t.Errorf("words-touched relation: legacy %d, single-pass %d, want exactly %d× (%d)",
-			lgWords, spWords, groups, uint64(groups)*spWords)
-	}
 }
 
-// TestGroupedCountRecordsStatsLegacy pins the satellite contract on the
-// legacy route too: Grouped.Count and CountContext record one aggregate
-// per group whichever engine built the partition.
+// TestGroupedCountRecordsStatsLegacy pins the count contract over a
+// materialized selection too: Grouped.Count and CountContext record one
+// aggregate per group however the partition's base bitmap was built.
 func TestGroupedCountRecordsStatsLegacy(t *testing.T) {
 	tbl, groups := groupStatsTable(t)
 	q := tbl.Query().WithStats()
@@ -246,20 +210,22 @@ func TestGroupedCountRecordsStatsLegacy(t *testing.T) {
 	g.Count()
 	after := q.Stats()
 	if got := after.Aggregates - base.Aggregates; got != uint64(groups) {
-		t.Errorf("legacy Count recorded %d aggregates, want %d", got, groups)
+		t.Errorf("Count recorded %d aggregates, want %d", got, groups)
 	}
 	if _, err := g.CountContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after2 := q.Stats()
 	if got := after2.Aggregates - after.Aggregates; got != uint64(groups) {
-		t.Errorf("legacy CountContext recorded %d aggregates, want %d", got, groups)
+		t.Errorf("CountContext recorded %d aggregates, want %d", got, groups)
 	}
 }
 
-// TestGroupedSumOverflow pins the grouped overflow contract on both
-// engines: plain Sum/Avg panic with *OverflowError, SumContext/
-// AvgContext return it, and the error carries the exact 128-bit total.
+// TestGroupedSumOverflow pins the grouped overflow contract over a lazy
+// and a materialized selection: plain Sum/Avg panic with *OverflowError,
+// SumContext/AvgContext return it, and the error carries the exact
+// 128-bit total — the one the reference walk's per-group SumContext
+// reports for the same group.
 func TestGroupedSumOverflow(t *testing.T) {
 	const n = 128
 	keys := make([]uint64, n)
@@ -268,36 +234,37 @@ func TestGroupedSumOverflow(t *testing.T) {
 		keys[i] = uint64(i % 2)
 		vals[i] = 1 << 63 // each group's sum is 64 << 63 = 2^69
 	}
+	const want = "590295810358705651712" // 64 * 2^63 = 2^69
 	for _, layout := range []Layout{VBP, HBP} {
-		for _, forceLegacy := range []bool{false, true} {
-			tbl := buildGroupTable(t, layout, layout, 1, 64, keys, vals)
+		tbl := buildGroupTable(t, layout, layout, 1, 64, keys, vals)
+		var ov *OverflowError
+		_, err := referenceGroupWalk(t, tbl, tbl.Query().Selection(), "g").SumContext(context.Background(), "v")
+		if !errors.As(err, &ov) || ov.Big().String() != want {
+			t.Fatalf("layout %v: reference walk SumContext = %v, want *OverflowError of %s", layout, err, want)
+		}
+		for _, materialize := range []bool{false, true} {
 			q := tbl.Query()
-			if forceLegacy {
+			if materialize {
 				q.Selection()
 			}
 			g := q.GroupBy("g")
-			if g.SinglePass() == forceLegacy {
-				t.Fatalf("layout %v: SinglePass = %v, want %v", layout, g.SinglePass(), !forceLegacy)
-			}
 
 			_, err := g.SumContext(context.Background(), "v")
-			var ov *OverflowError
 			if !errors.As(err, &ov) {
-				t.Fatalf("layout %v legacy=%v: SumContext = %v, want *OverflowError", layout, forceLegacy, err)
+				t.Fatalf("layout %v materialized=%v: SumContext = %v, want *OverflowError", layout, materialize, err)
 			}
-			want := "590295810358705651712" // 64 * 2^63 = 2^69
 			if ov.Big().String() != want {
 				t.Fatalf("layout %v: overflow total = %s, want %s", layout, ov.Big().String(), want)
 			}
 			if _, err := g.AvgContext(context.Background(), "v"); !errors.As(err, &ov) {
-				t.Fatalf("layout %v legacy=%v: AvgContext = %v, want *OverflowError", layout, forceLegacy, err)
+				t.Fatalf("layout %v materialized=%v: AvgContext = %v, want *OverflowError", layout, materialize, err)
 			}
 
 			func() {
 				defer func() {
 					r := recover()
 					if r == nil {
-						t.Fatalf("layout %v legacy=%v: plain Sum did not panic on overflow", layout, forceLegacy)
+						t.Fatalf("layout %v materialized=%v: plain Sum did not panic on overflow", layout, materialize)
 					}
 					e, ok := r.(error)
 					if !ok || !errors.As(e, &ov) {
@@ -311,7 +278,7 @@ func TestGroupedSumOverflow(t *testing.T) {
 }
 
 // FuzzGroupSinglePass drives the property check with fuzz-chosen data
-// shapes: the single-pass engine must stay bit-identical to the legacy
+// shapes: the single-pass engine must stay bit-identical to the reference
 // walk for any layout pair, width, cardinality, and thread count.
 func FuzzGroupSinglePass(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint8(3), uint8(12), uint8(0), uint8(1))
@@ -345,61 +312,42 @@ func FuzzGroupSinglePass(f *testing.F) {
 		tbl := buildGroupTable(t, lg, lv, kGi, kVi, keys, vals)
 		th := 1 + int(threads)%8
 
-		mk := func() *Query { return tbl.Query().With(Parallel(th)) }
-		qs := mk()
-		sp := qs.GroupBy("g")
-		if !sp.SinglePass() {
-			t.Fatal("lazy query did not take the single-pass path")
-		}
-		ql := mk()
-		ql.Selection()
-		legacy := ql.GroupBy("g")
+		sp := tbl.Query().With(Parallel(th)).GroupBy("g")
+		ref := referenceGroupWalk(t, tbl, tbl.Query().Selection(), "g")
+		requireSameGroups(t, sp, ref)
 
-		spKeys, lgKeys := sp.Keys(), legacy.Keys()
-		if len(spKeys) != len(lgKeys) {
-			t.Fatalf("key counts differ: single-pass %d, legacy %d", len(spKeys), len(lgKeys))
-		}
-		for i := range spKeys {
-			if spKeys[i] != lgKeys[i] {
-				t.Fatalf("keys differ at %d: %d vs %d", i, spKeys[i], lgKeys[i])
-			}
-			if a, b := sp.Selection(i), legacy.Selection(i); a.Count() != b.Count() ||
-				a.Clone().AndNot(b).Count() != 0 {
-				t.Fatalf("group %d selections differ", i)
-			}
-		}
 		ctx := context.Background()
 		spSums, spErr := sp.SumContext(ctx, "v")
-		lgSums, lgErr := legacy.SumContext(ctx, "v")
-		var spOv, lgOv *OverflowError
-		if errors.As(spErr, &spOv) != errors.As(lgErr, &lgOv) {
-			t.Fatalf("overflow disagreement: single-pass err=%v, legacy err=%v", spErr, lgErr)
+		refSums, refErr := ref.SumContext(ctx, "v")
+		var spOv, refOv *OverflowError
+		if errors.As(spErr, &spOv) != errors.As(refErr, &refOv) {
+			t.Fatalf("overflow disagreement: engine err=%v, reference walk err=%v", spErr, refErr)
 		}
 		if spOv != nil {
-			if spOv.Hi != lgOv.Hi || spOv.Lo != lgOv.Lo {
-				t.Fatalf("overflow totals differ: %v vs %v", spOv.Big(), lgOv.Big())
+			if spOv.Hi != refOv.Hi || spOv.Lo != refOv.Lo {
+				t.Fatalf("overflow totals differ: %v vs %v", spOv.Big(), refOv.Big())
 			}
 		} else {
 			for i := range spSums {
-				if spSums[i] != lgSums[i] {
-					t.Fatalf("sum differs at group %d: %d vs %d", i, spSums[i], lgSums[i])
+				if spSums[i] != refSums[i] {
+					t.Fatalf("sum differs at group %d: %d vs %d", i, spSums[i], refSums[i])
 				}
 			}
 		}
-		lgMin, lgMax, lgCnt := legacy.Min("v"), legacy.Max("v"), legacy.Count()
+		refMin, refMax, refCnt := ref.Min("v"), ref.Max("v"), ref.Count()
 		for i, v := range sp.Min("v") {
-			if v != lgMin[i] {
-				t.Fatalf("min differs at group %d: %d vs %d", i, v, lgMin[i])
+			if v != refMin[i] {
+				t.Fatalf("min differs at group %d: %d vs %d", i, v, refMin[i])
 			}
 		}
 		for i, v := range sp.Max("v") {
-			if v != lgMax[i] {
-				t.Fatalf("max differs at group %d: %d vs %d", i, v, lgMax[i])
+			if v != refMax[i] {
+				t.Fatalf("max differs at group %d: %d vs %d", i, v, refMax[i])
 			}
 		}
 		for i, v := range sp.Count() {
-			if v != lgCnt[i] {
-				t.Fatalf("count differs at group %d: %d vs %d", i, v, lgCnt[i])
+			if v != refCnt[i] {
+				t.Fatalf("count differs at group %d: %d vs %d", i, v, refCnt[i])
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package bpagg
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -150,71 +151,175 @@ func groupStatsTable(t *testing.T) (*Table, int) {
 	return tbl, groups
 }
 
-// TestGroupByOneScanPerGroup pins the legacy discovery cost: finding G
-// groups takes exactly G equality scans — the strictly-greater residual
-// is derived from the just-computed equality bitmap (AndNot), never
-// scanned — and the walk's scan-side word counts are exactly those of G
-// standalone equality scans. Materializing the selection first forces
-// the legacy walk (a pre-built selection gates off single-pass).
-func TestGroupByOneScanPerGroup(t *testing.T) {
-	tbl, groups := groupStatsTable(t)
-	q := tbl.Query().WithStats()
-	q.Selection()
-	g := q.GroupBy("key")
-	if g.SinglePass() {
-		t.Fatal("materialized selection should force the legacy walk")
-	}
-	if g.Len() != groups {
-		t.Fatalf("groups = %d, want %d", g.Len(), groups)
-	}
-	s := q.Stats()
-	if s.Scans != uint64(groups) {
-		t.Errorf("discovery Scans = %d, want exactly one per group (%d)", s.Scans, groups)
-	}
-
-	// Word-count invariant: the walk must cost the same packed-word
-	// comparisons as scanning each key's equality once by hand.
-	man := NewStatsCollector()
-	col := tbl.Column("key")
-	for _, v := range g.Keys() {
-		col.ScanStats(Equal(v), man)
-	}
-	ms := man.Snapshot()
-	if s.WordsCompared != ms.WordsCompared {
-		t.Errorf("WordsCompared = %d, want %d (G standalone equality scans)",
-			s.WordsCompared, ms.WordsCompared)
-	}
-	if s.SegmentsScanned != ms.SegmentsScanned {
-		t.Errorf("SegmentsScanned = %d, want %d", s.SegmentsScanned, ms.SegmentsScanned)
-	}
-
-	// The ctx-aware walk shares the invariant and the keys.
-	q2 := tbl.Query().WithStats()
-	q2.Selection()
-	g2, err := q2.GroupByContext(context.Background(), "key")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.Len() != groups {
-		t.Fatalf("ctx groups = %d, want %d", g2.Len(), groups)
-	}
-	for i, k := range g.Keys() {
-		if g2.Keys()[i] != k {
-			t.Fatalf("ctx keys %v != plain keys %v", g2.Keys(), g.Keys())
+// onePassTable builds the inputs of TestGroupByMaterializedSelectionOnePass:
+// "key" (i mod 7), "val", "pos" (the row number, so a row range has a
+// predicate twin), and the NULL-key pair — "nkey" is NULL on every fifth
+// row; "zkey" stores the same codes (0 on those rows) without NULLs and
+// "live" is 0 exactly there, so Where(live = 1).GroupBy(zkey) is nkey's
+// partition over the same rows.
+func onePassTable(t *testing.T) *Table {
+	t.Helper()
+	const n = 2000
+	rng := rand.New(rand.NewSource(104))
+	key, val, pos := NewColumn(VBP, 3), NewColumn(HBP, 10), NewColumn(VBP, 11)
+	nkey, zkey, live := NewColumn(VBP, 3), NewColumn(VBP, 3), NewColumn(VBP, 1)
+	for i := 0; i < n; i++ {
+		key.Append(uint64(i % 7))
+		val.Append(uint64(rng.Intn(1 << 10)))
+		pos.Append(uint64(i))
+		if i%5 == 0 {
+			nkey.AppendNull()
+			zkey.Append(0)
+			live.Append(0)
+		} else {
+			nkey.Append(uint64(i % 7))
+			zkey.Append(uint64(i % 7))
+			live.Append(1)
 		}
 	}
-	if s2 := q2.Stats(); s2.Scans != uint64(groups) {
-		t.Errorf("ctx discovery Scans = %d, want %d", s2.Scans, groups)
+	return NewTableFromColumns(
+		[]string{"key", "val", "pos", "nkey", "zkey", "live"},
+		[]*Column{key, val, pos, nkey, zkey, live})
+}
+
+// TestGroupByMaterializedSelectionOnePass pins that how the selection was
+// built never changes the partition's cost: over a materialized
+// selection, a caller-edited bitmap, a row range and a NULL-bearing
+// grouping column, GROUP BY is one recorded scan with the same
+// WordsCompared, GroupBankWords and GroupsDiscovered — and the same keys
+// and counts — as the lazy query over the same rows.
+func TestGroupByMaterializedSelectionOnePass(t *testing.T) {
+	tbl := onePassTable(t)
+	// partition runs group() and returns what it alone recorded into q's
+	// collector — the filter scans a lazy query still owes are paid first.
+	partition := func(q *Query, group func() *Grouped) (ExecStats, *Grouped) {
+		q.Selection()
+		before := q.Stats()
+		g := group()
+		return q.Stats().Sub(before), g
+	}
+	for _, tc := range []struct {
+		name  string
+		lazy  func() *Query // the same rows selected by predicates alone
+		by    string        // lazy's grouping column
+		input func() (*Query, func() *Grouped)
+	}{
+		{"materialized selection",
+			func() *Query { return tbl.Query().Where("val", Less(500)) }, "key",
+			func() (*Query, func() *Grouped) {
+				q := tbl.Query().Where("val", Less(500))
+				q.Selection()
+				return q, func() *Grouped { return q.GroupBy("key") }
+			}},
+		{"caller-edited bitmap",
+			func() *Query { return tbl.Query().Where("val", Less(500)) }, "key",
+			func() (*Query, func() *Grouped) {
+				q := tbl.Query()
+				q.Selection().And(tbl.Column("val").Scan(Less(500)))
+				return q, func() *Grouped { return q.GroupBy("key") }
+			}},
+		{"row range",
+			func() *Query { return tbl.Query().Where("pos", Between(130, 1499)) }, "key",
+			func() (*Query, func() *Grouped) {
+				q := tbl.Query()
+				return q, func() *Grouped { return q.Range(130, 1500).GroupBy("key") }
+			}},
+		{"NULL grouping keys",
+			func() *Query { return tbl.Query().Where("live", Equal(1)) }, "zkey",
+			func() (*Query, func() *Grouped) {
+				q := tbl.Query()
+				return q, func() *Grouped { return q.GroupBy("nkey") }
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lq := tc.lazy().WithStats()
+			want, wantG := partition(lq, func() *Grouped { return lq.GroupBy(tc.by) })
+			q, group := tc.input()
+			got, g := partition(q.WithStats(), group)
+
+			if got.Scans != 1 {
+				t.Errorf("partition Scans = %d, want 1", got.Scans)
+			}
+			if got.WordsCompared != want.WordsCompared || got.GroupBankWords != want.GroupBankWords ||
+				got.GroupsDiscovered != want.GroupsDiscovered {
+				t.Errorf("WordsCompared/GroupBankWords/GroupsDiscovered = %d/%d/%d, lazy query over the same rows %d/%d/%d",
+					got.WordsCompared, got.GroupBankWords, got.GroupsDiscovered,
+					want.WordsCompared, want.GroupBankWords, want.GroupsDiscovered)
+			}
+			if g.Strategy() != GroupDirect {
+				t.Errorf("strategy = %v, want %v", g.Strategy(), GroupDirect)
+			}
+			if !reflect.DeepEqual(g.Keys(), wantG.Keys()) || !reflect.DeepEqual(g.Count(), wantG.Count()) {
+				t.Errorf("keys %v counts %v, lazy query %v %v", g.Keys(), g.Count(), wantG.Keys(), wantG.Count())
+			}
+		})
 	}
 }
 
-// TestGroupedAggregatesVisibleInStats: legacy per-group aggregates must
-// flow into the query's stats collector like everything else the query
-// runs — one recorded aggregate per group for Sum, a per-group multiple
-// for Avg. (The single-pass twin records one banked aggregate per call;
-// see TestGroupSinglePassStats.)
+// TestStrategyIsKeyWidth pins that the GROUP BY tier is a function of the
+// grouping columns' count and width and of nothing else: not the store
+// (flat, one shard, many), not how many shards survive the catalog (none
+// here prunes every one), not whether rows exist at all, and not the
+// selection's history (row range, materialized, NULL keys).
+func TestStrategyIsKeyWidth(t *testing.T) {
+	flat := onePassTable(t) // key/nkey: 3 bits, pos: 11 bits, val ≤ 1023
+	stores := map[string]*ShardedTable{
+		"one shard":    ShardTable(flat, flat.Rows()),
+		"seven shards": ShardTable(flat, 300),
+		"empty store": func() *ShardedTable {
+			st := NewShardedTable(300)
+			for _, name := range flat.Columns() {
+				c := flat.Column(name)
+				st.AddColumn(name, c.Layout(), c.BitWidth())
+			}
+			return st
+		}(),
+	}
+	for _, tc := range []struct {
+		name string
+		cols []string
+		want GroupStrategy
+	}{
+		{"narrow key", []string{"key"}, GroupDirect},
+		{"NULL-bearing narrow key", []string{"nkey"}, GroupDirect},
+		{"wide key", []string{"pos"}, GroupHash},
+		{"composite of narrow keys", []string{"key", "live"}, GroupHash},
+	} {
+		check := func(input string, got GroupStrategy) {
+			t.Helper()
+			if got != tc.want {
+				t.Errorf("%s / %s: Strategy() = %v, want %v", tc.name, input, got, tc.want)
+			}
+		}
+		check("flat", flat.Query().GroupBy(tc.cols...).Strategy())
+		check("flat, filtered", flat.Query().Where("val", Less(500)).GroupBy(tc.cols...).Strategy())
+		check("flat, no row passes", flat.Query().Where("val", Greater(1023)).GroupBy(tc.cols...).Strategy())
+		check("flat, ranged", flat.Query().Range(130, 1500).GroupBy(tc.cols...).Strategy())
+		mq := flat.Query().Where("val", Less(500))
+		mq.Selection()
+		check("flat, materialized", mq.GroupBy(tc.cols...).Strategy())
+
+		for name, st := range stores {
+			check(name, st.Query().GroupBy(tc.cols...).Strategy())
+			// val ≤ 1023, so the catalog prunes every shard.
+			check(name+", fully pruned", st.Query().Where("val", Greater(1023)).GroupBy(tc.cols...).Strategy())
+			check(name+", ranged", st.Query().Range(130, 1500).GroupBy(tc.cols...).Strategy())
+			sq := st.Query().Where("val", Less(500))
+			if err := sq.MaterializeContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			check(name+", materialized", sq.GroupBy(tc.cols...).Strategy())
+		}
+	}
+}
+
+// TestGroupedAggregatesVisibleInStats: grouped aggregates must flow into
+// the query's stats collector like everything else the query runs. Over
+// a materialized selection they are the same banked kernels as over a
+// lazy one: one recorded aggregate per Sum call, one more for Avg (its
+// sum; the NULL-free divisor is read off the partition).
 func TestGroupedAggregatesVisibleInStats(t *testing.T) {
-	tbl, groups := groupStatsTable(t)
+	tbl, _ := groupStatsTable(t)
 	q := tbl.Query().WithStats()
 	q.Selection()
 	g := q.GroupBy("key")
@@ -222,18 +327,16 @@ func TestGroupedAggregatesVisibleInStats(t *testing.T) {
 
 	g.Sum("val")
 	afterSum := q.Stats()
-	if got := afterSum.Aggregates - base.Aggregates; got != uint64(groups) {
-		t.Errorf("Grouped.Sum recorded %d aggregates, want one per group (%d)", got, groups)
+	if got := afterSum.Aggregates - base.Aggregates; got != 1 {
+		t.Errorf("Grouped.Sum recorded %d aggregates, want 1 banked pass", got)
 	}
 	if afterSum.WordsTouched <= base.WordsTouched {
 		t.Error("Grouped.Sum moved no WordsTouched")
 	}
 
 	g.Avg("val")
-	afterAvg := q.Stats()
-	got := afterAvg.Aggregates - afterSum.Aggregates
-	if got == 0 || got%uint64(groups) != 0 {
-		t.Errorf("Grouped.Avg recorded %d aggregates, want a positive per-group multiple of %d", got, groups)
+	if got := q.Stats().Aggregates - afterSum.Aggregates; got != 1 {
+		t.Errorf("Grouped.Avg recorded %d aggregates, want 1 banked pass", got)
 	}
 }
 

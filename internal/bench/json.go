@@ -10,30 +10,25 @@ import (
 )
 
 // Machine-readable benchmark results. One Report is one full
-// bpagg-bench run; BENCH_results.json files written from it are the
-// perf trajectory CI tracks, so the schema is versioned and additive:
-// new fields may appear, existing ones keep their meaning.
+// bpagg-bench run; CI archives the BENCH_results.json written from it,
+// so the schema is versioned and additive: new fields may appear,
+// existing ones keep their meaning.
 
 // ReportSchema identifies the JSON layout of a Report.
 const ReportSchema = "bpagg-bench/v1"
 
 // Report is the machine-readable form of one benchmark run.
 type Report struct {
-	Schema        string              `json:"schema"`
-	Timestamp     string              `json:"timestamp"` // RFC 3339, UTC
-	Host          ReportHost          `json:"host"`
-	Config        ReportConfig        `json:"config"`
-	Fig5          []MicroJSON         `json:"fig5,omitempty"`
-	Fig6          []MicroJSON         `json:"fig6,omitempty"`
-	Fig7          []MicroJSON         `json:"fig7,omitempty"`
-	Fig8          []Fig8JSON          `json:"fig8,omitempty"`
-	Table2        []Table2JSON        `json:"table2,omitempty"`
-	Fused         []FusedJSON         `json:"fused,omitempty"`
-	GroupBy       []GroupByJSON       `json:"groupby,omitempty"`
-	GroupByHiCard []GroupByHiCardJSON `json:"groupby_hicard,omitempty"`
-	Server        []ServerJSON        `json:"concurrent_clients,omitempty"`
-	ShardScale    []ShardScaleJSON    `json:"shard_scale,omitempty"`
-	RangeScale    []RangeScaleJSON    `json:"range_scale,omitempty"`
+	Schema    string       `json:"schema"`
+	Timestamp string       `json:"timestamp"` // RFC 3339, UTC
+	Host      ReportHost   `json:"host"`
+	Config    ReportConfig `json:"config"`
+	Fig5      []MicroJSON  `json:"fig5,omitempty"`
+	Fig6      []MicroJSON  `json:"fig6,omitempty"`
+	Fig7      []MicroJSON  `json:"fig7,omitempty"`
+	Fig8      []Fig8JSON   `json:"fig8,omitempty"`
+	Table2    []Table2JSON `json:"table2,omitempty"`
+	Server    []ServerJSON `json:"concurrent_clients,omitempty"`
 }
 
 // ReportHost records the machine the run happened on — enough to know
@@ -170,78 +165,6 @@ func (r *Report) AddTable2(layout tpch.Layout, rows []Table2Row) {
 	}
 }
 
-// FusedJSON is a FusedRow in the report.
-type FusedJSON struct {
-	Layout     string  `json:"layout"`
-	Agg        string  `json:"agg"`
-	Mix        string  `json:"mix"`
-	TwoPhaseNs float64 `json:"two_phase_ns_per_tuple"`
-	FusedNs    float64 `json:"fused_ns_per_tuple"`
-	Speedup    float64 `json:"speedup"`
-}
-
-// AddFused records the fused-vs-two-phase A/B grid.
-func (r *Report) AddFused(rows []FusedRow) {
-	if r == nil {
-		return
-	}
-	for _, row := range rows {
-		r.Fused = append(r.Fused, FusedJSON{
-			Layout: row.Layout, Agg: row.Agg, Mix: row.Mix,
-			TwoPhaseNs: row.TwoNs, FusedNs: row.FusedNs, Speedup: row.Speedup,
-		})
-	}
-}
-
-// GroupByJSON is a GroupByRow in the report.
-type GroupByJSON struct {
-	Layout   string  `json:"layout"`
-	Agg      string  `json:"agg"`
-	G        int     `json:"groups"`
-	LegacyNs float64 `json:"legacy_ns_per_tuple"`
-	SingleNs float64 `json:"single_pass_ns_per_tuple"`
-	Speedup  float64 `json:"speedup"`
-}
-
-// AddGroupBy records the single-pass-vs-legacy grouped A/B grid.
-func (r *Report) AddGroupBy(rows []GroupByRow) {
-	if r == nil {
-		return
-	}
-	for _, row := range rows {
-		r.GroupBy = append(r.GroupBy, GroupByJSON{
-			Layout: row.Layout, Agg: row.Agg, G: row.G,
-			LegacyNs: row.LegacyNs, SingleNs: row.SingleNs, Speedup: row.Speedup,
-		})
-	}
-}
-
-// GroupByHiCardJSON is a GroupByHiCardRow in the report. Zero legacy/
-// speedup fields mean the legacy side was skipped at that cardinality
-// (printed in the text table), not measured as instant.
-type GroupByHiCardJSON struct {
-	Layout   string  `json:"layout"`
-	G        int     `json:"groups"`
-	N        int     `json:"n"`
-	Tier     string  `json:"tier"`
-	LegacyNs float64 `json:"legacy_ns_per_tuple,omitempty"`
-	SingleNs float64 `json:"single_pass_ns_per_tuple"`
-	Speedup  float64 `json:"speedup,omitempty"`
-}
-
-// AddGroupByHiCard records the high-cardinality grouped sweep.
-func (r *Report) AddGroupByHiCard(rows []GroupByHiCardRow) {
-	if r == nil {
-		return
-	}
-	for _, row := range rows {
-		r.GroupByHiCard = append(r.GroupByHiCard, GroupByHiCardJSON{
-			Layout: row.Layout, G: row.G, N: row.N, Tier: row.Tier,
-			LegacyNs: row.LegacyNs, SingleNs: row.SingleNs, Speedup: row.Speedup,
-		})
-	}
-}
-
 // ServerJSON is a ServerRow in the report.
 type ServerJSON struct {
 	Mode         string  `json:"mode"`
@@ -267,56 +190,6 @@ func (r *Report) AddServer(rows []ServerRow) {
 			QPS: row.QPS, P50Ms: row.P50Ms, P99Ms: row.P99Ms,
 			WordsTouched: row.WordsTouched, Scans: row.Scans,
 			Batches: row.Batches, Batched: row.Batched,
-		})
-	}
-}
-
-// ShardScaleJSON is a ShardScaleRow in the report.
-type ShardScaleJSON struct {
-	Layout  string  `json:"layout"`
-	Mix     string  `json:"mix"`
-	Shards  int     `json:"shards"`
-	Threads int     `json:"threads"`
-	FlatNs  float64 `json:"flat_ns_per_tuple"`
-	ShardNs float64 `json:"shard_ns_per_tuple"`
-	Speedup float64 `json:"speedup"`
-}
-
-// AddShardScale records the flat-vs-sharded shard-count sweep.
-func (r *Report) AddShardScale(rows []ShardScaleRow) {
-	if r == nil {
-		return
-	}
-	for _, row := range rows {
-		r.ShardScale = append(r.ShardScale, ShardScaleJSON{
-			Layout: row.Layout, Mix: row.Mix, Shards: row.Shards,
-			Threads: row.Threads, FlatNs: row.FlatNs, ShardNs: row.ShardNs,
-			Speedup: row.Speedup,
-		})
-	}
-}
-
-// RangeScaleJSON is a RangeScaleRow in the report.
-type RangeScaleJSON struct {
-	Layout   string  `json:"layout"`
-	Agg      string  `json:"agg"`
-	WidthPct float64 `json:"width_pct"`
-	Rows     int     `json:"rows"`
-	IndexNs  float64 `json:"index_ns_per_op"`
-	ScanNs   float64 `json:"scan_ns_per_op"`
-	Speedup  float64 `json:"speedup"`
-}
-
-// AddRangeScale records the prefix-index-vs-fused-scan width sweep.
-func (r *Report) AddRangeScale(rows []RangeScaleRow) {
-	if r == nil {
-		return
-	}
-	for _, row := range rows {
-		r.RangeScale = append(r.RangeScale, RangeScaleJSON{
-			Layout: row.Layout, Agg: row.Agg, WidthPct: row.WidthPct,
-			Rows: row.Rows, IndexNs: row.IndexNs, ScanNs: row.ScanNs,
-			Speedup: row.Speedup,
 		})
 	}
 }

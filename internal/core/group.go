@@ -11,9 +11,9 @@ import (
 	"bpagg/internal/word"
 )
 
-// Single-pass grouped execution (DESIGN.md §12): instead of the legacy
-// G-scan key discovery (repeated MIN + equality scans) followed by G
-// independent aggregate passes, the partition kernels below visit each
+// Single-pass grouped execution (DESIGN.md §12): instead of a G-scan key
+// discovery (repeated MIN + equality scans) followed by G independent
+// aggregate passes, the partition kernels below visit each
 // 64-value segment once, refine the query's filter word into per-group
 // selection words for every dictionary code present, and discover the
 // keys as a side effect. The VBP kernel descends the column's bit-planes
@@ -33,15 +33,15 @@ import (
 // 128 bits, so grouped sums inherit the exact-overflow contract of the
 // checked kernels.
 
-// MaxGroups bounds the distinct keys a single-pass GROUP BY will bank
-// before giving up. Past this cardinality the per-group banks stop
-// paying for themselves and the caller falls back to the legacy
-// per-group path (the same shape as Query.Fused's fallback gate).
+// MaxGroups bounds the distinct keys a direct-tier GroupBank will hold.
+// The facade routes only key widths ≤ DirectKeyBits here, which cannot
+// exceed it; wider keys go to the hash tier (MaxHashGroups).
 const MaxGroups = 1024
 
 // ErrGroupCardinality reports that a partition kernel discovered more
-// than MaxGroups distinct keys. It is a planner signal, not a failure:
-// callers fall back to the legacy per-group path.
+// distinct keys than its budget (MaxGroups for a GroupBank, the limit
+// passed to NewHashBank). The facade returns it to the caller as
+// bpagg.ErrGroupCardinality; there is no slower path behind it.
 var ErrGroupCardinality = errors.New("core: group cardinality exceeds single-pass limit")
 
 // GroupStats accumulates the work counters of one grouped pass.

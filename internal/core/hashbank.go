@@ -22,9 +22,9 @@ import (
 
 // MaxHashGroups bounds the distinct keys the hash-banked tier will
 // discover before giving up. Past this cardinality per-group state (keys,
-// counts, 128-bit accumulators) dominates the working set and the legacy
-// per-group walk is no worse; the limit is an engine ceiling, not a table
-// capacity — the tables grow incrementally up to it.
+// counts, 128-bit accumulators) dominates the working set; the limit is
+// an engine ceiling, not a table capacity — the tables grow incrementally
+// up to it.
 const MaxHashGroups = 1 << 20
 
 // SegWord is one banked selection word: the filter bits of key's rows in
@@ -155,9 +155,9 @@ func (b *HashBank) Lookup(key uint64) ([]SegWord, bool) {
 // and the banked aggregate kernels both index windows in a specific
 // column's segmentation; when two columns disagree (HBP's
 // values-per-segment depends on its bit-group size), the entries are
-// re-windowed rather than falling back to the legacy walk. Input runs
-// ascend by segment, so output runs ascend too and same-window spill from
-// adjacent sources merges into the previous run.
+// re-windowed. Input runs ascend by segment, so output runs ascend too
+// and same-window spill from adjacent sources merges into the previous
+// run.
 func RewindowSegWords(es []SegWord, vpsFrom, vpsTo int) []SegWord {
 	if vpsFrom == vpsTo {
 		return es

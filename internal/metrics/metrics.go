@@ -31,7 +31,9 @@ import (
 // Scan counters (incremented by the predicate scans):
 //
 //   - Scans: bit-parallel scan passes executed. An IN-list of n members
-//     counts n (one equality scan per member, paper §II-E).
+//     counts n (one equality scan per member, paper §II-E); a GROUP BY
+//     partition counts 1 whatever its groups, grouping columns or base
+//     selection.
 //   - SegmentsScanned: segments whose packed words were actually
 //     compared (zone check inconclusive).
 //   - SegmentsPrunedNone: segments skipped because the zone map proved
@@ -64,10 +66,8 @@ import (
 //     word cost of an index-served range aggregate.
 //   - ReconstructedRows: rows materialized by the NBP reconstruction
 //     baseline when the optimizer picks it over the bit-parallel path.
-//   - GroupsDiscovered: distinct group keys found by a single-pass
-//     GROUP BY partition (the legacy per-group walk records Scans
-//     instead — the words-touched relation between the two paths is
-//     pinned in DESIGN.md §12).
+//   - GroupsDiscovered: distinct group keys found by a GROUP BY
+//     partition (DESIGN.md §12).
 //   - GroupBankWords: non-zero (group, segment) selection words banked
 //     by single-pass group partitioning — the memory footprint of the
 //     per-group selection banks.

@@ -197,7 +197,7 @@ func Check(c Case) error {
 				return err
 			}
 			if c.G != nil {
-				for _, route := range []string{"singlepass", "legacy"} {
+				for _, route := range groupRoutes {
 					if err := checkGroupBy(&c, exp, st.name, st.tbl, th, route); err != nil {
 						return err
 					}
@@ -598,12 +598,28 @@ func checkColumn(c *Case, exp *expectation, state string, tbl *bpagg.Table, th i
 	return nil
 }
 
-// checkGroupBy compares GROUP BY keys and per-group aggregates. route
-// selects the partition engine: "singlepass" leaves the query lazy so
-// GroupBy takes the single-pass bit-sliced path (direct or hash tier),
-// "legacy" materializes the selection first, which gates it off and
-// forces the per-group MIN/Equal walk. Both must agree with the naive
-// oracle bit for bit. When the case has a second grouping column the
+// groupRoutes is the input axis of the grouped checks: "lazy" groups the
+// query as built, "materialized" calls Selection() first so the partition
+// starts from a ready bitmap. Both are the same single-pass partition and
+// must agree with the naive oracle bit for bit, on the tier the key
+// widths select.
+var groupRoutes = []string{"lazy", "materialized"}
+
+// groupByRoute builds the case's query on the given route and groups it
+// by g (and g2 when the case has a second grouping column).
+func groupByRoute(c *Case, tbl *bpagg.Table, th int, route string) *bpagg.Grouped {
+	q := newQuery(c, tbl, th)
+	if route == "materialized" {
+		q.Selection()
+	}
+	if c.G2 != nil {
+		return q.GroupBy("g", "g2")
+	}
+	return q.GroupBy("g")
+}
+
+// checkGroupBy compares GROUP BY keys and per-group aggregates on one
+// route (see groupRoutes). When the case has a second grouping column the
 // engine groups by the packed (g, g2) composite and the oracle by
 // GroupByComposite with the same per-column widths.
 func checkGroupBy(c *Case, exp *expectation, state string, tbl *bpagg.Table, th int, route string) error {
@@ -619,26 +635,12 @@ func checkGroupBy(c *Case, exp *expectation, state string, tbl *bpagg.Table, th 
 		keys, groups = exp.og.GroupBy(exp.sel)
 	}
 
-	g, err := capture1(func() *bpagg.Grouped {
-		q := newQuery(c, tbl, th)
-		if route == "legacy" {
-			q.Selection()
-		}
-		if c.G2 != nil {
-			return q.GroupBy("g", "g2")
-		}
-		return q.GroupBy("g")
-	})
+	g, err := capture1(func() *bpagg.Grouped { return groupByRoute(c, tbl, th, route) })
 	if err != nil {
 		return e.fail("GROUPBY", "unexpected panic: %v", err)
 	}
-	switch {
-	case route == "legacy" && g.SinglePass():
-		return e.fail("GROUPBY", "materialized selection must force the legacy walk")
-	case route == "singlepass" && !g.SinglePass() &&
-		c.GNulls == nil && // NULLs in a grouping column legitimately force legacy
-		len(keys) <= bpagg.MaxSinglePassGroups:
-		return e.fail("GROUPBY", "lazy query should take the single-pass path (%d keys)", len(keys))
+	if want := wantStrategy(c); g.Strategy() != want {
+		return e.fail("GROUPBY", "engine chose %s tier, key-width rule says %s", g.Strategy(), want)
 	}
 	if ferr := cmpSlice(e, "KEYS", g.Keys(), keys); ferr != nil {
 		return ferr

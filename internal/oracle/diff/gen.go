@@ -333,7 +333,7 @@ func craftedCases(rng *rand.Rand, cfg GenConfig) []Case {
 		)
 
 		// NULLs in the grouping column itself: those rows belong to no
-		// group, and the engine must fall back to the legacy walk.
+		// group.
 		gNulls := make([]bool, n)
 		for i := range gNulls {
 			gNulls[i] = rng.Intn(4) == 0

@@ -88,8 +88,8 @@ func HighCardCases(cfg GenConfig) []Case {
 			})
 		}
 
-		// NULL grouping keys force the legacy walk; kept small so the
-		// per-key scan stays cheap.
+		// NULL grouping keys: those rows are masked off the partition's
+		// base bitmap and join no group.
 		{
 			const g, n = 1024, 4096
 			keys := make([]uint64, n)
@@ -186,16 +186,10 @@ func expectedGrouped(c *Case) *groupedExpect {
 	return ge
 }
 
-// legacyRouteCap bounds the legacy comparison leg: the per-key MIN/Equal
-// walk is O(G) full scans, so it only runs when the group count is small
-// enough to stay inside the sweep's time budget. The single-pass leg
-// always runs — that is the tier under test.
-const legacyRouteCap = 4096
-
 // CheckGrouped runs the grouped differential matrix for one
-// high-cardinality case: fresh table, each thread count, single-pass
-// route always and the legacy route when the group count permits, with
-// the partition tier asserted against the plan-time strategy rule.
+// high-cardinality case: fresh table, each thread count, over the lazy
+// query and over a materialized selection, with the partition tier
+// asserted against the key-width rule on both.
 func CheckGrouped(c Case) error {
 	if err := validate(&c); err != nil {
 		return err
@@ -208,12 +202,8 @@ func CheckGrouped(c Case) error {
 	tbl := buildTable(&c)
 	appendExtras(tbl, &c)
 
-	routes := []string{"singlepass"}
-	if len(exp.keys) <= legacyRouteCap {
-		routes = append(routes, "legacy")
-	}
 	for _, th := range threads {
-		for _, route := range routes {
+		for _, route := range groupRoutes {
 			if err := checkGrouped1(&c, exp, tbl, th, route); err != nil {
 				return err
 			}
@@ -222,15 +212,12 @@ func CheckGrouped(c Case) error {
 	return nil
 }
 
-// wantStrategy is the plan-time strategy rule the engine must follow for
-// a lazy (single-pass-eligible) grouped query: direct for one grouping
-// column within the 10-bit direct key budget, hash otherwise, legacy
-// only when grouping-column NULLs gate single-pass off entirely.
+// wantStrategy is the tier rule the engine must follow for every grouped
+// query: direct for one grouping column within the 10-bit direct key
+// budget, hash otherwise. Nothing else — NULL keys, a materialized
+// selection, a row range — may move it.
 func wantStrategy(c *Case) bpagg.GroupStrategy {
-	switch {
-	case c.GNulls != nil:
-		return bpagg.GroupLegacy
-	case c.G2 == nil && c.gk() <= 10: // core.DirectKeyBits
+	if c.G2 == nil && c.gk() <= 10 { // core.DirectKeyBits
 		return bpagg.GroupDirect
 	}
 	return bpagg.GroupHash
@@ -239,26 +226,12 @@ func wantStrategy(c *Case) bpagg.GroupStrategy {
 func checkGrouped1(c *Case, exp *groupedExpect, tbl *bpagg.Table, th int, route string) error {
 	e := tag{c, "fresh", "grouped-" + route, th}
 
-	g, err := capture1(func() *bpagg.Grouped {
-		q := newQuery(c, tbl, th)
-		if route == "legacy" {
-			q.Selection()
-		}
-		if c.G2 != nil {
-			return q.GroupBy("g", "g2")
-		}
-		return q.GroupBy("g")
-	})
+	g, err := capture1(func() *bpagg.Grouped { return groupByRoute(c, tbl, th, route) })
 	if err != nil {
 		return e.fail("GROUPBY", "unexpected panic: %v", err)
 	}
-
-	if route == "legacy" {
-		if g.Strategy() != bpagg.GroupLegacy {
-			return e.fail("STRATEGY", "materialized selection must force the legacy walk, got %s", g.Strategy())
-		}
-	} else if want := wantStrategy(c); g.Strategy() != want {
-		return e.fail("STRATEGY", "engine chose %s tier, strategy rule says %s (%d keys, gk=%d)",
+	if want := wantStrategy(c); g.Strategy() != want {
+		return e.fail("STRATEGY", "engine chose %s tier, key-width rule says %s (%d keys, gk=%d)",
 			g.Strategy(), want, len(exp.keys), c.gk())
 	}
 

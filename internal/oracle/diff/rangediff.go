@@ -199,6 +199,7 @@ func checkRangeAggs(e tag, oa *oracle.Column, rsel []bool, probe [2]int, full bo
 // rangeGrouped is what a GROUP BY under a row range answers with on
 // either store (*bpagg.Grouped, *bpagg.ShardedGrouped).
 type rangeGrouped interface {
+	Strategy() bpagg.GroupStrategy
 	Keys() []uint64
 	CountContext(context.Context) ([]uint64, error)
 	SumContext(context.Context, string) ([]uint64, error)
@@ -206,7 +207,7 @@ type rangeGrouped interface {
 }
 
 // checkRangeGroupBy compares GROUP BY over one positional range with the
-// oracle's partition of the range's slice of the selection: keys, row
+// oracle's partition of the range's slice of the selection: tier, keys, row
 // counts, SUM under the overflow contract, and MEDIAN (an error when a
 // group holds only NULLs, as for the unrestricted grouped aggregates).
 func checkRangeGroupBy(e tag, c *Case, exp *expectation, rsel []bool, probe [2]int, group func(context.Context) (rangeGrouped, error)) error {
@@ -222,6 +223,9 @@ func checkRangeGroupBy(e tag, c *Case, exp *expectation, rsel []bool, probe [2]i
 	g, err := group(ctx)
 	if err != nil {
 		return e.fail(name("KEYS"), "unexpected error: %v", err)
+	}
+	if tier := wantStrategy(c); g.Strategy() != tier {
+		return e.fail(name("STRATEGY"), "engine chose %s tier, key-width rule says %s", g.Strategy(), tier)
 	}
 	if ferr := cmpSlice(e, name("KEYS"), g.Keys(), keys); ferr != nil {
 		return ferr

@@ -16,7 +16,7 @@ import (
 // one bpagg.ShardedQuery, and answered by one of two cell loops — one
 // result row, or one row per group — over either that query or its
 // restriction to a row range. Which kernels run (fused or two-phase,
-// direct, hash or legacy partition, index-served range) is the engine's
+// direct or hash partition, index-served range) is the engine's
 // decision; this package asks it (ShardedQuery.Fused,
 // ShardedGrouped.Strategy) and never re-derives it.
 

@@ -23,9 +23,11 @@ import (
 // range (one result row over a rownum range); a grouped statement under a
 // rownum range is a group+agg whose detail names the rows. The tier is
 // the engine's own answer: [fused] or [two-phase] on scan+agg
-// (ShardedQuery.Fused), [direct|hash|legacy tier] on group+agg
-// (ShardedGrouped.Strategy); a range stage shows how it was served by
-// its index_segments and scans counters. Every stage carries
+// (ShardedQuery.Fused; absent when every shard was pruned, since neither
+// ran), [direct tier] or [hash tier] on group+agg (ShardedGrouped.Strategy
+// — the key widths pick it, so it prints even for a fully pruned
+// statement); a range stage shows how it was served by its
+// index_segments and scans counters. Every stage carries
 // shards_scanned/shards_pruned summed over its fan-outs — a flat table is
 // one shard. The counters are the stage's whole cost: the filter scans
 // are not broken out per predicate.
@@ -92,16 +94,24 @@ func ExplainAnalyzeContext(ctx context.Context, cat *catalog.Catalog, q *Query, 
 	}
 	stage := &PlanNode{Op: "scan+agg", Detail: selectList(q), Stats: rec.Snapshot(), Wall: time.Since(t0)}
 	root := &PlanNode{Op: "query", Rows: 1, Children: []*PlanNode{stage}}
-	tier := "two-phase"
-	if r.fused {
+	var tier string
+	switch {
+	case len(q.GroupBy) != 0:
+		tier = r.tier.String() + " tier" // the key widths pick it, pruned or not
+	case b.rng != nil || stage.Stats.ShardsScanned == 0:
+		// A range is told by its counters; with every shard pruned
+		// neither scan route ran.
+	case r.fused:
 		tier = "fused"
+	default:
+		tier = "two-phase"
 	}
 	if b.rng != nil {
-		stage.Op, tier = "range", ""
+		stage.Op = "range"
 		stage.Detail += fmt.Sprintf(" rows [%d, %d)", b.rng.lo, b.rng.hi)
 	}
 	if len(q.GroupBy) != 0 {
-		stage.Op, tier = "group+agg", r.tier.String()+" tier"
+		stage.Op = "group+agg"
 		stage.Detail += " by " + strings.Join(q.GroupBy, ", ")
 		stage.Rows, root.Rows = uint64(len(r.rows)), uint64(len(r.rows))
 	} else {
@@ -127,7 +137,7 @@ func ExplainAnalyzeContext(ctx context.Context, cat *catalog.Catalog, q *Query, 
 		}
 		stage.Detail += " where " + strings.Join(conds, " AND ")
 	}
-	if tier != "" && stage.Stats.ShardsScanned > 0 { // a tier ran only if a shard did
+	if tier != "" {
 		stage.Detail += " [" + tier + "]"
 	}
 	root.Wall = time.Since(queryStart)

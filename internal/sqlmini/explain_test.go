@@ -68,7 +68,7 @@ func explainLinesOpts(t *testing.T, cat *catalog.Catalog, sql string, o ExecOpti
 // fused, single-pass and prefix-index stages) of {aggs, scans,
 // pruned_none, pruned_all, words_compared, words_touched, radix_rounds,
 // cache_served, index_segments, fringe_words}, which the one stage of the
-// new plan must report unchanged. The last three run on sharded fixtures.
+// new plan must report unchanged. The last four run on sharded fixtures.
 var goldenCases = []struct {
 	name    string
 	sql     string
@@ -94,6 +94,9 @@ var goldenCases = []struct {
 	{name: "sharded_pruned_range", sql: "EXPLAIN ANALYZE SELECT SUM(qty), COUNT(*) WHERE amount >= 700", sharded: true},
 	{name: "sharded_in_list", sql: "EXPLAIN ANALYZE SELECT SUM(amount), MIN(qty) WHERE region IN ('EU', 'US') AND qty != 0", sharded: true},
 	{name: "sharded_rownum_group_by", sql: "EXPLAIN ANALYZE SELECT COUNT(*), SUM(amount) WHERE rownum BETWEEN 60 AND 139 GROUP BY region", sharded: true},
+	// amount ≤ 897: the catalog prunes every shard, and the tier is still
+	// the one the key width selects.
+	{name: "sharded_pruned_group_by", sql: "EXPLAIN ANALYZE SELECT COUNT(*), SUM(qty) WHERE amount > 1000 GROUP BY region", sharded: true},
 }
 
 // TestExplainGolden pins every plan's text. Threads is 1 because the hash

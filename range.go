@@ -187,8 +187,8 @@ func (r *RangeQuery) Selection() *Bitmap {
 
 // GroupByContext partitions the rows of the range that pass the filter by
 // the named columns' distinct values, honoring ctx. The range selection
-// is a materialized bitmap, so the partition is the per-group walk
-// (GroupLegacy) over it — the gate a materialized Query.Selection takes.
+// is the base bitmap of the same single-pass partition Query.GroupByContext
+// runs.
 func (r *RangeQuery) GroupByContext(ctx context.Context, columns ...string) (*Grouped, error) {
 	ranged := &Query{t: r.q.t, execs: r.q.execs, stats: r.q.stats, sel: r.selection()}
 	return ranged.GroupByContext(ctx, columns...)

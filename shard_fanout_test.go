@@ -26,7 +26,10 @@ const fanOutPinFile = "testdata/shard_fanout_counters.golden"
 // a counter, and that change says which and why.
 const fanOutPinHeader = "# ExecStats (timers dropped, zero counters omitted) and result of every sharded aggregate at Parallel(1),\n" +
 	"# recorded on parent commit 3eedcdba8b0343cf820d5d865e2201a08747c4ea (PR 17) with\n" +
-	"#   go test -run TestShardFanOutCounterPin -record-fanout-pin .\n"
+	"#   go test -run TestShardFanOutCounterPin -record-fanout-pin .\n" +
+	"# The 208 /range/GroupBy lines were re-recorded on PR 20, which moved GROUP BY under a row range from the\n" +
+	"# per-group walk to the single-pass partition (results unchanged, every counter lower or equal); every\n" +
+	"# other line still dates from 3eedcdb.\n"
 
 // pinTable builds rows rows in one layout: v (12-bit measure), n (v with
 // every 5th row NULL), a (12-bit, ascending, so shard bounds prune) and g

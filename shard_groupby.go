@@ -8,8 +8,8 @@ import (
 )
 
 // ShardedGrouped is a sharded query partitioned by grouping columns: each
-// live shard runs its own (single-pass or legacy) GROUP BY partition, and
-// the per-shard banks merge by sorted key into one global key list. All
+// live shard runs its own single-pass GROUP BY partition, and the
+// per-shard banks merge by sorted key into one global key list. All
 // merges are performed in ascending key order over shard-order partials
 // that each partition reports exactly (128-bit sums, extremes with
 // presence flags, non-NULL counts), so results are bit-identical to the
@@ -24,9 +24,10 @@ type ShardedGrouped struct {
 
 // GroupByContext partitions the selection — within the row range, for a
 // range view — by the named columns' distinct values, honoring ctx. Every
-// live shard partitions independently (the per-shard engine picks
-// direct/hash/legacy as usual; a local range partitions through
-// RangeQuery.GroupByContext) and the key sets union in sorted order.
+// live shard partitions independently (direct or hash tier by key width;
+// a local range partitions through RangeQuery.GroupByContext) and the key
+// sets union in sorted order. A shard past the hash tier's key budget
+// fails the query with ErrGroupCardinality.
 func (f *fanOut) GroupByContext(ctx context.Context, columns ...string) (*ShardedGrouped, error) {
 	widths, err := f.groupWidths(columns)
 	if err != nil {
@@ -114,21 +115,10 @@ func dedupeSorted(keys []uint64) []uint64 {
 // Len returns the number of groups.
 func (g *ShardedGrouped) Len() int { return len(g.keys) }
 
-// Strategy reports which partition strategy the live shards ran (EXPLAIN
-// ANALYZE support): their common single-pass tier, or GroupLegacy as soon
-// as one shard fell back to the per-group walk — and when no shard was
-// live, since nothing was partitioned.
-func (g *ShardedGrouped) Strategy() GroupStrategy {
-	if len(g.parts) == 0 {
-		return GroupLegacy
-	}
-	for _, part := range g.parts {
-		if part.strategy == GroupLegacy {
-			return GroupLegacy
-		}
-	}
-	return g.parts[0].strategy
-}
+// Strategy reports which partition tier the key widths select (EXPLAIN
+// ANALYZE support) — the tier every live shard ran, and the one a fully
+// pruned query would have.
+func (g *ShardedGrouped) Strategy() GroupStrategy { return groupStrategy(g.widths) }
 
 // Keys returns the distinct group keys in ascending order.
 func (g *ShardedGrouped) Keys() []uint64 {

@@ -170,12 +170,10 @@ func (q *Query) QuantileContext(ctx context.Context, column string, quantile flo
 }
 
 // GroupByContext partitions the query's selection by the named columns'
-// distinct values, honoring ctx. Qualifying queries run the single-pass
-// partition (see GroupBy); otherwise the legacy walk runs, where each
-// step is one MIN plus one equality scan (the strictly-greater residual
-// is derived from the equality bitmap), so a canceled context stops the
-// walk after the current group. Either path records into the query's
-// stats collector.
+// distinct values, honoring ctx, in one pass over the grouping columns
+// (see Grouped for the two tiers); the partition records into the query's
+// stats collector. More than MaxSinglePassGroups distinct keys is
+// ErrGroupCardinality.
 func (q *Query) GroupByContext(ctx context.Context, columns ...string) (*Grouped, error) {
 	ctx = orBackground(ctx)
 	cols := make([]*Column, len(columns))
