@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race server-race shard-race bench-harness ci bench bench-json clean
+.PHONY: build test vet fmt-check race server-race shard-race bench-harness ci bench bench-json clean
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would rewrite any file (benchmark/ included:
+# it is a module of its own, but gofmt walks directories, not modules).
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # The race target is the tier the hardened execution layer is held to:
 # every parallel driver, the fault-injection hooks, and the cancellation
@@ -39,7 +44,7 @@ shard-race:
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-ci: vet build test race server-race shard-race bench-harness
+ci: vet fmt-check build test race server-race shard-race bench-harness
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

@@ -72,19 +72,20 @@ var aggCases = []struct {
 
 func bpRunner(w *bench.Workload, layout tpch.Layout, agg bench.Agg, o parallel.Options) func() {
 	ctx := context.Background()
+	median := (uint64(w.F.Count()) + 1) / 2
 	switch {
 	case layout == tpch.VBP && agg == bench.AggSum:
 		return func() { parallel.VBPSumCtx(ctx, w.V, w.F, o) }
 	case layout == tpch.VBP && agg == bench.AggMinMax:
 		return func() { parallel.VBPMinCtx(ctx, w.V, w.F, o) }
 	case layout == tpch.VBP && agg == bench.AggMedian:
-		return func() { parallel.VBPMedianCtx(ctx, w.V, w.F, o) }
+		return func() { parallel.VBPRankCtx(ctx, w.V, w.F, median, o) }
 	case layout == tpch.HBP && agg == bench.AggSum:
 		return func() { parallel.HBPSumCtx(ctx, w.H, w.F, o) }
 	case layout == tpch.HBP && agg == bench.AggMinMax:
 		return func() { parallel.HBPMinCtx(ctx, w.H, w.F, o) }
 	default:
-		return func() { parallel.HBPMedianCtx(ctx, w.H, w.F, o) }
+		return func() { parallel.HBPRankCtx(ctx, w.H, w.F, median, o) }
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"bpagg/internal/core"
 	"bpagg/internal/hbp"
 	"bpagg/internal/parallel"
-	"bpagg/internal/scan"
 	"bpagg/internal/vbp"
 )
 
@@ -267,21 +266,7 @@ func (c *Column) None() *Bitmap {
 // returns the selection bitmap (the filter bit vector F of the paper).
 // IN-lists run one equality scan per member and union the results (§II-E).
 func (c *Column) Scan(p Predicate) *Bitmap {
-	if p.list != nil {
-		b := bitvec.New(c.Len())
-		for _, v := range p.list {
-			b.Or(c.scanSimple(scan.Predicate{Op: scan.EQ, A: v}, nil))
-		}
-		if c.nulls != nil {
-			b.AndNot(c.nulls)
-		}
-		return &Bitmap{b: b}
-	}
-	b := c.scanSimple(p.p, nil)
-	if c.nulls != nil {
-		b.AndNot(c.nulls) // NULL compares as unknown: never selected
-	}
-	return &Bitmap{b: b}
+	return c.ScanStats(p, nil)
 }
 
 // TopK returns the k largest selected values in descending order (ties

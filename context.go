@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"time"
 
+	"bpagg/internal/bitvec"
+	"bpagg/internal/core"
 	"bpagg/internal/nbp"
 	"bpagg/internal/parallel"
 )
@@ -102,12 +104,14 @@ func (c *Column) CountContext(ctx context.Context, sel *Bitmap) (uint64, error) 
 // SumContext is Sum with cancellation, deadline, and panic-recovery
 // support.
 func (c *Column) SumContext(ctx context.Context, sel *Bitmap, opts ...ExecOption) (uint64, error) {
-	ctx = orBackground(ctx)
 	if err := c.checkSelErr(sel); err != nil {
 		return 0, err
 	}
-	o := execOptions(opts)
-	eff := c.effective(sel)
+	return c.sumEff(orBackground(ctx), c.effective(sel), execOptions(opts))
+}
+
+// sumEff sums the column over an effective (NULL-free) selection.
+func (c *Column) sumEff(ctx context.Context, eff *bitvec.Bitmap, o execConfig) (uint64, error) {
 	if c.useReconstruct(eff, o) {
 		// The reconstruction baseline only wins on sparse selections, so
 		// the whole call is short; ctx is observed at entry only.
@@ -188,42 +192,23 @@ func (c *Column) extremeContext(ctx context.Context, sel *Bitmap, opts []ExecOpt
 // AvgContext is Avg with cancellation, deadline, and panic-recovery
 // support.
 func (c *Column) AvgContext(ctx context.Context, sel *Bitmap, opts ...ExecOption) (float64, bool, error) {
-	ctx = orBackground(ctx)
+	return avgOf(c.sumCount(ctx, sel, opts))
+}
+
+// sumCount is SUM with the selected non-NULL count AVG divides it by. The
+// bit-parallel kernels are not run (and nothing records) over an empty
+// selection; the reconstruction baseline is its own one short call either
+// way.
+func (c *Column) sumCount(ctx context.Context, sel *Bitmap, opts []ExecOption) (sum, cnt uint64, err error) {
 	if err := c.checkSelErr(sel); err != nil {
-		return 0, false, err
+		return 0, 0, err
 	}
-	o := execOptions(opts)
-	eff := c.effective(sel)
-	if c.useReconstruct(eff, o) {
-		if err := ctx.Err(); err != nil {
-			return 0, false, err
-		}
-		defer recordReconstruct(o.par.Stats, eff, time.Now())
-		if c.sumOverflowPossible() {
-			cnt := eff.Count()
-			if cnt == 0 {
-				return 0, false, nil
-			}
-			hi, lo := nbp.Sum128(c.nbpSource(), eff)
-			if hi != 0 {
-				return 0, false, &OverflowError{Hi: hi, Lo: lo}
-			}
-			return float64(lo) / float64(cnt), true, nil
-		}
-		v, ok := nbp.AvgOpt(c.nbpSource(), eff, nbpOptions(o))
-		return v, ok, nil
+	o, eff := execOptions(opts), c.effective(sel)
+	if cnt = core.Count(eff); cnt == 0 && !c.useReconstruct(eff, o) {
+		return 0, 0, nil
 	}
-	var (
-		v   float64
-		ok  bool
-		err error
-	)
-	if c.layout == VBP {
-		v, ok, err = parallel.VBPAvgCtx(ctx, c.v, eff, o.par)
-	} else {
-		v, ok, err = parallel.HBPAvgCtx(ctx, c.h, eff, o.par)
-	}
-	return v, ok, wrapExecErr(err)
+	sum, err = c.sumEff(orBackground(ctx), eff, o)
+	return sum, cnt, err
 }
 
 // MedianContext is Median with cancellation, deadline, and

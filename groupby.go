@@ -39,7 +39,7 @@ import (
 // width). Rows NULL in a grouping column join no group. Results are
 // bit-identical across tiers and thread counts.
 type Grouped struct {
-	q      *Query
+	q      *queryState
 	widths []int
 	keys   []uint64
 	sels   []*Bitmap // dense selections (direct tier); nil for hash
@@ -101,7 +101,7 @@ func (g *Grouped) Strategy() GroupStrategy { return groupStrategy(g.widths) }
 
 // groupByCols is the one route to a partition, shared by GroupBy and
 // GroupByContext: composite width check, then the single pass.
-func (q *Query) groupByCols(ctx context.Context, cols []*Column) (*Grouped, error) {
+func (v *flatView) groupByCols(ctx context.Context, cols []*Column) (*Grouped, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("bpagg: GROUP BY needs at least one column")
 	}
@@ -114,20 +114,21 @@ func (q *Query) groupByCols(ctx context.Context, cols []*Column) (*Grouped, erro
 	if total > 64 {
 		return nil, fmt.Errorf("bpagg: composite group key is %d bits wide — keys must pack into 64 bits", total)
 	}
-	return q.groupSinglePass(ctx, cols, widths)
+	return v.groupSinglePass(ctx, cols, widths)
 }
 
-// groupSinglePass partitions the query's selection, whatever built it,
+// groupSinglePass partitions the view's selection, whatever built it,
 // in one pass over cols on the tier their widths select. The access pin
 // does not apply: a partition is not an aggregate (banked still honours
 // it per measure). A key count past the hash budget is
 // ErrGroupCardinality.
-func (q *Query) groupSinglePass(ctx context.Context, cols []*Column, widths []int) (*Grouped, error) {
-	o := execOptions(q.execs)
-	base := q.Selection().b
+func (v *flatView) groupSinglePass(ctx context.Context, cols []*Column, widths []int) (*Grouped, error) {
+	o := execOptions(v.execs)
+	base := v.Selection().b
 	// A row NULL in a grouping column joins no group. The copy is made
-	// only when such a column exists; the query keeps its own selection.
-	owned := false
+	// only when such a column exists and the selection is the query's kept
+	// one; a range view's is already its own.
+	owned := v.ranged
 	for _, col := range cols {
 		if col.nulls == nil {
 			continue
@@ -137,7 +138,7 @@ func (q *Query) groupSinglePass(ctx context.Context, cols []*Column, widths []in
 		}
 		base.AndNot(col.nulls)
 	}
-	g := &Grouped{q: q, widths: widths}
+	g := &Grouped{q: v.queryState, widths: widths}
 
 	if groupStrategy(widths) == GroupDirect {
 		col := cols[0]
@@ -172,14 +173,14 @@ func (q *Query) groupSinglePass(ctx context.Context, cols []*Column, widths []in
 	return g, nil
 }
 
-// GroupBy partitions the query's current selection by the distinct
+// GroupBy partitions the view's current selection by the distinct
 // values of the named columns. With several columns the group key is the
 // packed composite of the columns' codes (see Keys/KeyParts); the
 // combined key width must fit 64 bits. More than MaxSinglePassGroups
 // distinct keys panics with ErrGroupCardinality (use GroupByContext to
 // receive it as an error).
-func (q *Query) GroupBy(columns ...string) *Grouped {
-	g, err := q.GroupByContext(nil, columns...)
+func (v *flatView) GroupBy(columns ...string) *Grouped {
+	g, err := v.GroupByContext(nil, columns...)
 	fusedMust(err)
 	return g
 }

@@ -58,19 +58,20 @@ func (w *Workload) WithSelectivity(sel float64, seed int64) *Workload {
 // runBP returns a closure executing one bit-parallel aggregate evaluation.
 func (w *Workload) runBP(layout tpch.Layout, agg Agg, o parallel.Options) func() {
 	ctx := context.Background()
+	median := (uint64(w.F.Count()) + 1) / 2
 	switch {
 	case layout == tpch.VBP && agg == AggSum:
 		return func() { parallel.VBPSumCtx(ctx, w.V, w.F, o) }
 	case layout == tpch.VBP && agg == AggMinMax:
 		return func() { parallel.VBPMinCtx(ctx, w.V, w.F, o) }
 	case layout == tpch.VBP && agg == AggMedian:
-		return func() { parallel.VBPMedianCtx(ctx, w.V, w.F, o) }
+		return func() { parallel.VBPRankCtx(ctx, w.V, w.F, median, o) }
 	case layout == tpch.HBP && agg == AggSum:
 		return func() { parallel.HBPSumCtx(ctx, w.H, w.F, o) }
 	case layout == tpch.HBP && agg == AggMinMax:
 		return func() { parallel.HBPMinCtx(ctx, w.H, w.F, o) }
 	default:
-		return func() { parallel.HBPMedianCtx(ctx, w.H, w.F, o) }
+		return func() { parallel.HBPRankCtx(ctx, w.H, w.F, median, o) }
 	}
 }
 
@@ -267,7 +268,7 @@ func Sanity(cfg Config) bool {
 	if sh, err := parallel.HBPSumCtx(ctx, w.H, w.F, parallel.Options{}); err != nil || sh != nbp.Sum(w.H, w.F) {
 		return false
 	}
-	mv, okv, err := parallel.VBPMedianCtx(ctx, w.V, w.F, parallel.Options{})
+	mv, okv, err := parallel.VBPRankCtx(ctx, w.V, w.F, (uint64(w.F.Count())+1)/2, parallel.Options{})
 	mn, okn := nbp.Median(w.V, w.F)
 	return err == nil && mv == mn && okv == okn
 }

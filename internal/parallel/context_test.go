@@ -36,8 +36,13 @@ func TestCtxVariantsMatchCore(t *testing.T) {
 		hcols := []*hbp.Column{hbp.Pack(vals, sh.k, 4), hbp.Pack(vals, sh.k, hbp.DefaultTau(sh.k))}
 		u := core.Count(f)
 		for _, o := range optsMatrix {
-			if got, err := VBPSumCtx(ctx, vcol, f, o); err != nil || got != core.VBPSum(vcol, f) {
-				t.Fatalf("VBPSumCtx %+v: got (%d,%v) want (%d,nil)", o, got, err, core.VBPSum(vcol, f))
+			gotSum, err := VBPSumCtx(ctx, vcol, f, o)
+			if err != nil || gotSum != core.VBPSum(vcol, f) {
+				t.Fatalf("VBPSumCtx %+v: got (%d,%v) want (%d,nil)", o, gotSum, err, core.VBPSum(vcol, f))
+			}
+			// AVG is this SUM over the filter's COUNT, wherever it is divided out.
+			if wantAvg, ok := core.VBPAvg(vcol, f); ok != (u > 0) || ok && float64(gotSum)/float64(u) != wantAvg {
+				t.Fatalf("VBPSumCtx/COUNT %+v: got %v want (%v,%v)", o, float64(gotSum)/float64(u), wantAvg, ok)
 			}
 			wantMin, wantMinOK := core.VBPMin(vcol, f)
 			if got, ok, err := VBPMinCtx(ctx, vcol, f, o); err != nil || got != wantMin || ok != wantMinOK {
@@ -48,12 +53,8 @@ func TestCtxVariantsMatchCore(t *testing.T) {
 				t.Fatalf("VBPMaxCtx %+v: got (%d,%v,%v) want (%d,%v,nil)", o, got, ok, err, wantMax, wantMaxOK)
 			}
 			wantMed, wantMedOK := core.VBPMedian(vcol, f)
-			if got, ok, err := VBPMedianCtx(ctx, vcol, f, o); err != nil || got != wantMed || ok != wantMedOK {
-				t.Fatalf("VBPMedianCtx %+v: got (%d,%v,%v) want (%d,%v,nil)", o, got, ok, err, wantMed, wantMedOK)
-			}
-			wantAvg, wantAvgOK := core.VBPAvg(vcol, f)
-			if got, ok, err := VBPAvgCtx(ctx, vcol, f, o); err != nil || got != wantAvg || ok != wantAvgOK {
-				t.Fatalf("VBPAvgCtx %+v: got (%v,%v,%v) want (%v,%v,nil)", o, got, ok, err, wantAvg, wantAvgOK)
+			if got, ok, err := VBPRankCtx(ctx, vcol, f, (u+1)/2, o); err != nil || got != wantMed || ok != wantMedOK {
+				t.Fatalf("VBPRankCtx(median) %+v: got (%d,%v,%v) want (%d,%v,nil)", o, got, ok, err, wantMed, wantMedOK)
 			}
 			for _, r := range []uint64{0, 1, u, u + 1} {
 				wr, wok := core.VBPRank(vcol, f, r)
@@ -63,8 +64,13 @@ func TestCtxVariantsMatchCore(t *testing.T) {
 			}
 
 			for _, hcol := range hcols {
-				if got, err := HBPSumCtx(ctx, hcol, f, o); err != nil || got != core.HBPSum(hcol, f) {
-					t.Fatalf("HBPSumCtx %+v: got (%d,%v) want (%d,nil)", o, got, err, core.HBPSum(hcol, f))
+				gotSum, err := HBPSumCtx(ctx, hcol, f, o)
+				if err != nil || gotSum != core.HBPSum(hcol, f) {
+					t.Fatalf("HBPSumCtx %+v: got (%d,%v) want (%d,nil)", o, gotSum, err, core.HBPSum(hcol, f))
+				}
+				// AVG is this SUM over the filter's COUNT, wherever it is divided out.
+				if wantAvg, ok := core.HBPAvg(hcol, f); ok != (u > 0) || ok && float64(gotSum)/float64(u) != wantAvg {
+					t.Fatalf("HBPSumCtx/COUNT %+v: got %v want (%v,%v)", o, float64(gotSum)/float64(u), wantAvg, ok)
 				}
 				wantMin, wantMinOK := core.HBPMin(hcol, f)
 				if got, ok, err := HBPMinCtx(ctx, hcol, f, o); err != nil || got != wantMin || ok != wantMinOK {
@@ -75,12 +81,8 @@ func TestCtxVariantsMatchCore(t *testing.T) {
 					t.Fatalf("HBPMaxCtx %+v: got (%d,%v,%v) want (%d,%v,nil)", o, got, ok, err, wantMax, wantMaxOK)
 				}
 				wantMed, wantMedOK := core.HBPMedian(hcol, f)
-				if got, ok, err := HBPMedianCtx(ctx, hcol, f, o); err != nil || got != wantMed || ok != wantMedOK {
-					t.Fatalf("HBPMedianCtx %+v: got (%d,%v,%v) want (%d,%v,nil)", o, got, ok, err, wantMed, wantMedOK)
-				}
-				wantAvg, wantAvgOK := core.HBPAvg(hcol, f)
-				if got, ok, err := HBPAvgCtx(ctx, hcol, f, o); err != nil || got != wantAvg || ok != wantAvgOK {
-					t.Fatalf("HBPAvgCtx %+v: got (%v,%v,%v) want (%v,%v,nil)", o, got, ok, err, wantAvg, wantAvgOK)
+				if got, ok, err := HBPRankCtx(ctx, hcol, f, (u+1)/2, o); err != nil || got != wantMed || ok != wantMedOK {
+					t.Fatalf("HBPRankCtx(median) %+v: got (%d,%v,%v) want (%d,%v,nil)", o, got, ok, err, wantMed, wantMedOK)
 				}
 				for _, r := range []uint64{0, 1, u, u + 1} {
 					wr, wok := core.HBPRank(hcol, f, r)
@@ -106,14 +108,14 @@ func TestCtxExpiredDeadline(t *testing.T) {
 	if _, err := VBPSumCtx(ctx, vcol, f, o); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("VBPSumCtx = %v, want DeadlineExceeded", err)
 	}
-	if _, _, err := VBPMedianCtx(ctx, vcol, f, o); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("VBPMedianCtx = %v, want DeadlineExceeded", err)
+	if _, _, err := VBPRankCtx(ctx, vcol, f, 1, o); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("VBPRankCtx = %v, want DeadlineExceeded", err)
 	}
 	if _, err := HBPSumCtx(ctx, hcol, f, o); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("HBPSumCtx = %v, want DeadlineExceeded", err)
 	}
-	if _, _, err := HBPMedianCtx(ctx, hcol, f, o); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("HBPMedianCtx = %v, want DeadlineExceeded", err)
+	if _, _, err := HBPRankCtx(ctx, hcol, f, 1, o); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("HBPRankCtx = %v, want DeadlineExceeded", err)
 	}
 }
 
@@ -264,8 +266,8 @@ func TestThreadCountDeterminism(t *testing.T) {
 	for name, agg := range map[string]func(Options) (uint64, bool, error){
 		"VBPMin":    func(o Options) (uint64, bool, error) { return VBPMinCtx(ctx, vcol, f, o) },
 		"VBPMax":    func(o Options) (uint64, bool, error) { return VBPMaxCtx(ctx, vcol, f, o) },
-		"VBPMedian": func(o Options) (uint64, bool, error) { return VBPMedianCtx(ctx, vcol, f, o) },
-		"HBPMedian": func(o Options) (uint64, bool, error) { return HBPMedianCtx(ctx, hcol, f, o) },
+		"VBPMedian": func(o Options) (uint64, bool, error) { return VBPRankCtx(ctx, vcol, f, (core.Count(f)+1)/2, o) },
+		"HBPMedian": func(o Options) (uint64, bool, error) { return HBPRankCtx(ctx, hcol, f, (core.Count(f)+1)/2, o) },
 	} {
 		a1, aok, _ := agg(serial)
 		b1, bok, _ := agg(o)

@@ -25,16 +25,28 @@ import (
 // ScanNanos = 0 — all wall time lands in AggNanos, because there is no
 // separate scan phase to time.
 
-// fusedStatsEnd merges the per-worker fused kernel counters into the
-// ExecStats schema (scan-side and aggregate-side at once) and records a
-// single aggregate invocation.
-func (o Options) fusedStatsEnd(ws []metrics.ExecStats, start time.Time, fss []core.FusedStats, npreds int, extra metrics.ExecStats) {
+// fusedWorker is what one worker of a fused driver accumulates besides
+// its aggregate: the kernel's work counters and the selected tuple count.
+type fusedWorker struct {
+	st  core.FusedStats
+	cnt uint64
+}
+
+// mergeFused totals the workers' selected counts and kernel counters.
+func mergeFused(parts []fusedWorker) (cnt uint64, fs core.FusedStats) {
+	for i := range parts {
+		cnt += parts[i].cnt
+		fs = fs.Add(parts[i].st)
+	}
+	return cnt, fs
+}
+
+// fusedStatsEnd folds the merged fused kernel counters into the ExecStats
+// schema (scan-side and aggregate-side at once) and records a single
+// aggregate invocation.
+func (o Options) fusedStatsEnd(ws []metrics.ExecStats, start time.Time, fs core.FusedStats, npreds int, extra metrics.ExecStats) {
 	if o.Stats == nil {
 		return
-	}
-	var fs core.FusedStats
-	for i := range fss {
-		fs = fs.Add(fss[i])
 	}
 	extra.Scans += uint64(npreds)
 	extra.SegmentsScanned += fs.SegmentsScanned
@@ -78,10 +90,10 @@ func HBPFusedSumCtx(ctx context.Context, col *hbp.Column, preds []scan.WindowPre
 // the fused drivers' stats plumbing.
 func (o Options) fusedSumCtx(ctx context.Context, nseg, npreds int, kernel func(lo, hi int, st *core.FusedStats) (ph, pl, cnt uint64)) (sum, cnt uint64, err error) {
 	ws, start := o.statsBegin()
-	fss := make([]core.FusedStats, o.threads())
+	parts := make([]fusedWorker, o.threads())
 	hi, lo, cnt, err := sumRanges(ctx, nseg, o.threads(), func(w, segLo, segHi int) (uint64, uint64, uint64) {
 		t0 := statsNow(ws)
-		ph, pl, c := kernel(segLo, segHi, &fss[w])
+		ph, pl, c := kernel(segLo, segHi, &parts[w].st)
 		if ws != nil {
 			busyOnly(ws, w, t0)
 		}
@@ -90,50 +102,39 @@ func (o Options) fusedSumCtx(ctx context.Context, nseg, npreds int, kernel func(
 	if err != nil {
 		return 0, 0, err
 	}
-	o.fusedStatsEnd(ws, start, fss, npreds, metrics.ExecStats{})
+	_, fs := mergeFused(parts)
+	o.fusedStatsEnd(ws, start, fs, npreds, metrics.ExecStats{})
 	if sum, err = sum128Result(hi, lo); err != nil {
 		return 0, 0, err
 	}
 	return sum, cnt, nil
 }
 
+// segmented is what the layout-generic drivers need of a column besides
+// its kernels, which they take as plain function values (no closure per
+// call): *vbp.Column or *hbp.Column.
+type segmented interface{ NumSegments() int }
+
 // VBPFusedCountCtx counts the tuples matching the predicate conjunction
 // over a VBP column, honoring ctx. No aggregate words are touched.
 func VBPFusedCountCtx(ctx context.Context, col *vbp.Column, preds []scan.WindowPred, o Options) (cnt uint64, err error) {
-	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	n := o.threads()
-	cnts := make([]uint64, n)
-	fss := make([]core.FusedStats, n)
-	_, err = forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-		t0 := statsNow(ws)
-		cnts[w] += core.VBPFusedCount(col, preds, lo, hi, &fss[w])
-		if ws != nil {
-			busyOnly(ws, w, t0)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	for w := 0; w < n; w++ {
-		cnt += cnts[w]
-	}
-	o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
-	return cnt, nil
+	return fusedCountCtx(ctx, col, preds, o, core.VBPFusedCount)
 }
 
 // HBPFusedCountCtx counts the tuples matching the predicate conjunction
 // over an HBP column, honoring ctx.
 func HBPFusedCountCtx(ctx context.Context, col *hbp.Column, preds []scan.WindowPred, o Options) (cnt uint64, err error) {
+	return fusedCountCtx(ctx, col, preds, o, core.HBPFusedCount)
+}
+
+// fusedCountCtx is the COUNT driver around either layout's kernel.
+func fusedCountCtx[C segmented](ctx context.Context, col C, preds []scan.WindowPred, o Options,
+	kernel func(col C, preds []scan.WindowPred, lo, hi int, st *core.FusedStats) uint64) (cnt uint64, err error) {
 	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	n := o.threads()
-	cnts := make([]uint64, n)
-	fss := make([]core.FusedStats, n)
-	_, err = forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
+	parts := make([]fusedWorker, o.threads())
+	_, err = forEachRangeErr(ctx, col.NumSegments(), len(parts), func(w, lo, hi int) error {
 		t0 := statsNow(ws)
-		cnts[w] += core.HBPFusedCount(col, preds, lo, hi, &fss[w])
+		parts[w].cnt += kernel(col, preds, lo, hi, &parts[w].st)
 		if ws != nil {
 			busyOnly(ws, w, t0)
 		}
@@ -142,10 +143,8 @@ func HBPFusedCountCtx(ctx context.Context, col *hbp.Column, preds []scan.WindowP
 	if err != nil {
 		return 0, err
 	}
-	for w := 0; w < n; w++ {
-		cnt += cnts[w]
-	}
-	o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
+	cnt, fs := mergeFused(parts)
+	o.fusedStatsEnd(ws, start, fs, len(preds), metrics.ExecStats{})
 	return cnt, nil
 }
 
@@ -156,74 +155,44 @@ func HBPFusedCountCtx(ctx context.Context, col *hbp.Column, preds []scan.WindowP
 // bests, merged with the reconstructed fold finalists at the end (the
 // fold identities are neutral whenever cnt > 0).
 func VBPFusedExtremeCtx(ctx context.Context, col *vbp.Column, preds []scan.WindowPred, o Options, wantMin bool) (v uint64, cnt uint64, err error) {
-	ws, start := o.statsBegin()
 	k := col.K()
-	nseg := col.NumSegments()
-	n := o.threads()
-	temps := make([][]uint64, n)
-	for w := range temps {
-		temps[w] = core.NewVBPExtremeTemp(k, wantMin)
-	}
-	bests := make([]uint64, n)
-	anys := make([]bool, n)
-	cnts := make([]uint64, n)
-	fss := make([]core.FusedStats, n)
-	used, err := forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-		t0 := statsNow(ws)
-		b, a, c := core.VBPFusedFoldExtreme(col, preds, temps[w], wantMin, lo, hi, &fss[w])
-		if a && (!anys[w] || wantMin && b < bests[w] || !wantMin && b > bests[w]) {
-			bests[w] = b
-			anys[w] = true
-		}
-		cnts[w] += c
-		if ws != nil {
-			busyOnly(ws, w, t0)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for w := 0; w < n; w++ {
-		cnt += cnts[w]
-	}
-	if cnt == 0 {
-		o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
-		return 0, 0, nil
-	}
-	v = core.VBPFinishExtreme(temps[:used], k, wantMin)
-	for w := 0; w < used; w++ {
-		if anys[w] && (wantMin && bests[w] < v || !wantMin && bests[w] > v) {
-			v = bests[w]
-		}
-	}
-	o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
-	return v, cnt, nil
+	return fusedExtremeCtx(ctx, col, preds, o, wantMin, core.VBPFusedFoldExtreme,
+		func() []uint64 { return core.NewVBPExtremeTemp(k, wantMin) },
+		func(temps [][]uint64) uint64 { return core.VBPFinishExtreme(temps, k, wantMin) })
 }
 
 // HBPFusedExtremeCtx computes MIN (wantMin) or MAX of the tuples matching
 // the predicate conjunction over an HBP column, honoring ctx; cnt == 0
 // means nothing matched.
 func HBPFusedExtremeCtx(ctx context.Context, col *hbp.Column, preds []scan.WindowPred, o Options, wantMin bool) (v uint64, cnt uint64, err error) {
+	return fusedExtremeCtx(ctx, col, preds, o, wantMin, core.HBPFusedFoldExtreme,
+		func() []uint64 { return core.NewHBPExtremeTemp(col, wantMin) },
+		func(temps [][]uint64) uint64 { return core.HBPFinishExtreme(col, temps, wantMin) })
+}
+
+// fusedExtremeCtx is the MIN/MAX driver around either layout's kernels:
+// fold runs the fused kernel over segments [lo, hi) into one worker's
+// accumulator (made by newTemp), reporting the best cache-served value, if
+// any, and the selected count; finish reconstructs the fold finalist of
+// the workers that ran.
+func fusedExtremeCtx[C segmented](ctx context.Context, col C, preds []scan.WindowPred, o Options, wantMin bool,
+	fold func(col C, preds []scan.WindowPred, temp []uint64, wantMin bool, lo, hi int, st *core.FusedStats) (best uint64, any bool, cnt uint64),
+	newTemp func() []uint64, finish func(temps [][]uint64) uint64) (v, cnt uint64, err error) {
 	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	n := o.threads()
-	temps := make([][]uint64, n)
+	parts := make([]fusedWorker, o.threads())
+	temps := make([][]uint64, len(parts))
 	for w := range temps {
-		temps[w] = core.NewHBPExtremeTemp(col, wantMin)
+		temps[w] = newTemp()
 	}
-	bests := make([]uint64, n)
-	anys := make([]bool, n)
-	cnts := make([]uint64, n)
-	fss := make([]core.FusedStats, n)
-	used, err := forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
+	bests := make([]uint64, len(parts))
+	anys := make([]bool, len(parts))
+	used, err := forEachRangeErr(ctx, col.NumSegments(), len(parts), func(w, lo, hi int) error {
 		t0 := statsNow(ws)
-		b, a, c := core.HBPFusedFoldExtreme(col, preds, temps[w], wantMin, lo, hi, &fss[w])
+		b, a, c := fold(col, preds, temps[w], wantMin, lo, hi, &parts[w].st)
 		if a && (!anys[w] || wantMin && b < bests[w] || !wantMin && b > bests[w]) {
-			bests[w] = b
-			anys[w] = true
+			bests[w], anys[w] = b, true
 		}
-		cnts[w] += c
+		parts[w].cnt += c
 		if ws != nil {
 			busyOnly(ws, w, t0)
 		}
@@ -232,20 +201,16 @@ func HBPFusedExtremeCtx(ctx context.Context, col *hbp.Column, preds []scan.Windo
 	if err != nil {
 		return 0, 0, err
 	}
-	for w := 0; w < n; w++ {
-		cnt += cnts[w]
-	}
-	if cnt == 0 {
-		o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
-		return 0, 0, nil
-	}
-	v = core.HBPFinishExtreme(col, temps[:used], wantMin)
-	for w := 0; w < used; w++ {
-		if anys[w] && (wantMin && bests[w] < v || !wantMin && bests[w] > v) {
-			v = bests[w]
+	cnt, fs := mergeFused(parts)
+	if cnt > 0 {
+		v = finish(temps[:used])
+		for w := 0; w < used; w++ {
+			if anys[w] && (wantMin && bests[w] < v || !wantMin && bests[w] > v) {
+				v = bests[w]
+			}
 		}
 	}
-	o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
+	o.fusedStatsEnd(ws, start, fs, len(preds), metrics.ExecStats{})
 	return v, cnt, nil
 }
 
@@ -254,102 +219,32 @@ func HBPFusedExtremeCtx(ctx context.Context, col *hbp.Column, preds []scan.Windo
 // vectors are built by the fused pass (no bitmap); rankOf maps the
 // selected tuple count u to the 1-based rank to extract (MEDIAN passes
 // (u+1)/2) and reports whether a rank is wanted at all. The radix descent
-// then runs the same per-bit rendezvous as VBPRankCtx.
+// is VBPRankCtx's.
 func VBPFusedRankCtx(ctx context.Context, col *vbp.Column, preds []scan.WindowPred, rankOf func(u uint64) (uint64, bool), o Options) (val, cnt uint64, ok bool, err error) {
-	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	n := o.threads()
-	v := make([]uint64, nseg)
-	cnts := make([]uint64, n)
-	fss := make([]core.FusedStats, n)
-	_, err = forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-		t0 := statsNow(ws)
-		cnts[w] += core.VBPFusedCandidates(col, preds, v, lo, hi, &fss[w])
-		if ws != nil {
-			busyOnly(ws, w, t0)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, false, err
-	}
-	var u uint64
-	for w := 0; w < n; w++ {
-		u += cnts[w]
-	}
-	cnt = u
-	r, want := rankOf(u)
-	if !want || r == 0 || r > u {
-		o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
-		return 0, cnt, false, nil
-	}
-	var extra metrics.ExecStats
-	if ws != nil {
-		extra.SegmentsAggregated = core.VBPLiveCandidates(v, 0, nseg)
-	}
-	k := col.K()
-	partials := make([]uint64, n)
-	var m uint64
-	for p := 0; p < k; p++ {
-		for i := range partials {
-			partials[i] = 0
-		}
-		_, err := forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-			t0 := statsNow(ws)
-			partials[w] += core.VBPRankCount(col, v, p, lo, hi)
-			if ws != nil {
-				// Charge the whole round here: refine reads the same
-				// bit-position word for the same live segments.
-				vbpCollectRank(ws, w, v, lo, hi, t0)
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, 0, false, err
-		}
-		var c uint64
-		for _, pc := range partials {
-			c += pc
-		}
-		keepOnes := u-c < r
-		if keepOnes {
-			m |= 1 << uint(k-1-p)
-			r -= u - c
-			u = c
-		} else {
-			u -= c
-		}
-		extra.RadixRounds++
-		_, err = forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-			t0 := statsNow(ws)
-			core.VBPRankRefine(col, v, p, keepOnes, lo, hi)
-			if ws != nil {
-				busyOnly(ws, w, t0)
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, 0, false, err
-		}
-	}
-	o.fusedStatsEnd(ws, start, fss, len(preds), extra)
-	return m, cnt, true, nil
+	return fusedRankCtx(ctx, col, preds, rankOf, o, core.VBPFusedCandidates, vbpDescend)
 }
 
 // HBPFusedRankCtx computes a rank statistic of the tuples matching the
 // predicate conjunction over an HBP column, honoring ctx; see
-// VBPFusedRankCtx for the rankOf contract. The radix descent runs the
-// same per-chunk histogram rendezvous as HBPRankCtx.
+// VBPFusedRankCtx for the rankOf contract. The radix descent is
+// HBPRankCtx's.
 func HBPFusedRankCtx(ctx context.Context, col *hbp.Column, preds []scan.WindowPred, rankOf func(u uint64) (uint64, bool), o Options) (val, cnt uint64, ok bool, err error) {
+	return fusedRankCtx(ctx, col, preds, rankOf, o, core.HBPFusedCandidates, hbpDescend)
+}
+
+// fusedRankCtx is the rank driver around either layout: candidates is the
+// fused kernel that fills the per-segment candidate vectors v and counts
+// them, descend the layout's radix descent over v.
+func fusedRankCtx[C segmented](ctx context.Context, col C, preds []scan.WindowPred, rankOf func(u uint64) (uint64, bool), o Options,
+	candidates func(col C, preds []scan.WindowPred, v []uint64, lo, hi int, st *core.FusedStats) uint64,
+	descend func(ctx context.Context, col C, v []uint64, u, r uint64, o Options, ws []metrics.ExecStats) (uint64, metrics.ExecStats, error),
+) (val, cnt uint64, ok bool, err error) {
 	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	n := o.threads()
-	v := make([]uint64, nseg)
-	cnts := make([]uint64, n)
-	fss := make([]core.FusedStats, n)
-	_, err = forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
+	v := make([]uint64, col.NumSegments())
+	parts := make([]fusedWorker, o.threads())
+	_, err = forEachRangeErr(ctx, len(v), len(parts), func(w, lo, hi int) error {
 		t0 := statsNow(ws)
-		cnts[w] += core.HBPFusedCandidates(col, preds, v, lo, hi, &fss[w])
+		parts[w].cnt += candidates(col, preds, v, lo, hi, &parts[w].st)
 		if ws != nil {
 			busyOnly(ws, w, t0)
 		}
@@ -358,100 +253,14 @@ func HBPFusedRankCtx(ctx context.Context, col *hbp.Column, preds []scan.WindowPr
 	if err != nil {
 		return 0, 0, false, err
 	}
-	var u uint64
-	for w := 0; w < n; w++ {
-		u += cnts[w]
-	}
-	cnt = u
-	r, want := rankOf(u)
-	if !want || r == 0 || r > u {
-		o.fusedStatsEnd(ws, start, fss, len(preds), metrics.ExecStats{})
-		return 0, cnt, false, nil
-	}
+	cnt, fs := mergeFused(parts)
 	var extra metrics.ExecStats
-	if ws != nil {
-		var live uint64
-		for seg := 0; seg < nseg; seg++ {
-			if v[seg] != 0 {
-				live++
-			}
+	if r, want := rankOf(cnt); want && r != 0 && r <= cnt {
+		if val, extra, err = descend(ctx, col, v, cnt, r, o, ws); err != nil {
+			return 0, 0, false, err
 		}
-		extra.SegmentsAggregated = live
+		ok = true
 	}
-	b := col.NumGroups()
-	tau := col.Tau()
-	chunks, histBits := core.HBPRankChunks(tau, u)
-
-	workerHists := make([][]uint64, n)
-	for w := range workerHists {
-		workerHists[w] = make([]uint64, 1<<uint(histBits))
-	}
-	var m uint64
-	for g := 0; g < b; g++ {
-		for ci, ch := range chunks {
-			shift, width := ch[0], ch[1]
-			bins := 1 << uint(width)
-			last := g == b-1 && ci == len(chunks)-1
-			// Histograms are zeroed here, not inside the worker body: a
-			// worker sees its range in workerBlock slices and must
-			// accumulate across them.
-			for w := range workerHists {
-				h := workerHists[w][:bins]
-				for i := range h {
-					h[i] = 0
-				}
-			}
-			used, err := forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-				t0 := statsNow(ws)
-				core.HBPHistogramChunk(col, v, g, shift, width, lo, hi, workerHists[w][:bins])
-				if ws != nil {
-					// Charge the whole round here (histogram plus, unless
-					// this is the final round, the refine pass over the
-					// same live sub-segments).
-					factor := uint64(2)
-					if last {
-						factor = 1
-					}
-					hbpCollectRank(ws, w, col, v, factor, lo, hi, t0)
-				}
-				return nil
-			})
-			if err != nil {
-				return 0, 0, false, err
-			}
-			// Merge worker histograms and locate the bin containing rank r.
-			var cum uint64
-			bin := bins - 1
-			for i := 0; i < bins; i++ {
-				var h uint64
-				for w := 0; w < used; w++ {
-					h += workerHists[w][i]
-				}
-				if cum+h >= r {
-					bin = i
-					break
-				}
-				cum += h
-			}
-			r -= cum
-			m = m<<uint(width) | uint64(bin)
-			extra.RadixRounds++
-			if last {
-				break
-			}
-			_, err = forEachRangeErr(ctx, nseg, n, func(w, lo, hi int) error {
-				t0 := statsNow(ws)
-				core.HBPRankRefineChunk(col, v, g, shift, width, uint64(bin), lo, hi)
-				if ws != nil {
-					busyOnly(ws, w, t0)
-				}
-				return nil
-			})
-			if err != nil {
-				return 0, 0, false, err
-			}
-		}
-	}
-	o.fusedStatsEnd(ws, start, fss, len(preds), extra)
-	return m, cnt, true, nil
+	o.fusedStatsEnd(ws, start, fs, len(preds), extra)
+	return val, cnt, ok, nil
 }

@@ -70,15 +70,6 @@ func hbpExtremeCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, o Opt
 	return v, true, nil
 }
 
-// HBPMedianCtx computes the lower MEDIAN, honoring ctx.
-func HBPMedianCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, o Options) (uint64, bool, error) {
-	u := core.Count(f)
-	if u == 0 {
-		return 0, false, nil
-	}
-	return HBPRankCtx(ctx, col, f, (u+1)/2, o)
-}
-
 // HBPRankCtx computes the r-th smallest filtered value, honoring ctx.
 // Cancellation is checked at every histogram rendezvous (per bit-group
 // chunk) in addition to the per-block checks inside each scan.
@@ -88,22 +79,36 @@ func HBPRankCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, r uint64
 		return 0, false, nil
 	}
 	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	v := core.NewHBPCandidates(col, f, nseg)
-	var extra metrics.ExecStats
+	m, extra, err := hbpDescend(ctx, col, core.NewHBPCandidates(col, f, col.NumSegments()), u, r, o, ws)
+	if err != nil {
+		return 0, false, err
+	}
+	o.statsEnd(ws, start, extra)
+	return m, true, nil
+}
+
+// hbpDescend is the HBP radix descent (Algorithm 6's loop) both rank
+// drivers run over their candidate windows v — copied from a filter
+// bitmap, or built by a fused pass: one rendezvous per bit-group chunk on
+// the merged histogram of the u live candidates, which locates the bin of
+// the r-th smallest and narrows the candidates to it. extra carries the
+// descent's driver-level counters when ws collects.
+func hbpDescend(ctx context.Context, col *hbp.Column, v []uint64, u, r uint64, o Options, ws []metrics.ExecStats) (m uint64, extra metrics.ExecStats, err error) {
+	nseg := len(v)
 	if ws != nil {
-		segs, _ := core.HBPLiveWindows(col, f, 0, nseg)
-		extra.SegmentsAggregated = segs
+		for _, cand := range v {
+			if cand != 0 {
+				extra.SegmentsAggregated++
+			}
+		}
 	}
 	b := col.NumGroups()
-	tau := col.Tau()
-	chunks, histBits := core.HBPRankChunks(tau, u)
+	chunks, histBits := core.HBPRankChunks(col.Tau(), u)
 
 	workerHists := make([][]uint64, o.threads())
 	for w := range workerHists {
 		workerHists[w] = make([]uint64, 1<<uint(histBits))
 	}
-	var m uint64
 	for g := 0; g < b; g++ {
 		for ci, ch := range chunks {
 			shift, width := ch[0], ch[1]
@@ -134,7 +139,7 @@ func HBPRankCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, r uint64
 				return nil
 			})
 			if err != nil {
-				return 0, false, err
+				return 0, extra, err
 			}
 			// Merge worker histograms and locate the bin containing rank r.
 			var cum uint64
@@ -165,23 +170,9 @@ func HBPRankCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, r uint64
 				return nil
 			})
 			if err != nil {
-				return 0, false, err
+				return 0, extra, err
 			}
 		}
 	}
-	o.statsEnd(ws, start, extra)
-	return m, true, nil
-}
-
-// HBPAvgCtx computes AVG = SUM / COUNT, honoring ctx.
-func HBPAvgCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, o Options) (float64, bool, error) {
-	cnt := core.Count(f)
-	if cnt == 0 {
-		return 0, false, nil
-	}
-	sum, err := HBPSumCtx(ctx, col, f, o)
-	if err != nil {
-		return 0, false, err
-	}
-	return float64(sum) / float64(cnt), true, nil
+	return m, extra, nil
 }

@@ -77,15 +77,6 @@ func vbpExtremeCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, o Opt
 	return v, true, nil
 }
 
-// VBPMedianCtx computes the lower MEDIAN, honoring ctx.
-func VBPMedianCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, o Options) (uint64, bool, error) {
-	u := core.Count(f)
-	if u == 0 {
-		return 0, false, nil
-	}
-	return VBPRankCtx(ctx, col, f, (u+1)/2, o)
-}
-
 // VBPRankCtx computes the r-th smallest filtered value, honoring ctx.
 // Cancellation is checked at every per-bit rendezvous in addition to the
 // per-block checks inside each scan, so even a mid-refinement deadline
@@ -96,15 +87,26 @@ func VBPRankCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, r uint64
 		return 0, false, nil
 	}
 	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	var extra metrics.ExecStats
-	if ws != nil {
-		extra.SegmentsAggregated = core.VBPLiveSegments(f, 0, nseg)
+	m, extra, err := vbpDescend(ctx, col, core.NewVBPCandidates(f, col.NumSegments()), u, r, o, ws)
+	if err != nil {
+		return 0, false, err
 	}
-	v := core.NewVBPCandidates(f, nseg)
-	k := col.K()
+	o.statsEnd(ws, start, extra)
+	return m, true, nil
+}
+
+// vbpDescend is the VBP radix descent (Algorithm 3's loop) both rank
+// drivers run over their candidate vectors v — copied from a filter
+// bitmap, or built by a fused pass: one rendezvous per bit position on the
+// global count of the u live candidates with that bit set, which decides
+// the bit of the r-th smallest and which candidates survive. extra carries
+// the descent's driver-level counters when ws collects.
+func vbpDescend(ctx context.Context, col *vbp.Column, v []uint64, u, r uint64, o Options, ws []metrics.ExecStats) (m uint64, extra metrics.ExecStats, err error) {
+	nseg, k := len(v), col.K()
+	if ws != nil {
+		extra.SegmentsAggregated = core.VBPLiveCandidates(v, 0, nseg)
+	}
 	partials := make([]uint64, o.threads())
-	var m uint64
 	for p := 0; p < k; p++ {
 		for i := range partials {
 			partials[i] = 0
@@ -120,7 +122,7 @@ func VBPRankCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, r uint64
 			return nil
 		})
 		if err != nil {
-			return 0, false, err
+			return 0, extra, err
 		}
 		var c uint64
 		for _, pc := range partials {
@@ -144,22 +146,8 @@ func VBPRankCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, r uint64
 			return nil
 		})
 		if err != nil {
-			return 0, false, err
+			return 0, extra, err
 		}
 	}
-	o.statsEnd(ws, start, extra)
-	return m, true, nil
-}
-
-// VBPAvgCtx computes AVG = SUM / COUNT, honoring ctx.
-func VBPAvgCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, o Options) (float64, bool, error) {
-	cnt := core.Count(f)
-	if cnt == 0 {
-		return 0, false, nil
-	}
-	sum, err := VBPSumCtx(ctx, col, f, o)
-	if err != nil {
-		return 0, false, err
-	}
-	return float64(sum) / float64(cnt), true, nil
+	return m, extra, nil
 }

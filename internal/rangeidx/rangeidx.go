@@ -155,8 +155,8 @@ func (b *Builder) Snapshot(rows int, tail []uint64, fr Fringe) *Snapshot {
 		segRows: b.segRows,
 		rows:    rows,
 		sealed:  sealed,
-		psumHi:  b.psumHi[:sealed+1:sealed+1],
-		psumLo:  b.psumLo[:sealed+1:sealed+1],
+		psumHi:  b.psumHi[: sealed+1 : sealed+1],
+		psumLo:  b.psumLo[: sealed+1 : sealed+1],
 		minTab:  clipTab(b.minTab, sealed),
 		maxTab:  clipTab(b.maxTab, sealed),
 		tail:    tail,

@@ -127,10 +127,11 @@ func (c *Column) sumBP(f *bitvec.Bitmap, o parallel.Options) uint64 {
 }
 
 func (c *Column) avgBP(f *bitvec.Bitmap, o parallel.Options) (float64, bool) {
-	if c.layout == VBP {
-		return must2(parallel.VBPAvgCtx(context.Background(), c.v, f, o))
+	cnt := f.Count()
+	if cnt == 0 {
+		return 0, false
 	}
-	return must2(parallel.HBPAvgCtx(context.Background(), c.h, f, o))
+	return float64(c.sumBP(f, o)) / float64(cnt), true
 }
 
 func (c *Column) maxBP(f *bitvec.Bitmap, o parallel.Options) (uint64, bool) {
@@ -141,8 +142,9 @@ func (c *Column) maxBP(f *bitvec.Bitmap, o parallel.Options) (uint64, bool) {
 }
 
 func (c *Column) medianBP(f *bitvec.Bitmap, o parallel.Options) (uint64, bool) {
+	r := (uint64(f.Count()) + 1) / 2 // lower median; rank 0 of an empty filter is not found
 	if c.layout == VBP {
-		return must2(parallel.VBPMedianCtx(context.Background(), c.v, f, o))
+		return must2(parallel.VBPRankCtx(context.Background(), c.v, f, r, o))
 	}
-	return must2(parallel.HBPMedianCtx(context.Background(), c.h, f, o))
+	return must2(parallel.HBPRankCtx(context.Background(), c.h, f, r, o))
 }

@@ -67,8 +67,8 @@ func (c *Column) windowBits() int {
 // fuses decides whether the query's clauses and the aggregate column
 // (nil for row counting) can run fused under the given access method —
 // the gate alone, which allocates nothing, so planners can ask it freely.
-func (q *Query) fuses(agg *Column, access AccessMethod) bool {
-	if q.sel != nil || len(q.clauses) == 0 || access == Reconstruct {
+func (s *queryState) fuses(agg *Column, access AccessMethod) bool {
+	if s.sel != nil || len(s.clauses) == 0 || access == Reconstruct {
 		return false
 	}
 	wb := 0
@@ -78,7 +78,7 @@ func (q *Query) fuses(agg *Column, access AccessMethod) bool {
 		}
 		wb = agg.windowBits()
 	}
-	for _, cl := range q.clauses {
+	for _, cl := range s.clauses {
 		if cl.pred.list != nil || cl.col.nulls != nil {
 			return false
 		}
@@ -92,22 +92,18 @@ func (q *Query) fuses(agg *Column, access AccessMethod) bool {
 	return true
 }
 
-// fusedPlan is fuses plus, when the query fuses, the per-window predicate
-// evaluators the fused drivers run.
-func (q *Query) fusedPlan(agg *Column) (preds []scan.WindowPred, o execConfig, ok bool) {
-	o = execOptions(q.execs)
-	if !q.fuses(agg, o.access) {
-		return nil, o, false
-	}
-	preds = make([]scan.WindowPred, 0, len(q.clauses))
-	for _, cl := range q.clauses {
+// fusedPlan builds the per-window predicate evaluators the fused
+// drivers run, one per clause of a query that fuses.
+func (s *queryState) fusedPlan() []scan.WindowPred {
+	preds := make([]scan.WindowPred, 0, len(s.clauses))
+	for _, cl := range s.clauses {
 		if cl.col.layout == VBP {
 			preds = append(preds, scan.NewVBPWindowPred(cl.col.v, cl.pred.p))
 		} else {
 			preds = append(preds, scan.NewHBPWindowPred(cl.col.h, cl.pred.p))
 		}
 	}
-	return preds, o, true
+	return preds
 }
 
 // fusedMust re-raises a ...Context failure on the plain (non-Context)
@@ -157,14 +153,9 @@ func (c *Column) fusedRank(ctx context.Context, preds []scan.WindowPred, o execC
 	return v, cnt, ok, wrapExecErr(err)
 }
 
-// fusedCount counts matching rows with the first clause's column driving
-// the windows (every eligible column shares the window geometry).
-func (q *Query) fusedCount(ctx context.Context, preds []scan.WindowPred, o execConfig) (uint64, error) {
-	c := q.clauses[0].col
-	var (
-		cnt uint64
-		err error
-	)
+// fusedCount runs the fused COUNT driver with this column driving the
+// windows.
+func (c *Column) fusedCount(ctx context.Context, preds []scan.WindowPred, o execConfig) (cnt uint64, err error) {
 	if c.layout == VBP {
 		cnt, err = parallel.VBPFusedCountCtx(ctx, c.v, preds, o.par)
 	} else {
@@ -204,37 +195,6 @@ func quantileRank(q float64) func(u uint64) (uint64, bool) {
 	}
 }
 
-// WithStatsInto directs the query's statistics into a caller-supplied
-// collector (which may be shared across queries) instead of a fresh one.
-// Stats then reports that collector's running totals.
-func (q *Query) WithStatsInto(rec *StatsCollector) *Query {
-	if rec == nil {
-		return q
-	}
-	q.stats = rec
-	q.execs = append(q.execs, CollectStats(rec))
-	return q
-}
-
-// SumCountContext aggregates SUM and COUNT over the named column in one
-// pass when the query fuses (the natural shape for AVG and for SQL
-// formatters that need both), falling back to a SUM plus a popcount.
-func (q *Query) SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error) {
-	col, err := q.colErr(column)
-	if err != nil {
-		return 0, 0, err
-	}
-	if preds, o, ok := q.fusedPlan(col); ok {
-		return col.fusedSum(orBackground(ctx), preds, o)
-	}
-	sum, err = col.SumContext(ctx, q.Selection(), q.execs...)
-	if err != nil {
-		return 0, 0, err
-	}
-	cnt, err = col.CountContext(ctx, q.Selection())
-	return sum, cnt, err
-}
-
 // Fused reports whether the next aggregate call would run the fused
 // scan→aggregate path for the named column (EXPLAIN support); the empty
 // string asks about row counting (COUNT(*)), which has no aggregate
@@ -244,15 +204,15 @@ func (q *Query) Fused(column string) bool {
 }
 
 // fusesColumn is fuses by column name; an unknown name does not fuse.
-func (q *Query) fusesColumn(column string, access AccessMethod) bool {
+func (s *queryState) fusesColumn(column string, access AccessMethod) bool {
 	var col *Column
 	if column != "" {
-		col = q.t.cols[column]
+		col = s.t.cols[column]
 		if col == nil {
 			return false
 		}
 	}
-	return q.fuses(col, access)
+	return s.fuses(col, access)
 }
 
 func checkPredFits(p Predicate, k int) {

@@ -1,7 +1,6 @@
 package bpagg
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -140,303 +139,70 @@ func (q *Query) Range(lo, hi int) *RangeQuery {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("bpagg: invalid row range [%d, %d)", lo, hi))
 	}
-	return &RangeQuery{q: q, lo: lo, hi: hi}
+	return &RangeQuery{flatView{queryState: q.queryState, ranged: true, lo: lo, hi: hi}}
 }
 
-// RangeQuery aggregates over a row-position range. See Query.Range.
+// RangeQuery aggregates over a row-position range: its query's state cut
+// to [lo, hi). See Query.Range; the methods are flatView's, promoted.
 type RangeQuery struct {
-	q      *Query
-	lo, hi int
-	ep     *tableEpoch // set by a window sweep, which pins one epoch for all its windows
+	flatView
 }
 
-// epoch returns the epoch the index-served aggregates read: the sweep's,
-// or else one pinned per aggregate call.
-func (r *RangeQuery) epoch() *tableEpoch {
-	if r.ep != nil {
-		return r.ep
+// filterFree reports whether every row is selected: no Where clause and
+// no materialized (possibly caller-edited) selection.
+func (s *queryState) filterFree() bool { return len(s.clauses) == 0 && s.sel == nil }
+
+// evalIndex answers c from the prefix-sum index when the fast path
+// applies — no Where clauses, no materialized selection, an aggregate the
+// index has a form for, and an indexed (NULL-free) column — and books it
+// as one aggregate, or two for SUM+COUNT (two lookups). It reads the
+// sweep's epoch, or else pins one for this call; indexed columns are
+// NULL-free, so a count is the clipped range width.
+func (v *flatView) evalIndex(c *aggCall) (p partial, ok bool) {
+	if !v.filterFree() || c.op > opMax {
+		return p, false
 	}
-	return r.q.t.pinEpoch()
-}
-
-// snap returns the pinned index snapshot for the column when the fast
-// path applies: no Where clauses, no materialized selection, and the
-// column is indexed (NULL-free).
-func (r *RangeQuery) snap(column string) (*rangeidx.Snapshot, bool) {
-	if len(r.q.clauses) != 0 || r.q.sel != nil {
-		return nil, false
+	ep := v.ep
+	if ep == nil {
+		ep = v.t.pinEpoch()
 	}
-	s := r.epoch().cols[column]
-	return s, s != nil
+	s := ep.cols[c.column]
+	if s == nil && c.op != opCountRows {
+		return p, false
+	}
+	start := time.Now()
+	var st rangeidx.Stats
+	switch {
+	case c.op <= opAvg:
+		if c.op >= opSum {
+			p.hi, p.lo, st = s.Sum(v.lo, v.hi)
+		}
+		lo, hi := clipRange(v.lo, v.hi, ep.rows)
+		p.cnt = uint64(hi - lo)
+	case c.op == opMin:
+		p.lo, p.ok, st = s.Min(v.lo, v.hi)
+	default:
+		p.lo, p.ok, st = s.Max(v.lo, v.hi)
+	}
+	aggs := uint64(1)
+	if c.op == opSumCount {
+		aggs = 2
+	}
+	v.recordIndex(aggs, st, start)
+	return p, true
 }
 
-// selection materializes the fallback selection: the query's filter
-// bitmap intersected with the range mask. The query's own selection is
-// left untouched — later aggregates without the range see all rows.
-func (r *RangeQuery) selection() *Bitmap {
-	return r.q.Selection().Clone().And(rangeBitmap(r.q.t.rows, r.lo, r.hi))
-}
-
-// Selection materializes and returns the range's row mask intersected
-// with the query's filter bitmap. The caller owns the result and may
-// combine it with arbitrary bitmaps; the query's own selection is left
-// untouched.
-func (r *RangeQuery) Selection() *Bitmap {
-	return r.selection()
-}
-
-// GroupByContext partitions the rows of the range that pass the filter by
-// the named columns' distinct values, honoring ctx. The range selection
-// is the base bitmap of the same single-pass partition Query.GroupByContext
-// runs.
-func (r *RangeQuery) GroupByContext(ctx context.Context, columns ...string) (*Grouped, error) {
-	ranged := &Query{t: r.q.t, execs: r.q.execs, stats: r.q.stats, sel: r.selection()}
-	return ranged.GroupByContext(ctx, columns...)
-}
-
-// GroupBy partitions the rows of the range that pass the filter by the
-// distinct values of the named columns.
-func (r *RangeQuery) GroupBy(columns ...string) *Grouped {
-	g, err := r.GroupByContext(nil, columns...)
-	fusedMust(err)
-	return g
-}
-
-// record books one index-served aggregate into the query's collector.
-func (r *RangeQuery) record(n uint64, st rangeidx.Stats, start time.Time) {
-	r.q.stats.Record(ExecStats{
-		Aggregates:          n,
+// recordIndex books index-served aggregates into the query's collector.
+// It is a function of its own so the ExecStats value is built in a leaf
+// frame, not held under the index lookups: the shard fan-out runs this
+// path on a fresh goroutine stack.
+func (s *queryState) recordIndex(aggs uint64, st rangeidx.Stats, start time.Time) {
+	s.stats.Record(ExecStats{
+		Aggregates:          aggs,
 		AggNanos:            time.Since(start).Nanoseconds(),
 		SegmentsIndexServed: st.IndexSegments,
 		RangeFringeWords:    st.FringeWords,
 	})
-}
-
-// CountRows returns the number of rows passing the filter within the
-// range.
-func (r *RangeQuery) CountRows() uint64 {
-	cnt, err := r.CountRowsContext(nil)
-	fusedMust(err)
-	return cnt
-}
-
-// CountRowsContext is CountRows honoring ctx.
-func (r *RangeQuery) CountRowsContext(ctx context.Context) (uint64, error) {
-	if err := orBackground(ctx).Err(); err != nil {
-		return 0, err
-	}
-	if len(r.q.clauses) == 0 && r.q.sel == nil {
-		start := time.Now()
-		lo, hi := clipRange(r.lo, r.hi, r.epoch().rows)
-		r.record(1, rangeidx.Stats{}, start)
-		return uint64(hi - lo), nil
-	}
-	return uint64(r.selection().Count()), nil
-}
-
-// Count returns the number of non-NULL rows of the named column within
-// the range that pass the filter.
-func (r *RangeQuery) Count(column string) uint64 {
-	cnt, err := r.CountContext(nil, column)
-	fusedMust(err)
-	return cnt
-}
-
-// CountContext is Count honoring ctx. Indexed columns are NULL-free, so
-// the filter-free count is the clipped range width; NULL-bearing columns
-// count their validity over the fallback selection.
-func (r *RangeQuery) CountContext(ctx context.Context, column string) (uint64, error) {
-	col, err := r.q.colErr(column)
-	if err != nil {
-		return 0, err
-	}
-	if s, ok := r.snap(column); ok {
-		if err := orBackground(ctx).Err(); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		lo, hi := clipRange(r.lo, r.hi, s.Rows())
-		r.record(1, rangeidx.Stats{}, start)
-		return uint64(hi - lo), nil
-	}
-	return col.CountContext(ctx, r.selection())
-}
-
-// Sum aggregates SUM over the named column within the range. A sum
-// exceeding uint64 panics with *OverflowError (the index carries exact
-// 128-bit prefixes, so the true total is always known).
-func (r *RangeQuery) Sum(column string) uint64 {
-	v, err := r.SumContext(nil, column)
-	fusedMust(err)
-	return v
-}
-
-// SumContext is Sum honoring ctx; overflow returns *OverflowError.
-func (r *RangeQuery) SumContext(ctx context.Context, column string) (uint64, error) {
-	col, err := r.q.colErr(column)
-	if err != nil {
-		return 0, err
-	}
-	if s, ok := r.snap(column); ok {
-		if err := orBackground(ctx).Err(); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		hi, lo, st := s.Sum(r.lo, r.hi)
-		r.record(1, st, start)
-		if hi != 0 {
-			return 0, &OverflowError{Hi: hi, Lo: lo}
-		}
-		return lo, nil
-	}
-	return col.SumContext(ctx, r.selection(), r.q.execs...)
-}
-
-// SumCountContext aggregates SUM and the column's non-NULL COUNT within
-// the range — the shape AVG and SQL formatters need. Both are O(1) on the
-// index path, so they stay two lookups rather than a third kernel.
-func (r *RangeQuery) SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error) {
-	if cnt, err = r.CountContext(ctx, column); err != nil {
-		return 0, 0, err
-	}
-	sum, err = r.SumContext(ctx, column)
-	return sum, cnt, err
-}
-
-// Min aggregates MIN over the named column within the range; ok is false
-// when no row qualifies.
-func (r *RangeQuery) Min(column string) (uint64, bool) {
-	v, ok, err := r.MinContext(nil, column)
-	fusedMust(err)
-	return v, ok
-}
-
-// Max aggregates MAX over the named column within the range.
-func (r *RangeQuery) Max(column string) (uint64, bool) {
-	v, ok, err := r.MaxContext(nil, column)
-	fusedMust(err)
-	return v, ok
-}
-
-// MinContext is Min honoring ctx.
-func (r *RangeQuery) MinContext(ctx context.Context, column string) (uint64, bool, error) {
-	return r.extremeContext(ctx, column, true)
-}
-
-// MaxContext is Max honoring ctx.
-func (r *RangeQuery) MaxContext(ctx context.Context, column string) (uint64, bool, error) {
-	return r.extremeContext(ctx, column, false)
-}
-
-func (r *RangeQuery) extremeContext(ctx context.Context, column string, wantMin bool) (uint64, bool, error) {
-	col, err := r.q.colErr(column)
-	if err != nil {
-		return 0, false, err
-	}
-	if s, ok := r.snap(column); ok {
-		if err := orBackground(ctx).Err(); err != nil {
-			return 0, false, err
-		}
-		start := time.Now()
-		var v uint64
-		var any bool
-		var st rangeidx.Stats
-		if wantMin {
-			v, any, st = s.Min(r.lo, r.hi)
-		} else {
-			v, any, st = s.Max(r.lo, r.hi)
-		}
-		r.record(1, st, start)
-		return v, any, nil
-	}
-	if wantMin {
-		return col.MinContext(ctx, r.selection(), r.q.execs...)
-	}
-	return col.MaxContext(ctx, r.selection(), r.q.execs...)
-}
-
-// Avg aggregates AVG over the named column within the range; ok is false
-// when no row qualifies.
-func (r *RangeQuery) Avg(column string) (float64, bool) {
-	v, ok, err := r.AvgContext(nil, column)
-	fusedMust(err)
-	return v, ok
-}
-
-// AvgContext is Avg honoring ctx. Matching the scan path's contract, a
-// range whose sum exceeds uint64 returns *OverflowError.
-func (r *RangeQuery) AvgContext(ctx context.Context, column string) (float64, bool, error) {
-	col, err := r.q.colErr(column)
-	if err != nil {
-		return 0, false, err
-	}
-	if s, ok := r.snap(column); ok {
-		if err := orBackground(ctx).Err(); err != nil {
-			return 0, false, err
-		}
-		start := time.Now()
-		hi, lo, st := s.Sum(r.lo, r.hi)
-		a, b := clipRange(r.lo, r.hi, s.Rows())
-		r.record(1, st, start)
-		if a == b {
-			return 0, false, nil
-		}
-		if hi != 0 {
-			return 0, false, &OverflowError{Hi: hi, Lo: lo}
-		}
-		return float64(lo) / float64(b-a), true, nil
-	}
-	return col.AvgContext(ctx, r.selection(), r.q.execs...)
-}
-
-// Median aggregates the lower MEDIAN within the range. Rank-family
-// aggregates have no O(1) index form; they run on the scan pipeline with
-// the range as a filter.
-func (r *RangeQuery) Median(column string) (uint64, bool) {
-	v, ok, err := r.MedianContext(nil, column)
-	fusedMust(err)
-	return v, ok
-}
-
-// MedianContext is Median honoring ctx.
-func (r *RangeQuery) MedianContext(ctx context.Context, column string) (uint64, bool, error) {
-	col, err := r.q.colErr(column)
-	if err != nil {
-		return 0, false, err
-	}
-	return col.MedianContext(ctx, r.selection(), r.q.execs...)
-}
-
-// Rank returns the rank-th smallest qualifying value within the range.
-func (r *RangeQuery) Rank(column string, rank uint64) (uint64, bool) {
-	v, ok, err := r.RankContext(nil, column, rank)
-	fusedMust(err)
-	return v, ok
-}
-
-// RankContext is Rank honoring ctx.
-func (r *RangeQuery) RankContext(ctx context.Context, column string, rank uint64) (uint64, bool, error) {
-	col, err := r.q.colErr(column)
-	if err != nil {
-		return 0, false, err
-	}
-	return col.RankContext(ctx, r.selection(), rank, r.q.execs...)
-}
-
-// Quantile returns the q-quantile (nearest rank) within the range.
-func (r *RangeQuery) Quantile(column string, quantile float64) (uint64, bool) {
-	v, ok, err := r.QuantileContext(nil, column, quantile)
-	fusedMust(err)
-	return v, ok
-}
-
-// QuantileContext is Quantile honoring ctx.
-func (r *RangeQuery) QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error) {
-	col, err := r.q.colErr(column)
-	if err != nil {
-		return 0, false, err
-	}
-	return col.QuantileContext(ctx, r.selection(), quantile, r.q.execs...)
 }
 
 // clipRange bounds [lo, hi) to a table of rows rows.

@@ -25,7 +25,7 @@ type ShardedGrouped struct {
 // GroupByContext partitions the selection — within the row range, for a
 // range view — by the named columns' distinct values, honoring ctx. Every
 // live shard partitions independently (direct or hash tier by key width;
-// a local range partitions through RangeQuery.GroupByContext) and the key
+// a local range partitions its own mask ∧ filter) and the key
 // sets union in sorted order. A shard past the hash tier's key budget
 // fails the query with ErrGroupCardinality.
 func (f *fanOut) GroupByContext(ctx context.Context, columns ...string) (*ShardedGrouped, error) {
@@ -36,8 +36,9 @@ func (f *fanOut) GroupByContext(ctx context.Context, columns ...string) (*Sharde
 	live := f.liveShards(nil)
 	f.recordPlan(len(live))
 	parts := make([]*Grouped, len(live))
-	err = f.fan(ctx, live, nil, func(slot int, ex shardExec) (err error) {
-		parts[slot], err = ex.GroupByContext(ctx, columns...)
+	err = f.fan(ctx, live, func(slot int) (err error) {
+		v := f.view(live, slot, nil)
+		parts[slot], err = v.GroupByContext(ctx, columns...)
 		return err
 	})
 	if err != nil {

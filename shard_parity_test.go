@@ -137,9 +137,9 @@ func TestShardedRankOneLiveShard(t *testing.T) {
 		if err != nil || ferr != nil {
 			t.Fatal(err, ferr)
 		}
-		if got != want || rq.stats.Snapshot().RadixRounds != frq.q.Stats().RadixRounds || rq.stats.Snapshot().Scans != 0 {
+		if got != want || rq.stats.Snapshot().RadixRounds != frq.stats.Snapshot().RadixRounds || rq.stats.Snapshot().Scans != 0 {
 			t.Errorf("%s range MEDIAN = %d (rounds %d, scans %d), flat %d (rounds %d)", tc.name,
-				got, rq.stats.Snapshot().RadixRounds, rq.stats.Snapshot().Scans, want, frq.q.Stats().RadixRounds)
+				got, rq.stats.Snapshot().RadixRounds, rq.stats.Snapshot().Scans, want, frq.stats.Snapshot().RadixRounds)
 		}
 	}
 

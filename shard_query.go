@@ -19,9 +19,9 @@ import (
 // so every result is bit-identical to the flat engine at any thread
 // count.
 //
-// Each shard's Query is built at its first fan-out and kept for the
+// Each shard's query state is built at its first fan-out and kept for the
 // ShardedQuery's lifetime, so a selection one aggregate materializes
-// serves the next exactly as Query.sel does on a flat table: a one-shard
+// serves the next exactly as a Query's does on a flat table: a one-shard
 // store does the work of the flat engine, no more.
 //
 // The aggregates are fanOut's, promoted: ShardedRangeQuery shares them.
@@ -36,8 +36,8 @@ type ShardedRangeQuery struct {
 }
 
 // fanOut is the one implementation of every sharded aggregate (DESIGN.md
-// §15): plan the live shards, hand each one's executor the aggregate
-// call, merge the partials. A row range is a field of the plan, not a
+// §15): plan the live shards, hand each one's view the aggregate call,
+// merge the partials. A row range is a field of the plan, not a
 // second implementation: a range view is its query's state plus [lo, hi).
 type fanOut struct {
 	*shardState
@@ -46,15 +46,15 @@ type fanOut struct {
 }
 
 // shardState is what a ShardedQuery owns and its range views share: the
-// recorded clauses and options, the kept per-shard queries and the merge
-// scratch. Like Query it serves one goroutine at a time.
+// recorded clauses and options, the kept per-shard query states and the
+// merge scratch. Like Query it serves one goroutine at a time.
 type shardState struct {
 	st      *ShardedTable
 	clauses []shardClause
 	execs   []ExecOption
 	stats   *StatsCollector
 	scratch shardScratch
-	shardQ  []*Query // by shard index; nil until the shard's first fan-out
+	shardQ  []*queryState // by shard index; nil until the shard's first fan-out
 }
 
 // shardScratch holds the plan and the per-shard partials, reused across a
@@ -113,7 +113,7 @@ func (q *ShardedQuery) With(opts ...ExecOption) *ShardedQuery {
 	q.execs = append(q.execs, opts...)
 	for _, sq := range q.shardQ {
 		if sq != nil {
-			sq.With(opts...)
+			sq.execs = append(sq.execs, opts...)
 		}
 	}
 	return q
@@ -137,7 +137,7 @@ func (q *ShardedQuery) WithStatsInto(rec *StatsCollector) *ShardedQuery {
 		q.stats = rec
 		for _, sq := range q.shardQ {
 			if sq != nil {
-				sq.WithStatsInto(rec)
+				sq.statsInto(rec)
 			}
 		}
 	}
@@ -188,8 +188,9 @@ func (q *ShardedQuery) Fused(column string) bool {
 // of its aggregates cannot fuse calls it first and pays for the scans
 // once, whatever order its aggregates run in.
 func (q *ShardedQuery) MaterializeContext(ctx context.Context) error {
-	return q.fan(ctx, q.liveShards(nil), nil, func(_ int, ex shardExec) error {
-		ex.Selection()
+	live := q.liveShards(nil)
+	return q.fan(ctx, live, func(slot int) error {
+		q.shardQuery(live[slot], nil).selection()
 		return nil
 	})
 }
@@ -257,121 +258,56 @@ func (f *fanOut) recordPlan(live int) {
 // growShardQ sizes the kept-query table to the store's current shards.
 func (f *fanOut) growShardQ() {
 	if n := len(f.st.shards); len(f.shardQ) < n {
-		f.shardQ = append(f.shardQ, make([]*Query, n-len(f.shardQ))...)
+		f.shardQ = append(f.shardQ, make([]*queryState, n-len(f.shardQ))...)
 	}
 }
 
-// shardQuery returns shard s's Query: the kept one, built on first use and
-// forwarded any clause added since — or, for a rank probe, a fresh one
-// carrying the probe clause on top of the recorded clauses, so a probe
-// never disturbs a kept selection. Callers size the kept-query table first
+// shardQuery returns shard s's query state: the kept one, built on first
+// use and forwarded any clause added since — or, for a rank probe, a fresh
+// one carrying the probe clause on top of the recorded clauses, so a probe
+// never disturbs a kept selection. Clauses were validated against the
+// store's specs when recorded. Callers size the kept table first
 // (growShardQ) and touch one shard per goroutine.
-func (f *fanOut) shardQuery(s int, probe *shardClause) *Query {
+func (f *fanOut) shardQuery(s int, probe *shardClause) *queryState {
 	sq := f.shardQ[s]
 	if sq == nil || probe != nil {
-		sq = f.st.shards[s].Query().With(f.execs...).WithStatsInto(f.stats)
+		sq = &queryState{t: f.st.shards[s], execs: append([]ExecOption(nil), f.execs...)}
+		sq.statsInto(f.stats)
 		if probe == nil {
 			f.shardQ[s] = sq
 		}
 	}
 	for _, cl := range f.clauses[len(sq.clauses):] {
-		sq.Where(cl.name, cl.pred)
+		sq.where(cl.name, cl.pred)
 	}
 	if probe != nil {
-		sq.Where(probe.name, probe.pred)
+		sq.where(probe.name, probe.pred)
 	}
 	return sq
 }
 
-// shardExec is what one live shard answers a fan-out with: the shard's
-// *Query, or the *RangeQuery cut from it when the plan carries a row
-// range. The two are different engines on purpose — a filter-free range
-// is served by the shard's prefix-sum index, an unranged filter fuses —
-// so the fan-out picks the executor and never re-derives its answer.
-type shardExec interface {
-	Selection() *Bitmap
-	CountRowsContext(ctx context.Context) (uint64, error)
-	CountContext(ctx context.Context, column string) (uint64, error)
-	SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error)
-	MinContext(ctx context.Context, column string) (uint64, bool, error)
-	MaxContext(ctx context.Context, column string) (uint64, bool, error)
-	MedianContext(ctx context.Context, column string) (uint64, bool, error)
-	RankContext(ctx context.Context, column string, r uint64) (uint64, bool, error)
-	QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error)
-	GroupByContext(ctx context.Context, columns ...string) (*Grouped, error)
-}
-
-// fan executes fn once per live shard through the parallel index fan-out
-// (one live shard runs inline on the caller's goroutine). fn receives its
-// slot in the live list, for deterministic result placement, and the
-// shard's executor.
-func (f *fanOut) fan(ctx context.Context, live []int, probe *shardClause,
-	fn func(slot int, ex shardExec) error) error {
+// fan executes fn once per slot of the live list through the parallel
+// index fan-out (one live shard runs inline on the caller's goroutine);
+// the slot gives deterministic result placement. fn asks the slot's view
+// directly — one closure between the fan-out and the engine, because a
+// multi-shard fan-out runs on a fresh goroutine stack.
+func (f *fanOut) fan(ctx context.Context, live []int, fn func(slot int) error) error {
 	f.growShardQ()
 	threads := execOptions(f.execs).par.Threads
-	err := parallel.ForEachIndexErr(orBackground(ctx), len(live), threads, func(i int) error {
-		sq := f.shardQuery(live[i], probe)
-		if f.ranged {
-			return fn(i, sq.Range(f.scratch.rlo[i], f.scratch.rhi[i]))
-		}
-		return fn(i, sq)
-	})
-	return wrapExecErr(err)
+	return wrapExecErr(parallel.ForEachIndexErr(orBackground(ctx), len(live), threads, fn))
 }
 
-// aggOp names the per-shard call of a scalar aggregate. The additive ops
-// come first: their partials merge by 128-bit addition, the rest as
-// extremes.
-type aggOp uint8
-
-const (
-	opCountRows aggOp = iota
-	opCount
-	opSumCount
-	opMin
-	opMax
-	opMedian
-	opRank
-	opQuantile
-)
-
-// aggCall is one scalar aggregate as every live shard is asked it.
-type aggCall struct {
-	op       aggOp
-	column   string
-	rank     uint64  // opRank
-	quantile float64 // opQuantile
-}
-
-// partial is one shard's answer: a 128-bit sum with its non-NULL count
-// (counts alone use cnt), or a value with its presence flag in lo and ok.
-type partial struct {
-	hi, lo, cnt uint64
-	ok          bool
-}
-
-// on asks one shard's executor.
-func (c aggCall) on(ctx context.Context, ex shardExec) (p partial, err error) {
-	switch c.op {
-	case opCountRows:
-		p.cnt, err = ex.CountRowsContext(ctx)
-	case opCount:
-		p.cnt, err = ex.CountContext(ctx, c.column)
-	case opSumCount:
-		p.lo, p.cnt, err = ex.SumCountContext(ctx, c.column)
-		p.hi, p.lo, err = sum128(p.lo, err)
-	case opMin:
-		p.lo, p.ok, err = ex.MinContext(ctx, c.column)
-	case opMax:
-		p.lo, p.ok, err = ex.MaxContext(ctx, c.column)
-	case opMedian:
-		p.lo, p.ok, err = ex.MedianContext(ctx, c.column)
-	case opRank:
-		p.lo, p.ok, err = ex.RankContext(ctx, c.column, c.rank)
-	case opQuantile:
-		p.lo, p.ok, err = ex.QuantileContext(ctx, c.column, c.quantile)
+// view returns the flat view of the live shard in a slot of the plan: its
+// kept state (see shardQuery), cut to the shard's local slice of the range
+// when the plan carries one. The view is a value — nothing is allocated
+// per shard per aggregate — and the engine is chosen where every flat
+// aggregate's is, in flatView.eval.
+func (f *fanOut) view(live []int, slot int, probe *shardClause) flatView {
+	v := flatView{queryState: f.shardQuery(live[slot], probe), ranged: f.ranged}
+	if f.ranged {
+		v.lo, v.hi = f.scratch.rlo[slot], f.scratch.rhi[slot]
 	}
-	return p, err
+	return v
 }
 
 // merge folds the per-shard partials in shard order. Addition and
@@ -395,17 +331,6 @@ func (c aggCall) merge(parts []partial) (m partial) {
 	return m
 }
 
-// rankOf maps the selected non-NULL count to the wanted 1-based rank.
-func (c aggCall) rankOf(u uint64) (uint64, bool) {
-	switch c.op {
-	case opMedian:
-		return medianRank(u)
-	case opQuantile:
-		return quantileRank(c.quantile)(u)
-	}
-	return c.rank, true
-}
-
 // run answers one scalar aggregate: plan, fan out, merge.
 func (f *fanOut) run(ctx context.Context, c aggCall, probe *shardClause) (partial, error) {
 	if c.op != opCountRows {
@@ -423,8 +348,9 @@ func (f *fanOut) runOn(ctx context.Context, c aggCall, probe *shardClause, live 
 		f.scratch.parts = make([]partial, len(live))
 	}
 	parts := f.scratch.parts[:len(live)]
-	err := f.fan(ctx, live, probe, func(slot int, ex shardExec) (err error) {
-		parts[slot], err = c.on(ctx, ex)
+	err := f.fan(ctx, live, func(slot int) (err error) {
+		v := f.view(live, slot, probe)
+		parts[slot], err = v.eval(ctx, &c)
 		return err
 	})
 	if err != nil {
@@ -466,14 +392,7 @@ func (f *fanOut) Count(column string) uint64 {
 // the flat engine's overflow contract: a shard whose own partial overflows
 // reports its exact value the same way, and that merges like any other.
 func (f *fanOut) SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error) {
-	p, err := f.run(ctx, aggCall{op: opSumCount, column: column}, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	if p.hi != 0 {
-		return 0, 0, &OverflowError{Hi: p.hi, Lo: p.lo}
-	}
-	return p.lo, p.cnt, nil
+	return narrowSum(f.run(ctx, aggCall{op: opSumCount, column: column}, nil))
 }
 
 // SumContext aggregates SUM over the named column, honoring ctx; overflow
@@ -495,11 +414,7 @@ func (f *fanOut) Sum(column string) uint64 {
 // divisor is the filtered non-NULL row count, so the merged mean matches
 // the flat engine exactly.
 func (f *fanOut) AvgContext(ctx context.Context, column string) (float64, bool, error) {
-	sum, cnt, err := f.SumCountContext(ctx, column)
-	if err != nil || cnt == 0 {
-		return 0, false, err
-	}
-	return float64(sum) / float64(cnt), true, nil
+	return avgOf(f.SumCountContext(ctx, column))
 }
 
 // Avg aggregates AVG over the named column.

@@ -34,30 +34,36 @@ func CollectStats(c *StatsCollector) ExecOption {
 
 // ScanStats is Scan with observability: segments scanned vs zone-pruned,
 // packed words compared, and scan wall time are recorded into rec. A nil
-// rec degrades to a plain Scan.
+// rec collects nothing and keeps the scan off the clock — a plain Scan.
 func (c *Column) ScanStats(p Predicate, rec *StatsCollector) *Bitmap {
-	if rec == nil {
-		return c.Scan(p)
+	var (
+		start time.Time
+		es    *metrics.ExecStats
+	)
+	if rec != nil {
+		start, es = time.Now(), &metrics.ExecStats{}
 	}
-	start := time.Now()
-	var es metrics.ExecStats
 	var b *bitvec.Bitmap
+	scans := 1
 	if p.list != nil {
-		// IN-lists run one equality scan per member (§II-E); each counts.
+		// IN-lists run one equality scan per member and union the
+		// results (§II-E); each counts.
 		b = bitvec.New(c.Len())
 		for _, v := range p.list {
-			b.Or(c.scanSimple(scan.Predicate{Op: scan.EQ, A: v}, &es))
-			es.Scans++
+			b.Or(c.scanSimple(scan.Predicate{Op: scan.EQ, A: v}, es))
 		}
+		scans = len(p.list)
 	} else {
-		b = c.scanSimple(p.p, &es)
-		es.Scans++
+		b = c.scanSimple(p.p, es)
 	}
 	if c.nulls != nil {
-		b.AndNot(c.nulls)
+		b.AndNot(c.nulls) // NULL compares as unknown: never selected
 	}
-	es.ScanNanos = time.Since(start).Nanoseconds()
-	rec.Record(es)
+	if rec != nil {
+		es.Scans = uint64(scans)
+		es.ScanNanos = time.Since(start).Nanoseconds()
+		rec.Record(*es)
+	}
 	return &Bitmap{b: b}
 }
 

@@ -153,7 +153,7 @@ func (t *Table) AppendColumnar(vals map[string][]uint64) {
 
 // Query starts a query over the table.
 func (t *Table) Query() *Query {
-	return &Query{t: t}
+	return &Query{flatView{queryState: &queryState{t: t}}}
 }
 
 // Query is a conjunctive filter over table columns followed by aggregation.
@@ -163,13 +163,34 @@ func (t *Table) Query() *Query {
 // exists. Otherwise the clauses run as independent bit-parallel scans
 // whose selections intersect (paper §II-E), and the aggregate runs on the
 // combined filter bit vector — the two paths are bit-identical.
+//
+// The builders below are Query's own; Selection, GroupBy and the
+// aggregates are flatView's, promoted — RangeQuery shares them.
 type Query struct {
+	flatView
+}
+
+// queryState is what a Query owns and its range views share (and what the
+// shard fan-out keeps per shard): the recorded clauses, the selection
+// they materialize into, the options and the collector. It serves one
+// goroutine at a time.
+type queryState struct {
 	t       *Table
 	clauses []whereClause
 	applied int // clauses already folded into sel
 	sel     *Bitmap
 	execs   []ExecOption
 	stats   *StatsCollector
+}
+
+// flatView is the one implementation of every flat aggregate (DESIGN.md
+// §7): a query's state, optionally cut to a row range. eval (table_ctx.go)
+// chooses the engine; every public aggregate is a wrapper over it.
+type flatView struct {
+	*queryState
+	ranged bool
+	lo, hi int         // rows [lo, hi), when ranged
+	ep     *tableEpoch // set by a window sweep, which pins one epoch for all its windows
 }
 
 // Where adds a conjunctive predicate on the named column and returns the
@@ -182,8 +203,13 @@ func (q *Query) Where(column string, p Predicate) *Query {
 		panic(fmt.Sprintf("bpagg: unknown column %q", column))
 	}
 	checkPredFits(p, col.k)
-	q.clauses = append(q.clauses, whereClause{name: column, col: col, pred: p})
+	q.where(column, p)
 	return q
+}
+
+// where records a conjunct whose column and constants were validated.
+func (s *queryState) where(column string, p Predicate) {
+	s.clauses = append(s.clauses, whereClause{name: column, col: s.t.cols[column], pred: p})
 }
 
 // With sets execution options (Parallel, Access) for the aggregates.
@@ -200,10 +226,26 @@ func (q *Query) With(opts ...ExecOption) *Query {
 // missed.
 func (q *Query) WithStats() *Query {
 	if q.stats == nil {
-		q.stats = NewStatsCollector()
-		q.execs = append(q.execs, CollectStats(q.stats))
+		q.statsInto(NewStatsCollector())
 	}
 	return q
+}
+
+// WithStatsInto directs the query's statistics into a caller-supplied
+// collector (which may be shared across queries) instead of a fresh one.
+// Stats then reports that collector's running totals.
+func (q *Query) WithStatsInto(rec *StatsCollector) *Query {
+	q.statsInto(rec)
+	return q
+}
+
+// statsInto points the state's scans and aggregates at rec; nil is a
+// no-op.
+func (s *queryState) statsInto(rec *StatsCollector) {
+	if rec != nil {
+		s.stats = rec
+		s.execs = append(s.execs, CollectStats(rec))
+	}
 }
 
 // Stats returns a snapshot of the counters collected so far; zero when
@@ -212,88 +254,102 @@ func (q *Query) Stats() ExecStats {
 	return q.stats.Snapshot()
 }
 
-// Selection materializes and returns the query's filter bitmap (all rows
-// if no Where clause was added): pending clauses run as bit-parallel
-// scans, recorded through the query's stats collector, and intersect in
-// clause order. Materializing disables fusion for subsequent aggregates —
-// they run two-phase on the returned bitmap (which the caller may also
-// combine with arbitrary bitmaps).
-func (q *Query) Selection() *Bitmap {
-	if q.sel == nil {
-		if len(q.clauses) > 0 {
-			cl := q.clauses[0]
-			q.sel = cl.col.ScanStats(cl.pred, q.stats)
-			q.applied = 1
+// selection materializes and returns the state's kept filter bitmap (all
+// rows if no Where clause was added): pending clauses run as bit-parallel
+// scans, recorded through the stats collector, and intersect in clause
+// order. Materializing disables fusion for subsequent aggregates.
+func (s *queryState) selection() *Bitmap {
+	if s.sel == nil {
+		if len(s.clauses) > 0 {
+			cl := s.clauses[0]
+			s.sel = cl.col.ScanStats(cl.pred, s.stats)
+			s.applied = 1
 		} else {
-			q.sel = &Bitmap{b: bitvec.NewFull(q.t.rows)}
+			s.sel = &Bitmap{b: bitvec.NewFull(s.t.rows)}
 		}
 	}
-	for ; q.applied < len(q.clauses); q.applied++ {
-		cl := q.clauses[q.applied]
-		q.sel.And(cl.col.ScanStats(cl.pred, q.stats))
+	for ; s.applied < len(s.clauses); s.applied++ {
+		cl := s.clauses[s.applied]
+		s.sel.And(cl.col.ScanStats(cl.pred, s.stats))
 	}
-	return q.sel
+	return s.sel
+}
+
+// Selection materializes and returns the filter bitmap. A Query's is the
+// kept one — later aggregates run two-phase on it, and the caller may
+// combine it with arbitrary bitmaps first. A RangeQuery's is a fresh
+// intersection of it with the range's row mask, which the caller owns;
+// the query's own selection is left untouched.
+func (v *flatView) Selection() *Bitmap {
+	sel := v.selection()
+	if v.ranged {
+		sel = sel.Clone().And(rangeBitmap(v.t.rows, v.lo, v.hi))
+	}
+	return sel
 }
 
 // CountRows returns the number of rows passing the filter.
-func (q *Query) CountRows() uint64 {
-	cnt, err := q.CountRowsContext(nil)
+func (v *flatView) CountRows() uint64 {
+	cnt, err := v.CountRowsContext(nil)
 	fusedMust(err)
 	return cnt
 }
 
 // Count counts selected non-NULL rows of the named column.
-func (q *Query) Count(column string) uint64 {
-	cnt, err := q.CountContext(nil, column)
+func (v *flatView) Count(column string) uint64 {
+	cnt, err := v.CountContext(nil, column)
 	fusedMust(err)
 	return cnt
 }
 
-// Sum aggregates SUM over the named column.
-func (q *Query) Sum(column string) uint64 {
-	v, err := q.SumContext(nil, column)
+// Sum aggregates SUM over the named column. A sum exceeding uint64 panics
+// with *OverflowError; use SumContext to receive it as an error.
+func (v *flatView) Sum(column string) uint64 {
+	sum, err := v.SumContext(nil, column)
 	fusedMust(err)
-	return v
+	return sum
 }
 
-// Min aggregates MIN over the named column.
-func (q *Query) Min(column string) (uint64, bool) {
-	v, ok, err := q.MinContext(nil, column)
+// Min aggregates MIN over the named column; ok is false when no row
+// qualifies.
+func (v *flatView) Min(column string) (uint64, bool) {
+	val, ok, err := v.MinContext(nil, column)
 	fusedMust(err)
-	return v, ok
+	return val, ok
 }
 
 // Max aggregates MAX over the named column.
-func (q *Query) Max(column string) (uint64, bool) {
-	v, ok, err := q.MaxContext(nil, column)
+func (v *flatView) Max(column string) (uint64, bool) {
+	val, ok, err := v.MaxContext(nil, column)
 	fusedMust(err)
-	return v, ok
+	return val, ok
 }
 
-// Avg aggregates AVG over the named column.
-func (q *Query) Avg(column string) (float64, bool) {
-	v, ok, err := q.AvgContext(nil, column)
+// Avg aggregates AVG over the named column; ok is false when no row
+// qualifies.
+func (v *flatView) Avg(column string) (float64, bool) {
+	val, ok, err := v.AvgContext(nil, column)
 	fusedMust(err)
-	return v, ok
+	return val, ok
 }
 
 // Median aggregates the lower MEDIAN over the named column.
-func (q *Query) Median(column string) (uint64, bool) {
-	v, ok, err := q.MedianContext(nil, column)
+func (v *flatView) Median(column string) (uint64, bool) {
+	val, ok, err := v.MedianContext(nil, column)
 	fusedMust(err)
-	return v, ok
+	return val, ok
 }
 
 // Rank returns the r-th smallest selected value of the named column.
-func (q *Query) Rank(column string, r uint64) (uint64, bool) {
-	v, ok, err := q.RankContext(nil, column, r)
+func (v *flatView) Rank(column string, r uint64) (uint64, bool) {
+	val, ok, err := v.RankContext(nil, column, r)
 	fusedMust(err)
-	return v, ok
+	return val, ok
 }
 
 // Quantile returns the q-quantile (nearest rank) of the named column.
-func (q *Query) Quantile(column string, quantile float64) (uint64, bool) {
-	v, ok, err := q.QuantileContext(nil, column, quantile)
+func (v *flatView) Quantile(column string, quantile float64) (uint64, bool) {
+	val, ok, err := v.QuantileContext(nil, column, quantile)
 	fusedMust(err)
-	return v, ok
+	return val, ok
 }

@@ -35,156 +35,253 @@ func (q *Query) WhereErr(column string, p Predicate) (*Query, error) {
 	if !p.fits(col.k) {
 		return nil, fmt.Errorf("bpagg: predicate constant does not fit in %d bits", col.k)
 	}
-	q.clauses = append(q.clauses, whereClause{name: column, col: col, pred: p})
+	q.where(column, p)
 	return q, nil
 }
 
-// colErr resolves an aggregate target column to an error, not a panic.
-func (q *Query) colErr(name string) (*Column, error) {
-	return q.t.ColumnErr(name)
+// aggOp names a scalar aggregate. The order is load-bearing: the ops up
+// to opAvg are additive (their partials merge by 128-bit addition, the
+// rest as extremes), and the ops up to opMax are the ones the range index
+// can serve.
+type aggOp uint8
+
+const (
+	opCountRows aggOp = iota
+	opCount
+	opSum
+	opSumCount
+	opAvg
+	opMin
+	opMax
+	opMedian
+	opRank
+	opQuantile
+)
+
+// aggCall is one scalar aggregate as a value: what a wrapper asks eval,
+// and what the shard fan-out asks every live shard's view.
+type aggCall struct {
+	op       aggOp
+	column   string
+	rank     uint64  // opRank
+	quantile float64 // opQuantile
+}
+
+// partial is one view's answer: a 128-bit sum with its non-NULL count
+// (counts alone use cnt), or a value with its presence flag in lo and ok.
+type partial struct {
+	hi, lo, cnt uint64
+	ok          bool
+}
+
+// narrowSum narrows eval's 128-bit SUM partial to the public result: a
+// total past uint64 is an *OverflowError carrying the exact value.
+func narrowSum(p partial, err error) (sum, cnt uint64, _ error) {
+	if err != nil {
+		return 0, 0, err
+	}
+	if p.hi != 0 {
+		return 0, 0, &OverflowError{Hi: p.hi, Lo: p.lo}
+	}
+	return p.lo, p.cnt, nil
+}
+
+// avgOf divides a SUM by its non-NULL COUNT — the one place AVG becomes a
+// float. ok is false when nothing was counted.
+func avgOf(sum, cnt uint64, err error) (float64, bool, error) {
+	if err != nil || cnt == 0 {
+		return 0, false, err
+	}
+	return float64(sum) / float64(cnt), true, nil
+}
+
+// rankOf maps the selected non-NULL count to the wanted 1-based rank.
+func (c aggCall) rankOf(u uint64) (uint64, bool) {
+	switch c.op {
+	case opMedian:
+		return medianRank(u)
+	case opQuantile:
+		return quantileRank(c.quantile)(u)
+	}
+	return c.rank, true
+}
+
+// eval answers one scalar aggregate, and is where its engine is chosen
+// (DESIGN.md §7): a filter-free range over an indexed column reads the
+// prefix-sum index; an unranged query whose clauses fuse runs the fused
+// scan→aggregate pass; everything else runs the two-phase kernels on the
+// view's selection, built once per call. The three are bit-identical.
+// Unknown columns and out-of-range quantiles are errors, not panics. The
+// call travels by pointer: a multi-shard fan-out runs this path on a fresh
+// goroutine stack, and five words less per frame keep an index-served
+// aggregate from growing it (+1 µs per statement when it does).
+func (v *flatView) eval(ctx context.Context, c *aggCall) (partial, error) {
+	ctx = orBackground(ctx)
+	var col *Column
+	if c.op != opCountRows {
+		var err error
+		if col, err = v.t.ColumnErr(c.column); err != nil {
+			return partial{}, err
+		}
+	}
+	if c.op == opQuantile {
+		if err := checkQuantile(c.quantile); err != nil {
+			return partial{}, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return partial{}, err
+	}
+	if v.ranged {
+		if p, ok := v.evalIndex(c); ok {
+			return p, nil
+		}
+	} else if o := execOptions(v.execs); v.fuses(col, o.access) {
+		return v.evalFused(ctx, c, col, o)
+	}
+	return v.evalSelection(ctx, c, col, v.Selection())
+}
+
+// evalFused runs the fused driver of the aggregate's family; a COUNT is
+// driven by the first clause's column (every eligible column shares the
+// window geometry).
+func (v *flatView) evalFused(ctx context.Context, c *aggCall, col *Column, o execConfig) (p partial, err error) {
+	preds := v.fusedPlan()
+	switch {
+	case c.op <= opCount:
+		p.cnt, err = v.clauses[0].col.fusedCount(ctx, preds, o)
+	case c.op <= opAvg:
+		p.lo, p.cnt, err = col.fusedSum(ctx, preds, o)
+		p.hi, p.lo, err = sum128(p.lo, err)
+	case c.op <= opMax:
+		p.lo, p.cnt, err = col.fusedExtreme(ctx, preds, o, c.op == opMin)
+		p.ok = p.cnt > 0
+	default:
+		p.lo, p.cnt, p.ok, err = col.fusedRank(ctx, preds, o, c.rankOf)
+	}
+	return p, err
+}
+
+// evalSelection runs the two-phase Column aggregate on a materialized
+// selection. AVG counts first and sums only a non-empty selection, so it
+// records what Column.AvgContext records.
+func (v *flatView) evalSelection(ctx context.Context, c *aggCall, col *Column, sel *Bitmap) (p partial, err error) {
+	switch c.op {
+	case opCountRows:
+		p.cnt = uint64(sel.Count())
+	case opCount:
+		p.cnt, err = col.CountContext(ctx, sel)
+	case opSum:
+		p.lo, err = col.SumContext(ctx, sel, v.execs...)
+	case opSumCount:
+		if p.cnt, err = col.CountContext(ctx, sel); err == nil {
+			p.lo, err = col.SumContext(ctx, sel, v.execs...)
+		}
+	case opAvg:
+		p.lo, p.cnt, err = col.sumCount(ctx, sel, v.execs)
+	case opMin:
+		p.lo, p.ok, err = col.MinContext(ctx, sel, v.execs...)
+	case opMax:
+		p.lo, p.ok, err = col.MaxContext(ctx, sel, v.execs...)
+	case opMedian:
+		p.lo, p.ok, err = col.MedianContext(ctx, sel, v.execs...)
+	case opRank:
+		p.lo, p.ok, err = col.RankContext(ctx, sel, c.rank, v.execs...)
+	case opQuantile:
+		p.lo, p.ok, err = col.QuantileContext(ctx, sel, c.quantile, v.execs...)
+	}
+	if c.op <= opAvg {
+		p.hi, p.lo, err = sum128(p.lo, err)
+	}
+	return p, err
 }
 
 // CountRowsContext counts the rows passing the filter (COUNT(*)),
-// honoring ctx — fused when the clauses allow it, a bitmap popcount
-// otherwise.
-func (q *Query) CountRowsContext(ctx context.Context) (uint64, error) {
-	if preds, o, ok := q.fusedPlan(nil); ok {
-		return q.fusedCount(orBackground(ctx), preds, o)
-	}
-	if err := orBackground(ctx).Err(); err != nil {
-		return 0, err
-	}
-	return uint64(q.Selection().Count()), nil
+// honoring ctx.
+func (v *flatView) CountRowsContext(ctx context.Context) (uint64, error) {
+	p, err := v.eval(ctx, &aggCall{op: opCountRows})
+	return p.cnt, err
 }
 
 // CountContext counts selected non-NULL rows of the named column.
-func (q *Query) CountContext(ctx context.Context, column string) (uint64, error) {
-	col, err := q.colErr(column)
-	if err != nil {
-		return 0, err
-	}
-	if preds, o, ok := q.fusedPlan(col); ok {
-		return q.fusedCount(orBackground(ctx), preds, o)
-	}
-	return col.CountContext(ctx, q.Selection())
+func (v *flatView) CountContext(ctx context.Context, column string) (uint64, error) {
+	p, err := v.eval(ctx, &aggCall{op: opCount, column: column})
+	return p.cnt, err
 }
 
-// SumContext aggregates SUM over the named column, honoring ctx.
-func (q *Query) SumContext(ctx context.Context, column string) (uint64, error) {
-	col, err := q.colErr(column)
-	if err != nil {
-		return 0, err
-	}
-	if preds, o, ok := q.fusedPlan(col); ok {
-		sum, _, err := col.fusedSum(orBackground(ctx), preds, o)
-		return sum, err
-	}
-	return col.SumContext(ctx, q.Selection(), q.execs...)
+// SumContext aggregates SUM over the named column, honoring ctx; a sum
+// exceeding uint64 returns *OverflowError (every engine carries the exact
+// 128-bit total).
+func (v *flatView) SumContext(ctx context.Context, column string) (uint64, error) {
+	sum, _, err := narrowSum(v.eval(ctx, &aggCall{op: opSum, column: column}))
+	return sum, err
+}
+
+// SumCountContext aggregates SUM and the column's non-NULL COUNT — the
+// shape AVG and SQL formatters need: one pass when the query fuses, two
+// O(1) lookups on the range index, a SUM plus a popcount over one
+// selection otherwise.
+func (v *flatView) SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error) {
+	return narrowSum(v.eval(ctx, &aggCall{op: opSumCount, column: column}))
+}
+
+// AvgContext aggregates AVG over the named column, honoring ctx; ok is
+// false when no row qualifies. Matching SUM's contract, a sum exceeding
+// uint64 returns *OverflowError.
+func (v *flatView) AvgContext(ctx context.Context, column string) (float64, bool, error) {
+	return avgOf(narrowSum(v.eval(ctx, &aggCall{op: opAvg, column: column})))
 }
 
 // MinContext aggregates MIN over the named column, honoring ctx.
-func (q *Query) MinContext(ctx context.Context, column string) (uint64, bool, error) {
-	return q.extremeContext(ctx, column, true)
+func (v *flatView) MinContext(ctx context.Context, column string) (uint64, bool, error) {
+	p, err := v.eval(ctx, &aggCall{op: opMin, column: column})
+	return p.lo, p.ok, err
 }
 
 // MaxContext aggregates MAX over the named column, honoring ctx.
-func (q *Query) MaxContext(ctx context.Context, column string) (uint64, bool, error) {
-	return q.extremeContext(ctx, column, false)
-}
-
-func (q *Query) extremeContext(ctx context.Context, column string, wantMin bool) (uint64, bool, error) {
-	col, err := q.colErr(column)
-	if err != nil {
-		return 0, false, err
-	}
-	if preds, o, ok := q.fusedPlan(col); ok {
-		v, cnt, err := col.fusedExtreme(orBackground(ctx), preds, o, wantMin)
-		return v, cnt > 0, err
-	}
-	if wantMin {
-		return col.MinContext(ctx, q.Selection(), q.execs...)
-	}
-	return col.MaxContext(ctx, q.Selection(), q.execs...)
-}
-
-// AvgContext aggregates AVG over the named column, honoring ctx.
-func (q *Query) AvgContext(ctx context.Context, column string) (float64, bool, error) {
-	col, err := q.colErr(column)
-	if err != nil {
-		return 0, false, err
-	}
-	if preds, o, ok := q.fusedPlan(col); ok {
-		sum, cnt, err := col.fusedSum(orBackground(ctx), preds, o)
-		if err != nil || cnt == 0 {
-			return 0, false, err
-		}
-		return float64(sum) / float64(cnt), true, nil
-	}
-	return col.AvgContext(ctx, q.Selection(), q.execs...)
+func (v *flatView) MaxContext(ctx context.Context, column string) (uint64, bool, error) {
+	p, err := v.eval(ctx, &aggCall{op: opMax, column: column})
+	return p.lo, p.ok, err
 }
 
 // MedianContext aggregates the lower MEDIAN over the named column,
-// honoring ctx.
-func (q *Query) MedianContext(ctx context.Context, column string) (uint64, bool, error) {
-	col, err := q.colErr(column)
-	if err != nil {
-		return 0, false, err
-	}
-	if preds, o, ok := q.fusedPlan(col); ok {
-		v, _, found, err := col.fusedRank(orBackground(ctx), preds, o, medianRank)
-		return v, found, err
-	}
-	return col.MedianContext(ctx, q.Selection(), q.execs...)
+// honoring ctx. Rank-family aggregates have no index form: under a row
+// range they run two-phase with the range as a filter.
+func (v *flatView) MedianContext(ctx context.Context, column string) (uint64, bool, error) {
+	p, err := v.eval(ctx, &aggCall{op: opMedian, column: column})
+	return p.lo, p.ok, err
 }
 
 // RankContext returns the r-th smallest selected value of the named
 // column, honoring ctx.
-func (q *Query) RankContext(ctx context.Context, column string, r uint64) (uint64, bool, error) {
-	col, err := q.colErr(column)
-	if err != nil {
-		return 0, false, err
-	}
-	if preds, o, ok := q.fusedPlan(col); ok {
-		v, _, found, err := col.fusedRank(orBackground(ctx), preds, o,
-			func(uint64) (uint64, bool) { return r, true })
-		return v, found, err
-	}
-	return col.RankContext(ctx, q.Selection(), r, q.execs...)
+func (v *flatView) RankContext(ctx context.Context, column string, r uint64) (uint64, bool, error) {
+	p, err := v.eval(ctx, &aggCall{op: opRank, column: column, rank: r})
+	return p.lo, p.ok, err
 }
 
 // QuantileContext returns the quantile-q value of the named column,
 // honoring ctx; out-of-range q is an error, not a panic.
-func (q *Query) QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error) {
-	col, err := q.colErr(column)
-	if err != nil {
-		return 0, false, err
-	}
-	if err := checkQuantile(quantile); err != nil {
-		return 0, false, err
-	}
-	if preds, o, ok := q.fusedPlan(col); ok {
-		v, _, found, err := col.fusedRank(orBackground(ctx), preds, o, quantileRank(quantile))
-		return v, found, err
-	}
-	return col.QuantileContext(ctx, q.Selection(), quantile, q.execs...)
+func (v *flatView) QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error) {
+	p, err := v.eval(ctx, &aggCall{op: opQuantile, column: column, quantile: quantile})
+	return p.lo, p.ok, err
 }
 
-// GroupByContext partitions the query's selection by the named columns'
+// GroupByContext partitions the view's selection by the named columns'
 // distinct values, honoring ctx, in one pass over the grouping columns
 // (see Grouped for the two tiers); the partition records into the query's
 // stats collector. More than MaxSinglePassGroups distinct keys is
 // ErrGroupCardinality.
-func (q *Query) GroupByContext(ctx context.Context, columns ...string) (*Grouped, error) {
+func (v *flatView) GroupByContext(ctx context.Context, columns ...string) (*Grouped, error) {
 	ctx = orBackground(ctx)
 	cols := make([]*Column, len(columns))
 	for i, column := range columns {
-		col, err := q.t.ColumnErr(column)
+		col, err := v.t.ColumnErr(column)
 		if err != nil {
 			return nil, err
 		}
 		cols[i] = col
 	}
-	return q.groupByCols(ctx, cols)
+	return v.groupByCols(ctx, cols)
 }
 
 // CountContext returns each group's row count, honoring ctx between
@@ -212,7 +309,7 @@ func (g *Grouped) CountContext(ctx context.Context) ([]uint64, error) {
 // banked kernels report hi/lo directly; the per-group path recovers an
 // overflowing group's exact total from its *OverflowError.
 func (g *Grouped) sums128(ctx context.Context, column string) (his, los []uint64, err error) {
-	col, err := g.q.colErr(column)
+	col, err := g.q.t.ColumnErr(column)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -271,7 +368,7 @@ func (g *Grouped) MaxContext(ctx context.Context, column string) ([]uint64, erro
 // which a merge across shard partitions skips and MinContext/MaxContext
 // report as a broken invariant.
 func (g *Grouped) extremes(ctx context.Context, column string, wantMin bool) (vals []uint64, anys []bool, err error) {
-	col, err := g.q.colErr(column)
+	col, err := g.q.t.ColumnErr(column)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -301,7 +398,7 @@ func allGroups(vals []uint64, oks []bool, err error) ([]uint64, error) {
 // MedianContext aggregates the lower MEDIAN of the named column per
 // group, honoring ctx.
 func (g *Grouped) MedianContext(ctx context.Context, column string) ([]uint64, error) {
-	col, err := g.q.colErr(column)
+	col, err := g.q.t.ColumnErr(column)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +410,7 @@ func (g *Grouped) MedianContext(ctx context.Context, column string) ([]uint64, e
 // column's are the partition's row counts (read off the partition, not an
 // aggregate, so nothing records).
 func (g *Grouped) nonNullCounts(ctx context.Context, column string) ([]uint64, error) {
-	col, err := g.q.colErr(column)
+	col, err := g.q.t.ColumnErr(column)
 	if err != nil {
 		return nil, err
 	}

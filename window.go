@@ -71,8 +71,8 @@ type windows[R rangeView] struct {
 // windowView is the flat sweep's range view and the row count its windows
 // cover. A filter-free sweep pins one epoch for all of them.
 func (q *Query) windowView() (*RangeQuery, int) {
-	r := &RangeQuery{q: q}
-	if len(q.clauses) != 0 || q.sel != nil {
+	r := q.Range(0, 0)
+	if !q.filterFree() {
 		return r, q.t.rows
 	}
 	r.ep = q.t.pinEpoch()
