@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race server-race shard-race bench-harness ci bench bench-json clean
+.PHONY: build test vet fmt-check race server-race shard-race bench-harness lines ci bench bench-json clean
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,14 @@ shard-race:
 # build.
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# lines prints the size every [simplicity] PR is held to: non-blank,
+# non-comment lines of non-test Go outside benchmark/, per package and in
+# total. An issue's line targets are this target's output.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		| while read -r f; do echo "$$(dirname "$$f" | sed 's|^\./||') $$(grep -vcE '^\s*(//|$$)' "$$f")"; done \
+		| awk '{n[$$1] += $$2; t += $$2} END {for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t}' | sort -k2
 
 ci: vet fmt-check build test race server-race shard-race bench-harness
 

@@ -60,7 +60,7 @@ func TestErrorContract(t *testing.T) {
 		return err
 	}
 
-	// More distinct keys than the hash tier's budget (lowered through the
+	// More distinct keys than the partition's budget (lowered through the
 	// test hook), through the public GroupByContext of a flat query, a
 	// row range of it, and a three-shard store whose first shard alone is
 	// over budget — wrapExecErr and the shard fan-out must both pass the

@@ -1,6 +1,6 @@
 package bpagg
 
-// LowerHashGroupBudget sets the hash tier's key budget (the unexported
+// LowerHashGroupBudget sets the partition's key budget (the unexported
 // maxHashGroups hook) and returns the func that restores it, so tests —
 // including the external bpagg_test package, which can reach sqlmini and
 // bpaggd — get ErrGroupCardinality without building 2^20 distinct keys.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"bpagg/internal/bitvec"
 	"bpagg/internal/core"
 	"bpagg/internal/parallel"
 )
@@ -17,44 +16,37 @@ import (
 // one uint64 composite (first column in the high bits), so the columns'
 // combined width must fit 64 bits.
 //
-// Two tiers produce that partition, both in one traversal of the
-// grouping columns over whatever bitmap the query's selection is — fresh,
-// materialized, caller-edited or a row range's mask (DESIGN.md §12):
+// One pipeline produces that partition, in one traversal of the grouping
+// columns over whatever bitmap the query's selection is — fresh,
+// materialized, caller-edited or a row range's mask (DESIGN.md §12): each
+// window of the first column is visited once and its filter word split
+// across the codes present (a bit-tree descent on VBP, a delimiter peel
+// on HBP); every further column refines those (key, word) entries; and a
+// key index maps the final packed keys to groups. The result is a sparse
+// segment-major run list of (group, selection word) — counts and the
+// banked SUM/MIN/MAX come straight off it in one traversal of the measure
+// column, and a dense bitmap is built per group only on demand
+// (Selection). Only the index depends on the key width: direct-mapped up
+// to core.DirectKeyBits packed bits, open-addressing hashed beyond, up to
+// MaxSinglePassGroups keys.
 //
-//   - Direct (single column, key width ≤ core.DirectKeyBits): each
-//     64-value segment is visited once and the grouping column's
-//     bit-tree is descended to split the segment's filter word across
-//     all group keys simultaneously, banking into a direct-mapped dense
-//     bank. One traversal serves every group; banked aggregate kernels
-//     then answer SUM/MIN/MAX for all groups in one traversal of the
-//     measure column too.
-//   - Hash (wider or composite keys, up to MaxSinglePassGroups keys):
-//     the same one-traversal partition, banking into per-worker
-//     open-addressing hash tables with sparse per-key (segment, word)
-//     runs, merged by sorted key order. Selections stay sparse — counts
-//     and the banked aggregates come straight off the merged run list,
-//     and a dense bitmap is materialized per group only on demand.
-//
-// The tier is a function of the grouping columns alone (their count and
-// width). Rows NULL in a grouping column join no group. Results are
-// bit-identical across tiers and thread counts.
+// Rows NULL in a grouping column join no group. Results are bit-identical
+// across key widths and thread counts, and concurrent aggregates over one
+// Grouped are safe.
 type Grouped struct {
 	q      *queryState
 	widths []int
-	keys   []uint64
-	sels   []*Bitmap // dense selections (direct tier); nil for hash
-	counts []uint64  // per-group row counts: tallied by the hash partition, popcounted on first use otherwise
 	hp     *parallel.HashPartition
 }
 
-// GroupStrategy identifies which partition tier built a Grouped.
+// GroupStrategy identifies the key index a Grouped's partition used.
 type GroupStrategy int
 
 const (
-	// GroupDirect is the single-pass direct-mapped bank (key width ≤
+	// GroupDirect is the direct-mapped index (packed key width ≤
 	// core.DirectKeyBits).
 	GroupDirect GroupStrategy = iota
-	// GroupHash is the single-pass hash-banked tier.
+	// GroupHash is the open-addressing hashed index.
 	GroupHash
 )
 
@@ -66,23 +58,26 @@ func (s GroupStrategy) String() string {
 	return "hash"
 }
 
-// groupStrategy picks the tier from the grouping columns' code widths —
-// the only input that decides it.
+// groupStrategy names the key index from the grouping columns' packed
+// code width — the only input that decides it, and all it decides.
 func groupStrategy(widths []int) GroupStrategy {
-	if len(widths) == 1 && widths[0] <= core.DirectKeyBits {
+	total := 0
+	for _, w := range widths {
+		total += w
+	}
+	if total <= core.DirectKeyBits {
 		return GroupDirect
 	}
 	return GroupHash
 }
 
-// MaxSinglePassGroups is the hash tier's key budget: a GROUP BY that
-// discovers more distinct keys fails with ErrGroupCardinality. (The
-// direct tier cannot exceed its bank: 2^core.DirectKeyBits keys fit.)
+// MaxSinglePassGroups is the partition's key budget: a GROUP BY that
+// discovers more distinct keys fails with ErrGroupCardinality.
 const MaxSinglePassGroups = core.MaxHashGroups
 
-// maxHashGroups is the hash tier's runtime key budget. It equals
-// MaxSinglePassGroups except in tests that lower it to reach the budget
-// error without building 2^20 distinct keys.
+// maxHashGroups is the runtime key budget. It equals MaxSinglePassGroups
+// except in tests that lower it to reach the budget error without
+// building 2^20 distinct keys.
 var maxHashGroups = core.MaxHashGroups
 
 // ErrGroupCardinality is GroupBy's answer when the grouping columns hold
@@ -95,7 +90,7 @@ var maxHashGroups = core.MaxHashGroups
 // error-contract table test) — and bpaggd maps it to 422.
 var ErrGroupCardinality = core.ErrGroupCardinality
 
-// Strategy reports which partition tier built this Grouped (EXPLAIN
+// Strategy reports which key index this Grouped's partition used (EXPLAIN
 // ANALYZE support).
 func (g *Grouped) Strategy() GroupStrategy { return groupStrategy(g.widths) }
 
@@ -118,10 +113,9 @@ func (v *flatView) groupByCols(ctx context.Context, cols []*Column) (*Grouped, e
 }
 
 // groupSinglePass partitions the view's selection, whatever built it,
-// in one pass over cols on the tier their widths select. The access pin
-// does not apply: a partition is not an aggregate (banked still honours
-// it per measure). A key count past the hash budget is
-// ErrGroupCardinality.
+// in one pass over cols. The access pin does not apply: a partition is
+// not an aggregate (banked still honours it per measure). A key count
+// past the budget is ErrGroupCardinality.
 func (v *flatView) groupSinglePass(ctx context.Context, cols []*Column, widths []int) (*Grouped, error) {
 	o := execOptions(v.execs)
 	base := v.Selection().b
@@ -129,7 +123,9 @@ func (v *flatView) groupSinglePass(ctx context.Context, cols []*Column, widths [
 	// only when such a column exists and the selection is the query's kept
 	// one; a range view's is already its own.
 	owned := v.ranged
-	for _, col := range cols {
+	gcols := make([]parallel.GroupCol, len(cols))
+	for i, col := range cols {
+		gcols[i] = groupCol(col)
 		if col.nulls == nil {
 			continue
 		}
@@ -138,39 +134,11 @@ func (v *flatView) groupSinglePass(ctx context.Context, cols []*Column, widths [
 		}
 		base.AndNot(col.nulls)
 	}
-	g := &Grouped{q: v.queryState, widths: widths}
-
-	if groupStrategy(widths) == GroupDirect {
-		col := cols[0]
-		var (
-			bs  []*bitvec.Bitmap
-			err error
-		)
-		if col.layout == VBP {
-			g.keys, bs, err = parallel.VBPGroupPartitionCtx(ctx, col.v, base, o.par)
-		} else {
-			g.keys, bs, err = parallel.HBPGroupPartitionCtx(ctx, col.h, base, o.par)
-		}
-		if err != nil {
-			return nil, wrapExecErr(err)
-		}
-		g.sels = make([]*Bitmap, len(bs))
-		for i, b := range bs {
-			g.sels[i] = &Bitmap{b: b}
-		}
-		return g, nil
-	}
-
-	gcols := make([]parallel.GroupCol, len(cols))
-	for i, col := range cols {
-		gcols[i] = groupCol(col)
-	}
 	hp, err := parallel.HashGroupPartitionCtx(ctx, gcols, base, cols[0].Len(), maxHashGroups, o.par)
 	if err != nil {
 		return nil, wrapExecErr(err)
 	}
-	g.keys, g.counts, g.hp = hp.Keys, hp.Counts, hp
-	return g, nil
+	return &Grouped{q: v.queryState, widths: widths, hp: hp}, nil
 }
 
 // GroupBy partitions the view's current selection by the distinct
@@ -186,19 +154,19 @@ func (v *flatView) GroupBy(columns ...string) *Grouped {
 }
 
 // Len returns the number of groups.
-func (g *Grouped) Len() int { return len(g.keys) }
+func (g *Grouped) Len() int { return len(g.hp.Keys) }
 
 // Keys returns the distinct group keys in ascending order. With one
 // grouping column a key is the column's code; with several it is the
 // packed composite (first column in the high bits). All per-group result
 // slices below are parallel to it.
 func (g *Grouped) Keys() []uint64 {
-	return append([]uint64(nil), g.keys...)
+	return append([]uint64(nil), g.hp.Keys...)
 }
 
 // KeyParts unpacks group i's key into one code per grouping column.
 func (g *Grouped) KeyParts(i int) []uint64 {
-	return unpackKey(g.keys[i], g.widths)
+	return unpackKey(g.hp.Keys[i], g.widths)
 }
 
 // unpackKey splits a packed composite key into one code per grouping
@@ -214,27 +182,11 @@ func unpackKey(key uint64, widths []int) []uint64 {
 }
 
 // Selection returns group i's row bitmap (the query filter intersected
-// with key equality). The hash tier keeps selections sparse, so there it
-// materializes a fresh bitmap per call; prefer the bulk aggregates,
-// which never materialize.
+// with key equality). The partition keeps selections sparse, so every
+// call builds a fresh n/8-byte bitmap the caller owns and may edit; prefer
+// the bulk aggregates, which never materialize.
 func (g *Grouped) Selection(i int) *Bitmap {
-	if g.sels != nil {
-		return g.sels[i]
-	}
 	return &Bitmap{b: g.hp.Materialize(i)}
-}
-
-// groupCount returns group i's row count without materializing the hash
-// tier's selection. The direct tier popcounts every group once and keeps
-// the counts, so COUNT(*) and an AVG divisor share one pass.
-func (g *Grouped) groupCount(i int) uint64 {
-	if g.counts == nil {
-		g.counts = make([]uint64, len(g.sels))
-		for j, sel := range g.sels {
-			g.counts[j] = uint64(sel.Count())
-		}
-	}
-	return g.counts[i]
 }
 
 // banked reports whether a per-group aggregate over col can run the
@@ -252,17 +204,7 @@ func (g *Grouped) banked(col *Column) (execConfig, bool) {
 	return o, true
 }
 
-// rawSels unwraps the group selections for the internal drivers (direct
-// tier only).
-func (g *Grouped) rawSels() []*bitvec.Bitmap {
-	bs := make([]*bitvec.Bitmap, len(g.sels))
-	for i, s := range g.sels {
-		bs[i] = s.b
-	}
-	return bs
-}
-
-// groupCol wraps a grouping or measure column for the hash drivers.
+// groupCol wraps a grouping or measure column for the grouped drivers.
 func groupCol(col *Column) parallel.GroupCol {
 	if col.layout == VBP {
 		return parallel.GroupCol{V: col.v}
@@ -273,14 +215,7 @@ func groupCol(col *Column) parallel.GroupCol {
 // bankedSums runs the single-pass grouped SUM over all groups at once.
 // The kernels accumulate 128 bits per group, so every partial is exact.
 func (g *Grouped) bankedSums(ctx context.Context, col *Column, o execConfig) (his, los []uint64, err error) {
-	switch {
-	case g.hp != nil:
-		his, los, err = parallel.HashGroupSumCtx(ctx, groupCol(col), g.hp, o.par)
-	case col.layout == VBP:
-		his, los, err = parallel.VBPGroupSumCtx(ctx, col.v, g.rawSels(), o.par)
-	default:
-		his, los, err = parallel.HBPGroupSumCtx(ctx, col.h, g.rawSels(), o.par)
-	}
+	his, los, err = parallel.HashGroupSumCtx(ctx, groupCol(col), g.hp, o.par)
 	return his, los, wrapExecErr(err)
 }
 
@@ -288,17 +223,7 @@ func (g *Grouped) bankedSums(ctx context.Context, col *Column, o execConfig) (hi
 // once. anys[i] is false only if group i's selection is empty, which
 // the partition invariant rules out.
 func (g *Grouped) bankedExtreme(ctx context.Context, col *Column, o execConfig, wantMin bool) ([]uint64, []bool, error) {
-	var vals []uint64
-	var anys []bool
-	var err error
-	switch {
-	case g.hp != nil:
-		vals, anys, err = parallel.HashGroupExtremeCtx(ctx, groupCol(col), g.hp, wantMin, o.par)
-	case col.layout == VBP:
-		vals, anys, err = parallel.VBPGroupExtremeCtx(ctx, col.v, g.rawSels(), wantMin, o.par)
-	default:
-		vals, anys, err = parallel.HBPGroupExtremeCtx(ctx, col.h, g.rawSels(), wantMin, o.par)
-	}
+	vals, anys, err := parallel.HashGroupExtremeCtx(ctx, groupCol(col), g.hp, wantMin, o.par)
 	if err != nil {
 		return nil, nil, wrapExecErr(err)
 	}
@@ -307,8 +232,8 @@ func (g *Grouped) bankedExtreme(ctx context.Context, col *Column, o execConfig, 
 
 // Count returns each group's row count. The counts are recorded into
 // the query's stats collector as one aggregate per group, matching the
-// other per-group aggregates; the hash tier serves them from the counts
-// tallied during partitioning.
+// other per-group aggregates; they are served from the counts tallied
+// during partitioning.
 func (g *Grouped) Count() []uint64 {
 	out, err := g.CountContext(nil)
 	fusedMust(err)

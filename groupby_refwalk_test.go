@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// refGroups is the reference GROUP BY the single-pass tiers are checked
+// refGroups is the reference GROUP BY the single-pass partition is checked
 // against: the per-group MIN + equality walk, an independent algorithm
 // written on the public Column API only. Repeated MIN finds the distinct
 // values in ascending order, one equality scan per value carves its

@@ -103,15 +103,15 @@ func TestGroupSinglePassMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestGroupCardinalityBudget pins the tier ladder around the direct
-// tier's budget: a grouping column just past the 10-bit direct key width
-// runs on the hash tier, and a cardinality past the hash budget is
+// TestGroupCardinalityBudget pins the ladder around the direct index's
+// width: a grouping column just past the 10-bit direct key width runs on
+// the hashed index, and a cardinality past the key budget is
 // ErrGroupCardinality — there is no slower tier behind it. The budget is
 // lowered through the unexported test hook so the error is reached
 // without building 2^20 distinct keys; a filter that brings the key count
 // back under the budget answers again.
 func TestGroupCardinalityBudget(t *testing.T) {
-	n := 1324 // past the direct tier's 1024-key budget, kG=11 > DirectKeyBits
+	n := 1324 // more keys than a direct index holds, kG=11 > DirectKeyBits
 	keys := make([]uint64, n)
 	vals := make([]uint64, n)
 	for i := range keys {

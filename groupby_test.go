@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -256,8 +257,8 @@ func TestGroupByMaterializedSelectionOnePass(t *testing.T) {
 	}
 }
 
-// TestStrategyIsKeyWidth pins that the GROUP BY tier is a function of the
-// grouping columns' count and width and of nothing else: not the store
+// TestStrategyIsKeyWidth pins that the GROUP BY key index is a function of
+// the grouping columns' packed width and of nothing else: not the store
 // (flat, one shard, many), not how many shards survive the catalog (none
 // here prunes every one), not whether rows exist at all, and not the
 // selection's history (row range, materialized, NULL keys).
@@ -283,7 +284,8 @@ func TestStrategyIsKeyWidth(t *testing.T) {
 		{"narrow key", []string{"key"}, GroupDirect},
 		{"NULL-bearing narrow key", []string{"nkey"}, GroupDirect},
 		{"wide key", []string{"pos"}, GroupHash},
-		{"composite of narrow keys", []string{"key", "live"}, GroupHash},
+		{"composite of narrow keys", []string{"key", "live"}, GroupDirect},
+		{"composite packing past the direct width", []string{"key", "val"}, GroupHash},
 	} {
 		check := func(input string, got GroupStrategy) {
 			t.Helper()
@@ -383,5 +385,47 @@ func TestGroupByWithExecOptions(t *testing.T) {
 		if base[i] != fast[i] {
 			t.Fatalf("group %d: serial %d, parallel %d", i, base[i], fast[i])
 		}
+	}
+}
+
+// TestGroupedConcurrentAggregates: one Grouped answers aggregates from
+// several goroutines at once. Counts are tallied by the partition pass and
+// the lazily built views (re-windowed run lists, the key-major view behind
+// Selection) are guarded, so COUNT racing AVG — a lazily filled count
+// cache before the tiers became one pipeline — is safe on every key width.
+// Run under -race (make race).
+func TestGroupedConcurrentAggregates(t *testing.T) {
+	tbl := onePassTable(t) // key: 3 bits, live: 1 bit, pos: 11 bits, val: HBP measure
+	for name, cols := range map[string][]string{
+		"narrow key": {"key"}, "wide key": {"pos"}, "narrow composite": {"key", "live"},
+	} {
+		g := tbl.Query().Where("val", Less(900)).GroupBy(cols...)
+		ref := tbl.Query().Where("val", Less(900)).GroupBy(cols...)
+		wantCount, wantSum, wantAvg, wantMax := ref.Count(), ref.Sum("val"), ref.Avg("val"), ref.Max("pos")
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 4; i++ {
+					var ok bool
+					switch (w + i) % 4 {
+					case 0:
+						ok = reflect.DeepEqual(g.Count(), wantCount)
+					case 1:
+						ok = reflect.DeepEqual(g.Sum("val"), wantSum) && reflect.DeepEqual(g.Max("pos"), wantMax)
+					case 2:
+						ok = reflect.DeepEqual(g.Avg("val"), wantAvg)
+					default:
+						gi := (w + i) % g.Len()
+						ok = uint64(g.Selection(gi).Count()) == wantCount[gi]
+					}
+					if !ok {
+						t.Errorf("%s: worker %d step %d disagrees with the serial answer", name, w, i)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 }

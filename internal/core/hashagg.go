@@ -8,30 +8,15 @@ import (
 	"bpagg/internal/word"
 )
 
-// Banked aggregates over a hash partition. The parallel driver merges the
-// per-worker hash banks into one canonical SegEntries list — segment-major
-// runs of (group index, selection word), deterministic for any thread
-// count — and the kernels below aggregate straight off it. Unlike the
-// direct tier's kernels they never scan a per-group array to find the
-// live groups of a segment (O(G) per segment is exactly what a 10^5-group
-// partition cannot afford): the run list is the live set. Per-group state
-// is two words (the 128-bit accumulator or the running extreme), so
-// memory stays O(G + banked words) rather than the direct tier's
-// O(G × segments).
-
-// SegEntries is a segment-major run list over one column segmentation:
-// run r covers window Segs[r] and spans entries [Start[r], Start[r+1]),
-// each entry pairing a group index GI[e] with its selection word W[e].
-// Runs ascend by segment and entries within a run ascend by group index.
-type SegEntries struct {
-	Segs  []int32
-	Start []int32
-	GI    []int32
-	W     []uint64
-}
-
-// NumRuns returns the number of live segments.
-func (se *SegEntries) NumRuns() int { return len(se.Segs) }
+// Banked aggregates over a grouped partition. The parallel driver hands
+// every measure column the partition's one canonical SegEntries list —
+// segment-major runs of (group index, selection word), ascending by group
+// within a run and identical at any thread count — and the kernels below
+// aggregate straight off it: the run list is the live set of each window,
+// so no kernel scans a per-group array to find it (O(G) per segment is
+// what a 10^5-group partition cannot afford). Per-group state is two words
+// (the 128-bit accumulator or the running extreme), so memory stays
+// O(G + banked words).
 
 // VBPHashSumRuns accumulates each group's 128-bit SUM over runs
 // [runLo, runHi) of the measure column. A run whose single entry covers
@@ -61,7 +46,7 @@ func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los 
 		lo, hi := int(se.Start[r]), int(se.Start[r+1])
 		if cacheOK && hi == lo+1 && se.W[lo] == word.LowMask(col.SegmentValues(seg)) {
 			if zs, ok := col.SegmentSum(seg); ok {
-				gi := se.GI[lo]
+				gi := se.ID[lo]
 				his[gi], los[gi] = add128(his[gi], los[gi], zs)
 				st.CacheServed++
 				continue
@@ -70,28 +55,30 @@ func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los 
 		st.Segments++
 		st.Words += uint64(k)
 		if hi == lo+1 {
-			acc.push(&pl, int(se.GI[lo]), seg, se.W[lo], sink)
+			acc.push(&pl, int(se.ID[lo]), seg, se.W[lo], sink)
 			continue
 		}
 		acc.drain(&pl, sink)
 		if small {
-			ne := hi - lo
-			for i := 0; i < ne; i++ {
-				esum[i] = 0
-			}
+			// Slices of equal length and a masked shift (k ≤ 57) keep the
+			// inner loop free of bounds and shift-range checks: it runs
+			// once per (plane, live group) of every multi-group segment.
+			ews := se.W[lo:hi]
+			es := esum[:len(ews)]
+			clear(es)
 			for p := 0; p < k; p++ {
 				x := pl.word(p, seg)
 				if x == 0 {
 					continue
 				}
-				s := uint(k - 1 - p)
-				for i := 0; i < ne; i++ {
-					esum[i] += uint64(bits.OnesCount64(x&se.W[lo+i])) << s
+				s := uint(k-1-p) & 63
+				for i, w := range ews {
+					es[i] += uint64(bits.OnesCount64(x&w)) << s
 				}
 			}
-			for i := 0; i < ne; i++ {
-				if v := esum[i]; v != 0 {
-					gi := se.GI[lo+i]
+			for i, v := range es {
+				if v != 0 {
+					gi := se.ID[lo+i]
 					his[gi], los[gi] = add128(his[gi], los[gi], v)
 				}
 			}
@@ -105,7 +92,7 @@ func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los 
 			s := uint(k - 1 - p)
 			for e := lo; e < hi; e++ {
 				if c := uint64(bits.OnesCount64(x & se.W[e])); c != 0 {
-					gi := se.GI[e]
+					gi := se.ID[e]
 					his[gi], los[gi] = addShift128(his[gi], los[gi], c, s)
 				}
 			}
@@ -136,7 +123,7 @@ func HBPHashSumRuns(col *hbp.Column, se *SegEntries, runLo, runHi int, his, los 
 		lo, hi := int(se.Start[r]), int(se.Start[r+1])
 		if cacheOK && hi == lo+1 && se.W[lo] == word.LowMask(col.SegmentValues(seg)) {
 			if zs, ok := col.SegmentSum(seg); ok {
-				gi := se.GI[lo]
+				gi := se.ID[lo]
 				his[gi], los[gi] = add128(his[gi], los[gi], zs)
 				st.CacheServed++
 				continue
@@ -176,7 +163,7 @@ func HBPHashSumRuns(col *hbp.Column, se *SegEntries, runLo, runHi int, his, los 
 				}
 				ehi, elo = addShift128(ehi, elo, part, uint((b-1-g)*tau))
 			}
-			gi := se.GI[e]
+			gi := se.ID[e]
 			nl, carry := bits.Add64(los[gi], elo, 0)
 			his[gi] += ehi + carry
 			los[gi] = nl
@@ -188,8 +175,9 @@ func HBPHashSumRuns(col *hbp.Column, se *SegEntries, runLo, runHi int, his, los 
 // [runLo, runHi): each entry's selection word descends the planes as a
 // scalar bit-descent. A lone whole-segment entry is served from the exact
 // zone range, and the segment zone range gates entries that cannot
-// improve their group's running best (perf-only; the analytic counters
-// ignore it, as in the direct kernels).
+// improve their group's running best (perf-only: a live segment charges
+// its k words whatever the gate decides, so the counters stay
+// thread-invariant).
 func VBPHashExtremeRuns(col *vbp.Column, se *SegEntries, wantMin bool, runLo, runHi int, bests []uint64, anys []bool, st *GroupStats) {
 	k := col.K()
 	pl := newVBPPlanes(col)
@@ -203,7 +191,7 @@ func VBPHashExtremeRuns(col *vbp.Column, se *SegEntries, wantMin bool, runLo, ru
 				if !wantMin {
 					v = h
 				}
-				gi := se.GI[lo]
+				gi := se.ID[lo]
 				if !anys[gi] || wantMin && v < bests[gi] || !wantMin && v > bests[gi] {
 					bests[gi] = v
 				}
@@ -215,7 +203,7 @@ func VBPHashExtremeRuns(col *vbp.Column, se *SegEntries, wantMin bool, runLo, ru
 		st.Segments++
 		st.Words += uint64(k)
 		for e := lo; e < hi; e++ {
-			gi := se.GI[e]
+			gi := se.ID[e]
 			if zok && anys[gi] {
 				if wantMin && zlo >= bests[gi] || !wantMin && zhi <= bests[gi] {
 					continue
@@ -266,7 +254,7 @@ func HBPHashExtremeRuns(col *hbp.Column, se *SegEntries, wantMin bool, runLo, ru
 				if !wantMin {
 					v = h
 				}
-				gi := se.GI[lo]
+				gi := se.ID[lo]
 				if !anys[gi] || wantMin && v < bests[gi] || !wantMin && v > bests[gi] {
 					bests[gi] = v
 				}
@@ -279,7 +267,7 @@ func HBPHashExtremeRuns(col *hbp.Column, se *SegEntries, wantMin bool, runLo, ru
 		base := seg * subs
 		for e := lo; e < hi; e++ {
 			fw := se.W[e]
-			gi := se.GI[e]
+			gi := se.ID[e]
 			st.Words += hbpLiveSubs(col, fw) * uint64(b)
 			if zok && anys[gi] {
 				if wantMin && zlo >= bests[gi] || !wantMin && zhi <= bests[gi] {

@@ -89,9 +89,10 @@ func TestPosPopFusedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPosPopGroupSumMatchesScalar drives the direct grouped bank kernel
-// with single-live-group runs (sorted group assignment), group changes,
-// and interleaved multi-group segments, comparing against big.Int.
+// TestPosPopGroupSumMatchesScalar drives the banked SUM kernel over a run
+// list built from per-group selections: single-live-group runs (sorted
+// group assignment), group changes, and interleaved multi-group segments,
+// comparing against big.Int.
 func TestPosPopGroupSumMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const k, n, G = 30, 64*19 + 31, 5
@@ -122,13 +123,19 @@ func TestPosPopGroupSumMatchesScalar(t *testing.T) {
 		sels[gis[i]].Set(i)
 		want[gis[i]].Add(want[gis[i]], new(big.Int).SetUint64(v))
 	}
+	se := NewRuns[int32](0, 0)
+	for seg := 0; seg < col.NumSegments(); seg++ {
+		for g, sel := range sels {
+			if w := sel.Word(seg); w != 0 {
+				se.Merge(int32(seg), []int32{int32(g)}, []uint64{w})
+			}
+		}
+	}
 
-	bSums := make([]uint64, G*k)
 	his := make([]uint64, G)
 	los := make([]uint64, G)
 	var st GroupStats
-	VBPGroupSumRange128(col, sels, 0, col.NumSegments(), bSums, his, los, &st)
-	VBPGroupSumFinish(k, bSums, his, los)
+	VBPHashSumRuns(col, se, 0, se.NumRuns(), his, los, &st)
 	for g := 0; g < G; g++ {
 		if big128(his[g], los[g]).Cmp(want[g]) != 0 {
 			t.Fatalf("group %d: banked %s, big.Int %s", g, big128(his[g], los[g]), want[g])
@@ -162,7 +169,7 @@ func TestPosPopHashSumRunsMatchesScalar(t *testing.T) {
 				if seg%7 == 0 {
 					w = word.LowMask(64) // whole-segment word (cache-serve shape)
 				}
-				se.GI = append(se.GI, gi)
+				se.ID = append(se.ID, gi)
 				se.W = append(se.W, w)
 				for j := 0; j < 64; j++ {
 					if w>>uint(j)&1 == 1 {
@@ -179,7 +186,7 @@ func TestPosPopHashSumRunsMatchesScalar(t *testing.T) {
 					if e == 1 {
 						w = ^lo
 					}
-					se.GI = append(se.GI, gi)
+					se.ID = append(se.ID, gi)
 					se.W = append(se.W, w)
 					for j := 0; j < 64; j++ {
 						if w>>uint(j)&1 == 1 {

@@ -68,15 +68,14 @@ import (
 //     baseline when the optimizer picks it over the bit-parallel path.
 //   - GroupsDiscovered: distinct group keys found by a GROUP BY
 //     partition (DESIGN.md §12).
-//   - GroupBankWords: non-zero (group, segment) selection words banked
-//     by single-pass group partitioning — the memory footprint of the
-//     per-group selection banks.
-//   - HashProbes: hash-table slot inspections by the hash-banked group
-//     tier (per-worker open-addressing tables). Probe order depends on
-//     which keys each worker sees, so unlike the analytic counters this
-//     one may vary with thread count.
-//   - HashGrowths: hash-table capacity doublings by the hash-banked
-//     group tier.
+//   - GroupBankWords: (group, window) selection words in a GROUP BY
+//     partition's run list — its memory footprint.
+//   - HashProbes: table position inspections by a GROUP BY partition's
+//     hashed key index (per-worker open-addressing tables; a packed key
+//     of ≤ 10 bits is direct-mapped and probes nothing). Probe order
+//     depends on which keys each worker sees, so unlike the analytic
+//     counters this one may vary with thread count.
+//   - HashGrowths: capacity doublings of those tables.
 //
 // Shard counters (incremented by the sharded-table fan-out, once per
 // fan-out over the store):

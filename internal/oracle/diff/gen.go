@@ -316,8 +316,8 @@ func craftedCases(rng *rand.Rand, cfg GenConfig) []Case {
 		})
 
 		// Multi-column GROUP BY: composite (g, g2) keys with mixed widths —
-		// one narrow pair that fits the direct tier's 10 bits, one wider
-		// pair that forces the hash tier, and an appended-tail variant.
+		// one narrow pair that packs into the direct index's 10 bits, one
+		// wider pair that hashes, and an appended-tail variant.
 		g2 := genValues(rng, "small", n, 16)
 		wideG := genValues(rng, "uniform", n, 7)
 		out = append(out,

@@ -12,20 +12,20 @@ import (
 )
 
 // High-cardinality grouped axis: differential cases whose group count
-// ranges from the direct tier's 1024-key budget up past the hash tier's
-// growth path (G = 65536), including composite keys, predicates, and
+// ranges from the direct key index's 1024 keys up past the hashed
+// index's growth path (G = 65536), including composite keys, predicates, and
 // grouping-column NULLs. The per-group [][]bool oracle in checkGroupBy
 // is O(G·n) memory, so this axis carries its own scalar reference
 // (expectedGrouped) that accumulates per-key aggregates in one pass —
 // the same straight-line code a student would write, just map-shaped.
 //
 // CheckGrouped runs a lighter matrix than Check — fresh table only,
-// grouped aggregates only — because the point is the partition tiers,
-// not the cache states (Check's crafted groupby cases cover those).
+// grouped aggregates only — because the point is the partition and its
+// key indexes, not the cache states (Check's crafted groupby cases cover those).
 
 // HighCardCases generates the grouped high-cardinality scenarios for one
-// seed: per layout, G ∈ {1024, 4096, 65536} uniform keys (direct tier,
-// hash tier, grown hash tier), plus a predicate variant, a multi-column
+// seed: per layout, G ∈ {1024, 4096, 65536} uniform keys (direct index,
+// hashed, hashed and grown), plus a predicate variant, a multi-column
 // composite variant, and a NULL-groups variant. The Deep profile adds
 // G = 16384 and larger tables.
 func HighCardCases(cfg GenConfig) []Case {
@@ -72,7 +72,7 @@ func HighCardCases(cfg GenConfig) []Case {
 		}
 
 		// Multi-column composite: 6-bit × 10-bit keys pack to 16 bits —
-		// up to 65536 distinct composites, hash tier by construction.
+		// up to 65536 distinct composites, hashed by construction.
 		{
 			const n = 1 << 16
 			g1 := make([]uint64, n)
@@ -212,12 +212,16 @@ func CheckGrouped(c Case) error {
 	return nil
 }
 
-// wantStrategy is the tier rule the engine must follow for every grouped
-// query: direct for one grouping column within the 10-bit direct key
-// budget, hash otherwise. Nothing else — NULL keys, a materialized
-// selection, a row range — may move it.
+// wantStrategy is the index rule the engine must follow for every grouped
+// query: direct when the grouping columns' packed width is within the
+// 10-bit direct key budget, hash otherwise. Nothing else — NULL keys, a
+// materialized selection, a row range — may move it.
 func wantStrategy(c *Case) bpagg.GroupStrategy {
-	if c.G2 == nil && c.gk() <= 10 { // core.DirectKeyBits
+	packed := c.gk()
+	if c.G2 != nil {
+		packed += c.g2k()
+	}
+	if packed <= 10 { // core.DirectKeyBits
 		return bpagg.GroupDirect
 	}
 	return bpagg.GroupHash

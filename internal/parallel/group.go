@@ -2,7 +2,9 @@ package parallel
 
 import (
 	"context"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 	"time"
 
 	"bpagg/internal/bitvec"
@@ -12,123 +14,309 @@ import (
 	"bpagg/internal/vbp"
 )
 
-// Single-pass grouped drivers. The partition drivers split the segment
-// range across workers, each of which banks per-group selection words
-// for its own range (core.GroupBank), then merge the banks into one
-// sorted key list and one dense selection bitmap per key. Worker ranges
-// are disjoint and the key union is sorted, so the merged result is
-// deterministic for any thread count. The banked aggregate drivers give
-// every worker its own accumulators and combine them in ascending
-// worker order — the same deterministic-combine discipline as the
-// scalar drivers.
+// Single-pass grouped drivers (DESIGN.md §12). The partition driver
+// splits the first grouping column's segments across workers; each worker
+// runs core.Partition over its range, refines its own run list by every
+// further grouping column (re-windowing it when the columns' segment sizes
+// differ) and indexes the final keys into worker-local slots. The workers'
+// lists then concatenate — their row ranges are disjoint and ascending —
+// into one canonical run list in sorted-key group order, identical at any
+// thread count. The SUM and MIN/MAX drivers split that list's runs across
+// workers, so nothing is ever O(groups × segments).
 
-// VBPGroupPartitionCtx partitions the filter across all group keys of a
-// VBP grouping column in one pass. It returns the discovered keys in
-// ascending order with one selection bitmap per key, or
-// core.ErrGroupCardinality past core.MaxGroups distinct keys.
-func VBPGroupPartitionCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, o Options) ([]uint64, []*bitvec.Bitmap, error) {
-	return groupPartitionCtx(ctx, col.NumSegments(), col.Len(), 64, col.K(), o,
-		func(bank *core.GroupBank, lo, hi int, st *core.GroupStats) error {
-			return core.VBPGroupPartitionRange(col, f, bank, lo, hi, st)
-		})
+// GroupCol is one grouping or measure column handed to the grouped
+// drivers: exactly one of V and H is non-nil.
+type GroupCol struct {
+	V *vbp.Column
+	H *hbp.Column
+}
+
+func (c GroupCol) vps() int {
+	if c.V != nil {
+		return vbp.SegBits
+	}
+	return c.H.ValuesPerSegment()
+}
+
+func (c GroupCol) nseg() int {
+	if c.V != nil {
+		return c.V.NumSegments()
+	}
+	return c.H.NumSegments()
+}
+
+// Width returns the column's key width in bits (its packed-code shift
+// metadata for composite keys).
+func (c GroupCol) Width() int {
+	if c.V != nil {
+		return c.V.K()
+	}
+	return c.H.K()
+}
+
+// HashPartition is the result of a grouped partition: the sorted packed
+// keys, per-group row counts, and the canonical run list the banked
+// aggregate kernels consume. Vps is the window size of the canonical
+// entries (the last grouping column's segmentation); aggregates over a
+// measure column with a different window size re-window lazily and cache
+// per size, and the key-major view behind Materialize is built on its
+// first call. Both are guarded, so concurrent aggregates over one
+// partition are safe.
+type HashPartition struct {
+	Keys   []uint64
+	Counts []uint64
+	N      int
+	Vps    int
+
+	se *core.SegEntries
+
+	mu     sync.Mutex
+	reVps  map[int]*core.SegEntries
+	gStart []int32 // key-major view: group i's windows are gSeg/gW[gStart[i]:gStart[i+1]]
+	gSeg   []int32
+	gW     []uint64
+}
+
+// partWorker is one worker's partition state: the run list under
+// refinement (packed keys), the indexed list its last step emits, and the
+// index that assigns the slots.
+type partWorker struct {
+	rows  int // selected rows of the worker's range: the cap on any step's entries
+	keyed *core.Runs[uint64]
+	slots *core.SegEntries
+	idx   *core.KeyIndex
+	st    core.GroupStats
+	busy  int64
+}
+
+// VBPGroupPartitionCtx partitions the filter by one VBP grouping column.
+func VBPGroupPartitionCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, o Options) ([]uint64, *HashPartition, error) {
+	return keysOf(HashGroupPartitionCtx(ctx, []GroupCol{{V: col}}, f, col.Len(), core.MaxHashGroups, o))
 }
 
 // HBPGroupPartitionCtx is the HBP twin of VBPGroupPartitionCtx.
-func HBPGroupPartitionCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, o Options) ([]uint64, []*bitvec.Bitmap, error) {
-	return groupPartitionCtx(ctx, col.NumSegments(), col.Len(), col.ValuesPerSegment(), col.K(), o,
-		func(bank *core.GroupBank, lo, hi int, st *core.GroupStats) error {
-			return core.HBPGroupPartitionRange(col, f, bank, lo, hi, st)
-		})
+func HBPGroupPartitionCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, o Options) ([]uint64, *HashPartition, error) {
+	return keysOf(HashGroupPartitionCtx(ctx, []GroupCol{{H: col}}, f, col.Len(), core.MaxHashGroups, o))
 }
 
-func groupPartitionCtx(ctx context.Context, nseg, n, vps, keyK int, o Options,
-	run func(bank *core.GroupBank, lo, hi int, st *core.GroupStats) error) ([]uint64, []*bitvec.Bitmap, error) {
+func keysOf(hp *HashPartition, err error) ([]uint64, *HashPartition, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return hp.Keys, hp, nil
+}
+
+// HashGroupPartitionCtx partitions the filter across the packed keys of
+// one or more grouping columns in one traversal, or returns
+// core.ErrGroupCardinality past limit distinct keys. n is the table's row
+// count; limit is core.MaxHashGroups in production (tests pass tiny
+// budgets to reach the error). The columns' summed width picks the key
+// index, the pipeline's only width-dependent part.
+func HashGroupPartitionCtx(ctx context.Context, cols []GroupCol, f *bitvec.Bitmap, n, limit int, o Options) (*HashPartition, error) {
+	width := 0
+	for _, c := range cols {
+		width += c.Width()
+	}
+	return groupPartition(ctx, cols, f, n, limit, width, o)
+}
+
+// groupPartition is the one partition driver; indexBits is the key width
+// handed to core.NewKeyIndex (tests widen it to force open addressing on
+// narrow keys).
+func groupPartition(ctx context.Context, cols []GroupCol, f *bitvec.Bitmap, n, limit, indexBits int, o Options) (*HashPartition, error) {
 	var start time.Time
 	if o.Stats != nil {
 		start = time.Now()
 	}
+	nseg, vps, last := cols[0].nseg(), cols[0].vps(), len(cols)-1
+	sp := core.NewSplitter(cols[0].V, cols[0].H)
 	parts := partition(nseg, o.threads())
-	banks := make([]*core.GroupBank, len(parts))
-	gsts := make([]core.GroupStats, len(parts))
-	busy := make([]int64, len(parts))
-	for i, p := range parts {
-		banks[i] = core.NewGroupBank(p[0], p[1])
-		banks[i].EnableDirect(keyK)
+	ws := make([]partWorker, len(parts))
+	// open sizes worker w's output for a step over grouping column sp:
+	// the indexed list when the step is the last, packed keys otherwise.
+	open := func(w *partWorker, sp *core.Splitter, runs, srcEntries int, final bool) {
+		if final {
+			w.slots = core.NewStepRuns[int32](sp, runs, srcEntries, w.rows)
+		} else {
+			w.keyed = core.NewStepRuns[uint64](sp, runs, srcEntries, w.rows)
+		}
 	}
-	if _, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
+	for i, p := range parts {
+		w := &ws[i]
+		w.rows = f.Rank(p[1]*vps) - f.Rank(p[0]*vps)
+		w.idx = core.NewKeyIndex(indexBits, limit)
+		open(w, sp, p[1]-p[0], p[1]-p[0], last == 0)
+	}
+	// step runs the column over [lo, hi) — segments of the first column,
+	// runs of src after it — into that output, on the clock of worker w.
+	step := func(w *partWorker, sp *core.Splitter, src *core.Runs[uint64], lo, hi int, final bool) (err error) {
 		var t0 time.Time
 		if o.Stats != nil {
 			t0 = time.Now()
 		}
-		err := run(banks[w], lo, hi, &gsts[w])
+		if final {
+			err = core.Partition(sp, f, src, lo, hi, w.idx.Slot, w.slots, &w.st)
+		} else {
+			err = core.Partition(sp, f, src, lo, hi, core.PackedKey, w.keyed, &w.st)
+		}
 		if o.Stats != nil {
-			busy[w] += time.Since(t0).Nanoseconds()
+			w.busy += time.Since(t0).Nanoseconds()
 		}
 		return err
+	}
+	if _, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
+		return step(&ws[w], sp, nil, lo, hi, last == 0)
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	// Union the per-worker key sets, sorted ascending.
+	// Composite refinement: each worker refines its own run list by the
+	// next column, keeping the disjoint-rows invariant.
+	for ci := 1; ci <= last; ci++ {
+		sp := core.NewSplitter(cols[ci].V, cols[ci].H)
+		if _, err := forEachRangeErr(ctx, len(ws), len(ws), func(_, lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				w := &ws[i]
+				src := core.Rewindow(w.keyed, vps, cols[ci].vps())
+				open(w, sp, src.NumRuns(), len(src.ID), ci == last)
+				if err := step(w, sp, src, 0, src.NumRuns(), ci == last); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		vps = cols[ci].vps()
+	}
+
+	// Union the per-worker key sets, sorted ascending — the group order
+	// that keeps results bit-identical across thread counts.
 	var keys []uint64
-	for _, b := range banks {
-		keys = append(keys, b.Keys...)
+	for i := range ws {
+		keys = append(keys, ws[i].idx.Keys...)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	dedup := keys[:0]
-	for i, k := range keys {
-		if i == 0 || k != dedup[len(dedup)-1] {
-			dedup = append(dedup, k)
-		}
-	}
-	keys = dedup
-	if len(keys) > core.MaxGroups {
-		return nil, nil, core.ErrGroupCardinality
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	if len(keys) > limit {
+		return nil, core.ErrGroupCardinality
 	}
 
-	sels := make([]*bitvec.Bitmap, len(keys))
-	for i, key := range keys {
-		bm := bitvec.New(n)
-		for _, bank := range banks {
-			ws, ok := bank.Lookup(key)
-			if !ok {
-				continue
+	// Remap every worker's slots to group indexes, tallying the counts and
+	// putting each run in ascending group order on the way (a run holds
+	// ≤ 64 entries, and comes out of a VBP split already sorted), then
+	// concatenate the lists; a window two workers share after re-windowing
+	// merges.
+	hp := &HashPartition{Keys: keys, Counts: make([]uint64, len(keys)), N: n, Vps: vps, se: ws[0].slots}
+	var runs, entries int
+	for i := range ws {
+		w, s := &ws[i], ws[i].slots
+		gi := make([]int32, len(w.idx.Keys))
+		for slot, key := range w.idx.Keys {
+			g, _ := slices.BinarySearch(keys, key)
+			gi[slot] = int32(g)
+		}
+		for r := range s.Segs {
+			for e := s.Start[r]; e < s.Start[r+1]; e++ {
+				g := gi[s.ID[e]]
+				s.ID[e] = g
+				hp.Counts[g] += uint64(bits.OnesCount64(s.W[e]))
 			}
-			for si, w := range ws {
-				if w == 0 {
-					continue
-				}
-				if seg := bank.SegLo + si; vps == 64 {
-					bm.SetWord(seg, w)
-				} else {
-					bm.Deposit(seg*vps, vps, w)
+			s.SortRun(r)
+		}
+		runs += s.NumRuns()
+		entries += len(s.ID)
+	}
+	if len(ws) > 1 {
+		hp.se = core.NewRuns[int32](runs, entries)
+		for i := range ws {
+			s := ws[i].slots
+			for r, seg := range s.Segs {
+				hp.se.Merge(seg, s.ID[s.Start[r]:s.Start[r+1]], s.W[s.Start[r]:s.Start[r+1]])
+				if r == 0 {
+					hp.se.SortRun(hp.se.NumRuns() - 1)
 				}
 			}
 		}
-		sels[i] = bm
 	}
 
 	if o.Stats != nil {
-		var gs core.GroupStats
-		var bankWords uint64
-		var busyTotal int64
-		for i := range banks {
-			gs = gs.Add(gsts[i])
-			bankWords += banks[i].BankWords
-			busyTotal += busy[i]
+		rec := metrics.ExecStats{
+			Scans:            1,
+			GroupsDiscovered: uint64(len(keys)),
+			GroupBankWords:   uint64(len(hp.se.ID)),
+			ScanNanos:        time.Since(start).Nanoseconds(),
 		}
-		o.Stats.Record(metrics.ExecStats{
-			Scans:               1,
-			SegmentsScanned:     gs.Segments,
-			SegmentsCacheServed: gs.CacheServed,
-			WordsCompared:       gs.Words,
-			GroupsDiscovered:    uint64(len(keys)),
-			GroupBankWords:      bankWords,
-			ScanNanos:           time.Since(start).Nanoseconds(),
-			WorkerBusyNanos:     busyTotal,
-		})
+		for i := range ws {
+			w := &ws[i]
+			rec.SegmentsScanned += w.st.Segments
+			rec.SegmentsCacheServed += w.st.CacheServed
+			rec.WordsCompared += w.st.Words
+			rec.HashProbes += w.idx.Probes
+			rec.HashGrowths += w.idx.Growths
+			rec.WorkerBusyNanos += w.busy
+		}
+		o.Stats.Record(rec)
 	}
-	return keys, sels, nil
+	return hp, nil
+}
+
+// entriesFor returns the run list in vps-value windows, re-windowing the
+// canonical list lazily and caching per window size (an HBP measure
+// column's segmentation need not match the grouping column's).
+func (hp *HashPartition) entriesFor(vps int) *core.SegEntries {
+	if vps == hp.Vps {
+		return hp.se
+	}
+	hp.mu.Lock()
+	defer hp.mu.Unlock()
+	se, ok := hp.reVps[vps]
+	if !ok {
+		se = core.Rewindow(hp.se, hp.Vps, vps)
+		if hp.reVps == nil {
+			hp.reVps = map[int]*core.SegEntries{}
+		}
+		hp.reVps[vps] = se
+	}
+	return se
+}
+
+// Materialize builds group i's dense selection bitmap, a fresh one per
+// call, from its banked words. Selections stay sparse — 10^5 dense bitmaps
+// is a memory wall — so per-group bitmap consumers (MEDIAN, NULL-aware
+// per-group fallbacks) materialize one group at a time; the first call
+// transposes the run list into its key-major view.
+func (hp *HashPartition) Materialize(i int) *bitvec.Bitmap {
+	hp.mu.Lock()
+	if hp.gStart == nil {
+		se := hp.se
+		hp.gStart = make([]int32, len(hp.Keys)+1)
+		for _, g := range se.ID {
+			hp.gStart[g+1]++
+		}
+		for g := range hp.Keys {
+			hp.gStart[g+1] += hp.gStart[g]
+		}
+		hp.gSeg, hp.gW = make([]int32, len(se.ID)), make([]uint64, len(se.ID))
+		pos := slices.Clone(hp.gStart)
+		for r, seg := range se.Segs {
+			for e := se.Start[r]; e < se.Start[r+1]; e++ {
+				p := pos[se.ID[e]]
+				hp.gSeg[p], hp.gW[p] = seg, se.W[e]
+				pos[se.ID[e]]++
+			}
+		}
+	}
+	hp.mu.Unlock()
+	bm := bitvec.New(hp.N)
+	for e := hp.gStart[i]; e < hp.gStart[i+1]; e++ {
+		if hp.Vps == 64 {
+			bm.SetWord(int(hp.gSeg[e]), hp.gW[e])
+		} else {
+			bm.Deposit(int(hp.gSeg[e])*hp.Vps, hp.Vps, hp.gW[e])
+		}
+	}
+	return bm
 }
 
 // groupStatsExtra folds worker GroupStats into the driver-level extra
@@ -145,26 +333,29 @@ func groupStatsExtra(gsts []core.GroupStats) metrics.ExecStats {
 	}
 }
 
-// VBPGroupSumCtx computes the 128-bit SUM of every group's selection in
-// one pass over the measure column. Results are (hi, lo) pairs indexed
-// like sels; hi != 0 marks a uint64 overflow the caller surfaces.
-func VBPGroupSumCtx(ctx context.Context, col *vbp.Column, sels []*bitvec.Bitmap, o Options) ([]uint64, []uint64, error) {
-	k := col.K()
-	nG := len(sels)
+// HashGroupSumCtx computes the 128-bit SUM of every group in one pass
+// over the measure column, indexed like Keys; hi != 0 marks a uint64
+// overflow the caller surfaces. Workers split the live runs; partials
+// merge in ascending worker order.
+func HashGroupSumCtx(ctx context.Context, col GroupCol, hp *HashPartition, o Options) ([]uint64, []uint64, error) {
+	se := hp.entriesFor(col.vps())
+	nG := len(hp.Keys)
 	ws, start := o.statsBegin()
-	parts := partition(col.NumSegments(), o.threads())
-	bSums := make([][]uint64, len(parts))
+	parts := partition(se.NumRuns(), o.threads())
 	his := make([][]uint64, len(parts))
 	los := make([][]uint64, len(parts))
 	gsts := make([]core.GroupStats, len(parts))
 	for w := range parts {
-		bSums[w] = make([]uint64, nG*k)
 		his[w] = make([]uint64, nG)
 		los[w] = make([]uint64, nG)
 	}
-	if _, err := forEachRangeErr(ctx, col.NumSegments(), o.threads(), func(w, lo, hi int) error {
+	if _, err := forEachRangeErr(ctx, se.NumRuns(), o.threads(), func(w, lo, hi int) error {
 		t0 := statsNow(ws)
-		core.VBPGroupSumRange128(col, sels, lo, hi, bSums[w], his[w], los[w], &gsts[w])
+		if col.V != nil {
+			core.VBPHashSumRuns(col.V, se, lo, hi, his[w], los[w], &gsts[w])
+		} else {
+			core.HBPHashSumRuns(col.H, se, lo, hi, his[w], los[w], &gsts[w])
+		}
 		if ws != nil {
 			busyOnly(ws, w, t0)
 		}
@@ -173,75 +364,21 @@ func VBPGroupSumCtx(ctx context.Context, col *vbp.Column, sels []*bitvec.Bitmap,
 		return nil, nil, err
 	}
 	for w := 1; w < len(parts); w++ {
-		for i, v := range bSums[w] {
-			bSums[0][i] += v
-		}
 		core.Add128Pairs(his[0], los[0], his[w], los[w])
 	}
-	core.VBPGroupSumFinish(k, bSums[0], his[0], los[0])
 	o.statsEnd(ws, start, groupStatsExtra(gsts))
 	return his[0], los[0], nil
 }
 
-// HBPGroupSumCtx is the HBP twin of VBPGroupSumCtx.
-func HBPGroupSumCtx(ctx context.Context, col *hbp.Column, sels []*bitvec.Bitmap, o Options) ([]uint64, []uint64, error) {
-	b := col.NumGroups()
-	nG := len(sels)
+// HashGroupExtremeCtx computes MIN (or MAX) of every group in one pass
+// over the measure column. anys[i] is false only for a group with no
+// selected rows on this column — impossible for partitions built by
+// HashGroupPartitionCtx.
+func HashGroupExtremeCtx(ctx context.Context, col GroupCol, hp *HashPartition, wantMin bool, o Options) ([]uint64, []bool, error) {
+	se := hp.entriesFor(col.vps())
+	nG := len(hp.Keys)
 	ws, start := o.statsBegin()
-	parts := partition(col.NumSegments(), o.threads())
-	ghis := make([][]uint64, len(parts))
-	glos := make([][]uint64, len(parts))
-	his := make([][]uint64, len(parts))
-	los := make([][]uint64, len(parts))
-	gsts := make([]core.GroupStats, len(parts))
-	for w := range parts {
-		ghis[w] = make([]uint64, nG*b)
-		glos[w] = make([]uint64, nG*b)
-		his[w] = make([]uint64, nG)
-		los[w] = make([]uint64, nG)
-	}
-	if _, err := forEachRangeErr(ctx, col.NumSegments(), o.threads(), func(w, lo, hi int) error {
-		t0 := statsNow(ws)
-		core.HBPGroupSumRange128(col, sels, lo, hi, ghis[w], glos[w], his[w], los[w], &gsts[w])
-		if ws != nil {
-			busyOnly(ws, w, t0)
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	for w := 1; w < len(parts); w++ {
-		core.Add128Pairs(ghis[0], glos[0], ghis[w], glos[w])
-		core.Add128Pairs(his[0], los[0], his[w], los[w])
-	}
-	core.HBPGroupSumFinish(b, col.Tau(), ghis[0], glos[0], his[0], los[0])
-	o.statsEnd(ws, start, groupStatsExtra(gsts))
-	return his[0], los[0], nil
-}
-
-// VBPGroupExtremeCtx computes MIN (or MAX) of every group's selection in
-// one pass over the measure column. anys[i] is false for a group whose
-// selection turned out empty on this column (cannot happen for
-// selections produced by the partition drivers).
-func VBPGroupExtremeCtx(ctx context.Context, col *vbp.Column, sels []*bitvec.Bitmap, wantMin bool, o Options) ([]uint64, []bool, error) {
-	return groupExtremeCtx(ctx, col.NumSegments(), len(sels), wantMin, o,
-		func(lo, hi int, bests []uint64, anys []bool, st *core.GroupStats) {
-			core.VBPGroupExtremeRange(col, sels, wantMin, lo, hi, bests, anys, st)
-		})
-}
-
-// HBPGroupExtremeCtx is the HBP twin of VBPGroupExtremeCtx.
-func HBPGroupExtremeCtx(ctx context.Context, col *hbp.Column, sels []*bitvec.Bitmap, wantMin bool, o Options) ([]uint64, []bool, error) {
-	return groupExtremeCtx(ctx, col.NumSegments(), len(sels), wantMin, o,
-		func(lo, hi int, bests []uint64, anys []bool, st *core.GroupStats) {
-			core.HBPGroupExtremeRange(col, sels, wantMin, lo, hi, bests, anys, st)
-		})
-}
-
-func groupExtremeCtx(ctx context.Context, nseg, nG int, wantMin bool, o Options,
-	run func(lo, hi int, bests []uint64, anys []bool, st *core.GroupStats)) ([]uint64, []bool, error) {
-	ws, start := o.statsBegin()
-	parts := partition(nseg, o.threads())
+	parts := partition(se.NumRuns(), o.threads())
 	bests := make([][]uint64, len(parts))
 	anys := make([][]bool, len(parts))
 	gsts := make([]core.GroupStats, len(parts))
@@ -249,9 +386,13 @@ func groupExtremeCtx(ctx context.Context, nseg, nG int, wantMin bool, o Options,
 		bests[w] = make([]uint64, nG)
 		anys[w] = make([]bool, nG)
 	}
-	if _, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
+	if _, err := forEachRangeErr(ctx, se.NumRuns(), o.threads(), func(w, lo, hi int) error {
 		t0 := statsNow(ws)
-		run(lo, hi, bests[w], anys[w], &gsts[w])
+		if col.V != nil {
+			core.VBPHashExtremeRuns(col.V, se, wantMin, lo, hi, bests[w], anys[w], &gsts[w])
+		} else {
+			core.HBPHashExtremeRuns(col.H, se, wantMin, lo, hi, bests[w], anys[w], &gsts[w])
+		}
 		if ws != nil {
 			busyOnly(ws, w, t0)
 		}

@@ -25,7 +25,7 @@ import (
 // the engine's own answer: [fused] or [two-phase] on scan+agg
 // (ShardedQuery.Fused; absent when every shard was pruned, since neither
 // ran), [direct tier] or [hash tier] on group+agg (ShardedGrouped.Strategy
-// — the key widths pick it, so it prints even for a fully pruned
+// — the packed key width picks it, so it prints even for a fully pruned
 // statement); a range stage shows how it was served by its
 // index_segments and scans counters. Every stage carries
 // shards_scanned/shards_pruned summed over its fan-outs — a flat table is

@@ -68,7 +68,9 @@ func explainLinesOpts(t *testing.T, cat *catalog.Catalog, sql string, o ExecOpti
 // fused, single-pass and prefix-index stages) of {aggs, scans,
 // pruned_none, pruned_all, words_compared, words_touched, radix_rounds,
 // cache_served, index_segments, fringe_words}, which the one stage of the
-// new plan must report unchanged. The last four run on sharded fixtures.
+// new plan must report unchanged (group_by_wide's were read off the
+// commit before the GROUP BY tiers became one pipeline). The last four
+// run on sharded fixtures.
 var goldenCases = []struct {
 	name    string
 	sql     string
@@ -89,8 +91,11 @@ var goldenCases = []struct {
 		[10]uint64{3, 0, 0, 0, 0, 0, 0, 0, 2, 0}},
 	{"rownum_masked", "EXPLAIN ANALYZE SELECT SUM(amount) WHERE rownum BETWEEN 10 AND 250 AND region = 'EU'", false,
 		[10]uint64{1, 1, 0, 0, 10, 40, 0, 0, 0, 0}},
+	// region, qty pack into 8 bits: a composite key, the direct index.
 	{"group_by_hash", "EXPLAIN ANALYZE SELECT SUM(amount), COUNT(*) GROUP BY region, qty", false,
 		[10]uint64{61, 1, 0, 0, 115, 50, 0, 0, 0, 0}},
+	{"group_by_wide", wideCompositeSQL, false,
+		[10]uint64{301, 1, 0, 0, 2567, 50, 0, 0, 0, 0}},
 	{name: "sharded_pruned_range", sql: "EXPLAIN ANALYZE SELECT SUM(qty), COUNT(*) WHERE amount >= 700", sharded: true},
 	{name: "sharded_in_list", sql: "EXPLAIN ANALYZE SELECT SUM(amount), MIN(qty) WHERE region IN ('EU', 'US') AND qty != 0", sharded: true},
 	{name: "sharded_rownum_group_by", sql: "EXPLAIN ANALYZE SELECT COUNT(*), SUM(amount) WHERE rownum BETWEEN 60 AND 139 GROUP BY region", sharded: true},
@@ -99,9 +104,13 @@ var goldenCases = []struct {
 	{name: "sharded_pruned_group_by", sql: "EXPLAIN ANALYZE SELECT COUNT(*), SUM(qty) WHERE amount > 1000 GROUP BY region", sharded: true},
 }
 
-// TestExplainGolden pins every plan's text. Threads is 1 because the hash
-// tier's HashProbes depends on per-worker key arrival order (DESIGN.md
-// §12); every other counter is thread-invariant
+// wideCompositeSQL groups by a key that packs past core.DirectKeyBits, so
+// its plan carries the hashed index's probe counters.
+const wideCompositeSQL = "EXPLAIN ANALYZE SELECT SUM(amount), COUNT(*) GROUP BY region, qty, amount"
+
+// TestExplainGolden pins every plan's text. Threads is 1 because a hashed
+// key index's HashProbes depends on per-worker key arrival order
+// (DESIGN.md §12); every other counter is thread-invariant
 // (TestExplainStatsThreadInvariant).
 func TestExplainGolden(t *testing.T) {
 	flat, sharded := loadOrders(t), loadOrders(t)
@@ -160,13 +169,12 @@ func TestExplainGoldenSums(t *testing.T) {
 	}
 }
 
-// TestExplainGoldenHashTier: a composite GROUP BY partitions single-pass
-// through the hash tier and the stage reports the tier plus its
-// probe/growth counters (the text is pinned by TestExplainGolden).
+// TestExplainGoldenHashTier: a composite GROUP BY whose packed key is
+// wider than the direct index reports the hash tier plus its probe/growth
+// counters (the text is pinned by TestExplainGolden).
 func TestExplainGoldenHashTier(t *testing.T) {
 	cat := loadOrders(t)
-	const sql = "EXPLAIN ANALYZE SELECT SUM(amount), COUNT(*) GROUP BY region, qty"
-	got := strings.Join(explainLinesOpts(t, cat, sql, ExecOptions{Threads: 1}), "\n")
+	got := strings.Join(explainLinesOpts(t, cat, wideCompositeSQL, ExecOptions{Threads: 1}), "\n")
 	if !strings.Contains(got, "[hash tier]") || !strings.Contains(got, "hash_probes=") {
 		t.Errorf("hash-tier plan does not report the tier and probe counters:\n%s", got)
 	}

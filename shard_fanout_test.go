@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -266,5 +267,52 @@ func TestTwinMethodSets(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: methods\n got  %v\n want %v", tc.name, got, want)
 		}
+	}
+}
+
+// TestShardedGroupMedianBytes pins what ShardedGrouped.groupCountLE
+// allocates. A multi-shard per-group MEDIAN binary-searches the value
+// domain, and every step counts one group's rows ≤ v in each shard that
+// holds the group: Selection(i) is a fresh bitmap by contract, so the step
+// ANDs the scan into it directly. Before the GROUP BY tiers became one
+// pipeline the step cloned it first; parentBytes is what this statement
+// allocated there, and the answers must not have moved.
+func TestShardedGroupMedianBytes(t *testing.T) {
+	const parentBytes = 26_980_992 // commit 81ceb15, go1.24, this fixture
+	flat := pinTable(VBP, 4096)
+	st := ShardTable(flat, 1024)
+	ctx := context.Background()
+	g, err := st.Query().Where("a", Less(4000)).GroupByContext(ctx, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Strategy() != GroupHash || len(g.parts) != 4 {
+		t.Fatalf("fixture: strategy %v over %d live shards, want hash over 4", g.Strategy(), len(g.parts))
+	}
+	var got []uint64
+	var oks []bool
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const runs = 3
+	testing.AllocsPerRun(runs-1, func() { // AllocsPerRun adds a warm-up run
+		if got, oks, err = g.MedianOkContext(ctx, "n"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&m1)
+	bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs
+	t.Logf("%d bytes per MedianOkContext over %d groups", bytes, g.Len())
+	if bytes >= parentBytes {
+		t.Errorf("MedianOkContext allocates %d bytes, want fewer than the %d it did with a Clone per step", bytes, parentBytes)
+	}
+	// One shard holds every group whole, so its answer is the shard
+	// column's own radix descent: no binary search, no groupCountLE.
+	one, err := ShardTable(flat, flat.Rows()).Query().Where("a", Less(4000)).GroupByContext(ctx, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantOks, err := one.MedianOkContext(ctx, "n")
+	if err != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(oks, wantOks) {
+		t.Errorf("per-group medians over 4 shards differ from one shard's (err %v)", err)
 	}
 }

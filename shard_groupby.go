@@ -24,10 +24,9 @@ type ShardedGrouped struct {
 
 // GroupByContext partitions the selection — within the row range, for a
 // range view — by the named columns' distinct values, honoring ctx. Every
-// live shard partitions independently (direct or hash tier by key width;
-// a local range partitions its own mask ∧ filter) and the key
-// sets union in sorted order. A shard past the hash tier's key budget
-// fails the query with ErrGroupCardinality.
+// live shard partitions independently (a local range partitions its own
+// mask ∧ filter) and the key sets union in sorted order. A shard past the
+// key budget fails the query with ErrGroupCardinality.
 func (f *fanOut) GroupByContext(ctx context.Context, columns ...string) (*ShardedGrouped, error) {
 	widths, err := f.groupWidths(columns)
 	if err != nil {
@@ -50,19 +49,19 @@ func (f *fanOut) GroupByContext(ctx context.Context, columns ...string) (*Sharde
 	// then index every shard group into it by walking both in step.
 	var keys []uint64
 	if len(parts) == 1 {
-		keys = parts[0].keys
+		keys = parts[0].hp.Keys
 	} else {
 		for _, part := range parts {
-			keys = append(keys, part.keys...)
+			keys = append(keys, part.hp.Keys...)
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		keys = dedupeSorted(keys)
 	}
 	pos := make([][]int, len(parts))
 	for p, part := range parts {
-		pos[p] = make([]int, len(part.keys))
+		pos[p] = make([]int, len(part.hp.Keys))
 		i := 0
-		for gi, k := range part.keys {
+		for gi, k := range part.hp.Keys {
 			for keys[i] != k {
 				i++
 			}
@@ -116,8 +115,8 @@ func dedupeSorted(keys []uint64) []uint64 {
 // Len returns the number of groups.
 func (g *ShardedGrouped) Len() int { return len(g.keys) }
 
-// Strategy reports which partition tier the key widths select (EXPLAIN
-// ANALYZE support) — the tier every live shard ran, and the one a fully
+// Strategy reports which key index the packed key width selects (EXPLAIN
+// ANALYZE support) — the one every live shard used, and the one a fully
 // pruned query would have.
 func (g *ShardedGrouped) Strategy() GroupStrategy { return groupStrategy(g.widths) }
 
@@ -359,7 +358,7 @@ func (g *ShardedGrouped) groupCountLE(ctx context.Context, column string, i int,
 				return 0, err
 			}
 			col := part.q.t.cols[column]
-			sel := part.Selection(gi).Clone().And(col.ScanStats(LessEq(v), g.q.stats))
+			sel := part.Selection(gi).And(col.ScanStats(LessEq(v), g.q.stats)) // Selection is a fresh bitmap
 			total += uint64(sel.Count())
 		}
 	}

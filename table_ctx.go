@@ -268,7 +268,7 @@ func (v *flatView) QuantileContext(ctx context.Context, column string, quantile 
 
 // GroupByContext partitions the view's selection by the named columns'
 // distinct values, honoring ctx, in one pass over the grouping columns
-// (see Grouped for the two tiers); the partition records into the query's
+// (see Grouped for the pipeline); the partition records into the query's
 // stats collector. More than MaxSinglePassGroups distinct keys is
 // ErrGroupCardinality.
 func (v *flatView) GroupByContext(ctx context.Context, columns ...string) (*Grouped, error) {
@@ -290,15 +290,15 @@ func (v *flatView) GroupByContext(ctx context.Context, columns ...string) (*Grou
 func (g *Grouped) CountContext(ctx context.Context) ([]uint64, error) {
 	ctx = orBackground(ctx)
 	start := time.Now()
-	out := make([]uint64, len(g.keys))
-	for i := range g.keys {
+	out := make([]uint64, len(g.hp.Keys))
+	for i := range g.hp.Keys {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out[i] = g.groupCount(i)
+		out[i] = g.hp.Counts[i]
 	}
 	g.q.stats.Record(ExecStats{
-		Aggregates: uint64(len(g.keys)),
+		Aggregates: uint64(len(g.hp.Keys)),
 		AggNanos:   time.Since(start).Nanoseconds(),
 	})
 	return out, nil
@@ -316,8 +316,8 @@ func (g *Grouped) sums128(ctx context.Context, column string) (his, los []uint64
 	if o, ok := g.banked(col); ok {
 		return g.bankedSums(orBackground(ctx), col, o)
 	}
-	his, los = make([]uint64, len(g.keys)), make([]uint64, len(g.keys))
-	for i := range g.keys {
+	his, los = make([]uint64, len(g.hp.Keys)), make([]uint64, len(g.hp.Keys))
+	for i := range g.hp.Keys {
 		v, err := col.SumContext(ctx, g.Selection(i), g.q.execs...)
 		if his[i], los[i], err = sum128(v, err); err != nil {
 			return nil, nil, err
@@ -417,10 +417,10 @@ func (g *Grouped) nonNullCounts(ctx context.Context, column string) ([]uint64, e
 	if err := orBackground(ctx).Err(); err != nil {
 		return nil, err
 	}
-	out := make([]uint64, len(g.keys))
-	for i := range g.keys {
+	out := make([]uint64, len(g.hp.Keys))
+	for i := range g.hp.Keys {
 		if col.nulls == nil {
-			out[i] = g.groupCount(i)
+			out[i] = g.hp.Counts[i]
 		} else if out[i], err = col.CountContext(ctx, g.Selection(i)); err != nil {
 			return nil, err
 		}
@@ -459,8 +459,8 @@ func groupAvgs(sums, counts []uint64) []float64 {
 // eachContext runs one Column aggregate per group selection.
 func (g *Grouped) eachContext(ctx context.Context, col *Column,
 	agg func(*Column, context.Context, *Bitmap, ...ExecOption) (uint64, bool, error)) (vals []uint64, oks []bool, err error) {
-	vals, oks = make([]uint64, len(g.keys)), make([]bool, len(g.keys))
-	for i := range g.keys {
+	vals, oks = make([]uint64, len(g.hp.Keys)), make([]bool, len(g.hp.Keys))
+	for i := range g.hp.Keys {
 		if vals[i], oks[i], err = agg(col, ctx, g.Selection(i), g.q.execs...); err != nil {
 			return nil, nil, err
 		}
