@@ -27,7 +27,11 @@ const (
 	Auto
 )
 
-// Access selects the aggregate evaluation strategy.
+// Access selects the aggregate evaluation strategy of Column aggregates
+// and of a query's two-phase ones. It does not reach GROUP BY: under any
+// method, every per-group aggregate is one banked pass over the partition's
+// run list, since reconstructing per group would take a dense selection
+// per group.
 func Access(m AccessMethod) ExecOption {
 	return func(c *execConfig) { c.access = m }
 }

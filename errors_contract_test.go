@@ -143,11 +143,11 @@ func TestErrorContract(t *testing.T) {
 	}
 }
 
-// TestGroupedAvgOverflowNamesGroup pins the grouped overflow contract on
-// the per-group (non-banked) path of the plain method: the *OverflowError
-// that Grouped.Avg panics with names the offending group and carries the
-// same 128-bit total as AvgContext's error. The measure column holds a
-// NULL, which is what keeps the banked kernels out.
+// TestGroupedAvgOverflowNamesGroup pins the grouped overflow contract of
+// the plain method over a NULL-bearing measure: the *OverflowError that
+// Grouped.Avg panics with names the offending group and carries the same
+// 128-bit total as AvgContext's error. The banked kernels drop the NULL
+// row and still sum in 128 bits.
 func TestGroupedAvgOverflowNamesGroup(t *testing.T) {
 	v, g := NewColumn(VBP, 64), NewColumn(VBP, 2)
 	for _, row := range []struct {
@@ -162,8 +162,8 @@ func TestGroupedAvgOverflowNamesGroup(t *testing.T) {
 		}
 	}
 	grouped := NewTableFromColumns([]string{"g", "v"}, []*Column{g, v}).Query().GroupBy("g")
-	if _, ok := grouped.banked(v); ok {
-		t.Fatal("a NULL in the measure column must keep the banked path out")
+	if counts, err := grouped.nonNullCounts(context.Background(), "v"); err != nil || !reflect.DeepEqual(counts, []uint64{1, 2, 0}) {
+		t.Fatalf("non-NULL counts per group = %v, %v; want [1 2 0]", counts, err)
 	}
 
 	_, err := grouped.AvgContext(context.Background(), "v")

@@ -23,12 +23,14 @@ import (
 // across the codes present (a bit-tree descent on VBP, a delimiter peel
 // on HBP); every further column refines those (key, word) entries; and a
 // key index maps the final packed keys to groups. The result is a sparse
-// segment-major run list of (group, selection word) — counts and the
-// banked SUM/MIN/MAX come straight off it in one traversal of the measure
-// column, and a dense bitmap is built per group only on demand
-// (Selection). Only the index depends on the key width: direct-mapped up
-// to core.DirectKeyBits packed bits, open-addressing hashed beyond, up to
-// MaxSinglePassGroups keys.
+// segment-major run list of (group, selection word). Every per-group
+// aggregate is one pass over it in the measure column's windows, NULL
+// measure rows dropped on the way: counts, the banked SUM/MIN/MAX and
+// COUNT(col), and MEDIAN as one radix descent for all groups at once. A
+// dense bitmap is built per group only on demand (Selection). Only the
+// index depends on the key width: direct-mapped up to core.DirectKeyBits
+// packed bits, open-addressing hashed beyond, up to MaxSinglePassGroups
+// keys.
 //
 // Rows NULL in a grouping column join no group. Results are bit-identical
 // across key widths and thread counts, and concurrent aggregates over one
@@ -113,9 +115,9 @@ func (v *flatView) groupByCols(ctx context.Context, cols []*Column) (*Grouped, e
 }
 
 // groupSinglePass partitions the view's selection, whatever built it,
-// in one pass over cols. The access pin does not apply: a partition is
-// not an aggregate (banked still honours it per measure). A key count
-// past the budget is ErrGroupCardinality.
+// in one pass over cols. The access pin does not apply, here or to the
+// grouped aggregates (see Access). A key count past the budget is
+// ErrGroupCardinality.
 func (v *flatView) groupSinglePass(ctx context.Context, cols []*Column, widths []int) (*Grouped, error) {
 	o := execOptions(v.execs)
 	base := v.Selection().b
@@ -189,46 +191,17 @@ func (g *Grouped) Selection(i int) *Bitmap {
 	return &Bitmap{b: g.hp.Materialize(i)}
 }
 
-// banked reports whether a per-group aggregate over col can run the
-// banked single-pass kernels, and resolves the execution options if so:
-// the measure column must be NULL-free and access not pinned to
-// Reconstruct. Otherwise the aggregate runs once per group selection.
-func (g *Grouped) banked(col *Column) (execConfig, bool) {
-	if col.nulls != nil {
-		return execConfig{}, false
-	}
-	o := execOptions(g.q.execs)
-	if o.access == Reconstruct {
-		return execConfig{}, false
-	}
-	return o, true
-}
-
-// groupCol wraps a grouping or measure column for the grouped drivers.
+// groupCol wraps a grouping or measure column, with its NULL rows, for
+// the grouped drivers.
 func groupCol(col *Column) parallel.GroupCol {
 	if col.layout == VBP {
-		return parallel.GroupCol{V: col.v}
+		return parallel.GroupCol{V: col.v, Nulls: col.nulls}
 	}
-	return parallel.GroupCol{H: col.h}
+	return parallel.GroupCol{H: col.h, Nulls: col.nulls}
 }
 
-// bankedSums runs the single-pass grouped SUM over all groups at once.
-// The kernels accumulate 128 bits per group, so every partial is exact.
-func (g *Grouped) bankedSums(ctx context.Context, col *Column, o execConfig) (his, los []uint64, err error) {
-	his, los, err = parallel.HashGroupSumCtx(ctx, groupCol(col), g.hp, o.par)
-	return his, los, wrapExecErr(err)
-}
-
-// bankedExtreme runs the single-pass grouped MIN/MAX over all groups at
-// once. anys[i] is false only if group i's selection is empty, which
-// the partition invariant rules out.
-func (g *Grouped) bankedExtreme(ctx context.Context, col *Column, o execConfig, wantMin bool) ([]uint64, []bool, error) {
-	vals, anys, err := parallel.HashGroupExtremeCtx(ctx, groupCol(col), g.hp, wantMin, o.par)
-	if err != nil {
-		return nil, nil, wrapExecErr(err)
-	}
-	return vals, anys, nil
-}
+// opts resolves the query's execution options for the grouped drivers.
+func (g *Grouped) opts() parallel.Options { return execOptions(g.q.execs).par }
 
 // Count returns each group's row count. The counts are recorded into
 // the query's stats collector as one aggregate per group, matching the
@@ -240,11 +213,9 @@ func (g *Grouped) Count() []uint64 {
 	return out
 }
 
-// Sum aggregates SUM of the named column per group: banked single-pass
-// over the measure column when the partition and column qualify, one
-// Column.SumContext per group otherwise. Either path panics with an
-// *OverflowError naming the offending group when a group's sum exceeds
-// uint64 (use SumContext to receive it as an error).
+// Sum aggregates SUM of the named column per group in one pass over the
+// measure column. A group whose sum exceeds uint64 panics with an
+// *OverflowError naming it (use SumContext to receive it as an error).
 func (g *Grouped) Sum(column string) []uint64 {
 	out, err := g.SumContext(nil, column)
 	fusedMust(err)

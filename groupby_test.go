@@ -389,11 +389,11 @@ func TestGroupByWithExecOptions(t *testing.T) {
 }
 
 // TestGroupedConcurrentAggregates: one Grouped answers aggregates from
-// several goroutines at once. Counts are tallied by the partition pass and
-// the lazily built views (re-windowed run lists, the key-major view behind
-// Selection) are guarded, so COUNT racing AVG — a lazily filled count
-// cache before the tiers became one pipeline — is safe on every key width.
-// Run under -race (make race).
+// several goroutines at once. Counts are tallied by the partition pass,
+// every banked pass reads the run list without writing it (MEDIAN narrows
+// a copy of its own), and the one lazily built view, the key-major one
+// behind Selection, is guarded — so COUNT racing AVG, MEDIAN or Selection
+// is safe on every key width. Run under -race (make race).
 func TestGroupedConcurrentAggregates(t *testing.T) {
 	tbl := onePassTable(t) // key: 3 bits, live: 1 bit, pos: 11 bits, val: HBP measure
 	for name, cols := range map[string][]string{
@@ -401,7 +401,7 @@ func TestGroupedConcurrentAggregates(t *testing.T) {
 	} {
 		g := tbl.Query().Where("val", Less(900)).GroupBy(cols...)
 		ref := tbl.Query().Where("val", Less(900)).GroupBy(cols...)
-		wantCount, wantSum, wantAvg, wantMax := ref.Count(), ref.Sum("val"), ref.Avg("val"), ref.Max("pos")
+		wantCount, wantSum, wantAvg, wantMax, wantMed := ref.Count(), ref.Sum("val"), ref.Avg("val"), ref.Max("pos"), ref.Median("val")
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
@@ -415,7 +415,7 @@ func TestGroupedConcurrentAggregates(t *testing.T) {
 					case 1:
 						ok = reflect.DeepEqual(g.Sum("val"), wantSum) && reflect.DeepEqual(g.Max("pos"), wantMax)
 					case 2:
-						ok = reflect.DeepEqual(g.Avg("val"), wantAvg)
+						ok = reflect.DeepEqual(g.Avg("val"), wantAvg) && reflect.DeepEqual(g.Median("val"), wantMed)
 					default:
 						gi := (w + i) % g.Len()
 						ok = uint64(g.Selection(gi).Count()) == wantCount[gi]

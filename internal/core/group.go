@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/bits"
+	"sort"
 
 	"bpagg/internal/bitvec"
 	"bpagg/internal/hbp"
@@ -16,11 +17,12 @@ import (
 // (vbpSplitSeg descends the bit-planes as a binary tree, hbpSplitSeg peels
 // delimiter bits per sub-segment; zone metadata short-circuits both) and
 // appends (packed key, word) to a segment-major run list. Each further
-// grouping column refines that list run by run into key<<k|code, so a
-// composite key needs no per-stage bank; the last step maps its keys to
+// grouping column refines that list window by window into key<<k|code, so
+// a composite key needs no per-stage bank; the last step maps its keys to
 // dense slots through a KeyIndex as it emits. The banked aggregate kernels
-// (hashagg.go) then read the run list: it is the live (group, word) set of
-// every window, so nothing is O(groups × segments).
+// (hashagg.go, grouprank.go) then read the run list through a Cursor in
+// the measure column's windows: it is the live (group, word) set of every
+// window, so nothing is O(groups × segments).
 
 // ErrGroupCardinality reports that a partition discovered more distinct
 // keys than its budget (the limit passed to NewKeyIndex). The facade
@@ -79,9 +81,8 @@ func (r *Runs[K]) NumRuns() int { return len(r.Segs) }
 
 // Merge appends entries to window seg, which must not precede the last
 // run: a new run, or a continuation of the last one, in which an id the
-// run already holds ORs in place. That is the one place rows of one key
-// meet again — spill across a source-window boundary after re-windowing,
-// or a window two workers share.
+// run already holds ORs in place — how the driver joins the lists of two
+// workers that share a window once a later column re-cut them.
 func (r *Runs[K]) Merge(seg int32, ids []K, ws []uint64) {
 	n := len(r.Segs)
 	lo, hi := len(r.ID), len(r.ID)
@@ -119,38 +120,142 @@ func (r *Runs[K]) SortRun(i int) {
 	}
 }
 
-// Rewindow converts a run list from vpsFrom-value windows to vpsTo-value
-// windows over the same row space. Refinement and the banked kernels
-// index windows in a specific column's segmentation; when two columns
-// disagree (HBP's values-per-segment depends on its bit-group size), the
-// list is re-windowed. Source runs ascend, so target runs do too.
-func Rewindow[K int32 | uint64](src *Runs[K], vpsFrom, vpsTo int) *Runs[K] {
-	if vpsFrom == vpsTo {
-		return src
+// Cursor streams a run list in another column's windows. Refinement and
+// the banked kernels index windows in one column's segmentation; where two
+// columns disagree (HBP's values-per-segment depends on its bit-group
+// size) the cursor re-cuts the list one target window at a time, OR-ing
+// the rows of an id that reach the window from two source windows, and
+// drops the rows of a skip bitmap (a measure's NULLs). Nothing is
+// materialized: a window holds at most 64 rows, so at most 64 ids, and
+// its entries are assembled in a fixed scratch — in source order, each id
+// at its first appearance, so every consumer sees one canonical list.
+// Equal window sizes without a skip bitmap yield the source runs
+// themselves.
+type Cursor[K int32 | uint64] struct {
+	src      *Runs[K]
+	from, to int // source and target window sizes, in values
+	skip     *bitvec.Bitmap
+	r        int // the first source run that may still feed a window
+	m, hi    int // the next target window; the cursor stops before hi
+	seg      int32
+	lo, n    int // the window's entries: src's [lo, lo+n), or the scratch's first n when lo < 0
+	ids      [64]K
+	ws       [64]uint64
+}
+
+// NewCursor returns a cursor over src, whose windows hold from values,
+// that yields the to-value windows lo ≤ m < hi holding a row not in skip
+// (nil skips nothing). Cursors over disjoint [lo, hi) ranges split one
+// list between workers without sharing a window.
+func NewCursor[K int32 | uint64](src *Runs[K], from, to, lo, hi int, skip *bitvec.Bitmap) Cursor[K] {
+	r := sort.Search(len(src.Segs), func(i int) bool { return (int(src.Segs[i])+1)*from > lo*to })
+	return Cursor[K]{src: src, from: from, to: to, skip: skip, r: r, m: lo, hi: hi}
+}
+
+// Next advances to the next window with a live entry and reports whether
+// there is one.
+func (c *Cursor[K]) Next() bool {
+	s := c.src
+	if c.from == c.to && c.skip == nil {
+		if c.r == len(s.Segs) || int(s.Segs[c.r]) >= c.hi {
+			return false
+		}
+		c.seg, c.lo, c.n = s.Segs[c.r], int(s.Start[c.r]), int(s.Start[c.r+1]-s.Start[c.r])
+		c.r++
+		return true
 	}
-	out := NewRuns[K](src.NumRuns(), len(src.ID))
-	var ids [64]K
-	var ws [64]uint64
-	for r, seg := range src.Segs {
-		base := int(seg) * vpsFrom
-		for m := base / vpsTo; m*vpsTo < base+vpsFrom; m++ {
-			d, n := m*vpsTo-base, 0
-			for e := src.Start[r]; e < src.Start[r+1]; e++ {
-				w := src.W[e]
-				if d >= 0 {
-					w >>= uint(d)
-				} else {
-					w <<= uint(-d)
-				}
-				if w &= word.LowMask(vpsTo); w != 0 {
-					ids[n], ws[n] = src.ID[e], w
-					n++
-				}
+	for c.r < len(s.Segs) {
+		base := int(s.Segs[c.r]) * c.from
+		c.m = max(c.m, base/c.to)
+		if c.m >= c.hi {
+			return false
+		}
+		if c.m*c.to >= base+c.from {
+			c.r++ // every target window this run overlaps is done
+			continue
+		}
+		c.m++
+		if c.window(c.m - 1) {
+			return true
+		}
+	}
+	return false
+}
+
+// window assembles target window m from the source runs overlapping it,
+// from run c.r on, and reports whether it holds a live entry.
+func (c *Cursor[K]) window(m int) bool {
+	s := c.src
+	n, mask := 0, word.LowMask(c.to)
+	for j := c.r; j < len(s.Segs) && int(s.Segs[j])*c.from < (m+1)*c.to; j++ {
+		// The source window starts d values before the target's (|d| < 64);
+		// ids already gathered from an earlier source window merge.
+		d, prev := m*c.to-int(s.Segs[j])*c.from, n
+		ids, ws := s.ID[s.Start[j]:s.Start[j+1]], s.W[s.Start[j]:s.Start[j+1]]
+		for e, w := range ws {
+			if d >= 0 {
+				w >>= uint(d) & 63
+			} else {
+				w <<= uint(-d) & 63
 			}
-			if n > 0 {
-				out.Merge(int32(m), ids[:n], ws[:n])
+			if w &= mask; w == 0 {
+				continue
+			}
+			i := 0
+			for i < prev && c.ids[i] != ids[e] {
+				i++
+			}
+			if i < prev {
+				c.ws[i] |= w
+				continue
+			}
+			c.ids[n], c.ws[n] = ids[e], w
+			n++
+		}
+	}
+	if c.skip != nil {
+		drop, live := c.skip.Extract(m*c.to, c.to), 0
+		for i := 0; i < n; i++ {
+			if w := c.ws[i] &^ drop; w != 0 {
+				c.ids[live], c.ws[live] = c.ids[i], w
+				live++
 			}
 		}
+		n = live
+	}
+	c.seg, c.lo, c.n = int32(m), -1, n
+	return n > 0
+}
+
+// Window returns the current window and its entries, valid until the next
+// call of Next.
+func (c *Cursor[K]) Window() (seg int32, ids []K, ws []uint64) {
+	if c.lo >= 0 {
+		return c.seg, c.src.ID[c.lo : c.lo+c.n], c.src.W[c.lo : c.lo+c.n]
+	}
+	return c.seg, c.ids[:c.n], c.ws[:c.n]
+}
+
+// Count returns how many windows and entries the cursor has yet to yield:
+// a dry run on a copy, allocating nothing.
+func (c Cursor[K]) Count() (windows, entries int) {
+	for c.Next() {
+		windows++
+		entries += c.n
+	}
+	return windows, entries
+}
+
+// Collect materializes the windows the cursor has yet to yield as a run
+// list of exactly their size.
+func (c *Cursor[K]) Collect() *Runs[K] {
+	out := NewRuns[K](c.Count())
+	for c.Next() {
+		seg, ids, ws := c.Window()
+		out.Segs = append(out.Segs, seg)
+		out.ID = append(out.ID, ids...)
+		out.W = append(out.W, ws...)
+		out.Start = append(out.Start, int32(len(out.ID)))
 	}
 	return out
 }
@@ -367,36 +472,39 @@ func PackedKey(key uint64) (uint64, bool) { return key, true }
 
 // Partition runs one step of the GROUP BY partition over grouping column
 // s and appends its runs to out. With src nil it splits the filter
-// windows of the column's segments [lo, hi); otherwise it refines src's
-// runs [lo, hi), already in s's segmentation (see Rewindow): entry
-// (key, w) becomes one entry (key<<k | code, w ∧ code's rows) per code
-// present. id maps each emitted key to the entry's id — PackedKey, or a
-// KeyIndex's Slot on the last step — and refuses a key past the budget.
-// Calls over ascending sub-ranges compose.
-func Partition[K int32 | uint64](s *Splitter, f *bitvec.Bitmap, src *Runs[uint64], lo, hi int, id func(uint64) (K, bool), out *Runs[K], st *GroupStats) error {
+// windows of the column's segments [lo, hi); otherwise it refines every
+// window src yields in s's segmentation: entry (key, w) becomes one entry
+// (key<<k | code, w ∧ code's rows) per code present. id maps each emitted
+// key to the entry's id — PackedKey, or a KeyIndex's Slot on the last
+// step — and refuses a key past the budget. Calls over ascending
+// sub-ranges compose.
+func Partition[K int32 | uint64](s *Splitter, f *bitvec.Bitmap, src *Cursor[uint64], lo, hi int, id func(uint64) (K, bool), out *Runs[K], st *GroupStats) error {
 	shift := uint(s.k())
 	var sc splitScratch
-	for r := lo; r < hi; r++ {
-		seg, elo, ehi := r, 0, 1
-		if src != nil {
-			seg, elo, ehi = int(src.Segs[r]), int(src.Start[r]), int(src.Start[r+1])
-		}
-		for e := elo; e < ehi; e++ {
-			var base, w uint64
-			switch {
-			case src != nil:
-				base, w = src.ID[e]<<shift, src.W[e]
-			case s.v != nil:
-				w = f.Word(seg) & word.LowMask(s.v.SegmentValues(seg))
-			default:
-				w = segWindow(f, s.h, seg)
+	var key0, fw [1]uint64 // the first column's one entry per window: key 0, the filter word
+	for r := lo; ; r++ {
+		seg, keys, ws := r, key0[:], fw[:]
+		switch {
+		case src != nil:
+			if !src.Next() {
+				return nil
 			}
+			s32, ids, words := src.Window()
+			seg, keys, ws = int(s32), ids, words
+		case r >= hi:
+			return nil
+		case s.v != nil:
+			fw[0] = f.Word(seg) & word.LowMask(s.v.SegmentValues(seg))
+		default:
+			fw[0] = segWindow(f, s.h, seg)
+		}
+		for e, w := range ws {
 			if w == 0 {
 				continue
 			}
 			codes, words := s.split(seg, w, &sc, st)
 			for _, code := range codes {
-				k, ok := id(base | code)
+				k, ok := id(keys[e]<<shift | code)
 				if !ok {
 					return ErrGroupCardinality
 				}
@@ -409,7 +517,6 @@ func Partition[K int32 | uint64](s *Splitter, f *bitvec.Bitmap, src *Runs[uint64
 			out.Start = append(out.Start, n)
 		}
 	}
-	return nil
 }
 
 // Add128Pairs adds the 128-bit accumulators (ohis, olos) element-wise

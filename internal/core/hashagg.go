@@ -9,24 +9,24 @@ import (
 )
 
 // Banked aggregates over a grouped partition. The parallel driver hands
-// every measure column the partition's one canonical SegEntries list —
-// segment-major runs of (group index, selection word), ascending by group
-// within a run and identical at any thread count — and the kernels below
-// aggregate straight off it: the run list is the live set of each window,
-// so no kernel scans a per-group array to find it (O(G) per segment is
-// what a 10^5-group partition cannot afford). Per-group state is two words
-// (the 128-bit accumulator or the running extreme), so memory stays
-// O(G + banked words).
+// every measure column a Cursor over the partition's one canonical
+// SegEntries list — segment-major runs of (group index, selection word),
+// identical at any thread count — cut to the measure's windows with its
+// NULL rows dropped, and the kernels below aggregate straight off it: the
+// run list is the live set of each window, so no kernel scans a per-group
+// array to find it (O(G) per segment is what a 10^5-group partition cannot
+// afford). Per-group state is two words (the 128-bit accumulator or the
+// running extreme), so memory stays O(G + banked words).
 
-// VBPHashSumRuns accumulates each group's 128-bit SUM over runs
-// [runLo, runHi) of the measure column. A run whose single entry covers
+// VBPHashSumRuns accumulates each group's 128-bit SUM over the windows
+// cur yields of the measure column. A run whose single entry covers
 // the whole segment is served from the exact segment-sum cache. For
 // k ≤ 57 a segment's per-entry sum fits uint64 (≤ 64 values of 2^k−1 <
 // 2^63), so the plane loop accumulates shifted popcounts into a local
 // bank and pays one 128-bit add per entry; wider codes take the checked
 // 128-bit shift-add per plane. Stats follow the DESIGN.md §8 analytic
 // conventions, so the counters are thread-invariant.
-func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los []uint64, st *GroupStats) {
+func VBPHashSumRuns(col *vbp.Column, cur *Cursor[int32], his, los []uint64, st *GroupStats) {
 	k := col.K()
 	pl := newVBPPlanes(col)
 	cacheOK := k <= sumCacheExactK
@@ -41,12 +41,12 @@ func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los 
 		his[gi], los[gi] = addShift128(his[gi], los[gi], c, uint(k-1-p))
 	}
 	var esum [64]uint64
-	for r := runLo; r < runHi; r++ {
-		seg := int(se.Segs[r])
-		lo, hi := int(se.Start[r]), int(se.Start[r+1])
-		if cacheOK && hi == lo+1 && se.W[lo] == word.LowMask(col.SegmentValues(seg)) {
+	for cur.Next() {
+		s32, ids, ws := cur.Window()
+		seg := int(s32)
+		if cacheOK && len(ws) == 1 && ws[0] == word.LowMask(col.SegmentValues(seg)) {
 			if zs, ok := col.SegmentSum(seg); ok {
-				gi := se.ID[lo]
+				gi := ids[0]
 				his[gi], los[gi] = add128(his[gi], los[gi], zs)
 				st.CacheServed++
 				continue
@@ -54,8 +54,8 @@ func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los 
 		}
 		st.Segments++
 		st.Words += uint64(k)
-		if hi == lo+1 {
-			acc.push(&pl, int(se.ID[lo]), seg, se.W[lo], sink)
+		if len(ws) == 1 {
+			acc.push(&pl, int(ids[0]), seg, ws[0], sink)
 			continue
 		}
 		acc.drain(&pl, sink)
@@ -63,8 +63,7 @@ func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los 
 			// Slices of equal length and a masked shift (k ≤ 57) keep the
 			// inner loop free of bounds and shift-range checks: it runs
 			// once per (plane, live group) of every multi-group segment.
-			ews := se.W[lo:hi]
-			es := esum[:len(ews)]
+			es := esum[:len(ws)]
 			clear(es)
 			for p := 0; p < k; p++ {
 				x := pl.word(p, seg)
@@ -72,13 +71,13 @@ func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los 
 					continue
 				}
 				s := uint(k-1-p) & 63
-				for i, w := range ews {
+				for i, w := range ws {
 					es[i] += uint64(bits.OnesCount64(x&w)) << s
 				}
 			}
 			for i, v := range es {
 				if v != 0 {
-					gi := se.ID[lo+i]
+					gi := ids[i]
 					his[gi], los[gi] = add128(his[gi], los[gi], v)
 				}
 			}
@@ -90,9 +89,9 @@ func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los 
 				continue
 			}
 			s := uint(k - 1 - p)
-			for e := lo; e < hi; e++ {
-				if c := uint64(bits.OnesCount64(x & se.W[e])); c != 0 {
-					gi := se.ID[e]
+			for e, w := range ws {
+				if c := uint64(bits.OnesCount64(x & w)); c != 0 {
+					gi := ids[e]
 					his[gi], los[gi] = addShift128(his[gi], los[gi], c, s)
 				}
 			}
@@ -107,7 +106,7 @@ func VBPHashSumRuns(col *vbp.Column, se *SegEntries, runLo, runHi int, his, los 
 // bit-group partials combine in 128 bits before one add into the entry's
 // group. The per-bit-group partial fits uint64 (≤ 64 values of 2^tau−1),
 // and (b−1)·tau < k ≤ 64 keeps the combine shift in range.
-func HBPHashSumRuns(col *hbp.Column, se *SegEntries, runLo, runHi int, his, los []uint64, st *GroupStats) {
+func HBPHashSumRuns(col *hbp.Column, cur *Cursor[int32], his, los []uint64, st *GroupStats) {
 	tau := col.Tau()
 	b := col.NumGroups()
 	subs := col.SubSegments()
@@ -118,12 +117,12 @@ func HBPHashSumRuns(col *hbp.Column, se *SegEntries, runLo, runHi int, his, los 
 	flush, fw2, fin, keep, mul := summer.Consts()
 	peelV, peelF := summer.PeelMasks()
 	var masks [word.MaxTau + 1]uint64
-	for r := runLo; r < runHi; r++ {
-		seg := int(se.Segs[r])
-		lo, hi := int(se.Start[r]), int(se.Start[r+1])
-		if cacheOK && hi == lo+1 && se.W[lo] == word.LowMask(col.SegmentValues(seg)) {
+	for cur.Next() {
+		s32, ids, ws := cur.Window()
+		seg := int(s32)
+		if cacheOK && len(ws) == 1 && ws[0] == word.LowMask(col.SegmentValues(seg)) {
 			if zs, ok := col.SegmentSum(seg); ok {
-				gi := se.ID[lo]
+				gi := ids[0]
 				his[gi], los[gi] = add128(his[gi], los[gi], zs)
 				st.CacheServed++
 				continue
@@ -131,8 +130,7 @@ func HBPHashSumRuns(col *hbp.Column, se *SegEntries, runLo, runHi int, his, los 
 		}
 		st.Segments++
 		base := seg * subs
-		for e := lo; e < hi; e++ {
-			fw := se.W[e]
+		for e, fw := range ws {
 			var active uint64
 			for t := 0; t < subs; t++ {
 				m := word.SpreadDelims(col.SubSegmentDelims(fw, t), tau)
@@ -163,7 +161,7 @@ func HBPHashSumRuns(col *hbp.Column, se *SegEntries, runLo, runHi int, his, los 
 				}
 				ehi, elo = addShift128(ehi, elo, part, uint((b-1-g)*tau))
 			}
-			gi := se.ID[e]
+			gi := ids[e]
 			nl, carry := bits.Add64(los[gi], elo, 0)
 			his[gi] += ehi + carry
 			los[gi] = nl
@@ -171,27 +169,27 @@ func HBPHashSumRuns(col *hbp.Column, se *SegEntries, runLo, runHi int, his, los 
 	}
 }
 
-// VBPHashExtremeRuns folds MIN (or MAX) candidates over runs
-// [runLo, runHi): each entry's selection word descends the planes as a
+// VBPHashExtremeRuns folds MIN (or MAX) candidates over the windows cur
+// yields: each entry's selection word descends the planes as a
 // scalar bit-descent. A lone whole-segment entry is served from the exact
 // zone range, and the segment zone range gates entries that cannot
 // improve their group's running best (perf-only: a live segment charges
 // its k words whatever the gate decides, so the counters stay
 // thread-invariant).
-func VBPHashExtremeRuns(col *vbp.Column, se *SegEntries, wantMin bool, runLo, runHi int, bests []uint64, anys []bool, st *GroupStats) {
+func VBPHashExtremeRuns(col *vbp.Column, cur *Cursor[int32], wantMin bool, bests []uint64, anys []bool, st *GroupStats) {
 	k := col.K()
 	pl := newVBPPlanes(col)
-	for r := runLo; r < runHi; r++ {
-		seg := int(se.Segs[r])
-		lo, hi := int(se.Start[r]), int(se.Start[r+1])
+	for cur.Next() {
+		s32, ids, ws := cur.Window()
+		seg := int(s32)
 		zlo, zhi, zok := col.ZoneRange(seg)
-		if hi == lo+1 && se.W[lo] == word.LowMask(col.SegmentValues(seg)) {
+		if len(ws) == 1 && ws[0] == word.LowMask(col.SegmentValues(seg)) {
 			if l, h, ok := col.SegmentRangeExact(seg); ok {
 				v := l
 				if !wantMin {
 					v = h
 				}
-				gi := se.ID[lo]
+				gi := ids[0]
 				if !anys[gi] || wantMin && v < bests[gi] || !wantMin && v > bests[gi] {
 					bests[gi] = v
 				}
@@ -202,14 +200,13 @@ func VBPHashExtremeRuns(col *vbp.Column, se *SegEntries, wantMin bool, runLo, ru
 		}
 		st.Segments++
 		st.Words += uint64(k)
-		for e := lo; e < hi; e++ {
-			gi := se.ID[e]
+		for e, m := range ws {
+			gi := ids[e]
 			if zok && anys[gi] {
 				if wantMin && zlo >= bests[gi] || !wantMin && zhi <= bests[gi] {
 					continue
 				}
 			}
-			m := se.W[e]
 			var v uint64
 			if wantMin {
 				for p := 0; p < k; p++ {
@@ -238,23 +235,23 @@ func VBPHashExtremeRuns(col *vbp.Column, se *SegEntries, wantMin bool, runLo, ru
 // HBPHashExtremeRuns is the HBP twin of VBPHashExtremeRuns: selected
 // tuples peel off each entry's sub-segment windows and reconstruct from
 // the word-group fields.
-func HBPHashExtremeRuns(col *hbp.Column, se *SegEntries, wantMin bool, runLo, runHi int, bests []uint64, anys []bool, st *GroupStats) {
+func HBPHashExtremeRuns(col *hbp.Column, cur *Cursor[int32], wantMin bool, bests []uint64, anys []bool, st *GroupStats) {
 	tau := col.Tau()
 	b := col.NumGroups()
 	subs := col.SubSegments()
 	fWidth := col.FieldWidth()
 	gws := groupSlices(col)
-	for r := runLo; r < runHi; r++ {
-		seg := int(se.Segs[r])
-		lo, hi := int(se.Start[r]), int(se.Start[r+1])
+	for cur.Next() {
+		s32, ids, ws := cur.Window()
+		seg := int(s32)
 		zlo, zhi, zok := col.ZoneRange(seg)
-		if hi == lo+1 && se.W[lo] == word.LowMask(col.SegmentValues(seg)) {
+		if len(ws) == 1 && ws[0] == word.LowMask(col.SegmentValues(seg)) {
 			if l, h, ok := col.SegmentRangeExact(seg); ok {
 				v := l
 				if !wantMin {
 					v = h
 				}
-				gi := se.ID[lo]
+				gi := ids[0]
 				if !anys[gi] || wantMin && v < bests[gi] || !wantMin && v > bests[gi] {
 					bests[gi] = v
 				}
@@ -265,9 +262,8 @@ func HBPHashExtremeRuns(col *hbp.Column, se *SegEntries, wantMin bool, runLo, ru
 		}
 		st.Segments++
 		base := seg * subs
-		for e := lo; e < hi; e++ {
-			fw := se.W[e]
-			gi := se.ID[e]
+		for e, fw := range ws {
+			gi := ids[e]
 			st.Words += hbpLiveSubs(col, fw) * uint64(b)
 			if zok && anys[gi] {
 				if wantMin && zlo >= bests[gi] || !wantMin && zhi <= bests[gi] {

@@ -379,60 +379,26 @@ func NewHBPCandidates(col *hbp.Column, f *bitvec.Bitmap, nseg int) []uint64 {
 // slots are walked by peeling delimiter bits; empty segments and
 // sub-segments are skipped.
 func HBPHistogramChunk(col *hbp.Column, v []uint64, g, shift, width, segLo, segHi int, hist []uint64) {
-	tau := col.Tau()
-	subs := col.SubSegments()
-	fWidth := col.FieldWidth()
-	mask := word.LowMask(width)
-	gw := col.GroupWords(g)
+	gw, mask := col.GroupWords(g), word.LowMask(width)
 	for seg := segLo; seg < segHi; seg++ {
-		if v[seg] == 0 {
-			continue
-		}
-		base := seg * subs
-		for t := 0; t < subs; t++ {
-			md := col.SubSegmentDelims(v[seg], t)
-			if md == 0 {
-				continue
-			}
-			w := gw[base+t]
-			for md != 0 {
-				d := bits.TrailingZeros64(md)
-				s := d / fWidth
-				hist[word.Field(w, tau, s)>>uint(shift)&mask]++
-				md &= md - 1
-			}
+		if v[seg] != 0 {
+			hbpHistWindow(col, gw, seg, v[seg], shift, mask, hist)
 		}
 	}
 }
 
 // HBPRankRefineChunk narrows the candidate vectors of segments
 // [segLo, segHi) to tuples whose group-g field bits [shift, shift+width)
-// equal bin, via the full-word BIT-PARALLEL-EQUAL comparison (Algorithm 6
-// lines 10-11). Masking the compared lane to the chunk keeps the Lamport
-// equality arithmetic field-confined.
+// equal bin (Algorithm 6 lines 10-11).
 func HBPRankRefineChunk(col *hbp.Column, v []uint64, g, shift, width int, bin uint64, segLo, segHi int) {
-	subs := col.SubSegments()
-	delim := col.DelimMask()
-	c := col.FieldsPerWord()
-	fWidth := col.FieldWidth()
+	c, fWidth := col.FieldsPerWord(), col.FieldWidth()
 	laneMask := word.Repeat(word.LowMask(width)<<uint(shift), fWidth, c)
 	binPacked := word.Repeat(bin<<uint(shift), fWidth, c)
 	gw := col.GroupWords(g)
 	for seg := segLo; seg < segHi; seg++ {
-		if v[seg] == 0 {
-			continue
+		if v[seg] != 0 {
+			v[seg] = hbpRefineWindow(col, gw, seg, v[seg], laneMask, binPacked)
 		}
-		base := seg * subs
-		var nw uint64
-		for t := 0; t < subs; t++ {
-			md := col.SubSegmentDelims(v[seg], t)
-			if md == 0 {
-				continue
-			}
-			lanes := word.EQDelims(gw[base+t]&laneMask, binPacked, delim) & md
-			nw |= col.ScatterDelims(lanes, t)
-		}
-		v[seg] = nw
 	}
 }
 

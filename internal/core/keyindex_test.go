@@ -1,8 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"bpagg/internal/bitvec"
 )
 
 // TestKeyIndexBudget pins the cardinality refusal on both index kinds: an
@@ -98,12 +102,20 @@ func runRows[K int32 | uint64](t *testing.T, r *Runs[K], vps int) map[int]K {
 	return rows
 }
 
-// TestRewindowRunList checks that re-windowing a run list keeps exactly
-// the (row, id) pairs it held: a round trip between 64-value windows and
-// every HBP window size, with gaps between runs, ids that spill across
-// adjacent target windows, and the same id arriving in one target window
-// from two source windows (which must OR into one entry, the invariant the
-// banked kernels rely on).
+// rewindow collects the windows a cursor over all of src yields.
+func rewindow[K int32 | uint64](src *Runs[K], from, to int, skip *bitvec.Bitmap) *Runs[K] {
+	c := NewCursor(src, from, to, 0, math.MaxInt32, skip)
+	return c.Collect()
+}
+
+// TestRewindowRunList checks that the cursor re-cuts a run list keeping
+// exactly the (row, id) pairs it held: a round trip between 64-value
+// windows and every HBP window size, with gaps between runs, ids that
+// spill across adjacent target windows, and the same id arriving in one
+// target window from two source windows (which must OR into one entry, the
+// invariant the banked kernels rely on). Cursors over adjacent window
+// ranges — how workers split a list — concatenate to the whole, and a skip
+// bitmap drops exactly its rows.
 func TestRewindowRunList(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for vps := 1; vps <= 64; vps++ {
@@ -129,7 +141,7 @@ func TestRewindowRunList(t *testing.T) {
 			}
 			want := runRows(t, src, from)
 
-			re := Rewindow(src, from, to)
+			re := rewindow(src, from, to, nil)
 			got := runRows(t, re, to)
 			if len(got) != len(want) {
 				t.Fatalf("%d→%d: %d rows, want %d", from, to, len(got), len(want))
@@ -139,9 +151,34 @@ func TestRewindowRunList(t *testing.T) {
 					t.Fatalf("%d→%d: row %d has id %d (present %v), want %d", from, to, row, g, ok, id)
 				}
 			}
-			back := runRows(t, Rewindow(re, to, from), from)
+			back := runRows(t, rewindow(re, to, from, nil), from)
 			if len(back) != len(want) {
 				t.Fatalf("%d→%d→%d: %d rows, want %d", from, to, from, len(back), len(want))
+			}
+
+			nwin := (int(seg)+1)*from/to + 1
+			split := NewRuns[uint64](0, 0)
+			for lo := 0; lo < nwin; lo += 7 {
+				c := NewCursor(src, from, to, lo, min(lo+7, nwin), nil)
+				for c.Next() {
+					split.Merge(c.Window())
+				}
+			}
+			if !reflect.DeepEqual(split, re) {
+				t.Fatalf("%d→%d: cursors over 7-window ranges differ from one over all", from, to)
+			}
+
+			skip := bitvec.New((int(seg) + 1) * from)
+			for row := range want {
+				if rng.Intn(3) == 0 {
+					skip.Set(row)
+				}
+			}
+			kept := runRows(t, rewindow(src, from, to, skip), to)
+			for row, id := range want {
+				if g, ok := kept[row]; ok == skip.Get(row) || ok && g != id {
+					t.Fatalf("%d→%d: row %d (skipped %v) kept %v as id %d, want id %d", from, to, row, skip.Get(row), ok, g, id)
+				}
 			}
 		}
 	}

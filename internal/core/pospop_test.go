@@ -135,7 +135,8 @@ func TestPosPopGroupSumMatchesScalar(t *testing.T) {
 	his := make([]uint64, G)
 	los := make([]uint64, G)
 	var st GroupStats
-	VBPHashSumRuns(col, se, 0, se.NumRuns(), his, los, &st)
+	cur := NewCursor(se, 64, 64, 0, col.NumSegments(), nil)
+	VBPHashSumRuns(col, &cur, his, los, &st)
 	for g := 0; g < G; g++ {
 		if big128(his[g], los[g]).Cmp(want[g]) != 0 {
 			t.Fatalf("group %d: banked %s, big.Int %s", g, big128(his[g], los[g]), want[g])
@@ -203,7 +204,8 @@ func TestPosPopHashSumRunsMatchesScalar(t *testing.T) {
 		his := make([]uint64, G)
 		los := make([]uint64, G)
 		var st GroupStats
-		VBPHashSumRuns(col, se, 0, se.NumRuns(), his, los, &st)
+		cur := NewCursor(se, 64, 64, 0, col.NumSegments(), nil)
+		VBPHashSumRuns(col, &cur, his, los, &st)
 		for g := 0; g < G; g++ {
 			if big128(his[g], los[g]).Cmp(want[g]) != 0 {
 				t.Fatalf("k=%d group %d: hashed %s, big.Int %s", k, g, big128(his[g], los[g]), want[g])

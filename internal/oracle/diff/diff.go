@@ -56,14 +56,17 @@ type PredSpec struct {
 // (rebuild, reload), so they land mid-segment on warmed caches — the
 // append-path invalidation scenario. RowAppend forces
 // one-value-at-a-time appends (the appendOne cache-maintenance path)
-// instead of bulk packing.
+// instead of bulk packing. FlipKeys packs the grouping columns in the
+// other layout than the rest, so a measure and its key can disagree on
+// window size (an HBP column's holds 63 or 60 values, not 64).
 type Case struct {
-	Name   string
-	Layout bpagg.Layout
-	K      int
-	Tau    int // 0 = library default
-	GK     int // grouping-column width; 0 = K
-	G2K    int // second grouping-column width; 0 = K
+	Name     string
+	Layout   bpagg.Layout
+	K        int
+	Tau      int // 0 = library default
+	GK       int // grouping-column width; 0 = K
+	G2K      int // second grouping-column width; 0 = K
+	FlipKeys bool
 
 	A      []uint64
 	ANulls []bool
@@ -327,29 +330,33 @@ func concat(a, b []uint64) []uint64 {
 
 // buildTable packs the case's base data into a fresh engine table.
 func buildTable(c *Case) *bpagg.Table {
+	keys := c.Layout
+	if c.FlipKeys {
+		keys = bpagg.VBP + bpagg.HBP - c.Layout
+	}
 	names := []string{"a"}
-	cols := []*bpagg.Column{buildColumn(c, c.K, c.A, c.ANulls)}
+	cols := []*bpagg.Column{buildColumn(c, c.Layout, c.K, c.A, c.ANulls)}
 	if c.B != nil {
 		names = append(names, "b")
-		cols = append(cols, buildColumn(c, c.K, c.B, nil))
+		cols = append(cols, buildColumn(c, c.Layout, c.K, c.B, nil))
 	}
 	if c.G != nil {
 		names = append(names, "g")
-		cols = append(cols, buildColumn(c, c.gk(), c.G, c.GNulls))
+		cols = append(cols, buildColumn(c, keys, c.gk(), c.G, c.GNulls))
 	}
 	if c.G2 != nil {
 		names = append(names, "g2")
-		cols = append(cols, buildColumn(c, c.g2k(), c.G2, nil))
+		cols = append(cols, buildColumn(c, keys, c.g2k(), c.G2, nil))
 	}
 	return bpagg.NewTableFromColumns(names, cols)
 }
 
-func buildColumn(c *Case, k int, vals []uint64, nulls []bool) *bpagg.Column {
+func buildColumn(c *Case, layout bpagg.Layout, k int, vals []uint64, nulls []bool) *bpagg.Column {
 	var opts []bpagg.ColumnOption
 	if c.Tau != 0 {
 		opts = append(opts, bpagg.WithGroupBits(c.Tau))
 	}
-	col := bpagg.NewColumn(c.Layout, k, opts...)
+	col := bpagg.NewColumn(layout, k, opts...)
 	switch {
 	case nulls != nil:
 		for i, v := range vals {

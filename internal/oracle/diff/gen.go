@@ -370,6 +370,24 @@ func craftedCases(rng *rand.Rand, cfg GenConfig) []Case {
 			Preds: []PredSpec{{Col: "a", Pred: oracle.Pred{Op: oracle.LE, A: word.LowMask(kCap)}}},
 		})
 	}
+	// GROUP BY over a key packed in the other layout, so the measure's
+	// windows and the key's disagree (64 values against 63): a VBP measure
+	// under an HBP key and the reverse, with and without measure NULLs. Drawn
+	// from a stream of their own, so the cases above keep their data.
+	flip := rand.New(rand.NewSource(cfg.Seed + 1<<33))
+	for _, layout := range []bpagg.Layout{bpagg.VBP, bpagg.HBP} {
+		const n = 200
+		vals, keys, nulls := genValues(flip, "uniform", n, 16), make([]uint64, n), make([]bool, n)
+		for i := range keys {
+			keys[i] = uint64(flip.Intn(9)) * 455 // 9 codes spread over the 12-bit key
+			nulls[i] = flip.Intn(3) == 0
+		}
+		out = append(out,
+			Case{Name: layout.String() + "-groupby-flipkeys", Layout: layout, K: 16, GK: 12, FlipKeys: true, A: vals, G: keys},
+			Case{Name: layout.String() + "-groupby-flipkeys-nulls", Layout: layout, K: 16, GK: 12, FlipKeys: true, A: vals, ANulls: nulls, G: keys,
+				Preds: []PredSpec{{Col: "g", Pred: oracle.Pred{Op: oracle.LE, A: 7 * 455}}}},
+		)
+	}
 	for i := range out {
 		out[i].Name += fmt.Sprintf("-s%d", cfg.Seed)
 	}

@@ -1,6 +1,7 @@
 package diff
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -26,8 +27,10 @@ import (
 // HighCardCases generates the grouped high-cardinality scenarios for one
 // seed: per layout, G ∈ {1024, 4096, 65536} uniform keys (direct index,
 // hashed, hashed and grown), plus a predicate variant, a multi-column
-// composite variant, and a NULL-groups variant. The Deep profile adds
-// G = 16384 and larger tables.
+// composite variant, a NULL-groups variant, and at G = 4096 a NULL-bearing
+// measure and a key in the other layout (so the measure's windows and the
+// key's differ: 64 values against 63). The Deep profile adds G = 16384 and
+// larger tables.
 func HighCardCases(cfg GenConfig) []Case {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var out []Case
@@ -105,6 +108,28 @@ func HighCardCases(cfg GenConfig) []Case {
 			})
 		}
 	}
+
+	// Grouped rank at G = 4096: measure NULLs dense enough that some groups
+	// hold none but NULLs, and a 12-bit key packed in the other layout (HBP
+	// windows of 63 values against VBP's 64). Drawn from a stream of their
+	// own, so the cases above keep their data.
+	rank := rand.New(rand.NewSource(cfg.Seed + 1<<32))
+	for _, layout := range []bpagg.Layout{bpagg.VBP, bpagg.HBP} {
+		const g, n = 4096, 16384
+		keys, nulls := make([]uint64, n), make([]bool, n)
+		for i := range keys {
+			keys[i] = uint64(rank.Intn(g))
+			nulls[i] = rank.Intn(3) == 0
+		}
+		a := genValues(rank, "uniform", n, 16)
+		out = append(out,
+			Case{Name: fmt.Sprintf("%s-hicard-anulls-s%d", layout, cfg.Seed), Layout: layout, K: 16, GK: 12,
+				A: a, ANulls: nulls, G: keys},
+			Case{Name: fmt.Sprintf("%s-hicard-flipkeys-s%d", layout, cfg.Seed), Layout: layout, K: 16, GK: 12,
+				A: a, G: keys, FlipKeys: true,
+				Preds: []PredSpec{{Col: "a", Pred: oracle.Pred{Op: oracle.LT, A: 1 << 15}}}},
+		)
+	}
 	return out
 }
 
@@ -118,8 +143,15 @@ type groupedExpect struct {
 	overflow bool // any group's true sum exceeds uint64
 	mins     []uint64
 	maxs     []uint64
-	allVals  bool // every group has at least one measure value
+	allVals  bool                // every group has at least one measure value
+	ranks    map[float64][]valOK // per quantile (rankQuantile: MEDIAN), each group's answer
 }
+
+// rankQuantile stands for the lower MEDIAN among groupedExpect.ranks'
+// quantiles; the rest are the QUANTILE arms' arguments.
+const rankQuantile = -1
+
+var groupedQuantiles = []float64{rankQuantile, 0, 0.9, 1}
 
 // expectedGrouped computes the reference grouped aggregates with plain
 // map-and-loop code.
@@ -129,6 +161,7 @@ func expectedGrouped(c *Case) *groupedExpect {
 		count, nnz, sum uint64
 		ovf             bool
 		min, max        uint64
+		vals            []uint64
 	}
 	m := map[uint64]*acc{}
 	for i, s := range e.sel {
@@ -162,9 +195,10 @@ func expectedGrouped(c *Case) *groupedExpect {
 				a.max = v
 			}
 			a.nnz++
+			a.vals = append(a.vals, v)
 		}
 	}
-	ge := &groupedExpect{allVals: true}
+	ge := &groupedExpect{allVals: true, ranks: map[float64][]valOK{}}
 	for k := range m {
 		ge.keys = append(ge.keys, k)
 	}
@@ -181,6 +215,16 @@ func expectedGrouped(c *Case) *groupedExpect {
 		}
 		if a.nnz == 0 {
 			ge.allVals = false
+		}
+		oc := oracle.New(a.vals)
+		for _, q := range groupedQuantiles {
+			var r valOK
+			if q == rankQuantile {
+				r.v, r.ok = oc.Median(oc.All())
+			} else {
+				r.v, r.ok = oc.Quantile(oc.All(), q)
+			}
+			ge.ranks[q] = append(ge.ranks[q], r)
 		}
 	}
 	return ge
@@ -206,6 +250,57 @@ func CheckGrouped(c Case) error {
 		for _, route := range groupRoutes {
 			if err := checkGrouped1(&c, exp, tbl, th, route); err != nil {
 				return err
+			}
+		}
+		if err := checkGroupedRank(&c, exp, bpagg.PartitionTable(tbl), th); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkGroupedRank runs the NULL-tolerant grouped MEDIAN and QUANTILE over
+// the table served as a one-shard store: a group whose measure rows are all
+// NULL must answer ok=false, every other group its oracle value.
+func checkGroupedRank(c *Case, exp *groupedExpect, st *bpagg.ShardedTable, th int) error {
+	e := tag{c, "fresh", "grouped-rank", th}
+	g, err := capture1(func() *bpagg.ShardedGrouped {
+		q := newShardedQuery(c, st, th)
+		if c.G2 != nil {
+			return q.GroupBy("g", "g2")
+		}
+		return q.GroupBy("g")
+	})
+	if err != nil {
+		return e.fail("GROUPBY", "unexpected panic: %v", err)
+	}
+	return cmpGroupedRanks(e, g, exp.keys, exp.ranks)
+}
+
+// cmpGroupedRanks compares every grouped rank arm — MedianOk and each
+// QuantileOk of groupedQuantiles — with the per-group oracle answers.
+func cmpGroupedRanks(e tag, g *bpagg.ShardedGrouped, keys []uint64, want map[float64][]valOK) error {
+	if ferr := cmpSlice(e, "KEYS", g.Keys(), keys); ferr != nil {
+		return ferr
+	}
+	ctx := context.Background()
+	for _, q := range groupedQuantiles {
+		var vals []uint64
+		var oks []bool
+		var err error
+		agg := fmt.Sprintf("QUANTILE-OK(%v)", q)
+		if q == rankQuantile {
+			agg = "MEDIAN-OK"
+			vals, oks, err = g.MedianOkContext(ctx, "a")
+		} else {
+			vals, oks, err = g.QuantileOkContext(ctx, "a", q)
+		}
+		if err != nil {
+			return e.fail(agg, "unexpected error: %v", err)
+		}
+		for i, w := range want[q] {
+			if oks[i] != w.ok || w.ok && vals[i] != w.v {
+				return e.fail(agg, "group %d (key %d): engine=%d ok=%v oracle=%d ok=%v", i, keys[i], vals[i], oks[i], w.v, w.ok)
 			}
 		}
 	}
@@ -275,6 +370,18 @@ func checkGrouped1(c *Case, exp *groupedExpect, tbl *bpagg.Table, th int, route 
 		}
 		if ferr := cmpSlice(e, "MAX", maxs, exp.maxs); ferr != nil {
 			return ferr
+		}
+	}
+
+	if exp.allVals {
+		meds, err := capture1(func() []uint64 { return g.Median("a") })
+		if err != nil {
+			return e.fail("MEDIAN", "unexpected error: %v", err)
+		}
+		for i, w := range exp.ranks[rankQuantile] {
+			if meds[i] != w.v {
+				return e.fail("MEDIAN", "group %d (key %d): engine=%d oracle=%d", i, exp.keys[i], meds[i], w.v)
+			}
 		}
 	}
 

@@ -145,8 +145,9 @@ func checkShardedAggs(c *Case, exp *expectation, state string, st *bpagg.Sharded
 
 // checkShardedGroupBy compares the sharded GROUP BY merge — per-shard
 // banks unioned by sorted key — against the oracle, including the
-// flat engine's documented behaviors: typed overflow for SUM/AVG and the
-// empty-group panic for MIN/MAX/MEDIAN over an all-NULL group.
+// flat engine's documented behaviors: typed overflow for SUM/AVG, the
+// empty-group panic for MIN/MAX/MEDIAN over an all-NULL group, and the
+// MedianOk/QuantileOk rendering of that group as not ok.
 func checkShardedGroupBy(c *Case, exp *expectation, state string, st *bpagg.ShardedTable, th int) error {
 	e := tag{c, state, "sharded-groupby", th}
 	var keys []uint64
@@ -243,6 +244,23 @@ func checkShardedGroupBy(c *Case, exp *expectation, state string, st *bpagg.Shar
 		if ferr := cmpSlice(e, ga.name, vals, want); ferr != nil {
 			return ferr
 		}
+	}
+
+	// The NULL-tolerant rank arms, one radix descent over every shard.
+	ranks := map[float64][]valOK{}
+	for _, q := range groupedQuantiles {
+		for i := range keys {
+			var r valOK
+			if q == rankQuantile {
+				r.v, r.ok = exp.oa.Median(groups[i])
+			} else {
+				r.v, r.ok = exp.oa.Quantile(groups[i], q)
+			}
+			ranks[q] = append(ranks[q], r)
+		}
+	}
+	if ferr := cmpGroupedRanks(e, g, keys, ranks); ferr != nil {
+		return ferr
 	}
 
 	avgs, err := capture1(func() []float64 { return g.Avg("a") })

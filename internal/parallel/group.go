@@ -21,14 +21,19 @@ import (
 // differ) and indexes the final keys into worker-local slots. The workers'
 // lists then concatenate — their row ranges are disjoint and ascending —
 // into one canonical run list in sorted-key group order, identical at any
-// thread count. The SUM and MIN/MAX drivers split that list's runs across
-// workers, so nothing is ever O(groups × segments).
+// thread count. The banked drivers (SUM, MIN/MAX, COUNT(col), rank) split
+// the measure column's windows across workers, each reading the list
+// through a core.Cursor over its windows, so nothing is ever
+// O(groups × segments).
 
 // GroupCol is one grouping or measure column handed to the grouped
-// drivers: exactly one of V and H is non-nil.
+// drivers: exactly one of V and H is non-nil. Nulls marks a measure
+// column's NULL rows (nil: none), which the banked drivers drop; a
+// partition's base bitmap already excludes a grouping column's.
 type GroupCol struct {
-	V *vbp.Column
-	H *hbp.Column
+	V     *vbp.Column
+	H     *hbp.Column
+	Nulls *bitvec.Bitmap
 }
 
 func (c GroupCol) vps() int {
@@ -57,11 +62,10 @@ func (c GroupCol) Width() int {
 // HashPartition is the result of a grouped partition: the sorted packed
 // keys, per-group row counts, and the canonical run list the banked
 // aggregate kernels consume. Vps is the window size of the canonical
-// entries (the last grouping column's segmentation); aggregates over a
-// measure column with a different window size re-window lazily and cache
-// per size, and the key-major view behind Materialize is built on its
-// first call. Both are guarded, so concurrent aggregates over one
-// partition are safe.
+// entries (the last grouping column's segmentation); a measure column of
+// another window size reads them through a cursor that re-cuts them as it
+// goes. The key-major view behind Materialize is built on its first call,
+// under a lock, so concurrent aggregates over one partition are safe.
 type HashPartition struct {
 	Keys   []uint64
 	Counts []uint64
@@ -71,7 +75,6 @@ type HashPartition struct {
 	se *core.SegEntries
 
 	mu     sync.Mutex
-	reVps  map[int]*core.SegEntries
 	gStart []int32 // key-major view: group i's windows are gSeg/gW[gStart[i]:gStart[i+1]]
 	gSeg   []int32
 	gW     []uint64
@@ -147,9 +150,10 @@ func groupPartition(ctx context.Context, cols []GroupCol, f *bitvec.Bitmap, n, l
 		w.idx = core.NewKeyIndex(indexBits, limit)
 		open(w, sp, p[1]-p[0], p[1]-p[0], last == 0)
 	}
-	// step runs the column over [lo, hi) — segments of the first column,
-	// runs of src after it — into that output, on the clock of worker w.
-	step := func(w *partWorker, sp *core.Splitter, src *core.Runs[uint64], lo, hi int, final bool) (err error) {
+	// step runs the column over segments [lo, hi) of the first column, or
+	// over the windows src yields after it, into that output, on the clock
+	// of worker w.
+	step := func(w *partWorker, sp *core.Splitter, src *core.Cursor[uint64], lo, hi int, final bool) (err error) {
 		var t0 time.Time
 		if o.Stats != nil {
 			t0 = time.Now()
@@ -171,15 +175,17 @@ func groupPartition(ctx context.Context, cols []GroupCol, f *bitvec.Bitmap, n, l
 	}
 
 	// Composite refinement: each worker refines its own run list by the
-	// next column, keeping the disjoint-rows invariant.
+	// next column, read in that column's windows, keeping the disjoint-rows
+	// invariant.
 	for ci := 1; ci <= last; ci++ {
 		sp := core.NewSplitter(cols[ci].V, cols[ci].H)
 		if _, err := forEachRangeErr(ctx, len(ws), len(ws), func(_, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				w := &ws[i]
-				src := core.Rewindow(w.keyed, vps, cols[ci].vps())
-				open(w, sp, src.NumRuns(), len(src.ID), ci == last)
-				if err := step(w, sp, src, 0, src.NumRuns(), ci == last); err != nil {
+				src := core.NewCursor(w.keyed, vps, cols[ci].vps(), 0, cols[ci].nseg(), nil)
+				runs, entries := src.Count()
+				open(w, sp, runs, entries, ci == last)
+				if err := step(w, sp, &src, 0, 0, ci == last); err != nil {
 					return err
 				}
 			}
@@ -261,31 +267,17 @@ func groupPartition(ctx context.Context, cols []GroupCol, f *bitvec.Bitmap, n, l
 	return hp, nil
 }
 
-// entriesFor returns the run list in vps-value windows, re-windowing the
-// canonical list lazily and caching per window size (an HBP measure
-// column's segmentation need not match the grouping column's).
-func (hp *HashPartition) entriesFor(vps int) *core.SegEntries {
-	if vps == hp.Vps {
-		return hp.se
-	}
-	hp.mu.Lock()
-	defer hp.mu.Unlock()
-	se, ok := hp.reVps[vps]
-	if !ok {
-		se = core.Rewindow(hp.se, hp.Vps, vps)
-		if hp.reVps == nil {
-			hp.reVps = map[int]*core.SegEntries{}
-		}
-		hp.reVps[vps] = se
-	}
-	return se
+// cursor reads the run list in col's windows [lo, hi), without col's NULL
+// rows.
+func (hp *HashPartition) cursor(col GroupCol, lo, hi int) core.Cursor[int32] {
+	return core.NewCursor(hp.se, hp.Vps, col.vps(), lo, hi, col.Nulls)
 }
 
 // Materialize builds group i's dense selection bitmap, a fresh one per
 // call, from its banked words. Selections stay sparse — 10^5 dense bitmaps
-// is a memory wall — so per-group bitmap consumers (MEDIAN, NULL-aware
-// per-group fallbacks) materialize one group at a time; the first call
-// transposes the run list into its key-major view.
+// is a memory wall — and no aggregate needs one: this serves callers that
+// ask for a group's rows. The first call transposes the run list into its
+// key-major view.
 func (hp *HashPartition) Materialize(i int) *bitvec.Bitmap {
 	hp.mu.Lock()
 	if hp.gStart == nil {
@@ -335,13 +327,12 @@ func groupStatsExtra(gsts []core.GroupStats) metrics.ExecStats {
 
 // HashGroupSumCtx computes the 128-bit SUM of every group in one pass
 // over the measure column, indexed like Keys; hi != 0 marks a uint64
-// overflow the caller surfaces. Workers split the live runs; partials
-// merge in ascending worker order.
+// overflow the caller surfaces. Workers split the measure's windows;
+// partials merge in ascending worker order.
 func HashGroupSumCtx(ctx context.Context, col GroupCol, hp *HashPartition, o Options) ([]uint64, []uint64, error) {
-	se := hp.entriesFor(col.vps())
 	nG := len(hp.Keys)
 	ws, start := o.statsBegin()
-	parts := partition(se.NumRuns(), o.threads())
+	parts := partition(col.nseg(), o.threads())
 	his := make([][]uint64, len(parts))
 	los := make([][]uint64, len(parts))
 	gsts := make([]core.GroupStats, len(parts))
@@ -349,12 +340,13 @@ func HashGroupSumCtx(ctx context.Context, col GroupCol, hp *HashPartition, o Opt
 		his[w] = make([]uint64, nG)
 		los[w] = make([]uint64, nG)
 	}
-	if _, err := forEachRangeErr(ctx, se.NumRuns(), o.threads(), func(w, lo, hi int) error {
+	if _, err := forEachRangeErr(ctx, col.nseg(), o.threads(), func(w, lo, hi int) error {
 		t0 := statsNow(ws)
+		cur := hp.cursor(col, lo, hi)
 		if col.V != nil {
-			core.VBPHashSumRuns(col.V, se, lo, hi, his[w], los[w], &gsts[w])
+			core.VBPHashSumRuns(col.V, &cur, his[w], los[w], &gsts[w])
 		} else {
-			core.HBPHashSumRuns(col.H, se, lo, hi, his[w], los[w], &gsts[w])
+			core.HBPHashSumRuns(col.H, &cur, his[w], los[w], &gsts[w])
 		}
 		if ws != nil {
 			busyOnly(ws, w, t0)
@@ -371,14 +363,12 @@ func HashGroupSumCtx(ctx context.Context, col GroupCol, hp *HashPartition, o Opt
 }
 
 // HashGroupExtremeCtx computes MIN (or MAX) of every group in one pass
-// over the measure column. anys[i] is false only for a group with no
-// selected rows on this column — impossible for partitions built by
-// HashGroupPartitionCtx.
+// over the measure column. anys[i] is false only for a group whose rows
+// are all NULL in the column.
 func HashGroupExtremeCtx(ctx context.Context, col GroupCol, hp *HashPartition, wantMin bool, o Options) ([]uint64, []bool, error) {
-	se := hp.entriesFor(col.vps())
 	nG := len(hp.Keys)
 	ws, start := o.statsBegin()
-	parts := partition(se.NumRuns(), o.threads())
+	parts := partition(col.nseg(), o.threads())
 	bests := make([][]uint64, len(parts))
 	anys := make([][]bool, len(parts))
 	gsts := make([]core.GroupStats, len(parts))
@@ -386,12 +376,13 @@ func HashGroupExtremeCtx(ctx context.Context, col GroupCol, hp *HashPartition, w
 		bests[w] = make([]uint64, nG)
 		anys[w] = make([]bool, nG)
 	}
-	if _, err := forEachRangeErr(ctx, se.NumRuns(), o.threads(), func(w, lo, hi int) error {
+	if _, err := forEachRangeErr(ctx, col.nseg(), o.threads(), func(w, lo, hi int) error {
 		t0 := statsNow(ws)
+		cur := hp.cursor(col, lo, hi)
 		if col.V != nil {
-			core.VBPHashExtremeRuns(col.V, se, wantMin, lo, hi, bests[w], anys[w], &gsts[w])
+			core.VBPHashExtremeRuns(col.V, &cur, wantMin, bests[w], anys[w], &gsts[w])
 		} else {
-			core.HBPHashExtremeRuns(col.H, se, wantMin, lo, hi, bests[w], anys[w], &gsts[w])
+			core.HBPHashExtremeRuns(col.H, &cur, wantMin, bests[w], anys[w], &gsts[w])
 		}
 		if ws != nil {
 			busyOnly(ws, w, t0)
@@ -414,4 +405,29 @@ func HashGroupExtremeCtx(ctx context.Context, col GroupCol, hp *HashPartition, w
 	}
 	o.statsEnd(ws, start, groupStatsExtra(gsts))
 	return bests[0], anys[0], nil
+}
+
+// HashGroupCountCtx counts every group's rows on which col is not NULL —
+// COUNT(col) per group and AVG's divisor. It reads the run list and the
+// NULL bitmap only, never a packed word, so like the partition's Counts it
+// records nothing.
+func HashGroupCountCtx(ctx context.Context, col GroupCol, hp *HashPartition, o Options) ([]uint64, error) {
+	parts := partition(col.nseg(), o.threads())
+	counts := make([][]uint64, len(parts))
+	for w := range parts {
+		counts[w] = make([]uint64, len(hp.Keys))
+	}
+	if _, err := forEachRangeErr(ctx, col.nseg(), o.threads(), func(w, lo, hi int) error {
+		cur := hp.cursor(col, lo, hi)
+		core.HashCountRuns(&cur, nil, counts[w])
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for w := 1; w < len(parts); w++ {
+		for gi, c := range counts[w] {
+			counts[0][gi] += c
+		}
+	}
+	return counts[0], nil
 }

@@ -125,3 +125,49 @@ func TestPartitionBoundaryWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupRankMatchesPerGroupDescent: one grouped descent answers, for
+// every group, what the single-column descent answers over that group's
+// rows alone — for a measure whose windows match the key's and one whose
+// do not, with and without NULL rows, at Threads 1 and 3.
+func TestGroupRankMatchesPerGroupDescent(t *testing.T) {
+	fx := newGroupFixture(t, 93, 64*31+9)
+	nulls := bitvec.New(fx.n)
+	for i := 0; i < fx.n; i += 7 {
+		nulls.Set(i)
+	}
+	ctx := context.Background()
+	median := func(u uint64) (uint64, bool) { return (u + 1) / 2, u > 0 }
+	for name, cols := range map[string][]GroupCol{"vbp": {fx.vkey}, "hbp": {fx.hkey}, "vbp,hbp": {fx.vkey, fx.hkey}} {
+		hp, err := HashGroupPartitionCtx(ctx, cols, fx.f, fx.n, core.MaxHashGroups, Options{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []GroupCol{fx.vm, fx.hm, {V: fx.vm.V, Nulls: nulls}, {H: fx.hm.H, Nulls: nulls}} {
+			for _, th := range []int{1, 3} {
+				o := Options{Threads: th}
+				vals, oks, err := HashGroupRankCtx(ctx, []RankPart{{Col: m, HP: hp}}, len(hp.Keys), median, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range hp.Keys {
+					sel := hp.Materialize(i)
+					if m.Nulls != nil {
+						sel.AndNot(m.Nulls)
+					}
+					r, wantOK := median(uint64(sel.Count()))
+					var want uint64
+					if m.V != nil {
+						want, _, err = VBPRankCtx(ctx, m.V, sel, r, o)
+					} else {
+						want, _, err = HBPRankCtx(ctx, m.H, sel, r, o)
+					}
+					if err != nil || oks[i] != wantOK || wantOK && vals[i] != want {
+						t.Fatalf("%s, NULLs %v, threads %d: group %d = %d (ok %v), per-group descent %d (ok %v, err %v)",
+							name, m.Nulls != nil, th, i, vals[i], oks[i], want, wantOK, err)
+					}
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bpagg"
@@ -94,7 +95,10 @@ func TestSQLCounterPin(t *testing.T) {
 	}
 }
 
-// pinnedSQL is parallel to pinStmts; see the file comment.
+// pinnedSQL is parallel to pinStmts; see the file comment. The grouped
+// MEDIAN's aggs and radix were re-recorded when every group's rank became
+// one radix descent: 16 per-group descents of one round each (32
+// aggregates with the 16 counts) became one descent of one round (17).
 var pinnedSQL = []pinCounters{
 	{1, 1024, 5120, 1, 0, 0},
 	{1, 1228, 169, 1, 0, 0},
@@ -108,7 +112,7 @@ var pinnedSQL = []pinCounters{
 	{2, 5180, 1027, 65, 0, 1006},
 	{1, 1024, 3358, 1, 20, 0},
 	{1, 2028, 3751, 1, 2, 0},
-	{2, 3064, 1684, 32, 16, 1416},
+	{2, 3064, 1684, 17, 1, 1416},
 }
 
 func pinStats(t *testing.T, cat *catalog.Catalog, sql string, o sqlmini.ExecOptions) bpagg.ExecStats {
@@ -160,5 +164,52 @@ func TestAutoKeepsFusion(t *testing.T) {
 		if two := pinStats(t, cat, "SELECT SUM(qty)"+where, sqlmini.ExecOptions{Auto: true}); two.ReconstructedRows == 0 {
 			t.Errorf("%d shards: two-phase statement under Auto reconstructed nothing: %+v", cat.Store().NumShards(), two)
 		}
+	}
+}
+
+// statementBytes is what one execution of sql allocates, averaged over a
+// few runs after a warm-up.
+func statementBytes(t *testing.T, cat *catalog.Catalog, sql string) uint64 {
+	t.Helper()
+	q, err := sqlmini.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, err := sqlmini.Execute(cat, q, sqlmini.ExecOptions{Threads: 1}); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	run()
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	const runs = 25
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.TotalAlloc - m0.TotalAlloc) / runs
+}
+
+// TestGroupedStatementBytes holds grouped aggregates to what the partition
+// they read allocates, comparing statements of one run so the bound does not
+// depend on the Go version. A grouped MEDIAN is one descent over a copy of
+// the candidate words, no dearer than COUNT, SUM and MAX over the same
+// partition; a SUM over a measure of another window width streams the run
+// list in the measure's windows rather than copying it, so it costs at most
+// a tenth more than the COUNT(*) alone.
+func TestGroupedStatementBytes(t *testing.T) {
+	cat := pinCatalog()
+	median, banked := statementBytes(t, cat, pinStmts[12]), statementBytes(t, cat, pinStmts[7])
+	t.Logf("grouped MEDIAN %d bytes, COUNT/SUM/MAX %d bytes", median, banked)
+	if median > banked {
+		t.Errorf("%s allocates %d bytes, more than the %d of %s", pinStmts[12], median, banked, pinStmts[7])
+	}
+	where := fmt.Sprintf(" WHERE tax < %d GROUP BY flag, disc", pinLit(8, 0.0625))
+	sum, count := statementBytes(t, cat, "SELECT COUNT(*), SUM(qty)"+where), statementBytes(t, cat, "SELECT COUNT(*)"+where)
+	t.Logf("COUNT(*), SUM(qty) %d bytes, COUNT(*) %d bytes", sum, count)
+	if sum*10 > count*11 {
+		t.Errorf("COUNT(*), SUM(qty)%s allocates %d bytes, more than 1.1 × the %d of COUNT(*) alone", where, sum, count)
 	}
 }

@@ -29,7 +29,9 @@ const fanOutPinHeader = "# ExecStats (timers dropped, zero counters omitted) and
 	"# recorded on parent commit 3eedcdba8b0343cf820d5d865e2201a08747c4ea (PR 17) with\n" +
 	"#   go test -run TestShardFanOutCounterPin -record-fanout-pin .\n" +
 	"# The 208 /range/GroupBy lines were re-recorded on PR 20, which moved GROUP BY under a row range from the\n" +
-	"# per-group walk to the single-pass partition (results unchanged, every counter lower or equal); every\n" +
+	"# per-group walk to the single-pass partition (results unchanged, every counter lower or equal). The 192\n" +
+	"# grouped MEDIAN/QUANTILE lines and grouped lines over the NULL-bearing n were re-recorded when every\n" +
+	"# group's rank became one radix descent and NULL-bearing measures were banked (results unchanged); every\n" +
 	"# other line still dates from 3eedcdb.\n"
 
 // pinTable builds rows rows in one layout: v (12-bit measure), n (v with
@@ -270,15 +272,16 @@ func TestTwinMethodSets(t *testing.T) {
 	}
 }
 
-// TestShardedGroupMedianBytes pins what ShardedGrouped.groupCountLE
-// allocates. A multi-shard per-group MEDIAN binary-searches the value
-// domain, and every step counts one group's rows ≤ v in each shard that
-// holds the group: Selection(i) is a fresh bitmap by contract, so the step
-// ANDs the scan into it directly. Before the GROUP BY tiers became one
-// pipeline the step cloned it first; parentBytes is what this statement
-// allocated there, and the answers must not have moved.
+// TestShardedGroupMedianBytes pins what a multi-shard per-group MEDIAN
+// allocates. It is one radix descent over every shard's partition, whose
+// working set is one copy of the candidate words plus per-group counters;
+// it used to binary-search each group's value domain with a fresh group
+// bitmap and a column scan per shard per step (21 951 770 bytes here).
+// parentBytes is what the descent allocated when recorded (go1.24); the
+// bound leaves 5% for another toolchain's slice growth, and the answers
+// must equal one shard's.
 func TestShardedGroupMedianBytes(t *testing.T) {
-	const parentBytes = 26_980_992 // commit 81ceb15, go1.24, this fixture
+	const parentBytes = 195_725
 	flat := pinTable(VBP, 4096)
 	st := ShardTable(flat, 1024)
 	ctx := context.Background()
@@ -302,11 +305,9 @@ func TestShardedGroupMedianBytes(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs
 	t.Logf("%d bytes per MedianOkContext over %d groups", bytes, g.Len())
-	if bytes >= parentBytes {
-		t.Errorf("MedianOkContext allocates %d bytes, want fewer than the %d it did with a Clone per step", bytes, parentBytes)
+	if bytes > parentBytes*21/20 {
+		t.Errorf("MedianOkContext allocates %d bytes, want at most the %d recorded (+5%%)", bytes, parentBytes)
 	}
-	// One shard holds every group whole, so its answer is the shard
-	// column's own radix descent: no binary search, no groupCountLE.
 	one, err := ShardTable(flat, flat.Rows()).Query().Where("a", Less(4000)).GroupByContext(ctx, "v")
 	if err != nil {
 		t.Fatal(err)

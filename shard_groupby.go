@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+
+	"bpagg/internal/parallel"
 )
 
 // ShardedGrouped is a sharded query partitioned by grouping columns: each
@@ -13,13 +15,14 @@ import (
 // merges are performed in ascending key order over shard-order partials
 // that each partition reports exactly (128-bit sums, extremes with
 // presence flags, non-NULL counts), so results are bit-identical to the
-// flat engine at any thread count.
+// flat engine at any thread count. A per-group rank is one radix descent
+// over every shard's partition at once.
 type ShardedGrouped struct {
 	q      *shardState
 	widths []int
 	keys   []uint64   // global sorted key union
 	parts  []*Grouped // per live shard, in shard order
-	pos    [][]int    // pos[p][gi] = global index of parts[p]'s group gi
+	pos    [][]int32  // pos[p][gi] = global index of parts[p]'s group gi
 }
 
 // GroupByContext partitions the selection — within the row range, for a
@@ -54,18 +57,18 @@ func (f *fanOut) GroupByContext(ctx context.Context, columns ...string) (*Sharde
 		for _, part := range parts {
 			keys = append(keys, part.hp.Keys...)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		keys = dedupeSorted(keys)
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
 	}
-	pos := make([][]int, len(parts))
+	pos := make([][]int32, len(parts))
 	for p, part := range parts {
-		pos[p] = make([]int, len(part.hp.Keys))
+		pos[p] = make([]int32, len(part.hp.Keys))
 		i := 0
 		for gi, k := range part.hp.Keys {
 			for keys[i] != k {
 				i++
 			}
-			pos[p][gi] = i
+			pos[p][gi] = int32(i)
 		}
 	}
 	return &ShardedGrouped{q: f.shardState, widths: widths, keys: keys, parts: parts, pos: pos}, nil
@@ -99,17 +102,6 @@ func (f *fanOut) groupWidths(columns []string) ([]int, error) {
 		return nil, fmt.Errorf("bpagg: composite group key is %d bits wide — keys must pack into 64 bits", total)
 	}
 	return widths, nil
-}
-
-// dedupeSorted removes adjacent duplicates in place.
-func dedupeSorted(keys []uint64) []uint64 {
-	out := keys[:0]
-	for i, k := range keys {
-		if i == 0 || k != out[len(out)-1] {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // Len returns the number of groups.
@@ -170,6 +162,13 @@ func (g *ShardedGrouped) NonNullCountContext(ctx context.Context, column string)
 // carrying the exact 128-bit total and the offending group's key — the
 // first such group in key order, matching the flat engine.
 func (g *ShardedGrouped) SumContext(ctx context.Context, column string) ([]uint64, error) {
+	if len(g.parts) == 1 { // one partition's groups are the global ones
+		his, los, err := g.parts[0].sums128(ctx, column)
+		if err != nil {
+			return nil, err
+		}
+		return groupSums64(his, los, g.KeyParts)
+	}
 	his := make([]uint64, len(g.keys))
 	los := make([]uint64, len(g.keys))
 	for p, part := range g.parts {
@@ -279,42 +278,22 @@ func (g *ShardedGrouped) Max(column string) []uint64 {
 }
 
 // rankOkContext answers one order statistic per group: c's rank function
-// maps a group's merged non-NULL count to the target rank (a group with
-// no values reports ok[i]=false rather than an error). With one live
-// shard each group's selection is whole, so the shard column's own radix
-// descent finds that rank. Otherwise each group binary-searches the value
-// domain, counting per-shard within the group's selection.
+// maps a group's non-NULL count, summed over the shards, to the target
+// rank (a group with no values reports ok[i]=false rather than an error).
+// Every live shard's partition is one part of a single radix descent,
+// whose rounds sum each group's counts across the shards.
 func (g *ShardedGrouped) rankOkContext(ctx context.Context, c aggCall) ([]uint64, []bool, error) {
-	ctx = orBackground(ctx)
-	idx, err := g.q.st.specErr(c.column)
-	if err != nil {
+	if _, err := g.q.st.specErr(c.column); err != nil {
 		return nil, nil, err
 	}
-	counts, err := g.NonNullCountContext(ctx, c.column)
-	if err != nil {
-		return nil, nil, err
+	parts := make([]parallel.RankPart, len(g.parts))
+	var o parallel.Options
+	for p, part := range g.parts {
+		parts[p] = parallel.RankPart{Col: groupCol(part.q.t.cols[c.column]), HP: part.hp, Slot: g.pos[p]}
+		o = part.opts()
 	}
-	out := make([]uint64, len(g.keys))
-	oks := make([]bool, len(g.keys))
-	for i := range g.keys {
-		r, ok := c.rankOf(counts[i])
-		if !ok {
-			continue
-		}
-		if len(g.parts) == 1 {
-			part := g.parts[0]
-			out[i], oks[i], err = part.q.t.cols[c.column].RankContext(ctx, part.Selection(i), r, part.q.execs...)
-		} else {
-			oks[i] = true
-			out[i], err = searchRank(g.q.st.specs[idx].bits, r, func(v uint64) (uint64, error) {
-				return g.groupCountLE(ctx, c.column, i, v)
-			})
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return out, oks, nil
+	vals, oks, err := parallel.HashGroupRankCtx(orBackground(ctx), parts, len(g.keys), c.rankOf, o)
+	return vals, oks, wrapExecErr(err)
 }
 
 // MedianOkContext is the NULL-tolerant twin of MedianContext; see
@@ -343,24 +322,4 @@ func (g *ShardedGrouped) Median(column string) []uint64 {
 	out, err := g.MedianContext(context.Background(), column)
 	fusedMust(err)
 	return out
-}
-
-// groupCountLE counts global group i's selected rows with measure value
-// <= v, summed over the shards that contain the group.
-func (g *ShardedGrouped) groupCountLE(ctx context.Context, column string, i int, v uint64) (uint64, error) {
-	var total uint64
-	for p, part := range g.parts {
-		for gi, pi := range g.pos[p] {
-			if pi != i {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			col := part.q.t.cols[column]
-			sel := part.Selection(gi).And(col.ScanStats(LessEq(v), g.q.stats)) // Selection is a fresh bitmap
-			total += uint64(sel.Count())
-		}
-	}
-	return total, nil
 }

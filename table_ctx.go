@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"bpagg/internal/parallel"
 )
 
 // Error-returning and context-aware query layer: the implementation
@@ -305,25 +307,15 @@ func (g *Grouped) CountContext(ctx context.Context) ([]uint64, error) {
 }
 
 // sums128 returns each group's SUM of the named column as an exact
-// 128-bit partial — what a merge across shard partitions adds up. The
-// banked kernels report hi/lo directly; the per-group path recovers an
-// overflowing group's exact total from its *OverflowError.
+// 128-bit partial — what a merge across shard partitions adds up — from
+// one banked pass that skips the column's NULL rows.
 func (g *Grouped) sums128(ctx context.Context, column string) (his, los []uint64, err error) {
 	col, err := g.q.t.ColumnErr(column)
 	if err != nil {
 		return nil, nil, err
 	}
-	if o, ok := g.banked(col); ok {
-		return g.bankedSums(orBackground(ctx), col, o)
-	}
-	his, los = make([]uint64, len(g.hp.Keys)), make([]uint64, len(g.hp.Keys))
-	for i := range g.hp.Keys {
-		v, err := col.SumContext(ctx, g.Selection(i), g.q.execs...)
-		if his[i], los[i], err = sum128(v, err); err != nil {
-			return nil, nil, err
-		}
-	}
-	return his, los, nil
+	his, los, err = parallel.HashGroupSumCtx(orBackground(ctx), groupCol(col), g.hp, g.opts())
+	return his, los, wrapExecErr(err)
 }
 
 // groupSums64 narrows per-group 128-bit sums to the public result: the
@@ -339,10 +331,9 @@ func groupSums64(his, los []uint64, keyParts func(i int) []uint64) ([]uint64, er
 }
 
 // SumContext aggregates SUM of the named column per group, honoring
-// ctx: banked single-pass over the measure column when the partition and
-// column qualify, one Column.SumContext per group otherwise. A group
-// whose sum exceeds uint64 returns an *OverflowError carrying the exact
-// 128-bit total and the offending group's key.
+// ctx, in one pass over the measure column. A group whose sum exceeds
+// uint64 returns an *OverflowError carrying the exact 128-bit total and
+// the offending group's key.
 func (g *Grouped) SumContext(ctx context.Context, column string) ([]uint64, error) {
 	his, los, err := g.sums128(ctx, column)
 	if err != nil {
@@ -372,13 +363,8 @@ func (g *Grouped) extremes(ctx context.Context, column string, wantMin bool) (va
 	if err != nil {
 		return nil, nil, err
 	}
-	if o, ok := g.banked(col); ok {
-		return g.bankedExtreme(orBackground(ctx), col, o, wantMin)
-	}
-	if wantMin {
-		return g.eachContext(ctx, col, (*Column).MinContext)
-	}
-	return g.eachContext(ctx, col, (*Column).MaxContext)
+	vals, anys, err = parallel.HashGroupExtremeCtx(orBackground(ctx), groupCol(col), g.hp, wantMin, g.opts())
+	return vals, anys, wrapExecErr(err)
 }
 
 // allGroups narrows a per-group result with presence flags to the plain
@@ -396,36 +382,36 @@ func allGroups(vals []uint64, oks []bool, err error) ([]uint64, error) {
 }
 
 // MedianContext aggregates the lower MEDIAN of the named column per
-// group, honoring ctx.
+// group, honoring ctx, in one radix descent for every group.
 func (g *Grouped) MedianContext(ctx context.Context, column string) ([]uint64, error) {
 	col, err := g.q.t.ColumnErr(column)
 	if err != nil {
 		return nil, err
 	}
-	return allGroups(g.eachContext(ctx, col, (*Column).MedianContext))
+	part := []parallel.RankPart{{Col: groupCol(col), HP: g.hp}}
+	vals, oks, err := parallel.HashGroupRankCtx(orBackground(ctx), part, len(g.hp.Keys), medianRank, g.opts())
+	return allGroups(vals, oks, wrapExecErr(err))
 }
 
 // nonNullCounts returns each group's count of non-NULL values of the
-// named column — COUNT(col) per group and AVG's divisor. A NULL-free
-// column's are the partition's row counts (read off the partition, not an
-// aggregate, so nothing records).
+// named column — COUNT(col) per group and AVG's divisor: the partition's
+// own row counts for a NULL-free column, which callers only read, and a
+// popcount bank over the run list without the NULL rows otherwise.
+// Neither reads the column's packed words, so nothing records.
 func (g *Grouped) nonNullCounts(ctx context.Context, column string) ([]uint64, error) {
 	col, err := g.q.t.ColumnErr(column)
 	if err != nil {
 		return nil, err
 	}
-	if err := orBackground(ctx).Err(); err != nil {
+	ctx = orBackground(ctx)
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	out := make([]uint64, len(g.hp.Keys))
-	for i := range g.hp.Keys {
-		if col.nulls == nil {
-			out[i] = g.hp.Counts[i]
-		} else if out[i], err = col.CountContext(ctx, g.Selection(i)); err != nil {
-			return nil, err
-		}
+	if col.nulls == nil {
+		return g.hp.Counts, nil
 	}
-	return out, nil
+	counts, err := parallel.HashGroupCountCtx(ctx, groupCol(col), g.hp, g.opts())
+	return counts, wrapExecErr(err)
 }
 
 // AvgContext aggregates AVG of the named column per group, honoring
@@ -454,16 +440,4 @@ func groupAvgs(sums, counts []uint64) []float64 {
 		}
 	}
 	return out
-}
-
-// eachContext runs one Column aggregate per group selection.
-func (g *Grouped) eachContext(ctx context.Context, col *Column,
-	agg func(*Column, context.Context, *Bitmap, ...ExecOption) (uint64, bool, error)) (vals []uint64, oks []bool, err error) {
-	vals, oks = make([]uint64, len(g.hp.Keys)), make([]bool, len(g.hp.Keys))
-	for i := range g.hp.Keys {
-		if vals[i], oks[i], err = agg(col, ctx, g.Selection(i), g.q.execs...); err != nil {
-			return nil, nil, err
-		}
-	}
-	return vals, oks, nil
 }
