@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race server-race shard-race bench-harness lines ci bench bench-json clean
+.PHONY: build test vet fmt-check race server-race shard-race bench-harness lines kernel-bench ci bench bench-json clean
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,13 @@ lines:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| while read -r f; do echo "$$(dirname "$$f" | sed 's|^\./||') $$(grep -vcE '^\s*(//|$$)' "$$f")"; done \
 		| awk '{n[$$1] += $$2; t += $$2} END {for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t}' | sort -k2
+
+# kernel-bench is the core.agg/core.fused rung pair at kernel level: SUM,
+# MIN and MAX fed a bitmap or a predicate, at 1/10/50/90 % selectivity on
+# two VBP and two HBP widths, at a fixed iteration count so two trees'
+# outputs compare cell by cell.
+kernel-bench:
+	$(GO) test ./internal/core -run '^$$' -bench '^BenchmarkKernel$$' -benchtime 100x -count 5
 
 ci: vet fmt-check build test race server-race shard-race bench-harness
 

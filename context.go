@@ -128,16 +128,19 @@ func (c *Column) sumEff(ctx context.Context, eff *bitvec.Bitmap, o execConfig) (
 		}
 		return nbp.SumOpt(c.nbpSource(), eff, nbpOptions(o)), nil
 	}
-	var (
-		v   uint64
-		err error
-	)
+	sum, _, err := c.sum(ctx, core.Bits(eff), o)
+	return sum, err
+}
+
+// sum runs the SUM driver of the column's layout: SUM and COUNT of the
+// rows src selects, a fused predicate conjunction or a two-phase bitmap.
+func (c *Column) sum(ctx context.Context, src core.Filter, o execConfig) (sum, cnt uint64, err error) {
 	if c.layout == VBP {
-		v, err = parallel.VBPSumCtx(ctx, c.v, eff, o.par)
+		sum, cnt, err = parallel.VBPSumFilterCtx(ctx, c.v, src, o.par)
 	} else {
-		v, err = parallel.HBPSumCtx(ctx, c.h, eff, o.par)
+		sum, cnt, err = parallel.HBPSumFilterCtx(ctx, c.h, src, o.par)
 	}
-	return v, wrapExecErr(err)
+	return sum, cnt, wrapExecErr(err)
 }
 
 // MinContext is Min with cancellation, deadline, and panic-recovery
@@ -171,22 +174,22 @@ func (c *Column) extremeContext(ctx context.Context, sel *Bitmap, opts []ExecOpt
 		v, ok := nbp.MaxOpt(c.nbpSource(), eff, nbpOptions(o))
 		return v, ok, nil
 	}
-	var (
-		v   uint64
-		ok  bool
-		err error
-	)
-	switch {
-	case c.layout == VBP && wantMin:
-		v, ok, err = parallel.VBPMinCtx(ctx, c.v, eff, o.par)
-	case c.layout == VBP:
-		v, ok, err = parallel.VBPMaxCtx(ctx, c.v, eff, o.par)
-	case wantMin:
-		v, ok, err = parallel.HBPMinCtx(ctx, c.h, eff, o.par)
-	default:
-		v, ok, err = parallel.HBPMaxCtx(ctx, c.h, eff, o.par)
+	if !eff.Any() {
+		return 0, false, nil // no extreme, and nothing runs or records
 	}
-	return v, ok, wrapExecErr(err)
+	v, cnt, err := c.extreme(ctx, core.Bits(eff), o, wantMin)
+	return v, cnt > 0, err
+}
+
+// extreme runs the MIN (wantMin) or MAX driver of the column's layout over
+// the rows src selects; cnt == 0 means nothing matched.
+func (c *Column) extreme(ctx context.Context, src core.Filter, o execConfig, wantMin bool) (v, cnt uint64, err error) {
+	if c.layout == VBP {
+		v, cnt, err = parallel.VBPExtremeFilterCtx(ctx, c.v, src, o.par, wantMin)
+	} else {
+		v, cnt, err = parallel.HBPExtremeFilterCtx(ctx, c.h, src, o.par, wantMin)
+	}
+	return v, cnt, wrapExecErr(err)
 }
 
 // AvgContext is Avg with cancellation, deadline, and panic-recovery
@@ -248,17 +251,22 @@ func (c *Column) rankContext(ctx context.Context, sel *Bitmap, r uint64, opts []
 		v, ok := nbp.RankOpt(c.nbpSource(), eff, r, nbpOptions(o))
 		return v, ok, nil
 	}
-	var (
-		v   uint64
-		ok  bool
-		err error
-	)
-	if c.layout == VBP {
-		v, ok, err = parallel.VBPRankCtx(ctx, c.v, eff, r, o.par)
-	} else {
-		v, ok, err = parallel.HBPRankCtx(ctx, c.h, eff, r, o.par)
+	if r == 0 || r > core.Count(eff) {
+		return 0, false, nil // no such rank, and nothing runs or records
 	}
-	return v, ok, wrapExecErr(err)
+	v, _, ok, err := c.rank(ctx, core.Bits(eff), o, func(uint64) (uint64, bool) { return r, true })
+	return v, ok, err
+}
+
+// rank runs the rank driver of the column's layout over the rows src
+// selects; rankOf maps their count to the wanted 1-based rank.
+func (c *Column) rank(ctx context.Context, src core.Filter, o execConfig, rankOf func(u uint64) (uint64, bool)) (v, cnt uint64, ok bool, err error) {
+	if c.layout == VBP {
+		v, cnt, ok, err = parallel.VBPRankFilterCtx(ctx, c.v, src, rankOf, o.par)
+	} else {
+		v, cnt, ok, err = parallel.HBPRankFilterCtx(ctx, c.h, src, rankOf, o.par)
+	}
+	return v, cnt, ok, wrapExecErr(err)
 }
 
 // QuantileContext is Quantile with cancellation, deadline, and

@@ -481,6 +481,7 @@ func PackedKey(key uint64) (uint64, bool) { return key, true }
 func Partition[K int32 | uint64](s *Splitter, f *bitvec.Bitmap, src *Cursor[uint64], lo, hi int, id func(uint64) (K, bool), out *Runs[K], st *GroupStats) error {
 	shift := uint(s.k())
 	var sc splitScratch
+	rd := Bits(f).reader(s.vps(), f.Len(), nil)
 	var key0, fw [1]uint64 // the first column's one entry per window: key 0, the filter word
 	for r := lo; ; r++ {
 		seg, keys, ws := r, key0[:], fw[:]
@@ -493,10 +494,8 @@ func Partition[K int32 | uint64](s *Splitter, f *bitvec.Bitmap, src *Cursor[uint
 			seg, keys, ws = int(s32), ids, words
 		case r >= hi:
 			return nil
-		case s.v != nil:
-			fw[0] = f.Word(seg) & word.LowMask(s.v.SegmentValues(seg))
 		default:
-			fw[0] = segWindow(f, s.h, seg)
+			fw[0] = rd.window(seg)
 		}
 		for e, w := range ws {
 			if w == 0 {

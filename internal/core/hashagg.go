@@ -29,7 +29,7 @@ import (
 func VBPHashSumRuns(col *vbp.Column, cur *Cursor[int32], his, los []uint64, st *GroupStats) {
 	k := col.K()
 	pl := newVBPPlanes(col)
-	cacheOK := k <= sumCacheExactK
+	cacheOK := k <= SumCacheExactK
 	small := k <= 57
 	// Single-entry runs (one live group in the segment — the common case
 	// at high cardinality, where groups cluster) carry-save through the
@@ -112,7 +112,7 @@ func HBPHashSumRuns(col *hbp.Column, cur *Cursor[int32], his, los []uint64, st *
 	subs := col.SubSegments()
 	summer := word.NewSummer(tau, col.FieldsPerWord())
 	gws := groupSlices(col)
-	cacheOK := col.K() <= sumCacheExactK
+	cacheOK := col.K() <= SumCacheExactK
 	fast := summer.Fast()
 	flush, fw2, fin, keep, mul := summer.Consts()
 	peelV, peelF := summer.PeelMasks()
@@ -288,4 +288,16 @@ func HBPHashExtremeRuns(col *hbp.Column, cur *Cursor[int32], wantMin bool, bests
 			bests[gi], anys[gi] = best, any
 		}
 	}
+}
+
+// hbpLiveSubs counts the sub-segments of window fw holding at least one
+// selected tuple: what an HBP kernel reads NumGroups words of.
+func hbpLiveSubs(col *hbp.Column, fw uint64) uint64 {
+	var n uint64
+	for t := 0; t < col.SubSegments(); t++ {
+		if col.SubSegmentDelims(fw, t) != 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -5,81 +5,99 @@ import (
 
 	"bpagg/internal/bitvec"
 	"bpagg/internal/hbp"
+	"bpagg/internal/scan"
 	"bpagg/internal/word"
 )
 
-// segWindow reads the filter bits of one HBP segment from the dense bitmap,
-// using the aligned word directly when a segment holds exactly 64 tuples.
-func segWindow(f *bitvec.Bitmap, col *hbp.Column, seg int) uint64 {
-	if col.ValuesPerSegment() == 64 {
-		if seg < f.NumWords() {
-			return f.Word(seg)
-		}
-		return 0
-	}
-	return f.Extract(seg*col.ValuesPerSegment(), col.ValuesPerSegment())
-}
-
 // HBPSum computes SUM over the filtered tuples of an HBP column
-// (Algorithm 4). For each sub-segment the filter bits move onto the
-// delimiter lane (GET-VALUE-FILTER), spread into a value mask that wipes
-// non-qualifying slots, and each word-group's masked word is folded by the
-// Gilles–Miller IN-WORD-SUM; one weighted shift-add per bit-group combines
-// the partial sums at the end.
+// (Algorithm 4); the uint64 contract is VBPSum's.
 func HBPSum(col *hbp.Column, f *bitvec.Bitmap) uint64 {
 	checkFilter(col.Len(), f)
-	return HBPSumRange(col, f, 0, col.NumSegments())
+	_, sum, _ := HBPSumCount(col, Bits(f), 0, col.NumSegments(), &FusedStats{})
+	return sum
 }
 
-// HBPSumRange computes the SUM contribution of segments [segLo, segHi).
-func HBPSumRange(col *hbp.Column, f *bitvec.Bitmap, segLo, segHi int) uint64 {
+// HBPSumCount computes SUM and COUNT of the tuples src selects over
+// segments [segLo, segHi). For each sub-segment the filter bits move onto
+// the delimiter lane (GET-VALUE-FILTER), spread into a value mask that
+// wipes non-qualifying slots, and each word-group's masked word is folded
+// by the Gilles–Miller IN-WORD-SUM; sub-segments whose value filter is
+// empty are skipped, the early-out that makes selective filters cheap.
+// Per-group partials carry in 128 bits (a segment's part of a group is at
+// most 64 fields of τ ≤ 31 bits and cannot wrap), and one weighted
+// shift-add per bit-group combines them at the end; hi is nonzero only on
+// a column where SumOverflowPossible holds. All-match windows are served
+// from the per-segment sum cache when its entries are exact (cacheExact).
+func HBPSumCount(col *hbp.Column, src Filter, segLo, segHi int, st *FusedStats) (hi, lo, cnt uint64) {
 	tau := col.Tau()
 	b := col.NumGroups()
 	subs := col.SubSegments()
+	vps := col.ValuesPerSegment()
 	summer := word.NewSummer(tau, col.FieldsPerWord())
 	gws := groupSlices(col)
+	n := col.Len()
+	cacheOK := cacheExact(col.K(), n)
 
-	sums := make([]uint64, b)
-	if summer.Fast() {
-		// Straight-line Gilles–Miller fold with hoisted constants,
-		// iterating group-major so each inner pass walks one contiguous
-		// word run. This loop runs once per data word and dominates SUM.
-		// Sub-segments whose value filter is empty are skipped (the
-		// GET-VALUE-FILTER early-out that makes selective filters cheap);
-		// the all-active dense case keeps the branch-free contiguous walk.
-		flush, fw2, fin, keep, mul := summer.Consts()
-		peelV, peelF := summer.PeelMasks()
-		var masks [word.MaxTau + 1]uint64
-		allActive := uint64(1)<<uint(subs) - 1
-		for seg := segLo; seg < segHi; seg++ {
-			fw := segWindow(f, col, seg)
-			if fw == 0 {
+	his, los := make([]uint64, b), make([]uint64, b)
+	flush, fw2, fin, keep, mul := summer.Consts()
+	peelV, peelF := summer.PeelMasks()
+	var masks [word.MaxTau + 1]uint64
+	allActive := uint64(1)<<uint(subs) - 1
+	fast := summer.Fast()
+	r := src.reader(vps, n, st)
+	var live, liveSubs uint64
+	for seg := segLo; seg < segHi; seg++ {
+		fw := r.window(seg)
+		if fw == 0 {
+			continue
+		}
+		if r.allMatch && cacheOK {
+			if zs, ok := col.SegmentSum(seg); ok {
+				hi, lo = add128(hi, lo, zs)
+				cnt += uint64(col.SegmentValues(seg))
+				st.SegmentsCacheServed++
 				continue
 			}
-			var active uint64
-			for t := 0; t < subs; t++ {
-				m := word.SpreadDelims(col.SubSegmentDelims(fw, t), tau)
-				masks[t] = m
-				if m != 0 {
-					active |= 1 << uint(t)
-				}
+		}
+		cnt += uint64(bits.OnesCount64(fw))
+		var active uint64
+		for t := 0; t < subs; t++ {
+			m := word.SpreadDelims(col.SubSegmentDelims(fw, t), tau)
+			masks[t] = m
+			if m != 0 {
+				active |= 1 << uint(t)
 			}
-			base := seg * subs
-			if active == allActive {
-				for g := 0; g < b; g++ {
-					run := gws[g][base : base+subs]
-					var part uint64
-					for t, w := range run {
-						w &= masks[t]
-						x := (w &^ peelF) << flush
-						x += x >> fw2
-						x &= keep
-						part += (x*mul)>>fin + w&peelV
-					}
-					sums[g] += part
+		}
+		live++
+		liveSubs += uint64(bits.OnesCount64(active))
+		base := seg * subs
+		switch {
+		case !fast:
+			for g := 0; g < b; g++ {
+				run := gws[g][base : base+subs]
+				var part uint64
+				for a := active; a != 0; a &= a - 1 {
+					t := bits.TrailingZeros64(a)
+					part += summer.Sum(run[t] & masks[t])
 				}
-				continue
+				his[g], los[g] = add128(his[g], los[g], part)
 			}
+		case active == allActive:
+			// Straight-line Gilles–Miller fold with hoisted constants
+			// over one contiguous word run per group: the dense case,
+			// and the loop that dominates SUM.
+			for g := 0; g < b; g++ {
+				var part uint64
+				for t, w := range gws[g][base : base+subs] {
+					w &= masks[t]
+					x := (w &^ peelF) << flush
+					x += x >> fw2
+					x &= keep
+					part += (x*mul)>>fin + w&peelV
+				}
+				his[g], los[g] = add128(his[g], los[g], part)
+			}
+		default:
 			for g := 0; g < b; g++ {
 				run := gws[g][base : base+subs]
 				var part uint64
@@ -91,33 +109,23 @@ func HBPSumRange(col *hbp.Column, f *bitvec.Bitmap, segLo, segHi int) uint64 {
 					x &= keep
 					part += (x*mul)>>fin + w&peelV
 				}
-				sums[g] += part
-			}
-		}
-	} else {
-		for seg := segLo; seg < segHi; seg++ {
-			fw := segWindow(f, col, seg)
-			if fw == 0 {
-				continue
-			}
-			base := seg * subs
-			for t := 0; t < subs; t++ {
-				md := col.SubSegmentDelims(fw, t)
-				if md == 0 {
-					continue
-				}
-				m := word.SpreadDelims(md, tau)
-				for g := 0; g < b; g++ {
-					sums[g] += summer.Sum(gws[g][base+t] & m)
-				}
+				his[g], los[g] = add128(his[g], los[g], part)
 			}
 		}
 	}
-	var sum uint64
 	for g := 0; g < b; g++ {
-		sum += sums[g] << uint((b-1-g)*tau)
+		hi, lo = add128Shifted(hi, lo, his[g], los[g], uint((b-1-g)*tau))
 	}
-	return sum
+	st.SegmentsAggregated += live
+	st.WordsTouched += liveSubs * uint64(b)
+	return hi, lo, cnt
+}
+
+// HBPFusedSumCount is HBPSumCount fed by a predicate conjunction, on a
+// column where the sum cannot wrap.
+func HBPFusedSumCount(col *hbp.Column, preds []scan.WindowPred, segLo, segHi int, st *FusedStats) (sum, cnt uint64) {
+	_, sum, cnt = HBPSumCount(col, Preds(preds), segLo, segHi, st)
+	return sum, cnt
 }
 
 // groupSlices gathers the per-group word slices once so inner loops avoid
@@ -151,7 +159,7 @@ func hbpExtreme(col *hbp.Column, f *bitvec.Bitmap, wantMin bool) (uint64, bool) 
 		return 0, false
 	}
 	temp := NewHBPExtremeTemp(col, wantMin)
-	HBPFoldExtreme(col, f, temp, wantMin, 0, col.NumSegments())
+	HBPFold(col, Bits(f), temp, wantMin, 0, col.NumSegments(), &FusedStats{})
 	return HBPFinishExtreme(col, [][]uint64{temp}, wantMin), true
 }
 
@@ -168,30 +176,56 @@ func NewHBPExtremeTemp(col *hbp.Column, wantMin bool) []uint64 {
 	return temp
 }
 
-// HBPFoldExtreme folds the sub-segments of segments [segLo, segHi) into
-// temp via SUB-SLOTMIN (or SUB-SLOTMAX), honoring the filter.
-func HBPFoldExtreme(col *hbp.Column, f *bitvec.Bitmap, temp []uint64, wantMin bool, segLo, segHi int) {
+// HBPFold folds the sub-segments of the tuples src selects in segments
+// [segLo, segHi) into temp via SUB-SLOTMIN (or SUB-SLOTMAX); all-match
+// windows are served from the exact zone extremes into the scalar running
+// best, as in VBPFold.
+func HBPFold(col *hbp.Column, src Filter, temp []uint64, wantMin bool, segLo, segHi int, st *FusedStats) (best uint64, any bool, cnt uint64) {
 	tau := col.Tau()
 	b := col.NumGroups()
 	subs := col.SubSegments()
+	vps := col.ValuesPerSegment()
 	delim := col.DelimMask()
 	x := make([]uint64, b)
+	var mds [word.MaxTau + 1]uint64
+	r := src.reader(vps, col.Len(), st)
+	var live, liveSubs uint64
 	for seg := segLo; seg < segHi; seg++ {
-		fw := segWindow(f, col, seg)
+		fw := r.window(seg)
 		if fw == 0 {
 			continue
 		}
-		base := seg * subs
-		for t := 0; t < subs; t++ {
-			md := col.SubSegmentDelims(fw, t)
-			if md == 0 {
+		if r.allMatch {
+			if lo, hi, ok := col.SegmentRangeExact(seg); ok {
+				v := lo
+				if !wantMin {
+					v = hi
+				}
+				if !any || wantMin && v < best || !wantMin && v > best {
+					best = v
+				}
+				any = true
+				cnt += uint64(col.SegmentValues(seg))
+				st.SegmentsCacheServed++
 				continue
 			}
+		}
+		cnt += uint64(bits.OnesCount64(fw))
+		var active uint64
+		for t := 0; t < subs; t++ {
+			if mds[t] = col.SubSegmentDelims(fw, t); mds[t] != 0 {
+				active |= 1 << uint(t)
+			}
+		}
+		live++
+		liveSubs += uint64(bits.OnesCount64(active))
+		base := seg * subs
+		for ; active != 0; active &= active - 1 {
+			t := bits.TrailingZeros64(active)
 			for g := 0; g < b; g++ {
 				x[g] = col.GroupWords(g)[base+t]
 			}
-			sel := hbpSlotLanes(x, temp, delim, wantMin)
-			sel &= md
+			sel := hbpSlotLanes(x, temp, delim, wantMin) & mds[t]
 			if sel == 0 {
 				continue
 			}
@@ -201,6 +235,14 @@ func HBPFoldExtreme(col *hbp.Column, f *bitvec.Bitmap, temp []uint64, wantMin bo
 			}
 		}
 	}
+	st.SegmentsAggregated += live
+	st.WordsTouched += liveSubs * uint64(b)
+	return best, any, cnt
+}
+
+// HBPFusedFoldExtreme is HBPFold fed by a predicate conjunction.
+func HBPFusedFoldExtreme(col *hbp.Column, preds []scan.WindowPred, temp []uint64, wantMin bool, segLo, segHi int, st *FusedStats) (best uint64, any bool, cnt uint64) {
+	return HBPFold(col, Preds(preds), temp, wantMin, segLo, segHi, st)
 }
 
 // HBPFinishExtreme merges one temp sub-segment per worker, reconstructing
@@ -324,7 +366,8 @@ func HBPRank(col *hbp.Column, f *bitvec.Bitmap, r uint64) (uint64, bool) {
 		return 0, false
 	}
 	nseg := col.NumSegments()
-	v := NewHBPCandidates(col, f, nseg)
+	v := make([]uint64, nseg)
+	Select(Bits(f), col.ValuesPerSegment(), col.Len(), v, 0, nseg, &FusedStats{})
 	b := col.NumGroups()
 	tau := col.Tau()
 	chunks, histBits := HBPRankChunks(tau, u)
@@ -360,16 +403,6 @@ func HBPRank(col *hbp.Column, f *bitvec.Bitmap, r uint64) (uint64, bool) {
 		}
 	}
 	return m, true
-}
-
-// NewHBPCandidates copies the filter windows into per-segment candidate
-// vectors V (Algorithm 6 lines 3-4).
-func NewHBPCandidates(col *hbp.Column, f *bitvec.Bitmap, nseg int) []uint64 {
-	v := make([]uint64, nseg)
-	for seg := range v {
-		v[seg] = segWindow(f, col, seg)
-	}
-	return v
 }
 
 // HBPHistogramChunk accumulates the histogram of field bits

@@ -37,11 +37,11 @@ func TestPosPopSumMatchesScalar(t *testing.T) {
 			col := vbp.Pack(vals, k, tau)
 			nseg := col.NumSegments()
 
-			if got := VBPSumRange(col, f, 0, nseg); !SumOverflowPossible(k, n) && want.Uint64() != got {
-				t.Fatalf("k=%d n=%d: VBPSumRange %d, big.Int %s", k, n, got, want)
+			if got := VBPSum(col, f); !SumOverflowPossible(k, n) && want.Uint64() != got {
+				t.Fatalf("k=%d n=%d: VBPSum %d, big.Int %s", k, n, got, want)
 			}
-			if hi, lo := VBPSumRange128(col, f, 0, nseg); big128(hi, lo).Cmp(want) != 0 {
-				t.Fatalf("k=%d n=%d: VBPSumRange128 %s, big.Int %s", k, n, big128(hi, lo), want)
+			if hi, lo, cnt := VBPSumCount(col, Bits(f), 0, nseg, &FusedStats{}); big128(hi, lo).Cmp(want) != 0 || cnt != uint64(f.Count()) {
+				t.Fatalf("k=%d n=%d: VBPSumCount (%s, %d), big.Int (%s, %d)", k, n, big128(hi, lo), cnt, want, f.Count())
 			}
 		}
 	}
@@ -80,8 +80,8 @@ func TestPosPopFusedMatchesScalar(t *testing.T) {
 		if sum, cnt := VBPFusedSumCount(col, preds, 0, col.NumSegments(), &st); sum != want.Uint64() || cnt != wantCnt {
 			t.Fatalf("sorted=%v: fused (%d,%d), scalar (%s,%d)", sorted, sum, cnt, want, wantCnt)
 		}
-		if hi, lo, cnt := VBPFusedSumCount128(col, preds, 0, col.NumSegments(), &st); big128(hi, lo).Cmp(want) != 0 || cnt != wantCnt {
-			t.Fatalf("sorted=%v: fused128 (%s,%d), scalar (%s,%d)", sorted, big128(hi, lo), cnt, want, wantCnt)
+		if hi, lo, cnt := VBPSumCount(col, Preds(preds), 0, col.NumSegments(), &st); big128(hi, lo).Cmp(want) != 0 || cnt != wantCnt {
+			t.Fatalf("sorted=%v: fused 128-bit (%s,%d), scalar (%s,%d)", sorted, big128(hi, lo), cnt, want, wantCnt)
 		}
 		if cnt := VBPFusedCount(col, preds, 0, col.NumSegments(), &st); cnt != wantCnt {
 			t.Fatalf("sorted=%v: fused count %d, want %d", sorted, cnt, wantCnt)

@@ -147,14 +147,18 @@ func TestPropSumSplitsAcrossRanges(t *testing.T) {
 			return true
 		}
 		cutV := int(cutRaw) % (nsegV + 1)
+		src, st := Bits(in.Filter), &FusedStats{}
 		full := VBPSum(vcol, in.Filter)
-		if VBPSumRange(vcol, in.Filter, 0, cutV)+VBPSumRange(vcol, in.Filter, cutV, nsegV) != full {
+		_, a, _ := VBPSumCount(vcol, src, 0, cutV, st)
+		if _, b, _ := VBPSumCount(vcol, src, cutV, nsegV, st); a+b != full {
 			return false
 		}
 		nsegH := hcol.NumSegments()
 		cutH := int(cutRaw) % (nsegH + 1)
 		fullH := HBPSum(hcol, in.Filter)
-		return HBPSumRange(hcol, in.Filter, 0, cutH)+HBPSumRange(hcol, in.Filter, cutH, nsegH) == fullH
+		_, a, _ = HBPSumCount(hcol, src, 0, cutH, st)
+		_, b, _ := HBPSumCount(hcol, src, cutH, nsegH, st)
+		return a+b == fullH
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

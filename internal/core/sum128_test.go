@@ -63,8 +63,9 @@ func big128(hi, lo uint64) *big.Int {
 	return b.Or(b, new(big.Int).SetUint64(lo))
 }
 
-// TestSumRange128MatchesBigInt drives both checked range kernels over
-// random wide columns and filters and compares against a big.Int loop.
+// TestSumRange128MatchesBigInt drives both layouts' SUM kernels over
+// random wide columns and filters and compares their 128-bit totals
+// against a big.Int loop.
 func TestSumRange128MatchesBigInt(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, k := range []int{59, 62, 63, 64} {
@@ -84,9 +85,9 @@ func TestSumRange128MatchesBigInt(t *testing.T) {
 
 			vc := vbp.New(k, 4)
 			vc.Append(vals...)
-			hi, lo := VBPSumRange128(vc, f, 0, vc.NumSegments())
+			hi, lo, _ := VBPSumCount(vc, Bits(f), 0, vc.NumSegments(), &FusedStats{})
 			if got := big128(hi, lo); got.Cmp(want) != 0 {
-				t.Errorf("VBPSumRange128 k=%d n=%d: got %s, want %s", k, n, got, want)
+				t.Errorf("VBPSumCount k=%d n=%d: got %s, want %s", k, n, got, want)
 			}
 
 			tau := k
@@ -101,16 +102,16 @@ func TestSumRange128MatchesBigInt(t *testing.T) {
 					hf.Set(i)
 				}
 			}
-			hi, lo = HBPSumRange128(hc, hf, 0, hc.NumSegments())
+			hi, lo, _ = HBPSumCount(hc, Bits(hf), 0, hc.NumSegments(), &FusedStats{})
 			if got := big128(hi, lo); got.Cmp(want) != 0 {
-				t.Errorf("HBPSumRange128 k=%d tau=%d n=%d: got %s, want %s", k, tau, n, got, want)
+				t.Errorf("HBPSumCount k=%d tau=%d n=%d: got %s, want %s", k, tau, n, got, want)
 			}
 		}
 	}
 }
 
-// TestSumRange128AgreesWithUnchecked pins the checked kernels to the
-// unchecked ones on columns that provably cannot wrap.
+// TestSumRange128AgreesWithUnchecked pins the 128-bit SUM kernels to a
+// plain uint64 loop on columns that provably cannot wrap: hi stays zero.
 func TestSumRange128AgreesWithUnchecked(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const k, n = 40, 300
@@ -119,21 +120,21 @@ func TestSumRange128AgreesWithUnchecked(t *testing.T) {
 		vals[i] = rng.Uint64() & word.LowMask(k)
 	}
 	f := bitvec.New(n)
+	var want uint64
 	for i := 0; i < n; i += 3 {
 		f.Set(i)
+		want += vals[i]
 	}
 
 	vc := vbp.New(k, 4)
 	vc.Append(vals...)
-	hi, lo := VBPSumRange128(vc, f, 0, vc.NumSegments())
-	if want := VBPSumRange(vc, f, 0, vc.NumSegments()); hi != 0 || lo != want {
-		t.Errorf("VBP: checked (%d, %d) vs unchecked %d", hi, lo, want)
+	if hi, lo, _ := VBPSumCount(vc, Bits(f), 0, vc.NumSegments(), &FusedStats{}); hi != 0 || lo != want {
+		t.Errorf("VBP: (%d, %d), want (0, %d)", hi, lo, want)
 	}
 
 	hc := hbp.New(k, 8)
 	hc.Append(vals...)
-	hi, lo = HBPSumRange128(hc, f, 0, hc.NumSegments())
-	if want := HBPSumRange(hc, f, 0, hc.NumSegments()); hi != 0 || lo != want {
-		t.Errorf("HBP: checked (%d, %d) vs unchecked %d", hi, lo, want)
+	if hi, lo, _ := HBPSumCount(hc, Bits(f), 0, hc.NumSegments(), &FusedStats{}); hi != 0 || lo != want {
+		t.Errorf("HBP: (%d, %d), want (0, %d)", hi, lo, want)
 	}
 }

@@ -45,7 +45,7 @@ func (f *Frozen) SegWords() int { return f.b * (f.tau + 1) }
 
 // SumMasked returns the 128-bit sum of the segment's tuples selected by the
 // dense mask (bit j = tuple j of the segment), plus the packed words
-// touched. It is the in-word-sum kernel of HBPSumRange restricted to one
+// touched. It is the in-word-sum kernel of core.HBPSumCount restricted to one
 // segment: per sub-segment the mask aligns onto the delimiter lane, spreads
 // over the value lanes, and each group's masked word folds to a partial sum
 // weighted by the group's bit position.

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"runtime"
@@ -342,6 +343,74 @@ func TestForEachRangeErrSinglePartitionInline(t *testing.T) {
 	faultinject.Set(faultinject.SiteWorkerStart, func(args ...any) error { return errStart })
 	if _, err = forEachRangeErr(ctx, nseg, 1, func(w, lo, hi int) error { return nil }); err != errStart {
 		t.Fatalf("injected SiteWorkerStart fault = %v, want %v", err, errStart)
+	}
+}
+
+// TestForEachIndexErrSerialInline pins the serial fan-out: below two
+// threads every index runs on the caller's goroutine (no goroutine is
+// spawned), in order, with a ctx check before each index, panic
+// containment, and the first error by index returned.
+func TestForEachIndexErrSerialInline(t *testing.T) {
+	ctx := context.Background()
+	const n = 5
+	for _, threads := range []int{0, 1} {
+		before := runtime.NumGoroutine()
+		var order []int // unsynchronised on purpose: -race fails if fn leaves the caller's goroutine
+		err := ForEachIndexErr(ctx, n, threads, func(i int) error {
+			order = append(order, i)
+			if g := runtime.NumGoroutine(); g > before {
+				t.Errorf("threads=%d: NumGoroutine inside index %d = %d, was %d before the call", threads, i, g, before)
+			}
+			buf := make([]byte, 4096)
+			if st := string(buf[:runtime.Stack(buf, false)]); !strings.Contains(st, "TestForEachIndexErrSerialInline") {
+				t.Errorf("threads=%d: index %d is not on the caller's stack:\n%s", threads, i, st)
+			}
+			return nil
+		})
+		if err != nil || fmt.Sprint(order) != "[0 1 2 3 4]" {
+			t.Fatalf("threads=%d: ForEachIndexErr = %v over %v, want nil over [0 1 2 3 4]", threads, err, order)
+		}
+
+		errA, errB := errors.New("a"), errors.New("b")
+		order = order[:0]
+		err = ForEachIndexErr(ctx, n, threads, func(i int) error {
+			order = append(order, i)
+			switch i {
+			case 1:
+				return errA
+			case 2:
+				panic("serial fault")
+			case 3:
+				return errB
+			}
+			return nil
+		})
+		if err != errA || len(order) != n {
+			t.Fatalf("threads=%d: errors at 1 and 3 = %v after %d indices, want %v after %d", threads, err, len(order), errA, n)
+		}
+		err = ForEachIndexErr(ctx, n, threads, func(i int) error {
+			if i == 2 {
+				panic("serial fault")
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Worker != 0 || pe.Value != "serial fault" || len(pe.Stack) == 0 {
+			t.Fatalf("threads=%d: panicking index = %v, want *PanicError{Worker: 0} with a stack", threads, err)
+		}
+
+		cctx, cancel := context.WithCancel(ctx)
+		order = order[:0]
+		err = ForEachIndexErr(cctx, n, threads, func(i int) error {
+			order = append(order, i)
+			if i == 2 {
+				cancel()
+			}
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) || len(order) != 3 {
+			t.Fatalf("threads=%d: cancel inside index 2 = %v after %v, want context.Canceled after [0 1 2]", threads, err, order)
+		}
 	}
 }
 

@@ -3,92 +3,13 @@ package parallel
 import (
 	"context"
 
-	"bpagg/internal/bitvec"
 	"bpagg/internal/core"
 	"bpagg/internal/hbp"
 	"bpagg/internal/metrics"
 )
 
-// HBPSumCtx computes SUM over an HBP column, honoring ctx; the overflow
-// contract is VBPSumCtx's.
-func HBPSumCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, o Options) (uint64, error) {
-	ws, start := o.statsBegin()
-	checked := core.SumOverflowPossible(col.K(), col.Len())
-	hi, lo, _, err := sumRanges(ctx, col.NumSegments(), o.threads(), func(w, segLo, segHi int) (ph, pl, _ uint64) {
-		t0 := statsNow(ws)
-		if checked {
-			ph, pl = core.HBPSumRange128(col, f, segLo, segHi)
-		} else {
-			pl = core.HBPSumRange(col, f, segLo, segHi)
-		}
-		if ws != nil {
-			hbpCollectDense(ws, w, col, f, segLo, segHi, t0)
-		}
-		return ph, pl, 0
-	})
-	if err != nil {
-		return 0, err
-	}
-	o.statsEnd(ws, start, metrics.ExecStats{})
-	return sum128Result(hi, lo)
-}
-
-// HBPMinCtx computes MIN over an HBP column, honoring ctx; ok is false
-// when no tuple passes the filter.
-func HBPMinCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, o Options) (uint64, bool, error) {
-	return hbpExtremeCtx(ctx, col, f, o, true)
-}
-
-// HBPMaxCtx computes MAX over an HBP column, honoring ctx.
-func HBPMaxCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, o Options) (uint64, bool, error) {
-	return hbpExtremeCtx(ctx, col, f, o, false)
-}
-
-func hbpExtremeCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, o Options, wantMin bool) (uint64, bool, error) {
-	if !f.Any() {
-		return 0, false, nil
-	}
-	ws, start := o.statsBegin()
-	nseg := col.NumSegments()
-	temps := make([][]uint64, o.threads())
-	for w := range temps {
-		temps[w] = core.NewHBPExtremeTemp(col, wantMin)
-	}
-	used, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
-		t0 := statsNow(ws)
-		core.HBPFoldExtreme(col, f, temps[w], wantMin, lo, hi)
-		if ws != nil {
-			hbpCollectDense(ws, w, col, f, lo, hi, t0)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	v := core.HBPFinishExtreme(col, temps[:used], wantMin)
-	o.statsEnd(ws, start, metrics.ExecStats{})
-	return v, true, nil
-}
-
-// HBPRankCtx computes the r-th smallest filtered value, honoring ctx.
-// Cancellation is checked at every histogram rendezvous (per bit-group
-// chunk) in addition to the per-block checks inside each scan.
-func HBPRankCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, r uint64, o Options) (uint64, bool, error) {
-	u := core.Count(f)
-	if r == 0 || r > u {
-		return 0, false, nil
-	}
-	ws, start := o.statsBegin()
-	m, extra, err := hbpDescend(ctx, col, core.NewHBPCandidates(col, f, col.NumSegments()), u, r, o, ws)
-	if err != nil {
-		return 0, false, err
-	}
-	o.statsEnd(ws, start, extra)
-	return m, true, nil
-}
-
-// hbpDescend is the HBP radix descent (Algorithm 6's loop) both rank
-// drivers run over their candidate windows v — copied from a filter
+// hbpDescend is the HBP radix descent (Algorithm 6's loop) the rank
+// driver runs over its candidate windows v — cut from a filter
 // bitmap, or built by a fused pass: one rendezvous per bit-group chunk on
 // the merged histogram of the u live candidates, which locates the bin of
 // the r-th smallest and narrows the candidates to it. extra carries the

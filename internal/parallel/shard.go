@@ -19,21 +19,25 @@ func ForEachIndexErr(ctx context.Context, n, threads int, fn func(i int) error) 
 	if n <= 0 {
 		return ctx.Err()
 	}
-	if n == 1 {
-		// Single index: run inline on the caller's goroutine. Spawning a
-		// worker plus a WaitGroup rendezvous costs more than most per-shard
-		// aggregate kernels on a small shard, and single-shard stores (and
-		// range queries pruned to one shard) hit this path on every call.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return runIndex(0, 0, fn)
-	}
 	if threads > n {
 		threads = n
 	}
-	if threads < 1 {
-		threads = 1
+	if threads < 2 {
+		// Serial (Threads < 2, or a single index): every index runs inline
+		// on the caller's goroutine, in order, with a worker's checks. A
+		// goroutine spawn plus a WaitGroup park costs more than most
+		// per-shard aggregate kernels on a small shard.
+		var first error
+		for i := 0; i < n; i++ {
+			err := ctx.Err()
+			if err == nil {
+				err = runIndex(0, i, fn)
+			}
+			if first == nil {
+				first = err
+			}
+		}
+		return first
 	}
 	errs := make([]error, n)
 	var next atomic.Int64

@@ -3,11 +3,9 @@ package parallel
 import (
 	"time"
 
-	"bpagg/internal/bitvec"
 	"bpagg/internal/core"
 	"bpagg/internal/hbp"
 	"bpagg/internal/metrics"
-	"bpagg/internal/vbp"
 )
 
 // Stats plumbing for the drivers. Collection is per-call: with
@@ -17,12 +15,12 @@ import (
 // several times with sub-ranges, so every update is +=), and merges the
 // slots into one Record at the end.
 //
-// The derived counters (SegmentsAggregated, WordsTouched) come from the
-// analytic helpers in package core rather than kernel instrumentation;
-// their per-layout definitions are documented in DESIGN.md §8. Because
-// they only depend on layout geometry and the filter, the totals are
-// identical for any thread count — the property the determinism tests
-// assert.
+// The derived counters (SegmentsAggregated, WordsTouched) are counted by
+// the kernels themselves (core.FusedStats), or for a radix descent by the
+// analytic helpers in package core; their per-layout definitions are
+// documented in DESIGN.md §8. Because they only depend on layout geometry
+// and the filter, the totals are identical for any thread count — the
+// property the determinism tests and TestDriverCounterPin assert.
 
 // statsBegin returns the per-worker accumulation slots and the driver
 // start time, or nils when collection is disabled.
@@ -56,17 +54,6 @@ func (o Options) statsEnd(ws []metrics.ExecStats, start time.Time, extra metrics
 	o.Stats.Record(total)
 }
 
-// vbpCollectDense charges worker w for a dense-kernel pass over
-// segments [lo, hi): every live segment costs the column's k packed
-// words (SUM's per-bit popcounts and the MIN/MAX fold both read all k).
-func vbpCollectDense(ws []metrics.ExecStats, w int, col *vbp.Column, f *bitvec.Bitmap, lo, hi int, t0 time.Time) {
-	st := &ws[w]
-	live := core.VBPLiveSegments(f, lo, hi)
-	st.SegmentsAggregated += live
-	st.WordsTouched += live * uint64(col.K())
-	st.WorkerBusyNanos += time.Since(t0).Nanoseconds()
-}
-
 // vbpCollectRank charges worker w for one VBP radix round over
 // segments [lo, hi): each segment with live candidates is read once by
 // the count pass and once by the refine pass (one bit-position word
@@ -74,17 +61,6 @@ func vbpCollectDense(ws []metrics.ExecStats, w int, col *vbp.Column, f *bitvec.B
 func vbpCollectRank(ws []metrics.ExecStats, w int, v []uint64, lo, hi int, t0 time.Time) {
 	st := &ws[w]
 	st.WordsTouched += 2 * core.VBPLiveCandidates(v, lo, hi)
-	st.WorkerBusyNanos += time.Since(t0).Nanoseconds()
-}
-
-// hbpCollectDense charges worker w for a dense-kernel pass over
-// segments [lo, hi): every live sub-segment costs NumGroups packed
-// words.
-func hbpCollectDense(ws []metrics.ExecStats, w int, col *hbp.Column, f *bitvec.Bitmap, lo, hi int, t0 time.Time) {
-	st := &ws[w]
-	segs, subs := core.HBPLiveWindows(col, f, lo, hi)
-	st.SegmentsAggregated += segs
-	st.WordsTouched += subs * uint64(col.NumGroups())
 	st.WorkerBusyNanos += time.Since(t0).Nanoseconds()
 }
 

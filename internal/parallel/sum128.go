@@ -1,10 +1,6 @@
 package parallel
 
-import (
-	"context"
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // OverflowError reports that the true SUM exceeds uint64. The drivers
 // only return it from the checked 128-bit kernels, which run when
@@ -17,40 +13,6 @@ type OverflowError struct {
 // Error implements the error interface.
 func (e *OverflowError) Error() string {
 	return fmt.Sprintf("parallel: sum overflows uint64 (hi=%d, lo=%d)", e.Hi, e.Lo)
-}
-
-// sumPart is one worker's SUM partial: a 128-bit (hi, lo) running total
-// plus, on the fused drivers, the selected tuple count.
-type sumPart struct{ hi, lo, cnt uint64 }
-
-// sumRanges is the skeleton behind the two-phase and fused SUM drivers of
-// both layouts: body aggregates segments [lo, hi) and returns a (hi, lo,
-// cnt) partial, which accumulates per worker and merges in ascending
-// worker order. Partials are always carried in 128 bits; the driver picks
-// the unchecked or the checked kernel once per call from
-// core.SumOverflowPossible, and an unchecked kernel just reports hi = 0
-// (its partials cannot wrap, by the definition of that gate).
-func sumRanges(ctx context.Context, nseg, threads int, body func(w, lo, hi int) (ph, pl, cnt uint64)) (hi, lo, cnt uint64, err error) {
-	parts := make([]sumPart, threads)
-	_, err = forEachRangeErr(ctx, nseg, threads, func(w, segLo, segHi int) error {
-		ph, pl, c := body(w, segLo, segHi)
-		p := &parts[w]
-		var carry uint64
-		p.lo, carry = bits.Add64(p.lo, pl, 0)
-		p.hi += ph + carry
-		p.cnt += c
-		return nil
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	for _, p := range parts {
-		var carry uint64
-		lo, carry = bits.Add64(lo, p.lo, 0)
-		hi += p.hi + carry
-		cnt += p.cnt
-	}
-	return hi, lo, cnt, nil
 }
 
 // sum128Result maps a merged 128-bit total to the driver return contract:

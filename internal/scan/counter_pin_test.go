@@ -52,7 +52,7 @@ func pinPredicates(uniform []uint64) []Predicate {
 	}
 }
 
-// windowCounters drives a WindowPred the way core.FusedWindow does for a
+// windowCounters drives a WindowPred the way core's fused filter source does for a
 // single predicate.
 func windowCounters(w WindowPred) pinCounters {
 	var es metrics.ExecStats

@@ -46,7 +46,7 @@ func (f *Frozen) SegWords() int { return f.k }
 
 // SumMasked returns the 128-bit sum of the segment's tuples selected by
 // mask (bit j = tuple j of the segment), plus the packed words touched.
-// It is the per-bit-plane popcount kernel of VBPSumRange restricted to one
+// It is the per-bit-plane popcount kernel of core.VBPSumCount restricted to one
 // segment: popcount(plane & mask) tuples contribute 2^(k-1-p) each.
 func (f *Frozen) SumMasked(seg int, mask uint64) (hi, lo uint64, words int) {
 	if mask == 0 {

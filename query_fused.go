@@ -1,13 +1,10 @@
 package bpagg
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
-	"bpagg/internal/parallel"
 	"bpagg/internal/scan"
-	"bpagg/internal/vbp"
 )
 
 // Fused query planning. Where clauses are recorded lazily (see table.go);
@@ -56,14 +53,6 @@ func (p Predicate) fits(k int) bool {
 	return p.p.Fits(k)
 }
 
-// windowBits returns the column's fused-window width in tuples.
-func (c *Column) windowBits() int {
-	if c.layout == VBP {
-		return vbp.SegBits
-	}
-	return c.h.ValuesPerSegment()
-}
-
 // fuses decides whether the query's clauses and the aggregate column
 // (nil for row counting) can run fused under the given access method —
 // the gate alone, which allocates nothing, so planners can ask it freely.
@@ -76,13 +65,13 @@ func (s *queryState) fuses(agg *Column, access AccessMethod) bool {
 		if agg.nulls != nil {
 			return false
 		}
-		wb = agg.windowBits()
+		wb = agg.segRows()
 	}
 	for _, cl := range s.clauses {
 		if cl.pred.list != nil || cl.col.nulls != nil {
 			return false
 		}
-		cwb := cl.col.windowBits()
+		cwb := cl.col.segRows()
 		if wb == 0 {
 			wb = cwb
 		} else if cwb != wb {
@@ -119,49 +108,6 @@ func fusedMust(err error) {
 		panic(pe.Value)
 	}
 	panic(err)
-}
-
-// fusedSum runs the fused SUM+COUNT driver for the column's layout.
-func (c *Column) fusedSum(ctx context.Context, preds []scan.WindowPred, o execConfig) (sum, cnt uint64, err error) {
-	if c.layout == VBP {
-		sum, cnt, err = parallel.VBPFusedSumCtx(ctx, c.v, preds, o.par)
-	} else {
-		sum, cnt, err = parallel.HBPFusedSumCtx(ctx, c.h, preds, o.par)
-	}
-	return sum, cnt, wrapExecErr(err)
-}
-
-// fusedExtreme runs the fused MIN/MAX driver; cnt == 0 means nothing
-// matched.
-func (c *Column) fusedExtreme(ctx context.Context, preds []scan.WindowPred, o execConfig, wantMin bool) (v, cnt uint64, err error) {
-	if c.layout == VBP {
-		v, cnt, err = parallel.VBPFusedExtremeCtx(ctx, c.v, preds, o.par, wantMin)
-	} else {
-		v, cnt, err = parallel.HBPFusedExtremeCtx(ctx, c.h, preds, o.par, wantMin)
-	}
-	return v, cnt, wrapExecErr(err)
-}
-
-// fusedRank runs the fused rank driver; rankOf maps the selected tuple
-// count to the wanted 1-based rank.
-func (c *Column) fusedRank(ctx context.Context, preds []scan.WindowPred, o execConfig, rankOf func(u uint64) (uint64, bool)) (v, cnt uint64, ok bool, err error) {
-	if c.layout == VBP {
-		v, cnt, ok, err = parallel.VBPFusedRankCtx(ctx, c.v, preds, rankOf, o.par)
-	} else {
-		v, cnt, ok, err = parallel.HBPFusedRankCtx(ctx, c.h, preds, rankOf, o.par)
-	}
-	return v, cnt, ok, wrapExecErr(err)
-}
-
-// fusedCount runs the fused COUNT driver with this column driving the
-// windows.
-func (c *Column) fusedCount(ctx context.Context, preds []scan.WindowPred, o execConfig) (cnt uint64, err error) {
-	if c.layout == VBP {
-		cnt, err = parallel.VBPFusedCountCtx(ctx, c.v, preds, o.par)
-	} else {
-		cnt, err = parallel.HBPFusedCountCtx(ctx, c.h, preds, o.par)
-	}
-	return cnt, wrapExecErr(err)
 }
 
 // medianRank is the lower-median rank function for the fused rank driver.

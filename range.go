@@ -35,8 +35,9 @@ type tableEpoch struct {
 	cols map[string]*rangeidx.Snapshot
 }
 
-// segRows returns the column's segment size in tuples — the unit the range
-// index seals at.
+// segRows returns the column's window width in tuples (VBP's 64, HBP's
+// values-per-segment): the unit the range index seals at, and what every
+// column of a fused query must agree on.
 func (c *Column) segRows() int {
 	if c.layout == VBP {
 		return vbp.SegBits

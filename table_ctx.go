@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"bpagg/internal/core"
 	"bpagg/internal/parallel"
 )
 
@@ -144,22 +145,24 @@ func (v *flatView) eval(ctx context.Context, c *aggCall) (partial, error) {
 	return v.evalSelection(ctx, c, col, v.Selection())
 }
 
-// evalFused runs the fused driver of the aggregate's family; a COUNT is
-// driven by the first clause's column (every eligible column shares the
-// window geometry).
+// evalFused runs the driver of the aggregate's family fed by the clauses'
+// predicate conjunction; a COUNT runs in the first clause's column's
+// windows (every eligible column shares the window geometry).
 func (v *flatView) evalFused(ctx context.Context, c *aggCall, col *Column, o execConfig) (p partial, err error) {
-	preds := v.fusedPlan()
+	src := core.Preds(v.fusedPlan())
 	switch {
 	case c.op <= opCount:
-		p.cnt, err = v.clauses[0].col.fusedCount(ctx, preds, o)
+		c0 := v.clauses[0].col
+		p.cnt, err = parallel.CountCtx(ctx, src, c0.segRows(), c0.Len(), o.par)
+		err = wrapExecErr(err)
 	case c.op <= opAvg:
-		p.lo, p.cnt, err = col.fusedSum(ctx, preds, o)
+		p.lo, p.cnt, err = col.sum(ctx, src, o)
 		p.hi, p.lo, err = sum128(p.lo, err)
 	case c.op <= opMax:
-		p.lo, p.cnt, err = col.fusedExtreme(ctx, preds, o, c.op == opMin)
+		p.lo, p.cnt, err = col.extreme(ctx, src, o, c.op == opMin)
 		p.ok = p.cnt > 0
 	default:
-		p.lo, p.cnt, p.ok, err = col.fusedRank(ctx, preds, o, c.rankOf)
+		p.lo, p.cnt, p.ok, err = col.rank(ctx, src, o, c.rankOf)
 	}
 	return p, err
 }
