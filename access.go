@@ -28,10 +28,12 @@ const (
 )
 
 // Access selects the aggregate evaluation strategy of Column aggregates
-// and of a query's two-phase ones. It does not reach GROUP BY: under any
-// method, every per-group aggregate is one banked pass over the partition's
-// run list, since reconstructing per group would take a dense selection
-// per group.
+// and of a query's two-phase SUM, AVG, MIN and MAX. It does not reach
+// GROUP BY or a query's MEDIAN, RANK and QUANTILE: under any method, every
+// per-group aggregate is one banked pass over the partition's run list,
+// and a query's rank is one radix descent over every live shard's
+// candidates, since reconstructing per group or per shard would take a
+// dense selection each.
 func Access(m AccessMethod) ExecOption {
 	return func(c *execConfig) { c.access = m }
 }

@@ -167,16 +167,18 @@ func (r *reader) cut(seg int) uint64 {
 
 // Select counts the tuples src selects in windows [segLo, segHi) of a
 // column of n tuples in vps-tuple windows — COUNT, which touches no packed
-// word — and, when v is non-nil, stores each window's word in v[seg]: the
-// rank candidate vectors of Algorithm 3 lines 4-5 and Algorithm 6 lines
-// 3-4. Neither needs the layout.
-func Select(src Filter, vps, n int, v []uint64, segLo, segHi int, st *FusedStats) uint64 {
+// word — and, when out is non-nil, appends each live window to that
+// one-group list (see Runs): the rank candidates of Algorithm 3 lines 4-5
+// and Algorithm 6 lines 3-4, in the run-list form every rank descent
+// reads (rank.go). Neither needs the layout.
+func Select(src Filter, vps, n int, out *SegEntries, segLo, segHi int, st *FusedStats) uint64 {
 	var oc word.OnesCounter
 	r := src.reader(vps, n, st)
 	for seg := segLo; seg < segHi; seg++ {
 		fw := r.window(seg)
-		if v != nil {
-			v[seg] = fw
+		if out != nil && fw != 0 {
+			out.Segs = append(out.Segs, int32(seg))
+			out.W = append(out.W, fw)
 		}
 		oc.Feed(fw)
 	}

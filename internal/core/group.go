@@ -53,7 +53,10 @@ func (s GroupStats) Add(o GroupStats) GroupStats {
 // pairing an id — the packed key while the partition refines, the group
 // index once a KeyIndex has mapped it — with the selection word W[e] of
 // that id's rows in the window. Runs ascend by window; Start always ends
-// with len(ID), so the zero value is not a valid list (NewRuns).
+// with len(ID), so the zero value is not a valid list (NewRuns). A
+// one-group list (a scalar rank's candidates, Select's) has nil ID and
+// Start instead: run r is entry r alone, of id 0; only the rank kernels
+// read it.
 type Runs[K int32 | uint64] struct {
 	Segs  []int32
 	Start []int32

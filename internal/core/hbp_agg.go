@@ -366,8 +366,10 @@ func HBPRank(col *hbp.Column, f *bitvec.Bitmap, r uint64) (uint64, bool) {
 		return 0, false
 	}
 	nseg := col.NumSegments()
-	v := make([]uint64, nseg)
-	Select(Bits(f), col.ValuesPerSegment(), col.Len(), v, 0, nseg, &FusedStats{})
+	v, vps := make([]uint64, nseg), col.ValuesPerSegment()
+	for seg := range v {
+		v[seg] = f.Extract(seg*vps, vps)
+	}
 	b := col.NumGroups()
 	tau := col.Tau()
 	chunks, histBits := HBPRankChunks(tau, u)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"bpagg/internal/bitvec"
 	"bpagg/internal/scan"
@@ -271,8 +272,7 @@ func VBPRank(col *vbp.Column, f *bitvec.Bitmap, r uint64) (uint64, bool) {
 		return 0, false
 	}
 	nseg := col.NumSegments()
-	v := make([]uint64, nseg)
-	Select(Bits(f), vbp.SegBits, col.Len(), v, 0, nseg, &FusedStats{})
+	v := slices.Clone(f.Words()) // VBP windows are the bitmap's words
 	k := col.K()
 	var m uint64
 	for p := 0; p < k; p++ {

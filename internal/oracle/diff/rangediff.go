@@ -122,8 +122,7 @@ func cmpAvgSel(e tag, agg string, got float64, gotOK bool, gotErr error, oa *ora
 // rangeAggs is the aggregate battery one positional range answers to,
 // shared by the flat and sharded drivers. probe is the range's [lo, hi)
 // pair (for cell naming); full gates the rank family (MEDIAN, RANK,
-// QUANTILE), which costs a bit-sliced binary search each — on the
-// sharded driver every search step is a whole-store fan-out.
+// QUANTILE), which costs a radix descent each.
 type rangeAggs struct {
 	CountRows func(context.Context) (uint64, error)
 	Count     func(context.Context, string) (uint64, error)
@@ -334,11 +333,9 @@ func checkRange(c *Case, exp *expectation, state string, tbl *bpagg.Table, th in
 // checkShardedRange is checkRange on the partitioned store: the same
 // probes route through ShardedRangeQuery, whose shard pruning, local
 // range translation, 128-bit partial merge, and range-restricted rank
-// search must reproduce the flat verdicts exactly. The rank family runs
-// on the full-table probe of the primary thread only: a sharded
-// range-restricted rank is a binary search whose every countLE step is
-// a whole-store fan-out, and the flat driver already sweeps the family
-// probe by probe on both threads.
+// descent must reproduce the flat verdicts exactly. The rank family runs
+// on the full-table probe of the primary thread only: the flat driver
+// already sweeps the family probe by probe on both threads.
 func checkShardedRange(c *Case, exp *expectation, state string, st *bpagg.ShardedTable, th int, deep bool) error {
 	e := tag{c, state, "sharded-range", th}
 	for i, p := range rangeProbes(len(exp.oa.Vals)) {

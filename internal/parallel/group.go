@@ -43,6 +43,13 @@ func (c GroupCol) vps() int {
 	return c.H.ValuesPerSegment()
 }
 
+func (c GroupCol) rows() int {
+	if c.V != nil {
+		return c.V.Len()
+	}
+	return c.H.Len()
+}
+
 func (c GroupCol) nseg() int {
 	if c.V != nil {
 		return c.V.NumSegments()

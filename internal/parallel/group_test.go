@@ -146,7 +146,7 @@ func TestGroupRankMatchesPerGroupDescent(t *testing.T) {
 		for _, m := range []GroupCol{fx.vm, fx.hm, {V: fx.vm.V, Nulls: nulls}, {H: fx.hm.H, Nulls: nulls}} {
 			for _, th := range []int{1, 3} {
 				o := Options{Threads: th}
-				vals, oks, err := HashGroupRankCtx(ctx, []RankPart{{Col: m, HP: hp}}, len(hp.Keys), median, o)
+				vals, oks, err := RankCtx(ctx, []RankPart{{Col: m, HP: hp}}, len(hp.Keys), median, o)
 				if err != nil {
 					t.Fatal(err)
 				}

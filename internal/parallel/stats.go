@@ -3,8 +3,6 @@ package parallel
 import (
 	"time"
 
-	"bpagg/internal/core"
-	"bpagg/internal/hbp"
 	"bpagg/internal/metrics"
 )
 
@@ -16,8 +14,8 @@ import (
 // slots into one Record at the end.
 //
 // The derived counters (SegmentsAggregated, WordsTouched) are counted by
-// the kernels themselves (core.FusedStats), or for a radix descent by the
-// analytic helpers in package core; their per-layout definitions are
+// the kernels themselves (core.FusedStats and the rank kernels' live
+// entries and sub-segments); their per-layout definitions are
 // documented in DESIGN.md §8. Because they only depend on layout geometry
 // and the filter, the totals are identical for any thread count — the
 // property the determinism tests and TestDriverCounterPin assert.
@@ -54,29 +52,8 @@ func (o Options) statsEnd(ws []metrics.ExecStats, start time.Time, extra metrics
 	o.Stats.Record(total)
 }
 
-// vbpCollectRank charges worker w for one VBP radix round over
-// segments [lo, hi): each segment with live candidates is read once by
-// the count pass and once by the refine pass (one bit-position word
-// each).
-func vbpCollectRank(ws []metrics.ExecStats, w int, v []uint64, lo, hi int, t0 time.Time) {
-	st := &ws[w]
-	st.WordsTouched += 2 * core.VBPLiveCandidates(v, lo, hi)
-	st.WorkerBusyNanos += time.Since(t0).Nanoseconds()
-}
-
-// hbpCollectRank charges worker w for one HBP radix round over
-// segments [lo, hi). factor is 2 when the round refines after the
-// histogram (one word-group word per pass) and 1 on the final round,
-// which stops after the histogram.
-func hbpCollectRank(ws []metrics.ExecStats, w int, col *hbp.Column, v []uint64, factor uint64, lo, hi int, t0 time.Time) {
-	st := &ws[w]
-	st.WordsTouched += factor * core.HBPLiveCandidateSubs(col, v, lo, hi)
-	st.WorkerBusyNanos += time.Since(t0).Nanoseconds()
-}
-
-// busyOnly charges worker w for wall time alone; used by passes whose
-// word counts are charged elsewhere (e.g. refine, already counted by
-// the round's histogram/count stage).
+// busyOnly charges worker w for wall time alone; the counters are the
+// kernels' own, or a radix round's analytic charge (rank.go).
 func busyOnly(ws []metrics.ExecStats, w int, t0 time.Time) {
 	st := &ws[w]
 	st.WorkerBusyNanos += time.Since(t0).Nanoseconds()

@@ -1,6 +1,7 @@
 package bpagg
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -231,6 +232,44 @@ func TestWindowMatchesRange(t *testing.T) {
 	empty.AddColumn("v", VBP, 8)
 	if got := empty.Query().Window(10, 10).Sum("v"); len(got) != 0 {
 		t.Fatalf("empty table window sum = %v, want empty", got)
+	}
+}
+
+// TestWindowUnknownColumnEmpty: a window sweep resolves its column before
+// the first window, so an unknown column is an error on an empty table or
+// store too, as it is for every other aggregate; a known column still
+// yields empty slices.
+func TestWindowUnknownColumnEmpty(t *testing.T) {
+	ctx := context.Background()
+	empty := NewTable()
+	empty.AddColumn("v", VBP, 8)
+	type sweeper interface {
+		SumContext(context.Context, string) ([]uint64, error)
+		MinContext(context.Context, string) ([]uint64, []bool, error)
+		MaxContext(context.Context, string) ([]uint64, []bool, error)
+		AvgContext(context.Context, string) ([]float64, []bool, error)
+	}
+	for _, tc := range []struct {
+		name string
+		w    sweeper
+	}{
+		{"table", empty.Query().Window(10, 10)},
+		{"store", ShardTable(empty, 256).Query().Window(10, 10)},
+	} {
+		for _, column := range []string{"nope", "v"} {
+			sums, err1 := tc.w.SumContext(ctx, column)
+			mins, _, err2 := tc.w.MinContext(ctx, column)
+			maxs, _, err3 := tc.w.MaxContext(ctx, column)
+			avgs, _, err4 := tc.w.AvgContext(ctx, column)
+			for i, err := range []error{err1, err2, err3, err4} {
+				if (err != nil) != (column == "nope") {
+					t.Errorf("%s: aggregate %d of column %q: err %v", tc.name, i, column, err)
+				}
+			}
+			if column == "v" && (len(sums)+len(mins)+len(maxs)+len(avgs) != 0 || sums == nil) {
+				t.Errorf("%s: empty sweep = %v %v %v %v, want empty slices", tc.name, sums, mins, maxs, avgs)
+			}
+		}
 	}
 }
 

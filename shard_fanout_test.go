@@ -31,8 +31,10 @@ const fanOutPinHeader = "# ExecStats (timers dropped, zero counters omitted) and
 	"# The 208 /range/GroupBy lines were re-recorded on PR 20, which moved GROUP BY under a row range from the\n" +
 	"# per-group walk to the single-pass partition (results unchanged, every counter lower or equal). The 192\n" +
 	"# grouped MEDIAN/QUANTILE lines and grouped lines over the NULL-bearing n were re-recorded when every\n" +
-	"# group's rank became one radix descent and NULL-bearing measures were banked (results unchanged); every\n" +
-	"# other line still dates from 3eedcdb.\n"
+	"# group's rank became one radix descent and NULL-bearing measures were banked (results unchanged). The 80\n" +
+	"# scalar Median/Rank/Quantile lines over two or more live shards were re-recorded when a sharded rank became\n" +
+	"# one descent over every live shard instead of a binary search of counting fan-outs (results unchanged;\n" +
+	"# Aggregates=1 and the one-shard line's RadixRounds). Every other line still dates from 3eedcdb.\n"
 
 // pinTable builds rows rows in one layout: v (12-bit measure), n (v with
 // every 5th row NULL), a (12-bit, ascending, so shard bounds prune) and g

@@ -35,11 +35,11 @@ func (f *fanOut) GroupByContext(ctx context.Context, columns ...string) (*Sharde
 	if err != nil {
 		return nil, err
 	}
-	live := f.liveShards(nil)
+	live := f.liveShards()
 	f.recordPlan(len(live))
 	parts := make([]*Grouped, len(live))
 	err = f.fan(ctx, live, func(slot int) (err error) {
-		v := f.view(live, slot, nil)
+		v := f.view(live, slot)
 		parts[slot], err = v.GroupByContext(ctx, columns...)
 		return err
 	})
@@ -292,7 +292,7 @@ func (g *ShardedGrouped) rankOkContext(ctx context.Context, c aggCall) ([]uint64
 		parts[p] = parallel.RankPart{Col: groupCol(part.q.t.cols[c.column]), HP: part.hp, Slot: g.pos[p]}
 		o = part.opts()
 	}
-	vals, oks, err := parallel.HashGroupRankCtx(orBackground(ctx), parts, len(g.keys), c.rankOf, o)
+	vals, oks, err := parallel.RankCtx(orBackground(ctx), parts, len(g.keys), c.rankOf, o)
 	return vals, oks, wrapExecErr(err)
 }
 

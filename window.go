@@ -37,7 +37,7 @@ func checkWindow(size, step int) {
 // WindowQuery aggregates per window. See Query.Window. Windows start at
 // rows 0, step, 2·step, … while the start is below the visible row count;
 // the last windows clip to the table, and an empty table yields empty
-// result slices.
+// result slices (an unknown column is an error all the same).
 type WindowQuery struct {
 	windows[*RangeQuery]
 }
@@ -64,34 +64,52 @@ type rangeView interface {
 // either range view; WindowQuery and ShardedWindowQuery promote its
 // methods.
 type windows[R rangeView] struct {
-	src        interface{ windowView() (view R, rows int) }
+	src interface {
+		windowView(column string) (view R, rows int, err error)
+	}
 	size, step int
 }
 
 // windowView is the flat sweep's range view and the row count its windows
-// cover. A filter-free sweep pins one epoch for all of them.
-func (q *Query) windowView() (*RangeQuery, int) {
+// cover, once the aggregate's column (none for COUNT(*)) resolves. A
+// filter-free sweep pins one epoch for all of them.
+func (q *Query) windowView(column string) (*RangeQuery, int, error) {
+	if column != "" {
+		if _, err := q.t.ColumnErr(column); err != nil {
+			return nil, 0, err
+		}
+	}
 	r := q.Range(0, 0)
 	if !q.filterFree() {
-		return r, q.t.rows
+		return r, q.t.rows, nil
 	}
 	r.ep = q.t.pinEpoch()
-	return r, r.ep.rows
+	return r, r.ep.rows, nil
 }
 
-func (q *ShardedQuery) windowView() (*ShardedRangeQuery, int) {
-	return q.Range(0, 0), q.st.rows
+func (q *ShardedQuery) windowView(column string) (*ShardedRangeQuery, int, error) {
+	if column != "" {
+		if _, err := q.st.specErr(column); err != nil {
+			return nil, 0, err
+		}
+	}
+	return q.Range(0, 0), q.st.rows, nil
 }
 
 func (r *RangeQuery) moveTo(lo, hi int)        { r.lo, r.hi = lo, hi }
 func (r *ShardedRangeQuery) moveTo(lo, hi int) { r.lo, r.hi = lo, hi }
 
 // sweep asks agg of every window in turn; oks[i] is agg's presence flag
-// for window i. The window end is clamped here, for every aggregate and
-// both stores: a size past the rows that remain is the rows that remain,
-// so start+size cannot wrap.
-func sweep[R rangeView, T any](w *windows[R], agg func(view R) (T, bool, error)) ([]T, []bool, error) {
-	view, rows := w.src.windowView()
+// for window i. The aggregate's column resolves once, before the first
+// window, so an unknown one is an error even when there is none. The
+// window end is clamped here, for every aggregate and both stores: a size
+// past the rows that remain is the rows that remain, so start+size cannot
+// wrap.
+func sweep[R rangeView, T any](w *windows[R], column string, agg func(view R) (T, bool, error)) ([]T, []bool, error) {
+	view, rows, err := w.src.windowView(column)
+	if err != nil {
+		return nil, nil, err
+	}
 	out, oks := []T{}, []bool{}
 	for b := 0; b < rows; b += w.step {
 		view.moveTo(b, b+min(w.size, rows-b))
@@ -113,7 +131,7 @@ func (w *windows[R]) CountRows() []uint64 {
 
 // CountRowsContext is CountRows honoring ctx.
 func (w *windows[R]) CountRowsContext(ctx context.Context) ([]uint64, error) {
-	out, _, err := sweep(w, func(view R) (uint64, bool, error) {
+	out, _, err := sweep(w, "", func(view R) (uint64, bool, error) {
 		c, err := view.CountRowsContext(ctx)
 		return c, true, err
 	})
@@ -131,7 +149,7 @@ func (w *windows[R]) Sum(column string) []uint64 {
 // SumContext is Sum honoring ctx; an overflowing window returns
 // *OverflowError.
 func (w *windows[R]) SumContext(ctx context.Context, column string) ([]uint64, error) {
-	out, _, err := sweep(w, func(view R) (uint64, bool, error) {
+	out, _, err := sweep(w, column, func(view R) (uint64, bool, error) {
 		v, err := view.SumContext(ctx, column)
 		return v, true, err
 	})
@@ -155,12 +173,12 @@ func (w *windows[R]) Max(column string) ([]uint64, []bool) {
 
 // MinContext is Min honoring ctx.
 func (w *windows[R]) MinContext(ctx context.Context, column string) ([]uint64, []bool, error) {
-	return sweep(w, func(view R) (uint64, bool, error) { return view.MinContext(ctx, column) })
+	return sweep(w, column, func(view R) (uint64, bool, error) { return view.MinContext(ctx, column) })
 }
 
 // MaxContext is Max honoring ctx.
 func (w *windows[R]) MaxContext(ctx context.Context, column string) ([]uint64, []bool, error) {
-	return sweep(w, func(view R) (uint64, bool, error) { return view.MaxContext(ctx, column) })
+	return sweep(w, column, func(view R) (uint64, bool, error) { return view.MaxContext(ctx, column) })
 }
 
 // Avg aggregates AVG of the named column per window; oks[i] is false when
@@ -174,5 +192,5 @@ func (w *windows[R]) Avg(column string) ([]float64, []bool) {
 // AvgContext is Avg honoring ctx. Matching the scan path's contract, a
 // window whose sum exceeds uint64 returns *OverflowError.
 func (w *windows[R]) AvgContext(ctx context.Context, column string) ([]float64, []bool, error) {
-	return sweep(w, func(view R) (float64, bool, error) { return view.AvgContext(ctx, column) })
+	return sweep(w, column, func(view R) (float64, bool, error) { return view.AvgContext(ctx, column) })
 }
