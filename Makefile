@@ -55,10 +55,11 @@ lines:
 # kernel-bench is the core.agg/core.fused rung pair at kernel level (SUM,
 # MIN and MAX) and the core.rank rung through its driver (MEDIAN at one
 # thread), fed a bitmap or a predicate, at 1/10/50/90 % selectivity on two
-# VBP and two HBP widths, at a fixed iteration count so two trees' outputs
-# compare cell by cell.
+# VBP and two HBP widths, plus the core.group rung (partition and SUM at 4
+# to 4 096 groups, kept run list against banked at emit), at a fixed
+# iteration count so two trees' outputs compare cell by cell.
 kernel-bench:
-	$(GO) test ./internal/core ./internal/parallel -run '^$$' -bench '^Benchmark(Kernel|Rank)$$' -benchtime 100x -count 5
+	$(GO) test ./internal/core ./internal/parallel -run '^$$' -bench '^Benchmark(Kernel|Rank|Group)$$' -benchtime 100x -count 5
 
 ci: vet fmt-check build test race server-race shard-race bench-harness
 

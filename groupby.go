@@ -3,7 +3,9 @@ package bpagg
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"bpagg/internal/bitvec"
 	"bpagg/internal/core"
 	"bpagg/internal/parallel"
 )
@@ -39,6 +41,9 @@ type Grouped struct {
 	q      *queryState
 	widths []int
 	hp     *parallel.HashPartition
+	// named lists the aggregates a measured partition was built for; nil
+	// for a plain GroupBy.
+	named []aggCall
 }
 
 // GroupStrategy identifies the key index a Grouped's partition used.
@@ -96,38 +101,105 @@ var ErrGroupCardinality = core.ErrGroupCardinality
 // ANALYZE support).
 func (g *Grouped) Strategy() GroupStrategy { return groupStrategy(g.widths) }
 
-// groupByCols is the one route to a partition, shared by GroupBy and
-// GroupByContext: composite width check, then the single pass.
-func (v *flatView) groupByCols(ctx context.Context, cols []*Column) (*Grouped, error) {
-	if len(cols) == 0 {
+// groupBy is the one route to a partition, shared by GroupBy,
+// GroupByContext and the sharded GROUP BY: column lookup, composite width
+// check, then the single pass.
+func (v *flatView) groupBy(ctx context.Context, columns []string, named []aggCall) (*Grouped, error) {
+	if len(columns) == 0 {
 		return nil, fmt.Errorf("bpagg: GROUP BY needs at least one column")
 	}
-	widths := make([]int, len(cols))
+	cols := make([]*Column, len(columns))
+	widths := make([]int, len(columns))
 	total := 0
-	for i, col := range cols {
-		widths[i] = col.k
+	for i, column := range columns {
+		col, err := v.t.ColumnErr(column)
+		if err != nil {
+			return nil, err
+		}
+		cols[i], widths[i] = col, col.k
 		total += col.k
 	}
 	if total > 64 {
 		return nil, fmt.Errorf("bpagg: composite group key is %d bits wide — keys must pack into 64 bits", total)
 	}
-	return v.groupSinglePass(ctx, cols, widths)
+	return v.groupSinglePass(ctx, cols, widths, named)
 }
 
-// groupSinglePass partitions the view's selection, whatever built it,
-// in one pass over cols. The access pin does not apply, here or to the
+// groupSinglePass partitions the view's rows in one pass over cols. With
+// named nil it keeps the run list every later aggregate reads; otherwise
+// it banks the named SUM/MIN/MAX/COUNT(col) as it goes and keeps the list
+// only for a named rank. The access pin does not apply, here or to the
 // grouped aggregates (see Access). A key count past the budget is
 // ErrGroupCardinality.
-func (v *flatView) groupSinglePass(ctx context.Context, cols []*Column, widths []int) (*Grouped, error) {
+func (v *flatView) groupSinglePass(ctx context.Context, cols []*Column, widths []int, named []aggCall) (*Grouped, error) {
 	o := execOptions(v.execs)
-	base := v.Selection().b
-	// A row NULL in a grouping column joins no group. The copy is made
-	// only when such a column exists and the selection is the query's kept
-	// one; a range view's is already its own.
-	owned := v.ranged
 	gcols := make([]parallel.GroupCol, len(cols))
 	for i, col := range cols {
 		gcols[i] = groupCol(col)
+	}
+	pass := parallel.GroupPass{Cols: gcols, N: cols[0].Len(), Limit: maxHashGroups, Chunk: groupChunkRows}
+	keep := named == nil
+	for _, c := range named {
+		col := v.t.cols[c.column]
+		switch m := measureOf(col, c.op); {
+		case c.op >= opMedian:
+			keep = true
+		case c.op == opCount && col.nulls == nil, slices.Contains(pass.Measures, m):
+			// the partition's own counts, or banked already
+		default:
+			pass.Measures = append(pass.Measures, m)
+		}
+	}
+	if keep {
+		pass.Keep = v.groupBits(cols)
+	} else {
+		pass.Filter = v.groupFilter(cols)
+	}
+	hp, err := parallel.GroupPassCtx(ctx, pass, o.par)
+	if err != nil {
+		return nil, wrapExecErr(err)
+	}
+	return &Grouped{q: v.queryState, widths: widths, hp: hp, named: named}, nil
+}
+
+// measureOf is aggregate op (COUNT, SUM, MIN or MAX) over col as a
+// grouped pass's measure.
+func measureOf(col *Column, op aggOp) parallel.Measure {
+	return parallel.Measure{Col: groupCol(col), Op: measureOps[op]}
+}
+
+var measureOps = map[aggOp]parallel.MeasureOp{
+	opCount: parallel.MeasureCount, opSum: parallel.MeasureSum, opMin: parallel.MeasureMin, opMax: parallel.MeasureMax,
+}
+
+// groupChunkRows is the grouped pass's least chunk (0: the driver's
+// default); tests shrink it so small tables cross many chunks.
+var groupChunkRows = 0
+
+// groupFilter is the filter a grouped pass over cols that keeps no run
+// list reads: the clauses' predicate conjunction, or all rows when there
+// is none, as long as the view is unranged, no grouping column holds NULLs
+// and the clauses fuse with the first grouping column — the access method
+// picks neither, as for a query rank; the bitmap of groupBits otherwise.
+func (v *flatView) groupFilter(cols []*Column) core.Filter {
+	if !v.ranged && !slices.ContainsFunc(cols, func(c *Column) bool { return c.nulls != nil }) {
+		if v.filterFree() {
+			return core.Preds(nil)
+		}
+		if v.fuses(cols[0], BitParallel) {
+			return core.Preds(v.fusedPlan())
+		}
+	}
+	return core.Bits(v.groupBits(cols))
+}
+
+// groupBits is the view's selection — fresh, materialized, caller-edited
+// or a range's filter ∧ mask — without the rows NULL in a grouping column,
+// which join no group. The copy is made only when such a column exists and
+// the selection is the query's kept one; a range view's is already its own.
+func (v *flatView) groupBits(cols []*Column) *bitvec.Bitmap {
+	base, owned := v.Selection().b, v.ranged
+	for _, col := range cols {
 		if col.nulls == nil {
 			continue
 		}
@@ -136,11 +208,7 @@ func (v *flatView) groupSinglePass(ctx context.Context, cols []*Column, widths [
 		}
 		base.AndNot(col.nulls)
 	}
-	hp, err := parallel.HashGroupPartitionCtx(ctx, gcols, base, cols[0].Len(), maxHashGroups, o.par)
-	if err != nil {
-		return nil, wrapExecErr(err)
-	}
-	return &Grouped{q: v.queryState, widths: widths, hp: hp}, nil
+	return base
 }
 
 // GroupBy partitions the view's current selection by the distinct

@@ -3,7 +3,9 @@ package bpagg
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -350,5 +352,201 @@ func FuzzGroupSinglePass(f *testing.F) {
 				t.Fatalf("count differs at group %d: %d vs %d", i, v, refCnt[i])
 			}
 		}
+		checkMeasuredPass(t, seed, int(n), lg, lv, kGi, min(kVi, 32))
 	})
+}
+
+// checkMeasuredPass is FuzzGroupSinglePass's arm for the measured GROUP BY
+// (GroupByAggsContext), which banks its aggregates as it partitions: with
+// the chunk shrunk to one least common multiple of the window widths, at
+// Threads 1, 2 and 8, its answers must equal the kept-list aggregates of
+// GroupByContext and a naive oracle. The table adds a NULL-bearing measure
+// nv, an HBP k = 6 measure q (63-row windows), an HBP k = 6 key h for a
+// composite of mixed window widths and a VBP filter column f; the filters
+// are none, one on f (fusing with a VBP key) and one on q (never fusing
+// with a VBP key). A key budget one short of the key count must return
+// ErrGroupCardinality and no result.
+func checkMeasuredPass(t *testing.T, seed int64, n int, lg, lv Layout, kG, kV int) {
+	t.Helper()
+	defer func(old int) { groupChunkRows = old }(groupChunkRows)
+	groupChunkRows = 1
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	names := []string{"g", "h", "v", "nv", "q", "f"}
+	cols := []*Column{NewColumn(lg, kG), NewColumn(HBP, 6), NewColumn(lv, kV), NewColumn(lv, kV), NewColumn(HBP, 6), NewColumn(VBP, 8)}
+	data := map[string][]uint64{}
+	nulls := make([]bool, n)
+	for j, name := range names {
+		c, k := cols[j], cols[j].k
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = rng.Uint64() >> uint(64-k)
+			if name == "nv" && rng.Intn(4) == 0 {
+				nulls[i] = true
+				c.AppendNull()
+				continue
+			}
+			c.Append(vals[i])
+		}
+		data[name] = vals
+	}
+	store := PartitionTable(NewTableFromColumns(names, cols))
+
+	aggs := []GroupAgg{{Op: "SUM", Column: "v"}, {Op: "MIN", Column: "v"}, {Op: "MAX", Column: "v"},
+		{Op: "AVG", Column: "nv"}, {Op: "MIN", Column: "nv"}, {Op: "MAX", Column: "nv"}, {Op: "SUM", Column: "q"}, {Op: "MAX", Column: "q"}}
+	filters := []struct {
+		col  string
+		pred Predicate
+		keep func(i int) bool
+	}{
+		{"", Predicate{}, func(int) bool { return true }},
+		{"f", Less(96), func(i int) bool { return data["f"][i] < 96 }},
+		{"q", Less(40), func(i int) bool { return data["q"][i] < 40 }},
+	}
+	ctx := context.Background()
+	for _, by := range [][]string{{"g"}, {"g", "h"}} {
+		for _, fl := range filters {
+			oracle := map[uint64]*measuredAcc{}
+			for i := 0; i < n; i++ {
+				if !fl.keep(i) {
+					continue
+				}
+				key := data["g"][i]
+				if len(by) == 2 {
+					key = key<<6 | data["h"][i]
+				}
+				a := oracle[key]
+				if a == nil {
+					a = &measuredAcc{vMin: ^uint64(0), nvMin: ^uint64(0)}
+					oracle[key] = a
+				}
+				v, q := data["v"][i], data["q"][i]
+				a.rows++
+				a.vSum += v
+				a.vMin, a.vMax = min(a.vMin, v), max(a.vMax, v)
+				a.qSum += q
+				a.qMax = max(a.qMax, q)
+				a.qs = append(a.qs, q)
+				if !nulls[i] {
+					nv := data["nv"][i]
+					a.nvCnt++
+					a.nvSum += nv
+					a.nvMin, a.nvMax = min(a.nvMin, nv), max(a.nvMax, nv)
+				}
+			}
+			query := func(th int) *ShardedQuery {
+				sq := store.Query().With(Parallel(th))
+				if fl.col != "" {
+					sq.Where(fl.col, fl.pred)
+				}
+				return sq
+			}
+			for _, th := range []int{1, 2, 8} {
+				for _, rank := range []bool{false, true} {
+					named := aggs
+					if rank {
+						named = append(slices.Clip(aggs), GroupAgg{Op: "MEDIAN", Column: "q"})
+					}
+					g, err := query(th).GroupByAggsContext(ctx, by, named)
+					if err != nil {
+						t.Fatal(err)
+					}
+					kept, err := query(th).GroupByContext(ctx, by...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("GROUP BY %v WHERE %s, threads %d, rank %v", by, fl.col, th, rank)
+					sameMeasured(t, label, g, kept, oracle, rank)
+				}
+			}
+			if len(oracle) < 2 {
+				continue
+			}
+			restore := LowerHashGroupBudget(len(oracle) - 1)
+			g, err := query(2).GroupByAggsContext(ctx, by, aggs)
+			restore()
+			if g != nil || !errors.Is(err, ErrGroupCardinality) {
+				t.Fatalf("GROUP BY %v WHERE %s past the budget: %v, %v; want no result and ErrGroupCardinality", by, fl.col, g, err)
+			}
+		}
+	}
+	g, err := store.Query().GroupByAggsContext(ctx, []string{"g"}, aggs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := g.MaxOkContext(ctx, "v"); err == nil {
+		t.Fatal("MAX(v) answered by a GROUP BY built for SUM(v) alone")
+	}
+	if _, err := g.NonNullCountContext(ctx, "f"); err == nil {
+		t.Fatal("COUNT(f) answered by a GROUP BY built for SUM(v) alone")
+	}
+	// A result is the caller's: editing it changes no later answer.
+	first, err := g.SumContext(ctx, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(first)
+	for i := range first {
+		first[i]++
+	}
+	if again, err := g.SumContext(ctx, "v"); err != nil || !slices.Equal(again, want) {
+		t.Fatalf("SUM(v) after editing the first answer: %v, %v; want %v", again, err, want)
+	}
+}
+
+// measuredAcc is checkMeasuredPass's oracle for one group.
+type measuredAcc struct {
+	rows, vSum, vMin, vMax, nvCnt, nvSum, nvMin, nvMax, qSum, qMax uint64
+	qs                                                             []uint64
+}
+
+// sameMeasured compares one measured GROUP BY with the kept-list one and
+// the oracle, group by group.
+func sameMeasured(t *testing.T, label string, g, kept *ShardedGrouped, oracle map[uint64]*measuredAcc, rank bool) {
+	t.Helper()
+	ctx := context.Background()
+	if !slices.Equal(g.Keys(), kept.Keys()) || g.Len() != len(oracle) {
+		t.Fatalf("%s: keys %v, kept list %v, oracle has %d", label, g.Keys(), kept.Keys(), len(oracle))
+	}
+	answers := func(g *ShardedGrouped) (out [][]uint64) {
+		vals := func(v []uint64, err error) []uint64 {
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			return v
+		}
+		ok := func(v []uint64, oks []bool, err error) []uint64 {
+			for i := range v {
+				if !oks[i] {
+					v[i] = ^uint64(0) // all NULL: the oracle's empty extremes
+				}
+			}
+			return vals(v, err)
+		}
+		out = append(out, vals(g.CountContext(ctx)), vals(g.SumContext(ctx, "v")), ok(g.MinOkContext(ctx, "v")), ok(g.MaxOkContext(ctx, "v")),
+			vals(g.NonNullCountContext(ctx, "nv")), vals(g.SumContext(ctx, "nv")), ok(g.MinOkContext(ctx, "nv")), ok(g.MaxOkContext(ctx, "nv")),
+			vals(g.SumContext(ctx, "q")), ok(g.MaxOkContext(ctx, "q")))
+		if rank {
+			out = append(out, vals(g.MedianContext(ctx, "q")))
+		}
+		return out
+	}
+	got, want := answers(g), answers(kept)
+	for i, key := range g.Keys() {
+		a := oracle[key]
+		nvMin, nvMax := a.nvMin, a.nvMax
+		if a.nvCnt == 0 {
+			nvMax = ^uint64(0)
+		}
+		exp := []uint64{a.rows, a.vSum, a.vMin, a.vMax, a.nvCnt, a.nvSum, nvMin, nvMax, a.qSum, a.qMax}
+		if rank {
+			qs := slices.Clone(a.qs)
+			slices.Sort(qs)
+			exp = append(exp, qs[(len(qs)-1)/2])
+		}
+		for j := range exp {
+			if got[j][i] != want[j][i] || got[j][i] != exp[j] {
+				t.Fatalf("%s: group %d (key %d), answer %d: measured %d, kept list %d, oracle %d", label, i, key, j, got[j][i], want[j][i], exp[j])
+			}
+		}
+	}
 }

@@ -82,32 +82,21 @@ func NewRuns[K int32 | uint64](runs, entries int) *Runs[K] {
 // NumRuns returns the number of live windows.
 func (r *Runs[K]) NumRuns() int { return len(r.Segs) }
 
-// Merge appends entries to window seg, which must not precede the last
-// run: a new run, or a continuation of the last one, in which an id the
-// run already holds ORs in place — how the driver joins the lists of two
-// workers that share a window once a later column re-cut them.
-func (r *Runs[K]) Merge(seg int32, ids []K, ws []uint64) {
-	n := len(r.Segs)
-	lo, hi := len(r.ID), len(r.ID)
-	if n > 0 && r.Segs[n-1] == seg {
-		lo = int(r.Start[n-1])
-	} else {
-		r.Segs = append(r.Segs, seg)
-		r.Start = append(r.Start, 0)
-		n++
+// Reset empties the list for reuse as scratch, keeping its capacity; it
+// also makes the zero value a valid empty list.
+func (r *Runs[K]) Reset() {
+	r.Segs, r.Start, r.ID, r.W = r.Segs[:0], append(r.Start[:0], 0), r.ID[:0], r.W[:0]
+}
+
+// Append appends list o, whose first window must follow r's last.
+func (r *Runs[K]) Append(o *Runs[K]) {
+	base := int32(len(r.ID))
+	r.Segs = append(r.Segs, o.Segs...)
+	for _, st := range o.Start[1:] {
+		r.Start = append(r.Start, base+st)
 	}
-next:
-	for i, id := range ids {
-		for e := lo; e < hi; e++ {
-			if r.ID[e] == id {
-				r.W[e] |= ws[i]
-				continue next
-			}
-		}
-		r.ID = append(r.ID, id)
-		r.W = append(r.W, ws[i])
-	}
-	r.Start[n] = int32(len(r.ID))
+	r.ID = append(r.ID, o.ID...)
+	r.W = append(r.W, o.W...)
 }
 
 // SortRun puts run r's entries in ascending id order — the canonical
@@ -445,6 +434,14 @@ func (s *Splitter) k() int {
 	return s.h.K()
 }
 
+// rows returns the column's length in values.
+func (s *Splitter) rows() int {
+	if s.v != nil {
+		return s.v.Len()
+	}
+	return s.h.Len()
+}
+
 // vps returns the column's window size in values.
 func (s *Splitter) vps() int {
 	if s.v != nil {
@@ -460,13 +457,16 @@ func (s *Splitter) split(seg int, w uint64, sc *splitScratch, st *GroupStats) (c
 	return hbpSplitSeg(s.h, &s.hc, seg, w, sc, st)
 }
 
-// NewStepRuns sizes the output of one Partition step over srcEntries
-// source entries in runs windows: an entry splits into at most
-// min(2^k, window) codes, and no step emits more entries than the rows it
-// selects.
-func NewStepRuns[K int32 | uint64](s *Splitter, runs, srcEntries, rows int) *Runs[K] {
-	codes := min(1<<uint(min(s.k(), 6)), s.vps())
-	return NewRuns[K](min(runs, rows), min(srcEntries*codes, rows))
+// NewStepRuns sizes the run list a partition through grouping columns sps
+// emits over runs windows of the last one that select at most rows rows:
+// each step splits an entry into at most min(2^k, window) codes, and no
+// window holds more entries than the rows it selects.
+func NewStepRuns[K int32 | uint64](runs, rows int, sps ...*Splitter) *Runs[K] {
+	entries := runs
+	for _, s := range sps {
+		entries = min(entries*min(1<<uint(min(s.k(), 6)), s.vps()), rows)
+	}
+	return NewRuns[K](min(runs, rows), entries)
 }
 
 // PackedKey is Partition's id for every step but the last: the entry
@@ -474,17 +474,20 @@ func NewStepRuns[K int32 | uint64](s *Splitter, runs, srcEntries, rows int) *Run
 func PackedKey(key uint64) (uint64, bool) { return key, true }
 
 // Partition runs one step of the GROUP BY partition over grouping column
-// s and appends its runs to out. With src nil it splits the filter
-// windows of the column's segments [lo, hi); otherwise it refines every
-// window src yields in s's segmentation: entry (key, w) becomes one entry
-// (key<<k | code, w ∧ code's rows) per code present. id maps each emitted
-// key to the entry's id — PackedKey, or a KeyIndex's Slot on the last
-// step — and refuses a key past the budget. Calls over ascending
-// sub-ranges compose.
-func Partition[K int32 | uint64](s *Splitter, f *bitvec.Bitmap, src *Cursor[uint64], lo, hi int, id func(uint64) (K, bool), out *Runs[K], st *GroupStats) error {
+// s and appends its runs to out. With src nil it splits the filter words f
+// gives for the column's segments [lo, hi), counting the filter's scan
+// work into fst; otherwise it refines every window src yields in s's
+// segmentation: entry (key, w) becomes one entry (key<<k | code, w ∧
+// code's rows) per code present. id maps each emitted key to the entry's
+// id — PackedKey, or a KeyIndex's Slot on the last step — and refuses a
+// key past the budget. Calls over ascending sub-ranges compose.
+func Partition[K int32 | uint64](s *Splitter, f Filter, src *Cursor[uint64], lo, hi int, id func(uint64) (K, bool), out *Runs[K], st *GroupStats, fst *FusedStats) error {
 	shift := uint(s.k())
 	var sc splitScratch
-	rd := Bits(f).reader(s.vps(), f.Len(), nil)
+	var rd reader
+	if src == nil {
+		rd = f.reader(s.vps(), s.rows(), fst)
+	}
 	var key0, fw [1]uint64 // the first column's one entry per window: key 0, the filter word
 	for r := lo; ; r++ {
 		seg, keys, ws := r, key0[:], fw[:]
@@ -518,15 +521,5 @@ func Partition[K int32 | uint64](s *Splitter, f *bitvec.Bitmap, src *Cursor[uint
 			out.Segs = append(out.Segs, int32(seg))
 			out.Start = append(out.Start, n)
 		}
-	}
-}
-
-// Add128Pairs adds the 128-bit accumulators (ohis, olos) element-wise
-// into (his, los) — the worker-merge primitive for the grouped drivers.
-func Add128Pairs(his, los, ohis, olos []uint64) {
-	for i := range his {
-		lo, carry := bits.Add64(los[i], olos[i], 0)
-		his[i] += ohis[i] + carry
-		los[i] = lo
 	}
 }

@@ -9,16 +9,59 @@ import (
 )
 
 // Banked aggregates over a grouped partition. The parallel driver hands
-// every measure column a Cursor over the partition's one canonical
-// SegEntries list — segment-major runs of (group index, selection word),
-// identical at any thread count — cut to the measure's windows with its
-// NULL rows dropped, and the kernels below aggregate straight off it: the
+// every measure column a Cursor over a SegEntries list — segment-major
+// runs of (group or slot, selection word): one chunk's, as the grouped
+// pass emits it, or a kept partition's — cut to the measure's windows with
+// its NULL rows dropped, and the kernels below aggregate straight off it: the
 // run list is the live set of each window, so no kernel scans a per-group
 // array to find it (O(G) per segment is what a 10^5-group partition cannot
 // afford). Per-group state is two words (the 128-bit accumulator or the
 // running extreme), so memory stays O(G + banked words).
 
-// VBPHashSumRuns accumulates each group's 128-bit SUM over the windows
+// HashKernel is the banked kernels bound to one measure column, with the
+// state they derive from it built once: the plane lookup and the run
+// accumulator (VBP), the IN-WORD-SUM constants and the word-group slices
+// (HBP). A grouped pass that feeds it one chunk at a time pays for that
+// state once per worker, not once per chunk. It is one worker's: the run
+// accumulator is mutable.
+type HashKernel struct {
+	v      *vbp.Column
+	pl     vbpPlanes
+	acc    *vbpRunSum
+	h      *hbp.Column
+	summer word.Summer
+	gws    [][]uint64
+}
+
+// NewHashKernel binds the kernels to a measure column; exactly one of v
+// and h is non-nil.
+func NewHashKernel(v *vbp.Column, h *hbp.Column) *HashKernel {
+	if v != nil {
+		return &HashKernel{v: v, pl: newVBPPlanes(v), acc: newVBPRunSum(v.K())}
+	}
+	return &HashKernel{h: h, summer: word.NewSummer(h.Tau(), h.FieldsPerWord()), gws: groupSlices(h)}
+}
+
+// Sum accumulates each group's 128-bit SUM over the windows cur yields.
+func (hk *HashKernel) Sum(cur *Cursor[int32], his, los []uint64, st *GroupStats) {
+	if hk.v != nil {
+		hk.vbpSum(cur, his, los, st)
+	} else {
+		hk.hbpSum(cur, his, los, st)
+	}
+}
+
+// Extreme folds each group's MIN (or MAX) over the windows cur yields;
+// anys[i] turns true once group i has a value.
+func (hk *HashKernel) Extreme(cur *Cursor[int32], wantMin bool, bests []uint64, anys []bool, st *GroupStats) {
+	if hk.v != nil {
+		hk.vbpExtreme(cur, wantMin, bests, anys, st)
+	} else {
+		hk.hbpExtreme(cur, wantMin, bests, anys, st)
+	}
+}
+
+// vbpSum accumulates each group's 128-bit SUM over the windows
 // cur yields of the measure column. A run whose single entry covers
 // the whole segment is served from the exact segment-sum cache. For
 // k ≤ 57 a segment's per-entry sum fits uint64 (≤ 64 values of 2^k−1 <
@@ -26,9 +69,9 @@ import (
 // bank and pays one 128-bit add per entry; wider codes take the checked
 // 128-bit shift-add per plane. Stats follow the DESIGN.md §8 analytic
 // conventions, so the counters are thread-invariant.
-func VBPHashSumRuns(col *vbp.Column, cur *Cursor[int32], his, los []uint64, st *GroupStats) {
+func (hk *HashKernel) vbpSum(cur *Cursor[int32], his, los []uint64, st *GroupStats) {
+	col, pl := hk.v, &hk.pl
 	k := col.K()
-	pl := newVBPPlanes(col)
 	cacheOK := k <= SumCacheExactK
 	small := k <= 57
 	// Single-entry runs (one live group in the segment — the common case
@@ -36,7 +79,7 @@ func VBPHashSumRuns(col *vbp.Column, cur *Cursor[int32], his, los []uint64, st *
 	// run accumulator keyed on the entry's group; per-plane counts land as
 	// checked shift-adds, exactly what the wide path below does per word.
 	// Multi-entry runs drain first and take the per-word loops.
-	acc := newVBPRunSum(k)
+	acc := hk.acc
 	sink := func(gi, p int, c uint64) {
 		his[gi], los[gi] = addShift128(his[gi], los[gi], c, uint(k-1-p))
 	}
@@ -55,10 +98,10 @@ func VBPHashSumRuns(col *vbp.Column, cur *Cursor[int32], his, los []uint64, st *
 		st.Segments++
 		st.Words += uint64(k)
 		if len(ws) == 1 {
-			acc.push(&pl, int(ids[0]), seg, ws[0], sink)
+			acc.push(pl, int(ids[0]), seg, ws[0], sink)
 			continue
 		}
-		acc.drain(&pl, sink)
+		acc.drain(pl, sink)
 		if small {
 			// Slices of equal length and a masked shift (k ≤ 57) keep the
 			// inner loop free of bounds and shift-range checks: it runs
@@ -97,21 +140,20 @@ func VBPHashSumRuns(col *vbp.Column, cur *Cursor[int32], his, los []uint64, st *
 			}
 		}
 	}
-	acc.drain(&pl, sink)
+	acc.drain(pl, sink)
 }
 
-// HBPHashSumRuns is the HBP twin of VBPHashSumRuns: per entry the
+// hbpSum is the HBP twin of vbpSum: per entry the
 // selection word moves onto the delimiter lanes, each word-group's masked
 // word folds by the hoisted Gilles–Miller IN-WORD-SUM, and the weighted
 // bit-group partials combine in 128 bits before one add into the entry's
 // group. The per-bit-group partial fits uint64 (≤ 64 values of 2^tau−1),
 // and (b−1)·tau < k ≤ 64 keeps the combine shift in range.
-func HBPHashSumRuns(col *hbp.Column, cur *Cursor[int32], his, los []uint64, st *GroupStats) {
+func (hk *HashKernel) hbpSum(cur *Cursor[int32], his, los []uint64, st *GroupStats) {
+	col, summer, gws := hk.h, &hk.summer, hk.gws
 	tau := col.Tau()
 	b := col.NumGroups()
 	subs := col.SubSegments()
-	summer := word.NewSummer(tau, col.FieldsPerWord())
-	gws := groupSlices(col)
 	cacheOK := col.K() <= SumCacheExactK
 	fast := summer.Fast()
 	flush, fw2, fin, keep, mul := summer.Consts()
@@ -169,16 +211,16 @@ func HBPHashSumRuns(col *hbp.Column, cur *Cursor[int32], his, los []uint64, st *
 	}
 }
 
-// VBPHashExtremeRuns folds MIN (or MAX) candidates over the windows cur
+// vbpExtreme folds MIN (or MAX) candidates over the windows cur
 // yields: each entry's selection word descends the planes as a
 // scalar bit-descent. A lone whole-segment entry is served from the exact
 // zone range, and the segment zone range gates entries that cannot
 // improve their group's running best (perf-only: a live segment charges
 // its k words whatever the gate decides, so the counters stay
 // thread-invariant).
-func VBPHashExtremeRuns(col *vbp.Column, cur *Cursor[int32], wantMin bool, bests []uint64, anys []bool, st *GroupStats) {
+func (hk *HashKernel) vbpExtreme(cur *Cursor[int32], wantMin bool, bests []uint64, anys []bool, st *GroupStats) {
+	col, pl := hk.v, &hk.pl
 	k := col.K()
-	pl := newVBPPlanes(col)
 	for cur.Next() {
 		s32, ids, ws := cur.Window()
 		seg := int(s32)
@@ -232,15 +274,15 @@ func VBPHashExtremeRuns(col *vbp.Column, cur *Cursor[int32], wantMin bool, bests
 	}
 }
 
-// HBPHashExtremeRuns is the HBP twin of VBPHashExtremeRuns: selected
+// hbpExtreme is the HBP twin of vbpExtreme: selected
 // tuples peel off each entry's sub-segment windows and reconstruct from
 // the word-group fields.
-func HBPHashExtremeRuns(col *hbp.Column, cur *Cursor[int32], wantMin bool, bests []uint64, anys []bool, st *GroupStats) {
+func (hk *HashKernel) hbpExtreme(cur *Cursor[int32], wantMin bool, bests []uint64, anys []bool, st *GroupStats) {
+	col, gws := hk.h, hk.gws
 	tau := col.Tau()
 	b := col.NumGroups()
 	subs := col.SubSegments()
 	fWidth := col.FieldWidth()
-	gws := groupSlices(col)
 	for cur.Next() {
 		s32, ids, ws := cur.Window()
 		seg := int(s32)

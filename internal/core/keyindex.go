@@ -81,6 +81,10 @@ func (x *KeyIndex) grow() {
 	x.Growths++
 	old := x.table
 	x.table = make([]int32, len(old)*2)
+	keys := make([]uint64, len(x.Keys), len(old)) // room for every key the table takes before it grows again
+	copy(keys, x.Keys)
+	x.Keys = keys
+
 	x.shift--
 	mask := uint64(len(x.table) - 1)
 	for _, s := range old {
@@ -93,6 +97,16 @@ func (x *KeyIndex) grow() {
 		}
 		x.table[i] = s
 	}
+}
+
+// Cap returns how many slots the index holds before its table grows: the
+// key space of a direct index, half the table of a hashed one. It only
+// grows, by doubling, so state kept per slot can grow with it.
+func (x *KeyIndex) Cap() int {
+	if x.shift == 0 {
+		return len(x.table)
+	}
+	return len(x.table) / 2
 }
 
 // Slot returns key's slot, discovering the key on first use. It reports

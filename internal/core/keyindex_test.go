@@ -183,3 +183,30 @@ func TestRewindowRunList(t *testing.T) {
 		}
 	}
 }
+
+// Merge appends entries to window seg, which must not precede the last
+// run: a new run, or a continuation of the last one, in which an id the
+// run already holds ORs in place. Tests build run lists with it.
+func (r *Runs[K]) Merge(seg int32, ids []K, ws []uint64) {
+	n := len(r.Segs)
+	lo, hi := len(r.ID), len(r.ID)
+	if n > 0 && r.Segs[n-1] == seg {
+		lo = int(r.Start[n-1])
+	} else {
+		r.Segs = append(r.Segs, seg)
+		r.Start = append(r.Start, 0)
+		n++
+	}
+next:
+	for i, id := range ids {
+		for e := lo; e < hi; e++ {
+			if r.ID[e] == id {
+				r.W[e] |= ws[i]
+				continue next
+			}
+		}
+		r.ID = append(r.ID, id)
+		r.W = append(r.W, ws[i])
+	}
+	r.Start[n] = int32(len(r.ID))
+}

@@ -136,7 +136,7 @@ func TestPosPopGroupSumMatchesScalar(t *testing.T) {
 	los := make([]uint64, G)
 	var st GroupStats
 	cur := NewCursor(se, 64, 64, 0, col.NumSegments(), nil)
-	VBPHashSumRuns(col, &cur, his, los, &st)
+	NewHashKernel(col, nil).Sum(&cur, his, los, &st)
 	for g := 0; g < G; g++ {
 		if big128(his[g], los[g]).Cmp(want[g]) != 0 {
 			t.Fatalf("group %d: banked %s, big.Int %s", g, big128(his[g], los[g]), want[g])
@@ -205,7 +205,7 @@ func TestPosPopHashSumRunsMatchesScalar(t *testing.T) {
 		los := make([]uint64, G)
 		var st GroupStats
 		cur := NewCursor(se, 64, 64, 0, col.NumSegments(), nil)
-		VBPHashSumRuns(col, &cur, his, los, &st)
+		NewHashKernel(col, nil).Sum(&cur, his, los, &st)
 		for g := 0; g < G; g++ {
 			if big128(his[g], los[g]).Cmp(want[g]) != 0 {
 				t.Fatalf("k=%d group %d: hashed %s, big.Int %s", k, g, big128(his[g], los[g]), want[g])

@@ -14,22 +14,19 @@ import (
 	"bpagg/internal/vbp"
 )
 
-// Single-pass grouped drivers (DESIGN.md §12). The partition driver
-// splits the first grouping column's segments across workers; each worker
-// runs core.Partition over its range, refines its own run list by every
-// further grouping column (re-windowing it when the columns' segment sizes
-// differ) and indexes the final keys into worker-local slots. The workers'
-// lists then concatenate — their row ranges are disjoint and ascending —
-// into one canonical run list in sorted-key group order, identical at any
-// thread count. The banked drivers (SUM, MIN/MAX, COUNT(col), rank) split
-// the measure column's windows across workers, each reading the list
-// through a core.Cursor over its windows, so nothing is ever
+// Grouped drivers (DESIGN.md §12). GroupPassCtx is the one partition
+// driver: one pass per worker over whole chunks of the table, folding the
+// named measures into per-group banks as each chunk's entries are emitted,
+// and keeping the canonical run list only when a rank or Materialize needs
+// it. The kept-list drivers (SUM, MIN/MAX, COUNT(col) here, the rank in
+// rank.go) split the measure column's windows across workers, each reading
+// the list through a core.Cursor over its windows, so nothing is ever
 // O(groups × segments).
 
 // GroupCol is one grouping or measure column handed to the grouped
 // drivers: exactly one of V and H is non-nil. Nulls marks a measure
-// column's NULL rows (nil: none), which the banked drivers drop; a
-// partition's base bitmap already excludes a grouping column's.
+// column's NULL rows (nil: none), which the banked drivers drop; a pass's
+// filter already excludes a grouping column's.
 type GroupCol struct {
 	V     *vbp.Column
 	H     *hbp.Column
@@ -66,20 +63,24 @@ func (c GroupCol) Width() int {
 	return c.H.K()
 }
 
-// HashPartition is the result of a grouped partition: the sorted packed
-// keys, per-group row counts, and the canonical run list the banked
-// aggregate kernels consume. Vps is the window size of the canonical
-// entries (the last grouping column's segmentation); a measure column of
-// another window size reads them through a cursor that re-cuts them as it
-// goes. The key-major view behind Materialize is built on its first call,
-// under a lock, so concurrent aggregates over one partition are safe.
+// HashPartition is the result of a grouped pass: the sorted packed keys,
+// per-group row counts, the banks of the measures the pass named, and —
+// when the pass kept it — the canonical run list the rank descent and
+// Materialize read. Vps is the window size of the list's entries (the
+// last grouping column's segmentation); a measure column of another
+// window size reads them through a cursor that re-cuts them as it goes.
+// The key-major view behind Materialize is built on its first call, under
+// a lock, so concurrent aggregates over one partition are safe.
 type HashPartition struct {
 	Keys   []uint64
 	Counts []uint64
 	N      int
 	Vps    int
+	// Banks holds every measure of the pass in group order, parallel to
+	// GroupPass.Measures.
+	Banks []*Bank
 
-	se *core.SegEntries
+	se *core.SegEntries // the kept run list; nil when the pass kept none
 
 	mu     sync.Mutex
 	gStart []int32 // key-major view: group i's windows are gSeg/gW[gStart[i]:gStart[i+1]]
@@ -87,16 +88,124 @@ type HashPartition struct {
 	gW     []uint64
 }
 
-// partWorker is one worker's partition state: the run list under
-// refinement (packed keys), the indexed list its last step emits, and the
-// index that assigns the slots.
-type partWorker struct {
-	rows  int // selected rows of the worker's range: the cap on any step's entries
-	keyed *core.Runs[uint64]
-	slots *core.SegEntries
-	idx   *core.KeyIndex
-	st    core.GroupStats
-	busy  int64
+// MeasureOp names an aggregate a grouped pass banks per group.
+type MeasureOp uint8
+
+const (
+	MeasureSum   MeasureOp = iota // 128-bit SUM, in Bank.His and Bank.Los
+	MeasureMin                    // MIN, in Bank.Best and Bank.Any
+	MeasureMax                    // MAX, in Bank.Best and Bank.Any
+	MeasureCount                  // COUNT(col), the rows not NULL in the column, in Bank.Count
+)
+
+// Measure is one aggregate a grouped pass folds into its bank as it
+// emits each chunk's entries.
+type Measure struct {
+	Col GroupCol
+	Op  MeasureOp
+}
+
+// Bank is one measure's per-group partials: slot-indexed while a worker
+// fills it, in group order once the pass (or a kept-list driver) has
+// folded its workers' banks. Any[i] is false for a group whose rows are
+// all NULL in the measure column.
+type Bank struct {
+	His, Los []uint64
+	Best     []uint64
+	Any      []bool
+	Count    []uint64
+
+	m   Measure
+	k   *core.HashKernel // built on the first step, once per worker and measure
+	cur core.Cursor[int32]
+	st  core.GroupStats
+}
+
+// newBank returns measure m's bank for n groups.
+func newBank(m Measure, n int) *Bank {
+	b := &Bank{m: m}
+	b.grow(n)
+	return b
+}
+
+// grow zero-extends the bank to n groups.
+func (b *Bank) grow(n int) {
+	switch b.m.Op {
+	case MeasureSum:
+		b.His, b.Los = extend(b.His, n), extend(b.Los, n)
+	case MeasureCount:
+		b.Count = extend(b.Count, n)
+	default:
+		b.Best, b.Any = extend(b.Best, n), extend(b.Any, n)
+	}
+}
+
+// extend zero-extends s to exactly n elements: per-slot state grows to
+// the key index's capacity, which doubles, so nothing overshoots it.
+func extend[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	t := make([]T, n)
+	copy(t, s)
+	return t
+}
+
+// step runs the measure's kernel over windows [lo, hi) of its column,
+// reading list se, whose windows hold vps rows, without the column's NULL
+// rows. The bank's ids are se's.
+func (b *Bank) step(se *core.SegEntries, vps, lo, hi int) {
+	b.cur = core.NewCursor(se, vps, b.m.Col.vps(), lo, hi, b.m.Col.Nulls)
+	if b.k == nil && b.m.Op != MeasureCount {
+		b.k = core.NewHashKernel(b.m.Col.V, b.m.Col.H)
+	}
+	switch b.m.Op {
+	case MeasureSum:
+		b.k.Sum(&b.cur, b.His, b.Los, &b.st)
+	case MeasureCount:
+		core.HashCountRuns(&b.cur, nil, b.Count)
+	default:
+		b.k.Extreme(&b.cur, b.m.Op == MeasureMin, b.Best, b.Any, &b.st)
+	}
+}
+
+// fold merges the first len(gi) ids of worker bank w into b, id s landing
+// on gi[s]: a 128-bit add, an extreme fold or a count add.
+func (b *Bank) fold(w *Bank, gi []int32) {
+	switch b.m.Op {
+	case MeasureSum:
+		for s, g := range gi {
+			lo, carry := bits.Add64(b.Los[g], w.Los[s], 0)
+			b.His[g] += w.His[s] + carry
+			b.Los[g] = lo
+		}
+	case MeasureCount:
+		for s, g := range gi {
+			b.Count[g] += w.Count[s]
+		}
+	default:
+		wantMin := b.m.Op == MeasureMin
+		for s, g := range gi {
+			if !w.Any[s] {
+				continue
+			}
+			v := w.Best[s]
+			if !b.Any[g] || wantMin && v < b.Best[g] || !wantMin && v > b.Best[g] {
+				b.Best[g] = v
+			}
+			b.Any[g] = true
+		}
+	}
+	b.st = b.st.Add(w.st)
+}
+
+// extra is the bank's work in the ExecStats schema.
+func (b *Bank) extra() metrics.ExecStats {
+	return metrics.ExecStats{
+		SegmentsAggregated:  b.st.Segments,
+		WordsTouched:        b.st.Words,
+		SegmentsCacheServed: b.st.CacheServed,
+	}
 }
 
 // VBPGroupPartitionCtx partitions the filter by one VBP grouping column.
@@ -116,91 +225,158 @@ func keysOf(hp *HashPartition, err error) ([]uint64, *HashPartition, error) {
 	return hp.Keys, hp, nil
 }
 
-// HashGroupPartitionCtx partitions the filter across the packed keys of
-// one or more grouping columns in one traversal, or returns
-// core.ErrGroupCardinality past limit distinct keys. n is the table's row
-// count; limit is core.MaxHashGroups in production (tests pass tiny
-// budgets to reach the error). The columns' summed width picks the key
-// index, the pipeline's only width-dependent part.
+// HashGroupPartitionCtx partitions bitmap f across the packed keys of one
+// or more grouping columns and keeps the run list: the pass with no
+// measure. n is the table's row count; limit is core.MaxHashGroups in
+// production (tests pass tiny budgets to reach core.ErrGroupCardinality).
 func HashGroupPartitionCtx(ctx context.Context, cols []GroupCol, f *bitvec.Bitmap, n, limit int, o Options) (*HashPartition, error) {
-	width := 0
-	for _, c := range cols {
-		width += c.Width()
-	}
-	return groupPartition(ctx, cols, f, n, limit, width, o)
+	return GroupPassCtx(ctx, GroupPass{Cols: cols, N: n, Limit: limit, Keep: f}, o)
 }
 
-// groupPartition is the one partition driver; indexBits is the key width
-// handed to core.NewKeyIndex (tests widen it to force open addressing on
-// narrow keys).
-func groupPartition(ctx context.Context, cols []GroupCol, f *bitvec.Bitmap, n, limit, indexBits int, o Options) (*HashPartition, error) {
+// GroupPass is one grouped pass: what to group, by what, and what to
+// fold on the way.
+type GroupPass struct {
+	// Cols are the grouping columns, the first one's code in the key's
+	// high bits; their summed width picks the key index.
+	Cols []GroupCol
+	// Filter selects the rows to group, in the first column's windows. It
+	// must not select a row NULL in a grouping column.
+	Filter core.Filter
+	// Keep, when set, is the filter as a bitmap, read in place of Filter,
+	// and the pass keeps the run list (for a rank or Materialize), sized
+	// exactly from it.
+	Keep *bitvec.Bitmap
+	// N is the table's row count and Limit the key budget: past it the
+	// pass returns core.ErrGroupCardinality and no partial result.
+	N, Limit int
+	// Measures are banked at emit, into HashPartition.Banks.
+	Measures []Measure
+	// Chunk is the least rows of a chunk (0: defaultChunkRows). Tests set
+	// 1, which leaves one least common multiple of the window widths.
+	Chunk int
+
+	indexBits int // the key width handed to core.NewKeyIndex; 0: the columns' summed width
+}
+
+// defaultChunkRows is the least rows of a chunk: enough windows that the
+// per-chunk calls amortize, few enough that the scratch stays in cache.
+const defaultChunkRows = 4096
+
+// chunkRows is the pass's chunk: the least common multiple of every
+// grouping and measure column's window width, rounded up to p.Chunk rows.
+func (p *GroupPass) chunkRows() int {
+	l := 1
+	lcm := func(c GroupCol) {
+		a, b := l, c.vps()
+		for b != 0 {
+			a, b = b, a%b
+		}
+		l = l / a * c.vps()
+	}
+	for _, c := range p.Cols {
+		lcm(c)
+	}
+	for _, m := range p.Measures {
+		lcm(m.Col)
+	}
+	least := p.Chunk
+	if least <= 0 {
+		least = defaultChunkRows
+	}
+	return (least + l - 1) / l * l
+}
+
+// passWorker is one worker's state: its key index and slot tallies, the
+// chunk scratch of every refine step, the last step's output (chunk
+// scratch, or the worker's share of a kept list) and its measure banks.
+type passWorker struct {
+	idx     *core.KeyIndex
+	slot    func(uint64) (int32, bool)
+	keyed   []core.Runs[uint64]
+	out     *core.SegEntries
+	cur     *core.Cursor[uint64] // a composite key's refine steps' reader
+	counts  []uint64
+	banks   []*Bank
+	emitted int
+	st      core.GroupStats
+	fst     core.FusedStats
+	busy    int64
+}
+
+// GroupPassCtx runs a grouped pass (DESIGN.md §12), one per worker over
+// whole chunks: a chunk is a whole number of windows of every grouping and
+// measure column, so no window is split between two chunks or two workers
+// and the counters do not depend on the thread count. Per chunk the worker
+// splits the filter words of the first grouping column (core.Partition),
+// refines them by every further column, indexes the final keys into its
+// own slots, tallies COUNT(*) per slot and folds every measure into its
+// bank through the measure's kernel, all in reused chunk scratch; only
+// with Keep are the chunk's entries appended to a table-sized list. The
+// workers' keys then union in sorted order, and one remap folds their
+// tallies, banks and lists into group order in ascending worker order:
+// results are identical at any thread count.
+func GroupPassCtx(ctx context.Context, p GroupPass, o Options) (*HashPartition, error) {
 	var start time.Time
 	if o.Stats != nil {
 		start = time.Now()
 	}
-	nseg, vps, last := cols[0].nseg(), cols[0].vps(), len(cols)-1
-	sp := core.NewSplitter(cols[0].V, cols[0].H)
-	parts := partition(nseg, o.threads())
-	ws := make([]partWorker, len(parts))
-	// open sizes worker w's output for a step over grouping column sp:
-	// the indexed list when the step is the last, packed keys otherwise.
-	open := func(w *partWorker, sp *core.Splitter, runs, srcEntries int, final bool) {
-		if final {
-			w.slots = core.NewStepRuns[int32](sp, runs, srcEntries, w.rows)
-		} else {
-			w.keyed = core.NewStepRuns[uint64](sp, runs, srcEntries, w.rows)
+	if p.Keep != nil {
+		p.Filter = core.Bits(p.Keep)
+	}
+	indexBits := p.indexBits
+	if indexBits == 0 {
+		for _, c := range p.Cols {
+			indexBits += c.Width()
 		}
 	}
-	for i, p := range parts {
-		w := &ws[i]
-		w.rows = f.Rank(p[1]*vps) - f.Rank(p[0]*vps)
-		w.idx = core.NewKeyIndex(indexBits, limit)
-		open(w, sp, p[1]-p[0], p[1]-p[0], last == 0)
+	last := len(p.Cols) - 1
+	sps := make([]*core.Splitter, len(p.Cols))
+	for i, c := range p.Cols {
+		sps[i] = core.NewSplitter(c.V, c.H)
 	}
-	// step runs the column over segments [lo, hi) of the first column, or
-	// over the windows src yields after it, into that output, on the clock
-	// of worker w.
-	step := func(w *partWorker, sp *core.Splitter, src *core.Cursor[uint64], lo, hi int, final bool) (err error) {
+	rows := p.chunkRows()
+	nch := (p.N + rows - 1) / rows
+	parts := partition(nch, o.threads())
+	ws := make([]passWorker, len(parts))
+	lastVps := p.Cols[last].vps()
+	for i, pr := range parts {
+		w := &ws[i]
+		w.idx = core.NewKeyIndex(indexBits, p.Limit)
+		w.slot = w.idx.Slot
+		w.keyed, w.out = make([]core.Runs[uint64], last), new(core.SegEntries)
+		if last > 0 {
+			w.cur = new(core.Cursor[uint64])
+		}
+		if p.Keep != nil {
+			r0, r1 := pr[0]*rows, min(pr[1]*rows, p.N)
+			windows := (r1+lastVps-1)/lastVps - r0/lastVps
+			w.out = core.NewStepRuns[int32](windows, p.Keep.Rank(r1)-p.Keep.Rank(r0), sps...)
+		}
+		w.banks = make([]*Bank, len(p.Measures))
+		for j, m := range p.Measures {
+			w.banks[j] = newBank(m, 0)
+		}
+	}
+	if _, err := forEachRangeErr(ctx, nch, o.threads(), func(wi, lo, hi int) error {
+		w := &ws[wi]
 		var t0 time.Time
 		if o.Stats != nil {
 			t0 = time.Now()
 		}
-		if final {
-			err = core.Partition(sp, f, src, lo, hi, w.idx.Slot, w.slots, &w.st)
-		} else {
-			err = core.Partition(sp, f, src, lo, hi, core.PackedKey, w.keyed, &w.st)
+		for c := lo; c < hi; c++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := p.chunk(w, sps, c*rows, min((c+1)*rows, p.N)); err != nil {
+				return err
+			}
 		}
 		if o.Stats != nil {
 			w.busy += time.Since(t0).Nanoseconds()
 		}
-		return err
-	}
-	if _, err := forEachRangeErr(ctx, nseg, o.threads(), func(w, lo, hi int) error {
-		return step(&ws[w], sp, nil, lo, hi, last == 0)
+		return nil
 	}); err != nil {
 		return nil, err
-	}
-
-	// Composite refinement: each worker refines its own run list by the
-	// next column, read in that column's windows, keeping the disjoint-rows
-	// invariant.
-	for ci := 1; ci <= last; ci++ {
-		sp := core.NewSplitter(cols[ci].V, cols[ci].H)
-		if _, err := forEachRangeErr(ctx, len(ws), len(ws), func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				w := &ws[i]
-				src := core.NewCursor(w.keyed, vps, cols[ci].vps(), 0, cols[ci].nseg(), nil)
-				runs, entries := src.Count()
-				open(w, sp, runs, entries, ci == last)
-				if err := step(w, sp, &src, 0, 0, ci == last); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		vps = cols[ci].vps()
 	}
 
 	// Union the per-worker key sets, sorted ascending — the group order
@@ -211,73 +387,150 @@ func groupPartition(ctx context.Context, cols []GroupCol, f *bitvec.Bitmap, n, l
 	}
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
-	if len(keys) > limit {
+	if len(keys) > p.Limit {
 		return nil, core.ErrGroupCardinality
 	}
 
-	// Remap every worker's slots to group indexes, tallying the counts and
-	// putting each run in ascending group order on the way (a run holds
-	// ≤ 64 entries, and comes out of a VBP split already sorted), then
-	// concatenate the lists; a window two workers share after re-windowing
-	// merges.
-	hp := &HashPartition{Keys: keys, Counts: make([]uint64, len(keys)), N: n, Vps: vps, se: ws[0].slots}
-	var runs, entries int
+	// Remap every worker's slots to group indexes, folding its tallies and
+	// banks in ascending worker order and putting each kept run in
+	// ascending group order (a run holds ≤ 64 entries, and comes out of a
+	// VBP split already sorted).
+	hp := &HashPartition{Keys: keys, Counts: make([]uint64, len(keys)), N: p.N, Vps: lastVps, Banks: make([]*Bank, len(p.Measures))}
+	for j, m := range p.Measures {
+		hp.Banks[j] = newBank(m, len(keys))
+	}
+	emitted, runs := 0, 0
 	for i := range ws {
-		w, s := &ws[i], ws[i].slots
+		w := &ws[i]
 		gi := make([]int32, len(w.idx.Keys))
 		for slot, key := range w.idx.Keys {
 			g, _ := slices.BinarySearch(keys, key)
 			gi[slot] = int32(g)
+			hp.Counts[g] += w.counts[slot]
 		}
-		for r := range s.Segs {
-			for e := s.Start[r]; e < s.Start[r+1]; e++ {
-				g := gi[s.ID[e]]
-				s.ID[e] = g
-				hp.Counts[g] += uint64(bits.OnesCount64(s.W[e]))
+		for j, b := range w.banks {
+			hp.Banks[j].fold(b, gi)
+		}
+		emitted += w.emitted
+		if p.Keep != nil {
+			s := w.out
+			for e, id := range s.ID {
+				s.ID[e] = gi[id]
 			}
-			s.SortRun(r)
+			for r := range s.Segs {
+				s.SortRun(r)
+			}
+			runs += s.NumRuns()
 		}
-		runs += s.NumRuns()
-		entries += len(s.ID)
 	}
-	if len(ws) > 1 {
-		hp.se = core.NewRuns[int32](runs, entries)
-		for i := range ws {
-			s := ws[i].slots
-			for r, seg := range s.Segs {
-				hp.se.Merge(seg, s.ID[s.Start[r]:s.Start[r+1]], s.W[s.Start[r]:s.Start[r+1]])
-				if r == 0 {
-					hp.se.SortRun(hp.se.NumRuns() - 1)
-				}
+	// Concatenate the kept lists: worker ranges are whole chunks, so no
+	// window spans two of them.
+	if p.Keep != nil {
+		hp.se = ws[0].out
+		if len(ws) > 1 {
+			hp.se = core.NewRuns[int32](runs, emitted)
+			for i := range ws {
+				hp.se.Append(ws[i].out)
 			}
 		}
 	}
 
 	if o.Stats != nil {
 		rec := metrics.ExecStats{
-			Scans:            1,
+			Scans:            1 + uint64(p.Filter.Scans()),
 			GroupsDiscovered: uint64(len(keys)),
-			GroupBankWords:   uint64(len(hp.se.ID)),
+			GroupBankWords:   uint64(emitted),
 			ScanNanos:        time.Since(start).Nanoseconds(),
 		}
 		for i := range ws {
 			w := &ws[i]
-			rec.SegmentsScanned += w.st.Segments
+			rec.SegmentsScanned += w.st.Segments + w.fst.SegmentsScanned
+			rec.SegmentsPrunedNone += w.fst.SegmentsPrunedNone
+			rec.SegmentsPrunedAll += w.fst.SegmentsPrunedAll
 			rec.SegmentsCacheServed += w.st.CacheServed
-			rec.WordsCompared += w.st.Words
+			rec.WordsCompared += w.st.Words + w.fst.WordsCompared
 			rec.HashProbes += w.idx.Probes
 			rec.HashGrowths += w.idx.Growths
 			rec.WorkerBusyNanos += w.busy
 		}
 		o.Stats.Record(rec)
+		// Each SUM/MIN/MAX is one aggregate, as over a kept list; COUNT(col)
+		// reads no packed word and records nothing. The pass's wall time is
+		// its ScanNanos.
+		for _, b := range hp.Banks {
+			if b.m.Op != MeasureCount {
+				rec := b.extra()
+				rec.Aggregates = 1
+				o.Stats.Record(rec)
+			}
+		}
 	}
 	return hp, nil
+}
+
+// chunk runs the pass over rows [r0, r1) on worker w: the partition steps
+// into its scratch (or its kept list), then the COUNT(*) tallies and every
+// measure over the chunk's entries.
+func (p *GroupPass) chunk(w *passWorker, sps []*core.Splitter, r0, r1 int) error {
+	last := len(p.Cols) - 1
+	out, mark := w.out, 0
+	if p.Keep != nil {
+		mark = out.NumRuns()
+	} else {
+		out.Reset()
+	}
+	var src *core.Cursor[uint64]
+	var prev *core.Runs[uint64]
+	prevVps := 0
+	for ci, c := range p.Cols {
+		vps := c.vps()
+		lo, hi := r0/vps, (r1+vps-1)/vps
+		if ci > 0 {
+			*w.cur = core.NewCursor(prev, prevVps, vps, lo, hi, nil)
+			src = w.cur
+		}
+		var err error
+		if ci == last {
+			err = core.Partition(sps[ci], p.Filter, src, lo, hi, w.slot, out, &w.st, &w.fst)
+		} else {
+			prev = &w.keyed[ci]
+			prev.Reset()
+			err = core.Partition(sps[ci], p.Filter, src, lo, hi, core.PackedKey, prev, &w.st, &w.fst)
+		}
+		if err != nil {
+			return err
+		}
+		prevVps = vps
+	}
+	// The tallies and banks grow with the index: to its whole key space
+	// when direct, doubling with its table when hashed.
+	slots := w.idx.Cap()
+	w.counts = extend(w.counts, slots)
+	e0 := int(out.Start[mark])
+	for e := e0; e < len(out.ID); e++ {
+		w.counts[out.ID[e]] += uint64(bits.OnesCount64(out.W[e]))
+	}
+	w.emitted += len(out.ID) - e0
+	for _, b := range w.banks {
+		b.grow(slots)
+		mv := b.m.Col.vps()
+		b.step(out, prevVps, r0/mv, (r1+mv-1)/mv)
+	}
+	return nil
 }
 
 // cursor reads the run list in col's windows [lo, hi), without col's NULL
 // rows.
 func (hp *HashPartition) cursor(col GroupCol, lo, hi int) core.Cursor[int32] {
 	return core.NewCursor(hp.se, hp.Vps, col.vps(), lo, hi, col.Nulls)
+}
+
+// Bank returns the pass's bank of measure m; nil when it banked none.
+func (hp *HashPartition) Bank(m Measure) *Bank {
+	if i := slices.IndexFunc(hp.Banks, func(b *Bank) bool { return b.m == m }); i >= 0 {
+		return hp.Banks[i]
+	}
+	return nil
 }
 
 // Materialize builds group i's dense selection bitmap, a fresh one per
@@ -318,123 +571,39 @@ func (hp *HashPartition) Materialize(i int) *bitvec.Bitmap {
 	return bm
 }
 
-// groupStatsExtra folds worker GroupStats into the driver-level extra
-// batch merged by statsEnd.
-func groupStatsExtra(gsts []core.GroupStats) metrics.ExecStats {
-	var gs core.GroupStats
-	for i := range gsts {
-		gs = gs.Add(gsts[i])
-	}
-	return metrics.ExecStats{
-		SegmentsAggregated:  gs.Segments,
-		WordsTouched:        gs.Words,
-		SegmentsCacheServed: gs.CacheServed,
-	}
-}
-
-// HashGroupSumCtx computes the 128-bit SUM of every group in one pass
-// over the measure column, indexed like Keys; hi != 0 marks a uint64
-// overflow the caller surfaces. Workers split the measure's windows;
-// partials merge in ascending worker order.
-func HashGroupSumCtx(ctx context.Context, col GroupCol, hp *HashPartition, o Options) ([]uint64, []uint64, error) {
-	nG := len(hp.Keys)
+// BankCtx runs measure m over the kept run list: workers split the
+// measure column's windows, each into its own bank, and the banks fold in
+// ascending worker order. A SUM/MIN/MAX records one aggregate; COUNT(col)
+// reads the run list and the NULL bitmap only, never a packed word, so
+// like the partition's Counts it records nothing.
+func BankCtx(ctx context.Context, m Measure, hp *HashPartition, o Options) (*Bank, error) {
 	ws, start := o.statsBegin()
-	parts := partition(col.nseg(), o.threads())
-	his := make([][]uint64, len(parts))
-	los := make([][]uint64, len(parts))
-	gsts := make([]core.GroupStats, len(parts))
-	for w := range parts {
-		his[w] = make([]uint64, nG)
-		los[w] = make([]uint64, nG)
+	parts := partition(m.Col.nseg(), o.threads())
+	banks := make([]*Bank, len(parts))
+	for w := range banks {
+		banks[w] = newBank(m, len(hp.Keys))
 	}
-	if _, err := forEachRangeErr(ctx, col.nseg(), o.threads(), func(w, lo, hi int) error {
+	if _, err := forEachRangeErr(ctx, m.Col.nseg(), o.threads(), func(w, lo, hi int) error {
 		t0 := statsNow(ws)
-		cur := hp.cursor(col, lo, hi)
-		if col.V != nil {
-			core.VBPHashSumRuns(col.V, &cur, his[w], los[w], &gsts[w])
-		} else {
-			core.HBPHashSumRuns(col.H, &cur, his[w], los[w], &gsts[w])
-		}
+		banks[w].step(hp.se, hp.Vps, lo, hi)
 		if ws != nil {
 			busyOnly(ws, w, t0)
 		}
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	for w := 1; w < len(parts); w++ {
-		core.Add128Pairs(his[0], los[0], his[w], los[w])
-	}
-	o.statsEnd(ws, start, groupStatsExtra(gsts))
-	return his[0], los[0], nil
-}
-
-// HashGroupExtremeCtx computes MIN (or MAX) of every group in one pass
-// over the measure column. anys[i] is false only for a group whose rows
-// are all NULL in the column.
-func HashGroupExtremeCtx(ctx context.Context, col GroupCol, hp *HashPartition, wantMin bool, o Options) ([]uint64, []bool, error) {
-	nG := len(hp.Keys)
-	ws, start := o.statsBegin()
-	parts := partition(col.nseg(), o.threads())
-	bests := make([][]uint64, len(parts))
-	anys := make([][]bool, len(parts))
-	gsts := make([]core.GroupStats, len(parts))
-	for w := range parts {
-		bests[w] = make([]uint64, nG)
-		anys[w] = make([]bool, nG)
-	}
-	if _, err := forEachRangeErr(ctx, col.nseg(), o.threads(), func(w, lo, hi int) error {
-		t0 := statsNow(ws)
-		cur := hp.cursor(col, lo, hi)
-		if col.V != nil {
-			core.VBPHashExtremeRuns(col.V, &cur, wantMin, bests[w], anys[w], &gsts[w])
-		} else {
-			core.HBPHashExtremeRuns(col.H, &cur, wantMin, bests[w], anys[w], &gsts[w])
-		}
-		if ws != nil {
-			busyOnly(ws, w, t0)
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	for w := 1; w < len(parts); w++ {
-		for gi := range bests[0] {
-			if !anys[w][gi] {
-				continue
-			}
-			v := bests[w][gi]
-			if !anys[0][gi] || wantMin && v < bests[0][gi] || !wantMin && v > bests[0][gi] {
-				bests[0][gi] = v
-			}
-			anys[0][gi] = true
-		}
-	}
-	o.statsEnd(ws, start, groupStatsExtra(gsts))
-	return bests[0], anys[0], nil
-}
-
-// HashGroupCountCtx counts every group's rows on which col is not NULL —
-// COUNT(col) per group and AVG's divisor. It reads the run list and the
-// NULL bitmap only, never a packed word, so like the partition's Counts it
-// records nothing.
-func HashGroupCountCtx(ctx context.Context, col GroupCol, hp *HashPartition, o Options) ([]uint64, error) {
-	parts := partition(col.nseg(), o.threads())
-	counts := make([][]uint64, len(parts))
-	for w := range parts {
-		counts[w] = make([]uint64, len(hp.Keys))
-	}
-	if _, err := forEachRangeErr(ctx, col.nseg(), o.threads(), func(w, lo, hi int) error {
-		cur := hp.cursor(col, lo, hi)
-		core.HashCountRuns(&cur, nil, counts[w])
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	for w := 1; w < len(parts); w++ {
-		for gi, c := range counts[w] {
-			counts[0][gi] += c
+	if len(banks) > 1 {
+		id := make([]int32, len(hp.Keys))
+		for g := range id {
+			id[g] = int32(g)
+		}
+		for _, b := range banks[1:] {
+			banks[0].fold(b, id)
 		}
 	}
-	return counts[0], nil
+	if m.Op != MeasureCount {
+		o.statsEnd(ws, start, banks[0].extra())
+	}
+	return banks[0], nil
 }

@@ -60,11 +60,11 @@ func samePartition(t *testing.T, label string, fx groupFixture, got, want *HashP
 		if !reflect.DeepEqual(gh, wh) || !reflect.DeepEqual(gl, wl) {
 			t.Fatalf("%s: sums differ: %v vs %v", label, gl, wl)
 		}
-		for _, wantMin := range []bool{true, false} {
-			gv, ga, _ := HashGroupExtremeCtx(ctx, m, got, wantMin, o)
-			wv, wa, _ := HashGroupExtremeCtx(ctx, m, want, wantMin, o)
-			if !reflect.DeepEqual(gv, wv) || !reflect.DeepEqual(ga, wa) {
-				t.Fatalf("%s: extremes (min=%v) differ: %v vs %v", label, wantMin, gv, wv)
+		for _, op := range []MeasureOp{MeasureMin, MeasureMax} {
+			gb, _ := BankCtx(ctx, Measure{Col: m, Op: op}, got, o)
+			wb, _ := BankCtx(ctx, Measure{Col: m, Op: op}, want, o)
+			if !reflect.DeepEqual(gb.Best, wb.Best) || !reflect.DeepEqual(gb.Any, wb.Any) {
+				t.Fatalf("%s: extremes (op %d) differ: %v vs %v", label, op, gb.Best, wb.Best)
 			}
 		}
 	}
@@ -84,7 +84,8 @@ func TestKeyIndexEquivalence(t *testing.T) {
 			var hps [2]*HashPartition
 			for i, indexBits := range []int{core.DirectKeyBits, 64} {
 				rec := metrics.NewCollector()
-				hp, err := groupPartition(context.Background(), cols, fx.f, fx.n, core.MaxHashGroups, indexBits, Options{Threads: th, Stats: rec})
+				pass := GroupPass{Cols: cols, N: fx.n, Limit: core.MaxHashGroups, Keep: fx.f, indexBits: indexBits}
+				hp, err := GroupPassCtx(context.Background(), pass, Options{Threads: th, Stats: rec})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,20 +100,22 @@ func TestKeyIndexEquivalence(t *testing.T) {
 }
 
 // TestPartitionBoundaryWindow: a VBP key refined by an HBP key of another
-// window size re-windows every worker's list, so adjacent workers end and
-// start in the same target window. The concatenation must merge it: at
-// Threads 2, 3 and 7 the partition equals Threads 1 entry for entry.
+// window size re-windows every chunk's list. Chunks hold whole windows of
+// both columns, so the kept list is the same entry for entry at Threads 1,
+// 2, 3 and 7 and with the chunk shrunk to one least common multiple of the
+// widths, where small tables cross many chunk and worker boundaries.
 func TestPartitionBoundaryWindow(t *testing.T) {
 	fx := newGroupFixture(t, 92, 64*23+5)
 	for name, cols := range map[string][]GroupCol{"vbp,hbp": {fx.vkey, fx.hkey}, "hbp,vbp": {fx.hkey, fx.vkey}} {
-		part := func(th int) *HashPartition {
-			hp, err := HashGroupPartitionCtx(context.Background(), cols, fx.f, fx.n, core.MaxHashGroups, Options{Threads: th})
+		part := func(th, chunk int) *HashPartition {
+			pass := GroupPass{Cols: cols, N: fx.n, Limit: core.MaxHashGroups, Keep: fx.f, Chunk: chunk}
+			hp, err := GroupPassCtx(context.Background(), pass, Options{Threads: th})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return hp
 		}
-		want := part(1)
+		want := part(1, 0)
 		var rows uint64
 		for _, c := range want.Counts {
 			rows += c
@@ -120,8 +123,87 @@ func TestPartitionBoundaryWindow(t *testing.T) {
 		if int(rows) != fx.f.Count() {
 			t.Fatalf("%s: counts cover %d rows, filter selects %d", name, rows, fx.f.Count())
 		}
-		for _, th := range []int{2, 3, 7} {
-			samePartition(t, name, fx, part(th), want)
+		for _, th := range []int{1, 2, 3, 7} {
+			samePartition(t, name, fx, part(th, 1), want)
+			samePartition(t, name, fx, part(th, 0), want)
+		}
+	}
+}
+
+// TestGroupPassBanks: a pass that banks its measures at emit answers what
+// the kept-list drivers answer over a kept partition — sums, extremes and
+// COUNT(col) over measures of both layouts, with and without NULL rows —
+// and records the same counters, at Threads 1, 2 and 7, with the chunk at
+// its default and shrunk to one least common multiple of the widths.
+func TestGroupPassBanks(t *testing.T) {
+	fx := newGroupFixture(t, 94, 64*37+11)
+	nulls := bitvec.New(fx.n)
+	for i := 0; i < fx.n; i += 5 {
+		nulls.Set(i)
+	}
+	ctx := context.Background()
+	var ms []Measure
+	for _, c := range []GroupCol{fx.vm, fx.hm, {V: fx.vm.V, Nulls: nulls}, {H: fx.hm.H, Nulls: nulls}} {
+		for _, op := range []MeasureOp{MeasureSum, MeasureMin, MeasureMax, MeasureCount} {
+			ms = append(ms, Measure{Col: c, Op: op})
+		}
+	}
+	for name, cols := range map[string][]GroupCol{"vbp": {fx.vkey}, "hbp": {fx.hkey}, "vbp,hbp": {fx.vkey, fx.hkey}} {
+		keptRec := metrics.NewCollector()
+		kept, err := GroupPassCtx(ctx, GroupPass{Cols: cols, N: fx.n, Limit: core.MaxHashGroups, Keep: fx.f}, Options{Threads: 1, Stats: keptRec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []*Bank
+		for _, m := range ms {
+			b, err := BankCtx(ctx, m, kept, Options{Threads: 1, Stats: keptRec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, b)
+		}
+		for _, th := range []int{1, 2, 7} {
+			for _, chunk := range []int{0, 1} {
+				rec := metrics.NewCollector()
+				pass := GroupPass{Cols: cols, Filter: core.Bits(fx.f), N: fx.n, Limit: core.MaxHashGroups, Measures: ms, Chunk: chunk}
+				hp, err := GroupPassCtx(ctx, pass, Options{Threads: th, Stats: rec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hp.se != nil || !reflect.DeepEqual(hp.Keys, kept.Keys) || !reflect.DeepEqual(hp.Counts, kept.Counts) {
+					t.Fatalf("%s threads %d chunk %d: kept %v, keys/counts %v %v, want %v %v", name, th, chunk, hp.se != nil, hp.Keys, hp.Counts, kept.Keys, kept.Counts)
+				}
+				for j, b := range hp.Banks {
+					w := want[j]
+					if !reflect.DeepEqual([][]uint64{b.His, b.Los, b.Best, b.Count}, [][]uint64{w.His, w.Los, w.Best, w.Count}) || !reflect.DeepEqual(b.Any, w.Any) {
+						t.Fatalf("%s threads %d chunk %d: measure %d (op %d) banks %+v, kept list %+v", name, th, chunk, j, ms[j].Op, b, w)
+					}
+				}
+				got, exp := rec.Snapshot(), keptRec.Snapshot()
+				got.HashProbes, exp.HashProbes = 0, 0
+				if pinOf(got) != pinOf(exp) {
+					t.Fatalf("%s threads %d chunk %d: counters %v, kept list %v", name, th, chunk, pinOf(got), pinOf(exp))
+				}
+			}
+		}
+	}
+}
+
+// pinOf is an ExecStats without its timers.
+func pinOf(s metrics.ExecStats) metrics.ExecStats {
+	s.ScanNanos, s.AggNanos, s.WorkerBusyNanos = 0, 0, 0
+	return s
+}
+
+// TestGroupPassBudget: a pass past its key budget returns
+// core.ErrGroupCardinality and no partition, whichever worker crosses it.
+func TestGroupPassBudget(t *testing.T) {
+	fx := newGroupFixture(t, 95, 64*29+3)
+	cols := []GroupCol{fx.vkey, fx.hkey} // up to 8 × 16 keys
+	for _, th := range []int{1, 3} {
+		pass := GroupPass{Cols: cols, Filter: core.Bits(fx.f), N: fx.n, Limit: 5, Measures: []Measure{{Col: fx.vm, Op: MeasureSum}}, Chunk: 1}
+		if hp, err := GroupPassCtx(context.Background(), pass, Options{Threads: th}); hp != nil || err != core.ErrGroupCardinality {
+			t.Fatalf("threads %d: %v, %v; want no partition and core.ErrGroupCardinality", th, hp, err)
 		}
 	}
 }
@@ -170,4 +252,15 @@ func TestGroupRankMatchesPerGroupDescent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// HashGroupSumCtx computes the 128-bit SUM of every group over the kept
+// run list, indexed like Keys: the kept-list SUM the tests and
+// BenchmarkGroup compare against.
+func HashGroupSumCtx(ctx context.Context, col GroupCol, hp *HashPartition, o Options) ([]uint64, []uint64, error) {
+	b, err := BankCtx(ctx, Measure{Col: col, Op: MeasureSum}, hp, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.His, b.Los, nil
 }

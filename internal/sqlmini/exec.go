@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"bpagg"
@@ -188,7 +189,7 @@ type source interface {
 	MaxContext(ctx context.Context, column string) (uint64, bool, error)
 	MedianContext(ctx context.Context, column string) (uint64, bool, error)
 	QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error)
-	GroupByContext(ctx context.Context, columns ...string) (*bpagg.ShardedGrouped, error)
+	GroupByAggsContext(ctx context.Context, columns []string, aggs []bpagg.GroupAgg) (*bpagg.ShardedGrouped, error)
 }
 
 // ran is an executed statement: its rows plus the engine's account of
@@ -234,7 +235,7 @@ func (b bound) run(ctx context.Context, cat *catalog.Catalog, q *Query, sq *bpag
 		r.rows = [][]string{row}
 		return r, nil
 	}
-	g, err := src.GroupByContext(ctx, q.GroupBy...)
+	g, err := src.GroupByAggsContext(ctx, q.GroupBy, groupAggs(q.Selects))
 	if err != nil {
 		return r, err
 	}
@@ -286,6 +287,19 @@ func rowCell(ctx context.Context, cat *catalog.Catalog, s SelectExpr, src source
 		v, ok, err = src.QuantileContext(ctx, s.Column, s.Arg)
 	}
 	return formatOpt(cat, s.Column, v, ok), err
+}
+
+// groupAggs names a grouped statement's aggregates up front, once each,
+// so one pass per shard answers them all.
+func groupAggs(selects []SelectExpr) []bpagg.GroupAgg {
+	aggs := make([]bpagg.GroupAgg, 0, len(selects))
+	for _, s := range selects {
+		a := bpagg.GroupAgg{Op: s.Func.String(), Column: s.Column, Quantile: s.Arg}
+		if s.Func != CountStar && !slices.Contains(aggs, a) {
+			aggs = append(aggs, a)
+		}
+	}
+	return aggs
 }
 
 // groupedRows renders one row per group: the key parts, then one column

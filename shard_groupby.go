@@ -31,6 +31,50 @@ type ShardedGrouped struct {
 // mask ∧ filter) and the key sets union in sorted order. A shard past the
 // key budget fails the query with ErrGroupCardinality.
 func (f *fanOut) GroupByContext(ctx context.Context, columns ...string) (*ShardedGrouped, error) {
+	return f.groupBy(ctx, columns, nil)
+}
+
+// GroupAgg names an aggregate for GroupByAggsContext: Op is COUNT (non-NULL
+// rows), SUM or AVG (each also names COUNT), MIN, MAX, MEDIAN or QUANTILE.
+type GroupAgg struct {
+	Op, Column string
+	Quantile   float64
+}
+
+// GroupByAggsContext is GroupByContext for the named aggregates alone: one
+// pass per shard answers them all, and asking for another is an error.
+func (f *fanOut) GroupByAggsContext(ctx context.Context, columns []string, aggs []GroupAgg) (*ShardedGrouped, error) {
+	named := make([]aggCall, 0, 2*len(aggs))
+	for _, a := range aggs {
+		op := slices.Index(aggNames[:], a.Op)
+		if a.Op == "AVG" {
+			op = int(opSum)
+		}
+		if op <= 0 { // aggNames[0], opCountRows, is unnamed
+			return nil, fmt.Errorf("bpagg: unknown grouped aggregate %q", a.Op)
+		}
+		if _, err := f.st.specErr(a.Column); err != nil {
+			return nil, err
+		}
+		c := aggCall{op: aggOp(op), column: a.Column}
+		if c.op == opQuantile {
+			if err := checkQuantile(a.Quantile); err != nil {
+				return nil, err
+			}
+			c.quantile = a.Quantile
+		}
+		if c.op == opSum { // SUM and AVG also answer the column's COUNT
+			named = append(named, aggCall{op: opCount, column: a.Column})
+		}
+		named = append(named, c)
+	}
+	return f.groupBy(ctx, columns, named)
+}
+
+// groupBy runs every live shard's partition — for the named aggregates,
+// or keeping the run list when named is nil — and indexes its groups into
+// the global key list.
+func (f *fanOut) groupBy(ctx context.Context, columns []string, named []aggCall) (*ShardedGrouped, error) {
 	widths, err := f.groupWidths(columns)
 	if err != nil {
 		return nil, err
@@ -40,7 +84,7 @@ func (f *fanOut) GroupByContext(ctx context.Context, columns ...string) (*Sharde
 	parts := make([]*Grouped, len(live))
 	err = f.fan(ctx, live, func(slot int) (err error) {
 		v := f.view(live, slot)
-		parts[slot], err = v.GroupByContext(ctx, columns...)
+		parts[slot], err = v.groupBy(orBackground(ctx), columns, named)
 		return err
 	})
 	if err != nil {
@@ -140,6 +184,9 @@ func (g *ShardedGrouped) addCounts(counts func(part *Grouped) ([]uint64, error))
 
 // CountContext returns each group's row count, honoring ctx.
 func (g *ShardedGrouped) CountContext(ctx context.Context) ([]uint64, error) {
+	if len(g.parts) == 1 { // one partition's groups are the global ones, and its counts a fresh copy
+		return g.parts[0].CountContext(ctx)
+	}
 	return g.addCounts(func(part *Grouped) ([]uint64, error) { return part.CountContext(ctx) })
 }
 
@@ -163,9 +210,13 @@ func (g *ShardedGrouped) NonNullCountContext(ctx context.Context, column string)
 // first such group in key order, matching the flat engine.
 func (g *ShardedGrouped) SumContext(ctx context.Context, column string) ([]uint64, error) {
 	if len(g.parts) == 1 { // one partition's groups are the global ones
-		his, los, err := g.parts[0].sums128(ctx, column)
+		part := g.parts[0]
+		his, los, err := part.sums128(ctx, column)
 		if err != nil {
 			return nil, err
+		}
+		if part.named != nil { // the pass's bank, which every later call reads
+			los = slices.Clone(los)
 		}
 		return groupSums64(his, los, g.KeyParts)
 	}
@@ -289,6 +340,9 @@ func (g *ShardedGrouped) rankOkContext(ctx context.Context, c aggCall) ([]uint64
 	parts := make([]parallel.RankPart, len(g.parts))
 	var o parallel.Options
 	for p, part := range g.parts {
+		if err := part.check(c); err != nil {
+			return nil, nil, err
+		}
 		parts[p] = parallel.RankPart{Col: groupCol(part.q.t.cols[c.column]), HP: part.hp, Slot: g.pos[p]}
 		o = part.opts()
 	}

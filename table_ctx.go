@@ -3,6 +3,7 @@ package bpagg
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"bpagg/internal/core"
@@ -290,16 +291,7 @@ func (v *flatView) QuantileContext(ctx context.Context, column string, quantile 
 // stats collector. More than MaxSinglePassGroups distinct keys is
 // ErrGroupCardinality.
 func (v *flatView) GroupByContext(ctx context.Context, columns ...string) (*Grouped, error) {
-	ctx = orBackground(ctx)
-	cols := make([]*Column, len(columns))
-	for i, column := range columns {
-		col, err := v.t.ColumnErr(column)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = col
-	}
-	return v.groupByCols(ctx, cols)
+	return v.groupBy(orBackground(ctx), columns, nil)
 }
 
 // CountContext returns each group's row count, honoring ctx between
@@ -323,16 +315,45 @@ func (g *Grouped) CountContext(ctx context.Context) ([]uint64, error) {
 }
 
 // sums128 returns each group's SUM of the named column as an exact
-// 128-bit partial — what a merge across shard partitions adds up — from
-// one banked pass that skips the column's NULL rows.
+// 128-bit partial — what a merge across shard partitions adds up — without
+// the column's NULL rows.
 func (g *Grouped) sums128(ctx context.Context, column string) (his, los []uint64, err error) {
-	col, err := g.q.t.ColumnErr(column)
+	b, err := g.bank(ctx, aggCall{op: opSum, column: column})
 	if err != nil {
 		return nil, nil, err
 	}
-	his, los, err = parallel.HashGroupSumCtx(orBackground(ctx), groupCol(col), g.hp, g.opts())
-	return his, los, wrapExecErr(err)
+	return b.His, b.Los, nil
 }
+
+// bank answers aggregate c per group: from the pass's bank on a partition
+// built for named aggregates, in one pass over the kept run list otherwise.
+func (g *Grouped) bank(ctx context.Context, c aggCall) (*parallel.Bank, error) {
+	col, err := g.q.t.ColumnErr(c.column)
+	if err == nil {
+		err = g.check(c)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if g.named != nil {
+		return g.hp.Bank(measureOf(col, c.op)), nil
+	}
+	b, err := parallel.BankCtx(orBackground(ctx), measureOf(col, c.op), g.hp, g.opts())
+	return b, wrapExecErr(err)
+}
+
+// check is a measured partition's answer to aggregate c: an error when c
+// was not named, rather than a second pass, which could see rows appended
+// since; nil otherwise, and always on a plain GroupBy.
+func (g *Grouped) check(c aggCall) error {
+	if g.named == nil || slices.Contains(g.named, c) {
+		return nil
+	}
+	return fmt.Errorf("bpagg: %s(%s) was not named when the groups were built", aggNames[c.op], c.column)
+}
+
+// aggNames spells the aggregates a GROUP BY can name, indexed by op.
+var aggNames = [...]string{opCount: "COUNT", opSum: "SUM", opMin: "MIN", opMax: "MAX", opMedian: "MEDIAN", opQuantile: "QUANTILE"}
 
 // groupSums64 narrows per-group 128-bit sums to the public result: the
 // first group in key order whose total exceeds uint64 is an
@@ -375,12 +396,15 @@ func (g *Grouped) MaxContext(ctx context.Context, column string) ([]uint64, erro
 // which a merge across shard partitions skips and MinContext/MaxContext
 // report as a broken invariant.
 func (g *Grouped) extremes(ctx context.Context, column string, wantMin bool) (vals []uint64, anys []bool, err error) {
-	col, err := g.q.t.ColumnErr(column)
+	c := aggCall{op: opMax, column: column}
+	if wantMin {
+		c.op = opMin
+	}
+	b, err := g.bank(ctx, c)
 	if err != nil {
 		return nil, nil, err
 	}
-	vals, anys, err = parallel.HashGroupExtremeCtx(orBackground(ctx), groupCol(col), g.hp, wantMin, g.opts())
-	return vals, anys, wrapExecErr(err)
+	return b.Best, b.Any, nil
 }
 
 // allGroups narrows a per-group result with presence flags to the plain
@@ -404,6 +428,9 @@ func (g *Grouped) MedianContext(ctx context.Context, column string) ([]uint64, e
 	if err != nil {
 		return nil, err
 	}
+	if err := g.check(aggCall{op: opMedian, column: column}); err != nil {
+		return nil, err
+	}
 	part := []parallel.RankPart{{Col: groupCol(col), HP: g.hp}}
 	vals, oks, err := parallel.RankCtx(orBackground(ctx), part, len(g.hp.Keys), medianRank, g.opts())
 	return allGroups(vals, oks, wrapExecErr(err))
@@ -412,22 +439,27 @@ func (g *Grouped) MedianContext(ctx context.Context, column string) ([]uint64, e
 // nonNullCounts returns each group's count of non-NULL values of the
 // named column — COUNT(col) per group and AVG's divisor: the partition's
 // own row counts for a NULL-free column, which callers only read, and a
-// popcount bank over the run list without the NULL rows otherwise.
-// Neither reads the column's packed words, so nothing records.
+// popcount bank without the NULL rows otherwise. Neither reads the
+// column's packed words, so nothing records.
 func (g *Grouped) nonNullCounts(ctx context.Context, column string) ([]uint64, error) {
 	col, err := g.q.t.ColumnErr(column)
 	if err != nil {
 		return nil, err
 	}
-	ctx = orBackground(ctx)
-	if err := ctx.Err(); err != nil {
+	if err := orBackground(ctx).Err(); err != nil {
+		return nil, err
+	}
+	if err := g.check(aggCall{op: opCount, column: column}); err != nil {
 		return nil, err
 	}
 	if col.nulls == nil {
 		return g.hp.Counts, nil
 	}
-	counts, err := parallel.HashGroupCountCtx(ctx, groupCol(col), g.hp, g.opts())
-	return counts, wrapExecErr(err)
+	b, err := g.bank(ctx, aggCall{op: opCount, column: column})
+	if err != nil {
+		return nil, err
+	}
+	return b.Count, nil
 }
 
 // AvgContext aggregates AVG of the named column per group, honoring
