@@ -1,40 +1,49 @@
 package bpagg_test
 
 import (
+	"fmt"
 	"testing"
 
 	"bpagg/internal/oracle/diff"
 )
 
-// TestOracleDifferentialSweep is the PR-gating differential sweep: every
-// generated adversarial case runs the full {fused, two-phase,
-// reconstruct} × {fresh, rebuilt, reloaded} × {1, 8 threads} matrix for
-// all aggregates and predicate forms against the naive oracle
-// (DESIGN.md §11). A failure message names the exact matrix cell and the
-// case name embeds the generator seed — see README "Reproducing a
-// divergence".
+// TestOracleDifferentialSweep and TestShardedOracleSweep are the PR-gating
+// differential sweep (DESIGN.md §11): one generator, one runner, every
+// cell each case carries, against the naive oracle. The first runs each
+// case's flat store shape — {fresh, rebuilt, reloaded} caches × {1, 8}
+// threads × every route and query class, the Range/Window probes and SQL;
+// the second runs the same cases' sharded shapes, one subtest per shard
+// size. A failure names the exact cell and the case name embeds the
+// generator seed — see README "Reproducing a divergence". The nightly
+// oracle-soak experiment runs many seeds with the Deep profile.
 func TestOracleDifferentialSweep(t *testing.T) {
-	// One seed keeps the gating sweep inside its 30s budget; the nightly
-	// oracle-soak experiment runs many seeds with the Deep profile.
-	seeds := []int64{1}
-	for _, seed := range seeds {
-		for _, c := range diff.Cases(diff.GenConfig{Seed: seed}) {
-			c := c
-			t.Run(c.Name, func(t *testing.T) {
+	for _, c := range diff.Cases(diff.GenConfig{Seed: 1}) {
+		c.Shards = []int{0}
+		t.Run(c.Name, func(t *testing.T) {
+			t.Parallel()
+			if err := diff.Check(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestShardedOracleSweep is the sweep's sharded half: each case at each
+// of its shard sizes, split and reloaded, against the same oracle the
+// flat table answers to — so sharded-vs-flat identity follows
+// transitively. Sharding is a physical layout choice; any detectable
+// difference is a bug.
+func TestShardedOracleSweep(t *testing.T) {
+	for _, c := range diff.Cases(diff.GenConfig{Seed: 1}) {
+		for _, s := range c.Shards {
+			if s == 0 {
+				continue
+			}
+			cs := c
+			cs.Shards = []int{s}
+			t.Run(fmt.Sprintf("%s/shard%d", c.Name, s), func(t *testing.T) {
 				t.Parallel()
-				if err := diff.Check(c); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		// The high-cardinality grouped axis: direct vs hash vs legacy
-		// partition tiers at G up to 65536, composite keys, and NULL
-		// grouping keys, against the map-shaped scalar reference.
-		for _, c := range diff.HighCardCases(diff.GenConfig{Seed: seed}) {
-			c := c
-			t.Run(c.Name, func(t *testing.T) {
-				t.Parallel()
-				if err := diff.CheckGrouped(c); err != nil {
+				if err := diff.Check(cs); err != nil {
 					t.Fatal(err)
 				}
 			})

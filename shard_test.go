@@ -11,7 +11,8 @@ import (
 // regression pins), shard rollover, catalog pruning (metric-asserted),
 // serialization round-trips with seed-file compatibility, and
 // thread-count determinism. Bit-identity against the flat engine across
-// the full route/layout matrix lives in shard_oracle_test.go.
+// the full route/layout matrix is the oracle sweep's sharded half
+// (TestShardedOracleSweep in oracle_diff_test.go).
 
 // mustPanic runs fn and reports the recovered panic value; it fails the
 // test if fn returns normally.
