@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race server-race shard-race bench-harness lines kernel-bench ci bench bench-json clean
+.PHONY: build test vet fmt-check race server-race shard-race bench-harness lines api kernel-bench ci bench bench-json clean
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,14 @@ lines:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| while read -r f; do echo "$$(dirname "$$f" | sed 's|^\./||') $$(grep -vcE '^\s*(//|$$)' "$$f")"; done \
 		| awk '{n[$$1] += $$2; t += $$2} END {for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t}' | sort -k2
+
+# api prints the root package's public surface: the count, then the list,
+# of exported func and type lines and exported-method lines in `go doc -all
+# -u .` — -u so that methods an exported type promotes from an unexported
+# embedded one (fanOut's, flatView's) are listed too.
+api:
+	@$(GO) doc -all -u . | grep -E '^(type [A-Z]|func [A-Z]|func \([^)]*\) [A-Z])' \
+		| awk '{l[NR] = $$0} END {print NR " exported func/type lines"; for (i = 1; i <= NR; i++) print l[i]}'
 
 # kernel-bench is the core.agg/core.fused rung pair at kernel level (SUM,
 # MIN and MAX) and the core.rank rung through its driver (MEDIAN at one

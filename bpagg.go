@@ -330,50 +330,38 @@ func (c *Column) Count(sel *Bitmap) uint64 {
 // (possible only when Len ≥ 2^(64-BitWidth)) panics with *OverflowError;
 // use SumContext to receive it as an error.
 func (c *Column) Sum(sel *Bitmap, opts ...ExecOption) uint64 {
-	v, err := c.SumContext(nil, sel, opts...)
-	fusedMust(err)
-	return v
+	return must(c.SumContext(nil, sel, opts...))
 }
 
 // Min returns the minimum selected value; ok is false when the selection is
 // empty.
 func (c *Column) Min(sel *Bitmap, opts ...ExecOption) (uint64, bool) {
-	v, ok, err := c.MinContext(nil, sel, opts...)
-	fusedMust(err)
-	return v, ok
+	return must2(c.MinContext(nil, sel, opts...))
 }
 
 // Max returns the maximum selected value; ok is false when the selection is
 // empty.
 func (c *Column) Max(sel *Bitmap, opts ...ExecOption) (uint64, bool) {
-	v, ok, err := c.MaxContext(nil, sel, opts...)
-	fusedMust(err)
-	return v, ok
+	return must2(c.MaxContext(nil, sel, opts...))
 }
 
 // Avg returns the mean of the selected values; ok is false when the
 // selection is empty.
 func (c *Column) Avg(sel *Bitmap, opts ...ExecOption) (float64, bool) {
-	v, ok, err := c.AvgContext(nil, sel, opts...)
-	fusedMust(err)
-	return v, ok
+	return must2(c.AvgContext(nil, sel, opts...))
 }
 
 // Median returns the lower median of the selected values; ok is false when
 // the selection is empty.
 func (c *Column) Median(sel *Bitmap, opts ...ExecOption) (uint64, bool) {
-	v, ok, err := c.MedianContext(nil, sel, opts...)
-	fusedMust(err)
-	return v, ok
+	return must2(c.MedianContext(nil, sel, opts...))
 }
 
 // Rank returns the r-th smallest selected value (1-based) — the
 // r-selection the paper's MEDIAN algorithms generalize to. ok is false
 // when fewer than r rows are selected or r is 0.
 func (c *Column) Rank(sel *Bitmap, r uint64, opts ...ExecOption) (uint64, bool) {
-	v, ok, err := c.RankContext(nil, sel, r, opts...)
-	fusedMust(err)
-	return v, ok
+	return must2(c.RankContext(nil, sel, r, opts...))
 }
 
 // Quantile returns the value at quantile q in [0, 1] of the selected rows
@@ -381,9 +369,7 @@ func (c *Column) Rank(sel *Bitmap, r uint64, opts ...ExecOption) (uint64, bool) 
 // minimum). ok is false when the selection is empty; q outside [0, 1]
 // (or NaN) panics.
 func (c *Column) Quantile(sel *Bitmap, q float64, opts ...ExecOption) (uint64, bool) {
-	v, ok, err := c.QuantileContext(nil, sel, q, opts...)
-	fusedMust(err)
-	return v, ok
+	return must2(c.QuantileContext(nil, sel, q, opts...))
 }
 
 func (c *Column) checkSel(sel *Bitmap) {

@@ -29,7 +29,7 @@ import (
 // outlives its aggregate.
 //
 // The plain methods (Sum, Median, ...) call their Context twin with a
-// nil ctx and re-raise its error through fusedMust: panics are reserved
+// nil ctx and re-raise its error (must, fusedMust): panics are reserved
 // for programmer errors (mismatched selection lengths, out-of-range
 // quantile constants, a sum past uint64), and a worker panic propagates
 // with its original value. Code operating on untrusted input should use

@@ -165,11 +165,7 @@ func (v *flatView) groupSinglePass(ctx context.Context, cols []*Column, widths [
 // measureOf is aggregate op (COUNT, SUM, MIN or MAX) over col as a
 // grouped pass's measure.
 func measureOf(col *Column, op aggOp) parallel.Measure {
-	return parallel.Measure{Col: groupCol(col), Op: measureOps[op]}
-}
-
-var measureOps = map[aggOp]parallel.MeasureOp{
-	opCount: parallel.MeasureCount, opSum: parallel.MeasureSum, opMin: parallel.MeasureMin, opMax: parallel.MeasureMax,
+	return parallel.Measure{Col: groupCol(col), Op: aggTable[op].measure}
 }
 
 // groupChunkRows is the grouped pass's least chunk (0: the driver's
@@ -218,9 +214,7 @@ func (v *flatView) groupBits(cols []*Column) *bitvec.Bitmap {
 // distinct keys panics with ErrGroupCardinality (use GroupByContext to
 // receive it as an error).
 func (v *flatView) GroupBy(columns ...string) *Grouped {
-	g, err := v.GroupByContext(nil, columns...)
-	fusedMust(err)
-	return g
+	return must(v.GroupByContext(nil, columns...))
 }
 
 // Len returns the number of groups.
@@ -276,47 +270,35 @@ func (g *Grouped) opts() parallel.Options { return execOptions(g.q.execs).par }
 // other per-group aggregates; they are served from the counts tallied
 // during partitioning.
 func (g *Grouped) Count() []uint64 {
-	out, err := g.CountContext(nil)
-	fusedMust(err)
-	return out
+	return must(g.CountContext(nil))
 }
 
 // Sum aggregates SUM of the named column per group in one pass over the
 // measure column. A group whose sum exceeds uint64 panics with an
 // *OverflowError naming it (use SumContext to receive it as an error).
 func (g *Grouped) Sum(column string) []uint64 {
-	out, err := g.SumContext(nil, column)
-	fusedMust(err)
-	return out
+	return must(g.SumContext(nil, column))
 }
 
 // Min aggregates MIN of the named column per group. Every group is
 // non-empty by construction, so no ok flags are needed.
 func (g *Grouped) Min(column string) []uint64 {
-	out, err := g.MinContext(nil, column)
-	fusedMust(err)
-	return out
+	return must(g.MinContext(nil, column))
 }
 
 // Max aggregates MAX of the named column per group.
 func (g *Grouped) Max(column string) []uint64 {
-	out, err := g.MaxContext(nil, column)
-	fusedMust(err)
-	return out
+	return must(g.MaxContext(nil, column))
 }
 
 // Median aggregates the lower MEDIAN of the named column per group.
 func (g *Grouped) Median(column string) []uint64 {
-	out, err := g.MedianContext(nil, column)
-	fusedMust(err)
-	return out
+	return must(g.MedianContext(nil, column))
 }
 
 // Avg aggregates AVG of the named column per group. Like Sum, a group
 // whose running sum exceeds uint64 panics with an *OverflowError (use
 // AvgContext to receive it as an error).
 func (g *Grouped) Avg(column string) []float64 {
-	out, err := g.AvgContext(nil, column)
-	fusedMust(err)
-	return out
+	return must(g.AvgContext(nil, column))
 }

@@ -307,9 +307,7 @@ func TestStrategyIsKeyWidth(t *testing.T) {
 			check(name+", fully pruned", st.Query().Where("val", Greater(1023)).GroupBy(tc.cols...).Strategy())
 			check(name+", ranged", st.Query().Range(130, 1500).GroupBy(tc.cols...).Strategy())
 			sq := st.Query().Where("val", Less(500))
-			if err := sq.MaterializeContext(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+			sq.materialize()
 			check(name+", materialized", sq.GroupBy(tc.cols...).Strategy())
 		}
 	}

@@ -477,7 +477,8 @@ var sqlOps = [...]sqlmini.CmpOp{oracle.EQ: sqlmini.OpEq, oracle.NE: sqlmini.OpNe
 
 // statements runs the case's statements through sqlmini.Execute on a catalog over
 // the store — scalar unless the case is big, grouped when it has a key,
-// each one statement of every aggregate (a big case's without MEDIAN and
+// and scalar again under a rownum BETWEEN of the last range probe — each
+// one statement of every aggregate (a big case's without MEDIAN and
 // QUANTILE), split in two when its SUM overflows — and
 // compares each with the oracle's answers rendered by the catalog's own
 // formatters. Every column is uint(k); a constant at or past 2^53, which
@@ -507,20 +508,34 @@ func (r *run) statements() error {
 	exprs := []sqlmini.SelectExpr{{Func: sqlmini.Sum, Column: "a"}, {Func: sqlmini.Avg, Column: "a"},
 		{Func: sqlmini.CountStar}, {Func: sqlmini.Count, Column: "a"}, {Func: sqlmini.Min, Column: "a"},
 		{Func: sqlmini.Max, Column: "a"}, {Func: sqlmini.Median, Column: "a"}, {Func: sqlmini.Quantile, Column: "a", Arg: 0.9}}
-	var bys [][]string
+	type shape struct {
+		name  string
+		where []sqlmini.Condition
+		by    []string
+		a     *answers
+	}
+	var shapes []shape
 	if r.c.big {
 		exprs = exprs[:6] // its Ok arms already descend every group
 	} else {
-		bys = append(bys, nil)
+		shapes = append(shapes, shape{"", where, nil, r.x.whole})
 	}
 	if r.c.G != nil {
-		bys = append(bys, r.c.groupCols())
+		shapes = append(shapes, shape{fmt.Sprint(" GROUP BY ", r.c.groupCols()), where, r.c.groupCols(), r.x.whole})
 	}
-	k, w := r.checker("sql"), r.x.whole
-	for _, by := range bys {
-		ov, group := w.all.sum, []uint64(nil)
-		if by != nil {
-			ov, group = r.x.overflow(w)
+	if n := len(r.c.Ranges); n > 0 && !r.c.big {
+		// The last probe, an interior one: the first is the whole table,
+		// whose row mask would pass a statement that dropped it.
+		p := r.c.Ranges[n-1]
+		rownum := sqlmini.Condition{Column: "rownum", Op: sqlmini.OpBetween,
+			Lits: []sqlmini.Literal{{Num: float64(p[0])}, {Num: float64(p[1] - 1)}}}
+		shapes = append(shapes, shape{fmt.Sprintf(" rows [%d,%d)", p[0], p[1]), append(slices.Clone(where), rownum), nil, r.x.ranges[n-1]})
+	}
+	k := r.checker("sql")
+	for _, sh := range shapes {
+		ov, group := sh.a.all.sum, []uint64(nil)
+		if sh.by != nil {
+			ov, group = r.x.overflow(sh.a)
 		}
 		stmts := [][]sqlmini.SelectExpr{exprs}
 		if ov.hi != 0 { // the overflowing SUM fails its statement: the rest runs alone
@@ -528,22 +543,22 @@ func (r *run) statements() error {
 		}
 		for si, sel := range stmts {
 			var want [][]string
-			if by == nil {
-				want = append(want, render(cat, nil, &w.all, sel))
+			if sh.by == nil {
+				want = append(want, render(cat, nil, &sh.a.all, sel))
 			} else {
-				for i, t := range w.groups {
-					want = append(want, render(cat, r.x.parts(w.keys[i]), t, sel))
+				for i, t := range sh.a.groups {
+					want = append(want, render(cat, r.x.parts(sh.a.keys[i]), t, sel))
 				}
 			}
 			if si > 0 {
 				ov, group = wide{}, nil
 			}
-			res, err := sqlmini.Execute(cat, &sqlmini.Query{Selects: sel, Where: where, GroupBy: by}, sqlmini.ExecOptions{Threads: r.th})
+			res, err := sqlmini.Execute(cat, &sqlmini.Query{Selects: sel, Where: sh.where, GroupBy: sh.by}, sqlmini.ExecOptions{Threads: r.th})
 			var rows [][]string
 			if err == nil {
 				rows = res.Rows
 			}
-			k.sum(fmt.Sprintf("%d selects GROUP BY %v", len(sel), by), rows, err, ov, group, want)
+			k.sum(fmt.Sprintf("%d selects%s", len(sel), sh.name), rows, err, ov, group, want)
 		}
 	}
 	return k.err

@@ -11,8 +11,8 @@ import (
 
 // Shared-scan batching: concurrent admitted queries whose WHERE clauses
 // bind to the same predicate conjunction (sqlmini.BatchKey) coalesce
-// into one ExecuteShared call — one selection scan and one kernel
-// invocation per distinct aggregate answer the whole batch, the
+// into one ExecuteShared call — one statement over the union of their
+// select lists, each aggregate named once, answers the whole batch, the
 // cross-query analogue of the paper's multiple-aggregates-per-pass
 // amortization.
 //

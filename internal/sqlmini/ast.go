@@ -59,7 +59,7 @@ func (s SelectExpr) Label() string {
 	case Quantile:
 		return fmt.Sprintf("quantile(%s,%g)", s.Column, s.Arg)
 	default:
-		return fmt.Sprintf("%s(%s)", strings.ToLower(s.Func.String()), s.Column)
+		return strings.ToLower(s.Func.String()) + "(" + s.Column + ")"
 	}
 }
 

@@ -374,3 +374,22 @@ func keptListBytes(t *testing.T) {
 		t.Errorf("COUNT(*), SUM(qty) GROUP BY flag, disc over the kept list allocates %d bytes, more than 1.1 × the %d of COUNT(*) alone", withSum, count)
 	}
 }
+
+// TestShardedRangeStatementCutsOnce: a ranged statement with a filter cuts
+// each live shard's range selection once for all its aggregates, so three
+// aggregates allocate less than one more selection per live shard than
+// one does; each aggregate used to cut its own.
+func TestShardedRangeStatementCutsOnce(t *testing.T) {
+	const rows, shardRows = 1 << 16, 1 << 14
+	cat := pinCatalogRows(rows)
+	cat.Shard(shardRows)
+	where := fmt.Sprintf(" WHERE rownum BETWEEN 100 AND %d AND disc < 8", rows-100)
+	one := statementBytes(t, cat, "SELECT SUM(price)"+where)
+	three := statementBytes(t, cat, "SELECT SUM(price), MAX(tax), COUNT(*)"+where)
+	perSel := uint64(shardRows / 8) // the selection's bitmap alone
+	t.Logf("1 aggregate %d bytes, 3 aggregates %d bytes", one, three)
+	if shards := uint64(rows / shardRows); three >= one+shards*perSel {
+		t.Errorf("3 aggregates allocate %d bytes, 1 aggregate %d: at least one more %d-byte selection per shard (%d shards)",
+			three, one, perSel, shards)
+	}
+}

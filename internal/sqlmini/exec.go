@@ -14,12 +14,14 @@ import (
 // the catalog's partitioned store, of which a flat table is the one-shard
 // case. A statement is bound (select list checked, rownum peeled off,
 // every other conjunct translated to an engine predicate), turned into
-// one bpagg.ShardedQuery, and answered by one of two cell loops — one
-// result row, or one row per group — over either that query or its
-// restriction to a row range. Which kernels run (fused or two-phase,
-// direct or hash partition, index-served range) is the engine's
-// decision; this package asks it (ShardedQuery.Fused,
-// ShardedGrouped.Strategy) and never re-derives it.
+// one bpagg.ShardedQuery, and answered by one store call — one result row
+// (AggsContext) or one row per group (GroupByAggsContext) — over either
+// that query or its restriction to a row range; the statement names each
+// aggregate once, and the store answers them all in one plan and one
+// fan-out. Which kernels run (fused or two-phase, direct or hash
+// partition, index-served range) is the engine's decision; this package
+// asks it (ShardedQuery.Fused, ShardedGrouped.Strategy) only to explain
+// it, and never re-derives it.
 
 // Result is an executed query: one row when ungrouped, one row per group
 // otherwise. Cells are rendered in each column's domain (decimals with
@@ -89,11 +91,11 @@ func ExecuteContext(ctx context.Context, cat *catalog.Catalog, q *Query, o ExecO
 	if err != nil {
 		return nil, err
 	}
-	r, err := b.run(ctx, cat, q, sq)
+	rows, _, err := b.run(ctx, cat, q, sq)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Headers: headers(q), Rows: r.rows}, nil
+	return &Result{Headers: headers(q), Rows: rows}, nil
 }
 
 // bound is a statement after binding: the row-position range peeled off
@@ -179,127 +181,81 @@ func buildQuery(cat *catalog.Catalog, preds []boundPred, o ExecOptions, stats *b
 	return sq, nil
 }
 
-// source is what the cell loops aggregate over: the store query, or its
+// source is what a statement aggregates over: the store query, or its
 // restriction to a row range.
 type source interface {
-	CountRowsContext(ctx context.Context) (uint64, error)
-	CountContext(ctx context.Context, column string) (uint64, error)
-	SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error)
-	MinContext(ctx context.Context, column string) (uint64, bool, error)
-	MaxContext(ctx context.Context, column string) (uint64, bool, error)
-	MedianContext(ctx context.Context, column string) (uint64, bool, error)
-	QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error)
+	AggsContext(ctx context.Context, aggs []bpagg.GroupAgg) ([]bpagg.AggResult, error)
 	GroupByAggsContext(ctx context.Context, columns []string, aggs []bpagg.GroupAgg) (*bpagg.ShardedGrouped, error)
 }
 
-// ran is an executed statement: its rows plus the engine's account of
-// the tier that produced them, which EXPLAIN ANALYZE prints.
-type ran struct {
-	rows  [][]string
-	fused bool                // ungrouped, no row range: every aggregate ran fused
-	tier  bpagg.GroupStrategy // grouped
-}
-
-// run executes the bound statement on sq.
-func (b bound) run(ctx context.Context, cat *catalog.Catalog, q *Query, sq *bpagg.ShardedQuery) (ran, error) {
+// run executes the bound statement on sq: its aggregates, named once
+// each, go to the store in one call, which answers them in one plan and
+// one fan-out. A grouped statement also reports the tier that produced
+// its rows, which EXPLAIN ANALYZE prints.
+func (b bound) run(ctx context.Context, cat *catalog.Catalog, q *Query, sq *bpagg.ShardedQuery) ([][]string, bpagg.GroupStrategy, error) {
 	var src source = sq
-	var r ran
-	switch {
-	case b.rng != nil:
+	if b.rng != nil {
 		src = sq.Range(b.rng.lo, b.rng.hi)
-	case len(q.GroupBy) == 0:
-		// Fusion is all or nothing: when one aggregate cannot fuse, every
-		// live shard materializes its selection once and all aggregates
-		// consume it, whatever their order in the select list — N fused
-		// passes would each rescan the filter.
-		r.fused = true
-		for _, s := range q.Selects {
-			if !sq.Fused(aggColumn(s)) {
-				r.fused = false
-				if err := sq.MaterializeContext(ctx); err != nil {
-					return r, err
-				}
-				break
-			}
-		}
 	}
-	if len(q.GroupBy) == 0 {
-		row := make([]string, len(q.Selects))
-		for i, s := range q.Selects {
-			cell, err := rowCell(ctx, cat, s, src)
-			if err != nil {
-				return r, err
-			}
-			row[i] = cell
-		}
-		r.rows = [][]string{row}
-		return r, nil
-	}
-	g, err := src.GroupByAggsContext(ctx, q.GroupBy, groupAggs(q.Selects))
-	if err != nil {
-		return r, err
-	}
-	r.tier = g.Strategy()
-	r.rows, err = groupedRows(ctx, cat, q, g)
-	return r, err
-}
-
-// aggColumn is the column an aggregate reads; empty for COUNT(*).
-func aggColumn(s SelectExpr) string {
-	if s.Func == CountStar {
-		return ""
-	}
-	return s.Column
-}
-
-// rowCell evaluates one SELECT expression over the source and renders
-// the result cell. The shared-scan batch executor (ExecuteShared)
-// memoizes these so N queries asking the same aggregate pay for it once.
-func rowCell(ctx context.Context, cat *catalog.Catalog, s SelectExpr, src source) (string, error) {
-	switch s.Func {
-	case CountStar:
-		cnt, err := src.CountRowsContext(ctx)
-		return strconv.FormatUint(cnt, 10), err
-	case Count:
-		cnt, err := src.CountContext(ctx, s.Column)
-		return strconv.FormatUint(cnt, 10), err
-	case Sum, Avg:
-		sum, cnt, err := src.SumCountContext(ctx, s.Column)
+	aggs := appendAggs(nil, q.Selects)
+	if len(q.GroupBy) != 0 {
+		g, err := src.GroupByAggsContext(ctx, q.GroupBy, aggs)
 		if err != nil {
-			return "", err
+			return nil, 0, err
 		}
-		if s.Func == Sum {
-			return cat.FormatSum(s.Column, sum, cnt), nil
-		}
-		return cat.FormatAvg(s.Column, sum, cnt), nil
+		rows, err := groupedRows(ctx, cat, q, g)
+		return rows, g.Strategy(), err
 	}
-	var v uint64
-	var ok bool
-	var err error
-	switch s.Func {
-	case Min:
-		v, ok, err = src.MinContext(ctx, s.Column)
-	case Max:
-		v, ok, err = src.MaxContext(ctx, s.Column)
-	case Median:
-		v, ok, err = src.MedianContext(ctx, s.Column)
-	case Quantile:
-		v, ok, err = src.QuantileContext(ctx, s.Column, s.Arg)
+	cells, err := src.AggsContext(ctx, aggs)
+	if err != nil {
+		return nil, 0, err
 	}
-	return formatOpt(cat, s.Column, v, ok), err
+	row, err := renderRow(cat, q.Selects, aggs, cells)
+	return [][]string{row}, 0, err
 }
 
-// groupAggs names a grouped statement's aggregates up front, once each,
-// so one pass per shard answers them all.
-func groupAggs(selects []SelectExpr) []bpagg.GroupAgg {
-	aggs := make([]bpagg.GroupAgg, 0, len(selects))
+// aggOf names a SELECT expression's aggregate for the store; COUNT(*) is
+// COUNT without a column.
+func aggOf(s SelectExpr) bpagg.GroupAgg {
+	if s.Func == CountStar {
+		return bpagg.GroupAgg{Op: "COUNT"}
+	}
+	return bpagg.GroupAgg{Op: s.Func.String(), Column: s.Column, Quantile: s.Arg}
+}
+
+// appendAggs adds each SELECT expression's aggregate to aggs unless it is
+// named there already, so the store runs it once.
+func appendAggs(aggs []bpagg.GroupAgg, selects []SelectExpr) []bpagg.GroupAgg {
+	aggs = slices.Grow(aggs, len(selects))
 	for _, s := range selects {
-		a := bpagg.GroupAgg{Op: s.Func.String(), Column: s.Column, Quantile: s.Arg}
-		if s.Func != CountStar && !slices.Contains(aggs, a) {
+		if a := aggOf(s); !slices.Contains(aggs, a) {
 			aggs = append(aggs, a)
 		}
 	}
 	return aggs
+}
+
+// renderRow renders one cell per SELECT expression from the answers the
+// store gave aggs; the first cell that failed (an overflowing SUM) fails
+// the row.
+func renderRow(cat *catalog.Catalog, selects []SelectExpr, aggs []bpagg.GroupAgg, cells []bpagg.AggResult) ([]string, error) {
+	row := make([]string, len(selects))
+	for i, s := range selects {
+		c := cells[slices.Index(aggs, aggOf(s))]
+		switch {
+		case c.Err != nil:
+			return nil, c.Err
+		case s.Func == CountStar || s.Func == Count:
+			row[i] = strconv.FormatUint(c.Value, 10)
+		case s.Func == Sum:
+			row[i] = cat.FormatSum(s.Column, c.Value, c.Count)
+		case s.Func == Avg:
+			row[i] = cat.FormatAvg(s.Column, c.Value, c.Count)
+		default:
+			row[i] = formatOpt(cat, s.Column, c.Value, c.OK)
+		}
+	}
+	return row, nil
 }
 
 // groupedRows renders one row per group: the key parts, then one column

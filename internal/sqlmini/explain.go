@@ -28,8 +28,8 @@ import (
 // — the packed key width picks it, so it prints even for a fully pruned
 // statement); a range stage shows how it was served by its
 // index_segments and scans counters. Every stage carries
-// shards_scanned/shards_pruned summed over its fan-outs — a flat table is
-// one shard. The counters are the stage's whole cost: the filter scans
+// shards_scanned/shards_pruned of its statement's one plan — a flat table
+// is one shard. The counters are the stage's whole cost: the filter scans
 // are not broken out per predicate.
 //
 // Every counter on a node comes from the ExecStats machinery (DESIGN.md
@@ -87,8 +87,14 @@ func ExplainAnalyzeContext(ctx context.Context, cat *catalog.Catalog, q *Query, 
 	if err != nil {
 		return nil, err
 	}
+	// The scan+agg tier is the engine's gate, asked before the statement
+	// runs: running it materializes the selections when a call cannot fuse.
+	fused := b.rng == nil && len(q.GroupBy) == 0
+	for _, s := range q.Selects {
+		fused = fused && sq.Fused(aggOf(s).Column)
+	}
 	t0 := time.Now()
-	r, err := b.run(ctx, cat, q, sq)
+	rows, groupTier, err := b.run(ctx, cat, q, sq)
 	if err != nil {
 		return nil, err
 	}
@@ -97,11 +103,11 @@ func ExplainAnalyzeContext(ctx context.Context, cat *catalog.Catalog, q *Query, 
 	var tier string
 	switch {
 	case len(q.GroupBy) != 0:
-		tier = r.tier.String() + " tier" // the key widths pick it, pruned or not
+		tier = groupTier.String() + " tier" // the key widths pick it, pruned or not
 	case b.rng != nil || stage.Stats.ShardsScanned == 0:
 		// A range is told by its counters; with every shard pruned
 		// neither scan route ran.
-	case r.fused:
+	case fused:
 		tier = "fused"
 	default:
 		tier = "two-phase"
@@ -113,7 +119,7 @@ func ExplainAnalyzeContext(ctx context.Context, cat *catalog.Catalog, q *Query, 
 	if len(q.GroupBy) != 0 {
 		stage.Op = "group+agg"
 		stage.Detail += " by " + strings.Join(q.GroupBy, ", ")
-		stage.Rows, root.Rows = uint64(len(r.rows)), uint64(len(r.rows))
+		stage.Rows, root.Rows = uint64(len(rows)), uint64(len(rows))
 	} else {
 		// Matching-row cardinality is plan decoration the aggregates never
 		// compute; count it on a stats-free twin so the recorded counters
@@ -126,9 +132,11 @@ func ExplainAnalyzeContext(ctx context.Context, cat *catalog.Catalog, q *Query, 
 		if b.rng != nil {
 			src = cq.Range(b.rng.lo, b.rng.hi)
 		}
-		if stage.Rows, err = src.CountRowsContext(ctx); err != nil {
+		cells, err := src.AggsContext(ctx, []bpagg.GroupAgg{{Op: "COUNT"}})
+		if err != nil {
 			return nil, err
 		}
+		stage.Rows = cells[0].Value
 	}
 	if len(b.rest) > 0 {
 		conds := make([]string, len(b.rest))

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"math"
+	"slices"
 
 	"bpagg/internal/catalog"
 )
@@ -42,11 +43,11 @@ func clampRowBound(f float64) int {
 // is ordinal, so equality and one-sided forms are deliberately excluded
 // rather than silently misread.
 func splitRownum(cat *catalog.Catalog, conds []Condition) (*rowRange, []Condition, error) {
-	if cat.Spec(rownumName) != nil {
+	if cat.Spec(rownumName) != nil || !slices.ContainsFunc(conds, func(c Condition) bool { return c.Column == rownumName }) {
 		return nil, conds, nil
 	}
 	var rng *rowRange
-	rest := make([]Condition, 0, len(conds))
+	var rest []Condition // often empty: a statement filtered by rownum alone
 	for _, cond := range conds {
 		if cond.Column != rownumName {
 			rest = append(rest, cond)

@@ -277,3 +277,59 @@ func TestShardedCatalogPersistRoundTrip(t *testing.T) {
 		t.Fatalf("sharded execution recorded no shard counters: %+v", s)
 	}
 }
+
+// TestShardedStatementOnePlan: a scalar statement is one plan however many
+// aggregates it names, so the catalog's verdict is booked once and
+// ShardsScanned + ShardsPruned is the store's shard count — for four
+// aggregates over a filter the catalog prunes on, and for two under a row
+// range. A shared batch is one statement too, and a member naming an
+// overflowing SUM fails alone while the others answer.
+func TestShardedStatementOnePlan(t *testing.T) {
+	cat := loadOrders(t)
+	cat.Shard(64)
+	shards := uint64(cat.Store().NumShards())
+	for _, sql := range []string{
+		"SELECT SUM(qty), COUNT(*), MIN(amount), MEDIAN(qty) WHERE amount >= 700",
+		"SELECT SUM(qty), MAX(amount) WHERE rownum BETWEEN 10 AND 200 AND amount >= 300",
+	} {
+		rec := bpagg.NewStatsCollector()
+		if _, err := ExecuteContext(context.Background(), cat, parseQ(t, sql), ExecOptions{Stats: rec}); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		st := rec.Snapshot()
+		if st.ShardsPruned == 0 || st.ShardsScanned+st.ShardsPruned != shards {
+			t.Errorf("%s: shards_scanned=%d shards_pruned=%d, want one plan of %d shards with some pruned",
+				sql, st.ShardsScanned, st.ShardsPruned, shards)
+		}
+	}
+
+	specs, err := catalog.ParseSchema("big:uint(63), k:uint(4)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv strings.Builder
+	csv.WriteString("big,k\n")
+	for i := 0; i < 6; i++ {
+		fmt.Fprintf(&csv, "%d,%d\n", uint64(1)<<62, i)
+	}
+	big, err := catalog.LoadCSV(strings.NewReader(csv.String()), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big.Shard(2)
+	out := ExecuteShared(context.Background(), big, []*Query{
+		parseQ(t, "SELECT SUM(big) WHERE k < 8"),
+		parseQ(t, "SELECT COUNT(*), MAX(big), AVG(k) WHERE k < 8"),
+		parseQ(t, "SELECT MIN(k), AVG(big) WHERE k < 8"),
+	}, ExecOptions{})
+	var ov *bpagg.OverflowError
+	for _, i := range []int{0, 2} {
+		if !errors.As(out[i].Err, &ov) || ov.Hi != 1 || ov.Lo != 1<<63 || out[i].Res != nil {
+			t.Errorf("member %d: %+v, want *OverflowError with the exact total 6·2^62", i, out[i])
+		}
+	}
+	want := [][]string{{"6", fmt.Sprint(uint64(1) << 62), "2.5000"}}
+	if out[1].Err != nil || !reflect.DeepEqual(out[1].Res.Rows, want) {
+		t.Errorf("member 1: %+v, want rows %v", out[1], want)
+	}
+}

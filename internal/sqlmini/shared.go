@@ -13,14 +13,13 @@ import (
 // Shared-scan execution: the multi-query sharing layer under bpaggd's
 // batching. Concurrent queries whose WHERE clauses bind to the same
 // predicate conjunction form one batch class; the class executes as ONE
-// store query — every live shard's selection is materialized once and
-// every distinct aggregate across the batch runs once against it —
-// instead of N independent scan+aggregate passes. This is the cross-query form of the
+// statement whose select list is the union of the members' lists, each
+// aggregate named once — one plan and one fan-out, instead of N
+// independent scan+aggregate passes. This is the cross-query form of the
 // paper's intra-query amortization (tpchQ01_GPU answers NUM_AGGRS
 // aggregates per pass; here N queries' aggregates share a pass), and the
-// ExecStats of the shared collector prove it: one batch records one scan
-// and one driver invocation per distinct aggregate, however many queries
-// rode along.
+// ExecStats of the shared collector prove it: one batch records what its
+// union statement costs alone, however many queries rode along.
 
 // BatchKey returns the canonical shared-scan class of a query: two
 // queries with equal keys select exactly the same rows, so their
@@ -73,12 +72,11 @@ type SharedResult struct {
 }
 
 // ExecuteShared runs a batch of ungrouped queries belonging to one
-// BatchKey class as one store query. The WHERE conjunction is bound and
-// materialized once (one scan pass per live shard, charged once to
-// o.Stats) and result cells are memoized by aggregate label, so N queries
-// asking SUM(price) pay for one SUM kernel invocation. Queries whose own key
-// differs from the batch's (a caller bug) fail individually rather than
-// corrupting their neighbors' results.
+// BatchKey class as one statement over the union of their select lists
+// (charged once to o.Stats), so N queries asking SUM(price) pay for one
+// SUM. A cell that fails (an overflowing SUM) fails only the queries that
+// ask for it. Queries whose own key differs from the batch's (a caller
+// bug) fail individually rather than corrupting their neighbors' results.
 //
 // Like ExecuteContext, this is a trust boundary: malformed queries
 // return errors, and any panic escaping the engine is recovered so one
@@ -119,58 +117,40 @@ func ExecuteShared(ctx context.Context, cat *catalog.Catalog, qs []*Query, o Exe
 		}
 	}
 
-	sq, err := sharedQuery(ctx, cat, qs[0], o)
-	if err != nil {
-		for i := range out {
-			if out[i].Err == nil {
-				out[i].Err = err
-			}
-		}
-		return out
-	}
-
-	type cell struct {
-		val string
-		err error
-	}
-	memo := map[string]cell{}
+	// The batch is one statement: the members' select lists, each
+	// aggregate named once, over the leader's WHERE.
+	var aggs []bpagg.GroupAgg
 	for i, q := range qs {
 		if out[i].Err != nil {
 			continue
 		}
-		if err := validateSelects(cat, q); err != nil {
-			out[i].Err = err
+		if out[i].Err = validateSelects(cat, q); out[i].Err == nil {
+			aggs = appendAggs(aggs, q.Selects)
+		}
+	}
+	cells, err := sharedCells(ctx, cat, qs[0], aggs, o)
+	for i, q := range qs {
+		if out[i].Err != nil {
 			continue
 		}
-		row := make([]string, len(q.Selects))
-		var qerr error
-		for j, s := range q.Selects {
-			label := s.Label()
-			c, ok := memo[label]
-			if !ok {
-				v, err := rowCell(ctx, cat, s, sq)
-				c = cell{val: v, err: err}
-				memo[label] = c
-			}
-			if c.err != nil {
-				qerr = c.err
-				break
-			}
-			row[j] = c.val
+		var row []string
+		if out[i].Err = err; err == nil {
+			row, out[i].Err = renderRow(cat, q.Selects, aggs, cells)
 		}
-		if qerr != nil {
-			out[i].Err = qerr
-			continue
+		if out[i].Err == nil {
+			out[i].Res = &Result{Headers: headers(q), Rows: [][]string{row}}
 		}
-		out[i].Res = &Result{Headers: headers(q), Rows: [][]string{row}}
 	}
 	return out
 }
 
-// sharedQuery builds the batch's one store query from the class leader's
-// WHERE list and materializes every live shard's selection, so each
-// memoized cell is a two-phase aggregate over a filter scanned once.
-func sharedQuery(ctx context.Context, cat *catalog.Catalog, leader *Query, o ExecOptions) (*bpagg.ShardedQuery, error) {
+// sharedCells answers the batch's aggregates in one store call over the
+// class leader's WHERE list: one plan and one fan-out, whatever the batch
+// size.
+func sharedCells(ctx context.Context, cat *catalog.Catalog, leader *Query, aggs []bpagg.GroupAgg, o ExecOptions) ([]bpagg.AggResult, error) {
+	if len(aggs) == 0 {
+		return nil, nil
+	}
 	preds, err := bindPreds(cat, leader.Where)
 	if err != nil {
 		return nil, err
@@ -179,5 +159,5 @@ func sharedQuery(ctx context.Context, cat *catalog.Catalog, leader *Query, o Exe
 	if err != nil {
 		return nil, err
 	}
-	return sq, sq.MaterializeContext(ctx)
+	return sq.AggsContext(ctx, aggs)
 }

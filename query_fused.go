@@ -110,6 +110,19 @@ func fusedMust(err error) {
 	panic(err)
 }
 
+// must is a plain method's body: the answer of its Context twin, whose
+// failure re-raises through fusedMust.
+func must[T any](v T, err error) T {
+	fusedMust(err)
+	return v
+}
+
+// must2 is must for an answer with its presence flag (or flags).
+func must2[T, U any](v T, ok U, err error) (T, U) {
+	fusedMust(err)
+	return v, ok
+}
+
 // medianRank is the lower-median rank function for the fused rank driver.
 func medianRank(u uint64) (uint64, bool) { return (u + 1) / 2, u > 0 }
 

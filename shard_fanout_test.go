@@ -249,7 +249,7 @@ func TestTwinMethodSets(t *testing.T) {
 		minus        []string
 	}{
 		{"ShardedRangeQuery vs ShardedQuery", &ShardedQuery{}, &ShardedRangeQuery{},
-			[]string{"Where", "WhereErr", "With", "WithStats", "WithStatsInto", "Stats", "Fused", "MaterializeContext", "Range", "Window"}},
+			[]string{"Where", "WhereErr", "With", "WithStats", "WithStatsInto", "Stats", "Fused", "Range", "Window"}},
 		{"RangeQuery vs Query", &Query{}, &RangeQuery{},
 			// Selection is on both: the range's is its own mask ∧ filter.
 			[]string{"Where", "WhereErr", "With", "WithStats", "WithStatsInto", "Stats", "Fused", "Range", "Window"}},
@@ -317,5 +317,56 @@ func TestShardedGroupMedianBytes(t *testing.T) {
 	want, wantOks, err := one.MedianOkContext(ctx, "n")
 	if err != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(oks, wantOks) {
 		t.Errorf("per-group medians over 4 shards differ from one shard's (err %v)", err)
+	}
+}
+
+// TestShardedAggsMatchSingleCalls: AggsContext's row is, cell for cell,
+// what the single-aggregate methods answer — over the whole store and a
+// row range, with and without a filter the catalog prunes on, a NULL-bearing
+// column included — and a malformed aggregate fails the call.
+func TestShardedAggsMatchSingleCalls(t *testing.T) {
+	ctx := context.Background()
+	st := ShardTable(pinTable(HBP, 3*256+77), 256)
+	aggs := []GroupAgg{{Op: "COUNT"}, {Op: "COUNT", Column: "n"}, {Op: "SUM", Column: "v"}, {Op: "AVG", Column: "n"},
+		{Op: "MIN", Column: "n"}, {Op: "MAX", Column: "v"}, {Op: "MEDIAN", Column: "n"}, {Op: "QUANTILE", Column: "v", Quantile: 0.9}}
+	for _, filtered := range []bool{false, true} {
+		query := func() *ShardedQuery {
+			q := st.Query()
+			if filtered {
+				q.Where("a", GreaterEq(1000)).Where("a", Less(3100))
+			}
+			return q
+		}
+		for _, src := range []pinAggs{query(), query().Range(100, st.Rows()-50)} {
+			var want []AggResult
+			cell := func(r AggResult, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, r)
+			}
+			count := func(v uint64, err error) { cell(AggResult{Value: v, OK: true}, err) }
+			sum := func(s, c uint64, err error) { cell(AggResult{Value: s, Count: c, OK: true}, err) }
+			value := func(v uint64, ok bool, err error) { cell(AggResult{Value: v, OK: ok}, err) }
+			count(src.CountRowsContext(ctx))
+			count(src.CountContext(ctx, "n"))
+			sum(src.SumCountContext(ctx, "v"))
+			sum(src.SumCountContext(ctx, "n"))
+			value(src.MinContext(ctx, "n"))
+			value(src.MaxContext(ctx, "v"))
+			value(src.MedianContext(ctx, "n"))
+			value(src.QuantileContext(ctx, "v", 0.9))
+			got, err := src.(interface {
+				AggsContext(context.Context, []GroupAgg) ([]AggResult, error)
+			}).AggsContext(ctx, aggs)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("filtered=%v %T: AggsContext = %+v, %v; single calls %+v", filtered, src, got, err, want)
+			}
+		}
+	}
+	for _, bad := range []GroupAgg{{Op: "MODE", Column: "v"}, {Op: "SUM", Column: "nope"}, {Op: "QUANTILE", Column: "v", Quantile: 2}} {
+		if _, err := st.Query().AggsContext(ctx, []GroupAgg{{Op: "COUNT"}, bad}); err == nil {
+			t.Errorf("AggsContext(%+v) succeeded", bad)
+		}
 	}
 }

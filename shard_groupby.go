@@ -34,37 +34,20 @@ func (f *fanOut) GroupByContext(ctx context.Context, columns ...string) (*Sharde
 	return f.groupBy(ctx, columns, nil)
 }
 
-// GroupAgg names an aggregate for GroupByAggsContext: Op is COUNT (non-NULL
-// rows), SUM or AVG (each also names COUNT), MIN, MAX, MEDIAN or QUANTILE.
-type GroupAgg struct {
-	Op, Column string
-	Quantile   float64
-}
-
 // GroupByAggsContext is GroupByContext for the named aggregates alone: one
 // pass per shard answers them all, and asking for another is an error.
+// COUNT(*) is the partition's own count, named or not.
 func (f *fanOut) GroupByAggsContext(ctx context.Context, columns []string, aggs []GroupAgg) (*ShardedGrouped, error) {
 	named := make([]aggCall, 0, 2*len(aggs))
 	for _, a := range aggs {
-		op := slices.Index(aggNames[:], a.Op)
-		if a.Op == "AVG" {
-			op = int(opSum)
-		}
-		if op <= 0 { // aggNames[0], opCountRows, is unnamed
-			return nil, fmt.Errorf("bpagg: unknown grouped aggregate %q", a.Op)
-		}
-		if _, err := f.st.specErr(a.Column); err != nil {
+		c, err := f.st.aggCall(a)
+		switch {
+		case err != nil:
 			return nil, err
-		}
-		c := aggCall{op: aggOp(op), column: a.Column}
-		if c.op == opQuantile {
-			if err := checkQuantile(a.Quantile); err != nil {
-				return nil, err
-			}
-			c.quantile = a.Quantile
-		}
-		if c.op == opSum { // SUM and AVG also answer the column's COUNT
-			named = append(named, aggCall{op: opCount, column: a.Column})
+		case c.op == opCountRows:
+			continue
+		case c.op == opSum: // SUM and AVG also answer the column's COUNT
+			named = append(named, aggCall{op: opCount, column: c.column})
 		}
 		named = append(named, c)
 	}
@@ -82,8 +65,8 @@ func (f *fanOut) groupBy(ctx context.Context, columns []string, named []aggCall)
 	live := f.liveShards()
 	f.recordPlan(len(live))
 	parts := make([]*Grouped, len(live))
-	err = f.fan(ctx, live, func(slot int) (err error) {
-		v := f.view(live, slot)
+	err = f.fan(ctx, live, execOptions(f.execs).par.Threads, func(slot int) (err error) {
+		v := f.view(slot)
 		parts[slot], err = v.groupBy(orBackground(ctx), columns, named)
 		return err
 	})
@@ -121,9 +104,7 @@ func (f *fanOut) groupBy(ctx context.Context, columns []string, named []aggCall)
 // GroupBy partitions the current selection by the distinct values of the
 // named columns.
 func (f *fanOut) GroupBy(columns ...string) *ShardedGrouped {
-	g, err := f.GroupByContext(context.Background(), columns...)
-	fusedMust(err)
-	return g
+	return must(f.GroupByContext(context.Background(), columns...))
 }
 
 // groupWidths resolves the grouping columns' code widths and checks that
@@ -192,9 +173,7 @@ func (g *ShardedGrouped) CountContext(ctx context.Context) ([]uint64, error) {
 
 // Count returns each group's row count.
 func (g *ShardedGrouped) Count() []uint64 {
-	out, err := g.CountContext(context.Background())
-	fusedMust(err)
-	return out
+	return must(g.CountContext(context.Background()))
 }
 
 // NonNullCountContext returns each group's count of non-NULL values of
@@ -239,9 +218,7 @@ func (g *ShardedGrouped) SumContext(ctx context.Context, column string) ([]uint6
 
 // Sum aggregates SUM of the named column per group.
 func (g *ShardedGrouped) Sum(column string) []uint64 {
-	out, err := g.SumContext(context.Background(), column)
-	fusedMust(err)
-	return out
+	return must(g.SumContext(context.Background(), column))
 }
 
 // AvgContext aggregates AVG of the named column per group, honoring ctx.
@@ -261,9 +238,7 @@ func (g *ShardedGrouped) AvgContext(ctx context.Context, column string) ([]float
 
 // Avg aggregates AVG of the named column per group.
 func (g *ShardedGrouped) Avg(column string) []float64 {
-	out, err := g.AvgContext(context.Background(), column)
-	fusedMust(err)
-	return out
+	return must(g.AvgContext(context.Background(), column))
 }
 
 // extremeOkContext merges the partitions' per-group MIN/MAX partials: a
@@ -316,16 +291,12 @@ func (g *ShardedGrouped) MaxContext(ctx context.Context, column string) ([]uint6
 
 // Min aggregates MIN of the named column per group.
 func (g *ShardedGrouped) Min(column string) []uint64 {
-	out, err := g.MinContext(context.Background(), column)
-	fusedMust(err)
-	return out
+	return must(g.MinContext(context.Background(), column))
 }
 
 // Max aggregates MAX of the named column per group.
 func (g *ShardedGrouped) Max(column string) []uint64 {
-	out, err := g.MaxContext(context.Background(), column)
-	fusedMust(err)
-	return out
+	return must(g.MaxContext(context.Background(), column))
 }
 
 // rankOkContext answers one order statistic per group: c's rank function
@@ -373,7 +344,5 @@ func (g *ShardedGrouped) MedianContext(ctx context.Context, column string) ([]ui
 
 // Median aggregates the lower MEDIAN of the named column per group.
 func (g *ShardedGrouped) Median(column string) []uint64 {
-	out, err := g.MedianContext(context.Background(), column)
-	fusedMust(err)
-	return out
+	return must(g.MedianContext(context.Background(), column))
 }

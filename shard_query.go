@@ -1,9 +1,11 @@
 package bpagg
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"bpagg/internal/parallel"
 )
@@ -20,11 +22,13 @@ import (
 // flat engine at any thread count.
 //
 // Each shard's query state is built at its first fan-out and kept for the
-// ShardedQuery's lifetime, so a selection one aggregate materializes
+// ShardedQuery's lifetime, so a selection one statement materializes
 // serves the next exactly as a Query's does on a flat table: a one-shard
 // store does the work of the flat engine, no more.
 //
 // The aggregates are fanOut's, promoted: ShardedRangeQuery shares them.
+// AggsContext answers several in one fan-out; each single-aggregate
+// method is a statement of one.
 type ShardedQuery struct {
 	fanOut
 }
@@ -36,7 +40,7 @@ type ShardedRangeQuery struct {
 }
 
 // fanOut is the one implementation of every sharded aggregate (DESIGN.md
-// §15): plan the live shards, hand each one's view the aggregate call,
+// §15): plan the live shards, hand each one's view the statement's calls,
 // merge the partials. A row range is a field of the plan, not a
 // second implementation: a range view is its query's state plus [lo, hi).
 type fanOut struct {
@@ -57,13 +61,16 @@ type shardState struct {
 	shardQ  []*queryState // by shard index; nil until the shard's first fan-out
 }
 
-// shardScratch holds the plan and the per-shard partials, reused across a
-// query's fan-outs: a window sweep issues one fan-out per window and would
-// otherwise reallocate the same small slices every time. Within one
-// fan-out each worker writes only its own slot, so reuse is safe.
+// shardScratch holds the plan, the statement's calls and their per-shard
+// partials and rank parts, reused across a query's fan-outs: a window
+// sweep issues one fan-out per window and would otherwise reallocate the
+// same small slices every time. Within one fan-out each worker writes only
+// its own slots, so reuse is safe.
 type shardScratch struct {
 	live, rlo, rhi []int
-	parts          []partial
+	calls          []aggCall
+	parts          []partial // [call][live slot]
+	ranks          []parallel.RankPart
 }
 
 // shardClause is one recorded WHERE conjunct: the column (by name and
@@ -171,27 +178,18 @@ func (q *ShardedQuery) Range(lo, hi int) *ShardedRangeQuery {
 // cannot prune. It executes and records nothing.
 func (q *ShardedQuery) Fused(column string) bool {
 	q.growShardQ()
-	access := execOptions(q.execs).access
-	for _, s := range q.liveShards() {
-		if !q.shardQuery(s).fusesColumn(column, access) {
+	return q.fuses(q.liveShards(), column, execOptions(q.execs).access)
+}
+
+// fuses reports whether an aggregate over column fuses on every shard of
+// the live list under access.
+func (f *fanOut) fuses(live []int, column string, access AccessMethod) bool {
+	for _, s := range live {
+		if !f.shardQuery(s).fusesColumn(column, access) {
 			return false
 		}
 	}
 	return true
-}
-
-// MaterializeContext runs the pending Where clauses of every live shard
-// now, as two-phase scans into that shard's kept selection, so every
-// aggregate that follows consumes the same filter bitmap and none fuses
-// — what Query.Selection does on a flat table. A statement that knows one
-// of its aggregates cannot fuse calls it first and pays for the scans
-// once, whatever order its aggregates run in.
-func (q *ShardedQuery) MaterializeContext(ctx context.Context) error {
-	live := q.liveShards()
-	return q.fan(ctx, live, func(slot int) error {
-		q.shardQuery(live[slot]).selection()
-		return nil
-	})
 }
 
 // specErr resolves an aggregate, grouping or filter column to its specs
@@ -278,10 +276,10 @@ func (f *fanOut) shardQuery(s int) *queryState {
 // index fan-out (one live shard runs inline on the caller's goroutine);
 // the slot gives deterministic result placement. fn asks the slot's view
 // directly — one closure between the fan-out and the engine, because a
-// multi-shard fan-out runs on a fresh goroutine stack.
-func (f *fanOut) fan(ctx context.Context, live []int, fn func(slot int) error) error {
+// multi-shard fan-out runs on a fresh goroutine stack. threads is the
+// query's Parallel option, which the caller has resolved.
+func (f *fanOut) fan(ctx context.Context, live []int, threads int, fn func(slot int) error) error {
 	f.growShardQ()
-	threads := execOptions(f.execs).par.Threads
 	return wrapExecErr(parallel.ForEachIndexErr(orBackground(ctx), len(live), threads, fn))
 }
 
@@ -290,8 +288,8 @@ func (f *fanOut) fan(ctx context.Context, live []int, fn func(slot int) error) e
 // when the plan carries one. The view is a value — nothing is allocated
 // per shard per aggregate — and the engine is chosen where every flat
 // aggregate's is, in flatView.eval.
-func (f *fanOut) view(live []int, slot int) flatView {
-	v := flatView{queryState: f.shardQuery(live[slot]), ranged: f.ranged}
+func (f *fanOut) view(slot int) flatView {
+	v := flatView{queryState: f.shardQuery(f.scratch.live[slot]), ranged: f.ranged}
 	if f.ranged {
 		v.lo, v.hi = f.scratch.rlo[slot], f.scratch.rhi[slot]
 	}
@@ -317,56 +315,223 @@ func (c aggCall) merge(parts []partial) (m partial) {
 	return m
 }
 
-// run answers one scalar aggregate other than a rank: plan, fan out,
-// merge.
-func (f *fanOut) run(ctx context.Context, c aggCall) (partial, error) {
+// GroupAgg names an aggregate for AggsContext and GroupByAggsContext: Op
+// is COUNT (COUNT(*) when Column is empty, else the column's non-NULL
+// rows), SUM or AVG (each also counts the column), MIN, MAX, MEDIAN or
+// QUANTILE.
+type GroupAgg struct {
+	Op, Column string
+	Quantile   float64
+}
+
+// AggResult is one aggregate's answer in AggsContext's row.
+type AggResult struct {
+	// Value is a COUNT's count, a SUM's or AVG's sum, or the MIN, MAX,
+	// MEDIAN or QUANTILE value.
+	Value uint64
+	// Count is the column's non-NULL count under a SUM or AVG (AVG is
+	// Value/Count).
+	Count uint64
+	// OK is false when a MIN, MAX, MEDIAN or QUANTILE found no value.
+	OK bool
+	// Err is the aggregate's own failure: an *OverflowError carrying the
+	// exact total of a SUM or AVG past uint64. The other aggregates of the
+	// row still answer.
+	Err error
+}
+
+// AggsContext answers a scalar statement's aggregates, honoring ctx, in
+// one plan and one fan-out that visits each live shard once (see aggs).
+// The row is parallel to aggs. An unknown aggregate, an unknown column or a
+// quantile outside [0, 1] fails the call, as do cancellation and engine
+// faults.
+func (f *fanOut) AggsContext(ctx context.Context, aggs []GroupAgg) ([]AggResult, error) {
+	calls := slices.Grow(f.scratch.calls[:0], len(aggs))
+	for _, a := range aggs {
+		c, err := f.st.aggCall(a)
+		if err != nil {
+			return nil, err
+		}
+		if c.op == opSum { // a row's SUM and AVG carry their count
+			c.op = opSumCount
+		}
+		calls = append(calls, c)
+	}
+	f.scratch.calls = calls
+	row := make([]AggResult, len(calls))
+	return row, f.aggs(ctx, row)
+}
+
+// aggCall resolves a named aggregate against the store: the op its name
+// spells in aggTable (AVG is SUM's; COUNT without a column is COUNT(*)),
+// its column, and a QUANTILE's argument.
+func (st *ShardedTable) aggCall(a GroupAgg) (aggCall, error) {
+	op := slices.IndexFunc(aggTable[:], func(e aggEntry) bool { return e.name == a.Op })
+	if a.Op == "AVG" {
+		op = int(opSum)
+	}
+	if op <= 0 { // aggTable[0], opCountRows, is unnamed
+		return aggCall{}, fmt.Errorf("bpagg: unknown aggregate %q", a.Op)
+	}
+	c := aggCall{op: aggOp(op), column: a.Column}
+	switch {
+	case c.op == opCount && c.column == "":
+		c.op = opCountRows
+	case c.op == opQuantile:
+		c.quantile = a.Quantile
+	}
+	return c, st.checkCall(&c)
+}
+
+// checkCall validates a call against the store: its column (none for
+// COUNT(*)) and a QUANTILE's argument.
+func (st *ShardedTable) checkCall(c *aggCall) error {
 	if c.op != opCountRows {
-		if _, err := f.st.specErr(c.column); err != nil {
-			return partial{}, err
+		if _, err := st.specErr(c.column); err != nil {
+			return err
 		}
 	}
+	if c.op == opQuantile {
+		return checkQuantile(c.quantile)
+	}
+	return nil
+}
+
+// aggs answers the statement's calls (scratch.calls, validated) in one
+// plan and one fan-out (DESIGN.md §15), into out, parallel to them. Each live shard's
+// view is visited once and answers every call: a non-rank through eval, a
+// rank as the part FilterRankPart cuts from the filter eval would feed it
+// (rankFilter). Then each non-rank merges its partials in shard order and
+// each rank runs one descent over its parts, its rounds summing the counts
+// of every shard; a rank records where the shards' kept states do, into
+// the WithStats collector when there is one, else into a CollectStats
+// option's.
+//
+// Fusion is all or nothing per statement: when one call cannot fuse on one
+// live shard (a rank is asked under BitParallel, its own gate), every live
+// shard materializes its selection before the first call, so the filter is
+// scanned once rather than by each fused call. A ranged view with a filter
+// cuts its selection once per shard, for every call.
+func (f *fanOut) aggs(ctx context.Context, out []AggResult) error {
+	ctx, sc := orBackground(ctx), &f.scratch
 	live := f.liveShards()
 	f.recordPlan(len(live))
-	if cap(f.scratch.parts) < len(live) {
-		f.scratch.parts = make([]partial, len(live))
+	f.growShardQ()
+	cfg := execOptions(f.execs)
+	materialize, ranked := false, false
+	for _, c := range sc.calls {
+		access := cfg.access
+		if c.op >= opMedian {
+			access, ranked = BitParallel, true
+		}
+		materialize = materialize || !f.ranged && !f.fuses(live, c.column, access)
 	}
-	parts := f.scratch.parts[:len(live)]
-	err := f.fan(ctx, live, func(slot int) (err error) {
-		v := f.view(live, slot)
-		parts[slot], err = v.eval(ctx, &c)
-		return err
+	o := cfg.par
+	if f.stats != nil {
+		o.Stats = f.stats
+	}
+	n, nl := len(sc.calls), len(live)
+	if cap(sc.parts) < n*nl {
+		sc.parts = make([]partial, n*nl)
+	}
+	if ranked && cap(sc.ranks) < n*nl {
+		sc.ranks = make([]parallel.RankPart, n*nl)
+	}
+	defer clear(sc.ranks) // rank parts hold their candidate lists: let them go
+	err := f.fan(ctx, live, o.Threads, func(slot int) (err error) {
+		// The scratch is read through f, so the closure stays small.
+		v, sc := f.view(slot), &f.scratch
+		nl := len(sc.live)
+		switch {
+		case materialize:
+			v.selection()
+		case v.ranged && !v.filterFree():
+			v.cut = v.Selection()
+		}
+		for i := range sc.calls {
+			c := &sc.calls[i]
+			if c.op < opMedian {
+				sc.parts[i*nl+slot], err = v.eval(ctx, c)
+			} else {
+				col := v.t.cols[c.column]
+				sc.ranks[i*nl+slot], err = parallel.FilterRankPart(ctx, groupCol(col), v.rankFilter(col), o)
+				err = wrapExecErr(err)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
-		return partial{}, err
+		return err
 	}
-	return c.merge(parts), nil
+	for i, c := range sc.calls {
+		if c.op < opMedian {
+			out[i] = c.result(c.merge(sc.parts[i*nl : (i+1)*nl]))
+			continue
+		}
+		vals, oks, err := parallel.RankCtx(ctx, sc.ranks[i*nl:(i+1)*nl], 1, c.rankOf, o)
+		if err != nil {
+			return wrapExecErr(err)
+		}
+		out[i] = AggResult{Value: vals[0], OK: oks[0]}
+	}
+	return nil
+}
+
+// result is the public answer of a non-rank call from its merged partial.
+func (c aggCall) result(p partial) AggResult {
+	switch {
+	case c.op <= opCount:
+		return AggResult{Value: p.cnt, OK: true}
+	case c.op <= opAvg:
+		sum, cnt, err := narrowSum(p, nil)
+		return AggResult{Value: sum, Count: cnt, OK: true, Err: err}
+	}
+	return AggResult{Value: p.lo, OK: p.ok}
+}
+
+// one answers a single aggregate: a statement of one call, whose cell's
+// failure is the call's.
+func (f *fanOut) one(ctx context.Context, c aggCall) (AggResult, error) {
+	var out [1]AggResult
+	if err := f.st.checkCall(&c); err != nil {
+		return out[0], err
+	}
+	f.scratch.calls = append(f.scratch.calls[:0], c)
+	err := f.aggs(ctx, out[:])
+	return out[0], cmp.Or(err, out[0].Err)
+}
+
+// value answers a single MIN, MAX or rank: the value and its presence
+// flag.
+func (f *fanOut) value(ctx context.Context, c aggCall) (uint64, bool, error) {
+	r, err := f.one(ctx, c)
+	return r.Value, r.OK, err
 }
 
 // CountRowsContext counts the rows passing the filter (COUNT(*)),
 // honoring ctx.
 func (f *fanOut) CountRowsContext(ctx context.Context) (uint64, error) {
-	p, err := f.run(ctx, aggCall{op: opCountRows})
-	return p.cnt, err
+	r, err := f.one(ctx, aggCall{op: opCountRows})
+	return r.Value, err
 }
 
 // CountRows returns the number of rows passing the filter.
 func (f *fanOut) CountRows() uint64 {
-	c, err := f.CountRowsContext(context.Background())
-	fusedMust(err)
-	return c
+	return must(f.CountRowsContext(context.Background()))
 }
 
 // CountContext counts selected non-NULL rows of the named column.
 func (f *fanOut) CountContext(ctx context.Context, column string) (uint64, error) {
-	p, err := f.run(ctx, aggCall{op: opCount, column: column})
-	return p.cnt, err
+	r, err := f.one(ctx, aggCall{op: opCount, column: column})
+	return r.Value, err
 }
 
 // Count counts selected non-NULL rows of the named column.
 func (f *fanOut) Count(column string) uint64 {
-	c, err := f.CountContext(context.Background(), column)
-	fusedMust(err)
-	return c
+	return must(f.CountContext(context.Background(), column))
 }
 
 // SumCountContext aggregates SUM and the column's non-NULL COUNT in one
@@ -375,7 +540,8 @@ func (f *fanOut) Count(column string) uint64 {
 // the flat engine's overflow contract: a shard whose own partial overflows
 // reports its exact value the same way, and that merges like any other.
 func (f *fanOut) SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error) {
-	return narrowSum(f.run(ctx, aggCall{op: opSumCount, column: column}))
+	r, err := f.one(ctx, aggCall{op: opSumCount, column: column})
+	return r.Value, r.Count, err
 }
 
 // SumContext aggregates SUM over the named column, honoring ctx; overflow
@@ -388,9 +554,7 @@ func (f *fanOut) SumContext(ctx context.Context, column string) (uint64, error) 
 // Sum aggregates SUM over the named column; overflow panics with
 // *OverflowError.
 func (f *fanOut) Sum(column string) uint64 {
-	v, err := f.SumContext(context.Background(), column)
-	fusedMust(err)
-	return v
+	return must(f.SumContext(context.Background(), column))
 }
 
 // AvgContext aggregates AVG over the named column, honoring ctx. The
@@ -402,109 +566,58 @@ func (f *fanOut) AvgContext(ctx context.Context, column string) (float64, bool, 
 
 // Avg aggregates AVG over the named column.
 func (f *fanOut) Avg(column string) (float64, bool) {
-	v, ok, err := f.AvgContext(context.Background(), column)
-	fusedMust(err)
-	return v, ok
+	return must2(f.AvgContext(context.Background(), column))
 }
 
 // MinContext aggregates MIN over the named column, honoring ctx.
 func (f *fanOut) MinContext(ctx context.Context, column string) (uint64, bool, error) {
-	p, err := f.run(ctx, aggCall{op: opMin, column: column})
-	return p.lo, p.ok, err
+	return f.value(ctx, aggCall{op: opMin, column: column})
 }
 
 // MaxContext aggregates MAX over the named column, honoring ctx.
 func (f *fanOut) MaxContext(ctx context.Context, column string) (uint64, bool, error) {
-	p, err := f.run(ctx, aggCall{op: opMax, column: column})
-	return p.lo, p.ok, err
+	return f.value(ctx, aggCall{op: opMax, column: column})
 }
 
 // Min aggregates MIN over the named column.
 func (f *fanOut) Min(column string) (uint64, bool) {
-	v, ok, err := f.MinContext(context.Background(), column)
-	fusedMust(err)
-	return v, ok
+	return must2(f.MinContext(context.Background(), column))
 }
 
 // Max aggregates MAX over the named column.
 func (f *fanOut) Max(column string) (uint64, bool) {
-	v, ok, err := f.MaxContext(context.Background(), column)
-	fusedMust(err)
-	return v, ok
-}
-
-// rank answers a rank aggregate in one plan and one radix descent: every
-// live shard's view cuts its candidates from the filter its own eval would
-// feed the rank (rankFilter), and one descent ranks all the parts, its
-// rounds summing the counts of every shard. It records where the shards'
-// kept states do: into the WithStats collector when there is one, else
-// into a CollectStats option's.
-func (f *fanOut) rank(ctx context.Context, c aggCall) (uint64, bool, error) {
-	ctx = orBackground(ctx)
-	if _, err := f.st.specErr(c.column); err != nil {
-		return 0, false, err
-	}
-	live := f.liveShards()
-	f.recordPlan(len(live))
-	o := execOptions(f.execs).par
-	if f.stats != nil {
-		o.Stats = f.stats
-	}
-	parts := make([]parallel.RankPart, len(live))
-	err := f.fan(ctx, live, func(slot int) (err error) {
-		v := f.view(live, slot)
-		col := v.t.cols[c.column]
-		parts[slot], err = parallel.FilterRankPart(ctx, groupCol(col), v.rankFilter(col), o)
-		return wrapExecErr(err)
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	vals, oks, err := parallel.RankCtx(ctx, parts, 1, c.rankOf, o)
-	if err != nil {
-		return 0, false, wrapExecErr(err)
-	}
-	return vals[0], oks[0], nil
+	return must2(f.MaxContext(context.Background(), column))
 }
 
 // MedianContext aggregates the lower MEDIAN over the named column,
 // honoring ctx.
 func (f *fanOut) MedianContext(ctx context.Context, column string) (uint64, bool, error) {
-	return f.rank(ctx, aggCall{op: opMedian, column: column})
+	return f.value(ctx, aggCall{op: opMedian, column: column})
 }
 
 // Median aggregates the lower MEDIAN over the named column.
 func (f *fanOut) Median(column string) (uint64, bool) {
-	v, ok, err := f.MedianContext(context.Background(), column)
-	fusedMust(err)
-	return v, ok
+	return must2(f.MedianContext(context.Background(), column))
 }
 
 // RankContext returns the r-th smallest selected value of the named
 // column, honoring ctx.
 func (f *fanOut) RankContext(ctx context.Context, column string, r uint64) (uint64, bool, error) {
-	return f.rank(ctx, aggCall{op: opRank, column: column, rank: r})
+	return f.value(ctx, aggCall{op: opRank, column: column, rank: r})
 }
 
 // Rank returns the r-th smallest selected value of the named column.
 func (f *fanOut) Rank(column string, r uint64) (uint64, bool) {
-	v, ok, err := f.RankContext(context.Background(), column, r)
-	fusedMust(err)
-	return v, ok
+	return must2(f.RankContext(context.Background(), column, r))
 }
 
 // QuantileContext returns the quantile-q value of the named column,
 // honoring ctx.
 func (f *fanOut) QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error) {
-	if err := checkQuantile(quantile); err != nil {
-		return 0, false, err
-	}
-	return f.rank(ctx, aggCall{op: opQuantile, column: column, quantile: quantile})
+	return f.value(ctx, aggCall{op: opQuantile, column: column, quantile: quantile})
 }
 
 // Quantile returns the q-quantile (nearest rank) of the named column.
 func (f *fanOut) Quantile(column string, quantile float64) (uint64, bool) {
-	v, ok, err := f.QuantileContext(context.Background(), column, quantile)
-	fusedMust(err)
-	return v, ok
+	return must2(f.QuantileContext(context.Background(), column, quantile))
 }

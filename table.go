@@ -191,6 +191,7 @@ type flatView struct {
 	ranged bool
 	lo, hi int         // rows [lo, hi), when ranged
 	ep     *tableEpoch // set by a window sweep, which pins one epoch for all its windows
+	cut    *Bitmap     // set by a statement's visit: the range's selection, cut once for all its calls
 }
 
 // Where adds a conjunctive predicate on the named column and returns the
@@ -281,6 +282,9 @@ func (s *queryState) selection() *Bitmap {
 // intersection of it with the range's row mask, which the caller owns;
 // the query's own selection is left untouched.
 func (v *flatView) Selection() *Bitmap {
+	if v.cut != nil {
+		return v.cut
+	}
 	sel := v.selection()
 	if v.ranged {
 		sel = sel.Clone().And(rangeBitmap(v.t.rows, v.lo, v.hi))
@@ -290,66 +294,48 @@ func (v *flatView) Selection() *Bitmap {
 
 // CountRows returns the number of rows passing the filter.
 func (v *flatView) CountRows() uint64 {
-	cnt, err := v.CountRowsContext(nil)
-	fusedMust(err)
-	return cnt
+	return must(v.CountRowsContext(nil))
 }
 
 // Count counts selected non-NULL rows of the named column.
 func (v *flatView) Count(column string) uint64 {
-	cnt, err := v.CountContext(nil, column)
-	fusedMust(err)
-	return cnt
+	return must(v.CountContext(nil, column))
 }
 
 // Sum aggregates SUM over the named column. A sum exceeding uint64 panics
 // with *OverflowError; use SumContext to receive it as an error.
 func (v *flatView) Sum(column string) uint64 {
-	sum, err := v.SumContext(nil, column)
-	fusedMust(err)
-	return sum
+	return must(v.SumContext(nil, column))
 }
 
 // Min aggregates MIN over the named column; ok is false when no row
 // qualifies.
 func (v *flatView) Min(column string) (uint64, bool) {
-	val, ok, err := v.MinContext(nil, column)
-	fusedMust(err)
-	return val, ok
+	return must2(v.MinContext(nil, column))
 }
 
 // Max aggregates MAX over the named column.
 func (v *flatView) Max(column string) (uint64, bool) {
-	val, ok, err := v.MaxContext(nil, column)
-	fusedMust(err)
-	return val, ok
+	return must2(v.MaxContext(nil, column))
 }
 
 // Avg aggregates AVG over the named column; ok is false when no row
 // qualifies.
 func (v *flatView) Avg(column string) (float64, bool) {
-	val, ok, err := v.AvgContext(nil, column)
-	fusedMust(err)
-	return val, ok
+	return must2(v.AvgContext(nil, column))
 }
 
 // Median aggregates the lower MEDIAN over the named column.
 func (v *flatView) Median(column string) (uint64, bool) {
-	val, ok, err := v.MedianContext(nil, column)
-	fusedMust(err)
-	return val, ok
+	return must2(v.MedianContext(nil, column))
 }
 
 // Rank returns the r-th smallest selected value of the named column.
 func (v *flatView) Rank(column string, r uint64) (uint64, bool) {
-	val, ok, err := v.RankContext(nil, column, r)
-	fusedMust(err)
-	return val, ok
+	return must2(v.RankContext(nil, column, r))
 }
 
 // Quantile returns the q-quantile (nearest rank) of the named column.
 func (v *flatView) Quantile(column string, quantile float64) (uint64, bool) {
-	val, ok, err := v.QuantileContext(nil, column, quantile)
-	fusedMust(err)
-	return val, ok
+	return must2(v.QuantileContext(nil, column, quantile))
 }

@@ -62,6 +62,20 @@ const (
 	opQuantile
 )
 
+// aggTable spells, by op, every aggregate a statement can name
+// (GroupAgg.Op; AVG names SUM's op) and, for those a grouped pass banks,
+// its measure.
+var aggTable = [...]aggEntry{
+	opCount: {"COUNT", parallel.MeasureCount}, opSum: {"SUM", parallel.MeasureSum},
+	opMin: {"MIN", parallel.MeasureMin}, opMax: {"MAX", parallel.MeasureMax},
+	opMedian: {name: "MEDIAN"}, opQuantile: {name: "QUANTILE"},
+}
+
+type aggEntry struct {
+	name    string
+	measure parallel.MeasureOp
+}
+
 // aggCall is one scalar aggregate as a value: what a wrapper asks eval,
 // and what the shard fan-out asks every live shard's view.
 type aggCall struct {
@@ -349,11 +363,8 @@ func (g *Grouped) check(c aggCall) error {
 	if g.named == nil || slices.Contains(g.named, c) {
 		return nil
 	}
-	return fmt.Errorf("bpagg: %s(%s) was not named when the groups were built", aggNames[c.op], c.column)
+	return fmt.Errorf("bpagg: %s(%s) was not named when the groups were built", aggTable[c.op].name, c.column)
 }
-
-// aggNames spells the aggregates a GROUP BY can name, indexed by op.
-var aggNames = [...]string{opCount: "COUNT", opSum: "SUM", opMin: "MIN", opMax: "MAX", opMedian: "MEDIAN", opQuantile: "QUANTILE"}
 
 // groupSums64 narrows per-group 128-bit sums to the public result: the
 // first group in key order whose total exceeds uint64 is an

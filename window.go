@@ -124,9 +124,7 @@ func sweep[R rangeView, T any](w *windows[R], column string, agg func(view R) (T
 
 // CountRows returns each window's row count after the filter.
 func (w *windows[R]) CountRows() []uint64 {
-	out, err := w.CountRowsContext(context.Background())
-	fusedMust(err)
-	return out
+	return must(w.CountRowsContext(context.Background()))
 }
 
 // CountRowsContext is CountRows honoring ctx.
@@ -141,9 +139,7 @@ func (w *windows[R]) CountRowsContext(ctx context.Context) ([]uint64, error) {
 // Sum aggregates SUM of the named column per window. Any window's sum
 // exceeding uint64 panics with *OverflowError.
 func (w *windows[R]) Sum(column string) []uint64 {
-	out, err := w.SumContext(context.Background(), column)
-	fusedMust(err)
-	return out
+	return must(w.SumContext(context.Background(), column))
 }
 
 // SumContext is Sum honoring ctx; an overflowing window returns
@@ -159,16 +155,12 @@ func (w *windows[R]) SumContext(ctx context.Context, column string) ([]uint64, e
 // Min aggregates MIN of the named column per window; oks[i] is false when
 // window i holds no qualifying row.
 func (w *windows[R]) Min(column string) ([]uint64, []bool) {
-	out, oks, err := w.MinContext(context.Background(), column)
-	fusedMust(err)
-	return out, oks
+	return must2(w.MinContext(context.Background(), column))
 }
 
 // Max aggregates MAX of the named column per window.
 func (w *windows[R]) Max(column string) ([]uint64, []bool) {
-	out, oks, err := w.MaxContext(context.Background(), column)
-	fusedMust(err)
-	return out, oks
+	return must2(w.MaxContext(context.Background(), column))
 }
 
 // MinContext is Min honoring ctx.
@@ -184,9 +176,7 @@ func (w *windows[R]) MaxContext(ctx context.Context, column string) ([]uint64, [
 // Avg aggregates AVG of the named column per window; oks[i] is false when
 // window i holds no qualifying row.
 func (w *windows[R]) Avg(column string) ([]float64, []bool) {
-	out, oks, err := w.AvgContext(context.Background(), column)
-	fusedMust(err)
-	return out, oks
+	return must2(w.AvgContext(context.Background(), column))
 }
 
 // AvgContext is Avg honoring ctx. Matching the scan path's contract, a
