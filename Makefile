@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race server-race shard-race bench-harness lines api kernel-bench ci bench bench-json clean
+.PHONY: build test vet fmt-check race server-race shard-race bench-harness bench-smoke lines api kernel-bench ci bench bench-json clean
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,18 @@ shard-race:
 # build.
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# bench-smoke runs the repo benchmark the way it is run to compare two
+# commits (benchmark/run.sh: every workload, built from this checkout),
+# for 10 s per workload, and fails unless the run exits cleanly and every
+# workload's result line reads "correct":true and "failed":0. It is not
+# part of ci: it takes a few minutes and wants a quiet host.
+bench-smoke:
+	@out="$$(bash benchmark/run.sh --workload all --seconds 10)"; code=$$?; echo "$$out"; \
+	lines="$$(echo "$$out" | grep -c '^{"correct"')"; \
+	good="$$(echo "$$out" | grep '^{"correct":true,' | grep -c '"failed":0,')"; \
+	echo "bench-smoke: exit $$code, $$good of $$lines workloads correct with no failed operation"; \
+	test "$$code" -eq 0 && test "$$lines" -gt 0 && test "$$good" -eq "$$lines"
 
 # lines prints the size every [simplicity] PR is held to: non-blank,
 # non-comment lines of non-test Go outside benchmark/, per package and in

@@ -35,7 +35,7 @@ const (
 // candidates, since reconstructing per group or per shard would take a
 // dense selection each.
 func Access(m AccessMethod) ExecOption {
-	return func(c *execConfig) { c.access = m }
+	return ExecOption{kind: optAccess, n: int(m)}
 }
 
 // autoThreshold returns the selectivity below which reconstruction wins

@@ -381,8 +381,22 @@ func (c *Column) checkSel(sel *Bitmap) {
 
 // ExecOption configures aggregate execution: the paper's §IV-B
 // multi-threading knob (Parallel) plus the §III access-method choice
-// (Access).
-type ExecOption func(*execConfig)
+// (Access) and statistics collection (CollectStats). It is a small value,
+// so a list of options resolves without allocating; the zero ExecOption
+// changes nothing.
+type ExecOption struct {
+	kind  optKind
+	n     int             // Parallel's goroutine count or Access's method
+	stats *StatsCollector // CollectStats's collector
+}
+
+type optKind uint8
+
+const (
+	optParallel optKind = iota + 1
+	optAccess
+	optStats
+)
 
 // execConfig is the resolved option bag of one aggregate call.
 type execConfig struct {
@@ -392,13 +406,20 @@ type execConfig struct {
 
 // Parallel partitions the work across n goroutines.
 func Parallel(n int) ExecOption {
-	return func(c *execConfig) { c.par.Threads = n }
+	return ExecOption{kind: optParallel, n: n}
 }
 
 func execOptions(opts []ExecOption) execConfig {
 	var c execConfig
-	for _, f := range opts {
-		f(&c)
+	for _, o := range opts {
+		switch o.kind {
+		case optParallel:
+			c.par.Threads = o.n
+		case optAccess:
+			c.access = AccessMethod(o.n)
+		case optStats:
+			c.par.Stats = o.stats
+		}
 	}
 	return c
 }

@@ -135,6 +135,19 @@ func TestExecOptionsAgree(t *testing.T) {
 	}
 }
 
+// TestExecOptionsAllocFree pins that resolving an option list allocates
+// nothing: every aggregate call, query eval and fan-out resolves one.
+func TestExecOptionsAllocFree(t *testing.T) {
+	opts := []ExecOption{Parallel(4), Access(Auto), CollectStats(NewStatsCollector())}
+	var c execConfig
+	if allocs := testing.AllocsPerRun(100, func() { c = execOptions(opts) }); allocs != 0 {
+		t.Fatalf("execOptions allocates %v times per call, want 0", allocs)
+	}
+	if c.par.Threads != 4 || c.access != Auto || c.par.Stats == nil {
+		t.Fatalf("execOptions resolved %+v", c)
+	}
+}
+
 func TestBitmapOps(t *testing.T) {
 	col := FromValues(VBP, 8, []uint64{1, 2, 3, 4, 5, 6, 7, 8})
 	lo := col.Scan(Less(5)) // 1,2,3,4

@@ -182,7 +182,9 @@ func (c *Column) extremeContext(ctx context.Context, sel *Bitmap, opts []ExecOpt
 }
 
 // extreme runs the MIN (wantMin) or MAX driver of the column's layout over
-// the rows src selects; cnt == 0 means nothing matched.
+// the rows src selects, which skips the windows whose zone cannot beat
+// their prune block's extreme; cnt is > 0 iff anything matched, and is not
+// the selected count.
 func (c *Column) extreme(ctx context.Context, src core.Filter, o execConfig, wantMin bool) (v, cnt uint64, err error) {
 	if c.layout == VBP {
 		v, cnt, err = parallel.VBPExtremeFilterCtx(ctx, c.v, src, o.par, wantMin)

@@ -32,7 +32,8 @@ import (
 // side fields mirror the two-phase scans (per predicate per window) and
 // move only under Preds; the aggregate-side fields count the live windows
 // a kernel reads and their packed words (DESIGN.md §8), minus the
-// cache-served windows.
+// cache-served windows; SegmentsBoundPruned counts the windows a MIN/MAX
+// fold skipped before reading their filter word (bound.go).
 type FusedStats struct {
 	SegmentsScanned     uint64
 	SegmentsPrunedNone  uint64
@@ -41,6 +42,7 @@ type FusedStats struct {
 	SegmentsAggregated  uint64
 	WordsTouched        uint64
 	SegmentsCacheServed uint64
+	SegmentsBoundPruned uint64
 }
 
 // Add merges worker partials; all fields are sums.
@@ -52,6 +54,7 @@ func (s FusedStats) Add(o FusedStats) FusedStats {
 	s.SegmentsAggregated += o.SegmentsAggregated
 	s.WordsTouched += o.WordsTouched
 	s.SegmentsCacheServed += o.SegmentsCacheServed
+	s.SegmentsBoundPruned += o.SegmentsBoundPruned
 	return s
 }
 

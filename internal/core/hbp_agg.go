@@ -177,66 +177,104 @@ func NewHBPExtremeTemp(col *hbp.Column, wantMin bool) []uint64 {
 }
 
 // HBPFold folds the sub-segments of the tuples src selects in segments
-// [segLo, segHi) into temp via SUB-SLOTMIN (or SUB-SLOTMAX); all-match
-// windows are served from the exact zone extremes into the scalar running
-// best, as in VBPFold.
+// [segLo, segHi) into temp via SUB-SLOTMIN (or SUB-SLOTMAX), one prune
+// block at a time, skipping the windows whose zone cannot beat their
+// block's threshold; all-match windows are served from the exact zone
+// extremes into the scalar running best, and cnt is > 0 iff anything was
+// selected, as in VBPFold.
 func HBPFold(col *hbp.Column, src Filter, temp []uint64, wantMin bool, segLo, segHi int, st *FusedStats) (best uint64, any bool, cnt uint64) {
 	tau := col.Tau()
 	b := col.NumGroups()
 	subs := col.SubSegments()
 	vps := col.ValuesPerSegment()
 	delim := col.DelimMask()
-	x := make([]uint64, b)
+	var xs, bs [64]uint64
+	x, blk := xs[:b], bs[:b]
+	id := uint64(0) // the fold identity of every group word
+	if wantMin {
+		id = col.ValueMask()
+	}
 	var mds [word.MaxTau + 1]uint64
 	r := src.reader(vps, col.Len(), st)
-	var live, liveSubs uint64
-	for seg := segLo; seg < segHi; seg++ {
-		fw := r.window(seg)
-		if fw == 0 {
-			continue
+	var live, liveSubs, pruned uint64
+	zMin, zMax := col.Zones() // sound bounds: ZoneRange's
+	bd := newBound(zMin, zMax, wantMin)
+	var refresh bool
+	for seg := segLo; seg < segHi; {
+		end := min(segHi, (seg/PruneBlock+1)*PruneBlock)
+		for g := range blk {
+			blk[g] = id
 		}
-		if r.allMatch {
-			if lo, hi, ok := col.SegmentRangeExact(seg); ok {
-				v := lo
-				if !wantMin {
-					v = hi
-				}
-				if !any || wantMin && v < best || !wantMin && v > best {
-					best = v
-				}
-				any = true
-				cnt += uint64(col.SegmentValues(seg))
-				st.SegmentsCacheServed++
+		th, folded := thr{}, false
+		for ; seg < end; seg++ {
+			if bd.beaten(seg, th) {
+				pruned++
 				continue
 			}
-		}
-		cnt += uint64(bits.OnesCount64(fw))
-		var active uint64
-		for t := 0; t < subs; t++ {
-			if mds[t] = col.SubSegmentDelims(fw, t); mds[t] != 0 {
-				active |= 1 << uint(t)
-			}
-		}
-		live++
-		liveSubs += uint64(bits.OnesCount64(active))
-		base := seg * subs
-		for ; active != 0; active &= active - 1 {
-			t := bits.TrailingZeros64(active)
-			for g := 0; g < b; g++ {
-				x[g] = col.GroupWords(g)[base+t]
-			}
-			sel := hbpSlotLanes(x, temp, delim, wantMin) & mds[t]
-			if sel == 0 {
+			fw := r.window(seg)
+			if fw == 0 {
 				continue
 			}
-			m := word.SpreadDelims(sel, tau)
+			if r.allMatch {
+				if lo, hi, ok := col.SegmentRangeExact(seg); ok {
+					v := lo
+					if !wantMin {
+						v = hi
+					}
+					if !any || wantMin && v < best || !wantMin && v > best {
+						best = v
+					}
+					any = true
+					th = bd.offer(th, v)
+					cnt += uint64(col.SegmentValues(seg))
+					st.SegmentsCacheServed++
+					continue
+				}
+			}
+			cnt += uint64(bits.OnesCount64(fw))
+			var active uint64
+			for t := 0; t < subs; t++ {
+				if mds[t] = col.SubSegmentDelims(fw, t); mds[t] != 0 {
+					active |= 1 << uint(t)
+				}
+			}
+			live++
+			liveSubs += uint64(bits.OnesCount64(active))
+			base := seg * subs
+			improved := false
+			for ; active != 0; active &= active - 1 {
+				t := bits.TrailingZeros64(active)
+				for g := 0; g < b; g++ {
+					x[g] = col.GroupWords(g)[base+t]
+				}
+				sel := hbpSlotLanes(x, blk, delim, wantMin) & mds[t]
+				if sel == 0 {
+					continue
+				}
+				m := word.SpreadDelims(sel, tau)
+				for g := 0; g < b; g++ {
+					blk[g] = word.Blend(m, x[g], blk[g])
+				}
+				improved = true
+			}
+			if !improved {
+				continue
+			}
+			folded = true
+			if th, refresh = th.due(); refresh {
+				th = bd.offer(th, hbpSlotBest(blk, tau, b, col.FieldsPerWord(), wantMin))
+			}
+		}
+		if folded {
+			m := word.SpreadDelims(hbpSlotLanes(blk, temp, delim, wantMin), tau)
 			for g := 0; g < b; g++ {
-				temp[g] = word.Blend(m, x[g], temp[g])
+				temp[g] = word.Blend(m, blk[g], temp[g])
 			}
 		}
 	}
 	st.SegmentsAggregated += live
 	st.WordsTouched += liveSubs * uint64(b)
+	st.SegmentsBoundPruned += pruned
 	return best, any, cnt
 }
 

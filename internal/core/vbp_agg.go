@@ -153,66 +153,110 @@ func NewVBPExtremeTemp(k int, wantMin bool) []uint64 {
 }
 
 // VBPFold folds the tuples src selects in segments [segLo, segHi) into
-// temp via SLOTMIN (or SLOTMAX). All-match windows are served from the
-// exact zone extremes into the scalar running best instead of the fold;
-// the caller merges best (when any is true) with the reconstructed temp
-// finalists. cnt is the number of tuples selected.
+// temp via SLOTMIN (or SLOTMAX), one prune block at a time (bound.go): a
+// window whose zone cannot beat its block's threshold is skipped before
+// its filter word is read. All-match windows are served from the exact
+// zone extremes into the scalar running best instead of the fold; the
+// caller merges best (when any is true) with the reconstructed temp
+// finalists. cnt counts the tuples of the windows read, so it is > 0 iff
+// anything was selected, and is not the selected count.
 func VBPFold(col *vbp.Column, src Filter, temp []uint64, wantMin bool, segLo, segHi int, st *FusedStats) (best uint64, any bool, cnt uint64) {
 	k := col.K()
 	groups := col.Groups()
-	x := make([]uint64, k)
+	var xs, bs [64]uint64
+	x, blk := xs[:k], bs[:k]
+	id := uint64(0) // the fold identity of every plane
+	if wantMin {
+		id = ^uint64(0)
+	}
 	r := src.reader(vbp.SegBits, col.Len(), st)
-	var live uint64
-	for seg := segLo; seg < segHi; seg++ {
-		fw := r.window(seg)
-		if fw == 0 {
-			continue
+	var live, pruned uint64
+	zMin, zMax := col.Zones() // sound bounds: ZoneRange's
+	bd := newBound(zMin, zMax, wantMin)
+	var refresh bool
+	for seg := segLo; seg < segHi; {
+		end := min(segHi, (seg/PruneBlock+1)*PruneBlock)
+		for p := range blk {
+			blk[p] = id
 		}
-		if r.allMatch {
-			if lo, hi, ok := col.SegmentRangeExact(seg); ok {
-				v := lo
-				if !wantMin {
-					v = hi
-				}
-				if !any || wantMin && v < best || !wantMin && v > best {
-					best = v
-				}
-				any = true
-				cnt += uint64(col.SegmentValues(seg))
-				st.SegmentsCacheServed++
+		th, folded := thr{}, false
+		for ; seg < end; seg++ {
+			if bd.beaten(seg, th) {
+				pruned++
 				continue
 			}
-		}
-		cnt += uint64(bits.OnesCount64(fw))
-		live++
-		if len(groups) == 1 {
-			x = groups[0].Words[seg*k : seg*k+k] // one group: the segment's planes are contiguous
-		} else {
-			for g := range groups {
-				gr := &groups[g]
-				base := seg * gr.Bits
-				for b, w := range gr.Words[base : base+gr.Bits] {
-					x[gr.StartBit+b] = w // a loop, not copy: no call per group
+			fw := r.window(seg)
+			if fw == 0 {
+				continue
+			}
+			if r.allMatch {
+				if lo, hi, ok := col.SegmentRangeExact(seg); ok {
+					v := lo
+					if !wantMin {
+						v = hi
+					}
+					if !any || wantMin && v < best || !wantMin && v > best {
+						best = v
+					}
+					any = true
+					th = bd.offer(th, v)
+					cnt += uint64(col.SegmentValues(seg))
+					st.SegmentsCacheServed++
+					continue
 				}
 			}
+			cnt += uint64(bits.OnesCount64(fw))
+			live++
+			if len(groups) == 1 {
+				x = groups[0].Words[seg*k : seg*k+k] // one group: the segment's planes are contiguous
+			} else {
+				for g := range groups {
+					gr := &groups[g]
+					base := seg * gr.Bits
+					for b, w := range gr.Words[base : base+gr.Bits] {
+						x[gr.StartBit+b] = w // a loop, not copy: no call per group
+					}
+				}
+			}
+			var m uint64 // spelled out, not vbpSlotLanes: one call per window, not two
+			if wantMin {
+				m, _ = scan.VBPSlotCompare(x, blk)
+			} else {
+				m, _ = scan.VBPSlotCompareGT(x, blk)
+			}
+			if m &= fw; m == 0 {
+				continue
+			}
+			for p := 0; p < k; p++ {
+				blk[p] = word.Blend(m, x[p], blk[p])
+			}
+			folded = true
+			if th, refresh = th.due(); refresh {
+				th = bd.offer(th, vbpSlotBest(blk, wantMin))
+			}
 		}
-		var m uint64
-		if wantMin {
-			m, _ = scan.VBPSlotCompare(x, temp)
-		} else {
-			m, _ = scan.VBPSlotCompareGT(x, temp)
-		}
-		m &= fw
-		if m == 0 {
-			continue
-		}
-		for p := 0; p < k; p++ {
-			temp[p] = word.Blend(m, x[p], temp[p])
+		if folded {
+			m := vbpSlotLanes(blk, temp, wantMin)
+			for p := 0; p < k; p++ {
+				temp[p] = word.Blend(m, blk[p], temp[p])
+			}
 		}
 	}
 	st.SegmentsAggregated += live
 	st.WordsTouched += live * uint64(k)
+	st.SegmentsBoundPruned += pruned
 	return best, any, cnt
+}
+
+// vbpSlotLanes returns the slots where x should replace y: x < y for MIN,
+// x > y for MAX.
+func vbpSlotLanes(x, y []uint64, wantMin bool) uint64 {
+	if wantMin {
+		m, _ := scan.VBPSlotCompare(x, y)
+		return m
+	}
+	m, _ := scan.VBPSlotCompareGT(x, y)
+	return m
 }
 
 // VBPFusedFoldExtreme is VBPFold fed by a predicate conjunction.

@@ -57,6 +57,11 @@ import (
 //   - SegmentsCacheServed: all-match segments the fused scan→aggregate
 //     path answered from the per-segment aggregate caches without
 //     touching a packed word (they contribute nothing to WordsTouched).
+//   - SegmentsBoundPruned: segments a MIN/MAX kernel skipped, before
+//     reading their filter word, because the aggregated column's zone
+//     could not beat the extreme its prune block had already selected
+//     (DESIGN.md §8). Blocks are fixed windows of the column, so the
+//     count does not depend on thread count.
 //   - SegmentsIndexServed: full segments a range/window aggregate
 //     answered from the prefix-sum range index (one prefix difference or
 //     sparse-table lookup covers any number of them) without touching a
@@ -105,6 +110,7 @@ type ExecStats struct {
 	WordsTouched        uint64
 	RadixRounds         uint64
 	SegmentsCacheServed uint64
+	SegmentsBoundPruned uint64
 	SegmentsIndexServed uint64
 	RangeFringeWords    uint64
 	ReconstructedRows   uint64
@@ -132,6 +138,7 @@ func (s ExecStats) Add(o ExecStats) ExecStats {
 	s.WordsTouched += o.WordsTouched
 	s.RadixRounds += o.RadixRounds
 	s.SegmentsCacheServed += o.SegmentsCacheServed
+	s.SegmentsBoundPruned += o.SegmentsBoundPruned
 	s.SegmentsIndexServed += o.SegmentsIndexServed
 	s.RangeFringeWords += o.RangeFringeWords
 	s.ReconstructedRows += o.ReconstructedRows
@@ -161,6 +168,7 @@ func (s ExecStats) Sub(o ExecStats) ExecStats {
 	s.WordsTouched -= o.WordsTouched
 	s.RadixRounds -= o.RadixRounds
 	s.SegmentsCacheServed -= o.SegmentsCacheServed
+	s.SegmentsBoundPruned -= o.SegmentsBoundPruned
 	s.SegmentsIndexServed -= o.SegmentsIndexServed
 	s.RangeFringeWords -= o.RangeFringeWords
 	s.ReconstructedRows -= o.ReconstructedRows
@@ -223,6 +231,7 @@ type Collector struct {
 	wordsTouched        atomic.Uint64
 	radixRounds         atomic.Uint64
 	segmentsCacheServed atomic.Uint64
+	segmentsBoundPruned atomic.Uint64
 	segmentsIndexServed atomic.Uint64
 	rangeFringeWords    atomic.Uint64
 	reconstructedRows   atomic.Uint64
@@ -280,6 +289,9 @@ func (c *Collector) Record(s ExecStats) {
 	if s.SegmentsCacheServed != 0 {
 		c.segmentsCacheServed.Add(s.SegmentsCacheServed)
 	}
+	if s.SegmentsBoundPruned != 0 {
+		c.segmentsBoundPruned.Add(s.SegmentsBoundPruned)
+	}
 	if s.SegmentsIndexServed != 0 {
 		c.segmentsIndexServed.Add(s.SegmentsIndexServed)
 	}
@@ -335,6 +347,7 @@ func (c *Collector) Snapshot() ExecStats {
 		WordsTouched:        c.wordsTouched.Load(),
 		RadixRounds:         c.radixRounds.Load(),
 		SegmentsCacheServed: c.segmentsCacheServed.Load(),
+		SegmentsBoundPruned: c.segmentsBoundPruned.Load(),
 		SegmentsIndexServed: c.segmentsIndexServed.Load(),
 		RangeFringeWords:    c.rangeFringeWords.Load(),
 		ReconstructedRows:   c.reconstructedRows.Load(),

@@ -106,7 +106,10 @@ func (r *run) routes() []func() error {
 			continue
 		}
 		route := fmt.Sprintf("range[%d,%d)", p[0], p[1])
-		ranks := i%3 == 0 && (!sharded || r.first && i == 0)
+		// A sharded store ranks the whole table (probe 0) and, at the
+		// primary thread count, the interior probe (the last): the whole
+		// table alone would pass a rank that dropped the row mask.
+		ranks := i%3 == 0 && !sharded || sharded && r.first && (i == 0 || i == len(r.c.Ranges)-1)
 		add(func() error {
 			return r.scalars(route, queryAggs(func() query { return r.query(&p) }, false), &x.ranges[i].all, ranks, false)
 		})

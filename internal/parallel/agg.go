@@ -66,13 +66,15 @@ func filterStats(fs core.FusedStats, src core.Filter) metrics.ExecStats {
 		SegmentsAggregated:  fs.SegmentsAggregated,
 		WordsTouched:        fs.WordsTouched,
 		SegmentsCacheServed: fs.SegmentsCacheServed,
+		SegmentsBoundPruned: fs.SegmentsBoundPruned,
 	}
 }
 
 // each runs body over segments [0, nseg) on workers numbered below
-// threads, charging their busy time; it returns the workers that ran.
-func each(ctx context.Context, ws []metrics.ExecStats, nseg, threads int, body func(w, lo, hi int)) (int, error) {
-	return forEachRangeErr(ctx, nseg, threads, func(w, lo, hi int) error {
+// threads, in ranges that start on a multiple of unit, charging their busy
+// time; it returns the workers that ran.
+func each(ctx context.Context, ws []metrics.ExecStats, nseg, unit, threads int, body func(w, lo, hi int)) (int, error) {
+	return forEachAlignedErr(ctx, nseg, unit, threads, func(w, lo, hi int) error {
 		t0 := statsNow(ws)
 		body(w, lo, hi)
 		if ws != nil {
@@ -94,7 +96,7 @@ func sumCtx[C segmented](ctx context.Context, col C, src core.Filter, o Options,
 	kernel func(col C, src core.Filter, segLo, segHi int, st *core.FusedStats) (hi, lo, cnt uint64)) (sum, cnt uint64, err error) {
 	ws, start := o.statsBegin()
 	parts := make([]worker, o.threads())
-	if _, err = each(ctx, ws, col.NumSegments(), len(parts), func(w, lo, hi int) {
+	if _, err = each(ctx, ws, col.NumSegments(), 1, len(parts), func(w, lo, hi int) {
 		p := &parts[w]
 		ph, pl, c := kernel(col, src, lo, hi, &p.st)
 		var carry uint64
@@ -118,7 +120,7 @@ func sumCtx[C segmented](ctx context.Context, col C, src core.Filter, o Options,
 func CountCtx(ctx context.Context, src core.Filter, vps, n int, o Options) (uint64, error) {
 	ws, start := o.statsBegin()
 	parts := make([]worker, o.threads())
-	if _, err := each(ctx, ws, (n+vps-1)/vps, len(parts), func(w, lo, hi int) {
+	if _, err := each(ctx, ws, (n+vps-1)/vps, 1, len(parts), func(w, lo, hi int) {
 		parts[w].cnt += core.Select(src, vps, n, nil, lo, hi, &parts[w].st)
 	}); err != nil {
 		return 0, err
@@ -128,12 +130,20 @@ func CountCtx(ctx context.Context, src core.Filter, vps, n int, o Options) (uint
 	return cnt, nil
 }
 
+// A worker's ranges are workerBlock-segment slices of its partition, so
+// they start on prune-block boundaries only if PruneBlock divides
+// workerBlock; this constant does not compile otherwise.
+const _ uint = -(workerBlock % core.PruneBlock)
+
 // extremeCtx is the MIN/MAX driver: fold runs the layout's kernel over
 // segments [lo, hi) into one worker's accumulator (made by newTemp),
-// reporting the best cache-served value, if any, and the selected count;
-// finish reconstructs the fold finalists of the workers that ran, and the
-// cache-served bests compete with them (the fold identities are neutral
-// whenever cnt > 0). cnt == 0 means nothing matched and v is meaningless.
+// reporting the best cache-served value, if any, and a count that is > 0
+// iff anything was selected; finish reconstructs the fold finalists of
+// the workers that ran, and the cache-served bests compete with them (the
+// fold identities are neutral whenever cnt > 0). cnt == 0 means nothing
+// matched and v is meaningless. Workers take whole prune blocks
+// (core.PruneBlock), so the windows the kernels bound-prune, and every
+// counter, are the same at any thread count.
 func extremeCtx[C segmented](ctx context.Context, col C, src core.Filter, o Options, wantMin bool,
 	fold func(col C, src core.Filter, temp []uint64, wantMin bool, lo, hi int, st *core.FusedStats) (best uint64, any bool, cnt uint64),
 	newTemp func() []uint64, finish func(temps [][]uint64) uint64) (v, cnt uint64, err error) {
@@ -145,7 +155,7 @@ func extremeCtx[C segmented](ctx context.Context, col C, src core.Filter, o Opti
 	}
 	bests := make([]uint64, len(parts))
 	anys := make([]bool, len(parts))
-	used, err := each(ctx, ws, col.NumSegments(), len(parts), func(w, lo, hi int) {
+	used, err := each(ctx, ws, col.NumSegments(), core.PruneBlock, len(parts), func(w, lo, hi int) {
 		b, a, c := fold(col, src, temps[w], wantMin, lo, hi, &parts[w].st)
 		if a && (!anys[w] || wantMin && b < bests[w] || !wantMin && b > bests[w]) {
 			bests[w], anys[w] = b, true

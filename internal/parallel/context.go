@@ -47,10 +47,17 @@ const workerBlock = 4096
 // partition, fn must accumulate into per-worker state rather than
 // overwrite it.
 func forEachRangeErr(ctx context.Context, nseg, threads int, fn func(worker, segLo, segHi int) error) (int, error) {
-	if threads < 2 || nseg < 2 {
+	return forEachAlignedErr(ctx, nseg, 1, threads, fn)
+}
+
+// forEachAlignedErr is forEachRangeErr with every partition boundary a
+// multiple of unit, which must divide workerBlock: every range fn sees
+// then starts on a multiple of unit too (the MIN/MAX prune blocks).
+func forEachAlignedErr(ctx context.Context, nseg, unit, threads int, fn func(worker, segLo, segHi int) error) (int, error) {
+	if threads < 2 || nseg <= unit {
 		return 1, runRange(ctx, 0, 0, nseg, fn)
 	}
-	parts := partition(nseg, threads)
+	parts := partition((nseg+unit-1)/unit, threads)
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
 	for w, p := range parts {
@@ -58,7 +65,7 @@ func forEachRangeErr(ctx context.Context, nseg, threads int, fn func(worker, seg
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			errs[w] = runRange(ctx, w, lo, hi, fn)
-		}(w, p[0], p[1])
+		}(w, p[0]*unit, min(p[1]*unit, nseg))
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -40,7 +40,7 @@ func FilterRankPart(ctx context.Context, col GroupCol, src core.Filter, o Option
 		cands[w] = &core.SegEntries{Segs: make([]int32, 0, s[1]-s[0]), W: make([]uint64, 0, s[1]-s[0])}
 	}
 	vps, n := col.vps(), col.rows()
-	if _, err := each(ctx, ws, col.nseg(), len(parts), func(w, lo, hi int) {
+	if _, err := each(ctx, ws, col.nseg(), 1, len(parts), func(w, lo, hi int) {
 		parts[w].cnt += core.Select(src, vps, n, cands[w], lo, hi, &parts[w].st)
 	}); err != nil {
 		return RankPart{}, err

@@ -226,6 +226,9 @@ func (n *PlanNode) describe(norm bool) string {
 		add("pruned_none=%d", n.Stats.SegmentsPrunedNone)
 		add("pruned_all=%d", n.Stats.SegmentsPrunedAll)
 		add("cache_served=%d", n.Stats.SegmentsCacheServed)
+		if n.Stats.SegmentsBoundPruned > 0 {
+			add("bound_pruned=%d", n.Stats.SegmentsBoundPruned)
+		}
 		add("words_compared=%d", n.Stats.WordsCompared)
 		add("words_touched=%d", n.Stats.WordsTouched)
 		switch n.Op {

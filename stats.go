@@ -29,7 +29,7 @@ func NewStatsCollector() *StatsCollector { return metrics.NewCollector() }
 // takes exactly the pre-observability code paths (the disabled-path
 // guarantee of DESIGN.md §8).
 func CollectStats(c *StatsCollector) ExecOption {
-	return func(cfg *execConfig) { cfg.par.Stats = c }
+	return ExecOption{kind: optStats, stats: c}
 }
 
 // ScanStats is Scan with observability: segments scanned vs zone-pruned,

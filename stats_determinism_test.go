@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"bpagg/internal/core"
 )
 
 // Work-counter determinism (DESIGN.md §8): ExecStats counts work
@@ -12,12 +14,14 @@ import (
 // query must report identical WordsTouched and SegmentsAggregated at any
 // thread count — and, of course, identical answers. This is what makes
 // the counters usable in regression tests: a perf assertion that drifted
-// with GOMAXPROCS would be noise.
+// with GOMAXPROCS would be noise. The larger column spans several MIN/MAX
+// prune blocks, so the workers at Threads=8 bound-prune separate blocks.
 
 func TestStatsThreadDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	const n, k = 5000, 14
-	vals := make([]uint64, n)
+	const big = 3*core.PruneBlock*64 + 100
+	vals := make([]uint64, big)
 	for i := range vals {
 		vals[i] = rng.Uint64() & ((1 << k) - 1)
 	}
@@ -42,10 +46,14 @@ func TestStatsThreadDeterminism(t *testing.T) {
 		return out, rec.Snapshot()
 	}
 
-	for _, layout := range []Layout{VBP, HBP} {
-		t.Run(layout.String(), func(t *testing.T) {
-			col := NewColumn(layout, k)
-			col.Append(vals...)
+	for _, tc := range []struct {
+		name   string
+		layout Layout
+		rows   int
+	}{{"VBP", VBP, n}, {"HBP", HBP, n}, {"VBP/big", VBP, big}, {"HBP/big", HBP, big}} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := NewColumn(tc.layout, k)
+			col.Append(vals[:tc.rows]...)
 			for _, sel := range []struct {
 				name string
 				bm   *Bitmap
@@ -77,6 +85,12 @@ func TestStatsThreadDeterminism(t *testing.T) {
 					}
 					if sel.name == "all" && s1.WordsTouched == 0 {
 						t.Error("WordsTouched = 0 on a full selection; counters not wired")
+					}
+					if s1.SegmentsBoundPruned != s8.SegmentsBoundPruned {
+						t.Errorf("SegmentsBoundPruned: Threads=1 %d, Threads=8 %d", s1.SegmentsBoundPruned, s8.SegmentsBoundPruned)
+					}
+					if sel.name == "all" && s1.SegmentsBoundPruned == 0 {
+						t.Error("SegmentsBoundPruned = 0 for MIN/MAX of a full uniform selection; pruning not wired")
 					}
 				})
 			}
