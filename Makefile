@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race server-race shard-race bench-harness bench-smoke lines api kernel-bench ci bench bench-json clean
+.PHONY: build test examples vet fmt-check race server-race shard-race bench-harness bench-smoke lines api kernel-bench ci bench bench-json clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# examples runs every examples/* program: each drives the public facade
+# (Table.Query, Where, Median, Window, ...) end to end, and a non-zero exit
+# — a panic exits 2 — fails the target.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d" > /dev/null || exit 1; done
 
 vet:
 	$(GO) vet ./...
@@ -83,7 +89,7 @@ api:
 kernel-bench:
 	$(GO) test ./internal/core ./internal/parallel -run '^$$' -bench '^Benchmark(Kernel|Rank|Group)$$' -benchtime 100x -count 5
 
-ci: vet fmt-check build test race server-race shard-race bench-harness
+ci: vet fmt-check build test examples race server-race shard-race bench-harness
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

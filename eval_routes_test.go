@@ -106,10 +106,8 @@ func TestEvalRoutes(t *testing.T) {
 				if kind.materialize {
 					q.Selection()
 				}
-				view := &q.flatView
-				if ranged {
-					view = &q.Range(lo, hi).flatView
-				}
+				q.growShardQ()
+				view := &flatView{queryState: q.shardQuery(0), ranged: ranged, lo: lo, hi: hi}
 				before := q.Stats()
 				p, err := view.eval(ctx, &aggCall{op: op, column: kind.column, rank: 5, quantile: 0.9})
 				if err != nil {

@@ -185,10 +185,10 @@ func onePassTable(t *testing.T) *Table {
 
 // TestGroupByMaterializedSelectionOnePass pins that how the selection was
 // built never changes the partition's cost: over a materialized
-// selection, a caller-edited bitmap, a row range and a NULL-bearing
-// grouping column, GROUP BY is one recorded scan with the same
-// WordsCompared, GroupBankWords and GroupsDiscovered — and the same keys
-// and counts — as the lazy query over the same rows.
+// selection, a row range and a NULL-bearing grouping column, GROUP BY is
+// one recorded scan with the same WordsCompared, GroupBankWords and
+// GroupsDiscovered — and the same keys and counts — as the lazy query
+// over the same rows.
 func TestGroupByMaterializedSelectionOnePass(t *testing.T) {
 	tbl := onePassTable(t)
 	// partition runs group() and returns what it alone recorded into q's
@@ -210,13 +210,6 @@ func TestGroupByMaterializedSelectionOnePass(t *testing.T) {
 			func() (*Query, func() *Grouped) {
 				q := tbl.Query().Where("val", Less(500))
 				q.Selection()
-				return q, func() *Grouped { return q.GroupBy("key") }
-			}},
-		{"caller-edited bitmap",
-			func() *Query { return tbl.Query().Where("val", Less(500)) }, "key",
-			func() (*Query, func() *Grouped) {
-				q := tbl.Query()
-				q.Selection().And(tbl.Column("val").Scan(Less(500)))
 				return q, func() *Grouped { return q.GroupBy("key") }
 			}},
 		{"row range",

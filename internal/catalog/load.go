@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"bpagg"
 )
@@ -17,30 +16,23 @@ import (
 // Catalog is a typed view over a packed table: the schema, the data, and
 // the per-column dictionaries. The data is either a partitioned store
 // (Sharded) or a flat Table; readers never ask which — they call Store,
-// which serves a flat table as the one-shard store it is. Every binding
+// which serves a flat table as the one-part store it is. Every binding
 // and formatting helper consults only Specs and the dictionaries.
 type Catalog struct {
 	Specs   []Spec
 	Table   *bpagg.Table
 	Sharded *bpagg.ShardedTable
 	dicts   map[string]*bpagg.Dict
-
-	adopt   sync.Once
-	adopted *bpagg.ShardedTable // Table as a one-shard store; see Store
 }
 
 // Store returns the partitioned store queries execute against: Sharded,
-// or else Table adopted as a single shard — once, without copying
-// (bpagg.PartitionTable), and safely from concurrent queries. The
-// adoption reads the shard bounds off the table as it is then, so a flat
-// Table must not be appended to once it serves queries through a catalog;
-// a store that grows while it is served is built sharded.
+// or else Table's own one-part store (bpagg.PartitionTable), which the
+// table's appends keep current.
 func (c *Catalog) Store() *bpagg.ShardedTable {
 	if c.Sharded != nil {
 		return c.Sharded
 	}
-	c.adopt.Do(func() { c.adopted = bpagg.PartitionTable(c.Table) })
-	return c.adopted
+	return bpagg.PartitionTable(c.Table)
 }
 
 // Shard converts the catalog to sharded execution: the flat table is

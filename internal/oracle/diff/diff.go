@@ -206,8 +206,9 @@ func (c *Case) appendExtras(t *bpagg.Table) *bpagg.Table {
 	return t
 }
 
-// store is one store shape in one state: a flat table (also served as
-// the one-shard store it is, for the Ok arms and SQL) or a sharded store.
+// store is one store shape in one state: a table's one-part store (flat
+// is the table, whose columns the two-phase routes call) or a sharded
+// store (flat is nil). Every cell queries st.
 type store struct {
 	name string
 	flat *bpagg.Table
@@ -215,16 +216,20 @@ type store struct {
 }
 
 // stores builds one store shape of the case. shards == 0 is the flat
-// table: fresh (append-built caches), rebuilt (RebuildSegmentAggregates)
-// and reloaded (WriteTo/ReadTable), the extras appended after each
-// treatment. shards > 0 splits the full table into shards of that many
-// rows, as split and reloaded (WriteTo/ReadShardedTable) stores, so the
-// cells also run on deserialized shards and a recomputed catalog. A big
-// case keeps the first state of each shape.
+// table, served as its one-part store: fresh (append-built caches, and a
+// store that answered a statement before the extras landed, so they must
+// reach its row count and bounds), rebuilt (RebuildSegmentAggregates) and
+// reloaded (WriteTo/ReadTable), the extras appended after each treatment.
+// shards > 0 splits the full table into shards of that many rows, as
+// split and reloaded (WriteTo/ReadShardedTable) stores, so the cells also
+// run on deserialized shards and a recomputed catalog. A big case keeps
+// the first state of each shape.
 func (c *Case) stores(shards int) ([]store, error) {
 	var buf bytes.Buffer
 	if shards == 0 {
-		fresh := c.appendExtras(c.table())
+		fresh := c.table()
+		fresh.Query().CountRows()
+		c.appendExtras(fresh)
 		out := []store{{"fresh", fresh, bpagg.PartitionTable(fresh)}}
 		if c.big {
 			return out, nil

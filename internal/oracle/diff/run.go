@@ -76,24 +76,29 @@ func (r *run) cells() (err error) {
 }
 
 // routes lists the store's cells: the scalar battery (with the rank arms)
-// on each scalar route, the Range probes and Window shapes, the grouped
-// battery and the grouped Ok arms, and SQL. A secondary thread count
-// reruns a subset: thread sensitivity lives in the kernels the primary
-// count already swept probe by probe.
+// and, at the primary count, the statement of every scalar aggregate; the
+// two-phase and reconstruction routes over a table's materialized
+// selection; the Range probes and Window shapes; the grouped battery and
+// the grouped Ok arms, and at the primary count the grouped battery over
+// a one-part store's materialized selection; and SQL. A secondary thread
+// count reruns a subset: thread sensitivity lives in the kernels the
+// primary count already swept probe by probe.
 func (r *run) routes() []func() error {
-	x, sharded := r.x, r.s.flat == nil
+	x, sharded, onePart := r.x, r.s.flat == nil, r.s.st.NumShards() == 1
 	var out []func() error
 	add := func(f func() error) { out = append(out, f) }
-	whole := queryAggs(func() query { return r.query(nil) }, true)
-	switch {
-	case r.c.big:
-	case sharded:
-		add(func() error { return r.scalars("query", whole, &x.whole.all, true, true) })
-	default:
-		add(func() error { return r.scalars("fused", whole, &x.whole.all, true, true) })
+	if !r.c.big {
+		add(func() error {
+			return r.scalars("query", queryAggs(func() query { return r.query(nil) }, true), &x.whole.all, true, true)
+		})
+	}
+	if !r.c.big && r.first {
+		add(func() error { return r.statement(&x.whole.all) })
+	}
+	if !r.c.big && !sharded {
 		add(func() error {
 			opts := []bpagg.ExecOption{bpagg.Parallel(r.th)}
-			sel, col := r.flatQuery().Selection(), r.s.flat.Column("a")
+			sel, col := r.storeQuery().Selection(), r.s.flat.Column("a")
 			err := r.scalars("twophase", columnAggs(col, sel, opts, true), &x.whole.all, true, true)
 			if err == nil && r.first {
 				err = r.scalars("recon", columnAggs(col, sel, append(opts, bpagg.Access(bpagg.Reconstruct)), false), &x.whole.all, true, true)
@@ -115,7 +120,7 @@ func (r *run) routes() []func() error {
 		})
 		if r.c.G != nil && i%3 == 0 {
 			add(func() error {
-				g, err := r.group(&p)
+				g, err := r.storeQuery().Range(p[0], p[1]).GroupByContext(context.Background(), r.c.groupCols()...)
 				return r.groups("group-"+route, g, err, x.ranges[i], false)
 			})
 		}
@@ -124,32 +129,27 @@ func (r *run) routes() []func() error {
 		if len(r.c.Ranges) == 0 || i > 0 && (!r.first || sharded && i == 1) {
 			continue
 		}
-		add(func() error { return r.windows(fmt.Sprintf("window w%d/s%d", w[0], w[1]), r.window(w), x.windows[i]) })
-	}
-	for _, route := range []string{"group-lazy", "group-materialized"} {
-		if r.c.G == nil || sharded {
-			break
-		}
 		add(func() error {
-			g, err := try(func() *bpagg.Grouped {
-				q := r.flatQuery()
-				if route == "group-materialized" {
-					q.Selection()
-				}
-				return q.GroupBy(r.c.groupCols()...)
-			})
-			return r.groups(route, g, err, x.whole, true)
+			return r.windows(fmt.Sprintf("window w%d/s%d", w[0], w[1]), r.storeQuery().Window(w[0], w[1]), x.windows[i])
 		})
 	}
 	if r.c.G != nil {
 		add(func() error {
-			g, err := try(func() *bpagg.ShardedGrouped { return r.shardedQuery().GroupBy(r.c.groupCols()...) })
-			if sharded {
-				if err := r.groups("group", g, err, x.whole, true); err != nil {
-					return err
-				}
+			g, err := try(func() *bpagg.Grouped { return r.storeQuery().GroupBy(r.c.groupCols()...) })
+			if err := r.groups("group", g, err, x.whole, true); err != nil {
+				return err
 			}
 			return r.okArms(g, err, x.whole)
+		})
+	}
+	if r.c.G != nil && onePart && r.first {
+		add(func() error {
+			g, err := try(func() *bpagg.Grouped {
+				q := r.storeQuery()
+				q.Selection()
+				return q.GroupBy(r.c.groupCols()...)
+			})
+			return r.groups("group-materialized", g, err, x.whole, true)
 		})
 	}
 	if r.sql {
@@ -158,56 +158,24 @@ func (r *run) routes() []func() error {
 	return out
 }
 
-// flatQuery and shardedQuery build the case's query on the store.
-func (r *run) flatQuery() *bpagg.Query {
-	return where(r.s.flat.Query().With(bpagg.Parallel(r.th)), r.c.Preds)
-}
-
-func (r *run) shardedQuery() *bpagg.ShardedQuery {
-	return where(r.s.st.Query().With(bpagg.Parallel(r.th)), r.c.Preds)
-}
-
-func where[Q interface {
-	Where(string, bpagg.Predicate) Q
-}](q Q, preds []PredSpec) Q {
-	for _, ps := range preds {
-		q = q.Where(ps.Col, enginePred(ps.Pred))
+// storeQuery builds the case's query on the store.
+func (r *run) storeQuery() *bpagg.Query {
+	q := r.s.st.Query().With(bpagg.Parallel(r.th))
+	for _, ps := range r.c.Preds {
+		q.Where(ps.Col, enginePred(ps.Pred))
 	}
 	return q
 }
 
 // query is the store's query, cut to the row range p when p is set.
 func (r *run) query(p *[2]int) query {
-	switch {
-	case r.s.flat != nil && p != nil:
-		return r.flatQuery().Range(p[0], p[1])
-	case r.s.flat != nil:
-		return r.flatQuery()
-	case p != nil:
-		return r.shardedQuery().Range(p[0], p[1])
+	if p != nil {
+		return r.storeQuery().Range(p[0], p[1])
 	}
-	return r.shardedQuery()
+	return r.storeQuery()
 }
 
-// group is GROUP BY over the store's query cut to the row range p.
-func (r *run) group(p *[2]int) (groups, error) {
-	ctx := context.Background()
-	if r.s.flat != nil {
-		return r.flatQuery().Range(p[0], p[1]).GroupByContext(ctx, r.c.groupCols()...)
-	}
-	return r.shardedQuery().Range(p[0], p[1]).GroupByContext(ctx, r.c.groupCols()...)
-}
-
-// window is the store's Window sweep of one {size, step} shape.
-func (r *run) window(w [2]int) windowed {
-	if r.s.flat != nil {
-		return r.flatQuery().Window(w[0], w[1])
-	}
-	return r.shardedQuery().Window(w[0], w[1])
-}
-
-// query is the scalar method set *Query, *ShardedQuery, *RangeQuery and
-// *ShardedRangeQuery share.
+// query is the scalar method set *Query and *RangeQuery share.
 type query interface {
 	CountRows() uint64
 	Count(string) uint64
@@ -228,33 +196,6 @@ type query interface {
 	MedianContext(context.Context, string) (uint64, bool, error)
 	RankContext(context.Context, string, uint64) (uint64, bool, error)
 	QuantileContext(context.Context, string, float64) (uint64, bool, error)
-}
-
-// groups is the grouped method set *Grouped and *ShardedGrouped share.
-type groups interface {
-	Strategy() bpagg.GroupStrategy
-	Keys() []uint64
-	Count() []uint64
-	Sum(string) []uint64
-	Min(string) []uint64
-	Max(string) []uint64
-	Median(string) []uint64
-	Avg(string) []float64
-	CountContext(context.Context) ([]uint64, error)
-	SumContext(context.Context, string) ([]uint64, error)
-	MinContext(context.Context, string) ([]uint64, error)
-	MaxContext(context.Context, string) ([]uint64, error)
-	MedianContext(context.Context, string) ([]uint64, error)
-	AvgContext(context.Context, string) ([]float64, error)
-}
-
-// windowed is the method set *WindowQuery and *ShardedWindowQuery share.
-type windowed interface {
-	CountRowsContext(context.Context) ([]uint64, error)
-	SumContext(context.Context, string) ([]uint64, error)
-	MinContext(context.Context, string) ([]uint64, []bool, error)
-	MaxContext(context.Context, string) ([]uint64, []bool, error)
-	AvgContext(context.Context, string) ([]float64, []bool, error)
 }
 
 // aggs is one source's scalar aggregates over column "a" as method values
@@ -381,12 +322,42 @@ func (r *run) scalars(route string, a aggs, t *tally, ranks, all bool) error {
 	return k.err
 }
 
+// statement names the battery's scalar aggregates over column "a" — COUNT,
+// SUM, AVG, MIN, MAX, MEDIAN and the quantiles — in one statement
+// (AggsContext: one plan, one visit per live part) and checks every cell
+// against the oracle's tally; an overflowing SUM or AVG fails its own cell
+// only.
+func (r *run) statement(t *tally) error {
+	k := r.checker("aggs")
+	aggs := []bpagg.GroupAgg{{Op: "COUNT"}, {Op: "COUNT", Column: "a"}, {Op: "SUM", Column: "a"}, {Op: "AVG", Column: "a"},
+		{Op: "MIN", Column: "a"}, {Op: "MAX", Column: "a"}, {Op: "MEDIAN", Column: "a"}}
+	for _, q := range t.quantiles(true) {
+		aggs = append(aggs, bpagg.GroupAgg{Op: "QUANTILE", Column: "a", Quantile: q})
+	}
+	row, err := r.storeQuery().AggsContext(context.Background(), aggs)
+	if err != nil {
+		k.fail("AGGS", "unexpected error: %v", err)
+		return k.err
+	}
+	k.check("COUNT(*)", row[0].Value, nil, t.rows)
+	k.check("COUNT(a)", row[1].Value, nil, t.nnz)
+	k.sum("SUM", [2]uint64{row[2].Value, row[2].Count}, row[2].Err, t.sum, nil, [2]uint64{t.sum.lo, t.nnz})
+	k.sum("AVG", some(float64(row[3].Value)/float64(row[3].Count), row[3].Count > 0), row[3].Err, t.sum, nil, t.avg())
+	for i, want := range []opt[uint64]{t.minOpt(), t.maxOpt(), t.median()} {
+		k.check(aggs[4+i].Op, some(row[4+i].Value, row[4+i].OK), nil, want)
+	}
+	for i, a := range aggs[7:] {
+		k.check(fmt.Sprintf("QUANTILE(%v)", a.Quantile), some(row[7+i].Value, row[7+i].OK), nil, t.quantile(a.Quantile))
+	}
+	return k.err
+}
+
 // groups runs the grouped battery of one GROUP BY: the tier the key-width
 // rule names, keys, COUNT, SUM and AVG under the overflow contract, MIN,
 // MAX and MEDIAN. A group whose measure rows are all NULL has no
 // MIN/MAX/MEDIAN: those calls must fail, as documented. plain takes the
 // panicking methods over the …Context ones.
-func (r *run) groups(route string, g groups, err error, w *answers, plain bool) error {
+func (r *run) groups(route string, g *bpagg.Grouped, err error, w *answers, plain bool) error {
 	k := r.checker(route)
 	if err != nil {
 		k.fail("GROUPBY", "unexpected error: %v", err)
@@ -425,7 +396,7 @@ func (r *run) groups(route string, g groups, err error, w *answers, plain bool) 
 // okArms runs the NULL-tolerant grouped rank arms, one radix descent over
 // every shard of the store (a flat table's one): a group whose measure
 // rows are all NULL answers ok=false, every other its oracle value.
-func (r *run) okArms(g *bpagg.ShardedGrouped, err error, w *answers) error {
+func (r *run) okArms(g *bpagg.Grouped, err error, w *answers) error {
 	k := r.checker("group-ok")
 	if err != nil {
 		k.fail("GROUPBY", "unexpected error: %v", err)
@@ -445,7 +416,7 @@ func (r *run) okArms(g *bpagg.ShardedGrouped, err error, w *answers) error {
 // windows runs the window battery of one Window sweep against the
 // oracle's tally of each window. SUM and AVG abort the sweep at the first
 // window whose total exceeds uint64, with that window's exact total.
-func (r *run) windows(route string, w windowed, ws []*answers) error {
+func (r *run) windows(route string, w *bpagg.WindowQuery, ws []*answers) error {
 	k := r.checker(route)
 	ctx := context.Background()
 	var rows, sums []uint64

@@ -114,55 +114,54 @@ func TestPlainIsContext(t *testing.T) {
 					}
 				}
 
-				// The sharded range view's plain GroupBy, promoted from the
-				// same implementation as ShardedQuery's.
-				st := ShardTable(tbl, 100)
-				rq := func() *ShardedRangeQuery { return st.Query().Where("p", pc.pred).Range(10, 300) }
-				checkTwin(t, twin{"ShardedRangeQuery.GroupBy", func() any { return rq().GroupBy("g").Keys() }, func() (any, error) { return keysOf(rq().GroupByContext(ctx, "g")) }})
-				checkTwin(t, twin{"ShardedRangeQuery.GroupBy(unknown column)", func() any { return rq().GroupBy("nope").Keys() }, func() (any, error) { return keysOf(rq().GroupByContext(ctx, "nope")) }})
-
-				// Query: a fresh query per call (Selection is sticky), once
+				// Query, on the table (its one-part store) and split in
+				// shards: a fresh query per call (Selection is sticky), once
 				// on the lazy route (fuses when the planner allows) and once
-				// with the bitmap materialized first.
-				for _, bitmap := range []bool{false, true} {
-					nq := func() *Query {
-						q := tbl.Query().Where("p", pc.pred)
-						if bitmap {
-							q.Selection()
+				// with the selection materialized first.
+				for _, store := range []struct {
+					name string
+					st   *ShardedTable
+				}{{"table", PartitionTable(tbl)}, {"sharded", ShardTable(tbl, 100)}} {
+					for _, bitmap := range []bool{false, true} {
+						nq := func() *Query {
+							q := store.st.Query().Where("p", pc.pred)
+							if bitmap {
+								q.Selection()
+							}
+							return q
 						}
-						return q
-					}
-					for _, tw := range []twin{
-						{"Query.CountRows", func() any { return nq().CountRows() }, func() (any, error) { return c1(nq().CountRowsContext(ctx)) }},
-						{"Query.Count", func() any { return nq().Count("v") }, func() (any, error) { return c1(nq().CountContext(ctx, "v")) }},
-						{"Query.Sum", func() any { return nq().Sum("v") }, func() (any, error) { return c1(nq().SumContext(ctx, "v")) }},
-						{"Query.Min", func() any { return p2(nq().Min("v")) }, func() (any, error) { return c2(nq().MinContext(ctx, "v")) }},
-						{"Query.Max", func() any { return p2(nq().Max("v")) }, func() (any, error) { return c2(nq().MaxContext(ctx, "v")) }},
-						{"Query.Avg", func() any { return p2(nq().Avg("v")) }, func() (any, error) { return c2(nq().AvgContext(ctx, "v")) }},
-						{"Query.Median", func() any { return p2(nq().Median("v")) }, func() (any, error) { return c2(nq().MedianContext(ctx, "v")) }},
-						{"Query.Rank", func() any { return p2(nq().Rank("v", 3)) }, func() (any, error) { return c2(nq().RankContext(ctx, "v", 3)) }},
-						{"Query.Quantile", func() any { return p2(nq().Quantile("v", 0.9)) }, func() (any, error) { return c2(nq().QuantileContext(ctx, "v", 0.9)) }},
-						{"Query.Quantile(-1)", func() any { return p2(nq().Quantile("v", -1)) }, func() (any, error) { return c2(nq().QuantileContext(ctx, "v", -1)) }},
-						{"Query.Sum(unknown column)", func() any { return nq().Sum("nope") }, func() (any, error) { return c1(nq().SumContext(ctx, "nope")) }},
-						{"RangeQuery.GroupBy", func() any { return nq().Range(10, 300).GroupBy("g").Keys() }, func() (any, error) { return keysOf(nq().Range(10, 300).GroupByContext(ctx, "g")) }},
-						{"RangeQuery.GroupBy(unknown column)", func() any { return nq().Range(10, 300).GroupBy("nope").Keys() }, func() (any, error) { return keysOf(nq().Range(10, 300).GroupByContext(ctx, "nope")) }},
-					} {
-						tw.name = fmt.Sprintf("%s bitmap=%v", tw.name, bitmap)
-						checkTwin(t, tw)
-					}
+						for _, tw := range []twin{
+							{"Query.CountRows", func() any { return nq().CountRows() }, func() (any, error) { return c1(nq().CountRowsContext(ctx)) }},
+							{"Query.Count", func() any { return nq().Count("v") }, func() (any, error) { return c1(nq().CountContext(ctx, "v")) }},
+							{"Query.Sum", func() any { return nq().Sum("v") }, func() (any, error) { return c1(nq().SumContext(ctx, "v")) }},
+							{"Query.Min", func() any { return p2(nq().Min("v")) }, func() (any, error) { return c2(nq().MinContext(ctx, "v")) }},
+							{"Query.Max", func() any { return p2(nq().Max("v")) }, func() (any, error) { return c2(nq().MaxContext(ctx, "v")) }},
+							{"Query.Avg", func() any { return p2(nq().Avg("v")) }, func() (any, error) { return c2(nq().AvgContext(ctx, "v")) }},
+							{"Query.Median", func() any { return p2(nq().Median("v")) }, func() (any, error) { return c2(nq().MedianContext(ctx, "v")) }},
+							{"Query.Rank", func() any { return p2(nq().Rank("v", 3)) }, func() (any, error) { return c2(nq().RankContext(ctx, "v", 3)) }},
+							{"Query.Quantile", func() any { return p2(nq().Quantile("v", 0.9)) }, func() (any, error) { return c2(nq().QuantileContext(ctx, "v", 0.9)) }},
+							{"Query.Quantile(-1)", func() any { return p2(nq().Quantile("v", -1)) }, func() (any, error) { return c2(nq().QuantileContext(ctx, "v", -1)) }},
+							{"Query.Sum(unknown column)", func() any { return nq().Sum("nope") }, func() (any, error) { return c1(nq().SumContext(ctx, "nope")) }},
+							{"RangeQuery.GroupBy", func() any { return nq().Range(10, 300).GroupBy("g").Keys() }, func() (any, error) { return keysOf(nq().Range(10, 300).GroupByContext(ctx, "g")) }},
+							{"RangeQuery.GroupBy(unknown column)", func() any { return nq().Range(10, 300).GroupBy("nope").Keys() }, func() (any, error) { return keysOf(nq().Range(10, 300).GroupByContext(ctx, "nope")) }},
+						} {
+							tw.name = fmt.Sprintf("%s %s bitmap=%v", store.name, tw.name, bitmap)
+							checkTwin(t, tw)
+						}
 
-					g := nq().GroupBy("g")
-					for _, tw := range []twin{
-						{"Grouped.Count", func() any { return g.Count() }, func() (any, error) { return c1(g.CountContext(ctx)) }},
-						{"Grouped.Sum", func() any { return g.Sum("v") }, func() (any, error) { return c1(g.SumContext(ctx, "v")) }},
-						{"Grouped.Min", func() any { return g.Min("v") }, func() (any, error) { return c1(g.MinContext(ctx, "v")) }},
-						{"Grouped.Max", func() any { return g.Max("v") }, func() (any, error) { return c1(g.MaxContext(ctx, "v")) }},
-						{"Grouped.Avg", func() any { return g.Avg("v") }, func() (any, error) { return c1(g.AvgContext(ctx, "v")) }},
-						{"Grouped.Median", func() any { return g.Median("v") }, func() (any, error) { return c1(g.MedianContext(ctx, "v")) }},
-						{"Grouped.Sum(unknown column)", func() any { return g.Sum("nope") }, func() (any, error) { return c1(g.SumContext(ctx, "nope")) }},
-					} {
-						tw.name = fmt.Sprintf("%s bitmap=%v strategy=%v", tw.name, bitmap, g.Strategy())
-						checkTwin(t, tw)
+						g := nq().GroupBy("g")
+						for _, tw := range []twin{
+							{"Grouped.Count", func() any { return g.Count() }, func() (any, error) { return c1(g.CountContext(ctx)) }},
+							{"Grouped.Sum", func() any { return g.Sum("v") }, func() (any, error) { return c1(g.SumContext(ctx, "v")) }},
+							{"Grouped.Min", func() any { return g.Min("v") }, func() (any, error) { return c1(g.MinContext(ctx, "v")) }},
+							{"Grouped.Max", func() any { return g.Max("v") }, func() (any, error) { return c1(g.MaxContext(ctx, "v")) }},
+							{"Grouped.Avg", func() any { return g.Avg("v") }, func() (any, error) { return c1(g.AvgContext(ctx, "v")) }},
+							{"Grouped.Median", func() any { return g.Median("v") }, func() (any, error) { return c1(g.MedianContext(ctx, "v")) }},
+							{"Grouped.Sum(unknown column)", func() any { return g.Sum("nope") }, func() (any, error) { return c1(g.SumContext(ctx, "nope")) }},
+						} {
+							tw.name = fmt.Sprintf("%s %s bitmap=%v strategy=%v", store.name, tw.name, bitmap, g.Strategy())
+							checkTwin(t, tw)
+						}
 					}
 				}
 			})

@@ -16,8 +16,8 @@ import (
 // are answered from the per-segment aggregate caches.
 //
 // Fusion contract (DESIGN.md §10): a query fuses iff
-//   - the selection has not been materialized (no Selection() call and no
-//     arbitrary user bitmap) and there is at least one Where clause;
+//   - the selection has not been materialized (no Selection() call) and
+//     there is at least one Where clause;
 //   - every clause is a simple comparison (IN-lists run as unions of
 //     equality scans and need a bitmap);
 //   - neither the clause columns nor the aggregate column have NULLs
@@ -152,14 +152,6 @@ func quantileRank(q float64) func(u uint64) (uint64, bool) {
 		}
 		return r, true
 	}
-}
-
-// Fused reports whether the next aggregate call would run the fused
-// scan→aggregate path for the named column (EXPLAIN support); the empty
-// string asks about row counting (COUNT(*)), which has no aggregate
-// column. It never materializes the selection.
-func (q *Query) Fused(column string) bool {
-	return q.fusesColumn(column, execOptions(q.execs).access)
 }
 
 // fusesColumn is fuses by column name; an unknown name does not fuse.

@@ -1,7 +1,6 @@
 package bpagg
 
 import (
-	"fmt"
 	"time"
 
 	"bpagg/internal/bitvec"
@@ -20,8 +19,9 @@ import (
 // Range/Window call and maintained incrementally by every table append.
 //
 // Appends run concurrently with range queries: each append publishes a new
-// immutable epoch through an atomic pointer, and every query pins exactly
-// one epoch — it sees either the table before an append or after it, never
+// immutable epoch through an atomic pointer, and every ranged plan over the
+// table's store pins exactly one epoch (a window sweep one for all its
+// windows) — it sees either the table before an append or after it, never
 // a torn tail segment. Queries with Where clauses (or a materialized
 // Selection, or on NULL-bearing columns) fall back to the scan pipeline
 // with the range as one more conjunctive filter, bit-identical to the
@@ -131,34 +131,17 @@ func (t *Table) publishEpochLocked() {
 	t.epoch.Store(ep)
 }
 
-// Range restricts the query's aggregates to rows [lo, hi) by position
-// (0-based, half-open; hi clips to the table). Filter-free queries answer
-// from the prefix-sum range index in O(1); queries with Where clauses
-// treat the range as one more conjunctive filter. It panics when lo is
-// negative or hi < lo.
-func (q *Query) Range(lo, hi int) *RangeQuery {
-	if lo < 0 || hi < lo {
-		panic(fmt.Sprintf("bpagg: invalid row range [%d, %d)", lo, hi))
-	}
-	return &RangeQuery{flatView{queryState: q.queryState, ranged: true, lo: lo, hi: hi}}
-}
-
-// RangeQuery aggregates over a row-position range: its query's state cut
-// to [lo, hi). See Query.Range; the methods are flatView's, promoted.
-type RangeQuery struct {
-	flatView
-}
-
 // filterFree reports whether every row is selected: no Where clause and
-// no materialized (possibly caller-edited) selection.
+// no materialized selection.
 func (s *queryState) filterFree() bool { return len(s.clauses) == 0 && s.sel == nil }
 
 // evalIndex answers c from the prefix-sum index when the fast path
 // applies — no Where clauses, no materialized selection, an aggregate the
 // index has a form for, and an indexed (NULL-free) column — and books it
 // as one aggregate, or two for SUM+COUNT (two lookups). It reads the
-// sweep's epoch, or else pins one for this call; indexed columns are
-// NULL-free, so a count is the clipped range width.
+// epoch the plan pinned on a table-backed store, or else pins the part's
+// for this call; indexed columns are NULL-free, so a count is the clipped
+// range width.
 func (v *flatView) evalIndex(c *aggCall) (p partial, ok bool) {
 	if !v.filterFree() || c.op > opMax {
 		return p, false

@@ -30,6 +30,11 @@ type ShardedTable struct {
 	shards    []*Table
 	bounds    [][]shardBounds // bounds[shard][col]
 	rows      int
+
+	// flat is the table when the store is a Table's one-part store
+	// (Table.partition): its only shard, which the table's own appends
+	// grow, and whose epochs a ranged plan pins.
+	flat *Table
 }
 
 // shardColSpec is the schema entry every shard's column is built from.
@@ -73,8 +78,13 @@ func NewShardedTable(shardRows int) *ShardedTable {
 
 // AddColumn registers a column on the schema; every current and future
 // shard carries it. It panics if the name is taken or rows have already
-// been appended, mirroring Table.AddColumn.
+// been appended, mirroring Table.AddColumn. A table's one-part store adds
+// the column to the table.
 func (st *ShardedTable) AddColumn(name string, layout Layout, bitWidth int, opts ...ColumnOption) {
+	if st.flat != nil {
+		st.flat.AddColumn(name, layout, bitWidth, opts...)
+		return
+	}
 	if _, dup := st.index[name]; dup {
 		panic(fmt.Sprintf("bpagg: duplicate column %q", name))
 	}
@@ -84,8 +94,13 @@ func (st *ShardedTable) AddColumn(name string, layout Layout, bitWidth int, opts
 	// Validate the spec eagerly: NewColumn panics on bad widths/options,
 	// and the probe column is thrown away.
 	NewColumn(layout, bitWidth, opts...)
+	st.addSpec(name, layout, bitWidth, opts)
+}
+
+// addSpec appends a validated column to the schema.
+func (st *ShardedTable) addSpec(name string, layout Layout, bits int, opts []ColumnOption) {
 	st.index[name] = len(st.specs)
-	st.specs = append(st.specs, shardColSpec{name: name, layout: layout, bits: bitWidth, opts: opts})
+	st.specs = append(st.specs, shardColSpec{name: name, layout: layout, bits: bits, opts: opts})
 }
 
 // Columns returns the column names in registration order.
@@ -142,8 +157,13 @@ func fitsBits(v uint64, k int) bool {
 
 // AppendRow appends one row to the open tail shard; vals must provide a
 // code for every column. The row is validated in full before any shard is
-// touched, and the store's row count commits last.
+// touched, and the store's row count commits last. A table's one-part
+// store appends to the table.
 func (st *ShardedTable) AppendRow(vals map[string]uint64) {
+	if st.flat != nil {
+		st.flat.AppendRow(vals)
+		return
+	}
 	if len(st.specs) == 0 {
 		panic("bpagg: AppendRow on a table with no columns")
 	}
@@ -173,8 +193,13 @@ func (st *ShardedTable) AppendRow(vals map[string]uint64) {
 // shard boundaries — the first chunk tops up the open tail shard, the
 // rest stage into fresh shards filled by parallel workers — and the
 // store's row count commits last. Loads into a store with no columns are
-// rejected because they carry no row count.
+// rejected because they carry no row count. A table's one-part store
+// appends to the table.
 func (st *ShardedTable) AppendColumnar(vals map[string][]uint64) {
+	if st.flat != nil {
+		st.flat.AppendColumnar(vals)
+		return
+	}
 	if len(st.specs) == 0 {
 		panic("bpagg: AppendColumnar on a table with no columns")
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -239,9 +240,10 @@ func exportedMethods(v any) []string {
 }
 
 // TestTwinMethodSets: a range view answers every aggregate its query
-// does, and a sharded window every aggregate a flat window does — the
-// narrower twin's method set is the wider one's minus the listed names,
-// each of which builds or configures a query rather than aggregating.
+// does — the narrower twin's method set is the wider one's minus the
+// listed names, each of which builds or configures a query rather than
+// aggregating. (Selection is on both: the range's is its own mask ∧
+// filter.)
 func TestTwinMethodSets(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -250,10 +252,6 @@ func TestTwinMethodSets(t *testing.T) {
 	}{
 		{"ShardedRangeQuery vs ShardedQuery", &ShardedQuery{}, &ShardedRangeQuery{},
 			[]string{"Where", "WhereErr", "With", "WithStats", "WithStatsInto", "Stats", "Fused", "Range", "Window"}},
-		{"RangeQuery vs Query", &Query{}, &RangeQuery{},
-			// Selection is on both: the range's is its own mask ∧ filter.
-			[]string{"Where", "WhereErr", "With", "WithStats", "WithStatsInto", "Stats", "Fused", "Range", "Window"}},
-		{"ShardedWindowQuery vs WindowQuery", &WindowQuery{}, &ShardedWindowQuery{}, nil},
 	} {
 		minus := map[string]bool{}
 		for _, m := range tc.minus {
@@ -321,47 +319,96 @@ func TestShardedGroupMedianBytes(t *testing.T) {
 }
 
 // TestShardedAggsMatchSingleCalls: AggsContext's row is, cell for cell,
-// what the single-aggregate methods answer — over the whole store and a
-// row range, with and without a filter the catalog prunes on, a NULL-bearing
-// column included — and a malformed aggregate fails the call.
+// what the single-aggregate methods answer — on a sharded store and on a
+// table's one-part store, over the whole store and a row range, with and
+// without a filter the catalog prunes on, a NULL-bearing column included
+// — and a malformed aggregate fails the call. A table's statement is one
+// plan with one scan per clause, and a store's Selection and a group's
+// are the table's bitmaps, with and without a row range.
 func TestShardedAggsMatchSingleCalls(t *testing.T) {
 	ctx := context.Background()
-	st := ShardTable(pinTable(HBP, 3*256+77), 256)
+	flat := pinTable(HBP, 3*256+77)
+	st := ShardTable(flat, 256)
 	aggs := []GroupAgg{{Op: "COUNT"}, {Op: "COUNT", Column: "n"}, {Op: "SUM", Column: "v"}, {Op: "AVG", Column: "n"},
 		{Op: "MIN", Column: "n"}, {Op: "MAX", Column: "v"}, {Op: "MEDIAN", Column: "n"}, {Op: "QUANTILE", Column: "v", Quantile: 0.9}}
-	for _, filtered := range []bool{false, true} {
-		query := func() *ShardedQuery {
-			q := st.Query()
-			if filtered {
-				q.Where("a", GreaterEq(1000)).Where("a", Less(3100))
-			}
-			return q
-		}
-		for _, src := range []pinAggs{query(), query().Range(100, st.Rows()-50)} {
-			var want []AggResult
-			cell := func(r AggResult, err error) {
-				if err != nil {
-					t.Fatal(err)
+	for _, store := range []*ShardedTable{st, PartitionTable(flat)} {
+		for _, filtered := range []bool{false, true} {
+			query := func() *Query {
+				q := store.Query()
+				if filtered {
+					q.Where("a", GreaterEq(1000)).Where("a", Less(3100))
 				}
-				want = append(want, r)
+				return q
 			}
-			count := func(v uint64, err error) { cell(AggResult{Value: v, OK: true}, err) }
-			sum := func(s, c uint64, err error) { cell(AggResult{Value: s, Count: c, OK: true}, err) }
-			value := func(v uint64, ok bool, err error) { cell(AggResult{Value: v, OK: ok}, err) }
-			count(src.CountRowsContext(ctx))
-			count(src.CountContext(ctx, "n"))
-			sum(src.SumCountContext(ctx, "v"))
-			sum(src.SumCountContext(ctx, "n"))
-			value(src.MinContext(ctx, "n"))
-			value(src.MaxContext(ctx, "v"))
-			value(src.MedianContext(ctx, "n"))
-			value(src.QuantileContext(ctx, "v", 0.9))
-			got, err := src.(interface {
-				AggsContext(context.Context, []GroupAgg) ([]AggResult, error)
-			}).AggsContext(ctx, aggs)
-			if err != nil || !reflect.DeepEqual(got, want) {
-				t.Errorf("filtered=%v %T: AggsContext = %+v, %v; single calls %+v", filtered, src, got, err, want)
+			for _, src := range []pinAggs{query(), query().Range(100, store.Rows()-50)} {
+				var want []AggResult
+				cell := func(r AggResult, err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, r)
+				}
+				count := func(v uint64, err error) { cell(AggResult{Value: v, OK: true}, err) }
+				sum := func(s, c uint64, err error) { cell(AggResult{Value: s, Count: c, OK: true}, err) }
+				value := func(v uint64, ok bool, err error) { cell(AggResult{Value: v, OK: ok}, err) }
+				count(src.CountRowsContext(ctx))
+				count(src.CountContext(ctx, "n"))
+				sum(src.SumCountContext(ctx, "v"))
+				sum(src.SumCountContext(ctx, "n"))
+				value(src.MinContext(ctx, "n"))
+				value(src.MaxContext(ctx, "v"))
+				value(src.MedianContext(ctx, "n"))
+				value(src.QuantileContext(ctx, "v", 0.9))
+				got, err := src.(interface {
+					AggsContext(context.Context, []GroupAgg) ([]AggResult, error)
+				}).AggsContext(ctx, aggs)
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("%d parts, filtered=%v %T: AggsContext = %+v, %v; single calls %+v", store.NumShards(), filtered, src, got, err, want)
+				}
 			}
+		}
+	}
+
+	q := flat.Query().WithStats().Where("a", GreaterEq(1000)).Where("a", Less(3100))
+	if _, err := q.AggsContext(ctx, []GroupAgg{{Op: "SUM", Column: "v"}, {Op: "AVG", Column: "n"}, {Op: "COUNT"},
+		{Op: "MIN", Column: "n"}, {Op: "MAX", Column: "v"}}); err != nil {
+		t.Fatal(err)
+	}
+	if s := q.Stats(); s.ShardsScanned != 1 || s.ShardsPruned != 0 || s.Scans != 2 {
+		t.Errorf("table statement: %d parts scanned, %d pruned, %d scans; want one plan of one part and a scan per clause", s.ShardsScanned, s.ShardsPruned, s.Scans)
+	}
+
+	three := ShardTable(flat, 300)
+	if three.NumShards() != 3 {
+		t.Fatalf("fixture: %d shards, want 3", three.NumShards())
+	}
+	same := func(what string, got, want *Bitmap) {
+		if got.Len() != want.Len() || !slices.Equal(got.b.Words(), want.b.Words()) {
+			t.Errorf("%s: %d of %d rows, the table's %d of %d", what, got.Count(), got.Len(), want.Count(), want.Len())
+		}
+	}
+	// a ≥ 1500 prunes the first shard, whose rows must stay clear.
+	filter := flat.Column("a").Scan(GreaterEq(1500)).And(flat.Column("v").Scan(Less(3000)))
+	for _, rng := range [][2]int{{0, flat.Rows()}, {100, 700}} {
+		ranged := rng[1] < flat.Rows()
+		q := func() (*Query, *RangeQuery) {
+			q := three.Query().Where("a", GreaterEq(1500)).Where("v", Less(3000))
+			return q, q.Range(rng[0], rng[1])
+		}
+		want := filter.Clone().And(rangeBitmap(flat.Rows(), rng[0], rng[1]))
+		whole, cut := q()
+		got := whole.Selection()
+		if ranged {
+			got = cut.Selection()
+		}
+		same(fmt.Sprintf("Selection ranged=%v", ranged), got, want)
+		whole, cut = q()
+		g := whole.GroupBy("g")
+		if ranged {
+			g = cut.GroupBy("g")
+		}
+		for i, key := range g.Keys() {
+			same(fmt.Sprintf("Grouped.Selection(%d) ranged=%v", i, ranged), g.Selection(i), want.Clone().And(flat.Column("g").Scan(Equal(key))))
 		}
 	}
 	for _, bad := range []GroupAgg{{Op: "MODE", Column: "v"}, {Op: "SUM", Column: "nope"}, {Op: "QUANTILE", Column: "v", Quantile: 2}} {

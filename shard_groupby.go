@@ -6,23 +6,46 @@ import (
 	"math/bits"
 	"slices"
 
+	"bpagg/internal/bitvec"
 	"bpagg/internal/parallel"
 )
 
-// ShardedGrouped is a sharded query partitioned by grouping columns: each
-// live shard runs its own single-pass GROUP BY partition, and the
-// per-shard banks merge by sorted key into one global key list. All
-// merges are performed in ascending key order over shard-order partials
-// that each partition reports exactly (128-bit sums, extremes with
-// presence flags, non-NULL counts), so results are bit-identical to the
-// flat engine at any thread count. A per-group rank is one radix descent
-// over every shard's partition at once.
+// ShardedGrouped is a query partitioned by the distinct values of one or
+// more grouping columns. Following the paper's wide-table approach (§III,
+// [11], [12]), grouping columns are materialized and dictionary-encoded,
+// so GROUP BY reduces to refining the query's filter into one selection
+// per distinct group key. Multi-column keys pack each column's code into
+// one uint64 composite (first column in the high bits), so the columns'
+// combined width must fit 64 bits.
+//
+// Every live part runs one pipeline, in one traversal of its grouping
+// columns over whatever its selection is — fresh, materialized or a row
+// range's mask (DESIGN.md §12): each window of the first column is
+// visited once and its filter word split across the codes present (a
+// bit-tree descent on VBP, a delimiter peel on HBP); every further column
+// refines those (key, word) entries; and a key index maps the final
+// packed keys to groups. The result is a sparse segment-major run list of
+// (group, selection word), or the banks of the aggregates the statement
+// named. Only the index depends on the key width: direct-mapped up to
+// core.DirectKeyBits packed bits, open-addressing hashed beyond, up to
+// MaxSinglePassGroups keys. A dense bitmap is built per group only on
+// demand (Selection).
+//
+// The per-part key sets merge into one sorted global key list, and every
+// per-group answer merges the parts' exact partials (128-bit sums,
+// extremes with presence flags, non-NULL counts) in ascending key order;
+// a per-group rank is one radix descent over every part's partition at
+// once. Rows NULL in a grouping column join no group. Results are
+// bit-identical across key widths, part splits and thread counts, and
+// concurrent aggregates over one Grouped are safe.
 type ShardedGrouped struct {
 	q      *shardState
 	widths []int
-	keys   []uint64   // global sorted key union
-	parts  []*Grouped // per live shard, in shard order
-	pos    [][]int32  // pos[p][gi] = global index of parts[p]'s group gi
+	keys   []uint64     // global sorted key union
+	parts  []*groupPart // per live shard, in shard order
+	pos    [][]int32    // pos[p][gi] = global index of parts[p]'s group gi
+	base   []int        // base[p] = first global row of parts[p]'s shard
+	rows   int          // the store's rows, the length of a group's Selection
 }
 
 // GroupByContext partitions the selection — within the row range, for a
@@ -64,9 +87,11 @@ func (f *fanOut) groupBy(ctx context.Context, columns []string, named []aggCall)
 	}
 	live := f.liveShards()
 	f.recordPlan(len(live))
-	parts := make([]*Grouped, len(live))
+	parts := make([]*groupPart, len(live))
+	base := make([]int, len(live))
 	err = f.fan(ctx, live, execOptions(f.execs).par.Threads, func(slot int) (err error) {
 		v := f.view(slot)
+		base[slot] = live[slot] * f.st.shardRows
 		parts[slot], err = v.groupBy(orBackground(ctx), columns, named)
 		return err
 	})
@@ -98,11 +123,13 @@ func (f *fanOut) groupBy(ctx context.Context, columns []string, named []aggCall)
 			pos[p][gi] = int32(i)
 		}
 	}
-	return &ShardedGrouped{q: f.shardState, widths: widths, keys: keys, parts: parts, pos: pos}, nil
+	return &ShardedGrouped{q: f.shardState, widths: widths, keys: keys, parts: parts, pos: pos, base: base, rows: f.st.rows}, nil
 }
 
 // GroupBy partitions the current selection by the distinct values of the
-// named columns.
+// named columns; the combined key width must fit 64 bits. More than
+// MaxSinglePassGroups distinct keys panics with ErrGroupCardinality (use
+// GroupByContext to receive it as an error).
 func (f *fanOut) GroupBy(columns ...string) *ShardedGrouped {
 	return must(f.GroupByContext(context.Background(), columns...))
 }
@@ -137,7 +164,10 @@ func (g *ShardedGrouped) Len() int { return len(g.keys) }
 // pruned query would have.
 func (g *ShardedGrouped) Strategy() GroupStrategy { return groupStrategy(g.widths) }
 
-// Keys returns the distinct group keys in ascending order.
+// Keys returns the distinct group keys in ascending order. With one
+// grouping column a key is the column's code; with several it is the
+// packed composite (first column in the high bits). All per-group result
+// slices are parallel to it.
 func (g *ShardedGrouped) Keys() []uint64 {
 	return append([]uint64(nil), g.keys...)
 }
@@ -147,9 +177,24 @@ func (g *ShardedGrouped) KeyParts(i int) []uint64 {
 	return unpackKey(g.keys[i], g.widths)
 }
 
+// Selection returns group i's rows (the query filter intersected with key
+// equality) as a fresh bitmap over the store's rows, which the caller
+// owns: each part's group rows written at its shard's row base. The
+// partitions keep selections sparse, so every call builds an n/8-byte
+// bitmap; prefer the bulk aggregates, which never materialize.
+func (g *ShardedGrouped) Selection(i int) *Bitmap {
+	out := bitvec.New(g.rows)
+	for p, part := range g.parts {
+		if gi, ok := slices.BinarySearch(g.pos[p], int32(i)); ok {
+			depositAt(out, g.base[p], part.hp.Materialize(gi))
+		}
+	}
+	return &Bitmap{b: out}
+}
+
 // addCounts merges one per-group count vector per shard partition into
 // global key order.
-func (g *ShardedGrouped) addCounts(counts func(part *Grouped) ([]uint64, error)) ([]uint64, error) {
+func (g *ShardedGrouped) addCounts(counts func(part *groupPart) ([]uint64, error)) ([]uint64, error) {
 	out := make([]uint64, len(g.keys))
 	for p, part := range g.parts {
 		c, err := counts(part)
@@ -166,9 +211,9 @@ func (g *ShardedGrouped) addCounts(counts func(part *Grouped) ([]uint64, error))
 // CountContext returns each group's row count, honoring ctx.
 func (g *ShardedGrouped) CountContext(ctx context.Context) ([]uint64, error) {
 	if len(g.parts) == 1 { // one partition's groups are the global ones, and its counts a fresh copy
-		return g.parts[0].CountContext(ctx)
+		return g.parts[0].counts(ctx)
 	}
-	return g.addCounts(func(part *Grouped) ([]uint64, error) { return part.CountContext(ctx) })
+	return g.addCounts(func(part *groupPart) ([]uint64, error) { return part.counts(ctx) })
 }
 
 // Count returns each group's row count.
@@ -180,13 +225,13 @@ func (g *ShardedGrouped) Count() []uint64 {
 // the named measure column, honoring ctx — COUNT(col)'s grouped answer
 // and AVG's divisor.
 func (g *ShardedGrouped) NonNullCountContext(ctx context.Context, column string) ([]uint64, error) {
-	return g.addCounts(func(part *Grouped) ([]uint64, error) { return part.nonNullCounts(ctx, column) })
+	return g.addCounts(func(part *groupPart) ([]uint64, error) { return part.nonNullCounts(ctx, column) })
 }
 
 // SumContext aggregates SUM of the named column per group, honoring ctx.
 // A group whose merged total exceeds uint64 returns an *OverflowError
 // carrying the exact 128-bit total and the offending group's key — the
-// first such group in key order, matching the flat engine.
+// first such group in key order, as on one part.
 func (g *ShardedGrouped) SumContext(ctx context.Context, column string) ([]uint64, error) {
 	if len(g.parts) == 1 { // one partition's groups are the global ones
 		part := g.parts[0]
@@ -223,7 +268,7 @@ func (g *ShardedGrouped) Sum(column string) []uint64 {
 
 // AvgContext aggregates AVG of the named column per group, honoring ctx.
 // The quotient divides the exact merged sum by the merged non-NULL count,
-// so it is bit-identical to the flat engine's per-group AVG.
+// so it is bit-identical to one part's per-group AVG.
 func (g *ShardedGrouped) AvgContext(ctx context.Context, column string) ([]float64, error) {
 	sums, err := g.SumContext(ctx, column)
 	if err != nil {

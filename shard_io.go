@@ -32,9 +32,13 @@ const (
 // WriteTo serializes the partitioned store. It implements io.WriterTo.
 func (st *ShardedTable) WriteTo(w io.Writer) (int64, error) {
 	cw := &countWriter{w: w}
+	shards := st.shards
+	if st.rows == 0 { // an empty table's one-part store holds one empty part
+		shards = nil
+	}
 	hdr := []any{
 		shardMagic, shardIOVersion, uint64(st.shardRows),
-		uint32(len(st.shards)), uint32(len(st.specs)),
+		uint32(len(shards)), uint32(len(st.specs)),
 	}
 	for _, v := range hdr {
 		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
@@ -44,8 +48,8 @@ func (st *ShardedTable) WriteTo(w io.Writer) (int64, error) {
 	// tau is resolved by the column constructor (defaulted or set via
 	// WithGroupBits), so read it off a shard — a throwaway one when empty.
 	probe := st.newShard()
-	if len(st.shards) > 0 {
-		probe = st.shards[0]
+	if len(shards) > 0 {
+		probe = shards[0]
 	}
 	for _, sp := range st.specs {
 		if err := binary.Write(cw, binary.LittleEndian, uint32(len(sp.name))); err != nil {
@@ -61,12 +65,12 @@ func (st *ShardedTable) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 	}
-	for _, sh := range st.shards {
+	for _, sh := range shards {
 		if _, err := sh.WriteTo(cw); err != nil {
 			return cw.n, err
 		}
 	}
-	for s := range st.shards {
+	for s := range shards {
 		for j := range st.specs {
 			b := st.bounds[s][j]
 			anyFlag := uint8(0)
@@ -233,9 +237,9 @@ func computeBounds(t *Table) []shardBounds {
 }
 
 // ReadPartitioned loads either serialization format: a sharded container
-// or a seed-era flat table file, which is adopted as a single-shard store
-// (shard size = its row count). The shard catalog is computed from the
-// data in both cases.
+// or a seed-era flat table file, which is served as its one-part store
+// (PartitionTable). The shard catalog is computed from the data in both
+// cases.
 func ReadPartitioned(r io.Reader) (*ShardedTable, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
@@ -259,27 +263,14 @@ func ReadPartitioned(r io.Reader) (*ShardedTable, error) {
 	}
 }
 
-// PartitionTable adopts a flat table as a single-shard store without
-// copying: the table becomes the store's only shard and the shard size is
-// its row count. Use ShardTable to split into smaller shards instead.
+// PartitionTable returns the table served as its one-part store — the
+// store Table.Query runs on — without copying: the table is the store's
+// only part, and the table's appends keep the store's row count and
+// catalog bounds current. Use ShardTable to split into smaller shards
+// instead.
 func PartitionTable(t *Table) *ShardedTable {
-	names := t.Columns()
-	if len(names) == 0 {
+	if len(t.names) == 0 {
 		panic("bpagg: cannot shard a table with no columns")
 	}
-	shardRows := t.Rows()
-	if shardRows < 1 {
-		shardRows = 1
-	}
-	st := NewShardedTable(shardRows)
-	for _, name := range names {
-		c := t.Column(name)
-		st.AddColumn(name, c.Layout(), c.BitWidth(), WithGroupBits(c.GroupBits()))
-	}
-	if t.Rows() > 0 {
-		st.shards = append(st.shards, t)
-		st.bounds = append(st.bounds, computeBounds(t))
-		st.rows = t.Rows()
-	}
-	return st
+	return t.partition()
 }

@@ -7,24 +7,29 @@ import (
 	"math/bits"
 	"slices"
 
+	"bpagg/internal/bitvec"
 	"bpagg/internal/parallel"
 )
 
-// ShardedQuery is a conjunctive filter plus aggregation over a
-// ShardedTable — the partitioned twin of Query. Execution fans out over
-// the shards the catalog cannot prune (min/max bounds checked per clause,
-// recorded as ShardsScanned/ShardsPruned), runs an ordinary per-shard
-// Query on each — so the existing zone pruning, fused pipelines, and
-// aggregate caches all apply within a shard — and merges the per-shard
-// results in shard order. Merges are order-insensitive (sums accumulate
-// in 128 bits, extremes compare), and a rank is one radix descent over
-// every live shard's candidates, so every result is bit-identical to the
-// flat engine at any thread count.
+// ShardedQuery is a conjunctive filter plus aggregation over a store —
+// a ShardedTable, or a Table served as its one-part store (Table.Query).
+// Where clauses are recorded, not executed. Execution fans out over the
+// parts the catalog cannot prune (min/max bounds checked per clause,
+// recorded as ShardsScanned/ShardsPruned) and runs each part's engine on
+// it: when an aggregate can fuse (see query_fused.go) each segment's
+// filter word flows straight from the predicate lanes into the aggregate
+// kernel and no filter bitmap ever exists; otherwise the clauses run as
+// independent bit-parallel scans whose selections intersect (paper §II-E)
+// and the aggregate runs on the combined filter bit vector. Zone pruning
+// and aggregate caches apply within a part. The per-part results merge in
+// shard order; merges are order-insensitive (sums accumulate in 128 bits,
+// extremes compare), and a rank is one radix descent over every live
+// part's candidates, so every result is bit-identical to one part's at
+// any thread count.
 //
-// Each shard's query state is built at its first fan-out and kept for the
-// ShardedQuery's lifetime, so a selection one statement materializes
-// serves the next exactly as a Query's does on a flat table: a one-shard
-// store does the work of the flat engine, no more.
+// Each part's query state is built at its first fan-out and kept for the
+// query's lifetime, so a selection one statement materializes serves the
+// next: a one-part store does the work of one part's engine, no more.
 //
 // The aggregates are fanOut's, promoted: ShardedRangeQuery shares them.
 // AggsContext answers several in one fan-out; each single-aggregate
@@ -33,25 +38,35 @@ type ShardedQuery struct {
 	fanOut
 }
 
-// ShardedRangeQuery aggregates over a global row range of a ShardedTable.
-// See ShardedQuery.Range.
+// ShardedRangeQuery aggregates over a global row range of a store. See
+// ShardedQuery.Range.
 type ShardedRangeQuery struct {
 	fanOut
 }
 
-// fanOut is the one implementation of every sharded aggregate (DESIGN.md
-// §15): plan the live shards, hand each one's view the statement's calls,
-// merge the partials. A row range is a field of the plan, not a
-// second implementation: a range view is its query's state plus [lo, hi).
+// Query, RangeQuery, Grouped and WindowQuery are the query types by role;
+// a Table's query is its one-part store's, so each is its Sharded form.
+type (
+	Query       = ShardedQuery
+	RangeQuery  = ShardedRangeQuery
+	Grouped     = ShardedGrouped
+	WindowQuery = ShardedWindowQuery
+)
+
+// fanOut is the one implementation of every aggregate (DESIGN.md §15):
+// plan the live parts, hand each one's view the statement's calls, merge
+// the partials. A row range is a field of the plan, not a second
+// implementation: a range view is its query's state plus [lo, hi).
 type fanOut struct {
 	*shardState
 	ranged bool
-	lo, hi int // global rows [lo, hi), when ranged
+	lo, hi int         // global rows [lo, hi), when ranged
+	ep     *tableEpoch // a window sweep's pin on a table-backed store, for all its windows
 }
 
 // shardState is what a ShardedQuery owns and its range views share: the
 // recorded clauses and options, the kept per-shard query states and the
-// merge scratch. Like Query it serves one goroutine at a time.
+// merge scratch. It serves one goroutine at a time.
 type shardState struct {
 	st      *ShardedTable
 	clauses []shardClause
@@ -68,6 +83,7 @@ type shardState struct {
 // its own slots, so reuse is safe.
 type shardScratch struct {
 	live, rlo, rhi []int
+	ep             *tableEpoch // the epoch the last ranged plan pinned, or nil
 	calls          []aggCall
 	parts          []partial // [call][live slot]
 	ranks          []parallel.RankPart
@@ -86,9 +102,10 @@ func (st *ShardedTable) Query() *ShardedQuery {
 	return &ShardedQuery{fanOut{shardState: &shardState{st: st}}}
 }
 
-// Where adds a conjunctive predicate on the named column. Like
-// Query.Where it validates eagerly (unknown columns and oversized
-// constants panic) and executes lazily at the next aggregate.
+// Where adds a conjunctive predicate on the named column and returns the
+// query for chaining. The clause is validated here (unknown columns and
+// oversized constants panic) but executes lazily, at the next aggregate
+// that cannot fuse it or at Selection.
 func (q *ShardedQuery) Where(column string, p Predicate) *ShardedQuery {
 	idx := q.st.spec(column)
 	if idx < 0 {
@@ -99,7 +116,8 @@ func (q *ShardedQuery) Where(column string, p Predicate) *ShardedQuery {
 	return q
 }
 
-// WhereErr is the error-returning twin of Where.
+// WhereErr is the error-returning twin of Where: an unknown column name or
+// an oversized predicate constant returns an error instead of panicking.
 func (q *ShardedQuery) WhereErr(column string, p Predicate) (*ShardedQuery, error) {
 	idx, err := q.st.specErr(column)
 	if err != nil {
@@ -156,15 +174,15 @@ func (q *ShardedQuery) Stats() ExecStats {
 	return q.stats.Snapshot()
 }
 
-// Range restricts the sharded query's aggregates to global rows [lo, hi)
-// by position (0-based, half-open; hi clips to the store). Shard s covers
+// Range restricts the query's aggregates to global rows [lo, hi) by
+// position (0-based, half-open; hi clips to the store). Shard s covers
 // rows [s·shardRows, s·shardRows+rows(s)) — only the tail shard can be
 // partial — so the range translates to one local range per shard, and
 // shards entirely outside it prune in the catalog pass alongside the
 // predicate-bounds pruning. Each surviving shard answers its local range
-// through its own Query.Range (index-served when the per-shard query is
-// filter-free), and partials merge in shard order exactly like every
-// other sharded aggregate. It panics when lo is negative or hi < lo.
+// (from its prefix-sum index when its query is filter-free), and partials
+// merge in shard order exactly like every other aggregate. It panics when
+// lo is negative or hi < lo.
 func (q *ShardedQuery) Range(lo, hi int) *ShardedRangeQuery {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("bpagg: invalid row range [%d, %d)", lo, hi))
@@ -174,8 +192,8 @@ func (q *ShardedQuery) Range(lo, hi int) *ShardedRangeQuery {
 
 // Fused reports whether the next aggregate over the named column (the
 // empty string asks about COUNT(*)) would run the fused scan→aggregate
-// path on every live shard — Query.Fused asked of each shard the catalog
-// cannot prune. It executes and records nothing.
+// path on every part the catalog cannot prune (EXPLAIN support). It
+// executes, materializes and records nothing.
 func (q *ShardedQuery) Fused(column string) bool {
 	q.growShardQ()
 	return q.fuses(q.liveShards(), column, execOptions(q.execs).access)
@@ -213,17 +231,25 @@ func (st *ShardedTable) mayMatch(s int, cl *shardClause) bool {
 // liveShards is the shard plan: the indices, in shard order, of the
 // shards whose catalog bounds can satisfy every clause and, for a range
 // view, that overlap the range — with each one's local [lo, hi) slice of
-// it in scratch.rlo and rhi, parallel to the live list.
+// it in scratch.rlo and rhi, parallel to the live list, and the epoch a
+// ranged plan on a table-backed store pinned in scratch.ep.
 func (f *fanOut) liveShards() []int {
 	st, sc := f.st, &f.scratch
-	sc.live, sc.rlo, sc.rhi = sc.live[:0], sc.rlo[:0], sc.rhi[:0]
-	glo, ghi := clipRange(f.lo, f.hi, st.rows)
+	sc.live, sc.rlo, sc.rhi, sc.ep = sc.live[:0], sc.rlo[:0], sc.rhi[:0], nil
+	var rows int
+	if f.ranged {
+		rows, sc.ep = f.visible()
+	}
+	glo, ghi := clipRange(f.lo, f.hi, rows)
 shards:
 	for s, shard := range st.shards {
 		a, b := 0, 0
 		if f.ranged {
-			base := s * st.shardRows
-			if a, b = max(glo-base, 0), min(ghi-base, shard.Rows()); a >= b {
+			base, n := 0, rows // a table-backed store's one part, as its epoch saw it
+			if sc.ep == nil {
+				base, n = s*st.shardRows, shard.Rows()
+			}
+			if a, b = max(glo-base, 0), min(ghi-base, n); a >= b {
 				continue
 			}
 		}
@@ -238,6 +264,22 @@ shards:
 		}
 	}
 	return sc.live
+}
+
+// visible is the row count a ranged view sees and the epoch it pinned for
+// it: on a table-backed store, one epoch of the table — a sweep's, when
+// the view carries one — so the plan reads no row count an append is
+// writing; on a sharded store, its committed rows and no epoch.
+func (f *fanOut) visible() (int, *tableEpoch) {
+	t := f.st.flat
+	switch {
+	case t == nil:
+		return f.st.rows, nil
+	case f.ep != nil:
+		return f.ep.rows, f.ep
+	}
+	ep := t.pinEpoch()
+	return ep.rows, ep
 }
 
 // recordPlan books one fan-out's pruning verdict.
@@ -283,17 +325,45 @@ func (f *fanOut) fan(ctx context.Context, live []int, threads int, fn func(slot 
 	return wrapExecErr(parallel.ForEachIndexErr(orBackground(ctx), len(live), threads, fn))
 }
 
-// view returns the flat view of the live shard in a slot of the plan: its
-// kept state (see shardQuery), cut to the shard's local slice of the range
-// when the plan carries one. The view is a value — nothing is allocated
-// per shard per aggregate — and the engine is chosen where every flat
-// aggregate's is, in flatView.eval.
+// view returns the engine's view of the live part in a slot of the plan:
+// its kept state (see shardQuery), cut to the part's local slice of the
+// range, with the epoch the plan pinned, when the plan carries one. The
+// view is a value — nothing is allocated per part per aggregate — and the
+// engine is chosen in one place, flatView.eval.
 func (f *fanOut) view(slot int) flatView {
-	v := flatView{queryState: f.shardQuery(f.scratch.live[slot]), ranged: f.ranged}
+	v := flatView{queryState: f.shardQuery(f.scratch.live[slot]), ranged: f.ranged, ep: f.scratch.ep}
 	if f.ranged {
 		v.lo, v.hi = f.scratch.rlo[slot], f.scratch.rhi[slot]
 	}
 	return v
+}
+
+// Selection returns the rows passing the filter — within the row range,
+// for a range view — as a fresh bitmap over the store's rows, which the
+// caller owns: each live part's rows written at its row base, a pruned
+// part's left clear. Each live part materializes its kept selection, so
+// later aggregates run two-phase on it.
+func (f *fanOut) Selection() *Bitmap {
+	live := f.liveShards()
+	f.recordPlan(len(live))
+	sels := make([]*Bitmap, len(live))
+	fusedMust(f.fan(nil, live, execOptions(f.execs).par.Threads, func(slot int) error {
+		v := f.view(slot)
+		sels[slot] = v.selected()
+		return nil
+	}))
+	out := bitvec.New(f.st.rows)
+	for slot, s := range live {
+		depositAt(out, s*f.st.shardRows, sels[slot].b)
+	}
+	return &Bitmap{b: out}
+}
+
+// depositAt writes src's bits into dst from row base on.
+func depositAt(dst *bitvec.Bitmap, base int, src *bitvec.Bitmap) {
+	for w := range src.NumWords() {
+		dst.Deposit(base+64*w, min(64, src.Len()-64*w), src.Word(w))
+	}
 }
 
 // merge folds the per-shard partials in shard order. Addition and
@@ -446,7 +516,7 @@ func (f *fanOut) aggs(ctx context.Context, out []AggResult) error {
 		case materialize:
 			v.selection()
 		case v.ranged && !v.filterFree():
-			v.cut = v.Selection()
+			v.cut = v.selected()
 		}
 		for i := range sc.calls {
 			c := &sc.calls[i]
@@ -536,9 +606,9 @@ func (f *fanOut) Count(column string) uint64 {
 
 // SumCountContext aggregates SUM and the column's non-NULL COUNT in one
 // fan-out — the shape AVG and SQL formatters need. A total exceeding
-// uint64 returns an *OverflowError carrying the exact 128-bit sum, matching
-// the flat engine's overflow contract: a shard whose own partial overflows
-// reports its exact value the same way, and that merges like any other.
+// uint64 returns an *OverflowError carrying the exact 128-bit sum: a shard
+// whose own partial overflows reports its exact value the same way, and
+// that merges like any other.
 func (f *fanOut) SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error) {
 	r, err := f.one(ctx, aggCall{op: opSumCount, column: column})
 	return r.Value, r.Count, err
@@ -559,7 +629,7 @@ func (f *fanOut) Sum(column string) uint64 {
 
 // AvgContext aggregates AVG over the named column, honoring ctx. The
 // divisor is the filtered non-NULL row count, so the merged mean matches
-// the flat engine exactly.
+// one part's exactly.
 func (f *fanOut) AvgContext(ctx context.Context, column string) (float64, bool, error) {
 	return avgOf(f.SumCountContext(ctx, column))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -386,5 +387,39 @@ func TestShardTableSplitsAndPreservesNulls(t *testing.T) {
 	}
 	if b := st.Query().Count("v"); flatCnt != b {
 		t.Fatalf("flat vs split non-NULL Count: %d vs %d", flatCnt, b)
+	}
+}
+
+// TestTableStoreFollowsTable: a table's one-part store is the table's —
+// a column added to either after the store was built is on both, appends
+// to either land in the table — and it writes as the store it is: an
+// empty table's as an empty store, not as one empty part the reader
+// would reject, and a grown table's as one part holding every row.
+func TestTableStoreFollowsTable(t *testing.T) {
+	tbl := NewTable()
+	tbl.AddColumn("v", VBP, 8)
+	st := PartitionTable(tbl)
+	tbl.AddColumn("w", HBP, 4)
+	st.AddColumn("x", VBP, 3)
+	if got := st.Columns(); !slices.Equal(got, []string{"v", "w", "x"}) || tbl.Column("x") == nil {
+		t.Fatalf("store columns %v, table has x: %v", got, tbl.Column("x") != nil)
+	}
+	for _, want := range []uint64{0, 6} {
+		var buf bytes.Buffer
+		if _, err := st.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadShardedTable(&buf)
+		if err != nil {
+			t.Fatalf("%d rows: %v", tbl.Rows(), err)
+		}
+		if back.Rows() != tbl.Rows() || back.Query().Sum("v") != want {
+			t.Errorf("%d rows: read back %d rows summing to %d, want %d", tbl.Rows(), back.Rows(), back.Query().Sum("v"), want)
+		}
+		st.AppendColumnar(map[string][]uint64{"v": {1, 2, 3}, "w": {4, 5, 6}, "x": {7, 0, 7}})
+	}
+	if tbl.Rows() != 6 || st.Rows() != 6 || tbl.Query().Where("x", Equal(7)).Sum("w") != 20 {
+		t.Errorf("after two appends through the store: table %d rows, store %d, SUM(w) WHERE x = 7 is %d, want 6, 6, 20",
+			tbl.Rows(), st.Rows(), tbl.Query().Where("x", Equal(7)).Sum("w"))
 	}
 }

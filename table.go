@@ -25,6 +25,10 @@ type Table struct {
 	mu    sync.Mutex
 	epoch atomic.Pointer[tableEpoch]
 	ridx  map[string]*rangeidx.Builder
+
+	// store is the table served as its one-part store (see partition),
+	// published like epoch; nil until the first query builds it.
+	store atomic.Pointer[ShardedTable]
 }
 
 // NewTable returns an empty table.
@@ -70,6 +74,10 @@ func (t *Table) AddColumn(name string, layout Layout, bitWidth int, opts ...Colu
 	c := NewColumn(layout, bitWidth, opts...)
 	t.cols[name] = c
 	t.names = append(t.names, name)
+	if st := t.store.Load(); st != nil { // the one-part store follows the schema
+		st.addSpec(name, layout, bitWidth, opts)
+		st.bounds[0] = append(st.bounds[0], shardBounds{})
+	}
 	return c
 }
 
@@ -108,6 +116,7 @@ func (t *Table) AppendRow(vals map[string]uint64) {
 		t.cols[name].Append(vals[name])
 	}
 	t.rows++
+	t.growStoreLocked(func(j int, b *shardBounds) { b.note(vals[t.names[j]]) })
 	t.publishEpochLocked()
 }
 
@@ -148,32 +157,63 @@ func (t *Table) AppendColumnar(vals map[string][]uint64) {
 		t.cols[name].Append(vals[name]...)
 	}
 	t.rows += n
+	t.growStoreLocked(func(j int, b *shardBounds) {
+		for _, v := range vals[t.names[j]] {
+			b.note(v)
+		}
+	})
 	t.publishEpochLocked()
 }
 
-// Query starts a query over the table.
+// Query starts a query over the table: a query over its one-part store
+// (see partition), so a flat table answers every statement, range and
+// window the way a sharded store does.
 func (t *Table) Query() *Query {
-	return &Query{flatView{queryState: &queryState{t: t}}}
+	return t.partition().Query()
 }
 
-// Query is a conjunctive filter over table columns followed by aggregation.
-// Where clauses are recorded, not executed: when an aggregate can fuse
-// (see query_fused.go) each segment's filter word flows straight from the
-// predicate lanes into the aggregate kernel and no filter bitmap ever
-// exists. Otherwise the clauses run as independent bit-parallel scans
-// whose selections intersect (paper §II-E), and the aggregate runs on the
-// combined filter bit vector — the two paths are bit-identical.
-//
-// The builders below are Query's own; Selection, GroupBy and the
-// aggregates are flatView's, promoted — RangeQuery shares them.
-type Query struct {
-	flatView
+// partition returns the table served as a one-part store: its only part
+// is the table itself, with the table's row count and catalog bounds. The
+// store is built once, under the append lock, and published atomically,
+// the way pinEpoch publishes an epoch; the table's appends keep its row
+// count and bounds current from then on (growStoreLocked).
+func (t *Table) partition() *ShardedTable {
+	if st := t.store.Load(); st != nil {
+		return st
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if st := t.store.Load(); st != nil {
+		return st
+	}
+	st := NewShardedTable(max(t.rows, 1))
+	for _, name := range t.names {
+		c := t.cols[name]
+		st.addSpec(name, c.layout, c.k, []ColumnOption{WithGroupBits(c.GroupBits())})
+	}
+	st.flat, st.shards, st.bounds, st.rows = t, []*Table{t}, [][]shardBounds{computeBounds(t)}, t.rows
+	t.store.Store(st)
+	return st
 }
 
-// queryState is what a Query owns and its range views share (and what the
-// shard fan-out keeps per shard): the recorded clauses, the selection
-// they materialize into, the options and the collector. It serves one
-// goroutine at a time.
+// growStoreLocked keeps the one-part store, once built, current with an
+// append that has landed: note folds the appended values of column j into
+// its bounds, and the row count and part size follow the table's. Caller
+// holds t.mu.
+func (t *Table) growStoreLocked(note func(j int, b *shardBounds)) {
+	st := t.store.Load()
+	if st == nil {
+		return
+	}
+	for j := range t.names {
+		note(j, &st.bounds[0][j])
+	}
+	st.rows, st.shardRows = t.rows, max(t.rows, 1)
+}
+
+// queryState is what the fan-out keeps per part of a store: the part's
+// recorded clauses, the selection they materialize into, the options and
+// the collector. It serves one goroutine at a time.
 type queryState struct {
 	t       *Table
 	clauses []whereClause
@@ -183,61 +223,21 @@ type queryState struct {
 	stats   *StatsCollector
 }
 
-// flatView is the one implementation of every flat aggregate (DESIGN.md
-// §7): a query's state, optionally cut to a row range. eval (table_ctx.go)
-// chooses the engine; every public aggregate is a wrapper over it.
+// flatView is a part's engine (DESIGN.md §7): the part's query state,
+// optionally cut to a local row range, which the fan-out hands every call
+// of a statement. eval (table_ctx.go) chooses the engine, rankFilter a
+// rank's filter and groupBy (groupby.go) builds the part's partition.
 type flatView struct {
 	*queryState
 	ranged bool
 	lo, hi int         // rows [lo, hi), when ranged
-	ep     *tableEpoch // set by a window sweep, which pins one epoch for all its windows
+	ep     *tableEpoch // the epoch a ranged plan on a table-backed store pinned
 	cut    *Bitmap     // set by a statement's visit: the range's selection, cut once for all its calls
-}
-
-// Where adds a conjunctive predicate on the named column and returns the
-// query for chaining. The clause is validated here (unknown columns and
-// oversized constants panic immediately, as they always did) but executes
-// lazily — at the next non-fusible aggregate or Selection call.
-func (q *Query) Where(column string, p Predicate) *Query {
-	col := q.t.cols[column]
-	if col == nil {
-		panic(fmt.Sprintf("bpagg: unknown column %q", column))
-	}
-	checkPredFits(p, col.k)
-	q.where(column, p)
-	return q
 }
 
 // where records a conjunct whose column and constants were validated.
 func (s *queryState) where(column string, p Predicate) {
 	s.clauses = append(s.clauses, whereClause{name: column, col: s.t.cols[column], pred: p})
-}
-
-// With sets execution options (Parallel, Access) for the aggregates.
-func (q *Query) With(opts ...ExecOption) *Query {
-	q.execs = append(q.execs, opts...)
-	return q
-}
-
-// WithStats enables per-query statistics collection: every filter scan,
-// GroupBy walk, and aggregate (fused or two-phase) records into the
-// query's collector, readable at any point via Stats. Because Where
-// clauses execute lazily, scans are captured regardless of whether
-// WithStats comes before or after them — only work already executed is
-// missed.
-func (q *Query) WithStats() *Query {
-	if q.stats == nil {
-		q.statsInto(NewStatsCollector())
-	}
-	return q
-}
-
-// WithStatsInto directs the query's statistics into a caller-supplied
-// collector (which may be shared across queries) instead of a fresh one.
-// Stats then reports that collector's running totals.
-func (q *Query) WithStatsInto(rec *StatsCollector) *Query {
-	q.statsInto(rec)
-	return q
 }
 
 // statsInto points the state's scans and aggregates at rec; nil is a
@@ -247,12 +247,6 @@ func (s *queryState) statsInto(rec *StatsCollector) {
 		s.stats = rec
 		s.execs = append(s.execs, CollectStats(rec))
 	}
-}
-
-// Stats returns a snapshot of the counters collected so far; zero when
-// WithStats was not called.
-func (q *Query) Stats() ExecStats {
-	return q.stats.Snapshot()
 }
 
 // selection materializes and returns the state's kept filter bitmap (all
@@ -276,12 +270,10 @@ func (s *queryState) selection() *Bitmap {
 	return s.sel
 }
 
-// Selection materializes and returns the filter bitmap. A Query's is the
-// kept one — later aggregates run two-phase on it, and the caller may
-// combine it with arbitrary bitmaps first. A RangeQuery's is a fresh
-// intersection of it with the range's row mask, which the caller owns;
-// the query's own selection is left untouched.
-func (v *flatView) Selection() *Bitmap {
+// selected is the view's selection: the kept one when unranged, which
+// later calls share, else a fresh intersection of it with the range's row
+// mask (or the statement's cut of it).
+func (v *flatView) selected() *Bitmap {
 	if v.cut != nil {
 		return v.cut
 	}
@@ -290,52 +282,4 @@ func (v *flatView) Selection() *Bitmap {
 		sel = sel.Clone().And(rangeBitmap(v.t.rows, v.lo, v.hi))
 	}
 	return sel
-}
-
-// CountRows returns the number of rows passing the filter.
-func (v *flatView) CountRows() uint64 {
-	return must(v.CountRowsContext(nil))
-}
-
-// Count counts selected non-NULL rows of the named column.
-func (v *flatView) Count(column string) uint64 {
-	return must(v.CountContext(nil, column))
-}
-
-// Sum aggregates SUM over the named column. A sum exceeding uint64 panics
-// with *OverflowError; use SumContext to receive it as an error.
-func (v *flatView) Sum(column string) uint64 {
-	return must(v.SumContext(nil, column))
-}
-
-// Min aggregates MIN over the named column; ok is false when no row
-// qualifies.
-func (v *flatView) Min(column string) (uint64, bool) {
-	return must2(v.MinContext(nil, column))
-}
-
-// Max aggregates MAX over the named column.
-func (v *flatView) Max(column string) (uint64, bool) {
-	return must2(v.MaxContext(nil, column))
-}
-
-// Avg aggregates AVG over the named column; ok is false when no row
-// qualifies.
-func (v *flatView) Avg(column string) (float64, bool) {
-	return must2(v.AvgContext(nil, column))
-}
-
-// Median aggregates the lower MEDIAN over the named column.
-func (v *flatView) Median(column string) (uint64, bool) {
-	return must2(v.MedianContext(nil, column))
-}
-
-// Rank returns the r-th smallest selected value of the named column.
-func (v *flatView) Rank(column string, r uint64) (uint64, bool) {
-	return must2(v.RankContext(nil, column, r))
-}
-
-// Quantile returns the q-quantile (nearest rank) of the named column.
-func (v *flatView) Quantile(column string, quantile float64) (uint64, bool) {
-	return must2(v.QuantileContext(nil, column, quantile))
 }

@@ -10,8 +10,9 @@ import (
 	"bpagg/internal/parallel"
 )
 
-// Error-returning and context-aware query layer: the implementation
-// behind the chaining Query/Grouped API, whose plain methods wrap these.
+// A part's engine: the scalar aggregate as a value (aggCall), the one
+// function that answers it on a part's view and chooses its engine (eval),
+// and the per-part partition's aggregates the store's Grouped merges.
 // Unknown column names — the one untrusted input this layer sees — come
 // back as errors instead of panics, and every aggregate accepts a
 // context.
@@ -24,23 +25,6 @@ func (t *Table) ColumnErr(name string) (*Column, error) {
 		return nil, fmt.Errorf("bpagg: unknown column %q", name)
 	}
 	return c, nil
-}
-
-// WhereErr is the error-returning twin of Where: an unknown column name
-// or an oversized predicate constant returns an error instead of
-// panicking. On success it returns the query for chaining. The clause is
-// recorded lazily exactly like Where's, so it participates in fusion and
-// its eventual scan is visible to the query's stats collector.
-func (q *Query) WhereErr(column string, p Predicate) (*Query, error) {
-	col, err := q.t.ColumnErr(column)
-	if err != nil {
-		return nil, err
-	}
-	if !p.fits(col.k) {
-		return nil, fmt.Errorf("bpagg: predicate constant does not fit in %d bits", col.k)
-	}
-	q.where(column, p)
-	return q, nil
 }
 
 // aggOp names a scalar aggregate. The order is load-bearing: the ops up
@@ -167,7 +151,7 @@ func (v *flatView) eval(ctx context.Context, c *aggCall) (partial, error) {
 			return v.evalFused(ctx, c, col, o)
 		}
 	}
-	return v.evalSelection(ctx, c, col, v.Selection())
+	return v.evalSelection(ctx, c, col, v.selected())
 }
 
 // rankFilter is the filter eval feeds a rank over col: the clauses'
@@ -178,7 +162,7 @@ func (v *flatView) rankFilter(col *Column) core.Filter {
 	if !v.ranged && v.fuses(col, BitParallel) {
 		return core.Preds(v.fusedPlan())
 	}
-	return core.Bits(col.effective(v.Selection()))
+	return core.Bits(col.effective(v.selected()))
 }
 
 // evalFused runs the driver of the aggregate's family fed by the clauses'
@@ -229,89 +213,9 @@ func (v *flatView) evalSelection(ctx context.Context, c *aggCall, col *Column, s
 	return p, err
 }
 
-// CountRowsContext counts the rows passing the filter (COUNT(*)),
-// honoring ctx.
-func (v *flatView) CountRowsContext(ctx context.Context) (uint64, error) {
-	p, err := v.eval(ctx, &aggCall{op: opCountRows})
-	return p.cnt, err
-}
-
-// CountContext counts selected non-NULL rows of the named column.
-func (v *flatView) CountContext(ctx context.Context, column string) (uint64, error) {
-	p, err := v.eval(ctx, &aggCall{op: opCount, column: column})
-	return p.cnt, err
-}
-
-// SumContext aggregates SUM over the named column, honoring ctx; a sum
-// exceeding uint64 returns *OverflowError (every engine carries the exact
-// 128-bit total).
-func (v *flatView) SumContext(ctx context.Context, column string) (uint64, error) {
-	sum, _, err := narrowSum(v.eval(ctx, &aggCall{op: opSum, column: column}))
-	return sum, err
-}
-
-// SumCountContext aggregates SUM and the column's non-NULL COUNT — the
-// shape AVG and SQL formatters need: one pass when the query fuses, two
-// O(1) lookups on the range index, a SUM plus a popcount over one
-// selection otherwise.
-func (v *flatView) SumCountContext(ctx context.Context, column string) (sum, cnt uint64, err error) {
-	return narrowSum(v.eval(ctx, &aggCall{op: opSumCount, column: column}))
-}
-
-// AvgContext aggregates AVG over the named column, honoring ctx; ok is
-// false when no row qualifies. Matching SUM's contract, a sum exceeding
-// uint64 returns *OverflowError.
-func (v *flatView) AvgContext(ctx context.Context, column string) (float64, bool, error) {
-	return avgOf(narrowSum(v.eval(ctx, &aggCall{op: opAvg, column: column})))
-}
-
-// MinContext aggregates MIN over the named column, honoring ctx.
-func (v *flatView) MinContext(ctx context.Context, column string) (uint64, bool, error) {
-	p, err := v.eval(ctx, &aggCall{op: opMin, column: column})
-	return p.lo, p.ok, err
-}
-
-// MaxContext aggregates MAX over the named column, honoring ctx.
-func (v *flatView) MaxContext(ctx context.Context, column string) (uint64, bool, error) {
-	p, err := v.eval(ctx, &aggCall{op: opMax, column: column})
-	return p.lo, p.ok, err
-}
-
-// MedianContext aggregates the lower MEDIAN over the named column,
-// honoring ctx. Rank-family aggregates have no index form: under a row
-// range they rank the selection cut to the range.
-func (v *flatView) MedianContext(ctx context.Context, column string) (uint64, bool, error) {
-	p, err := v.eval(ctx, &aggCall{op: opMedian, column: column})
-	return p.lo, p.ok, err
-}
-
-// RankContext returns the r-th smallest selected value of the named
-// column, honoring ctx.
-func (v *flatView) RankContext(ctx context.Context, column string, r uint64) (uint64, bool, error) {
-	p, err := v.eval(ctx, &aggCall{op: opRank, column: column, rank: r})
-	return p.lo, p.ok, err
-}
-
-// QuantileContext returns the quantile-q value of the named column,
-// honoring ctx; out-of-range q is an error, not a panic.
-func (v *flatView) QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error) {
-	p, err := v.eval(ctx, &aggCall{op: opQuantile, column: column, quantile: quantile})
-	return p.lo, p.ok, err
-}
-
-// GroupByContext partitions the view's selection by the named columns'
-// distinct values, honoring ctx, in one pass over the grouping columns
-// (see Grouped for the pipeline); the partition records into the query's
-// stats collector. More than MaxSinglePassGroups distinct keys is
-// ErrGroupCardinality.
-func (v *flatView) GroupByContext(ctx context.Context, columns ...string) (*Grouped, error) {
-	return v.groupBy(orBackground(ctx), columns, nil)
-}
-
-// CountContext returns each group's row count, honoring ctx between
-// groups. Like Count, the counts record into the query's stats
-// collector as one aggregate per group.
-func (g *Grouped) CountContext(ctx context.Context) ([]uint64, error) {
+// counts returns each group's row count, honoring ctx between groups, and
+// records into the query's stats collector as one aggregate per group.
+func (g *groupPart) counts(ctx context.Context) ([]uint64, error) {
 	ctx = orBackground(ctx)
 	start := time.Now()
 	out := make([]uint64, len(g.hp.Keys))
@@ -331,7 +235,7 @@ func (g *Grouped) CountContext(ctx context.Context) ([]uint64, error) {
 // sums128 returns each group's SUM of the named column as an exact
 // 128-bit partial — what a merge across shard partitions adds up — without
 // the column's NULL rows.
-func (g *Grouped) sums128(ctx context.Context, column string) (his, los []uint64, err error) {
+func (g *groupPart) sums128(ctx context.Context, column string) (his, los []uint64, err error) {
 	b, err := g.bank(ctx, aggCall{op: opSum, column: column})
 	if err != nil {
 		return nil, nil, err
@@ -341,7 +245,7 @@ func (g *Grouped) sums128(ctx context.Context, column string) (his, los []uint64
 
 // bank answers aggregate c per group: from the pass's bank on a partition
 // built for named aggregates, in one pass over the kept run list otherwise.
-func (g *Grouped) bank(ctx context.Context, c aggCall) (*parallel.Bank, error) {
+func (g *groupPart) bank(ctx context.Context, c aggCall) (*parallel.Bank, error) {
 	col, err := g.q.t.ColumnErr(c.column)
 	if err == nil {
 		err = g.check(c)
@@ -359,7 +263,7 @@ func (g *Grouped) bank(ctx context.Context, c aggCall) (*parallel.Bank, error) {
 // check is a measured partition's answer to aggregate c: an error when c
 // was not named, rather than a second pass, which could see rows appended
 // since; nil otherwise, and always on a plain GroupBy.
-func (g *Grouped) check(c aggCall) error {
+func (g *groupPart) check(c aggCall) error {
 	if g.named == nil || slices.Contains(g.named, c) {
 		return nil
 	}
@@ -378,35 +282,11 @@ func groupSums64(his, los []uint64, keyParts func(i int) []uint64) ([]uint64, er
 	return los, nil
 }
 
-// SumContext aggregates SUM of the named column per group, honoring
-// ctx, in one pass over the measure column. A group whose sum exceeds
-// uint64 returns an *OverflowError carrying the exact 128-bit total and
-// the offending group's key.
-func (g *Grouped) SumContext(ctx context.Context, column string) ([]uint64, error) {
-	his, los, err := g.sums128(ctx, column)
-	if err != nil {
-		return nil, err
-	}
-	return groupSums64(his, los, g.KeyParts)
-}
-
-// MinContext aggregates MIN of the named column per group, honoring
-// ctx. Groups are non-empty by construction, so no ok flags are needed.
-func (g *Grouped) MinContext(ctx context.Context, column string) ([]uint64, error) {
-	return allGroups(g.extremes(ctx, column, true))
-}
-
-// MaxContext aggregates MAX of the named column per group, honoring
-// ctx.
-func (g *Grouped) MaxContext(ctx context.Context, column string) ([]uint64, error) {
-	return allGroups(g.extremes(ctx, column, false))
-}
-
 // extremes returns each group's MIN or MAX of the named column with a
 // presence flag: anys[i] is false when group i holds no non-NULL value,
 // which a merge across shard partitions skips and MinContext/MaxContext
 // report as a broken invariant.
-func (g *Grouped) extremes(ctx context.Context, column string, wantMin bool) (vals []uint64, anys []bool, err error) {
+func (g *groupPart) extremes(ctx context.Context, column string, wantMin bool) (vals []uint64, anys []bool, err error) {
 	c := aggCall{op: opMax, column: column}
 	if wantMin {
 		c.op = opMin
@@ -432,27 +312,12 @@ func allGroups(vals []uint64, oks []bool, err error) ([]uint64, error) {
 	return vals, nil
 }
 
-// MedianContext aggregates the lower MEDIAN of the named column per
-// group, honoring ctx, in one radix descent for every group.
-func (g *Grouped) MedianContext(ctx context.Context, column string) ([]uint64, error) {
-	col, err := g.q.t.ColumnErr(column)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.check(aggCall{op: opMedian, column: column}); err != nil {
-		return nil, err
-	}
-	part := []parallel.RankPart{{Col: groupCol(col), HP: g.hp}}
-	vals, oks, err := parallel.RankCtx(orBackground(ctx), part, len(g.hp.Keys), medianRank, g.opts())
-	return allGroups(vals, oks, wrapExecErr(err))
-}
-
 // nonNullCounts returns each group's count of non-NULL values of the
 // named column — COUNT(col) per group and AVG's divisor: the partition's
 // own row counts for a NULL-free column, which callers only read, and a
 // popcount bank without the NULL rows otherwise. Neither reads the
 // column's packed words, so nothing records.
-func (g *Grouped) nonNullCounts(ctx context.Context, column string) ([]uint64, error) {
+func (g *groupPart) nonNullCounts(ctx context.Context, column string) ([]uint64, error) {
 	col, err := g.q.t.ColumnErr(column)
 	if err != nil {
 		return nil, err
@@ -471,22 +336,6 @@ func (g *Grouped) nonNullCounts(ctx context.Context, column string) ([]uint64, e
 		return nil, err
 	}
 	return b.Count, nil
-}
-
-// AvgContext aggregates AVG of the named column per group, honoring
-// ctx: the group's sum over its non-NULL count. A group whose sum exceeds
-// uint64 returns an *OverflowError carrying the exact 128-bit total and
-// the group's key.
-func (g *Grouped) AvgContext(ctx context.Context, column string) ([]float64, error) {
-	sums, err := g.SumContext(ctx, column)
-	if err != nil {
-		return nil, err
-	}
-	counts, err := g.nonNullCounts(ctx, column)
-	if err != nil {
-		return nil, err
-	}
-	return groupAvgs(sums, counts), nil
 }
 
 // groupAvgs divides per-group sums by their non-NULL counts; a group
