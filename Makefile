@@ -38,12 +38,13 @@ server-race:
 # shard-race is the sharded store's gate and the one place its test
 # filter lives (the CI job calls this target): append atomicity, shard
 # rollover, catalog pruning, the fan-out's counter pin, cancellation and
-# twin method sets, range and window sweeps, the oracle sweep's sharded
-# half (TestShardedOracleSweep) and the seeds of the one oracle fuzz target
-# (FuzzOracleEquivalence, sharded seeds included), and the sqlmini
-# executor, which runs every statement against the store.
+# twin method sets, range and window sweeps, the route matrix (its
+# statement row runs 3 parts whose workers read one shared plan), the
+# oracle sweep's sharded half (TestShardedOracleSweep) and the seeds of the
+# one oracle fuzz target (FuzzOracleEquivalence, sharded seeds included),
+# and the sqlmini executor, which runs every statement against the store.
 shard-race:
-	$(GO) test -race -run 'Shard|Range|Window|FanOut|TwinMethodSets|Rownum|Store|GenerativeQueries|SQLCounterPin|ExecuteShared|OracleEquivalence' -count=1 ./...
+	$(GO) test -race -run 'Shard|Range|Window|FanOut|EvalRoutes|TwinMethodSets|Rownum|Store|GenerativeQueries|SQLCounterPin|ExecuteShared|OracleEquivalence' -count=1 ./...
 
 # bench-harness vets and tests the repo benchmark (benchmark/ is its own
 # module, so the targets above do not see it): an internal/* signature

@@ -8,11 +8,12 @@ import (
 	"bpagg/internal/oracle"
 )
 
-// flatView.eval is the flat engine's one chooser (DESIGN.md §7). These
-// tests pin the route matrix — which engine answers which aggregate under
-// which filter — and the two allocation facts that follow from choosing in
-// one place: a range's selection is built once per aggregate, and the
-// shard fan-out hands each shard a view by value.
+// fanOut.plan is the one place a statement's engine is chosen, and
+// flatView.eval runs it (DESIGN.md §7). These tests pin the route matrix —
+// which engine answers which aggregate under which filter — and the two
+// allocation facts that follow from choosing in one place: a range's
+// selection is cut once per part per statement, and the shard fan-out
+// hands each shard a view by value.
 
 // routeTable is four 12-bit measures over n rows — v (VBP), n (v with
 // every 5th row NULL), a (VBP filter column), h (HBP filter column, so its
@@ -48,11 +49,13 @@ func routeTable(n int) (*Table, map[string]*oracle.Column) {
 	return NewTableFromColumns(names, list), ref
 }
 
-// TestEvalRoutes: every aggOp × {unranged, ranged} × filter kind is
-// answered by the engine the matrix names — read off the collector — and
-// equals the naive oracle. One letter per aggOp in declaration order
-// (CountRows Count Sum SumCount Avg Min Max Median Rank Quantile):
-// I = prefix-sum index, F = fused pass, T = two-phase on the selection.
+// TestEvalRoutes: every aggOp × {unranged, ranged} × filter kind, planned
+// as a statement of one call, is answered by the engine the matrix names —
+// read off the collector — and equals the naive oracle; an unranged
+// non-rank cell's Fused agrees with its letter. One letter per aggOp in
+// declaration order (CountRows Count Sum SumCount Avg Min Max Median Rank
+// Quantile): I = prefix-sum index, F = fused pass, T = two-phase on the
+// selection. A last row plans a statement of two calls on a 3-part store.
 func TestEvalRoutes(t *testing.T) {
 	const n, lo, hi = 64*40 + 17, 100, 64*40 - 33
 	tbl, ref := routeTable(n)
@@ -106,10 +109,20 @@ func TestEvalRoutes(t *testing.T) {
 				if kind.materialize {
 					q.Selection()
 				}
-				q.growShardQ()
-				view := &flatView{queryState: q.shardQuery(0), ranged: ranged, lo: lo, hi: hi}
+				c := aggCall{op: op, column: kind.column, rank: 5, quantile: 0.9}
+				if op == opCountRows {
+					c.column = ""
+				}
+				f := &q.fanOut
+				if ranged {
+					f = &q.Range(lo, hi).fanOut
+				} else if fused := q.Fused(c.column); op < opMedian && fused != (routes[op] == 'F') {
+					t.Errorf("%s: Fused(%q) = %v, route %c", id, c.column, fused, routes[op])
+				}
 				before := q.Stats()
-				p, err := view.eval(ctx, &aggCall{op: op, column: kind.column, rank: 5, quantile: 0.9})
+				f.plan([]aggCall{c})
+				view := f.view(0)
+				p, err := view.eval(ctx, &c)
 				if err != nil {
 					t.Fatalf("%s: %v", id, err)
 				}
@@ -172,6 +185,42 @@ func TestEvalRoutes(t *testing.T) {
 			}
 		}
 	}
+
+	// Fusion is all or nothing per statement: on three parts at
+	// Parallel(2), COUNT(*) alone fuses under a filter on h, but beside
+	// SUM(v) — a VBP column, whose windows are not h's — both calls run
+	// two-phase on one kept selection per part.
+	st := ShardTable(tbl, n/3+1)
+	sel := make([]bool, n)
+	for i := range sel {
+		sel[i] = ref["h"].Vals[i] < 2000
+	}
+	wantSum, _ := ref["v"].SumUint64(sel)
+	for _, stmt := range []struct {
+		calls []aggCall
+		fused bool
+	}{
+		{[]aggCall{{op: opCountRows}}, true},
+		{[]aggCall{{op: opCountRows}, {op: opSumCount, column: "v"}}, false},
+	} {
+		id := fmt.Sprintf("3 parts/%d calls", len(stmt.calls))
+		q := st.Query().With(Parallel(2)).WithStats().Where("h", Less(2000))
+		if got := q.plan(stmt.calls).fused; got != stmt.fused || !q.Fused("") {
+			t.Errorf("%s: plan fused %v, want %v; Fused(\"\") %v, want true", id, got, stmt.fused, q.Fused(""))
+		}
+		q.scratch.calls = stmt.calls
+		out := make([]AggResult, len(stmt.calls))
+		if err := q.aggs(ctx, out); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		s := q.Stats()
+		if s.ShardsScanned != 3 || s.Scans != 3 || stmt.fused != (s.ScanNanos == 0) {
+			t.Errorf("%s: want %d scans, fused %v, stats %+v", id, 3, stmt.fused, s)
+		}
+		if out[0].Value != oracle.CountRows(sel) || len(out) == 2 && (out[1].Value != wantSum || out[1].Count != oracle.CountRows(sel)) {
+			t.Errorf("%s: got %+v, oracle count %d sum %d", id, out, oracle.CountRows(sel), wantSum)
+		}
+	}
 }
 
 // TestRangeSumCountBuildsSelectionOnce: SUM+COUNT over a filtered range
@@ -212,6 +261,24 @@ func TestRangeSumCountBuildsSelectionOnce(t *testing.T) {
 	if overRange != overKept {
 		t.Errorf("4 shards: SUM+COUNT costs %v allocs/op more than COUNT under a range, %v on a kept selection", overRange, overKept)
 	}
+
+	// A filter-free range has no index form for a rank, so its part cuts
+	// the range's selection, once for the statement: a second rank costs
+	// what it costs on a kept selection, which is never cut. It used to cut
+	// again for every call the index did not serve.
+	second := func(run func(aggs []GroupAgg)) float64 {
+		two := []GroupAgg{{Op: "MEDIAN", Column: "b"}, {Op: "QUANTILE", Column: "b", Quantile: 0.9}}
+		return allocs(func() { run(two) }) - allocs(func() { run(two[:1]) })
+	}
+	rankOverRange := second(func(aggs []GroupAgg) { tbl.Query().Range(100, rows-100).AggsContext(ctx, aggs) })
+	rankOverKept := second(func(aggs []GroupAgg) {
+		q := tbl.Query().Where("a", LessEq(1<<12-1))
+		q.materialize()
+		q.AggsContext(ctx, aggs)
+	})
+	if rankOverRange != rankOverKept {
+		t.Errorf("a second rank costs %v allocs/op over a filter-free range, %v on a kept selection: the range is cut more than once", rankOverRange, rankOverKept)
+	}
 }
 
 // TestShardRangeViewAllocs: a ranged fan-out allocates nothing per live
@@ -232,13 +299,25 @@ func TestShardRangeViewAllocs(t *testing.T) {
 	if two, four := allocsOver(2*shardRows-10), allocsOver(4*shardRows-10); two != four {
 		t.Errorf("MaxContext over a range: %v allocs/op across 2 live shards, %v across 4", two, four)
 	}
+
+	// A library query on a flat table pays the fan-out's state once: the
+	// query with its state, the range view, the kept-state table and the
+	// part's state, the statement's calls and partials, and the fan-out's
+	// closure. The one-part plan lives in the query's scratch.
+	if raceEnabled {
+		return
+	}
+	tbl := pinTable(VBP, 1<<16)
+	tbl.Query().Range(100, 50000).Sum("v")
+	if n := testing.AllocsPerRun(10, func() { tbl.Query().Range(100, 50000).Sum("v") }); n > 7 {
+		t.Errorf("Query().Range(...).Sum over a flat table: %v allocs/op, want ≤ 7", n)
+	}
 }
 
 // materialize builds every live shard's kept selection, as a statement
 // does first when one of its aggregates cannot fuse.
 func (q *ShardedQuery) materialize() {
-	q.growShardQ()
-	for _, s := range q.liveShards() {
-		q.shardQuery(s).selection()
+	for _, part := range q.plan(nil).parts {
+		q.shardQuery(part.shard).selection()
 	}
 }

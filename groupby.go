@@ -126,14 +126,15 @@ var groupChunkRows = 0
 // groupFilter is the filter a grouped pass over cols that keeps no run
 // list reads: the clauses' predicate conjunction, or all rows when there
 // is none, as long as the view is unranged, no grouping column holds NULLs
-// and the clauses fuse with the first grouping column — the access method
-// picks neither, as for a query rank; the bitmap of groupBits otherwise.
+// and the clauses pass the fusion gate with the first grouping column —
+// the access method picks neither, as for a query rank; the bitmap of
+// groupBits otherwise.
 func (v *flatView) groupFilter(cols []*Column) core.Filter {
 	if !v.ranged && !slices.ContainsFunc(cols, func(c *Column) bool { return c.nulls != nil }) {
 		if v.filterFree() {
 			return core.Preds(nil)
 		}
-		if v.fuses(cols[0], BitParallel) {
+		if gate(v.queryState, cols[0], BitParallel) {
 			return core.Preds(v.fusedPlan())
 		}
 	}

@@ -7,29 +7,9 @@ import (
 	"bpagg/internal/scan"
 )
 
-// Fused query planning. Where clauses are recorded lazily (see table.go);
-// when an aggregate runs before the selection is materialized, the planner
-// checks whether the whole query — predicate conjunction plus aggregate —
-// can execute as one fused segment-at-a-time pass, in which case the
-// filter bitmap is never built: each segment's filter word goes straight
-// from the scan lanes into the aggregate kernel, and all-match segments
-// are answered from the per-segment aggregate caches.
-//
-// Fusion contract (DESIGN.md §10): a query fuses iff
-//   - the selection has not been materialized (no Selection() call) and
-//     there is at least one Where clause;
-//   - every clause is a simple comparison (IN-lists run as unions of
-//     equality scans and need a bitmap);
-//   - neither the clause columns nor the aggregate column have NULLs
-//     (NULL semantics live in the validity-bitmap intersection);
-//   - execution is not pinned to the Reconstruct baseline (Auto chooses
-//     per two-phase aggregate from the realized selectivity, so it never
-//     suppresses fusion: there is no selection to consult before the scan);
-//   - all columns involved agree on the window width (VBP's 64, HBP's
-//     values-per-segment), so one filter word addresses one segment
-//     everywhere.
-// Anything else falls back to the two-phase path, which remains the
-// general executor. Results are bit-identical either way.
+// Fused query planning: the gate below decides whether a statement can run
+// as one fused segment-at-a-time pass, which builds no filter bitmap. The
+// contract and its refusals are DESIGN.md §10's.
 
 // whereClause is one recorded conjunct of a query's WHERE.
 type whereClause struct {
@@ -53,10 +33,11 @@ func (p Predicate) fits(k int) bool {
 	return p.p.Fits(k)
 }
 
-// fuses decides whether the query's clauses and the aggregate column
-// (nil for row counting) can run fused under the given access method —
-// the gate alone, which allocates nothing, so planners can ask it freely.
-func (s *queryState) fuses(agg *Column, access AccessMethod) bool {
+// gate is the fusion gate (DESIGN.md §10): whether the state's clauses
+// and the aggregate column (nil for row counting) can run fused under the
+// given access method. It allocates nothing. fanOut.plan asks it for a
+// statement's verdict, and a grouped pass for its filter.
+func gate(s *queryState, agg *Column, access AccessMethod) bool {
 	if s.sel != nil || len(s.clauses) == 0 || access == Reconstruct {
 		return false
 	}
@@ -152,18 +133,6 @@ func quantileRank(q float64) func(u uint64) (uint64, bool) {
 		}
 		return r, true
 	}
-}
-
-// fusesColumn is fuses by column name; an unknown name does not fuse.
-func (s *queryState) fusesColumn(column string, access AccessMethod) bool {
-	var col *Column
-	if column != "" {
-		col = s.t.cols[column]
-		if col == nil {
-			return false
-		}
-	}
-	return s.fuses(col, access)
 }
 
 func checkPredFits(p Predicate, k int) {

@@ -331,39 +331,6 @@ func TestFusedCacheServedHBP(t *testing.T) {
 	}
 }
 
-// TestFusedFallbacks: materialized selections and IN-lists must never
-// fuse, and the results stay identical.
-func TestFusedFallbacks(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	vals := randVals(rng, 300, 8)
-	tbl := NewTableFromColumns([]string{"x"}, []*Column{FromValues(VBP, 8, vals)})
-
-	q := tbl.Query().Where("x", In(3, 5, 9))
-	if q.Fused("x") {
-		t.Error("IN-list query claims to fuse")
-	}
-
-	q = tbl.Query().Where("x", Less(100))
-	q.Selection()
-	if q.Fused("x") {
-		t.Error("materialized query claims to fuse")
-	}
-
-	// A NULL-bearing aggregate column cannot fuse either.
-	withNulls := NewColumn(VBP, 8)
-	withNulls.Append(vals...)
-	withNulls.AppendNull()
-	plain := FromValues(VBP, 8, append(append([]uint64(nil), vals...), 0))
-	tbl2 := NewTableFromColumns([]string{"x", "n"}, []*Column{plain, withNulls})
-	q = tbl2.Query().Where("x", Less(100))
-	if q.Fused("n") {
-		t.Error("NULL-bearing aggregate column claims to fuse")
-	}
-	if !q.Fused("x") {
-		t.Error("NULL-free column refuses to fuse")
-	}
-}
-
 // FuzzFusedEquivalence is the fused-vs-two-phase differential fuzzer: any
 // discrepancy in any aggregate between the fused path and the bitmap path
 // is a bug, whatever the data, width, operator, bit-group count, or thread

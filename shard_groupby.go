@@ -85,13 +85,12 @@ func (f *fanOut) groupBy(ctx context.Context, columns []string, named []aggCall)
 	if err != nil {
 		return nil, err
 	}
-	live := f.liveShards()
-	f.recordPlan(len(live))
-	parts := make([]*groupPart, len(live))
-	base := make([]int, len(live))
-	err = f.fan(ctx, live, execOptions(f.execs).par.Threads, func(slot int) (err error) {
+	p := f.plan(nil)
+	parts := make([]*groupPart, len(p.parts))
+	base := make([]int, len(p.parts))
+	err = f.fan(ctx, p, execOptions(f.execs).par.Threads, func(slot int) (err error) {
 		v := f.view(slot)
-		base[slot] = live[slot] * f.st.shardRows
+		base[slot] = p.parts[slot].shard * f.st.shardRows
 		parts[slot], err = v.groupBy(orBackground(ctx), columns, named)
 		return err
 	})

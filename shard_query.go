@@ -16,7 +16,7 @@ import (
 // Where clauses are recorded, not executed. Execution fans out over the
 // parts the catalog cannot prune (min/max bounds checked per clause,
 // recorded as ShardsScanned/ShardsPruned) and runs each part's engine on
-// it: when an aggregate can fuse (see query_fused.go) each segment's
+// it: when the statement fuses (its plan's verdict) each segment's
 // filter word flows straight from the predicate lanes into the aggregate
 // kernel and no filter bitmap ever exists; otherwise the clauses run as
 // independent bit-parallel scans whose selections intersect (paper §II-E)
@@ -54,8 +54,8 @@ type (
 )
 
 // fanOut is the one implementation of every aggregate (DESIGN.md §15):
-// plan the live parts, hand each one's view the statement's calls, merge
-// the partials. A row range is a field of the plan, not a second
+// plan the statement, hand each live part's view its calls, merge the
+// partials. A row range is a field of the plan, not a second
 // implementation: a range view is its query's state plus [lo, hi).
 type fanOut struct {
 	*shardState
@@ -82,11 +82,29 @@ type shardState struct {
 // same small slices every time. Within one fan-out each worker writes only
 // its own slots, so reuse is safe.
 type shardScratch struct {
-	live, rlo, rhi []int
-	ep             *tableEpoch // the epoch the last ranged plan pinned, or nil
-	calls          []aggCall
-	parts          []partial // [call][live slot]
-	ranks          []parallel.RankPart
+	plan  plan
+	calls []aggCall
+	parts []partial // [call][live slot]
+	ranks []parallel.RankPart
+}
+
+// plan is a statement's decisions, made once by fanOut.plan before its
+// fan-out (DESIGN.md §15); every part's visit reads them and none
+// decides again.
+type plan struct {
+	parts []planPart  // the live parts, in shard order
+	one   [1]planPart // parts' first backing array: a one-part plan allocates nothing
+	ep    *tableEpoch // the epoch a ranged plan on a table-backed store pinned, or nil
+	// fused is the statement's verdict: every call passes the fusion gate
+	// on every live part, so each runs fused; else each runs two-phase on
+	// its part's selection. Fusion is all or nothing per statement.
+	fused bool
+}
+
+// planPart is one live part: its shard and, for a ranged plan, its local
+// slice [lo, hi) of the range.
+type planPart struct {
+	shard, lo, hi int
 }
 
 // shardClause is one recorded WHERE conjunct: the column (by name and
@@ -97,9 +115,15 @@ type shardClause struct {
 	pred Predicate
 }
 
-// Query starts a query over the partitioned store.
+// Query starts a query over the partitioned store. The query and its
+// state are one allocation.
 func (st *ShardedTable) Query() *ShardedQuery {
-	return &ShardedQuery{fanOut{shardState: &shardState{st: st}}}
+	qs := &struct {
+		ShardedQuery
+		shardState
+	}{shardState: shardState{st: st}}
+	qs.fanOut.shardState = &qs.shardState
+	return &qs.ShardedQuery
 }
 
 // Where adds a conjunctive predicate on the named column and returns the
@@ -192,22 +216,15 @@ func (q *ShardedQuery) Range(lo, hi int) *ShardedRangeQuery {
 
 // Fused reports whether the next aggregate over the named column (the
 // empty string asks about COUNT(*)) would run the fused scan→aggregate
-// path on every part the catalog cannot prune (EXPLAIN support). It
-// executes, materializes and records nothing.
+// path on every part the catalog cannot prune (EXPLAIN support): the
+// verdict of the plan of a one-call statement. It executes, materializes
+// and records nothing; an unknown column does not fuse.
 func (q *ShardedQuery) Fused(column string) bool {
-	q.growShardQ()
-	return q.fuses(q.liveShards(), column, execOptions(q.execs).access)
-}
-
-// fuses reports whether an aggregate over column fuses on every shard of
-// the live list under access.
-func (f *fanOut) fuses(live []int, column string, access AccessMethod) bool {
-	for _, s := range live {
-		if !f.shardQuery(s).fusesColumn(column, access) {
-			return false
-		}
+	c := aggCall{op: opCountRows}
+	if column != "" {
+		c = aggCall{op: opCount, column: column}
 	}
-	return true
+	return q.st.checkCall(&c) == nil && q.plan([]aggCall{c}).fused
 }
 
 // specErr resolves an aggregate, grouping or filter column to its specs
@@ -228,42 +245,73 @@ func (st *ShardedTable) mayMatch(s int, cl *shardClause) bool {
 	return b.any && cl.pred.mayMatch(b.min, b.max)
 }
 
-// liveShards is the shard plan: the indices, in shard order, of the
-// shards whose catalog bounds can satisfy every clause and, for a range
-// view, that overlap the range — with each one's local [lo, hi) slice of
-// it in scratch.rlo and rhi, parallel to the live list, and the epoch a
-// ranged plan on a table-backed store pinned in scratch.ep.
-func (f *fanOut) liveShards() []int {
-	st, sc := f.st, &f.scratch
-	sc.live, sc.rlo, sc.rhi, sc.ep = sc.live[:0], sc.rlo[:0], sc.rhi[:0], nil
+// plan makes the statement's plan (DESIGN.md §15) in the scratch, for
+// calls (validated; none for a Selection or GROUP BY, whose verdict is
+// unused): the live parts — the shards whose catalog bounds can satisfy
+// every clause and, for a range view, that overlap the range, each with
+// its local slice of it — and the epoch a ranged plan on a table-backed
+// store pinned; then the verdict, the fusion gate asked once per call
+// and live part (a rank under BitParallel, its own gate). A ranged
+// statement never fuses. The plan executes and records nothing.
+func (f *fanOut) plan(calls []aggCall) *plan {
+	st, p := f.st, &f.scratch.plan
+	p.parts, p.ep = p.parts[:0], nil
+	if p.parts == nil {
+		p.parts = p.one[:0]
+	}
+	if n := len(st.shards); len(f.shardQ) < n {
+		f.shardQ = append(f.shardQ, make([]*queryState, n-len(f.shardQ))...)
+	}
 	var rows int
 	if f.ranged {
-		rows, sc.ep = f.visible()
+		rows, p.ep = f.visible()
 	}
 	glo, ghi := clipRange(f.lo, f.hi, rows)
-shards:
-	for s, shard := range st.shards {
-		a, b := 0, 0
+	live := func(s int) (part planPart, ok bool) {
+		part.shard = s
 		if f.ranged {
 			base, n := 0, rows // a table-backed store's one part, as its epoch saw it
-			if sc.ep == nil {
-				base, n = s*st.shardRows, shard.Rows()
+			if p.ep == nil {
+				base, n = s*st.shardRows, st.shards[s].Rows()
 			}
-			if a, b = max(glo-base, 0), min(ghi-base, n); a >= b {
-				continue
+			if part.lo, part.hi = max(glo-base, 0), min(ghi-base, n); part.lo >= part.hi {
+				return part, false
 			}
 		}
 		for i := range f.clauses {
 			if !st.mayMatch(s, &f.clauses[i]) {
-				continue shards
+				return part, false
 			}
 		}
-		sc.live = append(sc.live, s)
-		if f.ranged {
-			sc.rlo, sc.rhi = append(sc.rlo, a), append(sc.rhi, b)
+		return part, true
+	}
+	// Count, then fill: one allocation sized to the live parts, not a
+	// doubling series, when more than one is live.
+	n := 0
+	for s := range st.shards {
+		if _, ok := live(s); ok {
+			n++
 		}
 	}
-	return sc.live
+	p.parts = slices.Grow(p.parts, n)
+	for s := range st.shards {
+		if part, ok := live(s); ok {
+			p.parts = append(p.parts, part)
+		}
+	}
+	p.fused = !f.ranged
+	cfg := execOptions(f.execs)
+	for _, c := range calls {
+		access := cfg.access
+		if c.op >= opMedian {
+			access = BitParallel // a rank's own gate
+		}
+		for _, part := range p.parts {
+			sq := f.shardQuery(part.shard)
+			p.fused = p.fused && gate(sq, sq.t.cols[c.column], access)
+		}
+	}
+	return p
 }
 
 // visible is the row count a ranged view sees and the epoch it pinned for
@@ -282,25 +330,10 @@ func (f *fanOut) visible() (int, *tableEpoch) {
 	return ep.rows, ep
 }
 
-// recordPlan books one fan-out's pruning verdict.
-func (f *fanOut) recordPlan(live int) {
-	f.stats.Record(ExecStats{
-		ShardsScanned: uint64(live),
-		ShardsPruned:  uint64(len(f.st.shards) - live),
-	})
-}
-
-// growShardQ sizes the kept-query table to the store's current shards.
-func (f *fanOut) growShardQ() {
-	if n := len(f.st.shards); len(f.shardQ) < n {
-		f.shardQ = append(f.shardQ, make([]*queryState, n-len(f.shardQ))...)
-	}
-}
-
 // shardQuery returns shard s's kept query state, built on first use and
 // forwarded any clause added since. Clauses were validated against the
-// store's specs when recorded. Callers size the kept table first
-// (growShardQ) and touch one shard per goroutine.
+// store's specs when recorded. Callers size the kept table first (plan)
+// and touch one shard per goroutine.
 func (f *fanOut) shardQuery(s int) *queryState {
 	sq := f.shardQ[s]
 	if sq == nil {
@@ -314,28 +347,29 @@ func (f *fanOut) shardQuery(s int) *queryState {
 	return sq
 }
 
-// fan executes fn once per slot of the live list through the parallel
-// index fan-out (one live shard runs inline on the caller's goroutine);
-// the slot gives deterministic result placement. fn asks the slot's view
-// directly — one closure between the fan-out and the engine, because a
-// multi-shard fan-out runs on a fresh goroutine stack. threads is the
-// query's Parallel option, which the caller has resolved.
-func (f *fanOut) fan(ctx context.Context, live []int, threads int, fn func(slot int) error) error {
-	f.growShardQ()
-	return wrapExecErr(parallel.ForEachIndexErr(orBackground(ctx), len(live), threads, fn))
+// fan executes fn once per slot of the plan's live parts through the
+// parallel index fan-out (one live part runs inline on the caller's
+// goroutine), after booking the plan's pruning verdict; the slot gives
+// deterministic result placement. fn asks the slot's view directly — one
+// closure between the fan-out and the engine, because a multi-shard
+// fan-out runs on a fresh goroutine stack. threads is the query's
+// Parallel option, which the caller has resolved.
+func (f *fanOut) fan(ctx context.Context, p *plan, threads int, fn func(slot int) error) error {
+	f.stats.Record(ExecStats{
+		ShardsScanned: uint64(len(p.parts)),
+		ShardsPruned:  uint64(len(f.st.shards) - len(p.parts)),
+	})
+	return wrapExecErr(parallel.ForEachIndexErr(orBackground(ctx), len(p.parts), threads, fn))
 }
 
 // view returns the engine's view of the live part in a slot of the plan:
 // its kept state (see shardQuery), cut to the part's local slice of the
-// range, with the epoch the plan pinned, when the plan carries one. The
-// view is a value — nothing is allocated per part per aggregate — and the
-// engine is chosen in one place, flatView.eval.
+// range, with the plan's pinned epoch and verdict. The view is a value —
+// nothing is allocated per part per aggregate.
 func (f *fanOut) view(slot int) flatView {
-	v := flatView{queryState: f.shardQuery(f.scratch.live[slot]), ranged: f.ranged, ep: f.scratch.ep}
-	if f.ranged {
-		v.lo, v.hi = f.scratch.rlo[slot], f.scratch.rhi[slot]
-	}
-	return v
+	p := &f.scratch.plan
+	part := p.parts[slot]
+	return flatView{queryState: f.shardQuery(part.shard), ranged: f.ranged, lo: part.lo, hi: part.hi, ep: p.ep, fused: p.fused}
 }
 
 // Selection returns the rows passing the filter — within the row range,
@@ -344,17 +378,16 @@ func (f *fanOut) view(slot int) flatView {
 // part's left clear. Each live part materializes its kept selection, so
 // later aggregates run two-phase on it.
 func (f *fanOut) Selection() *Bitmap {
-	live := f.liveShards()
-	f.recordPlan(len(live))
-	sels := make([]*Bitmap, len(live))
-	fusedMust(f.fan(nil, live, execOptions(f.execs).par.Threads, func(slot int) error {
+	p := f.plan(nil)
+	sels := make([]*Bitmap, len(p.parts))
+	fusedMust(f.fan(nil, p, execOptions(f.execs).par.Threads, func(slot int) error {
 		v := f.view(slot)
 		sels[slot] = v.selected()
 		return nil
 	}))
 	out := bitvec.New(f.st.rows)
-	for slot, s := range live {
-		depositAt(out, s*f.st.shardRows, sels[slot].b)
+	for slot, part := range p.parts {
+		depositAt(out, part.shard*f.st.shardRows, sels[slot].b)
 	}
 	return &Bitmap{b: out}
 }
@@ -468,56 +501,33 @@ func (st *ShardedTable) checkCall(c *aggCall) error {
 }
 
 // aggs answers the statement's calls (scratch.calls, validated) in one
-// plan and one fan-out (DESIGN.md §15), into out, parallel to them. Each live shard's
-// view is visited once and answers every call: a non-rank through eval, a
-// rank as the part FilterRankPart cuts from the filter eval would feed it
-// (rankFilter). Then each non-rank merges its partials in shard order and
-// each rank runs one descent over its parts, its rounds summing the counts
-// of every shard; a rank records where the shards' kept states do, into
-// the WithStats collector when there is one, else into a CollectStats
-// option's.
-//
-// Fusion is all or nothing per statement: when one call cannot fuse on one
-// live shard (a rank is asked under BitParallel, its own gate), every live
-// shard materializes its selection before the first call, so the filter is
-// scanned once rather than by each fused call. A ranged view with a filter
-// cuts its selection once per shard, for every call.
+// plan and one fan-out (DESIGN.md §15), into out, parallel to them. Each
+// live part's view is visited once and answers every call: a non-rank
+// through eval, a rank as the part FilterRankPart cuts from the filter
+// eval would feed it (rankFilter) — both reading the plan's verdict. Then
+// each non-rank merges its partials in shard order and each rank runs one
+// descent over its parts, its rounds summing the counts of every shard; a
+// rank records where the shards' kept states do, into the WithStats
+// collector when there is one, else into a CollectStats option's.
 func (f *fanOut) aggs(ctx context.Context, out []AggResult) error {
 	ctx, sc := orBackground(ctx), &f.scratch
-	live := f.liveShards()
-	f.recordPlan(len(live))
-	f.growShardQ()
-	cfg := execOptions(f.execs)
-	materialize, ranked := false, false
-	for _, c := range sc.calls {
-		access := cfg.access
-		if c.op >= opMedian {
-			access, ranked = BitParallel, true
-		}
-		materialize = materialize || !f.ranged && !f.fuses(live, c.column, access)
-	}
-	o := cfg.par
+	p := f.plan(sc.calls)
+	o := execOptions(f.execs).par
 	if f.stats != nil {
 		o.Stats = f.stats
 	}
-	n, nl := len(sc.calls), len(live)
+	n, nl := len(sc.calls), len(p.parts)
 	if cap(sc.parts) < n*nl {
 		sc.parts = make([]partial, n*nl)
 	}
-	if ranked && cap(sc.ranks) < n*nl {
+	if cap(sc.ranks) < n*nl && slices.ContainsFunc(sc.calls, func(c aggCall) bool { return c.op >= opMedian }) {
 		sc.ranks = make([]parallel.RankPart, n*nl)
 	}
 	defer clear(sc.ranks) // rank parts hold their candidate lists: let them go
-	err := f.fan(ctx, live, o.Threads, func(slot int) (err error) {
+	err := f.fan(ctx, p, o.Threads, func(slot int) (err error) {
 		// The scratch is read through f, so the closure stays small.
 		v, sc := f.view(slot), &f.scratch
-		nl := len(sc.live)
-		switch {
-		case materialize:
-			v.selection()
-		case v.ranged && !v.filterFree():
-			v.cut = v.selected()
-		}
+		nl := len(sc.plan.parts)
 		for i := range sc.calls {
 			c := &sc.calls[i]
 			if c.op < opMedian {

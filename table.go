@@ -224,15 +224,17 @@ type queryState struct {
 }
 
 // flatView is a part's engine (DESIGN.md §7): the part's query state,
-// optionally cut to a local row range, which the fan-out hands every call
-// of a statement. eval (table_ctx.go) chooses the engine, rankFilter a
-// rank's filter and groupBy (groupby.go) builds the part's partition.
+// optionally cut to a local row range, with its statement's plan, which
+// the fan-out hands every call of the statement. eval (table_ctx.go) runs
+// the engine the plan chose, rankFilter a rank's filter and groupBy
+// (groupby.go) builds the part's partition.
 type flatView struct {
 	*queryState
 	ranged bool
 	lo, hi int         // rows [lo, hi), when ranged
 	ep     *tableEpoch // the epoch a ranged plan on a table-backed store pinned
-	cut    *Bitmap     // set by a statement's visit: the range's selection, cut once for all its calls
+	fused  bool        // the plan's verdict: every call of the statement fuses
+	cut    *Bitmap     // the range's selection, cut by the first call that needs it for all the others
 }
 
 // where records a conjunct whose column and constants were validated.
@@ -271,15 +273,16 @@ func (s *queryState) selection() *Bitmap {
 }
 
 // selected is the view's selection: the kept one when unranged, which
-// later calls share, else a fresh intersection of it with the range's row
-// mask (or the statement's cut of it).
+// later statements share, else its intersection with the range's row
+// mask, cut once per view: a ranged part cuts iff one of its calls is not
+// served by the index.
 func (v *flatView) selected() *Bitmap {
-	if v.cut != nil {
+	switch {
+	case v.cut != nil:
+		return v.cut
+	case v.ranged:
+		v.cut = v.selection().Clone().And(rangeBitmap(v.t.rows, v.lo, v.hi))
 		return v.cut
 	}
-	sel := v.selection()
-	if v.ranged {
-		sel = sel.Clone().And(rangeBitmap(v.t.rows, v.lo, v.hi))
-	}
-	return sel
+	return v.selection()
 }

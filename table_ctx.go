@@ -108,17 +108,17 @@ func (c aggCall) rankOf(u uint64) (uint64, bool) {
 	return c.rank, true
 }
 
-// eval answers one scalar aggregate, and is where its engine is chosen
-// (DESIGN.md §7): a filter-free range over an indexed column reads the
-// prefix-sum index; an unranged query whose clauses fuse runs the fused
-// scan→aggregate pass; everything else runs the two-phase kernels on the
-// view's selection, built once per call. The three are bit-identical. A
-// rank has no index form: it is one radix descent over the candidates the
-// same choice of filter selects (rankFilter). Unknown columns and
-// out-of-range quantiles are errors, not panics. The call travels by
-// pointer: a multi-shard fan-out runs this path on a fresh goroutine
-// stack, and five words less per frame keep an index-served aggregate from
-// growing it (+1 µs per statement when it does).
+// eval answers one scalar aggregate by the engine its statement's plan
+// chose (DESIGN.md §7): a filter-free range over an indexed column reads
+// the prefix-sum index; a fused statement runs the fused scan→aggregate
+// pass; everything else runs the two-phase kernels on the view's
+// selection. The three are bit-identical. A rank has no index form: it is
+// one radix descent over the candidates the same choice of filter selects
+// (rankFilter). Unknown columns and out-of-range quantiles are errors, not
+// panics. The call travels by pointer: a multi-shard fan-out runs this
+// path on a fresh goroutine stack, and five words less per frame keep an
+// index-served aggregate from growing it (+1 µs per statement when it
+// does).
 func (v *flatView) eval(ctx context.Context, c *aggCall) (partial, error) {
 	ctx = orBackground(ctx)
 	var col *Column
@@ -146,20 +146,18 @@ func (v *flatView) eval(ctx context.Context, c *aggCall) (partial, error) {
 		if p, ok := v.evalIndex(c); ok {
 			return p, nil
 		}
-	default:
-		if o := execOptions(v.execs); v.fuses(col, o.access) {
-			return v.evalFused(ctx, c, col, o)
-		}
+	case v.fused:
+		return v.evalFused(ctx, c, col, execOptions(v.execs))
 	}
 	return v.evalSelection(ctx, c, col, v.selected())
 }
 
 // rankFilter is the filter eval feeds a rank over col: the clauses'
-// predicate conjunction when an unranged view's clauses fuse, else the
-// view's selection without col's NULL rows. The access method picks
-// neither the filter nor the descent.
+// predicate conjunction when the statement fuses, else the view's
+// selection without col's NULL rows. The access method picks neither the
+// filter nor the descent.
 func (v *flatView) rankFilter(col *Column) core.Filter {
-	if !v.ranged && v.fuses(col, BitParallel) {
+	if v.fused {
 		return core.Preds(v.fusedPlan())
 	}
 	return core.Bits(col.effective(v.selected()))
