@@ -113,23 +113,38 @@ func (c *Column) SumContext(ctx context.Context, sel *Bitmap, opts ...ExecOption
 // sumEff sums the column over an effective (NULL-free) selection.
 func (c *Column) sumEff(ctx context.Context, eff *bitvec.Bitmap, o execConfig) (uint64, error) {
 	if c.useReconstruct(eff, o) {
-		// The reconstruction baseline only wins on sparse selections, so
-		// the whole call is short; ctx is observed at entry only.
-		if err := ctx.Err(); err != nil {
-			return 0, err
+		p, err := c.reconstruct(ctx, opSum, eff, o)
+		if p.hi != 0 {
+			return 0, &OverflowError{Hi: p.hi, Lo: p.lo}
 		}
-		defer recordReconstruct(o.par.Stats, eff, time.Now())
-		if c.sumOverflowPossible() {
-			hi, lo := nbp.Sum128(c.nbpSource(), eff)
-			if hi != 0 {
-				return 0, &OverflowError{Hi: hi, Lo: lo}
-			}
-			return lo, nil
-		}
-		return nbp.SumOpt(c.nbpSource(), eff, nbpOptions(o)), nil
+		return p.lo, err
 	}
 	sum, _, err := c.sum(ctx, core.Bits(eff), o)
 	return sum, err
+}
+
+// reconstruct answers SUM (with its count), MIN or MAX over an effective
+// selection by the reconstruction baseline, which the access method
+// chose. It only wins on sparse selections, so the whole call is short;
+// ctx is observed at entry only.
+func (c *Column) reconstruct(ctx context.Context, op aggOp, eff *bitvec.Bitmap, o execConfig) (p partial, err error) {
+	if err := ctx.Err(); err != nil {
+		return p, err
+	}
+	defer recordReconstruct(o.par.Stats, eff, time.Now())
+	src, no := c.nbpSource(), nbpOptions(o)
+	switch {
+	case op == opMin:
+		p.lo, p.ok = nbp.MinOpt(src, eff, no)
+	case op == opMax:
+		p.lo, p.ok = nbp.MaxOpt(src, eff, no)
+	case c.sumOverflowPossible():
+		p.hi, p.lo = nbp.Sum128(src, eff)
+		p.cnt = core.Count(eff)
+	default:
+		p.lo, p.cnt = nbp.SumOpt(src, eff, no), core.Count(eff)
+	}
+	return p, nil
 }
 
 // sum runs the SUM driver of the column's layout: SUM and COUNT of the
@@ -160,25 +175,21 @@ func (c *Column) extremeContext(ctx context.Context, sel *Bitmap, opts []ExecOpt
 	if err := c.checkSelErr(sel); err != nil {
 		return 0, false, err
 	}
-	o := execOptions(opts)
-	eff := c.effective(sel)
-	if c.useReconstruct(eff, o) {
-		if err := ctx.Err(); err != nil {
-			return 0, false, err
-		}
-		defer recordReconstruct(o.par.Stats, eff, time.Now())
+	o, eff := execOptions(opts), c.effective(sel)
+	var p partial
+	var err error
+	switch {
+	case c.useReconstruct(eff, o):
+		op := opMax
 		if wantMin {
-			v, ok := nbp.MinOpt(c.nbpSource(), eff, nbpOptions(o))
-			return v, ok, nil
+			op = opMin
 		}
-		v, ok := nbp.MaxOpt(c.nbpSource(), eff, nbpOptions(o))
-		return v, ok, nil
+		p, err = c.reconstruct(ctx, op, eff, o)
+	case eff.Any(): // else no extreme, and nothing runs or records
+		p.lo, p.cnt, err = c.extreme(ctx, core.Bits(eff), o, wantMin)
+		p.ok = p.cnt > 0
 	}
-	if !eff.Any() {
-		return 0, false, nil // no extreme, and nothing runs or records
-	}
-	v, cnt, err := c.extreme(ctx, core.Bits(eff), o, wantMin)
-	return v, cnt > 0, err
+	return p.lo, p.ok, err
 }
 
 // extreme runs the MIN (wantMin) or MAX driver of the column's layout over

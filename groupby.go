@@ -73,11 +73,13 @@ var ErrGroupCardinality = core.ErrGroupCardinality
 
 // groupBy partitions the part's rows in one pass over the grouping
 // columns, which the store resolved and whose packed width it checked
-// (fanOut.groupWidths). With named nil it keeps the run list every later
-// aggregate reads; otherwise it banks the named SUM/MIN/MAX/COUNT(col) as
-// it goes and keeps the list only for a named rank. The access pin does
-// not apply, here or to the grouped aggregates (see Access). A key count
-// past the budget is ErrGroupCardinality.
+// (fanOut.groupWidths). It banks the named SUM/MIN/MAX/COUNT(col) as it
+// goes, and reads the filter the plan chose: when it keeps the run list
+// (for a library GroupBy, named nil, or a named rank), the view's
+// selection as a bitmap, which the list's words then carry; else the
+// clauses' predicates when the plan fuses the pass, or that bitmap. The
+// access pin does not apply, here or to the grouped aggregates (see
+// Access). A key count past the budget is ErrGroupCardinality.
 func (v *flatView) groupBy(ctx context.Context, columns []string, named []aggCall) (*groupPart, error) {
 	cols := make([]*Column, len(columns))
 	for i, column := range columns {
@@ -89,22 +91,22 @@ func (v *flatView) groupBy(ctx context.Context, columns []string, named []aggCal
 		gcols[i] = groupCol(col)
 	}
 	pass := parallel.GroupPass{Cols: gcols, N: cols[0].Len(), Limit: maxHashGroups, Chunk: groupChunkRows}
-	keep := named == nil
 	for _, c := range named {
 		col := v.t.cols[c.column]
 		switch m := measureOf(col, c.op); {
-		case c.op >= opMedian:
-			keep = true
-		case c.op == opCount && col.nulls == nil, slices.Contains(pass.Measures, m):
-			// the partition's own counts, or banked already
+		case c.isRank(), c.op == opCount && col.nulls == nil, slices.Contains(pass.Measures, m):
+			// read off the run list, the partition's own counts, or banked already
 		default:
 			pass.Measures = append(pass.Measures, m)
 		}
 	}
-	if keep {
+	switch {
+	case v.keep:
 		pass.Keep = v.groupBits(cols)
-	} else {
-		pass.Filter = v.groupFilter(cols)
+	case v.fused:
+		pass.Filter = core.Preds(v.fusedPlan())
+	default:
+		pass.Filter = core.Bits(v.groupBits(cols))
 	}
 	hp, err := parallel.GroupPassCtx(ctx, pass, o.par)
 	if err != nil {
@@ -122,24 +124,6 @@ func measureOf(col *Column, op aggOp) parallel.Measure {
 // groupChunkRows is the grouped pass's least chunk (0: the driver's
 // default); tests shrink it so small tables cross many chunks.
 var groupChunkRows = 0
-
-// groupFilter is the filter a grouped pass over cols that keeps no run
-// list reads: the clauses' predicate conjunction, or all rows when there
-// is none, as long as the view is unranged, no grouping column holds NULLs
-// and the clauses pass the fusion gate with the first grouping column —
-// the access method picks neither, as for a query rank; the bitmap of
-// groupBits otherwise.
-func (v *flatView) groupFilter(cols []*Column) core.Filter {
-	if !v.ranged && !slices.ContainsFunc(cols, func(c *Column) bool { return c.nulls != nil }) {
-		if v.filterFree() {
-			return core.Preds(nil)
-		}
-		if gate(v.queryState, cols[0], BitParallel) {
-			return core.Preds(v.fusedPlan())
-		}
-	}
-	return core.Bits(v.groupBits(cols))
-}
 
 // groupBits is the view's selection — fresh, materialized or a range's
 // filter ∧ mask — without the rows NULL in a grouping column,

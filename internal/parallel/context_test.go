@@ -356,7 +356,7 @@ func TestForEachIndexErrSerialInline(t *testing.T) {
 	for _, threads := range []int{0, 1} {
 		before := runtime.NumGoroutine()
 		var order []int // unsynchronised on purpose: -race fails if fn leaves the caller's goroutine
-		err := ForEachIndexErr(ctx, n, threads, func(i int) error {
+		err := ForEachIndexErr(ctx, n, threads, t, func(t *testing.T, _ context.Context, i int) error {
 			order = append(order, i)
 			if g := runtime.NumGoroutine(); g > before {
 				t.Errorf("threads=%d: NumGoroutine inside index %d = %d, was %d before the call", threads, i, g, before)
@@ -373,7 +373,7 @@ func TestForEachIndexErrSerialInline(t *testing.T) {
 
 		errA, errB := errors.New("a"), errors.New("b")
 		order = order[:0]
-		err = ForEachIndexErr(ctx, n, threads, func(i int) error {
+		err = ForEachIndexErr(ctx, n, threads, t, func(t *testing.T, _ context.Context, i int) error {
 			order = append(order, i)
 			switch i {
 			case 1:
@@ -388,7 +388,7 @@ func TestForEachIndexErrSerialInline(t *testing.T) {
 		if err != errA || len(order) != n {
 			t.Fatalf("threads=%d: errors at 1 and 3 = %v after %d indices, want %v after %d", threads, err, len(order), errA, n)
 		}
-		err = ForEachIndexErr(ctx, n, threads, func(i int) error {
+		err = ForEachIndexErr(ctx, n, threads, t, func(t *testing.T, _ context.Context, i int) error {
 			if i == 2 {
 				panic("serial fault")
 			}
@@ -401,7 +401,7 @@ func TestForEachIndexErrSerialInline(t *testing.T) {
 
 		cctx, cancel := context.WithCancel(ctx)
 		order = order[:0]
-		err = ForEachIndexErr(cctx, n, threads, func(i int) error {
+		err = ForEachIndexErr(cctx, n, threads, t, func(t *testing.T, _ context.Context, i int) error {
 			order = append(order, i)
 			if i == 2 {
 				cancel()

@@ -7,15 +7,17 @@ import (
 	"sync/atomic"
 )
 
-// ForEachIndexErr runs fn(i) for every index in [0, n) across up to
+// ForEachIndexErr runs fn(arg, ctx, i) for every index in [0, n) across up to
 // `threads` worker goroutines — the shard fan-out primitive. Indices are
 // pulled from a shared counter (shards vary wildly in residual work after
 // pruning, so static partitioning would idle workers), each call is
 // panic-contained into *PanicError, and a ctx check precedes every index.
 // All workers are always joined, and errors are keyed by index, not by
 // worker, so the returned error — the first by index order — is
-// deterministic at any thread count.
-func ForEachIndexErr(ctx context.Context, n, threads int, fn func(i int) error) error {
+// deterministic at any thread count. arg carries what fn needs, so fn can
+// be a method expression on it rather than a closure built for every
+// call.
+func ForEachIndexErr[T any](ctx context.Context, n, threads int, arg T, fn func(arg T, ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -31,7 +33,7 @@ func ForEachIndexErr(ctx context.Context, n, threads int, fn func(i int) error) 
 		for i := 0; i < n; i++ {
 			err := ctx.Err()
 			if err == nil {
-				err = runIndex(0, i, fn)
+				err = runIndex(ctx, 0, i, arg, fn)
 			}
 			if first == nil {
 				first = err
@@ -55,7 +57,7 @@ func ForEachIndexErr(ctx context.Context, n, threads int, fn func(i int) error) 
 					errs[i] = err
 					continue
 				}
-				errs[i] = runIndex(w, i, fn)
+				errs[i] = runIndex(ctx, w, i, arg, fn)
 			}
 		}(w)
 	}
@@ -68,12 +70,12 @@ func ForEachIndexErr(ctx context.Context, n, threads int, fn func(i int) error) 
 	return nil
 }
 
-// runIndex executes fn(i) with panic containment.
-func runIndex(w, i int, fn func(i int) error) (err error) {
+// runIndex executes fn(arg, ctx, i) with panic containment.
+func runIndex[T any](ctx context.Context, w, i int, arg T, fn func(arg T, ctx context.Context, i int) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Worker: w, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return fn(i)
+	return fn(arg, ctx, i)
 }

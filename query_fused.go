@@ -35,8 +35,8 @@ func (p Predicate) fits(k int) bool {
 
 // gate is the fusion gate (DESIGN.md §10): whether the state's clauses
 // and the aggregate column (nil for row counting) can run fused under the
-// given access method. It allocates nothing. fanOut.plan asks it for a
-// statement's verdict, and a grouped pass for its filter.
+// given access method. It allocates nothing. fanOut.plan is its one
+// caller, for a statement's verdict.
 func gate(s *queryState, agg *Column, access AccessMethod) bool {
 	if s.sel != nil || len(s.clauses) == 0 || access == Reconstruct {
 		return false

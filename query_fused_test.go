@@ -1,6 +1,8 @@
 package bpagg
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -331,12 +333,16 @@ func TestFusedCacheServedHBP(t *testing.T) {
 	}
 }
 
-// FuzzFusedEquivalence is the fused-vs-two-phase differential fuzzer: any
-// discrepancy in any aggregate between the fused path and the bitmap path
-// is a bug, whatever the data, width, operator, bit-group count, or thread
-// count. The operator and the group count pick the scan kernel's arm: the
-// lanes it stages, and for HBP the single-group Lamport form or the
-// staged eq chain.
+// FuzzFusedEquivalence is the route differential fuzzer: every aggregate
+// a statement can carry (COUNT(*), COUNT, SUM with its count, MIN, MAX,
+// MEDIAN, QUANTILE) must answer identically on every route, whatever the
+// data, width, operator, bit-group count or thread count. Under the
+// filter, one statement of them all, each as a single call, and the
+// statement on a materialized twin (fused against two-phase); over a
+// filter-free row range (the prefix-sum index) against the same range
+// under an always-true clause (two-phase on the cut). The operator and
+// the group count pick the scan kernel's arm: the lanes it stages, and
+// for HBP the single-group Lamport form or the staged eq chain.
 func FuzzFusedEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200, 17}, uint8(8), uint8(2), uint8(0), uint64(100), uint64(200), uint8(1), true)
 	f.Add([]byte{0, 0, 0, 0}, uint8(1), uint8(0), uint8(1), uint64(0), uint64(1), uint8(4), false)
@@ -388,41 +394,52 @@ func FuzzFusedEquivalence(f *testing.F) {
 			pred = Between(a, b)
 		}
 		threads := int(threadsRaw)%8 + 1
+		n := len(vals)
+		lo := int(a % uint64(n+1))
+		hi := lo + int(b%uint64(n-lo+1))
 
+		ctx := context.Background()
+		aggs := []GroupAgg{{Op: "COUNT"}, {Op: "COUNT", Column: "x"}, {Op: "SUM", Column: "x"}, {Op: "MIN", Column: "x"},
+			{Op: "MAX", Column: "x"}, {Op: "MEDIAN", Column: "x"}, {Op: "QUANTILE", Column: "x", Quantile: float64(a%101) / 100}}
 		tbl := NewTableFromColumns([]string{"x"}, []*Column{FromValues(layout, k, vals, opts...)})
-		mk := func() *Query {
-			return tbl.Query().With(Parallel(threads)).Where("x", pred)
+		mk := func() *Query { return tbl.Query().With(Parallel(threads)) }
+		stmt := func(q interface {
+			AggsContext(context.Context, []GroupAgg) ([]AggResult, error)
+		}) string {
+			row, err := q.AggsContext(ctx, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(row)
 		}
-		fq, tq := mk(), mk()
-		tq.Selection()
-		if got, want := fq.CountRows(), tq.CountRows(); got != want {
-			t.Fatalf("CountRows: fused %d, two-phase %d", got, want)
+		singles := func(q *Query) string {
+			var row [7]AggResult
+			var err [7]error
+			row[0].Value, err[0] = q.CountRowsContext(ctx)
+			row[1].Value, err[1] = q.CountContext(ctx, "x")
+			row[2].Value, row[2].Count, err[2] = q.SumCountContext(ctx, "x")
+			row[0].OK, row[1].OK, row[2].OK = true, true, true
+			row[3].Value, row[3].OK, err[3] = q.MinContext(ctx, "x")
+			row[4].Value, row[4].OK, err[4] = q.MaxContext(ctx, "x")
+			row[5].Value, row[5].OK, err[5] = q.MedianContext(ctx, "x")
+			row[6].Value, row[6].OK, err[6] = q.QuantileContext(ctx, "x", aggs[6].Quantile)
+			for _, e := range err {
+				if e != nil {
+					t.Fatal(e)
+				}
+			}
+			return fmt.Sprint(row[:])
 		}
-		fq, tq = mk(), mk()
-		tq.Selection()
-		if got, want := fq.Sum("x"), tq.Sum("x"); got != want {
-			t.Fatalf("Sum: fused %d, two-phase %d", got, want)
+
+		fused := stmt(mk().Where("x", pred))
+		twin := mk().Where("x", pred)
+		twin.Selection()
+		if got, want := singles(mk().Where("x", pred)), stmt(twin); fused != want || got != want {
+			t.Fatalf("statement %s, single calls %s, two-phase %s", fused, got, want)
 		}
-		fq, tq = mk(), mk()
-		tq.Selection()
-		gv, gok := fq.Min("x")
-		wv, wok := tq.Min("x")
-		if gv != wv || gok != wok {
-			t.Fatalf("Min: fused (%d,%v), two-phase (%d,%v)", gv, gok, wv, wok)
-		}
-		fq, tq = mk(), mk()
-		tq.Selection()
-		gv, gok = fq.Max("x")
-		wv, wok = tq.Max("x")
-		if gv != wv || gok != wok {
-			t.Fatalf("Max: fused (%d,%v), two-phase (%d,%v)", gv, gok, wv, wok)
-		}
-		fq, tq = mk(), mk()
-		tq.Selection()
-		gv, gok = fq.Median("x")
-		wv, wok = tq.Median("x")
-		if gv != wv || gok != wok {
-			t.Fatalf("Median: fused (%d,%v), two-phase (%d,%v)", gv, gok, wv, wok)
+		index, cut := stmt(mk().Range(lo, hi)), stmt(mk().Where("x", LessEq(max)).Range(lo, hi))
+		if index != cut {
+			t.Fatalf("range [%d, %d): index %s, two-phase %s", lo, hi, index, cut)
 		}
 	})
 }

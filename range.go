@@ -22,10 +22,9 @@ import (
 // immutable epoch through an atomic pointer, and every ranged plan over the
 // table's store pins exactly one epoch (a window sweep one for all its
 // windows) — it sees either the table before an append or after it, never
-// a torn tail segment. Queries with Where clauses (or a materialized
-// Selection, or on NULL-bearing columns) fall back to the scan pipeline
-// with the range as one more conjunctive filter, bit-identical to the
-// index path.
+// a torn tail segment. Queries with Where clauses, and columns with NULLs,
+// fall back to the scan pipeline with the range as one more conjunctive
+// filter, bit-identical to the index path.
 
 // tableEpoch is one published index state: the row high-water mark and a
 // per-column snapshot. Columns carrying NULLs are absent — their range
@@ -131,21 +130,14 @@ func (t *Table) publishEpochLocked() {
 	t.epoch.Store(ep)
 }
 
-// filterFree reports whether every row is selected: no Where clause and
-// no materialized selection.
-func (s *queryState) filterFree() bool { return len(s.clauses) == 0 && s.sel == nil }
-
-// evalIndex answers c from the prefix-sum index when the fast path
-// applies — no Where clauses, no materialized selection, an aggregate the
-// index has a form for, and an indexed (NULL-free) column — and books it
-// as one aggregate, or two for SUM+COUNT (two lookups). It reads the
-// epoch the plan pinned on a table-backed store, or else pins the part's
-// for this call; indexed columns are NULL-free, so a count is the clipped
-// range width.
+// evalIndex answers an index-served call (the plan's route: a range with
+// no clause, an aggregate the index has a form for) from the prefix-sum
+// index, and books it as one aggregate, or two for SUM+COUNT (two
+// lookups); ok is false when the part's column holds NULLs, so has no
+// snapshot. It reads the epoch the plan pinned on a table-backed store,
+// or else pins the part's for this call; indexed columns are NULL-free, so
+// a count is the clipped range width.
 func (v *flatView) evalIndex(c *aggCall) (p partial, ok bool) {
-	if !v.filterFree() || c.op > opMax {
-		return p, false
-	}
 	ep := v.ep
 	if ep == nil {
 		ep = v.t.pinEpoch()
@@ -157,7 +149,7 @@ func (v *flatView) evalIndex(c *aggCall) (p partial, ok bool) {
 	start := time.Now()
 	var st rangeidx.Stats
 	switch {
-	case c.op <= opAvg:
+	case c.op <= opSumCount:
 		if c.op >= opSum {
 			p.hi, p.lo, st = s.Sum(v.lo, v.hi)
 		}

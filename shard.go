@@ -256,8 +256,8 @@ func (st *ShardedTable) AppendColumnar(vals map[string][]uint64) {
 	// Every chunk targets a distinct shard, so the fan-out is race-free.
 	// The load was validated above; a worker error here is an engine bug
 	// (or an injected fault) and re-panics like a serial append would.
-	err := parallel.ForEachIndexErr(context.Background(), len(chunks), runtime.GOMAXPROCS(0),
-		func(c int) error {
+	err := parallel.ForEachIndexErr(context.Background(), len(chunks), runtime.GOMAXPROCS(0), st,
+		func(st *ShardedTable, _ context.Context, c int) error {
 			sub := make(map[string][]uint64, len(st.specs))
 			for _, sp := range st.specs {
 				sub[sp.name] = vals[sp.name][chunks[c].off : chunks[c].off+chunks[c].ln]

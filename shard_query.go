@@ -92,13 +92,22 @@ type shardScratch struct {
 // fan-out (DESIGN.md §15); every part's visit reads them and none
 // decides again.
 type plan struct {
-	parts []planPart  // the live parts, in shard order
-	one   [1]planPart // parts' first backing array: a one-part plan allocates nothing
-	ep    *tableEpoch // the epoch a ranged plan on a table-backed store pinned, or nil
-	// fused is the statement's verdict: every call passes the fusion gate
-	// on every live part, so each runs fused; else each runs two-phase on
-	// its part's selection. Fusion is all or nothing per statement.
+	parts  []planPart  // the live parts, in shard order
+	one    [1]planPart // parts' first backing array: a one-part plan allocates nothing
+	ep     *tableEpoch // the epoch a ranged plan on a table-backed store pinned, or nil
+	ranged bool        // the statement is over a row range
+	// index: the statement is a range with no clause, so every call with
+	// an index form (COUNT through MAX) reads the prefix-sum index.
+	index bool
+	// fused is the verdict on the filter every other call reads: the
+	// clauses' predicates, or else the part's selection as a bitmap. A
+	// scalar statement fuses when every call passes the fusion gate on
+	// every live part; a grouped pass when it keeps no run list, no live
+	// part holds NULLs in a key column and there is no clause or every
+	// live part passes the gate with the first key. All or nothing per
+	// statement.
 	fused bool
+	keep  bool // a grouped pass keeps its run list: for a named rank or a library GroupBy
 }
 
 // planPart is one live part: its shard and, for a ranged plan, its local
@@ -224,7 +233,7 @@ func (q *ShardedQuery) Fused(column string) bool {
 	if column != "" {
 		c = aggCall{op: opCount, column: column}
 	}
-	return q.st.checkCall(&c) == nil && q.plan([]aggCall{c}).fused
+	return q.st.checkCall(&c) == nil && q.plan([]aggCall{c}, nil).fused
 }
 
 // specErr resolves an aggregate, grouping or filter column to its specs
@@ -246,14 +255,17 @@ func (st *ShardedTable) mayMatch(s int, cl *shardClause) bool {
 }
 
 // plan makes the statement's plan (DESIGN.md §15) in the scratch, for
-// calls (validated; none for a Selection or GROUP BY, whose verdict is
-// unused): the live parts — the shards whose catalog bounds can satisfy
-// every clause and, for a range view, that overlap the range, each with
-// its local slice of it — and the epoch a ranged plan on a table-backed
-// store pinned; then the verdict, the fusion gate asked once per call
-// and live part (a rank under BitParallel, its own gate). A ranged
-// statement never fuses. The plan executes and records nothing.
-func (f *fanOut) plan(calls []aggCall) *plan {
+// calls (validated; none for a Selection) or, when keys names the
+// grouping columns (validated), for a GROUP BY of the named calls (nil
+// for a library GroupBy): the live parts — the shards whose catalog
+// bounds can satisfy every clause and, for a range view, that overlap the
+// range, each with its local slice of it — and the epoch a ranged plan on
+// a table-backed store pinned; then the routes. It is the one caller of
+// the fusion gate: asked once per call and live part (a rank under
+// BitParallel, its own gate), or once per live part with the first key
+// for a grouped pass. A ranged statement never fuses. The plan executes
+// and records nothing.
+func (f *fanOut) plan(calls []aggCall, keys []string) *plan {
 	st, p := f.st, &f.scratch.plan
 	p.parts, p.ep = p.parts[:0], nil
 	if p.parts == nil {
@@ -299,16 +311,23 @@ func (f *fanOut) plan(calls []aggCall) *plan {
 			p.parts = append(p.parts, part)
 		}
 	}
-	p.fused = !f.ranged
-	cfg := execOptions(f.execs)
-	for _, c := range calls {
-		access := cfg.access
-		if c.op >= opMedian {
-			access = BitParallel // a rank's own gate
+	p.ranged, p.index = f.ranged, f.ranged && len(f.clauses) == 0
+	p.keep = keys != nil && (calls == nil || slices.ContainsFunc(calls, aggCall.isRank))
+	p.fused = !f.ranged && !p.keep
+	access := execOptions(f.execs).access
+	for _, part := range p.parts {
+		sq := f.shardQuery(part.shard)
+		if keys != nil {
+			nullKey := slices.ContainsFunc(keys, func(k string) bool { return sq.t.cols[k].nulls != nil })
+			p.fused = p.fused && !nullKey && (len(f.clauses) == 0 || gate(sq, sq.t.cols[keys[0]], BitParallel))
+			continue
 		}
-		for _, part := range p.parts {
-			sq := f.shardQuery(part.shard)
-			p.fused = p.fused && gate(sq, sq.t.cols[c.column], access)
+		for _, c := range calls {
+			a := access
+			if c.isRank() {
+				a = BitParallel // a rank's own gate
+			}
+			p.fused = p.fused && gate(sq, sq.t.cols[c.column], a)
 		}
 	}
 	return p
@@ -347,29 +366,30 @@ func (f *fanOut) shardQuery(s int) *queryState {
 	return sq
 }
 
-// fan executes fn once per slot of the plan's live parts through the
+// fan executes visit once per slot of the plan's live parts through the
 // parallel index fan-out (one live part runs inline on the caller's
 // goroutine), after booking the plan's pruning verdict; the slot gives
-// deterministic result placement. fn asks the slot's view directly — one
-// closure between the fan-out and the engine, because a multi-shard
-// fan-out runs on a fresh goroutine stack. threads is the query's
-// Parallel option, which the caller has resolved.
-func (f *fanOut) fan(ctx context.Context, p *plan, threads int, fn func(slot int) error) error {
+// deterministic result placement. visit asks the slot's view directly,
+// because a multi-shard fan-out runs on a fresh goroutine stack; a
+// statement's is a method expression, so a fan-out allocates no closure
+// for it. threads is the query's Parallel option, which the caller has
+// resolved.
+func (f *fanOut) fan(ctx context.Context, p *plan, threads int, visit func(f *fanOut, ctx context.Context, slot int) error) error {
 	f.stats.Record(ExecStats{
 		ShardsScanned: uint64(len(p.parts)),
 		ShardsPruned:  uint64(len(f.st.shards) - len(p.parts)),
 	})
-	return wrapExecErr(parallel.ForEachIndexErr(orBackground(ctx), len(p.parts), threads, fn))
+	return wrapExecErr(parallel.ForEachIndexErr(orBackground(ctx), len(p.parts), threads, f, visit))
 }
 
 // view returns the engine's view of the live part in a slot of the plan:
 // its kept state (see shardQuery), cut to the part's local slice of the
-// range, with the plan's pinned epoch and verdict. The view is a value —
-// nothing is allocated per part per aggregate.
+// range, under the plan. The view is a value — nothing is allocated per
+// part per aggregate.
 func (f *fanOut) view(slot int) flatView {
 	p := &f.scratch.plan
 	part := p.parts[slot]
-	return flatView{queryState: f.shardQuery(part.shard), ranged: f.ranged, lo: part.lo, hi: part.hi, ep: p.ep, fused: p.fused}
+	return flatView{queryState: f.shardQuery(part.shard), plan: p, lo: part.lo, hi: part.hi}
 }
 
 // Selection returns the rows passing the filter — within the row range,
@@ -378,9 +398,9 @@ func (f *fanOut) view(slot int) flatView {
 // part's left clear. Each live part materializes its kept selection, so
 // later aggregates run two-phase on it.
 func (f *fanOut) Selection() *Bitmap {
-	p := f.plan(nil)
+	p := f.plan(nil, nil)
 	sels := make([]*Bitmap, len(p.parts))
-	fusedMust(f.fan(nil, p, execOptions(f.execs).par.Threads, func(slot int) error {
+	fusedMust(f.fan(nil, p, execOptions(f.execs).par.Threads, func(f *fanOut, _ context.Context, slot int) error {
 		v := f.view(slot)
 		sels[slot] = v.selected()
 		return nil
@@ -502,16 +522,16 @@ func (st *ShardedTable) checkCall(c *aggCall) error {
 
 // aggs answers the statement's calls (scratch.calls, validated) in one
 // plan and one fan-out (DESIGN.md §15), into out, parallel to them. Each
-// live part's view is visited once and answers every call: a non-rank
-// through eval, a rank as the part FilterRankPart cuts from the filter
-// eval would feed it (rankFilter) — both reading the plan's verdict. Then
-// each non-rank merges its partials in shard order and each rank runs one
-// descent over its parts, its rounds summing the counts of every shard; a
-// rank records where the shards' kept states do, into the WithStats
-// collector when there is one, else into a CollectStats option's.
+// live part's view is visited once and answers every call through eval,
+// on the route the plan chose: a non-rank's partial, a rank's part of its
+// descent. Then each non-rank merges its partials in shard order and each
+// rank runs one descent over its parts, its rounds summing the counts of
+// every shard; a rank records where the shards' kept states do, into the
+// WithStats collector when there is one, else into a CollectStats
+// option's.
 func (f *fanOut) aggs(ctx context.Context, out []AggResult) error {
 	ctx, sc := orBackground(ctx), &f.scratch
-	p := f.plan(sc.calls)
+	p := f.plan(sc.calls, nil)
 	o := execOptions(f.execs).par
 	if f.stats != nil {
 		o.Stats = f.stats
@@ -520,34 +540,15 @@ func (f *fanOut) aggs(ctx context.Context, out []AggResult) error {
 	if cap(sc.parts) < n*nl {
 		sc.parts = make([]partial, n*nl)
 	}
-	if cap(sc.ranks) < n*nl && slices.ContainsFunc(sc.calls, func(c aggCall) bool { return c.op >= opMedian }) {
+	if cap(sc.ranks) < n*nl && slices.ContainsFunc(sc.calls, aggCall.isRank) {
 		sc.ranks = make([]parallel.RankPart, n*nl)
 	}
 	defer clear(sc.ranks) // rank parts hold their candidate lists: let them go
-	err := f.fan(ctx, p, o.Threads, func(slot int) (err error) {
-		// The scratch is read through f, so the closure stays small.
-		v, sc := f.view(slot), &f.scratch
-		nl := len(sc.plan.parts)
-		for i := range sc.calls {
-			c := &sc.calls[i]
-			if c.op < opMedian {
-				sc.parts[i*nl+slot], err = v.eval(ctx, c)
-			} else {
-				col := v.t.cols[c.column]
-				sc.ranks[i*nl+slot], err = parallel.FilterRankPart(ctx, groupCol(col), v.rankFilter(col), o)
-				err = wrapExecErr(err)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := f.fan(ctx, p, o.Threads, (*fanOut).visit); err != nil {
 		return err
 	}
 	for i, c := range sc.calls {
-		if c.op < opMedian {
+		if !c.isRank() {
 			out[i] = c.result(c.merge(sc.parts[i*nl : (i+1)*nl]))
 			continue
 		}
@@ -560,12 +561,42 @@ func (f *fanOut) aggs(ctx context.Context, out []AggResult) error {
 	return nil
 }
 
+// visit answers every call of the statement on the live part in slot,
+// into the part's slots of the scratch, on the route the plan chose: an
+// index-served call from the prefix-sum index (a part whose column holds
+// NULLs has no snapshot, and declines to its range cut), every other
+// through eval. ctx is checked before each call.
+func (f *fanOut) visit(ctx context.Context, slot int) (err error) {
+	v, sc := f.view(slot), &f.scratch
+	nl := len(sc.plan.parts)
+	for i := range sc.calls {
+		c, k := &sc.calls[i], i*nl+slot
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if v.index && c.op <= opMax {
+			var ok bool
+			if sc.parts[k], ok = v.evalIndex(c); ok {
+				continue
+			}
+		}
+		var r *parallel.RankPart
+		if c.isRank() {
+			r = &sc.ranks[k]
+		}
+		if sc.parts[k], err = v.eval(ctx, c, r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // result is the public answer of a non-rank call from its merged partial.
 func (c aggCall) result(p partial) AggResult {
 	switch {
 	case c.op <= opCount:
 		return AggResult{Value: p.cnt, OK: true}
-	case c.op <= opAvg:
+	case c.op <= opSumCount:
 		sum, cnt, err := narrowSum(p, nil)
 		return AggResult{Value: sum, Count: cnt, OK: true, Err: err}
 	}

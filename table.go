@@ -224,17 +224,15 @@ type queryState struct {
 }
 
 // flatView is a part's engine (DESIGN.md §7): the part's query state,
-// optionally cut to a local row range, with its statement's plan, which
+// optionally cut to a local row range, under its statement's plan, which
 // the fan-out hands every call of the statement. eval (table_ctx.go) runs
-// the engine the plan chose, rankFilter a rank's filter and groupBy
-// (groupby.go) builds the part's partition.
+// each call on the route the plan chose and groupBy (groupby.go) builds
+// the part's partition.
 type flatView struct {
 	*queryState
-	ranged bool
-	lo, hi int         // rows [lo, hi), when ranged
-	ep     *tableEpoch // the epoch a ranged plan on a table-backed store pinned
-	fused  bool        // the plan's verdict: every call of the statement fuses
-	cut    *Bitmap     // the range's selection, cut by the first call that needs it for all the others
+	*plan
+	lo, hi int     // rows [lo, hi), when ranged
+	cut    *Bitmap // the range's selection, cut by the first call that needs it for all the others
 }
 
 // where records a conjunct whose column and constants were validated.
@@ -273,15 +271,18 @@ func (s *queryState) selection() *Bitmap {
 }
 
 // selected is the view's selection: the kept one when unranged, which
-// later statements share, else its intersection with the range's row
-// mask, cut once per view: a ranged part cuts iff one of its calls is not
-// served by the index.
+// later statements share, else the range's row mask, intersected with the
+// kept one when there is a clause, cut once per view: a ranged part cuts
+// iff one of its calls is not served by the index.
 func (v *flatView) selected() *Bitmap {
 	switch {
 	case v.cut != nil:
 		return v.cut
 	case v.ranged:
-		v.cut = v.selection().Clone().And(rangeBitmap(v.t.rows, v.lo, v.hi))
+		v.cut = rangeBitmap(v.t.rows, v.lo, v.hi)
+		if len(v.clauses) > 0 {
+			v.cut.And(v.selection())
+		}
 		return v.cut
 	}
 	return v.selection()

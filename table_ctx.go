@@ -6,13 +6,15 @@ import (
 	"slices"
 	"time"
 
+	"bpagg/internal/bitvec"
 	"bpagg/internal/core"
 	"bpagg/internal/parallel"
 )
 
 // A part's engine: the scalar aggregate as a value (aggCall), the one
-// function that answers it on a part's view and chooses its engine (eval),
-// and the per-part partition's aggregates the store's Grouped merges.
+// body that answers it on a part's view on the filter its plan chose
+// (eval), and the per-part partition's aggregates the store's Grouped
+// merges.
 // Unknown column names — the one untrusted input this layer sees — come
 // back as errors instead of panics, and every aggregate accepts a
 // context.
@@ -28,9 +30,9 @@ func (t *Table) ColumnErr(name string) (*Column, error) {
 }
 
 // aggOp names a scalar aggregate. The order is load-bearing: the ops up
-// to opAvg are additive (their partials merge by 128-bit addition, the
-// rest as extremes), and the ops up to opMax are the ones the range index
-// can serve.
+// to opSumCount are additive (their partials merge by 128-bit addition,
+// the rest as extremes), the ops up to opMax are the ones the range index
+// can serve, and the ops from opMedian on are ranks.
 type aggOp uint8
 
 const (
@@ -38,7 +40,6 @@ const (
 	opCount
 	opSum
 	opSumCount
-	opAvg
 	opMin
 	opMax
 	opMedian
@@ -97,6 +98,10 @@ func avgOf(sum, cnt uint64, err error) (float64, bool, error) {
 	return float64(sum) / float64(cnt), true, nil
 }
 
+// isRank reports whether the call is an order statistic: one radix
+// descent over every live part's candidates, not a merge of partials.
+func (c aggCall) isRank() bool { return c.op >= opMedian }
+
 // rankOf maps the selected non-NULL count to the wanted 1-based rank.
 func (c aggCall) rankOf(u uint64) (uint64, bool) {
 	switch c.op {
@@ -108,107 +113,57 @@ func (c aggCall) rankOf(u uint64) (uint64, bool) {
 	return c.rank, true
 }
 
-// eval answers one scalar aggregate by the engine its statement's plan
-// chose (DESIGN.md §7): a filter-free range over an indexed column reads
-// the prefix-sum index; a fused statement runs the fused scan→aggregate
-// pass; everything else runs the two-phase kernels on the view's
-// selection. The three are bit-identical. A rank has no index form: it is
-// one radix descent over the candidates the same choice of filter selects
-// (rankFilter). Unknown columns and out-of-range quantiles are errors, not
-// panics. The call travels by pointer: a multi-shard fan-out runs this
-// path on a fresh goroutine stack, and five words less per frame keep an
-// index-served aggregate from growing it (+1 µs per statement when it
-// does).
-func (v *flatView) eval(ctx context.Context, c *aggCall) (partial, error) {
-	ctx = orBackground(ctx)
+// eval is a part's one engine body (DESIGN.md §7) for every call the
+// index does not serve: it builds the view's filter for c's column once,
+// in the form the plan chose, and hands it to c's driver — a rank's to
+// FilterRankPart, whose candidates r receives for the store's one
+// descent. The forms are bit-identical. The bitmap form keeps the Column
+// aggregates' handling: the access method (Access), a popcount COUNT and
+// no kernel for MIN/MAX over no rows. The call travels by pointer, and the
+// index route stays in visit: a multi-shard fan-out runs this path on a
+// fresh goroutine stack, where a larger frame on an index-served
+// aggregate's path grows it (+1 µs per statement when it does).
+func (v *flatView) eval(ctx context.Context, c *aggCall, r *parallel.RankPart) (p partial, err error) {
 	var col *Column
 	if c.op != opCountRows {
-		var err error
-		if col, err = v.t.ColumnErr(c.column); err != nil {
-			return partial{}, err
-		}
+		col = v.t.cols[c.column]
 	}
-	if c.op == opQuantile {
-		if err := checkQuantile(c.quantile); err != nil {
-			return partial{}, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return partial{}, err
-	}
+	o := execOptions(v.execs)
+	src, eff := v.filter(col)
 	switch {
-	case c.op >= opMedian:
-		var p partial
-		var err error
-		p.lo, p.ok, err = col.rank(ctx, v.rankFilter(col), execOptions(v.execs).par, c.rankOf)
-		return p, err
-	case v.ranged:
-		if p, ok := v.evalIndex(c); ok {
-			return p, nil
-		}
-	case v.fused:
-		return v.evalFused(ctx, c, col, execOptions(v.execs))
-	}
-	return v.evalSelection(ctx, c, col, v.selected())
-}
-
-// rankFilter is the filter eval feeds a rank over col: the clauses'
-// predicate conjunction when the statement fuses, else the view's
-// selection without col's NULL rows. The access method picks neither the
-// filter nor the descent.
-func (v *flatView) rankFilter(col *Column) core.Filter {
-	if v.fused {
-		return core.Preds(v.fusedPlan())
-	}
-	return core.Bits(col.effective(v.selected()))
-}
-
-// evalFused runs the driver of the aggregate's family fed by the clauses'
-// predicate conjunction; a COUNT runs in the first clause's column's
-// windows (every eligible column shares the window geometry).
-func (v *flatView) evalFused(ctx context.Context, c *aggCall, col *Column, o execConfig) (p partial, err error) {
-	src := core.Preds(v.fusedPlan())
-	switch {
-	case c.op <= opCount:
+	case c.isRank():
+		*r, err = parallel.FilterRankPart(ctx, groupCol(col), src, o.par)
+	case c.op <= opCount && eff != nil:
+		p.cnt = core.Count(eff)
+	case c.op <= opCount: // fused, in the first clause's column's windows (every eligible column shares them)
 		c0 := v.clauses[0].col
 		p.cnt, err = parallel.CountCtx(ctx, src, c0.segRows(), c0.Len(), o.par)
-		err = wrapExecErr(err)
-	case c.op <= opAvg:
+	case eff != nil && col.useReconstruct(eff, o):
+		p, err = col.reconstruct(ctx, c.op, eff, o)
+	case c.op <= opSumCount:
 		p.lo, p.cnt, err = col.sum(ctx, src, o)
 		p.hi, p.lo, err = sum128(p.lo, err)
-	default:
+	case eff == nil || eff.Any():
 		p.lo, p.cnt, err = col.extreme(ctx, src, o, c.op == opMin)
 		p.ok = p.cnt > 0
 	}
-	return p, err
+	return p, wrapExecErr(err)
 }
 
-// evalSelection runs the two-phase Column aggregate on a materialized
-// selection. AVG counts first and sums only a non-empty selection, so it
-// records what Column.AvgContext records.
-func (v *flatView) evalSelection(ctx context.Context, c *aggCall, col *Column, sel *Bitmap) (p partial, err error) {
-	switch c.op {
-	case opCountRows:
-		p.cnt = uint64(sel.Count())
-	case opCount:
-		p.cnt, err = col.CountContext(ctx, sel)
-	case opSum:
-		p.lo, err = col.SumContext(ctx, sel, v.execs...)
-	case opSumCount:
-		if p.cnt, err = col.CountContext(ctx, sel); err == nil {
-			p.lo, err = col.SumContext(ctx, sel, v.execs...)
-		}
-	case opAvg:
-		p.lo, p.cnt, err = col.sumCount(ctx, sel, v.execs)
-	case opMin:
-		p.lo, p.ok, err = col.MinContext(ctx, sel, v.execs...)
-	case opMax:
-		p.lo, p.ok, err = col.MaxContext(ctx, sel, v.execs...)
+// filter is the view's filter for an aggregate over col (nil for
+// COUNT(*)) in the form the plan chose: the clauses' predicate
+// conjunction when the statement fuses; else the view's selection
+// without col's NULL rows, as a bitmap, which is also returned.
+func (v *flatView) filter(col *Column) (core.Filter, *bitvec.Bitmap) {
+	if v.fused {
+		return core.Preds(v.fusedPlan()), nil
 	}
-	if c.op <= opAvg {
-		p.hi, p.lo, err = sum128(p.lo, err)
+	sel := v.selected()
+	eff := sel.b
+	if col != nil {
+		eff = col.effective(sel)
 	}
-	return p, err
+	return core.Bits(eff), eff
 }
 
 // counts returns each group's row count, honoring ctx between groups, and

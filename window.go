@@ -33,11 +33,12 @@ type ShardedWindowQuery struct {
 }
 
 // sweep asks agg of every window in turn, through one range view moved
-// from window to window; oks[i] is agg's presence flag for window i. The
-// aggregate's column resolves once, before the first window, so an
-// unknown one is an error even when there is none. The window end is
-// clamped here, for every aggregate: a size past the rows that remain is
-// the rows that remain, so start+size cannot wrap.
+// from window to window, into result slices sized up front; oks[i] is
+// agg's presence flag for window i. The aggregate's column resolves once,
+// before the first window, so an unknown one is an error even when there
+// is none. The window end is clamped here, for every aggregate: a size
+// past the rows that remain is the rows that remain, so start+size cannot
+// wrap.
 func sweep[T any](w *ShardedWindowQuery, column string, agg func(view *ShardedRangeQuery) (T, bool, error)) ([]T, []bool, error) {
 	if column != "" {
 		if _, err := w.q.st.specErr(column); err != nil {
@@ -47,14 +48,18 @@ func sweep[T any](w *ShardedWindowQuery, column string, agg func(view *ShardedRa
 	view := w.q.Range(0, 0)
 	rows, ep := view.visible()
 	view.ep = ep
-	out, oks := []T{}, []bool{}
-	for b := 0; b < rows; b += w.step {
+	n := 0
+	if rows > 0 {
+		n = (rows-1)/w.step + 1 // (rows+step-1)/step, which could wrap
+	}
+	out, oks := make([]T, n), make([]bool, n)
+	for i := range n {
+		b := i * w.step
 		view.lo, view.hi = b, b+min(w.size, rows-b)
-		v, ok, err := agg(view)
-		if err != nil {
+		var err error
+		if out[i], oks[i], err = agg(view); err != nil {
 			return nil, nil, err
 		}
-		out, oks = append(out, v), append(oks, ok)
 	}
 	return out, oks, nil
 }
