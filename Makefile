@@ -10,9 +10,16 @@ test:
 
 # examples runs every examples/* program: each drives the public facade
 # (Table.Query, Where, Median, Window, ...) end to end, and a non-zero exit
-# — a panic exits 2 — fails the target.
+# — a panic exits 2 — fails the target. It then drives the cmd/bpagg CLI
+# the same way: a three-row CSV through `load`, and one SELECT through
+# `query -stats`, in a temporary directory.
 examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d" > /dev/null || exit 1; done
+	@echo "== cmd/bpagg"; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	printf 'price,qty,region\n1.50,3,EU\n2.25,7,US\n0.75,1,EU\n' > "$$tmp/t.csv" && \
+	$(GO) build -o "$$tmp/bpagg" ./cmd/bpagg && \
+	"$$tmp/bpagg" load -csv "$$tmp/t.csv" -schema 'price:decimal(2,1000),qty:uint(4):hbp,region:string' -out "$$tmp/t.bpag" && \
+	"$$tmp/bpagg" query -table "$$tmp/t.bpag" -stats "SELECT SUM(price), MEDIAN(qty) WHERE qty < 5 GROUP BY region"
 
 vet:
 	$(GO) vet ./...

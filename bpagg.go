@@ -149,14 +149,6 @@ func (c *Column) Len() int {
 	return c.h.Len()
 }
 
-// sumOverflowPossible reports whether SUM over any selection of this
-// column could exceed uint64 (DESIGN.md §7): when true, SUM and AVG run
-// on the checked 128-bit kernels and report a true overflow as
-// *OverflowError instead of wrapping.
-func (c *Column) sumOverflowPossible() bool {
-	return core.SumOverflowPossible(c.k, c.Len())
-}
-
 // fits reports whether v is representable in the column's BitWidth bits —
 // the same bound the layout Append enforces with a panic.
 func (c *Column) fits(v uint64) bool {
@@ -380,13 +372,12 @@ func (c *Column) checkSel(sel *Bitmap) {
 }
 
 // ExecOption configures aggregate execution: the paper's §IV-B
-// multi-threading knob (Parallel) plus the §III access-method choice
-// (Access) and statistics collection (CollectStats). It is a small value,
-// so a list of options resolves without allocating; the zero ExecOption
-// changes nothing.
+// multi-threading knob (Parallel) and statistics collection
+// (CollectStats). It is a small value, so a list of options resolves
+// without allocating; the zero ExecOption changes nothing.
 type ExecOption struct {
 	kind  optKind
-	n     int             // Parallel's goroutine count or Access's method
+	n     int             // Parallel's goroutine count
 	stats *StatsCollector // CollectStats's collector
 }
 
@@ -394,31 +385,23 @@ type optKind uint8
 
 const (
 	optParallel optKind = iota + 1
-	optAccess
 	optStats
 )
-
-// execConfig is the resolved option bag of one aggregate call.
-type execConfig struct {
-	par    parallel.Options
-	access AccessMethod
-}
 
 // Parallel partitions the work across n goroutines.
 func Parallel(n int) ExecOption {
 	return ExecOption{kind: optParallel, n: n}
 }
 
-func execOptions(opts []ExecOption) execConfig {
-	var c execConfig
+// execOptions resolves an option list into the drivers' options.
+func execOptions(opts []ExecOption) parallel.Options {
+	var c parallel.Options
 	for _, o := range opts {
 		switch o.kind {
 		case optParallel:
-			c.par.Threads = o.n
-		case optAccess:
-			c.access = AccessMethod(o.n)
+			c.Threads = o.n
 		case optStats:
-			c.par.Stats = o.stats
+			c.Stats = o.stats
 		}
 	}
 	return c

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"bpagg/internal/parallel"
 )
 
 func TestLayoutString(t *testing.T) {
@@ -138,12 +140,12 @@ func TestExecOptionsAgree(t *testing.T) {
 // TestExecOptionsAllocFree pins that resolving an option list allocates
 // nothing: every aggregate call, query eval and fan-out resolves one.
 func TestExecOptionsAllocFree(t *testing.T) {
-	opts := []ExecOption{Parallel(4), Access(Auto), CollectStats(NewStatsCollector())}
-	var c execConfig
+	opts := []ExecOption{Parallel(4), CollectStats(NewStatsCollector())}
+	var c parallel.Options
 	if allocs := testing.AllocsPerRun(100, func() { c = execOptions(opts) }); allocs != 0 {
 		t.Fatalf("execOptions allocates %v times per call, want 0", allocs)
 	}
-	if c.par.Threads != 4 || c.access != Auto || c.par.Stats == nil {
+	if c.Threads != 4 || c.Stats == nil {
 		t.Fatalf("execOptions resolved %+v", c)
 	}
 }

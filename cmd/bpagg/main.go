@@ -147,7 +147,6 @@ func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	table := fs.String("table", "", "packed .bpag table")
 	threads := fs.Int("threads", 1, "worker goroutines for aggregation")
-	auto := fs.Bool("auto", true, "pick bit-parallel vs reconstruction per query selectivity")
 	timeout := fs.Duration("timeout", 0, "per-query deadline (0 = none)")
 	stats := fs.Bool("stats", false, "print per-query execution statistics after each result")
 	httpAddr := fs.String("http", "", "serve /debug/pprof (profiles and execution traces) on this address, e.g. localhost:6060")
@@ -169,7 +168,7 @@ func cmdQuery(args []string) error {
 		}()
 		fmt.Fprintf(os.Stderr, "bpagg: pprof at http://%s/debug/pprof/\n", *httpAddr)
 	}
-	opts := sqlmini.ExecOptions{Threads: *threads, Auto: *auto}
+	opts := sqlmini.ExecOptions{Threads: *threads}
 	if *stats {
 		opts.Stats = bpagg.NewStatsCollector()
 	}
@@ -258,9 +257,9 @@ func printStats(es bpagg.ExecStats) {
 	fmt.Printf("stats: scans=%d segments=%d pruned_all=%d pruned_none=%d (pruned %.1f%%) words_compared=%d scan_time=%v\n",
 		es.Scans, es.SegmentsScanned, es.SegmentsPrunedAll, es.SegmentsPrunedNone,
 		100*es.PruneRatio(), es.WordsCompared, es.ScanTime().Round(time.Microsecond))
-	fmt.Printf("stats: aggregates=%d segments=%d words_touched=%d radix_rounds=%d reconstructed=%d busy=%v agg_time=%v\n",
+	fmt.Printf("stats: aggregates=%d segments=%d words_touched=%d radix_rounds=%d busy=%v agg_time=%v\n",
 		es.Aggregates, es.SegmentsAggregated, es.WordsTouched, es.RadixRounds,
-		es.ReconstructedRows, es.WorkerBusy().Round(time.Microsecond), es.AggTime().Round(time.Microsecond))
+		es.WorkerBusy().Round(time.Microsecond), es.AggTime().Round(time.Microsecond))
 }
 
 func cmdInfo(args []string) error {

@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"bpagg/internal/bitvec"
 	"bpagg/internal/core"
-	"bpagg/internal/nbp"
 	"bpagg/internal/parallel"
 )
 
@@ -107,53 +104,17 @@ func (c *Column) SumContext(ctx context.Context, sel *Bitmap, opts ...ExecOption
 	if err := c.checkSelErr(sel); err != nil {
 		return 0, err
 	}
-	return c.sumEff(orBackground(ctx), c.effective(sel), execOptions(opts))
-}
-
-// sumEff sums the column over an effective (NULL-free) selection.
-func (c *Column) sumEff(ctx context.Context, eff *bitvec.Bitmap, o execConfig) (uint64, error) {
-	if c.useReconstruct(eff, o) {
-		p, err := c.reconstruct(ctx, opSum, eff, o)
-		if p.hi != 0 {
-			return 0, &OverflowError{Hi: p.hi, Lo: p.lo}
-		}
-		return p.lo, err
-	}
-	sum, _, err := c.sum(ctx, core.Bits(eff), o)
+	sum, _, err := c.sum(orBackground(ctx), core.Bits(c.effective(sel)), execOptions(opts))
 	return sum, err
-}
-
-// reconstruct answers SUM (with its count), MIN or MAX over an effective
-// selection by the reconstruction baseline, which the access method
-// chose. It only wins on sparse selections, so the whole call is short;
-// ctx is observed at entry only.
-func (c *Column) reconstruct(ctx context.Context, op aggOp, eff *bitvec.Bitmap, o execConfig) (p partial, err error) {
-	if err := ctx.Err(); err != nil {
-		return p, err
-	}
-	defer recordReconstruct(o.par.Stats, eff, time.Now())
-	src, no := c.nbpSource(), nbpOptions(o)
-	switch {
-	case op == opMin:
-		p.lo, p.ok = nbp.MinOpt(src, eff, no)
-	case op == opMax:
-		p.lo, p.ok = nbp.MaxOpt(src, eff, no)
-	case c.sumOverflowPossible():
-		p.hi, p.lo = nbp.Sum128(src, eff)
-		p.cnt = core.Count(eff)
-	default:
-		p.lo, p.cnt = nbp.SumOpt(src, eff, no), core.Count(eff)
-	}
-	return p, nil
 }
 
 // sum runs the SUM driver of the column's layout: SUM and COUNT of the
 // rows src selects, a fused predicate conjunction or a two-phase bitmap.
-func (c *Column) sum(ctx context.Context, src core.Filter, o execConfig) (sum, cnt uint64, err error) {
+func (c *Column) sum(ctx context.Context, src core.Filter, o parallel.Options) (sum, cnt uint64, err error) {
 	if c.layout == VBP {
-		sum, cnt, err = parallel.VBPSumFilterCtx(ctx, c.v, src, o.par)
+		sum, cnt, err = parallel.VBPSumFilterCtx(ctx, c.v, src, o)
 	} else {
-		sum, cnt, err = parallel.HBPSumFilterCtx(ctx, c.h, src, o.par)
+		sum, cnt, err = parallel.HBPSumFilterCtx(ctx, c.h, src, o)
 	}
 	return sum, cnt, wrapExecErr(err)
 }
@@ -176,31 +137,22 @@ func (c *Column) extremeContext(ctx context.Context, sel *Bitmap, opts []ExecOpt
 		return 0, false, err
 	}
 	o, eff := execOptions(opts), c.effective(sel)
-	var p partial
-	var err error
-	switch {
-	case c.useReconstruct(eff, o):
-		op := opMax
-		if wantMin {
-			op = opMin
-		}
-		p, err = c.reconstruct(ctx, op, eff, o)
-	case eff.Any(): // else no extreme, and nothing runs or records
-		p.lo, p.cnt, err = c.extreme(ctx, core.Bits(eff), o, wantMin)
-		p.ok = p.cnt > 0
+	if !eff.Any() { // no extreme, and nothing runs or records
+		return 0, false, nil
 	}
-	return p.lo, p.ok, err
+	v, cnt, err := c.extreme(ctx, core.Bits(eff), o, wantMin)
+	return v, cnt > 0, err
 }
 
 // extreme runs the MIN (wantMin) or MAX driver of the column's layout over
 // the rows src selects, which skips the windows whose zone cannot beat
 // their prune block's extreme; cnt is > 0 iff anything matched, and is not
 // the selected count.
-func (c *Column) extreme(ctx context.Context, src core.Filter, o execConfig, wantMin bool) (v, cnt uint64, err error) {
+func (c *Column) extreme(ctx context.Context, src core.Filter, o parallel.Options, wantMin bool) (v, cnt uint64, err error) {
 	if c.layout == VBP {
-		v, cnt, err = parallel.VBPExtremeFilterCtx(ctx, c.v, src, o.par, wantMin)
+		v, cnt, err = parallel.VBPExtremeFilterCtx(ctx, c.v, src, o, wantMin)
 	} else {
-		v, cnt, err = parallel.HBPExtremeFilterCtx(ctx, c.h, src, o.par, wantMin)
+		v, cnt, err = parallel.HBPExtremeFilterCtx(ctx, c.h, src, o, wantMin)
 	}
 	return v, cnt, wrapExecErr(err)
 }
@@ -212,18 +164,16 @@ func (c *Column) AvgContext(ctx context.Context, sel *Bitmap, opts ...ExecOption
 }
 
 // sumCount is SUM with the selected non-NULL count AVG divides it by. The
-// bit-parallel kernels are not run (and nothing records) over an empty
-// selection; the reconstruction baseline is its own one short call either
-// way.
+// kernels are not run (and nothing records) over an empty selection.
 func (c *Column) sumCount(ctx context.Context, sel *Bitmap, opts []ExecOption) (sum, cnt uint64, err error) {
 	if err := c.checkSelErr(sel); err != nil {
 		return 0, 0, err
 	}
 	o, eff := execOptions(opts), c.effective(sel)
-	if cnt = core.Count(eff); cnt == 0 && !c.useReconstruct(eff, o) {
+	if cnt = core.Count(eff); cnt == 0 {
 		return 0, 0, nil
 	}
-	sum, err = c.sumEff(orBackground(ctx), eff, o)
+	sum, _, err = c.sum(orBackground(ctx), core.Bits(eff), o)
 	return sum, cnt, err
 }
 
@@ -252,9 +202,8 @@ func (c *Column) QuantileContext(ctx context.Context, sel *Bitmap, q float64, op
 }
 
 // rankContext answers the rank rankOf picks from the selected non-NULL
-// count: by reconstruction when the access method says so, else in one
-// radix descent. A count rankOf refuses returns before anything runs or
-// records, and so does a rank past the count on the descent.
+// count in one radix descent. A count rankOf refuses returns before
+// anything runs or records, and so does a rank past the count.
 func (c *Column) rankContext(ctx context.Context, sel *Bitmap, opts []ExecOption, rankOf func(u uint64) (uint64, bool)) (uint64, bool, error) {
 	ctx = orBackground(ctx)
 	if err := c.checkSelErr(sel); err != nil {
@@ -266,18 +215,10 @@ func (c *Column) rankContext(ctx context.Context, sel *Bitmap, opts []ExecOption
 	if !want {
 		return 0, false, nil
 	}
-	if c.useReconstruct(eff, o) {
-		if err := ctx.Err(); err != nil {
-			return 0, false, err
-		}
-		defer recordReconstruct(o.par.Stats, eff, time.Now())
-		v, ok := nbp.RankOpt(c.nbpSource(), eff, r, nbpOptions(o))
-		return v, ok, nil
-	}
 	if r == 0 || r > u {
 		return 0, false, nil
 	}
-	return c.rank(ctx, core.Bits(eff), o.par, rankOf)
+	return c.rank(ctx, core.Bits(eff), o, rankOf)
 }
 
 // rank answers one order statistic of the rows src selects in one radix

@@ -70,6 +70,7 @@ func TestEvalRoutes(t *testing.T) {
 		pass              func(i int) bool
 		clauses           uint64
 		materialize       bool
+		threads           int
 		unranged, inRange string
 	}{
 		{name: "no filter", column: "v",
@@ -96,6 +97,15 @@ func TestEvalRoutes(t *testing.T) {
 		{name: "materialized selection", column: "v", materialize: true,
 			filter: func(q *Query) { q.Where("a", Less(2000)) }, pass: func(i int) bool { return ref["a"].Vals[i] < 2000 },
 			unranged: "TTTTTTTTT", inRange: "TTTTTTTTT"},
+		// About 0.3 % of the rows, on four workers, over the VBP column
+		// with NULLs and over the HBP one: a sliver of a selection still
+		// runs the bit-parallel kernels, and answers as the oracle does.
+		{name: "sparse materialized selection, NULLs, Parallel(4)", column: "n", materialize: true, threads: 4,
+			filter: func(q *Query) { q.Where("a", Less(13)) }, pass: func(i int) bool { return ref["a"].Vals[i] < 13 },
+			unranged: "TTTTTTTTT", inRange: "TTTTTTTTT"},
+		{name: "sparse materialized selection, HBP, Parallel(4)", column: "h", materialize: true, threads: 4,
+			filter: func(q *Query) { q.Where("a", Less(13)) }, pass: func(i int) bool { return ref["a"].Vals[i] < 13 },
+			unranged: "TTTTTTTTT", inRange: "TTTTTTTTT"},
 	} {
 		for _, ranged := range []bool{false, true} {
 			routes := kind.unranged
@@ -110,6 +120,9 @@ func TestEvalRoutes(t *testing.T) {
 			for op := opCountRows; op <= opQuantile; op++ {
 				id := fmt.Sprintf("%s/ranged=%v/op=%d", kind.name, ranged, op)
 				q := tbl.Query().WithStats()
+				if kind.threads > 0 {
+					q.With(Parallel(kind.threads))
+				}
 				if kind.filter != nil {
 					kind.filter(q)
 				}

@@ -109,25 +109,6 @@ func ExampleColumn_AppendNull() {
 	// sum: 30
 }
 
-// The paper frames bit-parallel aggregation as an access method the
-// optimizer picks for non-selective queries; Access(Auto) makes that
-// choice per call from the realized selectivity.
-func ExampleAccess() {
-	vals := make([]uint64, 10000)
-	for i := range vals {
-		vals[i] = uint64(i % 256)
-	}
-	col := bpagg.FromValues(bpagg.HBP, 8, vals)
-
-	needle := col.Scan(bpagg.Equal(7)) // ~0.4% selected: Auto reconstructs
-	dense := col.Scan(bpagg.Less(128)) // 50% selected: Auto goes bit-parallel
-	fmt.Println(col.Sum(needle, bpagg.Access(bpagg.Auto)))
-	fmt.Println(col.Sum(dense, bpagg.Access(bpagg.Auto)))
-	// Output:
-	// 280
-	// 317112
-}
-
 // Aggregation accelerates with goroutines — the multi-threading axis of
 // the paper's §IV-B.
 func ExampleParallel() {

@@ -77,9 +77,8 @@ var ErrGroupCardinality = core.ErrGroupCardinality
 // goes, and reads the filter the plan chose: when it keeps the run list
 // (for a library GroupBy, named nil, or a named rank), the view's
 // selection as a bitmap, which the list's words then carry; else the
-// clauses' predicates when the plan fuses the pass, or that bitmap. The
-// access pin does not apply, here or to the grouped aggregates (see
-// Access). A key count past the budget is ErrGroupCardinality.
+// clauses' predicates when the plan fuses the pass, or that bitmap. A key
+// count past the budget is ErrGroupCardinality.
 func (v *flatView) groupBy(ctx context.Context, columns []string, named []aggCall) (*groupPart, error) {
 	cols := make([]*Column, len(columns))
 	for i, column := range columns {
@@ -108,7 +107,7 @@ func (v *flatView) groupBy(ctx context.Context, columns []string, named []aggCal
 	default:
 		pass.Filter = core.Bits(v.groupBits(cols))
 	}
-	hp, err := parallel.GroupPassCtx(ctx, pass, o.par)
+	hp, err := parallel.GroupPassCtx(ctx, pass, o)
 	if err != nil {
 		return nil, wrapExecErr(err)
 	}
@@ -165,4 +164,4 @@ func groupCol(col *Column) parallel.GroupCol {
 }
 
 // opts resolves the query's execution options for the grouped drivers.
-func (g *groupPart) opts() parallel.Options { return execOptions(g.q.execs).par }
+func (g *groupPart) opts() parallel.Options { return execOptions(g.q.execs) }

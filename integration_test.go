@@ -50,7 +50,6 @@ func TestLargePipeline(t *testing.T) {
 	g := tbl.Query().
 		Where("price", Less(1<<19)).
 		Where("qty", GreaterEq(10)).
-		With(Access(Auto)).
 		GroupBy("region")
 	sums := g.Sum("price")
 	for i, key := range g.Keys() {

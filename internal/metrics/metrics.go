@@ -46,7 +46,7 @@ import (
 // Aggregate counters (incremented by the aggregation drivers):
 //
 //   - Aggregates: driver invocations (one per SUM/MIN/MAX/MEDIAN/... call
-//     that reaches a kernel, including the reconstruction baseline).
+//     that reaches a kernel).
 //   - SegmentsAggregated: segments with at least one selected tuple that
 //     a kernel processed.
 //   - WordsTouched: packed column words a kernel had to read. This is
@@ -69,8 +69,6 @@ import (
 //   - RangeFringeWords: packed words touched by the masked fringe
 //     kernels on a range's two partial boundary segments — the entire
 //     word cost of an index-served range aggregate.
-//   - ReconstructedRows: rows materialized by the NBP reconstruction
-//     baseline when the optimizer picks it over the bit-parallel path.
 //   - GroupsDiscovered: distinct group keys found by a GROUP BY
 //     partition (DESIGN.md §12).
 //   - GroupBankWords: (group, window) selection words in a GROUP BY
@@ -113,7 +111,6 @@ type ExecStats struct {
 	SegmentsBoundPruned uint64
 	SegmentsIndexServed uint64
 	RangeFringeWords    uint64
-	ReconstructedRows   uint64
 	GroupsDiscovered    uint64
 	GroupBankWords      uint64
 	HashProbes          uint64
@@ -141,7 +138,6 @@ func (s ExecStats) Add(o ExecStats) ExecStats {
 	s.SegmentsBoundPruned += o.SegmentsBoundPruned
 	s.SegmentsIndexServed += o.SegmentsIndexServed
 	s.RangeFringeWords += o.RangeFringeWords
-	s.ReconstructedRows += o.ReconstructedRows
 	s.GroupsDiscovered += o.GroupsDiscovered
 	s.GroupBankWords += o.GroupBankWords
 	s.HashProbes += o.HashProbes
@@ -171,7 +167,6 @@ func (s ExecStats) Sub(o ExecStats) ExecStats {
 	s.SegmentsBoundPruned -= o.SegmentsBoundPruned
 	s.SegmentsIndexServed -= o.SegmentsIndexServed
 	s.RangeFringeWords -= o.RangeFringeWords
-	s.ReconstructedRows -= o.ReconstructedRows
 	s.GroupsDiscovered -= o.GroupsDiscovered
 	s.GroupBankWords -= o.GroupBankWords
 	s.HashProbes -= o.HashProbes
@@ -234,7 +229,6 @@ type Collector struct {
 	segmentsBoundPruned atomic.Uint64
 	segmentsIndexServed atomic.Uint64
 	rangeFringeWords    atomic.Uint64
-	reconstructedRows   atomic.Uint64
 	groupsDiscovered    atomic.Uint64
 	groupBankWords      atomic.Uint64
 	hashProbes          atomic.Uint64
@@ -298,9 +292,6 @@ func (c *Collector) Record(s ExecStats) {
 	if s.RangeFringeWords != 0 {
 		c.rangeFringeWords.Add(s.RangeFringeWords)
 	}
-	if s.ReconstructedRows != 0 {
-		c.reconstructedRows.Add(s.ReconstructedRows)
-	}
 	if s.GroupsDiscovered != 0 {
 		c.groupsDiscovered.Add(s.GroupsDiscovered)
 	}
@@ -350,7 +341,6 @@ func (c *Collector) Snapshot() ExecStats {
 		SegmentsBoundPruned: c.segmentsBoundPruned.Load(),
 		SegmentsIndexServed: c.segmentsIndexServed.Load(),
 		RangeFringeWords:    c.rangeFringeWords.Load(),
-		ReconstructedRows:   c.reconstructedRows.Load(),
 		GroupsDiscovered:    c.groupsDiscovered.Load(),
 		GroupBankWords:      c.groupBankWords.Load(),
 		HashProbes:          c.hashProbes.Load(),
@@ -379,9 +369,9 @@ func (c *Collector) Reset() {
 	c.wordsTouched.Store(0)
 	c.radixRounds.Store(0)
 	c.segmentsCacheServed.Store(0)
+	c.segmentsBoundPruned.Store(0)
 	c.segmentsIndexServed.Store(0)
 	c.rangeFringeWords.Store(0)
-	c.reconstructedRows.Store(0)
 	c.groupsDiscovered.Store(0)
 	c.groupBankWords.Store(0)
 	c.hashProbes.Store(0)

@@ -20,9 +20,19 @@ func distinct() ExecStats {
 		SegmentsAggregated: 19,
 		WordsTouched:       23,
 		RadixRounds:        29,
-		ReconstructedRows:  31,
 		AggNanos:           37,
 		WorkerBusyNanos:    41,
+
+		SegmentsCacheServed: 43,
+		SegmentsBoundPruned: 47,
+		SegmentsIndexServed: 53,
+		RangeFringeWords:    59,
+		GroupsDiscovered:    61,
+		GroupBankWords:      67,
+		HashProbes:          71,
+		HashGrowths:         73,
+		ShardsScanned:       79,
+		ShardsPruned:        83,
 	}
 }
 

@@ -59,18 +59,6 @@ func Sum(col valueSource, f *bitvec.Bitmap) uint64 {
 	return sum
 }
 
-// Sum128 aggregates SUM into a 128-bit accumulator — the checked twin of
-// Sum, used when the column is wide or long enough that the true total
-// could exceed uint64 (hi != 0 then signals overflow to the caller).
-func Sum128(col valueSource, f *bitvec.Bitmap) (hi, lo uint64) {
-	forEachValue(col, f, func(v uint64) {
-		nl, carry := bits.Add64(lo, v, 0)
-		lo = nl
-		hi += carry
-	})
-	return hi, lo
-}
-
 // Min aggregates MIN; ok is false when no tuple passes.
 func Min(col valueSource, f *bitvec.Bitmap) (uint64, bool) {
 	var m uint64

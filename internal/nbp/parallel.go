@@ -156,15 +156,6 @@ func MedianOpt(col valueSource, f *bitvec.Bitmap, o Options) (uint64, bool) {
 	return Quickselect(vals, (uint64(len(vals))+1)/2), true
 }
 
-// RankOpt is Rank with optional multithreading.
-func RankOpt(col valueSource, f *bitvec.Bitmap, r uint64, o Options) (uint64, bool) {
-	vals := collectOpt(col, f, o)
-	if r == 0 || r > uint64(len(vals)) {
-		return 0, false
-	}
-	return Quickselect(vals, r), true
-}
-
 func collectOpt(col valueSource, f *bitvec.Bitmap, o Options) []uint64 {
 	if o.threads() == 1 {
 		return collect(col, f)

@@ -77,10 +77,10 @@ func (r *run) cells() (err error) {
 
 // routes lists the store's cells: the scalar battery (with the rank arms)
 // and, at the primary count, the statement of every scalar aggregate; the
-// two-phase and reconstruction routes over a table's materialized
-// selection; the Range probes and Window shapes; the grouped battery and
-// the grouped Ok arms, and at the primary count the grouped battery over
-// a one-part store's materialized selection; and SQL. A secondary thread
+// two-phase route over a table's materialized selection; the Range probes
+// and Window shapes; the grouped battery and the grouped Ok arms, and at
+// the primary count the grouped battery over a one-part store's
+// materialized selection; and SQL. A secondary thread
 // count reruns a subset: thread sensitivity lives in the kernels the
 // primary count already swept probe by probe.
 func (r *run) routes() []func() error {
@@ -99,11 +99,7 @@ func (r *run) routes() []func() error {
 		add(func() error {
 			opts := []bpagg.ExecOption{bpagg.Parallel(r.th)}
 			sel, col := r.storeQuery().Selection(), r.s.flat.Column("a")
-			err := r.scalars("twophase", columnAggs(col, sel, opts, true), &x.whole.all, true, true)
-			if err == nil && r.first {
-				err = r.scalars("recon", columnAggs(col, sel, append(opts, bpagg.Access(bpagg.Reconstruct)), false), &x.whole.all, true, true)
-			}
-			return err
+			return r.scalars("twophase", columnAggs(col, sel, opts), &x.whole.all, true, true)
 		})
 	}
 	for i, p := range r.c.Ranges {
@@ -250,12 +246,11 @@ func queryAggs(mk func() query, plain bool) aggs {
 	return a
 }
 
-// columnAggs is the battery's view of the two-phase route — or, with
-// Reconstruct among opts, the reconstruction baseline: the query's
+// columnAggs is the battery's view of the two-phase route: the query's
 // selection materialized once, every aggregate a *Column call over it.
-func columnAggs(col *bpagg.Column, sel *bpagg.Bitmap, opts []bpagg.ExecOption, topK bool) aggs {
+func columnAggs(col *bpagg.Column, sel *bpagg.Bitmap, opts []bpagg.ExecOption) aggs {
 	ctx := context.Background()
-	a := aggs{
+	return aggs{
 		countRows: func() (uint64, error) { return uint64(sel.Count()), nil },
 		count:     func() (uint64, error) { return col.CountContext(ctx, sel) },
 		sum:       func() (uint64, error) { return col.SumContext(ctx, sel, opts...) },
@@ -266,12 +261,9 @@ func columnAggs(col *bpagg.Column, sel *bpagg.Bitmap, opts []bpagg.ExecOption, t
 		median:    func() (opt[uint64], error) { return ok3(col.MedianContext(ctx, sel, opts...)) },
 		rank:      func(n uint64) (opt[uint64], error) { return ok3(col.RankContext(ctx, sel, n, opts...)) },
 		quantile:  func(q float64) (opt[uint64], error) { return ok3(col.QuantileContext(ctx, sel, q, opts...)) },
+		topK:      func(k int) ([]uint64, error) { return try(func() []uint64 { return col.TopK(sel, k, opts...) }) },
+		bottomK:   func(k int) ([]uint64, error) { return try(func() []uint64 { return col.BottomK(sel, k, opts...) }) },
 	}
-	if topK {
-		a.topK = func(k int) ([]uint64, error) { return try(func() []uint64 { return col.TopK(sel, k, opts...) }) }
-		a.bottomK = func(k int) ([]uint64, error) { return try(func() []uint64 { return col.BottomK(sel, k, opts...) }) }
-	}
-	return a
 }
 
 // scalars runs the scalar battery of one source against the oracle's

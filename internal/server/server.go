@@ -35,7 +35,7 @@ type Config struct {
 	// Catalog is the loaded table every query runs against. Required.
 	Catalog *catalog.Catalog
 
-	// Exec carries engine knobs (threads, auto access).
+	// Exec carries engine knobs (threads).
 	// Exec.Stats is ignored: the server wires a per-request collector.
 	Exec sqlmini.ExecOptions
 

@@ -157,26 +157,6 @@ func TestSelectOrderDoesNotChangeScans(t *testing.T) {
 	}
 }
 
-// TestAutoKeepsFusion: Auto governs two-phase aggregates only. A fusible
-// statement so selective that Auto would reconstruct its rows from a
-// bitmap fuses on every store, with the counters of a run without Auto;
-// the same filter under an aggregate that cannot fuse does reconstruct.
-func TestAutoKeepsFusion(t *testing.T) {
-	flat, sharded := pinCatalog(), pinCatalog()
-	sharded.Shard(1000)
-	where := fmt.Sprintf(" WHERE price < %d", pinLit(20, 0.01))
-	for _, cat := range []*catalog.Catalog{flat, sharded} {
-		plain := pinStats(t, cat, "SELECT SUM(price)"+where, sqlmini.ExecOptions{})
-		auto := pinStats(t, cat, "SELECT SUM(price)"+where, sqlmini.ExecOptions{Auto: true})
-		if auto.ReconstructedRows != 0 || pinOf(auto) != pinOf(plain) || auto.SegmentsCacheServed != plain.SegmentsCacheServed {
-			t.Errorf("%d shards: fusible statement under Auto recorded %+v, without %+v", cat.Store().NumShards(), auto, plain)
-		}
-		if two := pinStats(t, cat, "SELECT SUM(qty)"+where, sqlmini.ExecOptions{Auto: true}); two.ReconstructedRows == 0 {
-			t.Errorf("%d shards: two-phase statement under Auto reconstructed nothing: %+v", cat.Store().NumShards(), two)
-		}
-	}
-}
-
 // statementBytes is what one execution of sql allocates, averaged over a
 // few runs after a warm-up.
 func statementBytes(t *testing.T, cat *catalog.Catalog, sql string) uint64 {

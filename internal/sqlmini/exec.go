@@ -34,12 +34,6 @@ type Result struct {
 // ExecOptions forwards execution knobs to the aggregates.
 type ExecOptions struct {
 	Threads int
-	// Auto lets each two-phase aggregate pick between the bit-parallel
-	// kernels and the reconstruction baseline from the realized
-	// selectivity (the paper's optimizer policy). Aggregates that fuse
-	// with their scans do so regardless — there is no realized
-	// selectivity to consult before the scan.
-	Auto bool
 	// Stats, when non-nil, receives execution statistics from every scan
 	// and aggregate the query runs.
 	Stats *bpagg.StatsCollector
@@ -169,9 +163,6 @@ func buildQuery(cat *catalog.Catalog, preds []boundPred, o ExecOptions, stats *b
 	sq := cat.Store().Query().WithStatsInto(stats)
 	if o.Threads > 1 {
 		sq.With(bpagg.Parallel(o.Threads))
-	}
-	if o.Auto {
-		sq.With(bpagg.Access(bpagg.Auto))
 	}
 	for _, bp := range preds {
 		if _, err := sq.WhereErr(bp.column, bp.pred); err != nil {

@@ -245,9 +245,6 @@ func (n *PlanNode) describe(norm bool) string {
 		if n.Stats.RadixRounds > 0 {
 			add("radix_rounds=%d", n.Stats.RadixRounds)
 		}
-		if n.Stats.ReconstructedRows > 0 {
-			add("reconstructed=%d", n.Stats.ReconstructedRows)
-		}
 		add("busy=%s", dur(n.Stats.WorkerBusy()))
 	}
 	add("time=%s", dur(n.Wall))

@@ -162,7 +162,7 @@ func TestFuzzSeedsNoPanic(t *testing.T) {
 					t.Errorf("query %q panicked: %v", sql, r)
 				}
 			}()
-			if _, err := Execute(cat, q, ExecOptions{Threads: 2, Auto: true}); err != nil {
+			if _, err := Execute(cat, q, ExecOptions{Threads: 2}); err != nil {
 				t.Errorf("query %q: %v", sql, err)
 			}
 		}()

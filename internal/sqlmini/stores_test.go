@@ -26,9 +26,9 @@ import (
 // dictionary string; each statement runs through Execute on a flat-built
 // catalog and on Shard(n) twins at three shard sizes (the largest holds
 // every row in one shard) and through the bpaggd handler, at Threads 1 and
-// 3 and with Auto. Rows, headers, error text and error type must agree
-// across every store and equal the plain-slice evaluation below, which
-// knows nothing of codes, bitmaps or shards.
+// 3. Rows, headers, error text and error type must agree across every
+// store and equal the plain-slice evaluation below, which knows nothing of
+// codes, bitmaps or shards.
 
 const (
 	storesSchema = "n:uint(7):hbp, d:decimal(2,500):vbp, s:int(-40,40):hbp, r:string"
@@ -113,7 +113,7 @@ func buildStores() (storesData, []storesTarget, error) {
 		}
 		return cat, err
 	}
-	opts := []sqlmini.ExecOptions{{Threads: 1}, {Threads: 3}, {Threads: 3, Auto: true}}
+	opts := []sqlmini.ExecOptions{{Threads: 1}, {Threads: 3}}
 	var targets []storesTarget
 	for _, st := range []struct {
 		name      string
@@ -126,7 +126,7 @@ func buildStores() (storesData, []storesTarget, error) {
 		}
 		for _, o := range opts {
 			o := o
-			name := fmt.Sprintf("%s/threads=%d,auto=%v", st.name, o.Threads, o.Auto)
+			name := fmt.Sprintf("%s/threads=%d", st.name, o.Threads)
 			targets = append(targets, storesTarget{name, func(sql string) storesOutcome {
 				q, err := sqlmini.Parse(sql)
 				if err != nil {

@@ -74,7 +74,8 @@ func (inst *Instance) RunAggNBP(f *bitvec.Bitmap, o nbp.Options) []AggResult {
 // baseline beats the bit-parallel sweep for the layout (the measured
 // crossovers of EXPERIMENTS.md Figure 5). It drives RunAggAuto — the
 // paper's §III framing of bit-parallel aggregation as an access method the
-// optimizer picks for non-selective queries.
+// optimizer picks for non-selective queries — and is the only copy of
+// these thresholds: the bpagg library always runs the bit-parallel kernels.
 func AutoThreshold(layout Layout) float64 {
 	if layout == VBP {
 		return 0.02

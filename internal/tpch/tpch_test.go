@@ -62,6 +62,7 @@ func TestBPAndNBPAgreeOnEveryQuery(t *testing.T) {
 			bp := inst.RunAggBP(f, parallel.Options{})
 			bpMT := inst.RunAggBP(f, parallel.Options{Threads: 4})
 			nbpRes := inst.RunAggNBP(f, nbp.Options{Threads: 2})
+			auto := inst.RunAggAuto(f, parallel.Options{}, nbp.Options{})
 			for i := range bp {
 				if bp[i] != nbpRes[i] {
 					t.Errorf("%s %v agg %s: BP %+v, NBP %+v",
@@ -70,6 +71,10 @@ func TestBPAndNBPAgreeOnEveryQuery(t *testing.T) {
 				if bp[i] != bpMT[i] {
 					t.Errorf("%s %v agg %s: serial %+v, MT %+v",
 						q.Name, layout, q.Aggs[i].Name, bp[i], bpMT[i])
+				}
+				if bp[i] != auto[i] {
+					t.Errorf("%s %v agg %s: BP %+v, auto %+v",
+						q.Name, layout, q.Aggs[i].Name, bp[i], auto[i])
 				}
 			}
 		}

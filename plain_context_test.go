@@ -98,7 +98,7 @@ func TestPlainIsContext(t *testing.T) {
 				sel := tbl.Column("p").Scan(pc.pred)
 				short := &Bitmap{b: sel.b.Clone()}
 				short.b.Resize(sel.b.Len() - 1)
-				for _, opts := range [][]ExecOption{nil, {Parallel(4)}, {Access(Reconstruct)}} {
+				for _, opts := range [][]ExecOption{nil, {Parallel(4)}} {
 					for _, tw := range []twin{
 						{"Column.Sum", func() any { return col.Sum(sel, opts...) }, func() (any, error) { return c1(col.SumContext(ctx, sel, opts...)) }},
 						{"Column.Min", func() any { return p2(col.Min(sel, opts...)) }, func() (any, error) { return c2(col.MinContext(ctx, sel, opts...)) }},

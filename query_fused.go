@@ -34,11 +34,11 @@ func (p Predicate) fits(k int) bool {
 }
 
 // gate is the fusion gate (DESIGN.md §10): whether the state's clauses
-// and the aggregate column (nil for row counting) can run fused under the
-// given access method. It allocates nothing. fanOut.plan is its one
-// caller, for a statement's verdict.
-func gate(s *queryState, agg *Column, access AccessMethod) bool {
-	if s.sel != nil || len(s.clauses) == 0 || access == Reconstruct {
+// and the aggregate column (nil for row counting) can run fused. It
+// allocates nothing. fanOut.plan is its one caller, for a statement's
+// verdict.
+func gate(s *queryState, agg *Column) bool {
+	if s.sel != nil || len(s.clauses) == 0 {
 		return false
 	}
 	wb := 0

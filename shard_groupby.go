@@ -88,7 +88,7 @@ func (f *fanOut) groupBy(ctx context.Context, columns []string, named []aggCall)
 	p := f.plan(named, columns)
 	parts := make([]*groupPart, len(p.parts))
 	base := make([]int, len(p.parts))
-	err = f.fan(ctx, p, execOptions(f.execs).par.Threads, func(f *fanOut, ctx context.Context, slot int) (err error) {
+	err = f.fan(ctx, p, execOptions(f.execs).Threads, func(f *fanOut, ctx context.Context, slot int) (err error) {
 		v := f.view(slot)
 		base[slot] = p.parts[slot].shard * f.st.shardRows
 		parts[slot], err = v.groupBy(ctx, columns, named)

@@ -163,7 +163,7 @@ func (q *ShardedQuery) WhereErr(column string, p Predicate) (*ShardedQuery, erro
 	return q, nil
 }
 
-// With sets execution options (Parallel, Access) for the aggregates.
+// With sets execution options (Parallel, CollectStats) for the aggregates.
 // Parallel(n) governs both the shard fan-out width and each per-shard
 // query's intra-shard parallelism.
 func (q *ShardedQuery) With(opts ...ExecOption) *ShardedQuery {
@@ -261,10 +261,9 @@ func (st *ShardedTable) mayMatch(s int, cl *shardClause) bool {
 // bounds can satisfy every clause and, for a range view, that overlap the
 // range, each with its local slice of it — and the epoch a ranged plan on
 // a table-backed store pinned; then the routes. It is the one caller of
-// the fusion gate: asked once per call and live part (a rank under
-// BitParallel, its own gate), or once per live part with the first key
-// for a grouped pass. A ranged statement never fuses. The plan executes
-// and records nothing.
+// the fusion gate: asked once per call and live part, or once per live
+// part with the first key for a grouped pass. A ranged statement never
+// fuses. The plan executes and records nothing.
 func (f *fanOut) plan(calls []aggCall, keys []string) *plan {
 	st, p := f.st, &f.scratch.plan
 	p.parts, p.ep = p.parts[:0], nil
@@ -314,20 +313,15 @@ func (f *fanOut) plan(calls []aggCall, keys []string) *plan {
 	p.ranged, p.index = f.ranged, f.ranged && len(f.clauses) == 0
 	p.keep = keys != nil && (calls == nil || slices.ContainsFunc(calls, aggCall.isRank))
 	p.fused = !f.ranged && !p.keep
-	access := execOptions(f.execs).access
 	for _, part := range p.parts {
 		sq := f.shardQuery(part.shard)
 		if keys != nil {
 			nullKey := slices.ContainsFunc(keys, func(k string) bool { return sq.t.cols[k].nulls != nil })
-			p.fused = p.fused && !nullKey && (len(f.clauses) == 0 || gate(sq, sq.t.cols[keys[0]], BitParallel))
+			p.fused = p.fused && !nullKey && (len(f.clauses) == 0 || gate(sq, sq.t.cols[keys[0]]))
 			continue
 		}
 		for _, c := range calls {
-			a := access
-			if c.isRank() {
-				a = BitParallel // a rank's own gate
-			}
-			p.fused = p.fused && gate(sq, sq.t.cols[c.column], a)
+			p.fused = p.fused && gate(sq, sq.t.cols[c.column])
 		}
 	}
 	return p
@@ -400,7 +394,7 @@ func (f *fanOut) view(slot int) flatView {
 func (f *fanOut) Selection() *Bitmap {
 	p := f.plan(nil, nil)
 	sels := make([]*Bitmap, len(p.parts))
-	fusedMust(f.fan(nil, p, execOptions(f.execs).par.Threads, func(f *fanOut, _ context.Context, slot int) error {
+	fusedMust(f.fan(nil, p, execOptions(f.execs).Threads, func(f *fanOut, _ context.Context, slot int) error {
 		v := f.view(slot)
 		sels[slot] = v.selected()
 		return nil
@@ -532,7 +526,7 @@ func (st *ShardedTable) checkCall(c *aggCall) error {
 func (f *fanOut) aggs(ctx context.Context, out []AggResult) error {
 	ctx, sc := orBackground(ctx), &f.scratch
 	p := f.plan(sc.calls, nil)
-	o := execOptions(f.execs).par
+	o := execOptions(f.execs)
 	if f.stats != nil {
 		o.Stats = f.stats
 	}

@@ -10,7 +10,7 @@ import (
 
 // ExecStats is a snapshot of execution counters: scan-side segment
 // pruning and words compared, aggregate-side segments and words touched,
-// radix rounds, reconstruction fallbacks, and wall/busy timers. See
+// radix rounds, and wall/busy timers. See
 // DESIGN.md §8 for the exact meaning and increment point of every
 // counter. It is a plain value; snapshots from a StatsCollector can be
 // diffed with Sub to isolate one operation.
@@ -73,20 +73,4 @@ func (c *Column) scanSimple(p scan.Predicate, es *metrics.ExecStats) *bitvec.Bit
 		return scan.VBPStats(c.v, p, es)
 	}
 	return scan.HBPStats(c.h, p, es)
-}
-
-// recordReconstruct charges the collector for an aggregate served by the
-// NBP reconstruction baseline: one aggregate invocation that
-// materializes every selected row. Used as
-// `defer recordReconstruct(rec, eff, time.Now())` so the deferred call
-// observes the full reconstruction wall time.
-func recordReconstruct(rec *StatsCollector, eff *bitvec.Bitmap, start time.Time) {
-	if rec == nil {
-		return
-	}
-	rec.Record(metrics.ExecStats{
-		Aggregates:        1,
-		ReconstructedRows: uint64(eff.Count()),
-		AggNanos:          time.Since(start).Nanoseconds(),
-	})
 }

@@ -118,11 +118,11 @@ func (c aggCall) rankOf(u uint64) (uint64, bool) {
 // in the form the plan chose, and hands it to c's driver — a rank's to
 // FilterRankPart, whose candidates r receives for the store's one
 // descent. The forms are bit-identical. The bitmap form keeps the Column
-// aggregates' handling: the access method (Access), a popcount COUNT and
-// no kernel for MIN/MAX over no rows. The call travels by pointer, and the
-// index route stays in visit: a multi-shard fan-out runs this path on a
-// fresh goroutine stack, where a larger frame on an index-served
-// aggregate's path grows it (+1 µs per statement when it does).
+// aggregates' handling: a popcount COUNT and no kernel for MIN/MAX over no
+// rows. The call travels by pointer, and the index route stays in visit: a
+// multi-shard fan-out runs this path on a fresh goroutine stack, where a
+// larger frame on an index-served aggregate's path grows it (+1 µs per
+// statement when it does).
 func (v *flatView) eval(ctx context.Context, c *aggCall, r *parallel.RankPart) (p partial, err error) {
 	var col *Column
 	if c.op != opCountRows {
@@ -132,14 +132,12 @@ func (v *flatView) eval(ctx context.Context, c *aggCall, r *parallel.RankPart) (
 	src, eff := v.filter(col)
 	switch {
 	case c.isRank():
-		*r, err = parallel.FilterRankPart(ctx, groupCol(col), src, o.par)
+		*r, err = parallel.FilterRankPart(ctx, groupCol(col), src, o)
 	case c.op <= opCount && eff != nil:
 		p.cnt = core.Count(eff)
 	case c.op <= opCount: // fused, in the first clause's column's windows (every eligible column shares them)
 		c0 := v.clauses[0].col
-		p.cnt, err = parallel.CountCtx(ctx, src, c0.segRows(), c0.Len(), o.par)
-	case eff != nil && col.useReconstruct(eff, o):
-		p, err = col.reconstruct(ctx, c.op, eff, o)
+		p.cnt, err = parallel.CountCtx(ctx, src, c0.segRows(), c0.Len(), o)
 	case c.op <= opSumCount:
 		p.lo, p.cnt, err = col.sum(ctx, src, o)
 		p.hi, p.lo, err = sum128(p.lo, err)
