@@ -51,7 +51,7 @@ server-race:
 # one oracle fuzz target (FuzzOracleEquivalence, sharded seeds included),
 # and the sqlmini executor, which runs every statement against the store.
 shard-race:
-	$(GO) test -race -run 'Shard|Range|Window|FanOut|EvalRoutes|TwinMethodSets|Rownum|Store|GenerativeQueries|SQLCounterPin|ExecuteShared|OracleEquivalence' -count=1 ./...
+	$(GO) test -race -run 'Append|Shard|Range|Window|FanOut|EvalRoutes|TwinMethodSets|Rownum|Store|GenerativeQueries|SQLCounterPin|ExecuteShared|OracleEquivalence' -count=1 ./...
 
 # bench-harness vets and tests the repo benchmark (benchmark/ is its own
 # module, so the targets above do not see it): an internal/* signature

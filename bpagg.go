@@ -155,15 +155,6 @@ func (c *Column) fits(v uint64) bool {
 	return c.k >= 64 || v>>uint(c.k) == 0
 }
 
-// checkFits panics if v does not fit the column, naming the column. Table
-// appends call it on every value before mutating anything, so a width
-// violation can never tear a multi-column append.
-func (c *Column) checkFits(name string, v uint64) {
-	if !c.fits(v) {
-		panic(fmt.Sprintf("bpagg: value %d does not fit column %q (%d bits)", v, name, c.k))
-	}
-}
-
 // Append adds values to the column. Values must fit in BitWidth bits.
 func (c *Column) Append(values ...uint64) {
 	if c.layout == VBP {

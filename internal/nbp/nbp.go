@@ -102,16 +102,6 @@ func Median(col valueSource, f *bitvec.Bitmap) (uint64, bool) {
 	return Quickselect(vals, (uint64(len(vals))+1)/2), true
 }
 
-// Rank returns the r-th smallest passing value (1-based); ok is false when
-// fewer than r tuples pass or r == 0.
-func Rank(col valueSource, f *bitvec.Bitmap, r uint64) (uint64, bool) {
-	vals := collect(col, f)
-	if r == 0 || r > uint64(len(vals)) {
-		return 0, false
-	}
-	return Quickselect(vals, r), true
-}
-
 func collect(col valueSource, f *bitvec.Bitmap) []uint64 {
 	vals := make([]uint64, 0, f.Count())
 	forEachValue(col, f, func(v uint64) { vals = append(vals, v) })

@@ -289,7 +289,7 @@ func ReadTable(r io.Reader) (*Table, error) {
 			return nil, err
 		}
 		name := string(nameBuf)
-		if _, dup := t.cols[name]; dup {
+		if t.spec(name) >= 0 {
 			return nil, fmt.Errorf("bpagg: duplicate column %q", name)
 		}
 		if rows == -1 {
@@ -297,8 +297,7 @@ func ReadTable(r io.Reader) (*Table, error) {
 		} else if col.Len() != rows {
 			return nil, fmt.Errorf("bpagg: column %q has %d rows, want %d", name, col.Len(), rows)
 		}
-		t.cols[name] = col
-		t.names = append(t.names, name)
+		t.adopt(name, col)
 	}
 	if rows > 0 {
 		t.rows = rows

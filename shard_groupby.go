@@ -146,7 +146,7 @@ func (f *fanOut) groupWidths(columns []string) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		widths[i] = f.st.specs[idx].bits
+		widths[i] = f.st.specs[idx].k
 		total += widths[i]
 	}
 	if total > 64 {

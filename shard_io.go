@@ -37,7 +37,7 @@ func (st *ShardedTable) WriteTo(w io.Writer) (int64, error) {
 		shards = nil
 	}
 	hdr := []any{
-		shardMagic, shardIOVersion, uint64(st.shardRows),
+		shardMagic, shardIOVersion, uint64(st.ShardRows()),
 		uint32(len(shards)), uint32(len(st.specs)),
 	}
 	for _, v := range hdr {
@@ -46,20 +46,15 @@ func (st *ShardedTable) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	// tau is resolved by the column constructor (defaulted or set via
-	// WithGroupBits), so read it off a shard — a throwaway one when empty.
-	probe := st.newShard()
-	if len(shards) > 0 {
-		probe = shards[0]
-	}
-	for _, sp := range st.specs {
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(sp.name))); err != nil {
+	// WithGroupBits), so read it off the schema's template column.
+	for j, sp := range st.specs {
+		if err := binary.Write(cw, binary.LittleEndian, uint32(len(st.names[j]))); err != nil {
 			return cw.n, err
 		}
-		if _, err := io.WriteString(cw, sp.name); err != nil {
+		if _, err := io.WriteString(cw, st.names[j]); err != nil {
 			return cw.n, err
 		}
-		tau := uint16(probe.Column(sp.name).GroupBits())
-		for _, v := range []any{uint8(sp.layout), uint16(sp.bits), tau} {
+		for _, v := range []any{uint8(sp.layout), uint16(sp.k), uint16(sp.GroupBits())} {
 			if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
 				return cw.n, err
 			}
@@ -70,9 +65,8 @@ func (st *ShardedTable) WriteTo(w io.Writer) (int64, error) {
 			return cw.n, err
 		}
 	}
-	for s := range shards {
-		for j := range st.specs {
-			b := st.bounds[s][j]
+	for _, sh := range shards {
+		for _, b := range sh.bounds {
 			anyFlag := uint8(0)
 			if b.any {
 				anyFlag = 1
@@ -119,16 +113,10 @@ func ReadShardedTable(r io.Reader) (*ShardedTable, error) {
 		return nil, fmt.Errorf("bpagg: implausible shard/column counts (%d, %d)", shardCount, colCount)
 	}
 
+	// The schema grows by append, not sized from the header: colCount is
+	// untrusted and every entry costs at least nine input bytes before it
+	// is stored.
 	st := NewShardedTable(int(shardRows))
-	type schemaEntry struct {
-		name   string
-		layout Layout
-		bits   int
-		tau    int
-	}
-	// Grown by append, not sized from the header: colCount is untrusted and
-	// every entry costs at least nine input bytes before it is stored.
-	var schema []schemaEntry
 	for i := uint32(0); i < colCount; i++ {
 		var nameLen uint32
 		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
@@ -156,12 +144,11 @@ func ReadShardedTable(r io.Reader) (*ShardedTable, error) {
 		if k < 1 || k > 64 || tau < 1 || tau > k || Layout(layout) == HBP && tau > hbp.MaxTau {
 			return nil, fmt.Errorf("bpagg: implausible schema widths (k=%d tau=%d)", k, tau)
 		}
-		se := schemaEntry{string(nameBuf), Layout(layout), int(k), int(tau)}
-		if _, dup := st.index[se.name]; dup {
-			return nil, fmt.Errorf("bpagg: duplicate column %q", se.name)
+		name := string(nameBuf)
+		if st.spec(name) >= 0 {
+			return nil, fmt.Errorf("bpagg: duplicate column %q", name)
 		}
-		st.AddColumn(se.name, se.layout, se.bits, WithGroupBits(se.tau))
-		schema = append(schema, se)
+		st.AddColumn(name, Layout(layout), int(k), WithGroupBits(int(tau)))
 	}
 
 	rows := 0
@@ -171,16 +158,16 @@ func ReadShardedTable(r io.Reader) (*ShardedTable, error) {
 			return nil, fmt.Errorf("bpagg: shard %d: %w", s, err)
 		}
 		names := sh.Columns()
-		if len(names) != len(schema) {
-			return nil, fmt.Errorf("bpagg: shard %d has %d columns, schema has %d", s, len(names), len(schema))
+		if len(names) != len(st.names) {
+			return nil, fmt.Errorf("bpagg: shard %d has %d columns, schema has %d", s, len(names), len(st.names))
 		}
-		for i, se := range schema {
-			if names[i] != se.name {
-				return nil, fmt.Errorf("bpagg: shard %d column %d is %q, schema says %q", s, i, names[i], se.name)
+		for i, name := range st.names {
+			if names[i] != name {
+				return nil, fmt.Errorf("bpagg: shard %d column %d is %q, schema says %q", s, i, names[i], name)
 			}
-			col := sh.Column(se.name)
-			if col.Layout() != se.layout || col.BitWidth() != se.bits || col.GroupBits() != se.tau {
-				return nil, fmt.Errorf("bpagg: shard %d column %q does not match the schema", s, se.name)
+			col, sp := sh.Column(name), st.specs[i]
+			if col.Layout() != sp.layout || col.BitWidth() != sp.k || col.GroupBits() != sp.GroupBits() {
+				return nil, fmt.Errorf("bpagg: shard %d column %q does not match the schema", s, name)
 			}
 		}
 		if s < shardCount-1 && sh.Rows() != int(shardRows) {
@@ -191,11 +178,10 @@ func ReadShardedTable(r io.Reader) (*ShardedTable, error) {
 		}
 		rows += sh.Rows()
 		st.shards = append(st.shards, sh)
-		st.bounds = append(st.bounds, computeBounds(sh))
 	}
 
 	for s := uint32(0); s < shardCount; s++ {
-		for j := range schema {
+		for j, name := range st.names {
 			var (
 				anyFlag  uint8
 				min, max uint64
@@ -208,32 +194,15 @@ func ReadShardedTable(r io.Reader) (*ShardedTable, error) {
 			if anyFlag > 1 {
 				return nil, fmt.Errorf("bpagg: bad shard catalog flag %d", anyFlag)
 			}
-			got := st.bounds[s][j]
+			got := st.shards[s].bounds[j]
 			want := shardBounds{min: min, max: max, any: anyFlag == 1}
 			if got != want {
-				return nil, fmt.Errorf("bpagg: shard %d column %q catalog bounds disagree with data", s, schema[j].name)
+				return nil, fmt.Errorf("bpagg: shard %d column %q catalog bounds disagree with data", s, name)
 			}
 		}
 	}
 	st.rows = rows
 	return st, nil
-}
-
-// computeBounds derives one shard's catalog row from its column data,
-// skipping NULLs (a scan never matches NULL, so NULL rows cannot defeat
-// pruning).
-func computeBounds(t *Table) []shardBounds {
-	names := t.Columns()
-	out := make([]shardBounds, len(names))
-	for j, name := range names {
-		col := t.Column(name)
-		all := col.All()
-		if lo, ok := col.Min(all); ok {
-			hi, _ := col.Max(all)
-			out[j] = shardBounds{min: lo, max: hi, any: true}
-		}
-	}
-	return out
 }
 
 // ReadPartitioned loads either serialization format: a sharded container
@@ -265,9 +234,9 @@ func ReadPartitioned(r io.Reader) (*ShardedTable, error) {
 
 // PartitionTable returns the table served as its one-part store — the
 // store Table.Query runs on — without copying: the table is the store's
-// only part, and the table's appends keep the store's row count and
-// catalog bounds current. Use ShardTable to split into smaller shards
-// instead.
+// only part, keeping its own catalog bounds, and every append to the
+// table goes through the store. Use ShardTable to split into smaller
+// shards instead.
 func PartitionTable(t *Table) *ShardedTable {
 	if len(t.names) == 0 {
 		panic("bpagg: cannot shard a table with no columns")

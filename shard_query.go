@@ -144,7 +144,7 @@ func (q *ShardedQuery) Where(column string, p Predicate) *ShardedQuery {
 	if idx < 0 {
 		panic(fmt.Sprintf("bpagg: unknown column %q", column))
 	}
-	checkPredFits(p, q.st.specs[idx].bits)
+	checkPredFits(p, q.st.specs[idx].k)
 	q.clauses = append(q.clauses, shardClause{name: column, col: idx, pred: p})
 	return q
 }
@@ -156,8 +156,8 @@ func (q *ShardedQuery) WhereErr(column string, p Predicate) (*ShardedQuery, erro
 	if err != nil {
 		return nil, err
 	}
-	if !p.fits(q.st.specs[idx].bits) {
-		return nil, fmt.Errorf("bpagg: predicate constant does not fit in %d bits", q.st.specs[idx].bits)
+	if !p.fits(q.st.specs[idx].k) {
+		return nil, fmt.Errorf("bpagg: predicate constant does not fit in %d bits", q.st.specs[idx].k)
 	}
 	q.clauses = append(q.clauses, shardClause{name: column, col: idx, pred: p})
 	return q, nil
@@ -250,7 +250,7 @@ func (st *ShardedTable) specErr(column string) (int, error) {
 // column with no non-NULL value in the shard prunes it for any predicate,
 // since a scan never matches NULL.
 func (st *ShardedTable) mayMatch(s int, cl *shardClause) bool {
-	b := st.bounds[s][cl.col]
+	b := st.shards[s].bounds[cl.col]
 	return b.any && cl.pred.mayMatch(b.min, b.max)
 }
 
@@ -332,14 +332,13 @@ func (f *fanOut) plan(calls []aggCall, keys []string) *plan {
 // the view carries one — so the plan reads no row count an append is
 // writing; on a sharded store, its committed rows and no epoch.
 func (f *fanOut) visible() (int, *tableEpoch) {
-	t := f.st.flat
 	switch {
-	case t == nil:
+	case f.st.shardRows != onePart:
 		return f.st.rows, nil
 	case f.ep != nil:
 		return f.ep.rows, f.ep
 	}
-	ep := t.pinEpoch()
+	ep := f.st.shards[0].pinEpoch()
 	return ep.rows, ep
 }
 

@@ -3,8 +3,11 @@ package bpagg
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -102,23 +105,192 @@ func TestAppendColumnarAtomicOnBadValue(t *testing.T) {
 	}
 }
 
-func TestShardedAppendAtomic(t *testing.T) {
-	st := NewShardedTable(4)
-	st.AddColumn("a", VBP, 8)
-	st.AddColumn("b", HBP, 4)
-	st.AppendColumnar(map[string][]uint64{"a": {1, 2, 3, 4, 5}, "b": {1, 2, 3, 0, 1}})
-	rows, shards := st.Rows(), st.NumShards()
-
-	mustPanic(t, func() { st.AppendRow(map[string]uint64{"a": 1, "b": 16}) })
-	mustPanic(t, func() { st.AppendColumnar(map[string][]uint64{"a": {1, 300}, "b": {0, 0}}) })
-	mustPanic(t, func() { st.AppendColumnar(map[string][]uint64{"a": {1}, "b": {0, 0}}) })
-	if st.Rows() != rows || st.NumShards() != shards {
-		t.Fatalf("failed sharded append mutated the store: rows %d→%d, shards %d→%d",
-			rows, st.Rows(), shards, st.NumShards())
-	}
+// partsState renders every part's row count and catalog bounds.
+func partsState(st *ShardedTable) string {
+	var b strings.Builder
 	for s, sh := range st.shards {
-		if _, lens := tableState(sh); lens[0] != lens[1] {
-			t.Fatalf("shard %d torn: column lengths %v", s, lens)
+		fmt.Fprintf(&b, "%d:%d%v ", s, sh.Rows(), partBounds(st, s))
+	}
+	return b.String()
+}
+
+// partBounds returns part s's catalog bounds, one cell per column.
+func partBounds(st *ShardedTable, s int) []shardBounds { return st.shards[s].bounds }
+
+// TestShardedAppendAtomic: a rejected load changes nothing on a sharded
+// store or on a table's one-part store — not the row count, the part
+// count, any part's rows or catalog bounds — and tears no part.
+func TestShardedAppendAtomic(t *testing.T) {
+	flat := NewTable()
+	flat.AddColumn("a", VBP, 8)
+	flat.AddColumn("b", HBP, 4)
+	sharded := NewShardedTable(4)
+	sharded.AddColumn("a", VBP, 8)
+	sharded.AddColumn("b", HBP, 4)
+	for _, st := range []*ShardedTable{sharded, PartitionTable(flat)} {
+		st.AppendColumnar(map[string][]uint64{"a": {1, 2, 3, 4, 5}, "b": {1, 2, 3, 0, 1}})
+		rows, shards, parts := st.Rows(), st.NumShards(), partsState(st)
+
+		mustPanic(t, func() { st.AppendRow(map[string]uint64{"a": 1, "b": 16}) })
+		mustPanic(t, func() { st.AppendColumnar(map[string][]uint64{"a": {1, 300}, "b": {0, 0}}) })
+		mustPanic(t, func() { st.AppendColumnar(map[string][]uint64{"a": {1}, "b": {0, 0}}) })
+		if st.Rows() != rows || st.NumShards() != shards {
+			t.Fatalf("failed sharded append mutated the store: rows %d→%d, shards %d→%d",
+				rows, st.Rows(), shards, st.NumShards())
+		}
+		for s, sh := range st.shards {
+			if _, lens := tableState(sh); lens[0] != lens[1] {
+				t.Fatalf("shard %d torn: column lengths %v", s, lens)
+			}
+		}
+		if got := partsState(st); got != parts {
+			t.Fatalf("failed append changed the parts (rows and bounds):\nbefore %s\nafter  %s", parts, got)
+		}
+	}
+}
+
+// TestShardedConcurrentAppends: appends racing on one store are
+// serialised — four writers mixing AppendRow and AppendColumnar loads that
+// straddle part boundaries, on a sharded store and on a table's one-part
+// store (half of its writers' loads through the table) — so no row, sum or
+// catalog bound is lost. Run it under -race too.
+func TestShardedConcurrentAppends(t *testing.T) {
+	const writers, loads, load = 4, 25, 5
+	flat := NewTable()
+	flat.AddColumn("a", VBP, 8)
+	flat.AddColumn("b", HBP, 5)
+	sharded := NewShardedTable(7)
+	sharded.AddColumn("a", VBP, 8)
+	sharded.AddColumn("b", HBP, 5)
+	for _, tc := range []struct {
+		name   string
+		st     *ShardedTable
+		shards int
+	}{{"sharded", sharded, 44}, {"one-part", PartitionTable(flat), 1}} {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				appendRow, appendColumnar := tc.st.AppendRow, tc.st.AppendColumnar
+				if tc.name == "one-part" && w%2 == 1 {
+					appendRow, appendColumnar = flat.AppendRow, flat.AppendColumnar
+				}
+				for i := 0; i < loads; i++ {
+					a, b := uint64(w*loads+i), uint64(i%32)
+					if i%2 == 1 {
+						appendRow(map[string]uint64{"a": a, "b": b})
+						continue
+					}
+					as, bs := make([]uint64, load), make([]uint64, load)
+					for r := range as {
+						as[r], bs[r] = a, (b+uint64(r))%32
+					}
+					appendColumnar(map[string][]uint64{"a": as, "b": bs})
+				}
+			}(w)
+		}
+		wg.Wait()
+
+		// Per writer: 13 loads of 5 rows and 12 single rows.
+		const rows = writers * (13*load + 12)
+		var sumA, sumB uint64
+		for w := 0; w < writers; w++ {
+			for i := 0; i < loads; i++ {
+				if i%2 == 1 {
+					sumA, sumB = sumA+uint64(w*loads+i), sumB+uint64(i%32)
+					continue
+				}
+				for r := 0; r < load; r++ {
+					sumA, sumB = sumA+uint64(w*loads+i), sumB+uint64(i%32+r)%32
+				}
+			}
+		}
+		st := tc.st
+		if st.Rows() != rows || st.NumShards() != tc.shards {
+			t.Fatalf("%s: %d rows in %d parts, want %d in %d", tc.name, st.Rows(), st.NumShards(), rows, tc.shards)
+		}
+		if a, b := st.Query().Sum("a"), st.Query().Sum("b"); a != sumA || b != sumB {
+			t.Fatalf("%s: SUM(a), SUM(b) = %d, %d, want %d, %d", tc.name, a, b, sumA, sumB)
+		}
+		for s, sh := range st.shards {
+			if want := min(st.ShardRows(), rows-s*st.ShardRows()); sh.Rows() != want {
+				t.Fatalf("%s: part %d has %d rows, want %d", tc.name, s, sh.Rows(), want)
+			}
+			for j, name := range st.Columns() {
+				c, want := sh.Column(name), shardBounds{min: ^uint64(0)}
+				if c.Len() != sh.Rows() {
+					t.Fatalf("%s: part %d column %q has %d values for %d rows", tc.name, s, name, c.Len(), sh.Rows())
+				}
+				for i := 0; i < c.Len(); i++ {
+					want = shardBounds{min: min(want.min, c.Value(i)), max: max(want.max, c.Value(i)), any: true}
+				}
+				if got := partBounds(st, s)[j]; got != want {
+					t.Fatalf("%s: part %d column %q bounds %+v, its values span %+v", tc.name, s, name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWriteRoutesAgree: every write route builds the same store, byte for
+// byte — AppendRow one row at a time, AppendColumnar in ragged loads that
+// straddle shard boundaries, and ShardTable of a flat table — and a flat
+// table loaded either way writes the same one-part store.
+func TestWriteRoutesAgree(t *testing.T) {
+	const n = 500
+	rng := rand.New(rand.NewSource(46))
+	a, b := make([]uint64, n), make([]uint64, n)
+	for i := range a {
+		a[i], b[i] = uint64(rng.Intn(1<<9)), uint64(rng.Intn(1<<13))
+	}
+	row := func(i int) map[string]uint64 { return map[string]uint64{"a": a[i], "b": b[i]} }
+	ragged := func(load func(map[string][]uint64)) {
+		for lo, i := 0, 0; lo < n; i++ {
+			hi := min(lo+[]int{1, 50, 77, 130, 3, 96}[i%6], n)
+			load(map[string][]uint64{"a": a[lo:hi], "b": b[lo:hi]})
+			lo = hi
+		}
+	}
+	bytesOf := func(st *ShardedTable) string {
+		var buf bytes.Buffer
+		if _, err := st.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, layout := range []Layout{VBP, HBP} {
+		sharded := func() *ShardedTable {
+			st := NewShardedTable(77)
+			st.AddColumn("a", layout, 9)
+			st.AddColumn("b", layout, 13)
+			return st
+		}
+		flat := func() *Table {
+			tbl := NewTable()
+			tbl.AddColumn("a", layout, 9)
+			tbl.AddColumn("b", layout, 13)
+			return tbl
+		}
+		byRow, byLoad, rowFlat, loadFlat := sharded(), sharded(), flat(), flat()
+		for i := 0; i < n; i++ {
+			byRow.AppendRow(row(i))
+			rowFlat.AppendRow(row(i))
+		}
+		ragged(byLoad.AppendColumnar)
+		ragged(loadFlat.AppendColumnar)
+
+		want := bytesOf(byRow)
+		if byRow.NumShards() != 7 {
+			t.Fatalf("%v: %d shards, want 7", layout, byRow.NumShards())
+		}
+		for route, st := range map[string]*ShardedTable{"AppendColumnar": byLoad, "ShardTable": ShardTable(rowFlat, 77)} {
+			if got := bytesOf(st); got != want {
+				t.Errorf("%v: %s writes %d bytes that differ from AppendRow's %d", layout, route, len(got), len(want))
+			}
+		}
+		if got, want := bytesOf(PartitionTable(loadFlat)), bytesOf(PartitionTable(rowFlat)); got != want {
+			t.Errorf("%v: a flat table loaded by AppendColumnar writes %d bytes that differ from AppendRow's %d", layout, len(got), len(want))
 		}
 	}
 }
