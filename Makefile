@@ -9,10 +9,11 @@ test:
 	$(GO) test ./...
 
 # examples runs every examples/* program: each drives the public facade
-# (Table.Query, Where, Median, Window, ...) end to end, and a non-zero exit
-# — a panic exits 2 — fails the target. It then drives the cmd/bpagg CLI
-# the same way: a three-row CSV through `load`, and one SELECT through
-# `query -stats`, in a temporary directory.
+# (Table.Query, Where, MedianContext, ...) end to end, and a non-zero exit
+# — log.Fatal on an aggregate's error exits 1, a panic 2 — fails the
+# target. It then drives the cmd/bpagg CLI the same way: a three-row CSV
+# through `load`, and one SELECT through `query -stats`, in a temporary
+# directory.
 examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d" > /dev/null || exit 1; done
 	@echo "== cmd/bpagg"; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \

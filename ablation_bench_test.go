@@ -35,10 +35,10 @@ func BenchmarkAblationTauHBP(b *testing.B) {
 		col := ablationColumn(bpagg.HBP, k, tau)
 		sel := col.Scan(bpagg.Less(1 << 24))
 		b.Run(fmt.Sprintf("SUM/tau=%d", tau), func(b *testing.B) {
-			benchOp(b, col.Len(), func() { col.Sum(sel) })
+			benchOp(b, col.Len(), func() { must(col.SumContext(bg, sel)) })
 		})
 		b.Run(fmt.Sprintf("MEDIAN/tau=%d", tau), func(b *testing.B) {
-			benchOp(b, col.Len(), func() { col.Median(sel) })
+			benchOp(b, col.Len(), func() { must2(col.MedianContext(bg, sel)) })
 		})
 	}
 }
@@ -68,7 +68,7 @@ func BenchmarkAblationAlignedSegments(b *testing.B) {
 		col := ablationColumn(bpagg.HBP, k, tau)
 		sel := col.Scan(bpagg.Less(1 << 24))
 		b.Run(fmt.Sprintf("SUM/tau=%d", tau), func(b *testing.B) {
-			benchOp(b, col.Len(), func() { col.Sum(sel) })
+			benchOp(b, col.Len(), func() { must(col.SumContext(bg, sel)) })
 		})
 	}
 }
@@ -90,10 +90,10 @@ func BenchmarkAblationEarlyStop(b *testing.B) {
 			{"dense", col.Scan(bpagg.Less(1 << 24))},  // ~50% of rows
 		} {
 			b.Run(fmt.Sprintf("%v/MIN/%s", layout, sel.name), func(b *testing.B) {
-				benchOp(b, col.Len(), func() { col.Min(sel.bm) })
+				benchOp(b, col.Len(), func() { must2(col.MinContext(bg, sel.bm)) })
 			})
 			b.Run(fmt.Sprintf("%v/SUM/%s", layout, sel.name), func(b *testing.B) {
-				benchOp(b, col.Len(), func() { col.Sum(sel.bm) })
+				benchOp(b, col.Len(), func() { must(col.SumContext(bg, sel.bm)) })
 			})
 		}
 	}

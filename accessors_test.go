@@ -36,29 +36,6 @@ func TestAccessorSurface(t *testing.T) {
 		t.Error("ragged columns did not panic")
 	}()
 
-	d := NewDecimalColumn(HBP, Decimal{Scale: 1, Max: 10})
-	d.Append(1.5)
-	d.AppendNull()
-	if d.Raw().Len() != 2 || d.Len() != 2 {
-		t.Error("DecimalColumn accessors wrong")
-	}
-	if got, ok := d.Min(d.All()); !ok || got != 1.5 {
-		t.Errorf("DecimalColumn.Min = %v", got)
-	}
-
-	s := NewSignedColumn(VBP, Signed{Min: -5, Max: 5})
-	s.Append(-3)
-	s.AppendNull()
-	if s.Raw().NullCount() != 1 || s.Len() != 2 {
-		t.Error("SignedColumn accessors wrong")
-	}
-
-	sc := NewStringColumn(VBP, []string{"a", "b"})
-	sc.Append("b")
-	if sc.Raw().Len() != 1 || sc.Len() != 1 || sc.Dict().Len() != 2 {
-		t.Error("StringColumn accessors wrong")
-	}
-
 	col := NewColumn(VBP, 8)
 	col.Append(1)
 	if col.IsNull(0) || col.NullCount() != 0 {

@@ -61,6 +61,24 @@ func benchOp(b *testing.B, n int, fn func()) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
 }
 
+// bg is the context the tests and benchmarks of this package run an
+// aggregate under when they are not about the context.
+var bg = context.Background()
+
+// must and must2 return a ...Context answer (with its presence flag, for
+// must2): an error the caller does not expect panics, which fails the test
+// or benchmark.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func must2[T, U any](v T, ok U, err error) (T, U) {
+	return must(v, err), ok
+}
+
 // aggCases enumerates the measured aggregate kernels.
 var aggCases = []struct {
 	layout tpch.Layout
@@ -248,7 +266,7 @@ func BenchmarkFacade(b *testing.B) {
 		b.Run(fmt.Sprintf("%v/scan+sum", layout), func(b *testing.B) {
 			benchOp(b, benchN, func() {
 				sel := col.Scan(bpagg.Less(1 << 22))
-				col.Sum(sel)
+				must(col.SumContext(bg, sel))
 			})
 		})
 	}

@@ -15,12 +15,13 @@
 //	col := bpagg.NewColumn(bpagg.VBP, 16)
 //	col.Append(codes...)
 //	sel := col.Scan(bpagg.Less(100))
-//	sum := col.Sum(sel)
-//	med, ok := col.Median(sel)
+//	sum, err := col.SumContext(ctx, sel)
+//	med, ok, err := col.MedianContext(ctx, sel)
 //
-// Aggregates accept execution options: bpagg.Parallel(n) partitions the
-// column across n goroutines (the multi-threading axis of the paper's
-// §IV-B).
+// Every aggregate is a ...Context method that returns its failures as
+// errors. Aggregates accept execution options: bpagg.Parallel(n)
+// partitions the column across n goroutines (the multi-threading axis of
+// the paper's §IV-B).
 //
 // Values must be unsigned integer codes. The Decimal, Signed and Dict
 // codecs provide order-preserving mappings for fixed-point decimals, signed
@@ -28,6 +29,7 @@
 package bpagg
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -252,34 +254,34 @@ func (c *Column) Scan(p Predicate) *Bitmap {
 	return c.ScanStats(p, nil)
 }
 
-// TopK returns the k largest selected values in descending order (ties
-// included arbitrarily). It runs one r-selection to find the k-th largest
-// value, one scan to collect everything above it, and reconstructs at most
-// k rows — never the whole selection.
-func (c *Column) TopK(sel *Bitmap, k int, opts ...ExecOption) []uint64 {
-	return c.extremeK(sel, k, true, opts)
+// TopKContext returns the k largest selected values in descending order
+// (ties included arbitrarily), honoring ctx. It runs one r-selection to
+// find the k-th largest value, one scan to collect everything above it,
+// and reconstructs at most k rows — never the whole selection.
+func (c *Column) TopKContext(ctx context.Context, sel *Bitmap, k int, opts ...ExecOption) ([]uint64, error) {
+	return c.extremeK(ctx, sel, k, true, opts)
 }
 
-// BottomK returns the k smallest selected values in ascending order.
-func (c *Column) BottomK(sel *Bitmap, k int, opts ...ExecOption) []uint64 {
-	return c.extremeK(sel, k, false, opts)
+// BottomKContext returns the k smallest selected values in ascending
+// order, honoring ctx.
+func (c *Column) BottomKContext(ctx context.Context, sel *Bitmap, k int, opts ...ExecOption) ([]uint64, error) {
+	return c.extremeK(ctx, sel, k, false, opts)
 }
 
-func (c *Column) extremeK(sel *Bitmap, k int, top bool, opts []ExecOption) []uint64 {
-	cnt := c.Count(sel)
-	if k <= 0 || cnt == 0 {
-		return nil
+func (c *Column) extremeK(ctx context.Context, sel *Bitmap, k int, top bool, opts []ExecOption) ([]uint64, error) {
+	cnt, err := c.CountContext(ctx, sel)
+	if err != nil || k <= 0 || cnt == 0 {
+		return nil, err
 	}
-	if uint64(k) > cnt {
-		k = int(cnt)
-	}
-	var r uint64
+	k = int(min(uint64(k), cnt))
+	r := uint64(k) // the rank of the k-th smallest value, or of the k-th largest
 	if top {
-		r = cnt - uint64(k) + 1
-	} else {
-		r = uint64(k)
+		r = cnt - r + 1
 	}
-	thr, _ := c.Rank(sel, r, opts...)
+	thr, _, err := c.RankContext(ctx, sel, r, opts...)
+	if err != nil {
+		return nil, err
+	}
 	// Values strictly beyond the threshold all belong to the result; there
 	// are at most k-1 of them, the rest are copies of the threshold.
 	var strict *Bitmap
@@ -299,7 +301,7 @@ func (c *Column) extremeK(sel *Bitmap, k int, top bool, opts []ExecOption) []uin
 	for len(out) < k {
 		out = append(out, thr)
 	}
-	return out
+	return out, nil
 }
 
 // Count returns the number of selected non-NULL rows (SQL COUNT(column)
@@ -307,52 +309,6 @@ func (c *Column) extremeK(sel *Bitmap, k int, top bool, opts []ExecOption) []uin
 func (c *Column) Count(sel *Bitmap) uint64 {
 	c.checkSel(sel)
 	return core.Count(c.effective(sel))
-}
-
-// Sum returns the sum of the selected values. A true total past uint64
-// (possible only when Len ≥ 2^(64-BitWidth)) panics with *OverflowError;
-// use SumContext to receive it as an error.
-func (c *Column) Sum(sel *Bitmap, opts ...ExecOption) uint64 {
-	return must(c.SumContext(nil, sel, opts...))
-}
-
-// Min returns the minimum selected value; ok is false when the selection is
-// empty.
-func (c *Column) Min(sel *Bitmap, opts ...ExecOption) (uint64, bool) {
-	return must2(c.MinContext(nil, sel, opts...))
-}
-
-// Max returns the maximum selected value; ok is false when the selection is
-// empty.
-func (c *Column) Max(sel *Bitmap, opts ...ExecOption) (uint64, bool) {
-	return must2(c.MaxContext(nil, sel, opts...))
-}
-
-// Avg returns the mean of the selected values; ok is false when the
-// selection is empty.
-func (c *Column) Avg(sel *Bitmap, opts ...ExecOption) (float64, bool) {
-	return must2(c.AvgContext(nil, sel, opts...))
-}
-
-// Median returns the lower median of the selected values; ok is false when
-// the selection is empty.
-func (c *Column) Median(sel *Bitmap, opts ...ExecOption) (uint64, bool) {
-	return must2(c.MedianContext(nil, sel, opts...))
-}
-
-// Rank returns the r-th smallest selected value (1-based) — the
-// r-selection the paper's MEDIAN algorithms generalize to. ok is false
-// when fewer than r rows are selected or r is 0.
-func (c *Column) Rank(sel *Bitmap, r uint64, opts ...ExecOption) (uint64, bool) {
-	return must2(c.RankContext(nil, sel, r, opts...))
-}
-
-// Quantile returns the value at quantile q in [0, 1] of the selected rows
-// (nearest-rank definition: rank = ceil(q*count), with q=0 meaning the
-// minimum). ok is false when the selection is empty; q outside [0, 1]
-// (or NaN) panics.
-func (c *Column) Quantile(sel *Bitmap, q float64, opts ...ExecOption) (uint64, bool) {
-	return must2(c.QuantileContext(nil, sel, q, opts...))
 }
 
 func (c *Column) checkSel(sel *Bitmap) {

@@ -50,7 +50,7 @@ func TestVBPNarrowColumnDefaultTau(t *testing.T) {
 	// Default VBP tau is 4 but must clamp for narrower values.
 	col := NewColumn(VBP, 2)
 	col.Append(1, 2, 3)
-	if got := col.Sum(col.All()); got != 6 {
+	if got := must(col.SumContext(bg, col.All())); got != 6 {
 		t.Errorf("Sum = %d", got)
 	}
 }
@@ -86,23 +86,23 @@ func TestEndToEndAgainstPlainSlices(t *testing.T) {
 			if got := col.Count(sel); got != uint64(len(kept)) {
 				t.Fatalf("%v %s: Count = %d, want %d", layout, p, got, len(kept))
 			}
-			if got := col.Sum(sel); got != sum {
+			if got := must(col.SumContext(bg, sel)); got != sum {
 				t.Fatalf("%v %s: Sum = %d, want %d", layout, p, got, sum)
 			}
 			sort.Slice(kept, func(i, j int) bool { return kept[i] < kept[j] })
 			if len(kept) > 0 {
-				if got, ok := col.Min(sel); !ok || got != kept[0] {
+				if got, ok := must2(col.MinContext(bg, sel)); !ok || got != kept[0] {
 					t.Fatalf("%v %s: Min = (%d,%v), want %d", layout, p, got, ok, kept[0])
 				}
-				if got, ok := col.Max(sel); !ok || got != kept[len(kept)-1] {
+				if got, ok := must2(col.MaxContext(bg, sel)); !ok || got != kept[len(kept)-1] {
 					t.Fatalf("%v %s: Max = (%d,%v)", layout, p, got, ok)
 				}
 				wantMed := kept[(len(kept)+1)/2-1]
-				if got, ok := col.Median(sel); !ok || got != wantMed {
+				if got, ok := must2(col.MedianContext(bg, sel)); !ok || got != wantMed {
 					t.Fatalf("%v %s: Median = (%d,%v), want %d", layout, p, got, ok, wantMed)
 				}
 				wantAvg := float64(sum) / float64(len(kept))
-				if got, ok := col.Avg(sel); !ok || got != wantAvg {
+				if got, ok := must2(col.AvgContext(bg, sel)); !ok || got != wantAvg {
 					t.Fatalf("%v %s: Avg = (%v,%v), want %v", layout, p, got, ok, wantAvg)
 				}
 			}
@@ -120,17 +120,17 @@ func TestExecOptionsAgree(t *testing.T) {
 	for _, layout := range []Layout{VBP, HBP} {
 		col := FromValues(layout, k, vals)
 		sel := col.Scan(Less(1 << 19))
-		base := col.Sum(sel)
-		baseMed, _ := col.Median(sel)
+		base := must(col.SumContext(bg, sel))
+		baseMed, _ := must2(col.MedianContext(bg, sel))
 		for _, opts := range [][]ExecOption{
 			{Parallel(4)},
 			{Parallel(8)},
 			{Parallel(1)},
 		} {
-			if got := col.Sum(sel, opts...); got != base {
+			if got := must(col.SumContext(bg, sel, opts...)); got != base {
 				t.Fatalf("%v Sum with %d opts: got %d want %d", layout, len(opts), got, base)
 			}
-			if got, ok := col.Median(sel, opts...); !ok || got != baseMed {
+			if got, ok := must2(col.MedianContext(bg, sel, opts...)); !ok || got != baseMed {
 				t.Fatalf("%v Median with opts: got (%d,%v) want %d", layout, got, ok, baseMed)
 			}
 		}
@@ -161,7 +161,7 @@ func TestBitmapOps(t *testing.T) {
 	if both.Count() != 2 {
 		t.Errorf("And count = %d", both.Count())
 	}
-	if got := col.Sum(both); got != 6 {
+	if got := must(col.SumContext(bg, both)); got != 6 {
 		t.Errorf("Sum over And = %d", got)
 	}
 	either := lo.Clone().Or(even)
@@ -173,7 +173,7 @@ func TestBitmapOps(t *testing.T) {
 		t.Errorf("Not count = %d", neither.Count())
 	}
 	diff := lo.Clone().AndNot(even) // 1,3
-	if got := col.Sum(diff); got != 4 {
+	if got := must(col.SumContext(bg, diff)); got != 4 {
 		t.Errorf("Sum over AndNot = %d", got)
 	}
 	var rows []int
@@ -197,11 +197,11 @@ func TestQuantile(t *testing.T) {
 		{0, 1}, {0.5, 50}, {0.99, 99}, {1, 100}, {0.25, 25},
 	}
 	for _, c := range cases {
-		if got, ok := col.Quantile(all, c.q); !ok || got != c.want {
+		if got, ok := must2(col.QuantileContext(bg, all, c.q)); !ok || got != c.want {
 			t.Errorf("Quantile(%v) = (%d,%v), want %d", c.q, got, ok, c.want)
 		}
 	}
-	if _, ok := col.Quantile(col.None(), 0.5); ok {
+	if _, ok := must2(col.QuantileContext(bg, col.None(), 0.5)); ok {
 		t.Error("Quantile over empty selection should report !ok")
 	}
 }
@@ -214,22 +214,22 @@ func TestSelectionLengthMismatchPanics(t *testing.T) {
 			t.Fatal("mismatched selection did not panic")
 		}
 	}()
-	a.Sum(b.All())
+	a.Count(b.All()) // the one plain aggregate over a selection: the Context forms return the error
 }
 
 func TestRankBounds(t *testing.T) {
 	col := FromValues(VBP, 8, []uint64{9, 3, 7})
 	all := col.All()
-	if v, ok := col.Rank(all, 1); !ok || v != 3 {
+	if v, ok := must2(col.RankContext(bg, all, 1)); !ok || v != 3 {
 		t.Errorf("Rank(1) = (%d,%v)", v, ok)
 	}
-	if v, ok := col.Rank(all, 3); !ok || v != 9 {
+	if v, ok := must2(col.RankContext(bg, all, 3)); !ok || v != 9 {
 		t.Errorf("Rank(3) = (%d,%v)", v, ok)
 	}
-	if _, ok := col.Rank(all, 0); ok {
+	if _, ok := must2(col.RankContext(bg, all, 0)); ok {
 		t.Error("Rank(0) should report !ok")
 	}
-	if _, ok := col.Rank(all, 4); ok {
+	if _, ok := must2(col.RankContext(bg, all, 4)); ok {
 		t.Error("Rank(4) should report !ok")
 	}
 }

@@ -25,12 +25,10 @@ import (
 // worker goroutines are joined before the call returns; no goroutine
 // outlives its aggregate.
 //
-// The plain methods (Sum, Median, ...) call their Context twin with a
-// nil ctx and re-raise its error (must, fusedMust): panics are reserved
-// for programmer errors (mismatched selection lengths, out-of-range
-// quantile constants, a sum past uint64), and a worker panic propagates
-// with its original value. Code operating on untrusted input should use
-// the ...Context variants.
+// They are the one door to the aggregates: no method beside them turns
+// their error into a panic, save two that the repo benchmark pins —
+// Query/RangeQuery.Sum, which re-raises SumContext's error (must), and
+// Column.Count, one popcount that panics only on a mismatched selection.
 
 // PanicError reports a worker panic recovered during a parallel
 // aggregate: one corrupt segment or faulty kernel surfaces as an error
@@ -98,8 +96,9 @@ func (c *Column) CountContext(ctx context.Context, sel *Bitmap) (uint64, error) 
 	return c.Count(sel), nil
 }
 
-// SumContext is Sum with cancellation, deadline, and panic-recovery
-// support.
+// SumContext returns the sum of the selected values, honoring ctx. A
+// true total past uint64 (possible only when Len ≥ 2^(64-BitWidth))
+// returns *OverflowError.
 func (c *Column) SumContext(ctx context.Context, sel *Bitmap, opts ...ExecOption) (uint64, error) {
 	if err := c.checkSelErr(sel); err != nil {
 		return 0, err
@@ -119,14 +118,14 @@ func (c *Column) sum(ctx context.Context, src core.Filter, o parallel.Options) (
 	return sum, cnt, wrapExecErr(err)
 }
 
-// MinContext is Min with cancellation, deadline, and panic-recovery
-// support.
+// MinContext returns the minimum selected value, honoring ctx; ok is
+// false when the selection is empty.
 func (c *Column) MinContext(ctx context.Context, sel *Bitmap, opts ...ExecOption) (uint64, bool, error) {
 	return c.extremeContext(ctx, sel, opts, true)
 }
 
-// MaxContext is Max with cancellation, deadline, and panic-recovery
-// support.
+// MaxContext returns the maximum selected value, honoring ctx; ok is
+// false when the selection is empty.
 func (c *Column) MaxContext(ctx context.Context, sel *Bitmap, opts ...ExecOption) (uint64, bool, error) {
 	return c.extremeContext(ctx, sel, opts, false)
 }
@@ -157,8 +156,8 @@ func (c *Column) extreme(ctx context.Context, src core.Filter, o parallel.Option
 	return v, cnt, wrapExecErr(err)
 }
 
-// AvgContext is Avg with cancellation, deadline, and panic-recovery
-// support.
+// AvgContext returns the mean of the selected values, honoring ctx; ok
+// is false when the selection is empty.
 func (c *Column) AvgContext(ctx context.Context, sel *Bitmap, opts ...ExecOption) (float64, bool, error) {
 	return avgOf(c.sumCount(ctx, sel, opts))
 }
@@ -177,23 +176,26 @@ func (c *Column) sumCount(ctx context.Context, sel *Bitmap, opts []ExecOption) (
 	return sum, cnt, err
 }
 
-// MedianContext is Median with cancellation, deadline, and
-// panic-recovery support. The multi-step radix refinement checks ctx at
-// every per-bit (VBP) or per-chunk (HBP) rendezvous, so even medians
-// over very large columns cancel promptly.
+// MedianContext returns the lower median of the selected values,
+// honoring ctx; ok is false when the selection is empty. The multi-step
+// radix refinement checks ctx at every per-bit (VBP) or per-chunk (HBP)
+// rendezvous, so even medians over very large columns cancel promptly.
 func (c *Column) MedianContext(ctx context.Context, sel *Bitmap, opts ...ExecOption) (uint64, bool, error) {
 	return c.rankContext(ctx, sel, opts, medianRank)
 }
 
-// RankContext is Rank with cancellation, deadline, and panic-recovery
-// support. ok is false when fewer than r rows are selected or r is 0.
+// RankContext returns the r-th smallest selected value (1-based) — the
+// r-selection the paper's MEDIAN algorithms generalize to — honoring ctx.
+// ok is false when fewer than r rows are selected or r is 0.
 func (c *Column) RankContext(ctx context.Context, sel *Bitmap, r uint64, opts ...ExecOption) (uint64, bool, error) {
 	return c.rankContext(ctx, sel, opts, func(uint64) (uint64, bool) { return r, true })
 }
 
-// QuantileContext is Quantile with cancellation, deadline, and
-// panic-recovery support. Unlike Quantile, an out-of-range q returns an
-// error instead of panicking, so q may come from untrusted input.
+// QuantileContext returns the value at quantile q in [0, 1] of the
+// selected rows, honoring ctx (nearest-rank definition: rank =
+// ceil(q*count), with q=0 meaning the minimum). ok is false when the
+// selection is empty; q outside [0, 1] (or NaN) returns an error, so q
+// may come from untrusted input.
 func (c *Column) QuantileContext(ctx context.Context, sel *Bitmap, q float64, opts ...ExecOption) (uint64, bool, error) {
 	if err := checkQuantile(q); err != nil {
 		return 0, false, err

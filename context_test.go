@@ -3,9 +3,12 @@ package bpagg
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -49,7 +52,7 @@ func TestMedianDeadlineCancellation(t *testing.T) {
 		if blocks.Load() == 0 {
 			t.Fatalf("%v MedianContext baseline ran no block of work", layout)
 		}
-		if m, mok := col.Median(sel, opts...); m != want || !mok {
+		if m, mok := must2(col.MedianContext(bg, sel, opts...)); m != want || !mok {
 			t.Fatalf("%v MedianContext=%d disagrees with Median=%d", layout, want, m)
 		}
 
@@ -90,7 +93,7 @@ func TestMidFlightCancellation(t *testing.T) {
 func TestWorkerPanicBecomesError(t *testing.T) {
 	defer faultinject.Reset()
 	col, sel := bigColumn(t, VBP, 64*512, 16)
-	wantSum := col.Sum(sel, Parallel(4))
+	wantSum := must(col.SumContext(bg, sel, Parallel(4)))
 
 	baseline := runtime.NumGoroutine()
 	faultinject.Set(faultinject.SiteWorkerStart, func(args ...any) error {
@@ -170,40 +173,44 @@ func TestContextAPIValidatesSelection(t *testing.T) {
 	if _, err := col.SumContext(context.Background(), nil); err == nil {
 		t.Fatal("SumContext with nil selection returned nil error")
 	}
+	if _, err := col.TopKContext(context.Background(), bad, 3); err == nil {
+		t.Fatal("TopKContext with mismatched selection returned nil error")
+	}
 }
 
+// TestContextAggregatesMatchPlain checks the Column ...Context
+// aggregates against plain-slice evaluation of the same rows, serial and
+// parallel.
 func TestContextAggregatesMatchPlain(t *testing.T) {
 	ctx := context.Background()
 	for _, layout := range []Layout{VBP, HBP} {
 		col, sel := bigColumn(t, layout, 64*101+17, 13)
+		var vals []uint64
+		var sum uint64
+		sel.ForEach(func(row int) { vals = append(vals, col.Value(row)); sum += col.Value(row) })
+		slices.Sort(vals)
+		n := uint64(len(vals))
+		check := func(name string, got any, err error, want any) {
+			t.Helper()
+			if err != nil || got != want {
+				t.Fatalf("%v %s: (%v, %v), plain slices %v", layout, name, got, err, want)
+			}
+		}
 		for _, opts := range [][]ExecOption{nil, {Parallel(4)}} {
-			if got, err := col.SumContext(ctx, sel, opts...); err != nil || got != col.Sum(sel, opts...) {
-				t.Fatalf("%v SumContext: (%d,%v) vs %d", layout, got, err, col.Sum(sel, opts...))
-			}
-			wv, wok := col.Min(sel, opts...)
-			if got, ok, err := col.MinContext(ctx, sel, opts...); err != nil || got != wv || ok != wok {
-				t.Fatalf("%v MinContext: (%d,%v,%v) vs (%d,%v)", layout, got, ok, err, wv, wok)
-			}
-			wv, wok = col.Max(sel, opts...)
-			if got, ok, err := col.MaxContext(ctx, sel, opts...); err != nil || got != wv || ok != wok {
-				t.Fatalf("%v MaxContext: (%d,%v,%v) vs (%d,%v)", layout, got, ok, err, wv, wok)
-			}
-			wv, wok = col.Median(sel, opts...)
-			if got, ok, err := col.MedianContext(ctx, sel, opts...); err != nil || got != wv || ok != wok {
-				t.Fatalf("%v MedianContext: (%d,%v,%v) vs (%d,%v)", layout, got, ok, err, wv, wok)
-			}
-			wf, wok := col.Avg(sel, opts...)
-			if got, ok, err := col.AvgContext(ctx, sel, opts...); err != nil || got != wf || ok != wok {
-				t.Fatalf("%v AvgContext: (%v,%v,%v) vs (%v,%v)", layout, got, ok, err, wf, wok)
-			}
-			wv, wok = col.Rank(sel, 17, opts...)
-			if got, ok, err := col.RankContext(ctx, sel, 17, opts...); err != nil || got != wv || ok != wok {
-				t.Fatalf("%v RankContext: (%d,%v,%v) vs (%d,%v)", layout, got, ok, err, wv, wok)
-			}
-			wc, err := col.CountContext(ctx, sel)
-			if err != nil || wc != col.Count(sel) {
-				t.Fatalf("%v CountContext: (%d,%v) vs %d", layout, wc, err, col.Count(sel))
-			}
+			s, err := col.SumContext(ctx, sel, opts...)
+			check("SumContext", s, err, sum)
+			v, ok, err := col.MinContext(ctx, sel, opts...)
+			check("MinContext", [2]any{v, ok}, err, [2]any{vals[0], true})
+			v, ok, err = col.MaxContext(ctx, sel, opts...)
+			check("MaxContext", [2]any{v, ok}, err, [2]any{vals[n-1], true})
+			v, ok, err = col.MedianContext(ctx, sel, opts...)
+			check("MedianContext", [2]any{v, ok}, err, [2]any{vals[(n+1)/2-1], true})
+			v, ok, err = col.RankContext(ctx, sel, 17, opts...)
+			check("RankContext", [2]any{v, ok}, err, [2]any{vals[16], true})
+			f, ok, err := col.AvgContext(ctx, sel, opts...)
+			check("AvgContext", [2]any{f, ok}, err, [2]any{float64(sum) / float64(n), true})
+			c, err := col.CountContext(ctx, sel)
+			check("CountContext", c, err, n)
 		}
 	}
 }
@@ -269,5 +276,168 @@ func TestQueryContextAPI(t *testing.T) {
 	}
 	if _, err := g.SumContext(canceled, "price"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Grouped.SumContext with canceled ctx = %v, want context.Canceled", err)
+	}
+}
+
+// bg is the context the tests run an aggregate under when the test is not
+// about the context.
+var bg = context.Background()
+
+// must2 is must for a ...Context answer with its presence flag (or
+// flags): an error the test does not expect panics, which fails it.
+func must2[T, U any](v T, ok U, err error) (T, U) {
+	return must(v, err), ok
+}
+
+// Two plain aggregates stay beside the ...Context forms, because the repo
+// benchmark calls them: Query/RangeQuery.Sum, a wrapper over SumContext
+// (must), and Column.Count. TestPlainIsContext pins that each is its
+// twin — whatever the Context method returns, the plain method returns or
+// panics with, value for value, error for error — and
+// TestOneAggregateDoor that no other plain aggregate exists.
+
+// plainCase is one table: measure "v" (k bits, optionally with NULLs), a
+// 12-bit predicate column "p" and a 3-bit grouping column "g", all in one
+// layout, plus the WHERE predicate on "p".
+type plainCase struct {
+	name      string
+	k         int
+	val       func(i int) uint64
+	nullEvery int
+	pred      Predicate
+}
+
+var plainCases = []plainCase{
+	{name: "no-nulls", k: 12, val: func(i int) uint64 { return uint64(i*2654435761) & 0xfff }, pred: Less(3000)},
+	{name: "nulls", k: 12, val: func(i int) uint64 { return uint64(i*2654435761) & 0xfff }, nullEvery: 7, pred: Less(3000)},
+	{name: "empty-selection", k: 12, val: func(i int) uint64 { return uint64(i) & 0xfff }, pred: Less(0)},
+	// Every value is ≥ 2^63, so any two selected rows overflow SUM.
+	{name: "overflow-possible", k: 64, val: func(i int) uint64 { return 1<<63 + uint64(i) }, pred: Less(3000)},
+}
+
+func (pc plainCase) build(layout Layout) *Table {
+	const n = 64*5 + 7
+	v, p, g := NewColumn(layout, pc.k), NewColumn(layout, 12), NewColumn(layout, 3)
+	for i := 0; i < n; i++ {
+		if pc.nullEvery > 0 && i%pc.nullEvery == 0 {
+			v.AppendNull()
+		} else {
+			v.Append(pc.val(i))
+		}
+		p.Append(uint64(i*40503) & 0xfff)
+		g.Append(uint64(i/50) & 7)
+	}
+	return NewTableFromColumns([]string{"v", "p", "g"}, []*Column{v, p, g})
+}
+
+// twin is one aggregate through both doors.
+type twin struct {
+	name  string
+	plain func() any
+	ctx   func() (any, error)
+}
+
+func c1[T any](v T, err error) (any, error)         { return v, err }
+func c2[T, U any](v T, u U, err error) (any, error) { return [2]any{v, u}, err }
+
+// checkTwin runs both doors: on a Context error the plain method must
+// panic with an equal error value, otherwise it must return an equal
+// result without panicking.
+func checkTwin(t *testing.T, tw twin) {
+	t.Helper()
+	want, err := tw.ctx()
+	var got, panicked any
+	func() {
+		defer func() { panicked = recover() }()
+		got = tw.plain()
+	}()
+	if err != nil {
+		if !reflect.DeepEqual(panicked, err) {
+			t.Errorf("%s: Context error %#v, plain panic %#v", tw.name, err, panicked)
+		}
+		return
+	}
+	if panicked != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: Context %v, plain %v (panic %v)", tw.name, want, got, panicked)
+	}
+}
+
+func TestPlainIsContext(t *testing.T) {
+	ctx := context.Background()
+	for _, pc := range plainCases {
+		for _, layout := range []Layout{VBP, HBP} {
+			t.Run(fmt.Sprintf("%s/%v", pc.name, layout), func(t *testing.T) {
+				tbl := pc.build(layout)
+				col := tbl.Column("v")
+				sel := tbl.Column("p").Scan(pc.pred)
+				checkTwin(t, twin{"Column.Count", func() any { return col.Count(sel) }, func() (any, error) { return c1(col.CountContext(ctx, sel)) }})
+
+				// Query, on the table (its one-part store) and split in
+				// shards: a fresh query per call (Selection is sticky), once
+				// on the lazy route (fuses when the planner allows) and once
+				// with the selection materialized first.
+				for _, store := range []struct {
+					name string
+					st   *ShardedTable
+				}{{"table", PartitionTable(tbl)}, {"sharded", ShardTable(tbl, 100)}} {
+					for _, bitmap := range []bool{false, true} {
+						nq := func() *Query {
+							q := store.st.Query().Where("p", pc.pred)
+							if bitmap {
+								q.Selection()
+							}
+							return q
+						}
+						for _, tw := range []twin{
+							{"Query.Sum", func() any { return nq().Sum("v") }, func() (any, error) { return c1(nq().SumContext(ctx, "v")) }},
+							{"Query.Sum(unknown column)", func() any { return nq().Sum("nope") }, func() (any, error) { return c1(nq().SumContext(ctx, "nope")) }},
+							{"RangeQuery.Sum", func() any { return nq().Range(10, 300).Sum("v") }, func() (any, error) { return c1(nq().Range(10, 300).SumContext(ctx, "v")) }},
+						} {
+							tw.name = fmt.Sprintf("%s %s bitmap=%v", store.name, tw.name, bitmap)
+							checkTwin(t, tw)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestQuantileRejectsNaN: every quantile entry point returns the range
+// error for NaN instead of letting it reach the float→uint64 rank
+// conversion (whose result is architecture-dependent).
+func TestQuantileRejectsNaN(t *testing.T) {
+	ctx := context.Background()
+	nan := math.NaN()
+	const want = "bpagg: quantile NaN outside [0,1]"
+	for _, layout := range []Layout{VBP, HBP} {
+		tbl := NewTable()
+		tbl.AddColumn("v", layout, 8)
+		tbl.AddColumn("g", layout, 2)
+		tbl.AppendColumnar(map[string][]uint64{"v": {1, 2, 3, 4, 5}, "g": {0, 1, 0, 1, 0}})
+		st := ShardTable(tbl, 2)
+		col := tbl.Column("v")
+		q := func() *Query { return tbl.Query().Where("v", Less(200)) }
+		bq := func() *Query { q := q(); q.Selection(); return q }
+		sq := func() *ShardedQuery { return st.Query().Where("v", Less(200)) }
+
+		for name, quantile := range map[string]func() error{
+			"Column":            func() error { _, _, err := col.QuantileContext(ctx, col.All(), nan); return err },
+			"Query fused":       func() error { _, _, err := q().QuantileContext(ctx, "v", nan); return err },
+			"Query bitmap":      func() error { _, _, err := bq().QuantileContext(ctx, "v", nan); return err },
+			"RangeQuery":        func() error { _, _, err := q().Range(0, 4).QuantileContext(ctx, "v", nan); return err },
+			"ShardedQuery":      func() error { _, _, err := sq().QuantileContext(ctx, "v", nan); return err },
+			"ShardedRangeQuery": func() error { _, _, err := sq().Range(0, 4).QuantileContext(ctx, "v", nan); return err },
+		} {
+			if err := quantile(); err == nil || err.Error() != want {
+				t.Errorf("%v %s: Context error %v, want %q", layout, name, err, want)
+			}
+		}
+		if !q().Fused("v") {
+			t.Errorf("%v: the lazy query did not plan fused", layout)
+		}
+		if _, _, err := must(sq().GroupByContext(ctx, "g")).QuantileOkContext(ctx, "v", nan); err == nil || err.Error() != want {
+			t.Errorf("%v ShardedGrouped.QuantileOkContext error %v, want %q", layout, err, want)
+		}
 	}
 }

@@ -318,7 +318,7 @@ func TestEvalRoutes(t *testing.T) {
 				}
 			}
 			keys, groups := gref["k"].GroupBy(gsel)
-			counts, sums := g.Count(), g.Sum("v")
+			counts, sums := must(g.CountContext(bg)), must(g.SumContext(bg, "v"))
 			if fmt.Sprint(g.Keys()) != fmt.Sprint(keys) {
 				t.Fatalf("%s: keys %v, oracle %v", id, g.Keys(), keys)
 			}

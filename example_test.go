@@ -1,20 +1,29 @@
 package bpagg_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"log"
 
 	"bpagg"
 )
 
-// The basic pipeline: pack, scan, aggregate.
+// The basic pipeline: pack, scan, aggregate. Every aggregate is a
+// ...Context method that returns its failure as an error.
 func Example() {
+	ctx := context.Background()
 	col := bpagg.NewColumn(bpagg.VBP, 8)
 	col.Append(10, 200, 30, 40, 250)
 
 	sel := col.Scan(bpagg.Less(100))
 	fmt.Println("selected:", sel.Count())
-	fmt.Println("sum:", col.Sum(sel))
-	med, _ := col.Median(sel)
+	sum, err1 := col.SumContext(ctx, sel)
+	med, _, err2 := col.MedianContext(ctx, sel)
+	if err := errors.Join(err1, err2); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("sum:", sum)
 	fmt.Println("median:", med)
 	// Output:
 	// selected: 3
@@ -29,20 +38,19 @@ func ExampleBitmap_And() {
 	qty := bpagg.FromValues(bpagg.HBP, 4, []uint64{1, 5, 2, 7})
 
 	sel := price.Scan(bpagg.Greater(15)).And(qty.Scan(bpagg.Less(6)))
-	fmt.Println(price.Sum(sel))
-	// Output: 50
+	fmt.Println(price.SumContext(context.Background(), sel))
+	// Output: 50 <nil>
 }
 
 // Rank generalizes MEDIAN to any order statistic — here a p90.
-func ExampleColumn_Quantile() {
+func ExampleColumn_QuantileContext() {
 	vals := make([]uint64, 100)
 	for i := range vals {
 		vals[i] = uint64(i + 1)
 	}
 	col := bpagg.FromValues(bpagg.HBP, 7, vals)
-	p90, _ := col.Quantile(col.All(), 0.9)
-	fmt.Println(p90)
-	// Output: 90
+	fmt.Println(col.QuantileContext(context.Background(), col.All(), 0.9))
+	// Output: 90 true <nil>
 }
 
 // Tables bundle columns into the paper's denormalized wide-table setting.
@@ -55,14 +63,14 @@ func ExampleTable() {
 		"amount": {100, 200, 300, 400, 500},
 	})
 
-	sum := tbl.Query().Where("region", bpagg.Equal(1)).Sum("amount")
-	fmt.Println(sum)
-	// Output: 600
+	fmt.Println(tbl.Query().Where("region", bpagg.Equal(1)).SumContext(context.Background(), "amount"))
+	// Output: 600 <nil>
 }
 
-// GroupBy partitions a query by a column's distinct values, each group
-// selected by one bit-parallel equality scan.
-func ExampleQuery_GroupBy() {
+// GroupByContext partitions a query by a column's distinct values, each
+// group selected by one bit-parallel equality scan.
+func ExampleQuery_GroupByContext() {
+	ctx := context.Background()
 	tbl := bpagg.NewTable()
 	tbl.AddColumn("dept", bpagg.VBP, 2)
 	tbl.AddColumn("salary", bpagg.VBP, 12)
@@ -71,8 +79,14 @@ func ExampleQuery_GroupBy() {
 		"salary": {3000, 2000, 3500, 2500, 1500},
 	})
 
-	g := tbl.Query().GroupBy("dept")
-	sums := g.Sum("salary")
+	g, err := tbl.Query().GroupByContext(ctx, "dept")
+	if err != nil {
+		log.Fatal(err)
+	}
+	sums, err := g.SumContext(ctx, "salary")
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, key := range g.Keys() {
 		fmt.Printf("dept %d: %d\n", key, sums[i])
 	}
@@ -82,13 +96,21 @@ func ExampleQuery_GroupBy() {
 }
 
 // Codecs map domain types onto the unsigned codes the bit-parallel
-// operators require; typed columns bundle the two.
-func ExampleDecimalColumn() {
-	price := bpagg.NewDecimalColumn(bpagg.VBP, bpagg.Decimal{Scale: 2, Max: 1000})
-	price.Append(19.99, 5.50, 127.45)
+// operators require: a decimal column is a Column of Decimal codes, its
+// scans take encoded constants and its SUM decodes through DecodeSum.
+func ExampleDecimal() {
+	codec := bpagg.Decimal{Scale: 2, Max: 1000}
+	price := bpagg.NewColumn(bpagg.VBP, codec.Bits())
+	for _, v := range []float64{19.99, 5.50, 127.45} {
+		price.Append(codec.Encode(v))
+	}
 
-	cheap := price.ScanLess(20)
-	fmt.Printf("%.2f\n", price.Sum(cheap))
+	cheap := price.Scan(bpagg.Less(codec.Encode(20)))
+	sum, err := price.SumContext(context.Background(), cheap)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%.2f\n", codec.DecodeSum(sum))
 	// Output: 25.49
 }
 
@@ -102,11 +124,11 @@ func ExampleColumn_AppendNull() {
 	all := col.All()
 	fmt.Println("count(*): ", all.Count())
 	fmt.Println("count(col):", col.Count(all))
-	fmt.Println("sum:", col.Sum(all))
+	fmt.Println(col.SumContext(context.Background(), all))
 	// Output:
 	// count(*):  3
 	// count(col): 2
-	// sum: 30
+	// 30 <nil>
 }
 
 // Aggregation accelerates with goroutines — the multi-threading axis of
@@ -117,7 +139,6 @@ func ExampleParallel() {
 		vals[i] = uint64(i % 1000)
 	}
 	col := bpagg.FromValues(bpagg.VBP, 10, vals)
-	sum := col.Sum(col.All(), bpagg.Parallel(4))
-	fmt.Println(sum)
-	// Output: 49950000
+	fmt.Println(col.SumContext(context.Background(), col.All(), bpagg.Parallel(4)))
+	// Output: 49950000 <nil>
 }

@@ -7,7 +7,10 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"log"
 	"math/rand"
 	"time"
 
@@ -80,11 +83,15 @@ func main() {
 		100*float64(allErr.Count())/requests)
 
 	// Latency panel, overall and for errors only.
+	// Every aggregate returns its failure as an error; the program stops
+	// on any.
+	ctx := context.Background()
 	lat := tbl.Column("latency")
 	all := lat.All()
-	p50, _ := lat.Quantile(all, 0.50)
-	p99, _ := lat.Quantile(all, 0.99)
-	e50, _ := lat.Quantile(serverErr, 0.50)
+	p50, _, err1 := lat.QuantileContext(ctx, all, 0.50)
+	p99, _, err2 := lat.QuantileContext(ctx, all, 0.99)
+	e50, _, err3 := lat.QuantileContext(ctx, serverErr, 0.50)
+	check(err1, err2, err3)
 	fmt.Printf("latency p50: %.1f ms   p99: %.1f ms   5xx median: %.1f ms\n",
 		latency.Decode(p50), latency.Decode(p99), latency.Decode(e50))
 
@@ -92,18 +99,27 @@ func main() {
 	getCode, _ := methods.Encode("GET")
 	getOK := tbl.Column("method").Scan(bpagg.Equal(getCode)).AndNot(allErr)
 	bytes := tbl.Column("bytes")
-	sumBytes := bytes.Sum(getOK, bpagg.Parallel(4))
-	avgBytes, _ := bytes.Avg(getOK)
+	sumBytes, err1 := bytes.SumContext(ctx, getOK, bpagg.Parallel(4))
+	avgBytes, _, err2 := bytes.AvgContext(ctx, getOK)
+	check(err1, err2)
 	fmt.Printf("successful GETs: %d  total %d MB  avg %.0f B\n",
 		getOK.Count(), sumBytes>>20, avgBytes)
 
 	// Slow-request investigation: NOT error AND latency > 100 ms.
 	slowOK := lat.Scan(bpagg.Greater(latency.Encode(100))).AndNot(allErr)
-	medBytes, ok := bytes.Median(slowOK)
+	medBytes, ok, err := bytes.MedianContext(ctx, slowOK)
+	check(err)
 	if ok {
 		fmt.Printf("slow-but-successful requests: %d (median payload %d B)\n",
 			slowOK.Count(), medBytes)
 	}
 
 	fmt.Printf("dashboard computed in %v\n", time.Since(start))
+}
+
+// check stops the program on any aggregate's error.
+func check(errs ...error) {
+	if err := errors.Join(errs...); err != nil {
+		log.Fatal(err)
+	}
 }

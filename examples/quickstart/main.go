@@ -5,7 +5,10 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"log"
 	"math/rand"
 	"sort"
 	"time"
@@ -38,16 +41,21 @@ func main() {
 	fmt.Printf("scan (value < 20000): %d rows in %v (%.2f ns/row)\n",
 		sel.Count(), scanTime, float64(scanTime.Nanoseconds())/n)
 
-	// Bit-parallel aggregation over the selection.
+	// Bit-parallel aggregation over the selection. Every aggregate returns
+	// its failure as an error; the program stops on any.
+	ctx := context.Background()
 	start = time.Now()
 	count := col.Count(sel)
-	sum := col.Sum(sel)
-	min, _ := col.Min(sel)
-	max, _ := col.Max(sel)
-	avg, _ := col.Avg(sel)
-	med, _ := col.Median(sel)
-	p99, _ := col.Quantile(sel, 0.99)
+	sum, err1 := col.SumContext(ctx, sel)
+	min, _, err2 := col.MinContext(ctx, sel)
+	max, _, err3 := col.MaxContext(ctx, sel)
+	avg, _, err4 := col.AvgContext(ctx, sel)
+	med, _, err5 := col.MedianContext(ctx, sel)
+	p99, _, err6 := col.QuantileContext(ctx, sel, 0.99)
 	bpTime := time.Since(start)
+	if err := errors.Join(err1, err2, err3, err4, err5, err6); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("aggregates: count=%d sum=%d min=%d max=%d avg=%.2f median=%d p99=%d\n",
 		count, sum, min, max, avg, med, p99)
 	fmt.Printf("bit-parallel aggregation of 7 aggregates: %v\n", bpTime)
@@ -83,8 +91,7 @@ func main() {
 	pAvg := float64(pSum) / float64(pCount)
 	if count != pCount || sum != pSum || min != pMin || max != pMax ||
 		avg != pAvg || med != pMed || p99 != pP99 {
-		fmt.Println("MISMATCH between bit-parallel and plain results!")
-		return
+		log.Fatal("MISMATCH between bit-parallel and plain results!")
 	}
 	fmt.Println("bit-parallel and plain-slice results agree")
 }

@@ -7,7 +7,10 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"log"
 	"math/rand"
 	"time"
 
@@ -50,16 +53,21 @@ func main() {
 	tbl.AppendColumnar(map[string][]uint64{"sensor": ids, "reading": readings})
 	reading := tbl.Column("reading")
 
+	// Every aggregate returns its failure as an error; the program stops
+	// on any.
+	ctx := context.Background()
+
 	// Fleet-wide percentiles per time window. Window membership is just a
 	// bitmap, so it composes with any scan by intersection.
 	fmt.Println("window      rows     p50    p95    p99    max")
 	start := time.Now()
 	for w := 0; w*windowSize < total; w++ {
 		win := windowBitmap(total, w*windowSize, (w+1)*windowSize)
-		p50, _ := reading.Quantile(win, 0.50)
-		p95, _ := reading.Quantile(win, 0.95)
-		p99, _ := reading.Quantile(win, 0.99)
-		max, _ := reading.Max(win)
+		p50, _, err1 := reading.QuantileContext(ctx, win, 0.50)
+		p95, _, err2 := reading.QuantileContext(ctx, win, 0.95)
+		p99, _, err3 := reading.QuantileContext(ctx, win, 0.99)
+		max, _, err4 := reading.MaxContext(ctx, win)
+		check(err1, err2, err3, err4)
 		fmt.Printf("%6d  %8d  %6d %6d %6d %6d\n", w, win.Count(), p50, p95, p99, max)
 	}
 	fmt.Printf("8 windows x 4 percentile aggregates in %v\n\n", time.Since(start))
@@ -67,11 +75,12 @@ func main() {
 	// Drill into one sensor: its baseline tops out near 3720, so anything
 	// above 3800 is a spike.
 	q := tbl.Query().Where("sensor", bpagg.Equal(63))
-	med, _ := q.Median("reading")
-	spikes := tbl.Query().
+	med, _, err1 := q.MedianContext(ctx, "reading")
+	spikes, err2 := tbl.Query().
 		Where("sensor", bpagg.Equal(63)).
 		Where("reading", bpagg.Greater(3800)).
-		CountRows()
+		CountRowsContext(ctx)
+	check(err1, err2)
 	fmt.Printf("sensor 63: median reading %d, %d spike samples above 3800\n", med, spikes)
 
 	// Health check across the fleet: sensors whose median deviates from
@@ -79,7 +88,8 @@ func main() {
 	// scan per sensor id.
 	worst, worstDev := uint64(0), 0.0
 	for id := uint64(0); id < sensors; id++ {
-		m, ok := tbl.Query().Where("sensor", bpagg.Equal(id)).Median("reading")
+		m, ok, err := tbl.Query().Where("sensor", bpagg.Equal(id)).MedianContext(ctx, "reading")
+		check(err)
 		if !ok {
 			continue
 		}
@@ -91,6 +101,13 @@ func main() {
 	}
 	fmt.Printf("largest median deviation from baseline: sensor %d (%+.1f%%)\n",
 		worst, 100*worstDev)
+}
+
+// check stops the program on any aggregate's error.
+func check(errs ...error) {
+	if err := errors.Join(errs...); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // windowBitmap selects rows [lo, hi) — time windows under append ordering.

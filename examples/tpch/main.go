@@ -7,7 +7,10 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"log"
 	"math/rand"
 	"time"
 
@@ -19,6 +22,9 @@ const rows = 2 << 20 // scaled-down lineitem
 func main() {
 	fmt.Printf("building %d-row wide table...\n", rows)
 	tbl, price := buildLineitem()
+	// Every aggregate returns its failure as an error; the program stops
+	// on any.
+	ctx := context.Background()
 
 	// Q6-style: forecasting revenue change.
 	//   SELECT SUM(revenue) WHERE shipdate in [8766, 9131)
@@ -28,19 +34,21 @@ func main() {
 		Where("shipdate", bpagg.Between(8766, 9130)).
 		Where("discount", bpagg.Between(5, 7)).
 		Where("quantity", bpagg.Less(24))
-	revenue := q6.Sum("revenue")
+	revenue, err1 := q6.SumContext(ctx, "revenue")
+	n6, err2 := q6.CountRowsContext(ctx)
+	check(err1, err2)
 	fmt.Printf("\nQ6  revenue=%s  rows=%d  sel=%.3f  (%v)\n",
-		price.DecodeMoney(revenue), q6.CountRows(),
-		float64(q6.CountRows())/float64(rows), time.Since(start))
+		price.DecodeMoney(revenue), n6, float64(n6)/float64(rows), time.Since(start))
 
 	// Q1-style: pricing summary for shipped rows.
 	start = time.Now()
 	q1 := tbl.Query().Where("shipdate", bpagg.LessEq(9000))
-	sumQty := q1.Sum("quantity")
-	sumPrice := q1.Sum("extendedprice")
-	avgQty, _ := q1.Avg("quantity")
-	avgPrice, _ := q1.Avg("extendedprice")
-	cnt := q1.CountRows()
+	sumQty, err1 := q1.SumContext(ctx, "quantity")
+	sumPrice, err2 := q1.SumContext(ctx, "extendedprice")
+	avgQty, _, err3 := q1.AvgContext(ctx, "quantity")
+	avgPrice, _, err4 := q1.AvgContext(ctx, "extendedprice")
+	cnt, err5 := q1.CountRowsContext(ctx)
+	check(err1, err2, err3, err4, err5)
 	fmt.Printf("Q1  sum_qty=%d  sum_price=%s  avg_qty=%.2f  avg_price=%s  count=%d  (%v)\n",
 		sumQty, price.DecodeMoney(sumPrice), avgQty,
 		price.DecodeMoney(uint64(avgPrice)), cnt, time.Since(start))
@@ -50,27 +58,36 @@ func main() {
 	// r-selection algorithm.
 	start = time.Now()
 	q15 := tbl.Query().Where("shipdate", bpagg.Between(8500, 8590))
-	medP, _ := q15.Median("extendedprice")
-	p95, _ := q15.Quantile("extendedprice", 0.95)
-	maxP, _ := q15.Max("extendedprice")
+	medP, _, err1 := q15.MedianContext(ctx, "extendedprice")
+	p95, _, err2 := q15.QuantileContext(ctx, "extendedprice", 0.95)
+	maxP, _, err3 := q15.MaxContext(ctx, "extendedprice")
+	n15, err4 := q15.CountRowsContext(ctx)
+	check(err1, err2, err3, err4)
 	fmt.Printf("Q15 median=%s  p95=%s  max=%s over %d rows  (%v)\n",
 		price.DecodeMoney(medP), price.DecodeMoney(p95), price.DecodeMoney(maxP),
-		q15.CountRows(), time.Since(start))
+		n15, time.Since(start))
 
 	// The same Q6 with multi-threading enabled.
 	start = time.Now()
-	revenue2 := tbl.Query().
+	revenue2, err := tbl.Query().
 		Where("shipdate", bpagg.Between(8766, 9130)).
 		Where("discount", bpagg.Between(5, 7)).
 		Where("quantity", bpagg.Less(24)).
 		With(bpagg.Parallel(4)).
-		Sum("revenue")
+		SumContext(ctx, "revenue")
+	check(err)
 	fmt.Printf("\nQ6 again with Parallel(4): %v", time.Since(start))
 	if revenue2 != revenue {
-		fmt.Println("  MISMATCH!")
-		return
+		log.Fatal("  MISMATCH!")
 	}
 	fmt.Println("  (same answer)")
+}
+
+// check stops the program on any aggregate's error.
+func check(errs ...error) {
+	if err := errors.Join(errs...); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // money is a tiny helper bundling the fixed-point price codec.

@@ -42,9 +42,9 @@ func FuzzReadColumn(f *testing.F) {
 			t.Fatal("negative length")
 		}
 		all := col.All()
-		_ = col.Sum(all)
-		_, _ = col.Min(all)
-		_, _ = col.Median(all)
+		_ = must(col.SumContext(bg, all))
+		_, _ = must2(col.MinContext(bg, all))
+		_, _ = must2(col.MedianContext(bg, all))
 		if col.Len() > 0 {
 			_ = col.Value(0)
 		}
@@ -71,7 +71,7 @@ func FuzzReadTable(f *testing.F) {
 		}
 		for _, name := range got.Columns() {
 			col := got.Column(name)
-			_ = col.Sum(col.All())
+			_ = must(col.SumContext(bg, col.All()))
 		}
 	})
 }
@@ -125,8 +125,8 @@ func FuzzReadPartitioned(f *testing.F) {
 		}
 		for _, name := range got.Columns() {
 			_, _ = got.Query().SumContext(nil, name)
-			_, _ = got.Query().Min(name)
-			_, _ = got.Query().Median(name)
+			_, _ = must2(got.Query().MinContext(bg, name))
+			_, _ = must2(got.Query().MedianContext(bg, name))
 		}
 	})
 }

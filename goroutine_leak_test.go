@@ -119,7 +119,7 @@ func leakTable(t *testing.T) *Table {
 	return tbl
 }
 
-// TestCancellationLeaksColumnKernels covers the plain column aggregates
+// TestCancellationLeaksColumnKernels covers the Column aggregates
 // on both layouts: cancellation mid-scan must join every worker.
 func TestCancellationLeaksColumnKernels(t *testing.T) {
 	for _, layout := range []Layout{VBP, HBP} {

@@ -16,7 +16,7 @@ type groupPart struct {
 	q  *queryState
 	hp *parallel.HashPartition
 	// named lists the aggregates a measured partition was built for; nil
-	// for a plain GroupBy.
+	// for a GroupByContext partition.
 	named []aggCall
 }
 
@@ -61,7 +61,7 @@ const MaxSinglePassGroups = core.MaxHashGroups
 // building 2^20 distinct keys.
 var maxHashGroups = core.MaxHashGroups
 
-// ErrGroupCardinality is GroupBy's answer when the grouping columns hold
+// ErrGroupCardinality is GroupByContext's answer when the grouping columns hold
 // more than MaxSinglePassGroups distinct keys under the selection. There
 // is no slower tier behind it: the per-group alternative keeps one dense
 // n/8-byte bitmap per group, ≥ 128 GiB at the smallest table that can
@@ -75,7 +75,7 @@ var ErrGroupCardinality = core.ErrGroupCardinality
 // columns, which the store resolved and whose packed width it checked
 // (fanOut.groupWidths). It banks the named SUM/MIN/MAX/COUNT(col) as it
 // goes, and reads the filter the plan chose: when it keeps the run list
-// (for a library GroupBy, named nil, or a named rank), the view's
+// (for a GroupByContext partition, named nil, or a named rank), the view's
 // selection as a bitmap, which the list's words then carry; else the
 // clauses' predicates when the plan fuses the pass, or that bitmap. A key
 // count past the budget is ErrGroupCardinality.

@@ -32,7 +32,7 @@ func TestGroupHashDeterminismAcrossThreads(t *testing.T) {
 		var ref result
 		for _, th := range []int{1, 2, 8} {
 			q := tbl.Query().With(Parallel(th)).WithStats()
-			g := q.GroupBy("g")
+			g := must(q.GroupByContext(bg, "g"))
 			if g.Strategy() != GroupHash {
 				t.Fatalf("layout %v threads %d: strategy = %v, want hash", layout, th, g.Strategy())
 			}
@@ -50,7 +50,7 @@ func TestGroupHashDeterminismAcrossThreads(t *testing.T) {
 			if s.HashGrowths == 0 {
 				t.Errorf("layout %v threads %d: HashGrowths = 0, want > 0 at G=%d", layout, th, G)
 			}
-			r := result{g.Keys(), g.Count(), g.Sum("v"), g.Min("v")}
+			r := result{g.Keys(), must(g.CountContext(bg)), must(g.SumContext(bg, "v")), must(g.MinContext(bg, "v"))}
 			if th == 1 {
 				ref = r
 				continue
@@ -94,7 +94,7 @@ func TestGroupHashSumOverflowCarriesKey(t *testing.T) {
 	}
 	for _, layout := range []Layout{VBP, HBP} {
 		tbl := buildGroupTable(t, layout, layout, 11, 64, keys, vals)
-		g := tbl.Query().GroupBy("g")
+		g := must(tbl.Query().GroupByContext(bg, "g"))
 		if g.Strategy() != GroupHash {
 			t.Fatalf("layout %v: strategy = %v, want hash", layout, g.Strategy())
 		}
@@ -125,7 +125,7 @@ func TestGroupHashSumOverflowCarriesKey(t *testing.T) {
 	tbl.AddColumn("g2", VBP, 6)
 	tbl.AddColumn("v", VBP, 64)
 	tbl.AppendColumnar(map[string][]uint64{"g": keys, "g2": g2, "v": vals})
-	g := tbl.Query().GroupBy("g", "g2")
+	g := must(tbl.Query().GroupByContext(bg, "g", "g2"))
 	if g.Strategy() != GroupHash {
 		t.Fatalf("composite: strategy = %v, want hash", g.Strategy())
 	}
@@ -206,13 +206,13 @@ func FuzzGroupHashBank(f *testing.F) {
 		}
 		sort.Slice(wantKeys, func(i, j int) bool { return wantKeys[i] < wantKeys[j] })
 
-		sp := tbl.Query().With(Parallel(th)).GroupBy("g", "g2")
+		sp := must(tbl.Query().With(Parallel(th)).GroupByContext(bg, "g", "g2"))
 		if sp.Strategy() != GroupHash {
 			t.Fatalf("strategy = %v, want hash (k1=%d k2=%d)", sp.Strategy(), k1, k2)
 		}
 		qm := tbl.Query().With(Parallel(th))
 		qm.Selection()
-		materialized := qm.GroupBy("g", "g2")
+		materialized := must(qm.GroupByContext(bg, "g", "g2"))
 		if materialized.Strategy() != GroupHash {
 			t.Fatalf("materialized selection moved the tier to %v", materialized.Strategy())
 		}
@@ -242,8 +242,8 @@ func FuzzGroupHashBank(f *testing.F) {
 			if len(gotKeys) != len(wantKeys) {
 				t.Fatalf("%s: %d keys, oracle %d", eng.name, len(gotKeys), len(wantKeys))
 			}
-			counts, sums := eng.g.Count(), eng.g.Sum("v")
-			mins, maxs := eng.g.Min("v"), eng.g.Max("v")
+			counts, sums := must(eng.g.CountContext(bg)), must(eng.g.SumContext(bg, "v"))
+			mins, maxs := must(eng.g.MinContext(bg, "v")), must(eng.g.MaxContext(bg, "v"))
 			for i, k := range gotKeys {
 				if k != wantKeys[i] {
 					t.Fatalf("%s: key[%d] = %d, oracle %d", eng.name, i, k, wantKeys[i])

@@ -63,17 +63,17 @@ func (r *refGroups) Count() []uint64 {
 
 // each runs one Column aggregate per group; a group without a value
 // reports 0.
-func (r *refGroups) each(column string, agg func(*Column, *Bitmap, ...ExecOption) (uint64, bool)) []uint64 {
+func (r *refGroups) each(column string, agg func(*Column, context.Context, *Bitmap, ...ExecOption) (uint64, bool, error)) []uint64 {
 	out := make([]uint64, len(r.sels))
 	for i, sel := range r.sels {
-		out[i], _ = agg(r.tbl.Column(column), sel)
+		out[i], _ = must2(agg(r.tbl.Column(column), bg, sel))
 	}
 	return out
 }
 
-func (r *refGroups) Min(column string) []uint64    { return r.each(column, (*Column).Min) }
-func (r *refGroups) Max(column string) []uint64    { return r.each(column, (*Column).Max) }
-func (r *refGroups) Median(column string) []uint64 { return r.each(column, (*Column).Median) }
+func (r *refGroups) Min(column string) []uint64    { return r.each(column, (*Column).MinContext) }
+func (r *refGroups) Max(column string) []uint64    { return r.each(column, (*Column).MaxContext) }
+func (r *refGroups) Median(column string) []uint64 { return r.each(column, (*Column).MedianContext) }
 
 // SumContext returns each group's SUM, or the first group's
 // *OverflowError in key order.
@@ -92,7 +92,7 @@ func (r *refGroups) SumContext(ctx context.Context, column string) ([]uint64, er
 func (r *refGroups) Avg(column string) []float64 {
 	out := make([]float64, len(r.sels))
 	for i, sel := range r.sels {
-		out[i], _ = r.tbl.Column(column).Avg(sel)
+		out[i], _ = must2(r.tbl.Column(column).AvgContext(bg, sel))
 	}
 	return out
 }

@@ -43,7 +43,7 @@ func checkAgainstReferenceWalk(t *testing.T, tbl *Table, threads int, withFilter
 		if materialize {
 			q.Selection()
 		}
-		sp := q.GroupBy("g")
+		sp := must(q.GroupByContext(bg, "g"))
 		requireSameGroups(t, sp, ref)
 		cmp := func(name string, a, b []uint64) {
 			t.Helper()
@@ -54,12 +54,12 @@ func checkAgainstReferenceWalk(t *testing.T, tbl *Table, threads int, withFilter
 				}
 			}
 		}
-		cmp("Count", sp.Count(), ref.Count())
-		cmp("Sum", sp.Sum("v"), refSums)
-		cmp("Min", sp.Min("v"), ref.Min("v"))
-		cmp("Max", sp.Max("v"), ref.Max("v"))
-		cmp("Median", sp.Median("v"), ref.Median("v"))
-		spAvg, refAvg := sp.Avg("v"), ref.Avg("v")
+		cmp("Count", must(sp.CountContext(bg)), ref.Count())
+		cmp("Sum", must(sp.SumContext(bg, "v")), refSums)
+		cmp("Min", must(sp.MinContext(bg, "v")), ref.Min("v"))
+		cmp("Max", must(sp.MaxContext(bg, "v")), ref.Max("v"))
+		cmp("Median", must(sp.MedianContext(bg, "v")), ref.Median("v"))
+		spAvg, refAvg := must(sp.AvgContext(bg, "v")), ref.Avg("v")
 		for i := range spAvg {
 			if spAvg[i] != refAvg[i] {
 				t.Fatalf("Avg differs at group %d: engine %v, reference walk %v", i, spAvg[i], refAvg[i])
@@ -122,14 +122,14 @@ func TestGroupCardinalityBudget(t *testing.T) {
 	}
 	tbl := buildGroupTable(t, VBP, VBP, 11, 7, keys, vals)
 
-	g := tbl.Query().GroupBy("g")
+	g := must(tbl.Query().GroupByContext(bg, "g"))
 	if g.Strategy() != GroupHash {
 		t.Fatalf("strategy = %v, want %v", g.Strategy(), GroupHash)
 	}
 	if g.Len() != n {
 		t.Fatalf("groups = %d, want %d", g.Len(), n)
 	}
-	for i, sum := range g.Sum("v") {
+	for i, sum := range must(g.SumContext(bg, "v")) {
 		if sum != uint64(i%97) {
 			t.Fatalf("group %d sum = %d, want %d", i, sum, i%97)
 		}
@@ -164,7 +164,7 @@ func TestGroupSinglePassStats(t *testing.T) {
 	tbl := buildGroupTable(t, VBP, VBP, 3, 10, keys, vals)
 
 	q := tbl.Query().WithStats()
-	g := q.GroupBy("g")
+	g := must(q.GroupByContext(bg, "g"))
 	s := q.Stats()
 	if s.Scans != 1 {
 		t.Errorf("partition Scans = %d, want 1 (one traversal for all groups)", s.Scans)
@@ -177,7 +177,7 @@ func TestGroupSinglePassStats(t *testing.T) {
 			s.GroupBankWords, want)
 	}
 
-	g.Sum("v")
+	must(g.SumContext(bg, "v"))
 	afterSum := q.Stats()
 	if got := afterSum.Aggregates - s.Aggregates; got != 1 {
 		t.Errorf("banked Sum recorded %d aggregates, want 1", got)
@@ -186,14 +186,14 @@ func TestGroupSinglePassStats(t *testing.T) {
 		t.Error("banked Sum moved no WordsTouched")
 	}
 
-	g.Min("v")
-	g.Max("v")
+	must(g.MinContext(bg, "v"))
+	must(g.MaxContext(bg, "v"))
 	afterExtremes := q.Stats()
 	if got := afterExtremes.Aggregates - afterSum.Aggregates; got != 2 {
 		t.Errorf("banked Min+Max recorded %d aggregates, want 2", got)
 	}
 
-	g.Count()
+	must(g.CountContext(bg))
 	afterCount := q.Stats()
 	if got := afterCount.Aggregates - afterExtremes.Aggregates; got != groups {
 		t.Errorf("Count recorded %d aggregates, want one per group (%d)", got, groups)
@@ -207,9 +207,9 @@ func TestGroupedCountRecordsStatsLegacy(t *testing.T) {
 	tbl, groups := groupStatsTable(t)
 	q := tbl.Query().WithStats()
 	q.Selection()
-	g := q.GroupBy("key")
+	g := must(q.GroupByContext(bg, "key"))
 	base := q.Stats()
-	g.Count()
+	must(g.CountContext(bg))
 	after := q.Stats()
 	if got := after.Aggregates - base.Aggregates; got != uint64(groups) {
 		t.Errorf("Count recorded %d aggregates, want %d", got, groups)
@@ -224,8 +224,8 @@ func TestGroupedCountRecordsStatsLegacy(t *testing.T) {
 }
 
 // TestGroupedSumOverflow pins the grouped overflow contract over a lazy
-// and a materialized selection: plain Sum/Avg panic with *OverflowError,
-// SumContext/AvgContext return it, and the error carries the exact
+// and a materialized selection: SumContext/AvgContext return
+// *OverflowError, and the error carries the exact
 // 128-bit total — the one the reference walk's per-group SumContext
 // reports for the same group.
 func TestGroupedSumOverflow(t *testing.T) {
@@ -249,7 +249,7 @@ func TestGroupedSumOverflow(t *testing.T) {
 			if materialize {
 				q.Selection()
 			}
-			g := q.GroupBy("g")
+			g := must(q.GroupByContext(bg, "g"))
 
 			_, err := g.SumContext(context.Background(), "v")
 			if !errors.As(err, &ov) {
@@ -261,20 +261,6 @@ func TestGroupedSumOverflow(t *testing.T) {
 			if _, err := g.AvgContext(context.Background(), "v"); !errors.As(err, &ov) {
 				t.Fatalf("layout %v materialized=%v: AvgContext = %v, want *OverflowError", layout, materialize, err)
 			}
-
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Fatalf("layout %v materialized=%v: plain Sum did not panic on overflow", layout, materialize)
-					}
-					e, ok := r.(error)
-					if !ok || !errors.As(e, &ov) {
-						t.Fatalf("layout %v: plain Sum panicked with %v, want *OverflowError", layout, r)
-					}
-				}()
-				g.Sum("v")
-			}()
 		}
 	}
 }
@@ -314,7 +300,7 @@ func FuzzGroupSinglePass(f *testing.F) {
 		tbl := buildGroupTable(t, lg, lv, kGi, kVi, keys, vals)
 		th := 1 + int(threads)%8
 
-		sp := tbl.Query().With(Parallel(th)).GroupBy("g")
+		sp := must(tbl.Query().With(Parallel(th)).GroupByContext(bg, "g"))
 		ref := referenceGroupWalk(t, tbl, tbl.Query().Selection(), "g")
 		requireSameGroups(t, sp, ref)
 
@@ -337,17 +323,17 @@ func FuzzGroupSinglePass(f *testing.F) {
 			}
 		}
 		refMin, refMax, refCnt := ref.Min("v"), ref.Max("v"), ref.Count()
-		for i, v := range sp.Min("v") {
+		for i, v := range must(sp.MinContext(bg, "v")) {
 			if v != refMin[i] {
 				t.Fatalf("min differs at group %d: %d vs %d", i, v, refMin[i])
 			}
 		}
-		for i, v := range sp.Max("v") {
+		for i, v := range must(sp.MaxContext(bg, "v")) {
 			if v != refMax[i] {
 				t.Fatalf("max differs at group %d: %d vs %d", i, v, refMax[i])
 			}
 		}
-		for i, v := range sp.Count() {
+		for i, v := range must(sp.CountContext(bg)) {
 			if v != refCnt[i] {
 				t.Fatalf("count differs at group %d: %d vs %d", i, v, refCnt[i])
 			}

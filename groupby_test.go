@@ -49,7 +49,7 @@ func TestGroupByAgainstMapReference(t *testing.T) {
 		a.vals = append(a.vals, amount[i])
 	}
 
-	g := tbl.Query().Where("amount", Less(5000)).GroupBy("region")
+	g := must(tbl.Query().Where("amount", Less(5000)).GroupByContext(bg, "region"))
 	keys := g.Keys()
 	if len(keys) != len(ref) {
 		t.Fatalf("got %d groups, want %d", len(keys), len(ref))
@@ -60,12 +60,12 @@ func TestGroupByAgainstMapReference(t *testing.T) {
 			t.Fatalf("keys not ascending: %v", keys)
 		}
 	}
-	counts := g.Count()
-	sums := g.Sum("amount")
-	mins := g.Min("amount")
-	maxs := g.Max("amount")
-	meds := g.Median("amount")
-	avgs := g.Avg("amount")
+	counts := must(g.CountContext(bg))
+	sums := must(g.SumContext(bg, "amount"))
+	mins := must(g.MinContext(bg, "amount"))
+	maxs := must(g.MaxContext(bg, "amount"))
+	meds := must(g.MedianContext(bg, "amount"))
+	avgs := must(g.AvgContext(bg, "amount"))
 	for i, key := range keys {
 		want := ref[key]
 		if want == nil {
@@ -92,11 +92,11 @@ func TestGroupByEmptySelection(t *testing.T) {
 	tbl.AddColumn("g", VBP, 4)
 	tbl.AddColumn("v", VBP, 8)
 	tbl.AppendColumnar(map[string][]uint64{"g": {1, 2, 3}, "v": {10, 20, 30}})
-	g := tbl.Query().Where("v", Greater(100)).GroupBy("g")
+	g := must(tbl.Query().Where("v", Greater(100)).GroupByContext(bg, "g"))
 	if g.Len() != 0 {
 		t.Fatalf("empty selection produced %d groups", g.Len())
 	}
-	if len(g.Sum("v")) != 0 || len(g.Keys()) != 0 {
+	if len(must(g.SumContext(bg, "v"))) != 0 || len(g.Keys()) != 0 {
 		t.Fatal("aggregates over zero groups should be empty")
 	}
 }
@@ -106,14 +106,14 @@ func TestGroupBySingleGroup(t *testing.T) {
 	tbl.AddColumn("g", HBP, 4)
 	tbl.AddColumn("v", VBP, 8)
 	tbl.AppendColumnar(map[string][]uint64{"g": {5, 5, 5}, "v": {1, 2, 3}})
-	g := tbl.Query().GroupBy("g")
+	g := must(tbl.Query().GroupByContext(bg, "g"))
 	if g.Len() != 1 || g.Keys()[0] != 5 {
 		t.Fatalf("groups = %v", g.Keys())
 	}
-	if got := g.Sum("v")[0]; got != 6 {
+	if got := must(g.SumContext(bg, "v"))[0]; got != 6 {
 		t.Fatalf("Sum = %d", got)
 	}
-	if got := g.Count()[0]; got != 3 {
+	if got := must(g.CountContext(bg))[0]; got != 3 {
 		t.Fatalf("Count = %d", got)
 	}
 	if sel := g.Selection(0); sel.Count() != 3 {
@@ -121,16 +121,13 @@ func TestGroupBySingleGroup(t *testing.T) {
 	}
 }
 
-func TestGroupByUnknownColumnPanics(t *testing.T) {
+func TestGroupByUnknownColumnErrors(t *testing.T) {
 	tbl := NewTable()
 	tbl.AddColumn("g", VBP, 4)
 	tbl.AppendColumnar(map[string][]uint64{"g": {1}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GroupBy on unknown column did not panic")
-		}
-	}()
-	tbl.Query().GroupBy("nope")
+	if _, err := tbl.Query().GroupByContext(bg, "nope"); err == nil {
+		t.Fatal("GroupByContext on an unknown column returned no error")
+	}
 }
 
 // groupStatsTable builds a small table with a known number of distinct
@@ -210,24 +207,24 @@ func TestGroupByMaterializedSelectionOnePass(t *testing.T) {
 			func() (*Query, func() *Grouped) {
 				q := tbl.Query().Where("val", Less(500))
 				q.Selection()
-				return q, func() *Grouped { return q.GroupBy("key") }
+				return q, func() *Grouped { return must(q.GroupByContext(bg, "key")) }
 			}},
 		{"row range",
 			func() *Query { return tbl.Query().Where("pos", Between(130, 1499)) }, "key",
 			func() (*Query, func() *Grouped) {
 				q := tbl.Query()
-				return q, func() *Grouped { return q.Range(130, 1500).GroupBy("key") }
+				return q, func() *Grouped { return must(q.Range(130, 1500).GroupByContext(bg, "key")) }
 			}},
 		{"NULL grouping keys",
 			func() *Query { return tbl.Query().Where("live", Equal(1)) }, "zkey",
 			func() (*Query, func() *Grouped) {
 				q := tbl.Query()
-				return q, func() *Grouped { return q.GroupBy("nkey") }
+				return q, func() *Grouped { return must(q.GroupByContext(bg, "nkey")) }
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lq := tc.lazy().WithStats()
-			want, wantG := partition(lq, func() *Grouped { return lq.GroupBy(tc.by) })
+			want, wantG := partition(lq, func() *Grouped { return must(lq.GroupByContext(bg, tc.by)) })
 			q, group := tc.input()
 			got, g := partition(q.WithStats(), group)
 
@@ -243,8 +240,8 @@ func TestGroupByMaterializedSelectionOnePass(t *testing.T) {
 			if g.Strategy() != GroupDirect {
 				t.Errorf("strategy = %v, want %v", g.Strategy(), GroupDirect)
 			}
-			if !reflect.DeepEqual(g.Keys(), wantG.Keys()) || !reflect.DeepEqual(g.Count(), wantG.Count()) {
-				t.Errorf("keys %v counts %v, lazy query %v %v", g.Keys(), g.Count(), wantG.Keys(), wantG.Count())
+			if !reflect.DeepEqual(g.Keys(), wantG.Keys()) || !reflect.DeepEqual(must(g.CountContext(bg)), must(wantG.CountContext(bg))) {
+				t.Errorf("keys %v counts %v, lazy query %v %v", g.Keys(), must(g.CountContext(bg)), wantG.Keys(), must(wantG.CountContext(bg)))
 			}
 		})
 	}
@@ -286,22 +283,22 @@ func TestStrategyIsKeyWidth(t *testing.T) {
 				t.Errorf("%s / %s: Strategy() = %v, want %v", tc.name, input, got, tc.want)
 			}
 		}
-		check("flat", flat.Query().GroupBy(tc.cols...).Strategy())
-		check("flat, filtered", flat.Query().Where("val", Less(500)).GroupBy(tc.cols...).Strategy())
-		check("flat, no row passes", flat.Query().Where("val", Greater(1023)).GroupBy(tc.cols...).Strategy())
-		check("flat, ranged", flat.Query().Range(130, 1500).GroupBy(tc.cols...).Strategy())
+		check("flat", must(flat.Query().GroupByContext(bg, tc.cols...)).Strategy())
+		check("flat, filtered", must(flat.Query().Where("val", Less(500)).GroupByContext(bg, tc.cols...)).Strategy())
+		check("flat, no row passes", must(flat.Query().Where("val", Greater(1023)).GroupByContext(bg, tc.cols...)).Strategy())
+		check("flat, ranged", must(flat.Query().Range(130, 1500).GroupByContext(bg, tc.cols...)).Strategy())
 		mq := flat.Query().Where("val", Less(500))
 		mq.Selection()
-		check("flat, materialized", mq.GroupBy(tc.cols...).Strategy())
+		check("flat, materialized", must(mq.GroupByContext(bg, tc.cols...)).Strategy())
 
 		for name, st := range stores {
-			check(name, st.Query().GroupBy(tc.cols...).Strategy())
+			check(name, must(st.Query().GroupByContext(bg, tc.cols...)).Strategy())
 			// val ≤ 1023, so the catalog prunes every shard.
-			check(name+", fully pruned", st.Query().Where("val", Greater(1023)).GroupBy(tc.cols...).Strategy())
-			check(name+", ranged", st.Query().Range(130, 1500).GroupBy(tc.cols...).Strategy())
+			check(name+", fully pruned", must(st.Query().Where("val", Greater(1023)).GroupByContext(bg, tc.cols...)).Strategy())
+			check(name+", ranged", must(st.Query().Range(130, 1500).GroupByContext(bg, tc.cols...)).Strategy())
 			sq := st.Query().Where("val", Less(500))
 			sq.materialize()
-			check(name+", materialized", sq.GroupBy(tc.cols...).Strategy())
+			check(name+", materialized", must(sq.GroupByContext(bg, tc.cols...)).Strategy())
 		}
 	}
 }
@@ -315,10 +312,10 @@ func TestGroupedAggregatesVisibleInStats(t *testing.T) {
 	tbl, _ := groupStatsTable(t)
 	q := tbl.Query().WithStats()
 	q.Selection()
-	g := q.GroupBy("key")
+	g := must(q.GroupByContext(bg, "key"))
 	base := q.Stats()
 
-	g.Sum("val")
+	must(g.SumContext(bg, "val"))
 	afterSum := q.Stats()
 	if got := afterSum.Aggregates - base.Aggregates; got != 1 {
 		t.Errorf("Grouped.Sum recorded %d aggregates, want 1 banked pass", got)
@@ -327,7 +324,7 @@ func TestGroupedAggregatesVisibleInStats(t *testing.T) {
 		t.Error("Grouped.Sum moved no WordsTouched")
 	}
 
-	g.Avg("val")
+	must(g.AvgContext(bg, "val"))
 	if got := q.Stats().Aggregates - afterSum.Aggregates; got != 1 {
 		t.Errorf("Grouped.Avg recorded %d aggregates, want 1 banked pass", got)
 	}
@@ -370,8 +367,8 @@ func TestGroupByWithExecOptions(t *testing.T) {
 	tbl.AddColumn("g", VBP, 2)
 	tbl.AddColumn("v", VBP, 10)
 	tbl.AppendColumnar(map[string][]uint64{"g": g, "v": v})
-	base := tbl.Query().GroupBy("g").Sum("v")
-	fast := tbl.Query().With(Parallel(4)).GroupBy("g").Sum("v")
+	base := must(must(tbl.Query().GroupByContext(bg, "g")).SumContext(bg, "v"))
+	fast := must(must(tbl.Query().With(Parallel(4)).GroupByContext(bg, "g")).SumContext(bg, "v"))
 	for i := range base {
 		if base[i] != fast[i] {
 			t.Fatalf("group %d: serial %d, parallel %d", i, base[i], fast[i])
@@ -390,9 +387,9 @@ func TestGroupedConcurrentAggregates(t *testing.T) {
 	for name, cols := range map[string][]string{
 		"narrow key": {"key"}, "wide key": {"pos"}, "narrow composite": {"key", "live"},
 	} {
-		g := tbl.Query().Where("val", Less(900)).GroupBy(cols...)
-		ref := tbl.Query().Where("val", Less(900)).GroupBy(cols...)
-		wantCount, wantSum, wantAvg, wantMax, wantMed := ref.Count(), ref.Sum("val"), ref.Avg("val"), ref.Max("pos"), ref.Median("val")
+		g := must(tbl.Query().Where("val", Less(900)).GroupByContext(bg, cols...))
+		ref := must(tbl.Query().Where("val", Less(900)).GroupByContext(bg, cols...))
+		wantCount, wantSum, wantAvg, wantMax, wantMed := must(ref.CountContext(bg)), must(ref.SumContext(bg, "val")), must(ref.AvgContext(bg, "val")), must(ref.MaxContext(bg, "pos")), must(ref.MedianContext(bg, "val"))
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
@@ -402,11 +399,11 @@ func TestGroupedConcurrentAggregates(t *testing.T) {
 					var ok bool
 					switch (w + i) % 4 {
 					case 0:
-						ok = reflect.DeepEqual(g.Count(), wantCount)
+						ok = reflect.DeepEqual(must(g.CountContext(bg)), wantCount)
 					case 1:
-						ok = reflect.DeepEqual(g.Sum("val"), wantSum) && reflect.DeepEqual(g.Max("pos"), wantMax)
+						ok = reflect.DeepEqual(must(g.SumContext(bg, "val")), wantSum) && reflect.DeepEqual(must(g.MaxContext(bg, "pos")), wantMax)
 					case 2:
-						ok = reflect.DeepEqual(g.Avg("val"), wantAvg) && reflect.DeepEqual(g.Median("val"), wantMed)
+						ok = reflect.DeepEqual(must(g.AvgContext(bg, "val")), wantAvg) && reflect.DeepEqual(must(g.MedianContext(bg, "val")), wantMed)
 					default:
 						gi := (w + i) % g.Len()
 						ok = uint64(g.Selection(gi).Count()) == wantCount[gi]

@@ -110,13 +110,13 @@ func TestShardedGroupRankOneDescent(t *testing.T) {
 // so an expired deadline is an error, never an answer.
 func TestShardedGroupRankCancels(t *testing.T) {
 	flat, _ := groupRankTable(rand.New(rand.NewSource(27)), 2000, 4, 10, VBP, HBP, 10)
-	g := ShardTable(flat, 700).Query().GroupBy("g")
+	g := must(ShardTable(flat, 700).Query().GroupByContext(bg, "g"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := g.MedianOkContext(ctx, "v"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MedianOkContext under a cancelled context = %v, want context.Canceled", err)
 	}
-	if _, err := flat.Query().GroupBy("g").MedianContext(ctx, "v"); !errors.Is(err, context.Canceled) {
+	if _, err := must(flat.Query().GroupByContext(bg, "g")).MedianContext(ctx, "v"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Grouped.MedianContext under a cancelled context = %v, want context.Canceled", err)
 	}
 }
@@ -170,7 +170,7 @@ func FuzzGroupRank(f *testing.F) {
 			}
 			// The flat Grouped answers the strict MEDIAN, an error when a
 			// group holds only NULLs.
-			meds, err := tbl.Query().With(Parallel(th)).GroupBy("g").MedianContext(ctx, "v")
+			meds, err := must(tbl.Query().With(Parallel(th)).GroupByContext(bg, "g")).MedianContext(ctx, "v")
 			allOK := !slices.Contains(wantOks, false)
 			if allOK != (err == nil) || allOK && !reflect.DeepEqual(meds, want) {
 				t.Fatalf("flat MEDIAN = %v (err %v), want %v (every group has a value: %v)", meds, err, want, allOK)

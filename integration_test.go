@@ -41,17 +41,17 @@ func TestLargePipeline(t *testing.T) {
 			perRegion[region[i]] += price[i]
 		}
 	}
-	if got := q.CountRows(); got != wantCount {
+	if got := must(q.CountRowsContext(bg)); got != wantCount {
 		t.Fatalf("CountRows = %d, want %d", got, wantCount)
 	}
 	if got := q.Sum("qty"); got != wantSum {
 		t.Fatalf("Sum = %d, want %d", got, wantSum)
 	}
-	g := tbl.Query().
+	g := must(tbl.Query().
 		Where("price", Less(1<<19)).
 		Where("qty", GreaterEq(10)).
-		GroupBy("region")
-	sums := g.Sum("price")
+		GroupByContext(bg, "region"))
+	sums := must(g.SumContext(bg, "price"))
 	for i, key := range g.Keys() {
 		if sums[i] != perRegion[key] {
 			t.Fatalf("region %d sum = %d, want %d", key, sums[i], perRegion[key])

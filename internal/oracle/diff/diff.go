@@ -30,6 +30,7 @@ package diff
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"fmt"
 
 	"bpagg"
@@ -228,7 +229,9 @@ func (c *Case) stores(shards int) ([]store, error) {
 	var buf bytes.Buffer
 	if shards == 0 {
 		fresh := c.table()
-		fresh.Query().CountRows()
+		if _, err := fresh.Query().CountRowsContext(context.Background()); err != nil {
+			return nil, fmt.Errorf("case %s: fresh store: %w", c.Name, err)
+		}
 		c.appendExtras(fresh)
 		out := []store{{"fresh", fresh, bpagg.PartitionTable(fresh)}}
 		if c.big {

@@ -60,7 +60,7 @@ type run struct {
 }
 
 // cells drives every route of the store in turn and returns the first
-// divergence; an engine panic outside the plain methods' contract is one.
+// divergence; an engine panic outside the plain Sum's contract is one.
 func (r *run) cells() (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -89,7 +89,7 @@ func (r *run) routes() []func() error {
 	add := func(f func() error) { out = append(out, f) }
 	if !r.c.big {
 		add(func() error {
-			return r.scalars("query", queryAggs(func() query { return r.query(nil) }, true), &x.whole.all, true, true)
+			return r.scalars("query", queryAggs(func() query { return r.query(nil) }), &x.whole.all, true, true)
 		})
 	}
 	if !r.c.big && r.first {
@@ -112,12 +112,12 @@ func (r *run) routes() []func() error {
 		// table alone would pass a rank that dropped the row mask.
 		ranks := i%3 == 0 && !sharded || sharded && r.first && (i == 0 || i == len(r.c.Ranges)-1)
 		add(func() error {
-			return r.scalars(route, queryAggs(func() query { return r.query(&p) }, false), &x.ranges[i].all, ranks, false)
+			return r.scalars(route, queryAggs(func() query { return r.query(&p) }), &x.ranges[i].all, ranks, false)
 		})
 		if r.c.G != nil && i%3 == 0 {
 			add(func() error {
 				g, err := r.storeQuery().Range(p[0], p[1]).GroupByContext(context.Background(), r.c.groupCols()...)
-				return r.groups("group-"+route, g, err, x.ranges[i], false)
+				return r.groups("group-"+route, g, err, x.ranges[i])
 			})
 		}
 	}
@@ -131,8 +131,8 @@ func (r *run) routes() []func() error {
 	}
 	if r.c.G != nil {
 		add(func() error {
-			g, err := try(func() *bpagg.Grouped { return r.storeQuery().GroupBy(r.c.groupCols()...) })
-			if err := r.groups("group", g, err, x.whole, true); err != nil {
+			g, err := r.storeQuery().GroupByContext(context.Background(), r.c.groupCols()...)
+			if err := r.groups("group", g, err, x.whole); err != nil {
 				return err
 			}
 			return r.okArms(g, err, x.whole)
@@ -140,12 +140,10 @@ func (r *run) routes() []func() error {
 	}
 	if r.c.G != nil && onePart && r.first {
 		add(func() error {
-			g, err := try(func() *bpagg.Grouped {
-				q := r.storeQuery()
-				q.Selection()
-				return q.GroupBy(r.c.groupCols()...)
-			})
-			return r.groups("group-materialized", g, err, x.whole, true)
+			q := r.storeQuery()
+			q.Selection()
+			g, err := q.GroupByContext(context.Background(), r.c.groupCols()...)
+			return r.groups("group-materialized", g, err, x.whole)
 		})
 	}
 	if r.sql {
@@ -173,15 +171,7 @@ func (r *run) query(p *[2]int) query {
 
 // query is the scalar method set *Query and *RangeQuery share.
 type query interface {
-	CountRows() uint64
-	Count(string) uint64
 	Sum(string) uint64
-	Min(string) (uint64, bool)
-	Max(string) (uint64, bool)
-	Avg(string) (float64, bool)
-	Median(string) (uint64, bool)
-	Rank(string, uint64) (uint64, bool)
-	Quantile(string, float64) (uint64, bool)
 	CountRowsContext(context.Context) (uint64, error)
 	CountContext(context.Context, string) (uint64, error)
 	SumContext(context.Context, string) (uint64, error)
@@ -208,11 +198,10 @@ type aggs struct {
 }
 
 // queryAggs is the battery's view of a query: mk builds a fresh one per
-// aggregate, so each runs on the route the planner picks for it alone;
-// plain takes the panicking methods over the …Context ones.
-func queryAggs(mk func() query, plain bool) aggs {
+// aggregate, so each runs on the route the planner picks for it alone.
+func queryAggs(mk func() query) aggs {
 	ctx := context.Background()
-	a := aggs{
+	return aggs{
 		countRows: func() (uint64, error) { return mk().CountRowsContext(ctx) },
 		count:     func() (uint64, error) { return mk().CountContext(ctx, "a") },
 		sum:       func() (uint64, error) { return mk().SumContext(ctx, "a") },
@@ -228,22 +217,6 @@ func queryAggs(mk func() query, plain bool) aggs {
 		rank:     func(n uint64) (opt[uint64], error) { return ok3(mk().RankContext(ctx, "a", n)) },
 		quantile: func(q float64) (opt[uint64], error) { return ok3(mk().QuantileContext(ctx, "a", q)) },
 	}
-	if plain {
-		a.countRows = func() (uint64, error) { return try(func() uint64 { return mk().CountRows() }) }
-		a.count = func() (uint64, error) { return try(func() uint64 { return mk().Count("a") }) }
-		a.sum, a.plainSum = a.plainSum, nil
-		a.min = func() (opt[uint64], error) { return try(func() opt[uint64] { return some(mk().Min("a")) }) }
-		a.max = func() (opt[uint64], error) { return try(func() opt[uint64] { return some(mk().Max("a")) }) }
-		a.avg = func() (opt[float64], error) { return try(func() opt[float64] { return some(mk().Avg("a")) }) }
-		a.median = func() (opt[uint64], error) { return try(func() opt[uint64] { return some(mk().Median("a")) }) }
-		a.rank = func(n uint64) (opt[uint64], error) {
-			return try(func() opt[uint64] { return some(mk().Rank("a", n)) })
-		}
-		a.quantile = func(q float64) (opt[uint64], error) {
-			return try(func() opt[uint64] { return some(mk().Quantile("a", q)) })
-		}
-	}
-	return a
 }
 
 // columnAggs is the battery's view of the two-phase route: the query's
@@ -254,15 +227,14 @@ func columnAggs(col *bpagg.Column, sel *bpagg.Bitmap, opts []bpagg.ExecOption) a
 		countRows: func() (uint64, error) { return uint64(sel.Count()), nil },
 		count:     func() (uint64, error) { return col.CountContext(ctx, sel) },
 		sum:       func() (uint64, error) { return col.SumContext(ctx, sel, opts...) },
-		plainSum:  func() (uint64, error) { return try(func() uint64 { return col.Sum(sel, opts...) }) },
 		min:       func() (opt[uint64], error) { return ok3(col.MinContext(ctx, sel, opts...)) },
 		max:       func() (opt[uint64], error) { return ok3(col.MaxContext(ctx, sel, opts...)) },
 		avg:       func() (opt[float64], error) { return ok3(col.AvgContext(ctx, sel, opts...)) },
 		median:    func() (opt[uint64], error) { return ok3(col.MedianContext(ctx, sel, opts...)) },
 		rank:      func(n uint64) (opt[uint64], error) { return ok3(col.RankContext(ctx, sel, n, opts...)) },
 		quantile:  func(q float64) (opt[uint64], error) { return ok3(col.QuantileContext(ctx, sel, q, opts...)) },
-		topK:      func(k int) ([]uint64, error) { return try(func() []uint64 { return col.TopK(sel, k, opts...) }) },
-		bottomK:   func(k int) ([]uint64, error) { return try(func() []uint64 { return col.BottomK(sel, k, opts...) }) },
+		topK:      func(k int) ([]uint64, error) { return col.TopKContext(ctx, sel, k, opts...) },
+		bottomK:   func(k int) ([]uint64, error) { return col.BottomKContext(ctx, sel, k, opts...) },
 	}
 }
 
@@ -347,9 +319,8 @@ func (r *run) statement(t *tally) error {
 // groups runs the grouped battery of one GROUP BY: the tier the key-width
 // rule names, keys, COUNT, SUM and AVG under the overflow contract, MIN,
 // MAX and MEDIAN. A group whose measure rows are all NULL has no
-// MIN/MAX/MEDIAN: those calls must fail, as documented. plain takes the
-// panicking methods over the …Context ones.
-func (r *run) groups(route string, g *bpagg.Grouped, err error, w *answers, plain bool) error {
+// MIN/MAX/MEDIAN: those calls must fail, as documented.
+func (r *run) groups(route string, g *bpagg.Grouped, err error, w *answers) error {
 	k := r.checker(route)
 	if err != nil {
 		k.fail("GROUPBY", "unexpected error: %v", err)
@@ -360,22 +331,21 @@ func (r *run) groups(route string, g *bpagg.Grouped, err error, w *answers, plai
 		return k.err
 	}
 	k.check("KEYS", g.Keys(), nil, w.keys)
-	counts, err := pick(plain, func(string) []uint64 { return g.Count() },
-		func(ctx context.Context, _ string) ([]uint64, error) { return g.CountContext(ctx) })
+	ctx := context.Background()
+	counts, err := g.CountContext(ctx)
 	want := w.want()
 	k.check("COUNT", counts, err, want.counts)
 	ov, group := r.x.overflow(w)
-	sums, err := pick(plain, g.Sum, g.SumContext)
+	sums, err := g.SumContext(ctx, "a")
 	k.sum("SUM", sums, err, ov, group, want.sums)
-	avgs, err := pick(plain, g.Avg, g.AvgContext)
+	avgs, err := g.AvgContext(ctx, "a")
 	k.sum("AVG", avgs, err, ov, group, want.avgs)
 	for _, a := range []struct {
-		name  string
-		plain func(string) []uint64
-		ctx   func(context.Context, string) ([]uint64, error)
-		want  []uint64
-	}{{"MIN", g.Min, g.MinContext, want.mins}, {"MAX", g.Max, g.MaxContext, want.maxs}, {"MEDIAN", g.Median, g.MedianContext, want.medians}} {
-		vals, err := pick(plain, a.plain, a.ctx)
+		name string
+		ctx  func(context.Context, string) ([]uint64, error)
+		want []uint64
+	}{{"MIN", g.MinContext, want.mins}, {"MAX", g.MaxContext, want.maxs}, {"MEDIAN", g.MedianContext, want.medians}} {
+		vals, err := a.ctx(ctx, "a")
 		if !want.empty {
 			k.check(a.name, vals, err, a.want)
 		} else if err == nil {
@@ -609,8 +579,8 @@ func (k *checker) sum(agg string, got any, err error, w wide, group []uint64, wa
 	}
 }
 
-// try converts a panic from the engine's plain (non-Context) API into an
-// error, so a cell can compare it with what the oracle expects.
+// try converts a panic from the engine's one plain aggregate (Sum) into
+// an error, so a cell can compare it with what the oracle expects.
 func try[T any](f func() T) (v T, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -620,14 +590,6 @@ func try[T any](f func() T) (v T, err error) {
 		}
 	}()
 	return f(), nil
-}
-
-// pick calls the plain or the …Context form of a grouped aggregate.
-func pick[T any](plain bool, p func(string) T, c func(context.Context, string) (T, error)) (T, error) {
-	if plain {
-		return try(func() T { return p("a") })
-	}
-	return c(context.Background(), "a")
 }
 
 func ok3[T comparable](v T, ok bool, err error) (opt[T], error) { return some(v, ok), err }

@@ -206,17 +206,6 @@ func HBPExtremeFilterCtx(ctx context.Context, col *hbp.Column, src core.Filter, 
 		func(temps [][]uint64) uint64 { return core.HBPFinishExtreme(col, temps, wantMin) })
 }
 
-// VBPRankFilterCtx computes a rank statistic of the tuples src selects
-// over a VBP column, honoring ctx (FilterRankCtx).
-func VBPRankFilterCtx(ctx context.Context, col *vbp.Column, src core.Filter, rankOf func(u uint64) (uint64, bool), o Options) (val, cnt uint64, ok bool, err error) {
-	return FilterRankCtx(ctx, GroupCol{V: col}, src, rankOf, o)
-}
-
-// HBPRankFilterCtx is VBPRankFilterCtx over an HBP column.
-func HBPRankFilterCtx(ctx context.Context, col *hbp.Column, src core.Filter, rankOf func(u uint64) (uint64, bool), o Options) (val, cnt uint64, ok bool, err error) {
-	return FilterRankCtx(ctx, GroupCol{H: col}, src, rankOf, o)
-}
-
 // FilterRankCtx computes a rank statistic of the tuples src selects over
 // col, honoring ctx: one part, one descent (RankCtx). rankOf maps the
 // selected count cnt to the 1-based rank to extract (MEDIAN passes
@@ -284,24 +273,23 @@ func bitsExtreme[C any](ctx context.Context, col C, f *bitvec.Bitmap, o Options,
 // per-block checks inside each pass, so even a mid-refinement deadline is
 // honored within one radix step.
 func VBPRankCtx(ctx context.Context, col *vbp.Column, f *bitvec.Bitmap, r uint64, o Options) (uint64, bool, error) {
-	return bitsRank(ctx, col, f, r, o, VBPRankFilterCtx)
+	return bitsRank(ctx, GroupCol{V: col}, f, r, o)
 }
 
 // HBPRankCtx computes the r-th smallest filtered value, honoring ctx.
 // Cancellation is checked at every histogram rendezvous (per bit-group
 // chunk) in addition to the per-block checks inside each pass.
 func HBPRankCtx(ctx context.Context, col *hbp.Column, f *bitvec.Bitmap, r uint64, o Options) (uint64, bool, error) {
-	return bitsRank(ctx, col, f, r, o, HBPRankFilterCtx)
+	return bitsRank(ctx, GroupCol{H: col}, f, r, o)
 }
 
-// bitsRank runs a rank driver for rank r on bitmap f, unless r is 0 or
+// bitsRank runs the rank driver for rank r on bitmap f, unless r is 0 or
 // past f's count.
-func bitsRank[C any](ctx context.Context, col C, f *bitvec.Bitmap, r uint64, o Options,
-	driver func(context.Context, C, core.Filter, func(uint64) (uint64, bool), Options) (uint64, uint64, bool, error)) (uint64, bool, error) {
+func bitsRank(ctx context.Context, col GroupCol, f *bitvec.Bitmap, r uint64, o Options) (uint64, bool, error) {
 	if r == 0 || r > core.Count(f) {
 		return 0, false, nil
 	}
-	v, _, ok, err := driver(ctx, col, core.Bits(f), func(uint64) (uint64, bool) { return r, true }, o)
+	v, _, ok, err := FilterRankCtx(ctx, col, core.Bits(f), func(uint64) (uint64, bool) { return r, true }, o)
 	return v, ok, err
 }
 
@@ -342,12 +330,12 @@ func HBPFusedExtremeCtx(ctx context.Context, col *hbp.Column, preds []scan.Windo
 
 // VBPFusedRankCtx computes a rank statistic of the tuples matching the
 // predicate conjunction over a VBP column, honoring ctx; rankOf is
-// VBPRankFilterCtx's.
+// FilterRankCtx's.
 func VBPFusedRankCtx(ctx context.Context, col *vbp.Column, preds []scan.WindowPred, rankOf func(u uint64) (uint64, bool), o Options) (val, cnt uint64, ok bool, err error) {
-	return VBPRankFilterCtx(ctx, col, core.Preds(preds), rankOf, o)
+	return FilterRankCtx(ctx, GroupCol{V: col}, core.Preds(preds), rankOf, o)
 }
 
 // HBPFusedRankCtx is VBPFusedRankCtx over an HBP column.
 func HBPFusedRankCtx(ctx context.Context, col *hbp.Column, preds []scan.WindowPred, rankOf func(u uint64) (uint64, bool), o Options) (val, cnt uint64, ok bool, err error) {
-	return HBPRankFilterCtx(ctx, col, core.Preds(preds), rankOf, o)
+	return FilterRankCtx(ctx, GroupCol{H: col}, core.Preds(preds), rankOf, o)
 }

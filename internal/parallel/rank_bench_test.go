@@ -15,7 +15,7 @@ import (
 )
 
 // BenchmarkRank is the core.rank rung at driver level: MEDIAN through
-// VBPRankFilterCtx / HBPRankFilterCtx at Threads 1 over 2^20 uniform rows,
+// FilterRankCtx at Threads 1 over 2^20 uniform rows,
 // its filter words read from a materialized bitmap or evaluated from a
 // predicate over a selector column of the same window geometry, at
 // 1/10/50/90 % selectivity, on BenchmarkKernel's geometries (VBP k ∈
@@ -40,13 +40,14 @@ func BenchmarkRank(b *testing.B) {
 			vals[i] = rng.Uint64() & word.LowMask(c.k)
 		}
 		var (
-			vc, vs *vbp.Column
-			hc, hs *hbp.Column
+			col GroupCol
+			vs  *vbp.Column
+			hs  *hbp.Column
 		)
 		if c.layout == "vbp" {
-			vc, vs = vbp.Pack(vals, c.k, c.tau), vbp.Pack(sel, 7, 4)
+			col.V, vs = vbp.Pack(vals, c.k, c.tau), vbp.Pack(sel, 7, 4)
 		} else {
-			hc, hs = hbp.Pack(vals, c.k, c.tau), hbp.Pack(sel, 7, c.tau)
+			col.H, hs = hbp.Pack(vals, c.k, c.tau), hbp.Pack(sel, 7, c.tau)
 		}
 		for _, pct := range []uint64{1, 10, 50, 90} {
 			p := scan.Predicate{Op: scan.LT, A: pct}
@@ -57,7 +58,7 @@ func BenchmarkRank(b *testing.B) {
 				}
 			}
 			srcs := map[string]core.Filter{"bitmap": core.Bits(f)}
-			if vc != nil {
+			if vs != nil {
 				srcs["preds"] = core.Preds([]scan.WindowPred{scan.NewVBPWindowPred(vs, p)})
 			} else {
 				srcs["preds"] = core.Preds([]scan.WindowPred{scan.NewHBPWindowPred(hs, p)})
@@ -68,12 +69,7 @@ func BenchmarkRank(b *testing.B) {
 					o := Options{Threads: 1}
 					for i := 0; i < b.N; i++ {
 						var err error
-						if vc != nil {
-							v, _, _, err = VBPRankFilterCtx(ctx, vc, src, median, o)
-						} else {
-							v, _, _, err = HBPRankFilterCtx(ctx, hc, src, median, o)
-						}
-						if err != nil {
+						if v, _, _, err = FilterRankCtx(ctx, col, src, median, o); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -297,7 +297,9 @@ func ReadTable(r io.Reader) (*Table, error) {
 		} else if col.Len() != rows {
 			return nil, fmt.Errorf("bpagg: column %q has %d rows, want %d", name, col.Len(), rows)
 		}
-		t.adopt(name, col)
+		if err := t.adopt(name, col); err != nil {
+			return nil, err
+		}
 	}
 	if rows > 0 {
 		t.rows = rows

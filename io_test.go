@@ -38,11 +38,11 @@ func TestColumnRoundTrip(t *testing.T) {
 			}
 			// Aggregates work on the deserialized column.
 			if n > 0 {
-				if got.Sum(got.All()) != col.Sum(col.All()) {
+				if must(got.SumContext(bg, got.All())) != must(col.SumContext(bg, col.All())) {
 					t.Fatalf("%v n=%d: sums differ after round trip", layout, n)
 				}
-				gm, _ := got.Median(got.All())
-				cm, _ := col.Median(col.All())
+				gm, _ := must2(got.MedianContext(bg, got.All()))
+				cm, _ := must2(col.MedianContext(bg, col.All()))
 				if gm != cm {
 					t.Fatalf("%v n=%d: medians differ after round trip", layout, n)
 				}
@@ -67,8 +67,8 @@ func TestColumnRoundTripWithNulls(t *testing.T) {
 	if got.NullCount() != 1 || !got.IsNull(2) {
 		t.Fatalf("nulls lost: count=%d", got.NullCount())
 	}
-	if got.Sum(got.All()) != 6 {
-		t.Fatalf("Sum = %d", got.Sum(got.All()))
+	if must(got.SumContext(bg, got.All())) != 6 {
+		t.Fatalf("Sum = %d", must(got.SumContext(bg, got.All())))
 	}
 }
 

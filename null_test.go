@@ -52,20 +52,20 @@ func TestNullScanAndAggregateSemantics(t *testing.T) {
 		if all.Count() != 4 {
 			t.Fatalf("%v: COUNT(*) = %d, want 4", layout, all.Count())
 		}
-		if got := col.Sum(all); got != 205 {
+		if got := must(col.SumContext(bg, all)); got != 205 {
 			t.Fatalf("%v: Sum = %d, want 205", layout, got)
 		}
-		if got, ok := col.Min(all); !ok || got != 0 {
+		if got, ok := must2(col.MinContext(bg, all)); !ok || got != 0 {
 			t.Fatalf("%v: Min = (%d,%v), want 0", layout, got, ok)
 		}
-		if got, ok := col.Max(all); !ok || got != 200 {
+		if got, ok := must2(col.MaxContext(bg, all)); !ok || got != 200 {
 			t.Fatalf("%v: Max = (%d,%v), want 200", layout, got, ok)
 		}
 		// Median of {0, 5, 200} = 5.
-		if got, ok := col.Median(all); !ok || got != 5 {
+		if got, ok := must2(col.MedianContext(bg, all)); !ok || got != 5 {
 			t.Fatalf("%v: Median = (%d,%v), want 5", layout, got, ok)
 		}
-		if got, ok := col.Avg(all); !ok || got != 205.0/3 {
+		if got, ok := must2(col.AvgContext(bg, all)); !ok || got != 205.0/3 {
 			t.Fatalf("%v: Avg = (%v,%v)", layout, got, ok)
 		}
 	}
@@ -79,16 +79,16 @@ func TestAllNullColumn(t *testing.T) {
 	if got := col.Count(all); got != 0 {
 		t.Fatalf("Count over all-NULL = %d", got)
 	}
-	if got := col.Sum(all); got != 0 {
+	if got := must(col.SumContext(bg, all)); got != 0 {
 		t.Fatalf("Sum over all-NULL = %d", got)
 	}
-	if _, ok := col.Min(all); ok {
+	if _, ok := must2(col.MinContext(bg, all)); ok {
 		t.Fatal("Min over all-NULL should report !ok")
 	}
-	if _, ok := col.Median(all); ok {
+	if _, ok := must2(col.MedianContext(bg, all)); ok {
 		t.Fatal("Median over all-NULL should report !ok")
 	}
-	if _, ok := col.Avg(all); ok {
+	if _, ok := must2(col.AvgContext(bg, all)); ok {
 		t.Fatal("Avg over all-NULL should report !ok")
 	}
 	if sel := col.Scan(GreaterEq(0)); sel.Count() != 0 {
@@ -131,12 +131,12 @@ func TestNullsInterleavedRandomized(t *testing.T) {
 		for _, v := range kept {
 			wantSum += v
 		}
-		if got := col.Sum(sel); got != wantSum {
+		if got := must(col.SumContext(bg, sel)); got != wantSum {
 			t.Fatalf("%v: Sum = %d, want %d", layout, got, wantSum)
 		}
 		sort.Slice(kept, func(i, j int) bool { return kept[i] < kept[j] })
 		if len(kept) > 0 {
-			med, ok := col.Median(sel)
+			med, ok := must2(col.MedianContext(bg, sel))
 			if !ok || med != kept[(len(kept)+1)/2-1] {
 				t.Fatalf("%v: Median = (%d,%v)", layout, med, ok)
 			}
@@ -146,7 +146,7 @@ func TestNullsInterleavedRandomized(t *testing.T) {
 		sort.Slice(allPresent, func(i, j int) bool { return allPresent[i] < allPresent[j] })
 		all := col.All()
 		for _, r := range []uint64{1, uint64(len(allPresent) / 2), uint64(len(allPresent))} {
-			if got, ok := col.Rank(all, r); !ok || got != allPresent[r-1] {
+			if got, ok := must2(col.RankContext(bg, all, r)); !ok || got != allPresent[r-1] {
 				t.Fatalf("%v: Rank(%d) = (%d,%v), want %d", layout, r, got, ok, allPresent[r-1])
 			}
 		}

@@ -16,8 +16,22 @@ import (
 
 const max64 = ^uint64(0)
 
-// wantOverflowPanic runs fn and asserts it panics with *bpagg.OverflowError
-// carrying the exact 128-bit total (hi, lo).
+// wantOverflow asserts that err is a *bpagg.OverflowError carrying the
+// exact 128-bit total (hi, lo).
+func wantOverflow(t *testing.T, hi, lo uint64, err error) {
+	t.Helper()
+	var ov *bpagg.OverflowError
+	if !errors.As(err, &ov) {
+		t.Fatalf("err = %v; want *bpagg.OverflowError", err)
+	}
+	if ov.Hi != hi || ov.Lo != lo {
+		t.Fatalf("overflow reports (hi=%d, lo=%d); want (hi=%d, lo=%d)", ov.Hi, ov.Lo, hi, lo)
+	}
+}
+
+// wantOverflowPanic runs fn, a call of the plain Query.Sum, and asserts it
+// panics with *bpagg.OverflowError carrying the exact 128-bit total (hi,
+// lo).
 func wantOverflowPanic(t *testing.T, hi, lo uint64, fn func()) {
 	t.Helper()
 	defer func() {
@@ -30,33 +44,29 @@ func wantOverflowPanic(t *testing.T, hi, lo uint64, fn func()) {
 		if !ok {
 			t.Fatalf("panicked with %T %v; want *bpagg.OverflowError", r, r)
 		}
-		var ov *bpagg.OverflowError
-		if !errors.As(err, &ov) {
-			t.Fatalf("panicked with %v; want *bpagg.OverflowError", err)
-		}
-		if ov.Hi != hi || ov.Lo != lo {
-			t.Fatalf("overflow reports (hi=%d, lo=%d); want (hi=%d, lo=%d)", ov.Hi, ov.Lo, hi, lo)
-		}
+		wantOverflow(t, hi, lo, err)
 	}()
 	fn()
 }
 
 // TestRegressionSumOverflowTwoPhase: SUM over values wrapping uint64 via
-// the two-phase scan-then-aggregate path must panic with the exact total,
-// not return the wrapped value (pre-fix: returned 0 for a 2^64 total).
+// the two-phase scan-then-aggregate path must return the exact total as
+// *bpagg.OverflowError, not the wrapped value (pre-fix: returned 0 for a
+// 2^64 total).
 func TestRegressionSumOverflowTwoPhase(t *testing.T) {
 	for _, layout := range []bpagg.Layout{bpagg.VBP, bpagg.HBP} {
 		for _, threads := range []int{1, 8} {
 			col := bpagg.FromValues(layout, 64, []uint64{max64, 1})
 			sel := col.Scan(bpagg.GreaterEq(0))
 			// true sum = 2^64 exactly: hi=1, lo=0
-			wantOverflowPanic(t, 1, 0, func() { col.Sum(sel, bpagg.Parallel(threads)) })
+			_, err := col.SumContext(bg, sel, bpagg.Parallel(threads))
+			wantOverflow(t, 1, 0, err)
 		}
 	}
 }
 
-// TestRegressionSumOverflowContextError: the Context API reports the same
-// overflow as an error instead of a panic.
+// TestRegressionSumOverflowContextError: SUM and AVG report the same
+// overflow as an error, through a nil ctx too.
 func TestRegressionSumOverflowContextError(t *testing.T) {
 	for _, layout := range []bpagg.Layout{bpagg.VBP, bpagg.HBP} {
 		col := bpagg.FromValues(layout, 64, []uint64{max64, 1})
@@ -124,7 +134,7 @@ func TestRegressionSumOverflowCacheServedSegment(t *testing.T) {
 }
 
 // TestRegressionSumOverflowGroupBy: per-group SUM inherits the contract —
-// a group whose values wrap panics with the group's exact total.
+// a group whose values wrap returns the group's exact total.
 func TestRegressionSumOverflowGroupBy(t *testing.T) {
 	for _, layout := range []bpagg.Layout{bpagg.VBP, bpagg.HBP} {
 		tbl := bpagg.NewTable()
@@ -134,9 +144,10 @@ func TestRegressionSumOverflowGroupBy(t *testing.T) {
 			"a": {max64, 5, max64, 7},
 			"g": {1, 0, 1, 0},
 		})
-		g := tbl.Query().GroupBy("g")
+		g := must(tbl.Query().GroupByContext(bg, "g"))
 		// group 1 sums to 2·(2^64−1) = 2^65−2: hi=1, lo=2^64−2
-		wantOverflowPanic(t, 1, max64-1, func() { g.Sum("a") })
+		_, err := g.SumContext(bg, "a")
+		wantOverflow(t, 1, max64-1, err)
 	}
 }
 
@@ -147,16 +158,16 @@ func TestRegressionSumNearBoundaryExact(t *testing.T) {
 	for _, layout := range []bpagg.Layout{bpagg.VBP, bpagg.HBP} {
 		// n=2, k=64: possible, but max64+0 fits exactly.
 		col := bpagg.FromValues(layout, 64, []uint64{max64, 0})
-		if got := col.Sum(col.All()); got != max64 {
+		if got := must(col.SumContext(bg, col.All())); got != max64 {
 			t.Fatalf("%s: sum = %d, want %d", layout, got, max64)
 		}
 		// 2·(2^63−1) = 2^64−2: the largest even near-miss.
 		m63 := uint64(1)<<63 - 1
 		col = bpagg.FromValues(layout, 63, []uint64{m63, m63, 0})
-		if got := col.Sum(col.All()); got != max64-1 {
+		if got := must(col.SumContext(bg, col.All())); got != max64-1 {
 			t.Fatalf("%s: sum = %d, want %d", layout, got, max64-1)
 		}
-		if got, ok := col.Avg(col.All()); !ok || got != float64(max64-1)/3 {
+		if got, ok := must2(col.AvgContext(bg, col.All())); !ok || got != float64(max64-1)/3 {
 			t.Fatalf("%s: avg = %v (%v)", layout, got, ok)
 		}
 	}
@@ -172,28 +183,28 @@ func TestRegressionRankEdgeCases(t *testing.T) {
 		tbl.AddColumn("a", layout, 8)
 		tbl.AppendColumnar(map[string][]uint64{"a": vals})
 		q := func() *bpagg.Query { return tbl.Query().Where("a", bpagg.LessEq(255)) }
-		if _, ok := q().Rank("a", 0); ok {
+		if _, ok := must2(q().RankContext(bg, "a", 0)); ok {
 			t.Fatalf("%s: rank 0 reported ok", layout)
 		}
-		if _, ok := q().Rank("a", 8); ok {
+		if _, ok := must2(q().RankContext(bg, "a", 8)); ok {
 			t.Fatalf("%s: rank count+1 reported ok", layout)
 		}
-		if v, ok := q().Rank("a", 1); !ok || v != 1 {
+		if v, ok := must2(q().RankContext(bg, "a", 1)); !ok || v != 1 {
 			t.Fatalf("%s: rank 1 = %d (%v), want 1", layout, v, ok)
 		}
-		if v, ok := q().Rank("a", 7); !ok || v != 9 {
+		if v, ok := must2(q().RankContext(bg, "a", 7)); !ok || v != 9 {
 			t.Fatalf("%s: rank count = %d (%v), want 9", layout, v, ok)
 		}
 
 		col := tbl.Column("a")
 		empty := col.Scan(bpagg.Greater(200))
-		if _, ok := col.Median(empty); ok {
+		if _, ok := must2(col.MedianContext(bg, empty)); ok {
 			t.Fatalf("%s: median of empty selection reported ok", layout)
 		}
-		if _, ok := col.Rank(empty, 1); ok {
+		if _, ok := must2(col.RankContext(bg, empty, 1)); ok {
 			t.Fatalf("%s: rank over empty selection reported ok", layout)
 		}
-		if _, ok := col.Quantile(empty, 0.5); ok {
+		if _, ok := must2(col.QuantileContext(bg, empty, 0.5)); ok {
 			t.Fatalf("%s: quantile over empty selection reported ok", layout)
 		}
 	}
@@ -204,11 +215,11 @@ func TestRegressionRankEdgeCases(t *testing.T) {
 func TestRegressionEvenCountMedianLower(t *testing.T) {
 	for _, layout := range []bpagg.Layout{bpagg.VBP, bpagg.HBP} {
 		col := bpagg.FromValues(layout, 8, []uint64{10, 20, 30, 40})
-		if v, ok := col.Median(col.All()); !ok || v != 20 {
+		if v, ok := must2(col.MedianContext(bg, col.All())); !ok || v != 20 {
 			t.Fatalf("%s: median = %d (%v), want lower median 20", layout, v, ok)
 		}
 		// Quantile 0.5 uses nearest-rank and must agree with MEDIAN.
-		if v, ok := col.Quantile(col.All(), 0.5); !ok || v != 20 {
+		if v, ok := must2(col.QuantileContext(bg, col.All(), 0.5)); !ok || v != 20 {
 			t.Fatalf("%s: quantile(0.5) = %d (%v), want 20", layout, v, ok)
 		}
 	}
@@ -219,7 +230,7 @@ func TestRegressionEvenCountMedianLower(t *testing.T) {
 func TestRegressionAvgNoOverflowPrecision(t *testing.T) {
 	for _, layout := range []bpagg.Layout{bpagg.VBP, bpagg.HBP} {
 		col := bpagg.FromValues(layout, 64, []uint64{max64, 0, 0, 0})
-		got, ok := col.Avg(col.All())
+		got, ok := must2(col.AvgContext(bg, col.All()))
 		want := float64(max64) / 4
 		if !ok || math.Abs(got-want) > want*1e-15 {
 			t.Fatalf("%s: avg = %v (%v), want %v", layout, got, ok, want)

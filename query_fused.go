@@ -76,32 +76,19 @@ func (s *queryState) fusedPlan() []scan.WindowPred {
 	return preds
 }
 
-// fusedMust re-raises a ...Context failure on the plain (non-Context)
-// methods, which are thin wrappers over their Context twins: a worker
-// panic propagates with the original panic value, everything else
-// (misuse, *OverflowError) panics with the error itself.
-func fusedMust(err error) {
+// must re-raises an error where the API has none to return — in the one
+// plain aggregate, Query/RangeQuery.Sum, in Selection's scans and in
+// NewTableFromColumns: a worker panic with its original panic value,
+// everything else (misuse, *OverflowError) with the error itself.
+func must[T any](v T, err error) T {
 	if err == nil {
-		return
+		return v
 	}
 	var pe *PanicError
 	if errors.As(err, &pe) {
 		panic(pe.Value)
 	}
 	panic(err)
-}
-
-// must is a plain method's body: the answer of its Context twin, whose
-// failure re-raises through fusedMust.
-func must[T any](v T, err error) T {
-	fusedMust(err)
-	return v
-}
-
-// must2 is must for an answer with its presence flag (or flags).
-func must2[T, U any](v T, ok U, err error) (T, U) {
-	fusedMust(err)
-	return v, ok
 }
 
 // medianRank is the lower-median rank function for the fused rank driver.

@@ -46,7 +46,7 @@ func checkFusedEquivalence(t *testing.T, tbl *Table, cls []clauseSpec, agg strin
 	}
 
 	f, tw := fusedQueryPair(tbl, cls, threads)
-	if got, want := f.CountRows(), tw.CountRows(); got != want {
+	if got, want := must(f.CountRowsContext(bg)), must(tw.CountRowsContext(bg)); got != want {
 		t.Errorf("CountRows: fused %d, two-phase %d", got, want)
 	}
 
@@ -56,37 +56,37 @@ func checkFusedEquivalence(t *testing.T, tbl *Table, cls []clauseSpec, agg strin
 	}
 
 	f, tw = fusedQueryPair(tbl, cls, threads)
-	gv, gok := f.Min(agg)
-	wv, wok := tw.Min(agg)
+	gv, gok := must2(f.MinContext(bg, agg))
+	wv, wok := must2(tw.MinContext(bg, agg))
 	if gv != wv || gok != wok {
 		t.Errorf("Min: fused (%d,%v), two-phase (%d,%v)", gv, gok, wv, wok)
 	}
 
 	f, tw = fusedQueryPair(tbl, cls, threads)
-	gv, gok = f.Max(agg)
-	wv, wok = tw.Max(agg)
+	gv, gok = must2(f.MaxContext(bg, agg))
+	wv, wok = must2(tw.MaxContext(bg, agg))
 	if gv != wv || gok != wok {
 		t.Errorf("Max: fused (%d,%v), two-phase (%d,%v)", gv, gok, wv, wok)
 	}
 
 	f, tw = fusedQueryPair(tbl, cls, threads)
-	ga, gok := f.Avg(agg)
-	wa, wok := tw.Avg(agg)
+	ga, gok := must2(f.AvgContext(bg, agg))
+	wa, wok := must2(tw.AvgContext(bg, agg))
 	if ga != wa || gok != wok {
 		t.Errorf("Avg: fused (%v,%v), two-phase (%v,%v)", ga, gok, wa, wok)
 	}
 
 	f, tw = fusedQueryPair(tbl, cls, threads)
-	gv, gok = f.Median(agg)
-	wv, wok = tw.Median(agg)
+	gv, gok = must2(f.MedianContext(bg, agg))
+	wv, wok = must2(tw.MedianContext(bg, agg))
 	if gv != wv || gok != wok {
 		t.Errorf("Median: fused (%d,%v), two-phase (%d,%v)", gv, gok, wv, wok)
 	}
 
 	for _, r := range []uint64{1, 3, uint64(tbl.Rows()) + 1} {
 		f, tw = fusedQueryPair(tbl, cls, threads)
-		gv, gok = f.Rank(agg, r)
-		wv, wok = tw.Rank(agg, r)
+		gv, gok = must2(f.RankContext(bg, agg, r))
+		wv, wok = must2(tw.RankContext(bg, agg, r))
 		if gv != wv || gok != wok {
 			t.Errorf("Rank(%d): fused (%d,%v), two-phase (%d,%v)", r, gv, gok, wv, wok)
 		}
@@ -94,8 +94,8 @@ func checkFusedEquivalence(t *testing.T, tbl *Table, cls []clauseSpec, agg strin
 
 	for _, qq := range []float64{0, 0.3, 0.5, 1} {
 		f, tw = fusedQueryPair(tbl, cls, threads)
-		gv, gok = f.Quantile(agg, qq)
-		wv, wok = tw.Quantile(agg, qq)
+		gv, gok = must2(f.QuantileContext(bg, agg, qq))
+		wv, wok = must2(tw.QuantileContext(bg, agg, qq))
 		if gv != wv || gok != wok {
 			t.Errorf("Quantile(%v): fused (%d,%v), two-phase (%d,%v)", qq, gv, gok, wv, wok)
 		}
@@ -325,8 +325,8 @@ func TestFusedCacheServedHBP(t *testing.T) {
 		if fs.WordsTouched >= ts.WordsTouched {
 			t.Errorf("WordsTouched: fused %d, want < two-phase %d", fs.WordsTouched, ts.WordsTouched)
 		}
-		gm, gok := f.Min("x")
-		wm, wok := tw.Min("x")
+		gm, gok := must2(f.MinContext(bg, "x"))
+		wm, wok := must2(tw.MinContext(bg, "x"))
 		if gm != wm || gok != wok {
 			t.Errorf("Min: fused (%d,%v), two-phase (%d,%v)", gm, gok, wm, wok)
 		}

@@ -74,32 +74,32 @@ func TestRangeMatchesScan(t *testing.T) {
 			lo, hi := r[0], r[1]
 			q := tbl.Query().Range(lo, hi)
 			cnt, sum, mn, mx, any := refRange(vals, lo, hi, nil)
-			if got := q.CountRows(); got != cnt {
+			if got := must(q.CountRowsContext(bg)); got != cnt {
 				t.Fatalf("%s CountRows(%d,%d) = %d, want %d", layout, lo, hi, got, cnt)
 			}
 			if got := q.Sum("v"); got != sum {
 				t.Fatalf("%s Sum(%d,%d) = %d, want %d", layout, lo, hi, got, sum)
 			}
-			if v, ok := q.Min("v"); ok != any || (ok && v != mn) {
+			if v, ok := must2(q.MinContext(bg, "v")); ok != any || (ok && v != mn) {
 				t.Fatalf("%s Min(%d,%d) = (%d,%v), want (%d,%v)", layout, lo, hi, v, ok, mn, any)
 			}
-			if v, ok := q.Max("v"); ok != any || (ok && v != mx) {
+			if v, ok := must2(q.MaxContext(bg, "v")); ok != any || (ok && v != mx) {
 				t.Fatalf("%s Max(%d,%d) = (%d,%v), want (%d,%v)", layout, lo, hi, v, ok, mx, any)
 			}
-			if v, ok := q.Avg("v"); ok != any || (ok && v != float64(sum)/float64(cnt)) {
+			if v, ok := must2(q.AvgContext(bg, "v")); ok != any || (ok && v != float64(sum)/float64(cnt)) {
 				t.Fatalf("%s Avg(%d,%d) = (%v,%v), want sum/cnt = %v", layout, lo, hi, v, ok, float64(sum)/float64(cnt))
 			}
 
 			// Filtered twin: the range becomes one more conjunct.
 			fq := tbl.Query().Where("g", LessEq(5)).Range(lo, hi)
 			fcnt, fsum, fmn, _, fany := refRange(vals, lo, hi, func(i int) bool { return i%13 <= 5 })
-			if got := fq.CountRows(); got != fcnt {
+			if got := must(fq.CountRowsContext(bg)); got != fcnt {
 				t.Fatalf("%s filtered CountRows(%d,%d) = %d, want %d", layout, lo, hi, got, fcnt)
 			}
 			if got := fq.Sum("v"); got != fsum {
 				t.Fatalf("%s filtered Sum(%d,%d) = %d, want %d", layout, lo, hi, got, fsum)
 			}
-			if v, ok := fq.Min("v"); ok != fany || (ok && v != fmn) {
+			if v, ok := must2(fq.MinContext(bg, "v")); ok != fany || (ok && v != fmn) {
 				t.Fatalf("%s filtered Min(%d,%d) = (%d,%v), want (%d,%v)", layout, lo, hi, v, ok, fmn, fany)
 			}
 		}
@@ -133,13 +133,13 @@ func TestRangeMedianRankQuantile(t *testing.T) {
 			}
 		}
 		q := tbl.Query().Range(lo, hi)
-		if v, ok := q.Median("v"); !ok || v != sorted[(len(sorted)-1)/2] {
+		if v, ok := must2(q.MedianContext(bg, "v")); !ok || v != sorted[(len(sorted)-1)/2] {
 			t.Fatalf("%s Median = (%d,%v), want %d", layout, v, ok, sorted[(len(sorted)-1)/2])
 		}
-		if v, ok := q.Rank("v", 1); !ok || v != sorted[0] {
+		if v, ok := must2(q.RankContext(bg, "v", 1)); !ok || v != sorted[0] {
 			t.Fatalf("%s Rank(1) = (%d,%v), want %d", layout, v, ok, sorted[0])
 		}
-		if v, ok := q.Quantile("v", 1); !ok || v != sorted[len(sorted)-1] {
+		if v, ok := must2(q.QuantileContext(bg, "v", 1)); !ok || v != sorted[len(sorted)-1] {
 			t.Fatalf("%s Quantile(1) = (%d,%v), want %d", layout, v, ok, sorted[len(sorted)-1])
 		}
 	}
@@ -189,10 +189,10 @@ func TestWindowMatchesRange(t *testing.T) {
 		for _, sh := range shapes {
 			size, step := sh[0], sh[1]
 			w := tbl.Query().Window(size, step)
-			sums := w.Sum("v")
-			counts := w.CountRows()
-			mins, minOK := w.Min("v")
-			avgs, avgOK := w.Avg("v")
+			sums := must(w.SumContext(bg, "v"))
+			counts := must(w.CountRowsContext(bg))
+			mins, minOK := must2(w.MinContext(bg, "v"))
+			avgs, avgOK := must2(w.AvgContext(bg, "v"))
 			i := 0
 			for b := 0; b < n; b += step {
 				cnt, sum, mn, _, any := refRange(vals, b, b+size, nil)
@@ -215,7 +215,7 @@ func TestWindowMatchesRange(t *testing.T) {
 
 			// Filtered fallback windows.
 			fw := tbl.Query().Where("g", Less(7)).Window(size, step)
-			fsums := fw.Sum("v")
+			fsums := must(fw.SumContext(bg, "v"))
 			i = 0
 			for b := 0; b < n; b += step {
 				_, sum, _, _, _ := refRange(vals, b, b+size, func(j int) bool { return j%13 < 7 })
@@ -230,7 +230,7 @@ func TestWindowMatchesRange(t *testing.T) {
 	// Empty table: empty slices, not nil panics.
 	empty := NewTable()
 	empty.AddColumn("v", VBP, 8)
-	if got := empty.Query().Window(10, 10).Sum("v"); len(got) != 0 {
+	if got := must(empty.Query().Window(10, 10).SumContext(bg, "v")); len(got) != 0 {
 		t.Fatalf("empty table window sum = %v, want empty", got)
 	}
 }
@@ -286,21 +286,16 @@ func TestWindowHugeSize(t *testing.T) {
 		st := ShardTable(tbl, 2)
 		for _, tc := range []struct {
 			name string
-			w    interface {
-				CountRows() []uint64
-				Sum(string) []uint64
-				Min(string) ([]uint64, []bool)
-				Avg(string) ([]float64, []bool)
-			}
+			w    *WindowQuery
 		}{
 			{"flat index", tbl.Query().Window(math.MaxInt, 1)},
 			{"flat fallback", tbl.Query().Where("v", Less(200)).Window(math.MaxInt, 1)},
 			{"sharded index", st.Query().Window(math.MaxInt, 1)},
 			{"sharded fallback", st.Query().Where("v", Less(200)).Window(math.MaxInt, 1)},
 		} {
-			counts, sums := tc.w.CountRows(), tc.w.Sum("v")
-			mins, _ := tc.w.Min("v")
-			avgs, _ := tc.w.Avg("v")
+			counts, sums := must(tc.w.CountRowsContext(bg)), must(tc.w.SumContext(bg, "v"))
+			mins, _ := must2(tc.w.MinContext(bg, "v"))
+			avgs, _ := must2(tc.w.AvgContext(bg, "v"))
 			if !reflect.DeepEqual(counts, []uint64{3, 2, 1}) || !reflect.DeepEqual(sums, []uint64{6, 5, 3}) ||
 				!reflect.DeepEqual(mins, []uint64{1, 2, 3}) || !reflect.DeepEqual(avgs, []float64{2, 2.5, 3}) {
 				t.Errorf("%v %s: counts %v sums %v mins %v avgs %v, want [3 2 1] [6 5 3] [1 2 3] [2 2.5 3]",
@@ -323,19 +318,19 @@ func TestShardedRangeMatchesFlat(t *testing.T) {
 				lo, hi := r[0], r[1]
 				fq := flat.Query().Range(lo, hi)
 				sq := st.Query().With(Parallel(threads)).Range(lo, hi)
-				if a, b := fq.CountRows(), sq.CountRows(); a != b {
+				if a, b := must(fq.CountRowsContext(bg)), must(sq.CountRowsContext(bg)); a != b {
 					t.Fatalf("%s t=%d CountRows(%d,%d): sharded %d, flat %d", layout, threads, lo, hi, b, a)
 				}
 				if a, b := fq.Sum("v"), sq.Sum("v"); a != b {
 					t.Fatalf("%s t=%d Sum(%d,%d): sharded %d, flat %d", layout, threads, lo, hi, b, a)
 				}
-				av, aok := fq.Min("v")
-				bv, bok := sq.Min("v")
+				av, aok := must2(fq.MinContext(bg, "v"))
+				bv, bok := must2(sq.MinContext(bg, "v"))
 				if av != bv || aok != bok {
 					t.Fatalf("%s t=%d Min(%d,%d): sharded (%d,%v), flat (%d,%v)", layout, threads, lo, hi, bv, bok, av, aok)
 				}
-				av, aok = fq.Median("v")
-				bv, bok = sq.Median("v")
+				av, aok = must2(fq.MedianContext(bg, "v"))
+				bv, bok = must2(sq.MedianContext(bg, "v"))
 				if av != bv || aok != bok {
 					t.Fatalf("%s t=%d Median(%d,%d): sharded (%d,%v), flat (%d,%v)", layout, threads, lo, hi, bv, bok, av, aok)
 				}
@@ -350,7 +345,7 @@ func TestShardedRangeMatchesFlat(t *testing.T) {
 			// Window parity.
 			fw := flat.Query().Window(300, 200)
 			sw := st.Query().With(Parallel(threads)).Window(300, 200)
-			fs, ss := fw.Sum("v"), sw.Sum("v")
+			fs, ss := must(fw.SumContext(bg, "v")), must(sw.SumContext(bg, "v"))
 			if len(fs) != len(ss) {
 				t.Fatalf("%s t=%d window counts differ: %d vs %d", layout, threads, len(fs), len(ss))
 			}
@@ -427,7 +422,7 @@ func TestRangeAppendWhileQuery(t *testing.T) {
 						}
 						return
 					}
-					wsums := tbl.Query().Window(total+1, total+1).Sum("v")
+					wsums := must(tbl.Query().Window(total+1, total+1).SumContext(bg, "v"))
 					if len(wsums) > 0 {
 						if _, ok := validSum[wsums[0]]; !ok {
 							select {

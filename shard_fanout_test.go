@@ -272,6 +272,34 @@ func TestTwinMethodSets(t *testing.T) {
 	}
 }
 
+// TestOneAggregateDoor: an aggregate is reached through its ...Context
+// method, which returns its failure as an error. No method X sits beside
+// an XContext on the aggregating types, save the plain names the repo
+// benchmark calls — each listed with the call that pins it.
+func TestOneAggregateDoor(t *testing.T) {
+	// Sum is one method of the fan-out both query types embed.
+	const rangeSum = "benchmark/engine.go:64,66 and benchmark/trace.go:200,202 (Query().Range(...).Sum)"
+	pinned := map[string]string{
+		"*bpagg.ShardedQuery.Sum":      rangeSum,
+		"*bpagg.ShardedRangeQuery.Sum": rangeSum,
+		"*bpagg.Column.Count":          "benchmark/facade.go:149",
+	}
+	for _, v := range []any{&Column{}, &Query{}, &RangeQuery{}, &Grouped{}, &WindowQuery{}} {
+		names := exportedMethods(v)
+		for _, m := range names {
+			if !slices.Contains(names, m+"Context") {
+				continue
+			}
+			id := fmt.Sprintf("%v.%s", reflect.TypeOf(v), m)
+			if pin, ok := pinned[id]; ok {
+				t.Logf("%s stays beside %sContext: %s calls it", id, m, pin)
+				continue
+			}
+			t.Errorf("%s sits beside %sContext: a second door to one aggregate", id, m)
+		}
+	}
+}
+
 // TestShardedGroupMedianBytes pins what a multi-shard per-group MEDIAN
 // allocates. It is one radix descent over every shard's partition, whose
 // working set is one copy of the candidate words plus per-group counters;
@@ -403,9 +431,9 @@ func TestShardedAggsMatchSingleCalls(t *testing.T) {
 		}
 		same(fmt.Sprintf("Selection ranged=%v", ranged), got, want)
 		whole, cut = q()
-		g := whole.GroupBy("g")
+		g := must(whole.GroupByContext(bg, "g"))
 		if ranged {
-			g = cut.GroupBy("g")
+			g = must(cut.GroupByContext(bg, "g"))
 		}
 		for i, key := range g.Keys() {
 			same(fmt.Sprintf("Grouped.Selection(%d) ranged=%v", i, ranged), g.Selection(i), want.Clone().And(flat.Column("g").Scan(Equal(key))))

@@ -125,14 +125,6 @@ func (f *fanOut) groupBy(ctx context.Context, columns []string, named []aggCall)
 	return &ShardedGrouped{q: f.shardState, widths: widths, keys: keys, parts: parts, pos: pos, base: base, rows: f.st.rows}, nil
 }
 
-// GroupBy partitions the current selection by the distinct values of the
-// named columns; the combined key width must fit 64 bits. More than
-// MaxSinglePassGroups distinct keys panics with ErrGroupCardinality (use
-// GroupByContext to receive it as an error).
-func (f *fanOut) GroupBy(columns ...string) *ShardedGrouped {
-	return must(f.GroupByContext(context.Background(), columns...))
-}
-
 // groupWidths resolves the grouping columns' code widths and checks that
 // the composite key packs into one word.
 func (f *fanOut) groupWidths(columns []string) ([]int, error) {
@@ -215,11 +207,6 @@ func (g *ShardedGrouped) CountContext(ctx context.Context) ([]uint64, error) {
 	return g.addCounts(func(part *groupPart) ([]uint64, error) { return part.counts(ctx) })
 }
 
-// Count returns each group's row count.
-func (g *ShardedGrouped) Count() []uint64 {
-	return must(g.CountContext(context.Background()))
-}
-
 // NonNullCountContext returns each group's count of non-NULL values of
 // the named measure column, honoring ctx — COUNT(col)'s grouped answer
 // and AVG's divisor.
@@ -260,11 +247,6 @@ func (g *ShardedGrouped) SumContext(ctx context.Context, column string) ([]uint6
 	return groupSums64(his, los, g.KeyParts)
 }
 
-// Sum aggregates SUM of the named column per group.
-func (g *ShardedGrouped) Sum(column string) []uint64 {
-	return must(g.SumContext(context.Background(), column))
-}
-
 // AvgContext aggregates AVG of the named column per group, honoring ctx.
 // The quotient divides the exact merged sum by the merged non-NULL count,
 // so it is bit-identical to one part's per-group AVG.
@@ -278,11 +260,6 @@ func (g *ShardedGrouped) AvgContext(ctx context.Context, column string) ([]float
 		return nil, err
 	}
 	return groupAvgs(sums, counts), nil
-}
-
-// Avg aggregates AVG of the named column per group.
-func (g *ShardedGrouped) Avg(column string) []float64 {
-	return must(g.AvgContext(context.Background(), column))
 }
 
 // extremeOkContext merges the partitions' per-group MIN/MAX partials: a
@@ -333,16 +310,6 @@ func (g *ShardedGrouped) MaxContext(ctx context.Context, column string) ([]uint6
 	return allGroups(g.extremeOkContext(ctx, column, false))
 }
 
-// Min aggregates MIN of the named column per group.
-func (g *ShardedGrouped) Min(column string) []uint64 {
-	return must(g.MinContext(context.Background(), column))
-}
-
-// Max aggregates MAX of the named column per group.
-func (g *ShardedGrouped) Max(column string) []uint64 {
-	return must(g.MaxContext(context.Background(), column))
-}
-
 // rankOkContext answers one order statistic per group: c's rank function
 // maps a group's non-NULL count, summed over the shards, to the target
 // rank (a group with no values reports ok[i]=false rather than an error).
@@ -384,9 +351,4 @@ func (g *ShardedGrouped) QuantileOkContext(ctx context.Context, column string, q
 // group, honoring ctx.
 func (g *ShardedGrouped) MedianContext(ctx context.Context, column string) ([]uint64, error) {
 	return allGroups(g.MedianOkContext(ctx, column))
-}
-
-// Median aggregates the lower MEDIAN of the named column per group.
-func (g *ShardedGrouped) Median(column string) []uint64 {
-	return must(g.MedianContext(context.Background(), column))
 }

@@ -107,7 +107,7 @@ type plan struct {
 	// live part passes the gate with the first key. All or nothing per
 	// statement.
 	fused bool
-	keep  bool // a grouped pass keeps its run list: for a named rank or a library GroupBy
+	keep  bool // a grouped pass keeps its run list: for a named rank or a GroupByContext partition
 }
 
 // planPart is one live part: its shard and, for a ranged plan, its local
@@ -257,7 +257,7 @@ func (st *ShardedTable) mayMatch(s int, cl *shardClause) bool {
 // plan makes the statement's plan (DESIGN.md §15) in the scratch, for
 // calls (validated; none for a Selection) or, when keys names the
 // grouping columns (validated), for a GROUP BY of the named calls (nil
-// for a library GroupBy): the live parts — the shards whose catalog
+// for a GroupByContext partition): the live parts — the shards whose catalog
 // bounds can satisfy every clause and, for a range view, that overlap the
 // range, each with its local slice of it — and the epoch a ranged plan on
 // a table-backed store pinned; then the routes. It is the one caller of
@@ -393,7 +393,7 @@ func (f *fanOut) view(slot int) flatView {
 func (f *fanOut) Selection() *Bitmap {
 	p := f.plan(nil, nil)
 	sels := make([]*Bitmap, len(p.parts))
-	fusedMust(f.fan(nil, p, execOptions(f.execs).Threads, func(f *fanOut, _ context.Context, slot int) error {
+	must(struct{}{}, f.fan(nil, p, execOptions(f.execs).Threads, func(f *fanOut, _ context.Context, slot int) error {
 		v := f.view(slot)
 		sels[slot] = v.selected()
 		return nil
@@ -622,20 +622,10 @@ func (f *fanOut) CountRowsContext(ctx context.Context) (uint64, error) {
 	return r.Value, err
 }
 
-// CountRows returns the number of rows passing the filter.
-func (f *fanOut) CountRows() uint64 {
-	return must(f.CountRowsContext(context.Background()))
-}
-
 // CountContext counts selected non-NULL rows of the named column.
 func (f *fanOut) CountContext(ctx context.Context, column string) (uint64, error) {
 	r, err := f.one(ctx, aggCall{op: opCount, column: column})
 	return r.Value, err
-}
-
-// Count counts selected non-NULL rows of the named column.
-func (f *fanOut) Count(column string) uint64 {
-	return must(f.CountContext(context.Background(), column))
 }
 
 // SumCountContext aggregates SUM and the column's non-NULL COUNT in one
@@ -655,8 +645,9 @@ func (f *fanOut) SumContext(ctx context.Context, column string) (uint64, error) 
 	return sum, err
 }
 
-// Sum aggregates SUM over the named column; overflow panics with
-// *OverflowError.
+// Sum is SumContext that panics on its error, overflow included (must):
+// the one plain aggregate of a query, kept because the repo benchmark
+// calls it.
 func (f *fanOut) Sum(column string) uint64 {
 	return must(f.SumContext(context.Background(), column))
 }
@@ -666,11 +657,6 @@ func (f *fanOut) Sum(column string) uint64 {
 // one part's exactly.
 func (f *fanOut) AvgContext(ctx context.Context, column string) (float64, bool, error) {
 	return avgOf(f.SumCountContext(ctx, column))
-}
-
-// Avg aggregates AVG over the named column.
-func (f *fanOut) Avg(column string) (float64, bool) {
-	return must2(f.AvgContext(context.Background(), column))
 }
 
 // MinContext aggregates MIN over the named column, honoring ctx.
@@ -683,25 +669,10 @@ func (f *fanOut) MaxContext(ctx context.Context, column string) (uint64, bool, e
 	return f.value(ctx, aggCall{op: opMax, column: column})
 }
 
-// Min aggregates MIN over the named column.
-func (f *fanOut) Min(column string) (uint64, bool) {
-	return must2(f.MinContext(context.Background(), column))
-}
-
-// Max aggregates MAX over the named column.
-func (f *fanOut) Max(column string) (uint64, bool) {
-	return must2(f.MaxContext(context.Background(), column))
-}
-
 // MedianContext aggregates the lower MEDIAN over the named column,
 // honoring ctx.
 func (f *fanOut) MedianContext(ctx context.Context, column string) (uint64, bool, error) {
 	return f.value(ctx, aggCall{op: opMedian, column: column})
-}
-
-// Median aggregates the lower MEDIAN over the named column.
-func (f *fanOut) Median(column string) (uint64, bool) {
-	return must2(f.MedianContext(context.Background(), column))
 }
 
 // RankContext returns the r-th smallest selected value of the named
@@ -710,18 +681,8 @@ func (f *fanOut) RankContext(ctx context.Context, column string, r uint64) (uint
 	return f.value(ctx, aggCall{op: opRank, column: column, rank: r})
 }
 
-// Rank returns the r-th smallest selected value of the named column.
-func (f *fanOut) Rank(column string, r uint64) (uint64, bool) {
-	return must2(f.RankContext(context.Background(), column, r))
-}
-
 // QuantileContext returns the quantile-q value of the named column,
 // honoring ctx.
 func (f *fanOut) QuantileContext(ctx context.Context, column string, quantile float64) (uint64, bool, error) {
 	return f.value(ctx, aggCall{op: opQuantile, column: column, quantile: quantile})
-}
-
-// Quantile returns the q-quantile (nearest rank) of the named column.
-func (f *fanOut) Quantile(column string, quantile float64) (uint64, bool) {
-	return must2(f.QuantileContext(context.Background(), column, quantile))
 }

@@ -319,7 +319,7 @@ func TestShardRollover(t *testing.T) {
 	if st.NumShards() != 5 || st.Rows() != 17 {
 		t.Fatalf("after top-up load: got %d shards, %d rows", st.NumShards(), st.Rows())
 	}
-	if got := st.Query().CountRows(); got != 17 {
+	if got := must(st.Query().CountRowsContext(bg)); got != 17 {
 		t.Fatalf("CountRows = %d, want 17", got)
 	}
 	if sum, want := st.Query().Sum("v"), uint64(0+1+2+3+4+5+6+7+8+9+100+101+102+103+104+105+106); sum != want {
@@ -410,8 +410,8 @@ func TestShardedIORoundTrip(t *testing.T) {
 			if a != b {
 				t.Fatalf("%v: %s Sum diverged: %d vs %d", layout, loader, a, b)
 			}
-			m1, ok1 := st.Query().Where("v", Greater(1000)).Median("v")
-			m2, ok2 := got.Query().Where("v", Greater(1000)).Median("v")
+			m1, ok1 := must2(st.Query().Where("v", Greater(1000)).MedianContext(bg, "v"))
+			m2, ok2 := must2(got.Query().Where("v", Greater(1000)).MedianContext(bg, "v"))
 			if m1 != m2 || ok1 != ok2 {
 				t.Fatalf("%v: %s Median diverged: (%d,%v) vs (%d,%v)", layout, loader, m1, ok1, m2, ok2)
 			}
@@ -498,11 +498,11 @@ func TestShardedDeterminismAcrossThreads(t *testing.T) {
 		}
 		run := func(threads int) result {
 			q := st.Query().WithStats().Where("v", GreaterEq(2000)).With(Parallel(threads))
-			r := result{cnt: q.CountRows(), sum: q.Sum("v")}
-			r.min, _ = q.Min("v")
-			r.med, _ = q.Median("v")
-			g := st.Query().With(Parallel(threads)).GroupBy("v")
-			r.keys, r.gsums, r.gcnt = g.Keys(), g.Sum("v"), g.Count()
+			r := result{cnt: must(q.CountRowsContext(bg)), sum: q.Sum("v")}
+			r.min, _ = must2(q.MinContext(bg, "v"))
+			r.med, _ = must2(q.MedianContext(bg, "v"))
+			g := must(st.Query().With(Parallel(threads)).GroupByContext(bg, "v"))
+			r.keys, r.gsums, r.gcnt = g.Keys(), must(g.SumContext(bg, "v")), must(g.CountContext(bg))
 			r.stats = q.Stats()
 			return r
 		}
@@ -548,8 +548,8 @@ func TestShardTableSplitsAndPreservesNulls(t *testing.T) {
 	if st.NumShards() != 4 || st.Rows() != 300 {
 		t.Fatalf("split shape: %d shards, %d rows", st.NumShards(), st.Rows())
 	}
-	fa, fok := tab.Query().Where("g", Less(100)).Avg("v")
-	sa, sok := st.Query().Where("g", Less(100)).Avg("v")
+	fa, fok := must2(tab.Query().Where("g", Less(100)).AvgContext(bg, "v"))
+	sa, sok := must2(st.Query().Where("g", Less(100)).AvgContext(bg, "v"))
 	if fa != sa || fok != sok {
 		t.Fatalf("flat vs split Avg: (%v,%v) vs (%v,%v)", fa, fok, sa, sok)
 	}
@@ -557,7 +557,7 @@ func TestShardTableSplitsAndPreservesNulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := st.Query().Count("v"); flatCnt != b {
+	if b := must(st.Query().CountContext(bg, "v")); flatCnt != b {
 		t.Fatalf("flat vs split non-NULL Count: %d vs %d", flatCnt, b)
 	}
 }

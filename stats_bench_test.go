@@ -37,7 +37,7 @@ func BenchmarkVBPSumStatsOff(b *testing.B) {
 	b.SetBytes(benchN / 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col.Sum(sel)
+		must(col.SumContext(bg, sel))
 	}
 }
 
@@ -47,7 +47,7 @@ func BenchmarkVBPSumStatsOn(b *testing.B) {
 	b.SetBytes(benchN / 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col.Sum(sel, bpagg.CollectStats(rec))
+		must(col.SumContext(bg, sel, bpagg.CollectStats(rec)))
 	}
 }
 

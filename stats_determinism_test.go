@@ -35,13 +35,13 @@ func TestStatsThreadDeterminism(t *testing.T) {
 		rec := NewStatsCollector()
 		opts := []ExecOption{Parallel(threads), CollectStats(rec)}
 		var out []result
-		out = append(out, result{"SUM", col.Sum(sel, opts...), true})
+		out = append(out, result{"SUM", must(col.SumContext(bg, sel, opts...)), true})
 		out = append(out, result{"COUNT", col.Count(sel), true})
-		mn, okn := col.Min(sel, opts...)
+		mn, okn := must2(col.MinContext(bg, sel, opts...))
 		out = append(out, result{"MIN", mn, okn})
-		mx, okx := col.Max(sel, opts...)
+		mx, okx := must2(col.MaxContext(bg, sel, opts...))
 		out = append(out, result{"MAX", mx, okx})
-		md, okd := col.Median(sel, opts...)
+		md, okd := must2(col.MedianContext(bg, sel, opts...))
 		out = append(out, result{"MEDIAN", md, okd})
 		return out, rec.Snapshot()
 	}
@@ -114,8 +114,8 @@ func TestStatsConcurrentQueries(t *testing.T) {
 
 	one := NewStatsCollector()
 	sel := col.ScanStats(Less(1<<11), one)
-	col.Sum(sel, CollectStats(one))
-	col.Median(sel, CollectStats(one))
+	must(col.SumContext(bg, sel, CollectStats(one)))
+	must2(col.MedianContext(bg, sel, CollectStats(one)))
 	want := one.Snapshot()
 
 	const goroutines, perG = 8, 25
@@ -127,8 +127,8 @@ func TestStatsConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				s := col.ScanStats(Less(1<<11), shared)
-				col.Sum(s, CollectStats(shared))
-				col.Median(s, CollectStats(shared))
+				must(col.SumContext(bg, s, CollectStats(shared)))
+				must2(col.MedianContext(bg, s, CollectStats(shared)))
 			}
 		}()
 	}
@@ -159,7 +159,7 @@ func TestStatsConcurrentQueries(t *testing.T) {
 func TestStatsDisabledIsDefault(t *testing.T) {
 	col := NewColumn(VBP, 8)
 	col.Append(1, 2, 3, 4, 5)
-	if got := col.Sum(col.All()); got != 15 {
+	if got := must(col.SumContext(bg, col.All())); got != 15 {
 		t.Fatalf("Sum = %d", got)
 	}
 	var rec *StatsCollector
@@ -178,7 +178,7 @@ func ExampleColumn_ScanStats() {
 	}
 	rec := NewStatsCollector()
 	sel := col.ScanStats(Less(64), rec)
-	sum := col.Sum(sel, CollectStats(rec))
+	sum := must(col.SumContext(bg, sel, CollectStats(rec)))
 	s := rec.Snapshot()
 	fmt.Println("sum:", sum)
 	// Segment 0 (values 0-63) zone-prunes as all-match and segments 1-3

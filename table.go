@@ -1,6 +1,8 @@
 package bpagg
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -153,17 +155,21 @@ func (t *Table) build() {
 	}
 }
 
-// adopt registers a built column under name, with its catalog bounds.
-func (t *Table) adopt(name string, c *Column) {
+// adopt registers a built column under name, with its catalog bounds,
+// which it reads through the MIN and MAX drivers (NULLs skipped, as land
+// skips them; a column of none is 0, 0 and not any); their error is its
+// own.
+func (t *Table) adopt(name string, c *Column) error {
+	ctx, all := context.Background(), c.All()
+	lo, ok, err := c.MinContext(ctx, all)
+	hi, _, err2 := c.MaxContext(ctx, all)
+	if err := cmp.Or(err, err2); err != nil {
+		return err
+	}
 	t.register(name, NewColumn(c.layout, c.k, WithGroupBits(c.GroupBits())))
 	t.cols[name] = c
-	var b shardBounds
-	all := c.All()
-	if lo, ok := c.Min(all); ok { // NULLs skipped, as land skips them
-		hi, _ := c.Max(all)
-		b = shardBounds{min: lo, max: hi, any: true}
-	}
-	t.bounds = append(t.bounds, b)
+	t.bounds = append(t.bounds, shardBounds{min: lo, max: hi, any: ok})
+	return nil
 }
 
 // NewTableFromColumns assembles a table from independently built columns
@@ -185,7 +191,7 @@ func NewTableFromColumns(names []string, cols []*Column) *Table {
 		if cols[i].Len() != n {
 			panic(fmt.Sprintf("bpagg: column %q has %d rows, want %d", name, cols[i].Len(), n))
 		}
-		t.adopt(name, cols[i])
+		must(struct{}{}, t.adopt(name, cols[i]))
 	}
 	t.rows = n
 	return t

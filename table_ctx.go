@@ -213,7 +213,7 @@ func (g *groupPart) bank(ctx context.Context, c aggCall) (*parallel.Bank, error)
 
 // check is a measured partition's answer to aggregate c: an error when c
 // was not named, rather than a second pass, which could see rows appended
-// since; nil otherwise, and always on a plain GroupBy.
+// since; nil otherwise, and always on a GroupByContext partition.
 func (g *groupPart) check(c aggCall) error {
 	if g.named == nil || slices.Contains(g.named, c) {
 		return nil

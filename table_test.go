@@ -44,13 +44,13 @@ func TestTableQueryEndToEnd(t *testing.T) {
 			keptPrices = append(keptPrices, price[i])
 		}
 	}
-	if got := q.CountRows(); got != wantCount {
+	if got := must(q.CountRowsContext(bg)); got != wantCount {
 		t.Fatalf("CountRows = %d, want %d", got, wantCount)
 	}
 	if got := q.Sum("qty"); got != wantSum {
 		t.Fatalf("Sum(qty) = %d, want %d", got, wantSum)
 	}
-	med, ok := q.Median("price")
+	med, ok := must2(q.MedianContext(bg, "price"))
 	if !ok {
 		t.Fatal("Median not ok")
 	}
@@ -79,7 +79,7 @@ func TestTableQueryNoFilter(t *testing.T) {
 	if got := tbl.Query().Sum("price"); got != want {
 		t.Fatalf("unfiltered Sum = %d, want %d", got, want)
 	}
-	if got := tbl.Query().CountRows(); got != 500 {
+	if got := must(tbl.Query().CountRowsContext(bg)); got != 500 {
 		t.Fatalf("unfiltered CountRows = %d", got)
 	}
 }
@@ -119,19 +119,19 @@ func TestTableMinMaxAvgRankQuantile(t *testing.T) {
 	tbl.AddColumn("v", HBP, 8)
 	tbl.AppendColumnar(map[string][]uint64{"v": {10, 20, 30, 40, 50}})
 	q := tbl.Query().Where("v", Greater(10))
-	if got, ok := q.Min("v"); !ok || got != 20 {
+	if got, ok := must2(q.MinContext(bg, "v")); !ok || got != 20 {
 		t.Errorf("Min = (%d,%v)", got, ok)
 	}
-	if got, ok := q.Max("v"); !ok || got != 50 {
+	if got, ok := must2(q.MaxContext(bg, "v")); !ok || got != 50 {
 		t.Errorf("Max = (%d,%v)", got, ok)
 	}
-	if got, ok := tbl.Query().Where("v", Greater(10)).Avg("v"); !ok || got != 35 {
+	if got, ok := must2(tbl.Query().Where("v", Greater(10)).AvgContext(bg, "v")); !ok || got != 35 {
 		t.Errorf("Avg = (%v,%v)", got, ok)
 	}
-	if got, ok := tbl.Query().Where("v", Greater(10)).Rank("v", 2); !ok || got != 30 {
+	if got, ok := must2(tbl.Query().Where("v", Greater(10)).RankContext(bg, "v", 2)); !ok || got != 30 {
 		t.Errorf("Rank(2) = (%d,%v)", got, ok)
 	}
-	if got, ok := tbl.Query().Where("v", Greater(10)).Quantile("v", 1); !ok || got != 50 {
+	if got, ok := must2(tbl.Query().Where("v", Greater(10)).QuantileContext(bg, "v", 1)); !ok || got != 50 {
 		t.Errorf("Quantile(1) = (%d,%v)", got, ok)
 	}
 }

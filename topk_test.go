@@ -59,8 +59,8 @@ func TestTopKBottomKAgainstSort(t *testing.T) {
 		}
 		sort.Slice(kept, func(i, j int) bool { return kept[i] < kept[j] })
 		for _, k := range []int{1, 5, 64, len(kept), len(kept) + 10} {
-			top := col.TopK(sel, k)
-			bottom := col.BottomK(sel, k)
+			top := must(col.TopKContext(bg, sel, k))
+			bottom := must(col.BottomKContext(bg, sel, k))
 			wantK := k
 			if wantK > len(kept) {
 				wantK = len(kept)
@@ -82,16 +82,16 @@ func TestTopKBottomKAgainstSort(t *testing.T) {
 
 func TestTopKEdgeCases(t *testing.T) {
 	col := FromValues(VBP, 8, []uint64{42})
-	if got := col.TopK(col.All(), 3); len(got) != 1 || got[0] != 42 {
+	if got := must(col.TopKContext(bg, col.All(), 3)); len(got) != 1 || got[0] != 42 {
 		t.Fatalf("TopK over single row = %v", got)
 	}
-	if got := col.TopK(col.None(), 3); got != nil {
+	if got := must(col.TopKContext(bg, col.None(), 3)); got != nil {
 		t.Fatalf("TopK over empty selection = %v", got)
 	}
-	if got := col.TopK(col.All(), 0); got != nil {
+	if got := must(col.TopKContext(bg, col.All(), 0)); got != nil {
 		t.Fatalf("TopK(0) = %v", got)
 	}
-	if got := col.BottomK(col.All(), -1); got != nil {
+	if got := must(col.BottomKContext(bg, col.All(), -1)); got != nil {
 		t.Fatalf("BottomK(-1) = %v", got)
 	}
 }
@@ -102,7 +102,7 @@ func TestTopKAllEqual(t *testing.T) {
 		vals[i] = 7
 	}
 	col := FromValues(HBP, 4, vals)
-	got := col.TopK(col.All(), 5)
+	got := must(col.TopKContext(bg, col.All(), 5))
 	if len(got) != 5 {
 		t.Fatalf("TopK = %v", got)
 	}

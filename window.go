@@ -64,12 +64,8 @@ func sweep[T any](w *ShardedWindowQuery, column string, agg func(view *ShardedRa
 	return out, oks, nil
 }
 
-// CountRows returns each window's row count after the filter.
-func (w *ShardedWindowQuery) CountRows() []uint64 {
-	return must(w.CountRowsContext(context.Background()))
-}
-
-// CountRowsContext is CountRows honoring ctx.
+// CountRowsContext returns each window's row count after the filter,
+// honoring ctx.
 func (w *ShardedWindowQuery) CountRowsContext(ctx context.Context) ([]uint64, error) {
 	out, _, err := sweep(w, "", func(view *ShardedRangeQuery) (uint64, bool, error) {
 		c, err := view.CountRowsContext(ctx)
@@ -78,14 +74,8 @@ func (w *ShardedWindowQuery) CountRowsContext(ctx context.Context) ([]uint64, er
 	return out, err
 }
 
-// Sum aggregates SUM of the named column per window. Any window's sum
-// exceeding uint64 panics with *OverflowError.
-func (w *ShardedWindowQuery) Sum(column string) []uint64 {
-	return must(w.SumContext(context.Background(), column))
-}
-
-// SumContext is Sum honoring ctx; an overflowing window returns
-// *OverflowError.
+// SumContext aggregates SUM of the named column per window, honoring
+// ctx; an overflowing window returns *OverflowError.
 func (w *ShardedWindowQuery) SumContext(ctx context.Context, column string) ([]uint64, error) {
 	out, _, err := sweep(w, column, func(view *ShardedRangeQuery) (uint64, bool, error) {
 		v, err := view.SumContext(ctx, column)
@@ -94,35 +84,21 @@ func (w *ShardedWindowQuery) SumContext(ctx context.Context, column string) ([]u
 	return out, err
 }
 
-// Min aggregates MIN of the named column per window; oks[i] is false when
-// window i holds no qualifying row.
-func (w *ShardedWindowQuery) Min(column string) ([]uint64, []bool) {
-	return must2(w.MinContext(context.Background(), column))
-}
-
-// Max aggregates MAX of the named column per window.
-func (w *ShardedWindowQuery) Max(column string) ([]uint64, []bool) {
-	return must2(w.MaxContext(context.Background(), column))
-}
-
-// MinContext is Min honoring ctx.
+// MinContext aggregates MIN of the named column per window, honoring
+// ctx; oks[i] is false when window i holds no qualifying row.
 func (w *ShardedWindowQuery) MinContext(ctx context.Context, column string) ([]uint64, []bool, error) {
 	return sweep(w, column, func(view *ShardedRangeQuery) (uint64, bool, error) { return view.MinContext(ctx, column) })
 }
 
-// MaxContext is Max honoring ctx.
+// MaxContext aggregates MAX of the named column per window, honoring
+// ctx; oks[i] is as MinContext's.
 func (w *ShardedWindowQuery) MaxContext(ctx context.Context, column string) ([]uint64, []bool, error) {
 	return sweep(w, column, func(view *ShardedRangeQuery) (uint64, bool, error) { return view.MaxContext(ctx, column) })
 }
 
-// Avg aggregates AVG of the named column per window; oks[i] is false when
-// window i holds no qualifying row.
-func (w *ShardedWindowQuery) Avg(column string) ([]float64, []bool) {
-	return must2(w.AvgContext(context.Background(), column))
-}
-
-// AvgContext is Avg honoring ctx. Matching the scan path's contract, a
-// window whose sum exceeds uint64 returns *OverflowError.
+// AvgContext aggregates AVG of the named column per window, honoring ctx;
+// oks[i] is as MinContext's. Matching the scan path's contract, a window
+// whose sum exceeds uint64 returns *OverflowError.
 func (w *ShardedWindowQuery) AvgContext(ctx context.Context, column string) ([]float64, []bool, error) {
 	return sweep(w, column, func(view *ShardedRangeQuery) (float64, bool, error) { return view.AvgContext(ctx, column) })
 }
