@@ -50,9 +50,11 @@ server-race:
 # statement row runs 3 parts whose workers read one shared plan), the
 # oracle sweep's sharded half (TestShardedOracleSweep) and the seeds of the
 # one oracle fuzz target (FuzzOracleEquivalence, sharded seeds included),
+# the grouped statement (TestGroupStatementRows: its parts' banks merge
+# through the one bank fold, and four goroutines read one result's Rows),
 # and the sqlmini executor, which runs every statement against the store.
 shard-race:
-	$(GO) test -race -run 'Append|Shard|Range|Window|FanOut|EvalRoutes|TwinMethodSets|Rownum|Store|GenerativeQueries|SQLCounterPin|ExecuteShared|OracleEquivalence' -count=1 ./...
+	$(GO) test -race -run 'Append|Shard|Range|Window|FanOut|EvalRoutes|TwinMethodSets|Rownum|Store|GenerativeQueries|SQLCounterPin|ExecuteShared|OracleEquivalence|GroupStatement' -count=1 ./...
 
 # bench-harness vets and tests the repo benchmark (benchmark/ is its own
 # module, so the targets above do not see it): an internal/* signature

@@ -119,11 +119,11 @@ func nbpRunner(w *bench.Workload, layout tpch.Layout, agg bench.Agg) func() {
 	}
 	switch agg {
 	case bench.AggSum:
-		return func() { nbp.Sum(src, w.F) }
+		return func() { nbp.Sum(src, w.F, nbp.Options{}) }
 	case bench.AggMinMax:
-		return func() { nbp.Min(src, w.F) }
+		return func() { nbp.Min(src, w.F, nbp.Options{}) }
 	default:
-		return func() { nbp.Median(src, w.F) }
+		return func() { nbp.Median(src, w.F, nbp.Options{}) }
 	}
 }
 

@@ -436,8 +436,8 @@ func TestQuantileRejectsNaN(t *testing.T) {
 		if !q().Fused("v") {
 			t.Errorf("%v: the lazy query did not plan fused", layout)
 		}
-		if _, _, err := must(sq().GroupByContext(ctx, "g")).QuantileOkContext(ctx, "v", nan); err == nil || err.Error() != want {
-			t.Errorf("%v ShardedGrouped.QuantileOkContext error %v, want %q", layout, err, want)
+		if _, err := sq().GroupByAggsContext(ctx, []string{"g"}, []GroupAgg{{Op: "QUANTILE", Column: "v", Quantile: nan}}); err == nil || err.Error() != want {
+			t.Errorf("%v ShardedQuery.GroupByAggsContext QUANTILE error %v, want %q", layout, err, want)
 		}
 	}
 }

@@ -162,7 +162,7 @@ func TestGroupedAvgOverflowNamesGroup(t *testing.T) {
 		}
 	}
 	grouped := must(NewTableFromColumns([]string{"g", "v"}, []*Column{g, v}).Query().GroupByContext(bg, "g"))
-	if counts, err := grouped.NonNullCountContext(context.Background(), "v"); err != nil || !reflect.DeepEqual(counts, []uint64{1, 2, 0}) {
+	if counts, err := grouped.nonNullCounts(context.Background(), "v"); err != nil || !reflect.DeepEqual(counts, []uint64{1, 2, 0}) {
 		t.Fatalf("non-NULL counts per group = %v, %v; want [1 2 0]", counts, err)
 	}
 

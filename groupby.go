@@ -15,9 +15,6 @@ import (
 type groupPart struct {
 	q  *queryState
 	hp *parallel.HashPartition
-	// named lists the aggregates a measured partition was built for; nil
-	// for a GroupByContext partition.
-	named []aggCall
 }
 
 // GroupStrategy identifies the key index a Grouped's partition used.
@@ -90,13 +87,20 @@ func (v *flatView) groupBy(ctx context.Context, columns []string, named []aggCal
 		gcols[i] = groupCol(col)
 	}
 	pass := parallel.GroupPass{Cols: gcols, N: cols[0].Len(), Limit: maxHashGroups, Chunk: groupChunkRows}
-	for _, c := range named {
-		col := v.t.cols[c.column]
-		switch m := measureOf(col, c.op); {
-		case c.isRank(), c.op == opCount && col.nulls == nil, slices.Contains(pass.Measures, m):
-			// read off the run list, the partition's own counts, or banked already
-		default:
+	bank := func(op aggOp, col *Column) {
+		// COUNT of a NULL-free column is the partition's own counts
+		if m := measureOf(col, op); (op != opCount || col.nulls != nil) && !slices.Contains(pass.Measures, m) {
 			pass.Measures = append(pass.Measures, m)
+		}
+	}
+	for _, c := range named {
+		switch col := v.t.cols[c.column]; {
+		case c.op == opCountRows, c.isRank(): // the partition's own counts; the run list
+		case c.op == opSum: // SUM and AVG also answer the column's COUNT
+			bank(opCount, col)
+			bank(opSum, col)
+		default:
+			bank(c.op, col)
 		}
 	}
 	switch {
@@ -111,7 +115,7 @@ func (v *flatView) groupBy(ctx context.Context, columns []string, named []aggCal
 	if err != nil {
 		return nil, wrapExecErr(err)
 	}
-	return &groupPart{q: v.queryState, hp: hp, named: named}, nil
+	return &groupPart{q: v.queryState, hp: hp}, nil
 }
 
 // measureOf is aggregate op (COUNT, SUM, MIN or MAX) over col as a

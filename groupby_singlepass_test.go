@@ -378,7 +378,7 @@ func checkMeasuredPass(t *testing.T, seed int64, n int, lg, lv Layout, kG, kV in
 	store := PartitionTable(NewTableFromColumns(names, cols))
 
 	aggs := []GroupAgg{{Op: "SUM", Column: "v"}, {Op: "MIN", Column: "v"}, {Op: "MAX", Column: "v"},
-		{Op: "AVG", Column: "nv"}, {Op: "MIN", Column: "nv"}, {Op: "MAX", Column: "nv"}, {Op: "SUM", Column: "q"}, {Op: "MAX", Column: "q"}}
+		{Op: "AVG", Column: "nv"}, {Op: "COUNT", Column: "nv"}, {Op: "MIN", Column: "nv"}, {Op: "MAX", Column: "nv"}, {Op: "SUM", Column: "q"}, {Op: "MAX", Column: "q"}}
 	filters := []struct {
 		col  string
 		pred Predicate
@@ -459,10 +459,10 @@ func checkMeasuredPass(t *testing.T, seed int64, n int, lg, lv Layout, kG, kV in
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.MaxOkContext(ctx, "v"); err == nil {
+	if _, _, err := g.values(ctx, aggCall{op: opMax, column: "v"}); err == nil {
 		t.Fatal("MAX(v) answered by a GROUP BY built for SUM(v) alone")
 	}
-	if _, err := g.NonNullCountContext(ctx, "f"); err == nil {
+	if _, err := g.nonNullCounts(ctx, "f"); err == nil {
 		t.Fatal("COUNT(f) answered by a GROUP BY built for SUM(v) alone")
 	}
 	// A result is the caller's: editing it changes no later answer.
@@ -508,9 +508,9 @@ func sameMeasured(t *testing.T, label string, g, kept *ShardedGrouped, oracle ma
 			}
 			return vals(v, err)
 		}
-		out = append(out, vals(g.CountContext(ctx)), vals(g.SumContext(ctx, "v")), ok(g.MinOkContext(ctx, "v")), ok(g.MaxOkContext(ctx, "v")),
-			vals(g.NonNullCountContext(ctx, "nv")), vals(g.SumContext(ctx, "nv")), ok(g.MinOkContext(ctx, "nv")), ok(g.MaxOkContext(ctx, "nv")),
-			vals(g.SumContext(ctx, "q")), ok(g.MaxOkContext(ctx, "q")))
+		out = append(out, vals(g.CountContext(ctx)), vals(g.SumContext(ctx, "v")), ok(g.values(ctx, aggCall{op: opMin, column: "v"})), ok(g.values(ctx, aggCall{op: opMax, column: "v"})),
+			vals(g.nonNullCounts(ctx, "nv")), vals(g.SumContext(ctx, "nv")), ok(g.values(ctx, aggCall{op: opMin, column: "nv"})), ok(g.values(ctx, aggCall{op: opMax, column: "nv"})),
+			vals(g.SumContext(ctx, "q")), ok(g.values(ctx, aggCall{op: opMax, column: "q"})))
 		if rank {
 			out = append(out, vals(g.MedianContext(ctx, "q")))
 		}

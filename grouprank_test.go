@@ -76,7 +76,7 @@ func TestShardedGroupRankOneDescent(t *testing.T) {
 						t.Fatal(err)
 					}
 					before := q.Stats()
-					got, oks, err := g.rankOkContext(ctx, c)
+					got, oks, err := g.values(ctx, c)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -153,7 +153,7 @@ func FuzzGroupRank(f *testing.F) {
 		}
 		for _, c := range []aggCall{{op: opMedian, column: "v"}, {op: opQuantile, column: "v", quantile: quantile}} {
 			keys, want, wantOks := wantRank(vals, c.rankOf)
-			got, oks, err := sg.rankOkContext(ctx, c)
+			got, oks, err := sg.values(ctx, c)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -88,11 +88,11 @@ func (w *Workload) runNBP(layout tpch.Layout, agg Agg, o nbp.Options) func() {
 	}
 	switch agg {
 	case AggSum:
-		return func() { nbp.SumOpt(src, w.F, o) }
+		return func() { nbp.Sum(src, w.F, o) }
 	case AggMinMax:
-		return func() { nbp.MinOpt(src, w.F, o) }
+		return func() { nbp.Min(src, w.F, o) }
 	default:
-		return func() { nbp.MedianOpt(src, w.F, o) }
+		return func() { nbp.Median(src, w.F, o) }
 	}
 }
 
@@ -262,13 +262,13 @@ func Sanity(cfg Config) bool {
 	// Micro workload cross-check.
 	w := NewWorkload(50000, cfg.K, cfg.Sel, cfg.Seed)
 	ctx := context.Background()
-	if sv, err := parallel.VBPSumCtx(ctx, w.V, w.F, parallel.Options{}); err != nil || sv != nbp.Sum(w.V, w.F) {
+	if sv, err := parallel.VBPSumCtx(ctx, w.V, w.F, parallel.Options{}); err != nil || sv != nbp.Sum(w.V, w.F, nbp.Options{}) {
 		return false
 	}
-	if sh, err := parallel.HBPSumCtx(ctx, w.H, w.F, parallel.Options{}); err != nil || sh != nbp.Sum(w.H, w.F) {
+	if sh, err := parallel.HBPSumCtx(ctx, w.H, w.F, parallel.Options{}); err != nil || sh != nbp.Sum(w.H, w.F, nbp.Options{}) {
 		return false
 	}
 	mv, okv, err := parallel.VBPRankCtx(ctx, w.V, w.F, (uint64(w.F.Count())+1)/2, parallel.Options{})
-	mn, okn := nbp.Median(w.V, w.F)
+	mn, okn := nbp.Median(w.V, w.F, nbp.Options{})
 	return err == nil && mv == mn && okv == okn
 }

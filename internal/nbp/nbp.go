@@ -15,8 +15,6 @@
 package nbp
 
 import (
-	"math/bits"
-
 	"bpagg/internal/bitvec"
 	"bpagg/internal/hbp"
 	"bpagg/internal/vbp"
@@ -32,80 +30,6 @@ func Count(f *bitvec.Bitmap) uint64 {
 type valueSource interface {
 	At(i int) uint64
 	Len() int
-}
-
-// forEachValue drives the paper's four-step reconstruction loop: walk each
-// word of F, peel the lowest set bit, reconstruct that tuple, repeat until
-// the word is exhausted.
-func forEachValue(col valueSource, f *bitvec.Bitmap, fn func(v uint64)) {
-	if f.Len() != col.Len() {
-		panic("nbp: filter length does not match column length")
-	}
-	words := f.Words()
-	for wi, w := range words {
-		base := wi * 64
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			fn(col.At(i))
-			w &= w - 1
-		}
-	}
-}
-
-// Sum aggregates SUM by reconstructing every passing value.
-func Sum(col valueSource, f *bitvec.Bitmap) uint64 {
-	var sum uint64
-	forEachValue(col, f, func(v uint64) { sum += v })
-	return sum
-}
-
-// Min aggregates MIN; ok is false when no tuple passes.
-func Min(col valueSource, f *bitvec.Bitmap) (uint64, bool) {
-	var m uint64
-	found := false
-	forEachValue(col, f, func(v uint64) {
-		if !found || v < m {
-			m, found = v, true
-		}
-	})
-	return m, found
-}
-
-// Max aggregates MAX; ok is false when no tuple passes.
-func Max(col valueSource, f *bitvec.Bitmap) (uint64, bool) {
-	var m uint64
-	found := false
-	forEachValue(col, f, func(v uint64) {
-		if !found || v > m {
-			m, found = v, true
-		}
-	})
-	return m, found
-}
-
-// Avg aggregates AVG; ok is false when no tuple passes.
-func Avg(col valueSource, f *bitvec.Bitmap) (float64, bool) {
-	var sum, cnt uint64
-	forEachValue(col, f, func(v uint64) { sum += v; cnt++ })
-	if cnt == 0 {
-		return 0, false
-	}
-	return float64(sum) / float64(cnt), true
-}
-
-// Median aggregates the lower MEDIAN; ok is false when no tuple passes.
-func Median(col valueSource, f *bitvec.Bitmap) (uint64, bool) {
-	vals := collect(col, f)
-	if len(vals) == 0 {
-		return 0, false
-	}
-	return Quickselect(vals, (uint64(len(vals))+1)/2), true
-}
-
-func collect(col valueSource, f *bitvec.Bitmap) []uint64 {
-	vals := make([]uint64, 0, f.Count())
-	forEachValue(col, f, func(v uint64) { vals = append(vals, v) })
-	return vals
 }
 
 // Quickselect returns the r-th smallest element (1-based) of vals,

@@ -46,12 +46,12 @@ func TestAggregatesBothLayouts(t *testing.T) {
 			wantSum += v
 		}
 		for ci, col := range cols {
-			if got := Sum(col, f); got != wantSum {
+			if got := Sum(col, f, Options{}); got != wantSum {
 				t.Fatalf("col %d Sum = %d, want %d", ci, got, wantSum)
 			}
-			gotMin, okMin := Min(col, f)
-			gotMax, okMax := Max(col, f)
-			gotMed, okMed := Median(col, f)
+			gotMin, okMin := Min(col, f, Options{})
+			gotMax, okMax := Max(col, f, Options{})
+			gotMed, okMed := Median(col, f, Options{})
 			if okMin != (len(kept) > 0) || okMax != okMin || okMed != okMin {
 				t.Fatalf("col %d ok flags wrong", ci)
 			}
@@ -66,7 +66,7 @@ func TestAggregatesBothLayouts(t *testing.T) {
 				if gotMed != wantMed {
 					t.Fatalf("col %d Median = %d, want %d", ci, gotMed, wantMed)
 				}
-				avg, _ := Avg(col, f)
+				avg, _ := Avg(col, f, Options{})
 				if want := float64(wantSum) / float64(len(kept)); avg != want {
 					t.Fatalf("col %d Avg = %v, want %v", ci, avg, want)
 				}
@@ -78,16 +78,16 @@ func TestAggregatesBothLayouts(t *testing.T) {
 func TestEmptySelection(t *testing.T) {
 	col := vbp.Pack([]uint64{5, 6}, 4, 2)
 	f := bitvec.New(2)
-	if Sum(col, f) != 0 {
+	if Sum(col, f, Options{}) != 0 {
 		t.Error("Sum over empty selection should be 0")
 	}
-	if _, ok := Min(col, f); ok {
+	if _, ok := Min(col, f, Options{}); ok {
 		t.Error("Min over empty selection should report !ok")
 	}
-	if _, ok := Median(col, f); ok {
+	if _, ok := Median(col, f, Options{}); ok {
 		t.Error("Median over empty selection should report !ok")
 	}
-	if _, ok := Avg(col, f); ok {
+	if _, ok := Avg(col, f, Options{}); ok {
 		t.Error("Avg over empty selection should report !ok")
 	}
 }
@@ -108,7 +108,7 @@ func TestFilterLengthMismatchPanics(t *testing.T) {
 			t.Fatal("mismatched filter did not panic")
 		}
 	}()
-	Sum(col, bitvec.New(2))
+	Sum(col, bitvec.New(2), Options{})
 }
 
 func TestQuickselectAgainstSort(t *testing.T) {

@@ -2,6 +2,7 @@ package nbp
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"bpagg/internal/bitvec"
@@ -47,9 +48,33 @@ func wordRanges(f *bitvec.Bitmap, n int) [][2]int {
 	return out
 }
 
-// forEachValueRange reconstructs the passing values of filter words
-// [wordLo, wordHi).
-func forEachValueRange(col valueSource, f *bitvec.Bitmap, wordLo, wordHi int, fn func(v uint64)) {
+// inRanges runs body once per word range of f, each range [lo, hi) the
+// w-th of at most o's thread count: on the calling goroutine when there is
+// one range, on one goroutine each otherwise.
+func inRanges(col valueSource, f *bitvec.Bitmap, o Options, body func(w, lo, hi int)) {
+	if f.Len() != col.Len() {
+		panic("nbp: filter length does not match column length")
+	}
+	parts := wordRanges(f, o.threads())
+	if len(parts) == 1 {
+		body(0, parts[0][0], parts[0][1])
+		return
+	}
+	var wg sync.WaitGroup
+	for w, p := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(w, p[0], p[1])
+		}()
+	}
+	wg.Wait()
+}
+
+// forEachValue drives the paper's four-step reconstruction loop over
+// filter words [wordLo, wordHi): walk each word of F, peel the lowest set
+// bit, reconstruct that tuple, repeat until the word is exhausted.
+func forEachValue(col valueSource, f *bitvec.Bitmap, wordLo, wordHi int, fn func(v uint64)) {
 	words := f.Words()
 	for wi := wordLo; wi < wordHi; wi++ {
 		w := words[wi]
@@ -62,24 +87,15 @@ func forEachValueRange(col valueSource, f *bitvec.Bitmap, wordLo, wordHi int, fn
 	}
 }
 
-// SumOpt is Sum with optional multithreading.
-func SumOpt(col valueSource, f *bitvec.Bitmap, o Options) uint64 {
-	if o.threads() == 1 {
-		return Sum(col, f)
-	}
-	parts := wordRanges(f, o.threads())
-	partials := make([]uint64, len(parts))
-	var wg sync.WaitGroup
-	for w, p := range parts {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var s uint64
-			forEachValueRange(col, f, lo, hi, func(v uint64) { s += v })
-			partials[w] = s
-		}(w, p[0], p[1])
-	}
-	wg.Wait()
+// Sum aggregates SUM by reconstructing every passing value, one partial
+// per word range.
+func Sum(col valueSource, f *bitvec.Bitmap, o Options) uint64 {
+	partials := make([]uint64, o.threads())
+	inRanges(col, f, o, func(w, lo, hi int) {
+		var s uint64
+		forEachValue(col, f, lo, hi, func(v uint64) { s += v })
+		partials[w] = s
+	})
 	var sum uint64
 	for _, p := range partials {
 		sum += p
@@ -87,101 +103,65 @@ func SumOpt(col valueSource, f *bitvec.Bitmap, o Options) uint64 {
 	return sum
 }
 
-// MinOpt is Min with optional multithreading.
-func MinOpt(col valueSource, f *bitvec.Bitmap, o Options) (uint64, bool) {
-	return extremeOpt(col, f, o, true)
+// Min aggregates MIN; ok is false when no tuple passes.
+func Min(col valueSource, f *bitvec.Bitmap, o Options) (uint64, bool) {
+	return extreme(col, f, o, true)
 }
 
-// MaxOpt is Max with optional multithreading.
-func MaxOpt(col valueSource, f *bitvec.Bitmap, o Options) (uint64, bool) {
-	return extremeOpt(col, f, o, false)
+// Max aggregates MAX; ok is false when no tuple passes.
+func Max(col valueSource, f *bitvec.Bitmap, o Options) (uint64, bool) {
+	return extreme(col, f, o, false)
 }
 
-func extremeOpt(col valueSource, f *bitvec.Bitmap, o Options, wantMin bool) (uint64, bool) {
-	if o.threads() == 1 {
-		if wantMin {
-			return Min(col, f)
-		}
-		return Max(col, f)
-	}
-	parts := wordRanges(f, o.threads())
-	partials := make([]uint64, len(parts))
-	found := make([]bool, len(parts))
-	var wg sync.WaitGroup
-	for w, p := range parts {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var m uint64
-			ok := false
-			forEachValueRange(col, f, lo, hi, func(v uint64) {
-				if !ok || (wantMin && v < m) || (!wantMin && v > m) {
-					m, ok = v, true
-				}
-			})
-			partials[w], found[w] = m, ok
-		}(w, p[0], p[1])
-	}
-	wg.Wait()
+func extreme(col valueSource, f *bitvec.Bitmap, o Options, wantMin bool) (uint64, bool) {
+	partials := make([]uint64, o.threads())
+	found := make([]bool, o.threads())
+	inRanges(col, f, o, func(w, lo, hi int) {
+		var m uint64
+		ok := false
+		forEachValue(col, f, lo, hi, func(v uint64) {
+			if !ok || (wantMin && v < m) || (!wantMin && v > m) {
+				m, ok = v, true
+			}
+		})
+		partials[w], found[w] = m, ok
+	})
 	var best uint64
 	ok := false
-	for w := range parts {
-		if !found[w] {
-			continue
-		}
-		if !ok || (wantMin && partials[w] < best) || (!wantMin && partials[w] > best) {
-			best, ok = partials[w], true
+	for w, p := range partials {
+		if found[w] && (!ok || (wantMin && p < best) || (!wantMin && p > best)) {
+			best, ok = p, true
 		}
 	}
 	return best, ok
 }
 
-// AvgOpt is Avg with optional multithreading.
-func AvgOpt(col valueSource, f *bitvec.Bitmap, o Options) (float64, bool) {
+// Avg aggregates AVG; ok is false when no tuple passes.
+func Avg(col valueSource, f *bitvec.Bitmap, o Options) (float64, bool) {
 	cnt := f.Count()
 	if cnt == 0 {
 		return 0, false
 	}
-	return float64(SumOpt(col, f, o)) / float64(cnt), true
+	return float64(Sum(col, f, o)) / float64(cnt), true
 }
 
-// MedianOpt is Median with optional multithreading: workers reconstruct
-// their partitions into per-worker buffers, and quickselect runs over the
-// concatenation.
-func MedianOpt(col valueSource, f *bitvec.Bitmap, o Options) (uint64, bool) {
-	vals := collectOpt(col, f, o)
+// Median aggregates the lower MEDIAN; ok is false when no tuple passes.
+// Each word range reconstructs into its own buffer, and quickselect runs
+// over their concatenation.
+func Median(col valueSource, f *bitvec.Bitmap, o Options) (uint64, bool) {
+	bufs := make([][]uint64, o.threads())
+	inRanges(col, f, o, func(w, lo, hi int) {
+		// Exact sizing via a rank difference keeps appends allocation-free.
+		buf := make([]uint64, 0, f.Rank(hi*64)-f.Rank(lo*64))
+		forEachValue(col, f, lo, hi, func(v uint64) { buf = append(buf, v) })
+		bufs[w] = buf
+	})
+	vals := bufs[0]
+	if len(bufs) > 1 {
+		vals = slices.Concat(bufs...)
+	}
 	if len(vals) == 0 {
 		return 0, false
 	}
 	return Quickselect(vals, (uint64(len(vals))+1)/2), true
-}
-
-func collectOpt(col valueSource, f *bitvec.Bitmap, o Options) []uint64 {
-	if o.threads() == 1 {
-		return collect(col, f)
-	}
-	parts := wordRanges(f, o.threads())
-	bufs := make([][]uint64, len(parts))
-	var wg sync.WaitGroup
-	for w, p := range parts {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			// Exact sizing via a rank difference keeps appends allocation-free.
-			cnt := f.Rank(hi*64) - f.Rank(lo*64)
-			buf := make([]uint64, 0, cnt)
-			forEachValueRange(col, f, lo, hi, func(v uint64) { buf = append(buf, v) })
-			bufs[w] = buf
-		}(w, p[0], p[1])
-	}
-	wg.Wait()
-	var total int
-	for _, b := range bufs {
-		total += len(b)
-	}
-	out := make([]uint64, 0, total)
-	for _, b := range bufs {
-		out = append(out, b...)
-	}
-	return out
 }

@@ -33,28 +33,28 @@ func TestParallelNBPMatchesSerial(t *testing.T) {
 		}
 		for ci, col := range cols {
 			for _, o := range []Options{{Threads: 0}, {Threads: 1}, {Threads: 3}, {Threads: 16}} {
-				if got, want := SumOpt(col, f, o), Sum(col, f); got != want {
-					t.Fatalf("col %d SumOpt %+v: got %d want %d", ci, o, got, want)
+				if got, want := Sum(col, f, o), Sum(col, f, Options{}); got != want {
+					t.Fatalf("col %d Sum %+v: got %d want %d", ci, o, got, want)
 				}
-				gm, okm := MinOpt(col, f, o)
-				wm, wok := Min(col, f)
+				gm, okm := Min(col, f, o)
+				wm, wok := Min(col, f, Options{})
 				if gm != wm || okm != wok {
-					t.Fatalf("col %d MinOpt %+v: got (%d,%v) want (%d,%v)", ci, o, gm, okm, wm, wok)
+					t.Fatalf("col %d Min %+v: got (%d,%v) want (%d,%v)", ci, o, gm, okm, wm, wok)
 				}
-				gm, okm = MaxOpt(col, f, o)
-				wm, wok = Max(col, f)
+				gm, okm = Max(col, f, o)
+				wm, wok = Max(col, f, Options{})
 				if gm != wm || okm != wok {
-					t.Fatalf("col %d MaxOpt %+v: got (%d,%v) want (%d,%v)", ci, o, gm, okm, wm, wok)
+					t.Fatalf("col %d Max %+v: got (%d,%v) want (%d,%v)", ci, o, gm, okm, wm, wok)
 				}
-				gm, okm = MedianOpt(col, f, o)
-				wm, wok = Median(col, f)
+				gm, okm = Median(col, f, o)
+				wm, wok = Median(col, f, Options{})
 				if gm != wm || okm != wok {
-					t.Fatalf("col %d MedianOpt %+v: got (%d,%v) want (%d,%v)", ci, o, gm, okm, wm, wok)
+					t.Fatalf("col %d Median %+v: got (%d,%v) want (%d,%v)", ci, o, gm, okm, wm, wok)
 				}
-				ga, oka := AvgOpt(col, f, o)
-				wa, wokA := Avg(col, f)
+				ga, oka := Avg(col, f, o)
+				wa, wokA := Avg(col, f, Options{})
 				if ga != wa || oka != wokA {
-					t.Fatalf("col %d AvgOpt %+v: got (%v,%v) want (%v,%v)", ci, o, ga, oka, wa, wokA)
+					t.Fatalf("col %d Avg %+v: got (%v,%v) want (%v,%v)", ci, o, ga, oka, wa, wokA)
 				}
 			}
 		}

@@ -100,7 +100,7 @@ func (t *tally) quantiles(all bool) []float64 {
 	return []float64{0.5}
 }
 
-// groupedQuantiles are the grouped QuantileOk arms' arguments.
+// groupedQuantiles are the grouped statement's QUANTILE arguments.
 var groupedQuantiles = []float64{0, 0.9, 1}
 
 // answers is the oracle's verdict over one selection: the selection as
@@ -120,7 +120,6 @@ type groupedWant struct {
 	counts, sums, mins, maxs, medians []uint64
 	avgs                              []float64
 	empty                             bool
-	medianOks                         []opt[uint64]
 	quantileOks                       [][]opt[uint64] // one per groupedQuantiles entry
 }
 
@@ -134,7 +133,7 @@ func (a *answers) want() *groupedWant {
 		med := t.median()
 		w.counts, w.sums = append(w.counts, t.rows), append(w.sums, t.sum.lo)
 		w.mins, w.maxs, w.medians = append(w.mins, t.min), append(w.maxs, t.max), append(w.medians, med.v)
-		w.avgs, w.medianOks = append(w.avgs, t.avg().v), append(w.medianOks, med)
+		w.avgs = append(w.avgs, t.avg().v)
 		w.empty = w.empty || t.nnz == 0
 		for i, q := range groupedQuantiles {
 			w.quantileOks[i] = append(w.quantileOks[i], t.quantile(q))

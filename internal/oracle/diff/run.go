@@ -78,9 +78,10 @@ func (r *run) cells() (err error) {
 // routes lists the store's cells: the scalar battery (with the rank arms)
 // and, at the primary count, the statement of every scalar aggregate; the
 // two-phase route over a table's materialized selection; the Range probes
-// and Window shapes; the grouped battery and the grouped Ok arms, and at
-// the primary count the grouped battery over a one-part store's
-// materialized selection; and SQL. A secondary thread
+// and Window shapes; the grouped battery and the grouped statement (at
+// the primary count also over the last range probe), and at the primary
+// count the grouped battery over a one-part store's materialized
+// selection; and SQL. A secondary thread
 // count reruns a subset: thread sensitivity lives in the kernels the
 // primary count already swept probe by probe.
 func (r *run) routes() []func() error {
@@ -132,10 +133,15 @@ func (r *run) routes() []func() error {
 	if r.c.G != nil {
 		add(func() error {
 			g, err := r.storeQuery().GroupByContext(context.Background(), r.c.groupCols()...)
-			if err := r.groups("group", g, err, x.whole); err != nil {
-				return err
-			}
-			return r.okArms(g, err, x.whole)
+			return r.groups("group", g, err, x.whole)
+		})
+		add(func() error { return r.groupStatement("group-statement", r.storeQuery(), x.whole) })
+	}
+	if n := len(r.c.Ranges); r.c.G != nil && n > 0 && r.first {
+		// The last probe, an interior one, as the SQL statements take.
+		p := r.c.Ranges[n-1]
+		add(func() error {
+			return r.groupStatement(fmt.Sprintf("group-statement range[%d,%d)", p[0], p[1]), r.storeQuery().Range(p[0], p[1]), x.ranges[n-1])
 		})
 	}
 	if r.c.G != nil && onePart && r.first {
@@ -355,22 +361,55 @@ func (r *run) groups(route string, g *bpagg.Grouped, err error, w *answers) erro
 	return k.err
 }
 
-// okArms runs the NULL-tolerant grouped rank arms, one radix descent over
-// every shard of the store (a flat table's one): a group whose measure
-// rows are all NULL answers ok=false, every other its oracle value.
-func (r *run) okArms(g *bpagg.Grouped, err error, w *answers) error {
-	k := r.checker("group-ok")
+// groupStatement names COUNT(*), COUNT, SUM, AVG, MIN, MAX, MEDIAN and
+// the grouped quantiles over "a" in one GROUP BY (GroupByAggsContext: one
+// pass per part, the parts' banks merged and each rank one radix descent
+// over every part before it returns) and checks each group's Row against
+// the oracle's tally of the group: a group whose measure rows are all NULL
+// reads OK=false under MIN, MAX and the ranks, and an overflowing SUM or
+// AVG cell carries an *OverflowError with its group's key.
+func (r *run) groupStatement(route string, q interface {
+	GroupByAggsContext(context.Context, []string, []bpagg.GroupAgg) (*bpagg.Grouped, error)
+}, w *answers) error {
+	k := r.checker(route)
+	aggs := []bpagg.GroupAgg{{Op: "COUNT"}, {Op: "COUNT", Column: "a"}, {Op: "SUM", Column: "a"}, {Op: "AVG", Column: "a"},
+		{Op: "MIN", Column: "a"}, {Op: "MAX", Column: "a"}, {Op: "MEDIAN", Column: "a"}}
+	for _, q := range groupedQuantiles {
+		aggs = append(aggs, bpagg.GroupAgg{Op: "QUANTILE", Column: "a", Quantile: q})
+	}
+	g, err := q.GroupByAggsContext(context.Background(), r.c.groupCols(), aggs)
 	if err != nil {
 		k.fail("GROUPBY", "unexpected error: %v", err)
 		return k.err
 	}
-	ctx := context.Background()
-	k.check("KEYS", g.Keys(), nil, w.keys)
-	vals, oks, err := g.MedianOkContext(ctx, "a")
-	k.check("MEDIAN-OK", zip(vals, oks), err, w.want().medianOks)
-	for i, q := range groupedQuantiles {
-		vals, oks, err := g.QuantileOkContext(ctx, "a", q)
-		k.check(fmt.Sprintf("QUANTILE-OK(%v)", q), zip(vals, oks), err, w.want().quantileOks[i])
+	if k.check("KEYS", g.Keys(), nil, w.keys); k.err != nil {
+		return k.err
+	}
+	var counts, wantCounts [][2]uint64
+	vals, wantVals := make([][]opt[uint64], len(aggs)-4), make([][]opt[uint64], len(aggs)-4)
+	var row []bpagg.AggResult
+	for i, t := range w.groups {
+		row = g.Row(i, row)
+		counts, wantCounts = append(counts, [2]uint64{row[0].Value, row[1].Value}), append(wantCounts, [2]uint64{t.rows, t.nnz})
+		for j, name := range []string{"SUM", "AVG"} {
+			c := row[2+j]
+			k.sum(name, [2]uint64{c.Value, c.Count}, c.Err, t.sum, r.x.parts(w.keys[i]), [2]uint64{t.sum.lo, t.nnz})
+		}
+		want := []opt[uint64]{t.minOpt(), t.maxOpt(), t.median()}
+		for _, qs := range w.want().quantileOks {
+			want = append(want, qs[i])
+		}
+		for j, c := range row[4:] {
+			vals[j], wantVals[j] = append(vals[j], some(c.Value, c.OK)), append(wantVals[j], want[j])
+		}
+	}
+	k.check("COUNT(*),COUNT(a)", counts, nil, wantCounts)
+	for j, a := range aggs[4:] {
+		name := a.Op
+		if a.Op == "QUANTILE" {
+			name = fmt.Sprintf("QUANTILE(%v)", a.Quantile)
+		}
+		k.check(name, vals[j], nil, wantVals[j])
 	}
 	return k.err
 }
@@ -452,7 +491,7 @@ func (r *run) statements() error {
 	}
 	var shapes []shape
 	if r.c.big {
-		exprs = exprs[:6] // its Ok arms already descend every group
+		exprs = exprs[:6] // its grouped statement already descends every group
 	} else {
 		shapes = append(shapes, shape{"", where, nil, r.x.whole})
 	}

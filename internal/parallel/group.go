@@ -115,14 +115,14 @@ type Bank struct {
 	Any      []bool
 	Count    []uint64
 
-	m   Measure
-	k   *core.HashKernel // built on the first step, once per worker and measure
-	cur core.Cursor[int32]
-	st  core.GroupStats
+	m  Measure
+	k  *core.HashKernel // built on the first step, once per worker and measure
+	st core.GroupStats
 }
 
-// newBank returns measure m's bank for n groups.
-func newBank(m Measure, n int) *Bank {
+// NewBank returns measure m's bank for n groups, all zero: what Fold
+// merges parts' banks into.
+func NewBank(m Measure, n int) *Bank {
 	b := &Bank{m: m}
 	b.grow(n)
 	return b
@@ -155,23 +155,26 @@ func extend[T any](s []T, n int) []T {
 // reading list se, whose windows hold vps rows, without the column's NULL
 // rows. The bank's ids are se's.
 func (b *Bank) step(se *core.SegEntries, vps, lo, hi int) {
-	b.cur = core.NewCursor(se, vps, b.m.Col.vps(), lo, hi, b.m.Col.Nulls)
+	cur := core.NewCursor(se, vps, b.m.Col.vps(), lo, hi, b.m.Col.Nulls)
 	if b.k == nil && b.m.Op != MeasureCount {
 		b.k = core.NewHashKernel(b.m.Col.V, b.m.Col.H)
 	}
 	switch b.m.Op {
 	case MeasureSum:
-		b.k.Sum(&b.cur, b.His, b.Los, &b.st)
+		b.k.Sum(&cur, b.His, b.Los, &b.st)
 	case MeasureCount:
-		core.HashCountRuns(&b.cur, nil, b.Count)
+		core.HashCountRuns(&cur, nil, b.Count)
 	default:
-		b.k.Extreme(&b.cur, b.m.Op == MeasureMin, b.Best, b.Any, &b.st)
+		b.k.Extreme(&cur, b.m.Op == MeasureMin, b.Best, b.Any, &b.st)
 	}
 }
 
-// fold merges the first len(gi) ids of worker bank w into b, id s landing
-// on gi[s]: a 128-bit add, an extreme fold or a count add.
-func (b *Bank) fold(w *Bank, gi []int32) {
+// Fold merges the first len(gi) ids of bank w into b, id s landing on
+// gi[s]: a 128-bit add, an extreme fold or a count add, by b's measure.
+// It is the one merge of grouped partials — a pass's workers, a kept-list
+// driver's, and a store's parts — so w need only carry the fields b's
+// measure reads.
+func (b *Bank) Fold(w *Bank, gi []int32) {
 	switch b.m.Op {
 	case MeasureSum:
 		for s, g := range gi {
@@ -354,7 +357,7 @@ func GroupPassCtx(ctx context.Context, p GroupPass, o Options) (*HashPartition, 
 		}
 		w.banks = make([]*Bank, len(p.Measures))
 		for j, m := range p.Measures {
-			w.banks[j] = newBank(m, 0)
+			w.banks[j] = NewBank(m, 0)
 		}
 	}
 	if _, err := forEachRangeErr(ctx, nch, o.threads(), func(wi, lo, hi int) error {
@@ -397,7 +400,7 @@ func GroupPassCtx(ctx context.Context, p GroupPass, o Options) (*HashPartition, 
 	// VBP split already sorted).
 	hp := &HashPartition{Keys: keys, Counts: make([]uint64, len(keys)), N: p.N, Vps: lastVps, Banks: make([]*Bank, len(p.Measures))}
 	for j, m := range p.Measures {
-		hp.Banks[j] = newBank(m, len(keys))
+		hp.Banks[j] = NewBank(m, len(keys))
 	}
 	emitted, runs := 0, 0
 	for i := range ws {
@@ -409,7 +412,7 @@ func GroupPassCtx(ctx context.Context, p GroupPass, o Options) (*HashPartition, 
 			hp.Counts[g] += w.counts[slot]
 		}
 		for j, b := range w.banks {
-			hp.Banks[j].fold(b, gi)
+			hp.Banks[j].Fold(b, gi)
 		}
 		emitted += w.emitted
 		if p.Keep != nil {
@@ -581,7 +584,7 @@ func BankCtx(ctx context.Context, m Measure, hp *HashPartition, o Options) (*Ban
 	parts := partition(m.Col.nseg(), o.threads())
 	banks := make([]*Bank, len(parts))
 	for w := range banks {
-		banks[w] = newBank(m, len(hp.Keys))
+		banks[w] = NewBank(m, len(hp.Keys))
 	}
 	if _, err := forEachRangeErr(ctx, m.Col.nseg(), o.threads(), func(w, lo, hi int) error {
 		t0 := statsNow(ws)
@@ -599,7 +602,7 @@ func BankCtx(ctx context.Context, m Measure, hp *HashPartition, o Options) (*Ban
 			id[g] = int32(g)
 		}
 		for _, b := range banks[1:] {
-			banks[0].fold(b, id)
+			banks[0].Fold(b, id)
 		}
 	}
 	if m.Op != MeasureCount {

@@ -194,14 +194,14 @@ func (b bound) run(ctx context.Context, cat *catalog.Catalog, q *Query, sq *bpag
 		if err != nil {
 			return nil, 0, err
 		}
-		rows, err := groupedRows(ctx, cat, q, g)
+		rows, err := groupedRows(cat, q, aggs, g)
 		return rows, g.Strategy(), err
 	}
 	cells, err := src.AggsContext(ctx, aggs)
 	if err != nil {
 		return nil, 0, err
 	}
-	row, err := renderRow(cat, q.Selects, aggs, cells)
+	row, err := appendRow(make([]string, 0, len(q.Selects)), cat, q.Selects, aggs, cells)
 	return [][]string{row}, 0, err
 }
 
@@ -226,86 +226,47 @@ func appendAggs(aggs []bpagg.GroupAgg, selects []SelectExpr) []bpagg.GroupAgg {
 	return aggs
 }
 
-// renderRow renders one cell per SELECT expression from the answers the
-// store gave aggs; the first cell that failed (an overflowing SUM) fails
-// the row.
-func renderRow(cat *catalog.Catalog, selects []SelectExpr, aggs []bpagg.GroupAgg, cells []bpagg.AggResult) ([]string, error) {
-	row := make([]string, len(selects))
-	for i, s := range selects {
+// appendRow appends one cell per SELECT expression to row, from the
+// answers the store gave aggs — a scalar statement's row or one group's;
+// the first cell that failed (an overflowing SUM) fails the row.
+func appendRow(row []string, cat *catalog.Catalog, selects []SelectExpr, aggs []bpagg.GroupAgg, cells []bpagg.AggResult) ([]string, error) {
+	for _, s := range selects {
 		c := cells[slices.Index(aggs, aggOf(s))]
 		switch {
 		case c.Err != nil:
 			return nil, c.Err
 		case s.Func == CountStar || s.Func == Count:
-			row[i] = strconv.FormatUint(c.Value, 10)
+			row = append(row, strconv.FormatUint(c.Value, 10))
 		case s.Func == Sum:
-			row[i] = cat.FormatSum(s.Column, c.Value, c.Count)
+			row = append(row, cat.FormatSum(s.Column, c.Value, c.Count))
 		case s.Func == Avg:
-			row[i] = cat.FormatAvg(s.Column, c.Value, c.Count)
+			row = append(row, cat.FormatAvg(s.Column, c.Value, c.Count))
 		default:
-			row[i] = formatOpt(cat, s.Column, c.Value, c.OK)
+			row = append(row, formatOpt(cat, s.Column, c.Value, c.OK))
 		}
 	}
 	return row, nil
 }
 
-// groupedRows renders one row per group: the key parts, then one column
-// of cells per SELECT expression from the bulk per-group aggregates. The
-// NULL-tolerant Ok variants render a group whose measure values are all
-// NULL as NULL. No group is no row.
-func groupedRows(ctx context.Context, cat *catalog.Catalog, q *Query, g *bpagg.ShardedGrouped) ([][]string, error) {
+// groupedRows renders one row per group: the key parts, then the group's
+// cells as a scalar row renders them (an all-NULL group's MIN, MAX,
+// MEDIAN or QUANTILE as NULL). No group is no row.
+func groupedRows(cat *catalog.Catalog, q *Query, aggs []bpagg.GroupAgg, g *bpagg.ShardedGrouped) ([][]string, error) {
 	if g.Len() == 0 {
 		return nil, nil
 	}
-	counts, err := g.CountContext(ctx)
-	if err != nil {
-		return nil, err
-	}
 	rows := make([][]string, g.Len())
+	var buf [8]bpagg.AggResult // a group's cells, reused
+	cells := buf[:0]
 	for i := range rows {
-		rows[i] = make([]string, 0, len(q.GroupBy)+len(q.Selects))
+		row := make([]string, 0, len(q.GroupBy)+len(q.Selects))
 		for j, part := range g.KeyParts(i) {
-			rows[i] = append(rows[i], cat.FormatValue(q.GroupBy[j], part))
+			row = append(row, cat.FormatValue(q.GroupBy[j], part))
 		}
-	}
-	for _, s := range q.Selects {
-		var vals, nn []uint64
-		var oks []bool
+		cells = g.Row(i, cells)
 		var err error
-		switch s.Func {
-		case CountStar:
-			vals = counts
-		case Count:
-			vals, err = g.NonNullCountContext(ctx, s.Column)
-		case Sum, Avg:
-			if vals, err = g.SumContext(ctx, s.Column); err == nil {
-				nn, err = g.NonNullCountContext(ctx, s.Column)
-			}
-		case Min:
-			vals, oks, err = g.MinOkContext(ctx, s.Column)
-		case Max:
-			vals, oks, err = g.MaxOkContext(ctx, s.Column)
-		case Median:
-			vals, oks, err = g.MedianOkContext(ctx, s.Column)
-		case Quantile:
-			vals, oks, err = g.QuantileOkContext(ctx, s.Column, s.Arg)
-		}
-		if err != nil {
+		if rows[i], err = appendRow(row, cat, q.Selects, aggs, cells); err != nil {
 			return nil, err
-		}
-		for i := range rows {
-			var cell string
-			switch {
-			case s.Func == Sum:
-				cell = cat.FormatSum(s.Column, vals[i], nn[i])
-			case s.Func == Avg:
-				cell = cat.FormatAvg(s.Column, vals[i], nn[i])
-			case oks != nil:
-				cell = formatOpt(cat, s.Column, vals[i], oks[i])
-			default:
-				cell = strconv.FormatUint(vals[i], 10)
-			}
-			rows[i] = append(rows[i], cell)
 		}
 	}
 	return rows, nil

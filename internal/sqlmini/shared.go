@@ -135,7 +135,7 @@ func ExecuteShared(ctx context.Context, cat *catalog.Catalog, qs []*Query, o Exe
 		}
 		var row []string
 		if out[i].Err = err; err == nil {
-			row, out[i].Err = renderRow(cat, q.Selects, aggs, cells)
+			row, out[i].Err = appendRow(make([]string, 0, len(q.Selects)), cat, q.Selects, aggs, cells)
 		}
 		if out[i].Err == nil {
 			out[i].Res = &Result{Headers: headers(q), Rows: [][]string{row}}

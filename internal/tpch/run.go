@@ -55,15 +55,15 @@ func (inst *Instance) RunAggNBP(f *bitvec.Bitmap, o nbp.Options) []AggResult {
 		case CountOp:
 			out[i] = AggResult{Uint: nbp.Count(f), Ok: true}
 		case Sum:
-			out[i] = AggResult{Uint: nbp.SumOpt(col.source(), f, o), Ok: true}
+			out[i] = AggResult{Uint: nbp.Sum(col.source(), f, o), Ok: true}
 		case Avg:
-			v, ok := nbp.AvgOpt(col.source(), f, o)
+			v, ok := nbp.Avg(col.source(), f, o)
 			out[i] = AggResult{Float: v, Ok: ok}
 		case Max:
-			v, ok := nbp.MaxOpt(col.source(), f, o)
+			v, ok := nbp.Max(col.source(), f, o)
 			out[i] = AggResult{Uint: v, Ok: ok}
 		case Median:
-			v, ok := nbp.MedianOpt(col.source(), f, o)
+			v, ok := nbp.Median(col.source(), f, o)
 			out[i] = AggResult{Uint: v, Ok: ok}
 		}
 	}

@@ -2,6 +2,7 @@ package bpagg
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -118,18 +120,22 @@ var pinOps = []struct {
 	{"Quantile(v,0.9)", func(ctx context.Context, q pinAggs) (any, error) { return c2(q.QuantileContext(ctx, "v", 0.9)) }},
 	{"GroupBy(g)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return g.Keys(), nil })},
 	{"GroupBy(g).Count", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c1(g.CountContext(ctx)) })},
-	{"GroupBy(g).NonNullCount(n)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c1(g.NonNullCountContext(ctx, "n")) })},
+	{"GroupBy(g).NonNullCount(n)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c1(g.nonNullCounts(ctx, "n")) })},
 	{"GroupBy(g).Sum(v)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c1(g.SumContext(ctx, "v")) })},
 	{"GroupBy(g).Min(v)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c1(g.MinContext(ctx, "v")) })},
 	{"GroupBy(g).Max(v)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c1(g.MaxContext(ctx, "v")) })},
-	{"GroupBy(g).MinOk(n)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c2(g.MinOkContext(ctx, "n")) })},
-	{"GroupBy(g).MaxOk(n)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c2(g.MaxOkContext(ctx, "n")) })},
+	{"GroupBy(g).MinOk(n)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) {
+		return c2(g.values(ctx, aggCall{op: opMin, column: "n"}))
+	})},
+	{"GroupBy(g).MaxOk(n)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) {
+		return c2(g.values(ctx, aggCall{op: opMax, column: "n"}))
+	})},
 	{"GroupBy(g).Avg(v)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c1(g.AvgContext(ctx, "v")) })},
 	{"GroupBy(g).Avg(n)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c1(g.AvgContext(ctx, "n")) })},
 	{"GroupBy(g).Median(v)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c1(g.MedianContext(ctx, "v")) })},
 	{"GroupBy(g).MedianOk(n)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) { return c2(g.MedianOkContext(ctx, "n")) })},
 	{"GroupBy(g).QuantileOk(v,0.9)", onGroups(func(ctx context.Context, g *ShardedGrouped) (any, error) {
-		return c2(g.QuantileOkContext(ctx, "v", 0.9))
+		return c2(g.values(ctx, aggCall{op: opQuantile, column: "v", quantile: 0.9}))
 	})},
 }
 
@@ -273,29 +279,35 @@ func TestTwinMethodSets(t *testing.T) {
 }
 
 // TestOneAggregateDoor: an aggregate is reached through its ...Context
-// method, which returns its failure as an error. No method X sits beside
-// an XContext on the aggregating types, save the plain names the repo
-// benchmark calls — each listed with the call that pins it.
+// method, which returns its failure as an error. No method X, and no
+// NULL-tolerant XOkContext, sits beside an XContext on the aggregating
+// types (a grouped statement's NULL cells are its Row's), save the names
+// the repo benchmark calls — each listed with the call that pins it.
 func TestOneAggregateDoor(t *testing.T) {
 	// Sum is one method of the fan-out both query types embed.
 	const rangeSum = "benchmark/engine.go:64,66 and benchmark/trace.go:200,202 (Query().Range(...).Sum)"
 	pinned := map[string]string{
-		"*bpagg.ShardedQuery.Sum":      rangeSum,
-		"*bpagg.ShardedRangeQuery.Sum": rangeSum,
-		"*bpagg.Column.Count":          "benchmark/facade.go:149",
+		"*bpagg.ShardedQuery.Sum":               rangeSum,
+		"*bpagg.ShardedRangeQuery.Sum":          rangeSum,
+		"*bpagg.Column.Count":                   "benchmark/facade.go:149",
+		"*bpagg.ShardedGrouped.MedianOkContext": "benchmark/facade.go:65",
 	}
 	for _, v := range []any{&Column{}, &Query{}, &RangeQuery{}, &Grouped{}, &WindowQuery{}} {
 		names := exportedMethods(v)
 		for _, m := range names {
-			if !slices.Contains(names, m+"Context") {
+			twin := m + "Context"
+			if x, ok := strings.CutSuffix(m, "OkContext"); ok {
+				twin = x + "Context"
+			}
+			if !slices.Contains(names, twin) {
 				continue
 			}
 			id := fmt.Sprintf("%v.%s", reflect.TypeOf(v), m)
 			if pin, ok := pinned[id]; ok {
-				t.Logf("%s stays beside %sContext: %s calls it", id, m, pin)
+				t.Logf("%s stays beside %s: %s calls it", id, twin, pin)
 				continue
 			}
-			t.Errorf("%s sits beside %sContext: a second door to one aggregate", id, m)
+			t.Errorf("%s sits beside %s: a second door to one aggregate", id, twin)
 		}
 	}
 }
@@ -343,6 +355,96 @@ func TestShardedGroupMedianBytes(t *testing.T) {
 	want, wantOks, err := one.MedianOkContext(ctx, "n")
 	if err != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(oks, wantOks) {
 		t.Errorf("per-group medians over 4 shards differ from one shard's (err %v)", err)
+	}
+}
+
+// TestGroupStatementRows: a grouped statement's Row is, cell for cell, the
+// scalar statement's row over that group's rows — on a sharded store, whose
+// parts merge through the bank fold, and on a table's one-part store, over
+// the whole store and a row range, with and without a filter the catalog
+// prunes on, a NULL-bearing column included — and concurrent Row reads of
+// one result agree. An overflowing SUM or AVG fails its own cells only,
+// each with its group's key.
+func TestGroupStatementRows(t *testing.T) {
+	ctx := context.Background()
+	flat := pinTable(VBP, 3*256+77)
+	aggs := []GroupAgg{{Op: "COUNT"}, {Op: "COUNT", Column: "n"}, {Op: "SUM", Column: "v"}, {Op: "AVG", Column: "n"},
+		{Op: "MIN", Column: "n"}, {Op: "MAX", Column: "v"}, {Op: "MEDIAN", Column: "n"}, {Op: "QUANTILE", Column: "v", Quantile: 0.9}}
+	type source interface {
+		AggsContext(context.Context, []GroupAgg) ([]AggResult, error)
+		GroupByAggsContext(context.Context, []string, []GroupAgg) (*ShardedGrouped, error)
+	}
+	for _, store := range []*ShardedTable{ShardTable(flat, 256), PartitionTable(flat)} {
+		for _, filtered := range []bool{false, true} {
+			for _, ranged := range []bool{false, true} {
+				src := func(key ...uint64) source {
+					q := store.Query()
+					if filtered {
+						q.Where("a", GreaterEq(1000)).Where("a", Less(3100))
+					}
+					for _, k := range key {
+						q.Where("g", Equal(k))
+					}
+					if ranged {
+						return q.Range(100, store.Rows()-50)
+					}
+					return q
+				}
+				label := fmt.Sprintf("%d parts, filtered=%v, ranged=%v", store.NumShards(), filtered, ranged)
+				g, err := src().GroupByAggsContext(ctx, []string{"g"}, aggs)
+				if err != nil || g.Len() == 0 {
+					t.Fatalf("%s: %d groups, %v", label, g.Len(), err)
+				}
+				rows := make([][]AggResult, g.Len())
+				for i, key := range g.Keys() {
+					rows[i] = g.Row(i, nil)
+					if want, err := src(key).AggsContext(ctx, aggs); err != nil || !reflect.DeepEqual(rows[i], want) {
+						t.Errorf("%s: group %d Row = %+v; the scalar row over its rows %+v, %v", label, key, rows[i], want, err)
+					}
+				}
+				var wg sync.WaitGroup
+				for range 4 {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						var dst []AggResult
+						for i := range rows {
+							if dst = g.Row(i, dst); !reflect.DeepEqual(dst, rows[i]) {
+								t.Errorf("%s: concurrent Row(%d) = %+v, want %+v", label, i, dst, rows[i])
+							}
+						}
+					}()
+				}
+				wg.Wait()
+			}
+		}
+	}
+
+	// Group 1 sums to 2^64 + 5 over two parts; groups 0 and 2 do not overflow.
+	v, k := NewColumn(VBP, 64), NewColumn(VBP, 2)
+	for _, r := range [][2]uint64{{0, 7}, {1, 1 << 63}, {2, 3}, {1, 1 << 63}, {1, 5}, {0, 1}} {
+		k.Append(r[0])
+		v.Append(r[1])
+	}
+	st := ShardTable(NewTableFromColumns([]string{"k", "v"}, []*Column{k, v}), 2)
+	g, err := st.Query().GroupByAggsContext(ctx, []string{"k"}, []GroupAgg{{Op: "SUM", Column: "v"}, {Op: "MAX", Column: "v"}, {Op: "AVG", Column: "v"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range g.Len() {
+		row := g.Row(i, nil)
+		for _, c := range []AggResult{row[0], row[2]} {
+			var ov *OverflowError
+			switch {
+			case i != 1 && c.Err != nil:
+				t.Errorf("group %d: SUM/AVG cell fails with %v", i, c.Err)
+			case i == 1 && (!errors.As(c.Err, &ov) || ov.Hi != 1 || ov.Lo != 5 || !slices.Equal(ov.Group, []uint64{1})):
+				t.Errorf("group 1: SUM/AVG cell error %v, want an *OverflowError of 2^64+5 in group [1]", c.Err)
+			}
+		}
+		if !row[1].OK || row[1].Err != nil {
+			t.Errorf("group %d: MAX cell %+v fails beside an overflowing SUM", i, row[1])
+		}
 	}
 }
 

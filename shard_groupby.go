@@ -3,7 +3,6 @@ package bpagg
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"bpagg/internal/bitvec"
@@ -32,10 +31,10 @@ import (
 // demand (Selection).
 //
 // The per-part key sets merge into one sorted global key list, and every
-// per-group answer merges the parts' exact partials (128-bit sums,
-// extremes with presence flags, non-NULL counts) in ascending key order;
-// a per-group rank is one radix descent over every part's partition at
-// once. Rows NULL in a grouping column join no group. Results are
+// per-group answer folds the parts' exact partials — one bank per part:
+// 128-bit sums, extremes with presence flags, non-NULL counts — into key
+// order through parallel.Bank.Fold; a per-group rank is one radix descent
+// over every part's partition at once. Rows NULL in a grouping column join no group. Results are
 // bit-identical across key widths, part splits and thread counts, and
 // concurrent aggregates over one Grouped are safe.
 type ShardedGrouped struct {
@@ -43,9 +42,13 @@ type ShardedGrouped struct {
 	widths []int
 	keys   []uint64     // global sorted key union
 	parts  []*groupPart // per live shard, in shard order
-	pos    [][]int32    // pos[p][gi] = global index of parts[p]'s group gi
+	pos    [][]int32    // pos[p][gi] = global index of parts[p]'s group gi; nil for one part
 	base   []int        // base[p] = first global row of parts[p]'s shard
 	rows   int          // the store's rows, the length of a group's Selection
+	// named are the aggregates GroupByAggsContext named (nil for
+	// GroupByContext), and answers their answers, parallel to them.
+	named   []aggCall
+	answers []groupAnswer
 }
 
 // GroupByContext partitions the selection — within the row range, for a
@@ -58,23 +61,33 @@ func (f *fanOut) GroupByContext(ctx context.Context, columns ...string) (*Sharde
 }
 
 // GroupByAggsContext is GroupByContext for the named aggregates alone: one
-// pass per shard answers them all, and asking for another is an error.
-// COUNT(*) is the partition's own count, named or not.
+// pass per shard banks them all, and before it returns every part's
+// banks merge and each rank runs its one descent. Row reads a group's
+// answers; the per-group methods answer the named aggregates and COUNT(*),
+// and asking for another is an error. A named COUNT(*) records one
+// aggregate per group.
 func (f *fanOut) GroupByAggsContext(ctx context.Context, columns []string, aggs []GroupAgg) (*ShardedGrouped, error) {
-	named := make([]aggCall, 0, 2*len(aggs))
-	for _, a := range aggs {
-		c, err := f.st.aggCall(a)
-		switch {
-		case err != nil:
+	calls := make([]aggCall, len(aggs))
+	for i, a := range aggs {
+		var err error
+		if calls[i], err = f.st.aggCall(a); err != nil {
 			return nil, err
-		case c.op == opCountRows:
-			continue
-		case c.op == opSum: // SUM and AVG also answer the column's COUNT
-			named = append(named, aggCall{op: opCount, column: c.column})
 		}
-		named = append(named, c)
 	}
-	return f.groupBy(ctx, columns, named)
+	g, err := f.groupBy(ctx, columns, calls)
+	if err != nil {
+		return nil, err
+	}
+	answers := make([]groupAnswer, len(calls))
+	for i, c := range calls {
+		if j := slices.Index(calls[:i], c); j >= 0 {
+			answers[i] = answers[j] // AVG beside a SUM of the same column
+		} else if answers[i], err = g.merge(ctx, c); err != nil {
+			return nil, err
+		}
+	}
+	g.named, g.answers = calls, answers
+	return g, nil
 }
 
 // groupBy runs every live shard's partition — for the named aggregates,
@@ -111,8 +124,12 @@ func (f *fanOut) groupBy(ctx context.Context, columns []string, named []aggCall)
 		slices.Sort(keys)
 		keys = slices.Compact(keys)
 	}
-	pos := make([][]int32, len(parts))
-	for p, part := range parts {
+	var pos [][]int32 // one part's groups are the global ones
+	if len(parts) > 1 {
+		pos = make([][]int32, len(parts))
+	}
+	for p := range pos {
+		part := parts[p]
 		pos[p] = make([]int32, len(part.hp.Keys))
 		i := 0
 		for gi, k := range part.hp.Keys {
@@ -176,42 +193,139 @@ func (g *ShardedGrouped) KeyParts(i int) []uint64 {
 func (g *ShardedGrouped) Selection(i int) *Bitmap {
 	out := bitvec.New(g.rows)
 	for p, part := range g.parts {
-		if gi, ok := slices.BinarySearch(g.pos[p], int32(i)); ok {
+		gi, ok := i, true
+		if g.pos != nil {
+			gi, ok = slices.BinarySearch(g.pos[p], int32(i))
+		}
+		if ok {
 			depositAt(out, g.base[p], part.hp.Materialize(gi))
 		}
 	}
 	return &Bitmap{b: out}
 }
 
-// addCounts merges one per-group count vector per shard partition into
-// global key order.
-func (g *ShardedGrouped) addCounts(counts func(part *groupPart) ([]uint64, error)) ([]uint64, error) {
-	out := make([]uint64, len(g.keys))
+// groupAnswer is one aggregate's answer per group, in group order: its
+// bank and, under a SUM or AVG, the bank of the column's non-NULL counts.
+type groupAnswer struct{ b, n *parallel.Bank }
+
+// cell is group i's answer to c as a scalar statement's partial.
+func (a groupAnswer) cell(c aggCall, i int) partial {
+	switch {
+	case c.op <= opCount:
+		return partial{cnt: a.b.Count[i]}
+	case c.op <= opSumCount:
+		return partial{hi: a.b.His[i], lo: a.b.Los[i], cnt: a.n.Count[i]}
+	}
+	return partial{lo: a.b.Best[i], ok: a.b.Any[i]}
+}
+
+// Row writes group i's answers to the aggregates GroupByAggsContext named
+// into dst[:0], parallel to them, and returns it: each cell as in
+// AggsContext's row, with an overflowing SUM or AVG's Err an
+// *OverflowError that carries the group's key. A GroupByContext result
+// names none. Rows read answers made before GroupByAggsContext returned,
+// so concurrent reads are safe.
+func (g *ShardedGrouped) Row(i int, dst []AggResult) []AggResult {
+	dst = slices.Grow(dst[:0], len(g.named))
+	for j, c := range g.named {
+		r := c.result(g.answers[j].cell(c, i))
+		if ov, ok := r.Err.(*OverflowError); ok {
+			ov.Group = g.KeyParts(i)
+		}
+		dst = append(dst, r)
+	}
+	return dst
+}
+
+// answer is aggregate c's answer per group, honoring ctx: the statement's
+// when it named c, else merged from every part now. A statement's groups
+// answer only what it named, and COUNT(*).
+func (g *ShardedGrouped) answer(ctx context.Context, c aggCall) (groupAnswer, error) {
+	if err := g.q.st.checkCall(&c); err != nil {
+		return groupAnswer{}, err
+	}
+	if err := orBackground(ctx).Err(); err != nil {
+		return groupAnswer{}, err
+	}
+	if j := slices.Index(g.named, c); j >= 0 {
+		return g.answers[j], nil
+	}
+	if g.named != nil && c.op != opCountRows {
+		return groupAnswer{}, fmt.Errorf("bpagg: %s(%s) was not named when the groups were built", aggTable[c.op].name, c.column)
+	}
+	return g.merge(ctx, c)
+}
+
+// merge answers c over every part: one radix descent for a rank, else
+// every part's bank folded into group order, and a SUM's non-NULL counts
+// beside it.
+func (g *ShardedGrouped) merge(ctx context.Context, c aggCall) (a groupAnswer, err error) {
+	switch {
+	case c.isRank():
+		a.b, err = g.rank(ctx, c)
+	case c.op == opSum:
+		if a.b, err = g.fold(ctx, c); err == nil {
+			a.n, err = g.fold(ctx, aggCall{op: opCount, column: c.column})
+		}
+	default:
+		a.b, err = g.fold(ctx, c)
+	}
+	return a, err
+}
+
+// fold merges the parts' banks of non-rank aggregate c through the bank's
+// own fold; one part's bank is the answer as it is.
+func (g *ShardedGrouped) fold(ctx context.Context, c aggCall) (*parallel.Bank, error) {
+	if len(g.parts) == 1 {
+		return g.parts[0].bank(ctx, c)
+	}
+	out := parallel.NewBank(parallel.Measure{Op: aggTable[c.op].measure}, len(g.keys))
 	for p, part := range g.parts {
-		c, err := counts(part)
+		b, err := part.bank(ctx, c)
 		if err != nil {
 			return nil, err
 		}
-		for gi, v := range c {
-			out[g.pos[p][gi]] += v
-		}
+		out.Fold(b, g.pos[p])
 	}
 	return out, nil
 }
 
-// CountContext returns each group's row count, honoring ctx.
-func (g *ShardedGrouped) CountContext(ctx context.Context) ([]uint64, error) {
-	if len(g.parts) == 1 { // one partition's groups are the global ones, and its counts a fresh copy
-		return g.parts[0].counts(ctx)
+// rank answers one order statistic per group as a Best/Any bank: c's rank
+// function maps a group's non-NULL count, summed over the parts, to the
+// target rank (a group with no values has Any false). Every live part's
+// partition is one part of a single radix descent, whose rounds sum each
+// group's counts across the parts.
+func (g *ShardedGrouped) rank(ctx context.Context, c aggCall) (*parallel.Bank, error) {
+	parts := make([]parallel.RankPart, len(g.parts))
+	var o parallel.Options
+	for p, part := range g.parts {
+		parts[p] = parallel.RankPart{Col: groupCol(part.q.t.cols[c.column]), HP: part.hp}
+		if g.pos != nil {
+			parts[p].Slot = g.pos[p]
+		}
+		o = part.opts()
 	}
-	return g.addCounts(func(part *groupPart) ([]uint64, error) { return part.counts(ctx) })
+	vals, oks, err := parallel.RankCtx(orBackground(ctx), parts, len(g.keys), c.rankOf, o)
+	return &parallel.Bank{Best: vals, Any: oks}, wrapExecErr(err)
 }
 
-// NonNullCountContext returns each group's count of non-NULL values of
-// the named measure column, honoring ctx — COUNT(col)'s grouped answer
-// and AVG's divisor.
-func (g *ShardedGrouped) NonNullCountContext(ctx context.Context, column string) ([]uint64, error) {
-	return g.addCounts(func(part *groupPart) ([]uint64, error) { return part.nonNullCounts(ctx, column) })
+// owned is s for the caller to keep: a copy when it is the statement's
+// answer, which later reads see again.
+func owned[T any](g *ShardedGrouped, s []T) []T {
+	if g.named != nil {
+		return slices.Clone(s)
+	}
+	return s
+}
+
+// CountContext returns each group's row count, honoring ctx. It records
+// one aggregate per group when the statement did not name COUNT(*).
+func (g *ShardedGrouped) CountContext(ctx context.Context) ([]uint64, error) {
+	a, err := g.answer(ctx, aggCall{op: opCountRows})
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(a.b.Count), nil // one part's are its partition's own
 }
 
 // SumContext aggregates SUM of the named column per group, honoring ctx.
@@ -219,132 +333,52 @@ func (g *ShardedGrouped) NonNullCountContext(ctx context.Context, column string)
 // carrying the exact 128-bit total and the offending group's key — the
 // first such group in key order, as on one part.
 func (g *ShardedGrouped) SumContext(ctx context.Context, column string) ([]uint64, error) {
-	if len(g.parts) == 1 { // one partition's groups are the global ones
-		part := g.parts[0]
-		his, los, err := part.sums128(ctx, column)
-		if err != nil {
-			return nil, err
-		}
-		if part.named != nil { // the pass's bank, which every later call reads
-			los = slices.Clone(los)
-		}
-		return groupSums64(his, los, g.KeyParts)
+	a, err := g.answer(ctx, aggCall{op: opSum, column: column})
+	if err != nil {
+		return nil, err
 	}
-	his := make([]uint64, len(g.keys))
-	los := make([]uint64, len(g.keys))
-	for p, part := range g.parts {
-		phis, plos, err := part.sums128(ctx, column)
-		if err != nil {
-			return nil, err
-		}
-		for gi := range plos {
-			i := g.pos[p][gi]
-			var carry uint64
-			los[i], carry = bits.Add64(los[i], plos[gi], 0)
-			his[i] += phis[gi] + carry
-		}
-	}
-	return groupSums64(his, los, g.KeyParts)
+	return groupSums64(a.b.His, owned(g, a.b.Los), g.KeyParts)
 }
 
 // AvgContext aggregates AVG of the named column per group, honoring ctx.
 // The quotient divides the exact merged sum by the merged non-NULL count,
 // so it is bit-identical to one part's per-group AVG.
 func (g *ShardedGrouped) AvgContext(ctx context.Context, column string) ([]float64, error) {
-	sums, err := g.SumContext(ctx, column)
+	a, err := g.answer(ctx, aggCall{op: opSum, column: column})
 	if err != nil {
 		return nil, err
 	}
-	counts, err := g.NonNullCountContext(ctx, column)
+	sums, err := groupSums64(a.b.His, a.b.Los, g.KeyParts)
 	if err != nil {
 		return nil, err
 	}
-	return groupAvgs(sums, counts), nil
+	return groupAvgs(sums, a.n.Count), nil
 }
 
-// extremeOkContext merges the partitions' per-group MIN/MAX partials: a
-// group can hold only NULL measure values in one shard while other shards
-// carry its values, so absent partials are skipped, not errors.
-func (g *ShardedGrouped) extremeOkContext(ctx context.Context, column string, wantMin bool) ([]uint64, []bool, error) {
-	out := make([]uint64, len(g.keys))
-	found := make([]bool, len(g.keys))
-	for p, part := range g.parts {
-		vals, anys, err := part.extremes(ctx, column, wantMin)
-		if err != nil {
-			return nil, nil, err
-		}
-		for gi, any := range anys {
-			if !any {
-				continue
-			}
-			i := g.pos[p][gi]
-			if !found[i] || (wantMin && vals[gi] < out[i]) || (!wantMin && vals[gi] > out[i]) {
-				out[i] = vals[gi]
-			}
-			found[i] = true
-		}
+// values answers a MIN, MAX or rank per group with presence flags.
+func (g *ShardedGrouped) values(ctx context.Context, c aggCall) ([]uint64, []bool, error) {
+	a, err := g.answer(ctx, c)
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, found, nil
-}
-
-// MinOkContext is the NULL-tolerant twin of MinContext: instead of
-// treating an all-NULL group as an invariant violation, it reports
-// ok[i]=false for groups with no non-NULL measure values — the semantics
-// serving layers need to render NULL cells.
-func (g *ShardedGrouped) MinOkContext(ctx context.Context, column string) ([]uint64, []bool, error) {
-	return g.extremeOkContext(ctx, column, true)
-}
-
-// MaxOkContext is the NULL-tolerant twin of MaxContext; see MinOkContext.
-func (g *ShardedGrouped) MaxOkContext(ctx context.Context, column string) ([]uint64, []bool, error) {
-	return g.extremeOkContext(ctx, column, false)
+	return owned(g, a.b.Best), owned(g, a.b.Any), nil
 }
 
 // MinContext aggregates MIN of the named column per group, honoring ctx.
 func (g *ShardedGrouped) MinContext(ctx context.Context, column string) ([]uint64, error) {
-	return allGroups(g.extremeOkContext(ctx, column, true))
+	return allGroups(g.values(ctx, aggCall{op: opMin, column: column}))
 }
 
 // MaxContext aggregates MAX of the named column per group, honoring ctx.
 func (g *ShardedGrouped) MaxContext(ctx context.Context, column string) ([]uint64, error) {
-	return allGroups(g.extremeOkContext(ctx, column, false))
+	return allGroups(g.values(ctx, aggCall{op: opMax, column: column}))
 }
 
-// rankOkContext answers one order statistic per group: c's rank function
-// maps a group's non-NULL count, summed over the shards, to the target
-// rank (a group with no values reports ok[i]=false rather than an error).
-// Every live shard's partition is one part of a single radix descent,
-// whose rounds sum each group's counts across the shards.
-func (g *ShardedGrouped) rankOkContext(ctx context.Context, c aggCall) ([]uint64, []bool, error) {
-	if _, err := g.q.st.specErr(c.column); err != nil {
-		return nil, nil, err
-	}
-	parts := make([]parallel.RankPart, len(g.parts))
-	var o parallel.Options
-	for p, part := range g.parts {
-		if err := part.check(c); err != nil {
-			return nil, nil, err
-		}
-		parts[p] = parallel.RankPart{Col: groupCol(part.q.t.cols[c.column]), HP: part.hp, Slot: g.pos[p]}
-		o = part.opts()
-	}
-	vals, oks, err := parallel.RankCtx(orBackground(ctx), parts, len(g.keys), c.rankOf, o)
-	return vals, oks, wrapExecErr(err)
-}
-
-// MedianOkContext is the NULL-tolerant twin of MedianContext; see
-// MinOkContext.
+// MedianOkContext answers the lower MEDIAN of the named column per group,
+// honoring ctx, with ok[i]=false for a group with no non-NULL value
+// rather than MedianContext's error.
 func (g *ShardedGrouped) MedianOkContext(ctx context.Context, column string) ([]uint64, []bool, error) {
-	return g.rankOkContext(ctx, aggCall{op: opMedian, column: column})
-}
-
-// QuantileOkContext answers the nearest-rank quantile of the named
-// column per group, honoring ctx, with ok[i]=false for all-NULL groups.
-func (g *ShardedGrouped) QuantileOkContext(ctx context.Context, column string, quantile float64) ([]uint64, []bool, error) {
-	if err := checkQuantile(quantile); err != nil {
-		return nil, nil, err
-	}
-	return g.rankOkContext(ctx, aggCall{op: opQuantile, column: column, quantile: quantile})
+	return g.values(ctx, aggCall{op: opMedian, column: column})
 }
 
 // MedianContext aggregates the lower MEDIAN of the named column per

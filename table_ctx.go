@@ -3,8 +3,6 @@ package bpagg
 import (
 	"context"
 	"fmt"
-	"slices"
-	"time"
 
 	"bpagg/internal/bitvec"
 	"bpagg/internal/core"
@@ -48,12 +46,12 @@ const (
 )
 
 // aggTable spells, by op, every aggregate a statement can name
-// (GroupAgg.Op; AVG names SUM's op) and, for those a grouped pass banks,
-// its measure.
+// (GroupAgg.Op; AVG names SUM's op) and, for those a grouped answer
+// banks, its measure (COUNT(*)'s: the partition's counts).
 var aggTable = [...]aggEntry{
 	opCount: {"COUNT", parallel.MeasureCount}, opSum: {"SUM", parallel.MeasureSum},
 	opMin: {"MIN", parallel.MeasureMin}, opMax: {"MAX", parallel.MeasureMax},
-	opMedian: {name: "MEDIAN"}, opQuantile: {name: "QUANTILE"},
+	opMedian: {name: "MEDIAN"}, opQuantile: {name: "QUANTILE"}, opCountRows: {measure: parallel.MeasureCount},
 }
 
 type aggEntry struct {
@@ -164,61 +162,26 @@ func (v *flatView) filter(col *Column) (core.Filter, *bitvec.Bitmap) {
 	return core.Bits(eff), eff
 }
 
-// counts returns each group's row count, honoring ctx between groups, and
-// records into the query's stats collector as one aggregate per group.
-func (g *groupPart) counts(ctx context.Context) ([]uint64, error) {
-	ctx = orBackground(ctx)
-	start := time.Now()
-	out := make([]uint64, len(g.hp.Keys))
-	for i := range g.hp.Keys {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = g.hp.Counts[i]
-	}
-	g.q.stats.Record(ExecStats{
-		Aggregates: uint64(len(g.hp.Keys)),
-		AggNanos:   time.Since(start).Nanoseconds(),
-	})
-	return out, nil
-}
-
-// sums128 returns each group's SUM of the named column as an exact
-// 128-bit partial — what a merge across shard partitions adds up — without
-// the column's NULL rows.
-func (g *groupPart) sums128(ctx context.Context, column string) (his, los []uint64, err error) {
-	b, err := g.bank(ctx, aggCall{op: opSum, column: column})
-	if err != nil {
-		return nil, nil, err
-	}
-	return b.His, b.Los, nil
-}
-
-// bank answers aggregate c per group: from the pass's bank on a partition
-// built for named aggregates, in one pass over the kept run list otherwise.
+// bank answers non-rank aggregate c per group in the part's group order:
+// the partition's own counts for COUNT(*), recorded as one aggregate per
+// group, and for COUNT of a NULL-free column; the pass's bank on a
+// partition built for named aggregates; one pass over the kept run list
+// otherwise.
 func (g *groupPart) bank(ctx context.Context, c aggCall) (*parallel.Bank, error) {
-	col, err := g.q.t.ColumnErr(c.column)
-	if err == nil {
-		err = g.check(c)
+	if c.op == opCountRows {
+		g.q.stats.Record(ExecStats{Aggregates: uint64(len(g.hp.Keys))})
+		return &parallel.Bank{Count: g.hp.Counts}, nil
 	}
-	if err != nil {
-		return nil, err
+	col := g.q.t.cols[c.column]
+	m := measureOf(col, c.op)
+	switch b := g.hp.Bank(m); {
+	case c.op == opCount && col.nulls == nil:
+		return &parallel.Bank{Count: g.hp.Counts}, nil
+	case b != nil:
+		return b, nil
 	}
-	if g.named != nil {
-		return g.hp.Bank(measureOf(col, c.op)), nil
-	}
-	b, err := parallel.BankCtx(orBackground(ctx), measureOf(col, c.op), g.hp, g.opts())
+	b, err := parallel.BankCtx(orBackground(ctx), m, g.hp, g.opts())
 	return b, wrapExecErr(err)
-}
-
-// check is a measured partition's answer to aggregate c: an error when c
-// was not named, rather than a second pass, which could see rows appended
-// since; nil otherwise, and always on a GroupByContext partition.
-func (g *groupPart) check(c aggCall) error {
-	if g.named == nil || slices.Contains(g.named, c) {
-		return nil
-	}
-	return fmt.Errorf("bpagg: %s(%s) was not named when the groups were built", aggTable[c.op].name, c.column)
 }
 
 // groupSums64 narrows per-group 128-bit sums to the public result: the
@@ -233,22 +196,6 @@ func groupSums64(his, los []uint64, keyParts func(i int) []uint64) ([]uint64, er
 	return los, nil
 }
 
-// extremes returns each group's MIN or MAX of the named column with a
-// presence flag: anys[i] is false when group i holds no non-NULL value,
-// which a merge across shard partitions skips and MinContext/MaxContext
-// report as a broken invariant.
-func (g *groupPart) extremes(ctx context.Context, column string, wantMin bool) (vals []uint64, anys []bool, err error) {
-	c := aggCall{op: opMax, column: column}
-	if wantMin {
-		c.op = opMin
-	}
-	b, err := g.bank(ctx, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	return b.Best, b.Any, nil
-}
-
 // allGroups narrows a per-group result with presence flags to the plain
 // form, where a group without a value is an invariant violation.
 func allGroups(vals []uint64, oks []bool, err error) ([]uint64, error) {
@@ -261,32 +208,6 @@ func allGroups(vals []uint64, oks []bool, err error) ([]uint64, error) {
 		}
 	}
 	return vals, nil
-}
-
-// nonNullCounts returns each group's count of non-NULL values of the
-// named column — COUNT(col) per group and AVG's divisor: the partition's
-// own row counts for a NULL-free column, which callers only read, and a
-// popcount bank without the NULL rows otherwise. Neither reads the
-// column's packed words, so nothing records.
-func (g *groupPart) nonNullCounts(ctx context.Context, column string) ([]uint64, error) {
-	col, err := g.q.t.ColumnErr(column)
-	if err != nil {
-		return nil, err
-	}
-	if err := orBackground(ctx).Err(); err != nil {
-		return nil, err
-	}
-	if err := g.check(aggCall{op: opCount, column: column}); err != nil {
-		return nil, err
-	}
-	if col.nulls == nil {
-		return g.hp.Counts, nil
-	}
-	b, err := g.bank(ctx, aggCall{op: opCount, column: column})
-	if err != nil {
-		return nil, err
-	}
-	return b.Count, nil
 }
 
 // groupAvgs divides per-group sums by their non-NULL counts; a group
